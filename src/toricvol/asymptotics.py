@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fan import Fan, chi_of_fan, is_complete, subfan
 from .homology import local_cohomology_ranks
-from .regions import bounded_subsets, normalized_volume, region
+from .regions import normalized_volume, region_sum
 
 AsymptoticVector = tuple[Fraction, ...]
 
@@ -32,16 +32,10 @@ def hhat(fan: Fan, d: Divisor, cap: int = 20) -> AsymptoticVector:
     """The exact vector of asymptotic cohomology rates (index 0..n)."""
     if not is_complete(fan):
         raise NotCompleteError("asymptotic functions need a complete fan")
-    result = [Fraction(0)] * (fan.dim + 1)
-    for subset in bounded_subsets(fan, cap):
-        profile = local_cohomology_ranks(fan, subset)
-        if not any(profile):
-            continue
-        volume = normalized_volume(region(fan, d, subset))
-        if volume:
-            for i in range(fan.dim + 1):
-                result[i] += profile[i] * volume
-    return tuple(result)
+    values = region_sum(
+        fan, d, lambda subset: local_cohomology_ranks(fan, subset), normalized_volume, cap
+    )
+    return tuple(Fraction(v) for v in values)
 
 
 def self_intersection(fan: Fan, d: Divisor, cap: int = 20) -> Fraction:
@@ -61,13 +55,10 @@ def self_intersection(fan: Fan, d: Divisor, cap: int = 20) -> Fraction:
     denominators += [v.denominator for u in cartier.u_sigma for v in u]
     k = math.lcm(*denominators)
     scaled = scale(d, k)
-    n = fan.dim
-    total = Fraction(0)
-    for subset in bounded_subsets(fan, cap):
-        volume = normalized_volume(region(fan, scaled, subset))
-        if volume:
-            total += chi_of_fan(subfan(fan, subset)) * volume
-    return (-1) ** n * total / Fraction(k) ** n
+    (total,) = region_sum(
+        fan, scaled, lambda subset: (chi_of_fan(subfan(fan, subset)),), normalized_volume, cap
+    )
+    return (-1) ** fan.dim * total / Fraction(k) ** fan.dim
 
 
 def asymptotic_rr_check(fan: Fan, d: Divisor, cap: int = 20) -> tuple[Fraction, Fraction]:

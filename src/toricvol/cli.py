@@ -3,7 +3,8 @@
 Input documents are UTF-8 JSON.  A fan file carries ``dim``, ``rays``
 (array of integer arrays) and ``cones`` (array of ray-index arrays,
 maximal cones only); a divisor file carries ``coeffs`` as integers or
-"p/q" strings.  Reports are byte-deterministic: keys are sorted, every
+"p/q" strings.  JSON floats and booleans are rejected, never rounded or
+coerced.  Reports are byte-deterministic: keys are sorted, every
 rational is emitted as a lowest-terms "p/q" string next to a decimal
 approximation with 12 significant digits, and inputs are identified by
 their sha256 digests.
@@ -93,6 +94,23 @@ def _load_json(path: str):
         raise DocumentError(f"{path} is not valid UTF-8 JSON: {err}") from err
 
 
+def _exact(value):
+    """A JSON scalar as given, unless it is a float or a boolean.
+
+    ``int`` and ``Fraction`` would truncate 1.7, take 0.1 at its binary
+    value and read true as 1, silently changing the input.
+    """
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{json.dumps(value)} is not an integer or a \"p/q\" string")
+    return value
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{json.dumps(value)} is not an array")
+    return value
+
+
 def load_fan_document(path: str):
     doc, digest = _load_json(path)
     if not isinstance(doc, dict):
@@ -101,9 +119,9 @@ def load_fan_document(path: str):
         if key not in doc:
             raise DocumentError(f"{path}: fan document lacks '{key}'")
     try:
-        dim = int(doc["dim"])
-        rays = [[int(v) for v in ray] for ray in doc["rays"]]
-        cones = [[int(i) for i in cone] for cone in doc["cones"]]
+        dim = int(_exact(doc["dim"]))
+        rays = [[int(_exact(v)) for v in _array(ray)] for ray in _array(doc["rays"])]
+        cones = [[int(_exact(i)) for i in _array(cone)] for cone in _array(doc["cones"])]
     except (TypeError, ValueError) as err:
         raise DocumentError(f"{path}: malformed fan fields: {err}") from err
     return dim, rays, cones, digest
@@ -114,7 +132,7 @@ def load_divisor_document(path: str, fan: Fan):
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise DocumentError(f"{path}: divisor document lacks 'coeffs'")
     try:
-        coeffs = divisor(doc["coeffs"])
+        coeffs = divisor(_exact(c) for c in _array(doc["coeffs"]))
     except (TypeError, ValueError, ZeroDivisionError) as err:
         raise DocumentError(f"{path}: malformed coefficients: {err}") from err
     if len(coeffs) != len(fan.rays):

@@ -12,11 +12,11 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .divisor import Divisor
-from .errors import NotCompleteError
-from .fan import Fan, intersection_ray_set, is_complete, subfan, chi_of_fan
+from .errors import NotCompleteError, ToricError
+from .fan import Fan, chi_of_fan, intersection_ray_set, is_complete, subfan
 from .homology import local_cohomology_ranks
 from .linalg import dot, rank
-from .regions import bounded_subsets, lattice_points, region
+from .regions import bounded_subsets, lattice_points, region_sum
 
 CohomologyVector = tuple[int, ...]
 
@@ -37,38 +37,51 @@ def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
     return profile[i]
 
 
+def _lattice_count(reg) -> int:
+    return len(lattice_points(reg))
+
+
 def h_all(fan: Fan, d: Divisor, cap: int = 20) -> CohomologyVector:
     """All cohomology dimensions (h^0, ..., h^n) of a complete fan's divisor."""
     if not is_complete(fan):
         raise NotCompleteError(
             "h_all needs a complete fan; use graded_piece_dim for single pieces"
         )
-    result = [0] * (fan.dim + 1)
+    return region_sum(
+        fan, d, lambda subset: local_cohomology_ranks(fan, subset), _lattice_count, cap
+    )
+
+
+def _check_chi_identity(fan: Fan, cap: int) -> bool:
+    """(-1)^n chi(subfan_W) = sum_i (-1)^i r_i(W) for every bounded W.
+
+    The identity makes the Euler sum over regions equal the alternating
+    sum of h_all for every divisor, so it is checked once per fan.
+    """
+    n = fan.dim
     for subset in bounded_subsets(fan, cap):
-        profile = local_cohomology_ranks(fan, subset)
-        if not any(profile):
-            continue
-        count = len(lattice_points(region(fan, d, subset)))
-        if count:
-            for i in range(fan.dim + 1):
-                result[i] += profile[i] * count
-    return tuple(result)
+        ranks = local_cohomology_ranks(fan, subset)
+        alternating = sum((-1) ** i * r for i, r in enumerate(ranks))
+        if (-1) ** n * chi_of_fan(subfan(fan, subset)) != alternating:
+            raise ToricError(
+                f"internal: chi of subfan {sorted(subset)} disagrees with its ranks {ranks}"
+            )
+    return True
 
 
 def euler_char(fan: Fan, d: Divisor, cap: int = 20) -> int:
-    """Euler characteristic via alternating cone counts, cross-checked."""
+    """Euler characteristic via alternating cone counts.
+
+    Cross-checked against the rank vectors once per fan: see
+    ``_check_chi_identity``.
+    """
     if not is_complete(fan):
         raise NotCompleteError("euler_char needs a complete fan")
-    n = fan.dim
-    total = 0
-    for subset in bounded_subsets(fan, cap):
-        count = len(lattice_points(region(fan, d, subset)))
-        if count:
-            total += chi_of_fan(subfan(fan, subset)) * count
-    value = (-1) ** n * total
-    alternating = sum((-1) ** i * h for i, h in enumerate(h_all(fan, d, cap)))
-    assert value == alternating, "chi formula disagrees with the rank sum"
-    return value
+    fan.memo("chi_identity", lambda: _check_chi_identity(fan, cap))
+    (total,) = region_sum(
+        fan, d, lambda subset: (chi_of_fan(subfan(fan, subset)),), _lattice_count, cap
+    )
+    return (-1) ** fan.dim * total
 
 
 def _allowed(fan: Fan, weak: frozenset[int], cone_tuple) -> bool:
@@ -76,67 +89,18 @@ def _allowed(fan: Fan, weak: frozenset[int], cone_tuple) -> bool:
     return rays <= weak
 
 
-def cech_ranks(fan: Fan, weak_rays) -> CohomologyVector:
-    """Cohomology ranks of the alternating Cech complex for one region type.
+def _cech_rank_vector(fan: Fan, subset: frozenset[int], tuples) -> CohomologyVector:
+    """Cohomology ranks of the Cech complex spanned by ``tuples(size)``.
 
-    The complex lives on the ordered cover by maximal cones; a tuple
-    contributes a line exactly when the rays of its intersection all lie
-    in the weak set.  Memoized per fan and subset.
+    A tuple contributes a line exactly when the rays of the intersection
+    of its cones all lie in the weak set.
     """
-    subset = frozenset(weak_rays)
-
-    def compute():
-        n = fan.dim
-        ncones = len(fan.max_cones)
-        layers: list[list[tuple[int, ...]]] = []
-        for size in range(1, n + 3):
-            layers.append(
-                [
-                    combo
-                    for combo in combinations(range(ncones), size)
-                    if _allowed(fan, subset, combo)
-                ]
-            )
-        ranks_of_d = [0] * (n + 2)  # rank of delta^i : C^i -> C^(i+1)
-        for i in range(n + 1):
-            small, large = layers[i], layers[i + 1]
-            if not small or not large:
-                continue
-            index = {t: k for k, t in enumerate(small)}
-            matrix = [[0] * len(small) for _ in large]
-            for row, big in enumerate(large):
-                for j in range(len(big)):
-                    sub = big[:j] + big[j + 1 :]
-                    if sub in index:
-                        matrix[row][index[sub]] = (-1) ** j
-            ranks_of_d[i] = rank(matrix)
-        return tuple(
-            len(layers[i]) - ranks_of_d[i] - (ranks_of_d[i - 1] if i else 0)
-            for i in range(n + 1)
-        )
-
-    return fan.memo(("cech", subset), compute)
-
-
-def cech_ranks_full(fan: Fan, weak_rays) -> CohomologyVector:
-    """Same ranks from the full Cech complex (all tuples, repeats allowed).
-
-    Exponentially bigger matrices than the alternating complex; kept as
-    a one-off validation of the reduction, not a production path.
-    """
-    subset = frozenset(weak_rays)
     n = fan.dim
-    ncones = len(fan.max_cones)
-    layers: list[list[tuple[int, ...]]] = []
-    for size in range(1, n + 3):
-        layers.append(
-            [
-                combo
-                for combo in product(range(ncones), repeat=size)
-                if _allowed(fan, subset, sorted(set(combo)))
-            ]
-        )
-    ranks_of_d = [0] * (n + 2)
+    layers: list[list[tuple[int, ...]]] = [
+        [t for t in tuples(size) if _allowed(fan, subset, t)]
+        for size in range(1, n + 3)
+    ]
+    ranks_of_d = [0] * (n + 2)  # rank of delta^i : C^i -> C^(i+1)
     for i in range(n + 1):
         small, large = layers[i], layers[i + 1]
         if not small or not large:
@@ -147,6 +111,7 @@ def cech_ranks_full(fan: Fan, weak_rays) -> CohomologyVector:
             for j in range(len(big)):
                 sub = big[:j] + big[j + 1 :]
                 if sub in index:
+                    # With repeated cones two deletions can give one face.
                     matrix[row][index[sub]] += (-1) ** j
         ranks_of_d[i] = rank(matrix)
     return tuple(
@@ -155,23 +120,47 @@ def cech_ranks_full(fan: Fan, weak_rays) -> CohomologyVector:
     )
 
 
+def cech_ranks(fan: Fan, weak_rays) -> CohomologyVector:
+    """Cohomology ranks of the alternating Cech complex for one region type.
+
+    The complex lives on the ordered cover by maximal cones.  Memoized
+    per fan and subset.
+    """
+    subset = frozenset(weak_rays)
+    ncones = len(fan.max_cones)
+    return fan.memo(
+        ("cech", subset),
+        lambda: _cech_rank_vector(fan, subset, lambda size: combinations(range(ncones), size)),
+    )
+
+
+def cech_ranks_full(fan: Fan, weak_rays) -> CohomologyVector:
+    """Same ranks from the full Cech complex (all tuples, repeats allowed).
+
+    Exponentially bigger matrices than the alternating complex; kept as
+    a one-off validation of the reduction, not a production path.
+    """
+    ncones = len(fan.max_cones)
+    return _cech_rank_vector(
+        fan, frozenset(weak_rays), lambda size: product(range(ncones), repeat=size)
+    )
+
+
 def cech_oracle(fan: Fan, d: Divisor, cap: int = 20) -> CohomologyVector:
     """Cohomology dimensions recomputed through Cech complexes.
 
     Graded pieces with identical weak sets share one complex, so the sum
     over lattice points collapses to counts times Cech ranks; the ranks
-    themselves never consult the sphere-complex machinery.
+    themselves never consult the sphere-complex machinery, which only
+    picks the regions that can contribute.
     """
     if not is_complete(fan):
         raise NotCompleteError("cech_oracle needs a complete fan")
-    result = [0] * (fan.dim + 1)
-    for subset in bounded_subsets(fan, cap):
-        profile = local_cohomology_ranks(fan, subset)
-        if not any(profile):
-            continue
-        count = len(lattice_points(region(fan, d, subset)))
-        if count:
-            ranks = cech_ranks(fan, subset)
-            for i in range(fan.dim + 1):
-                result[i] += ranks[i] * count
-    return tuple(result)
+    zero = (0,) * (fan.dim + 1)
+
+    def weight(subset):
+        if not any(local_cohomology_ranks(fan, subset)):
+            return zero
+        return cech_ranks(fan, subset)
+
+    return region_sum(fan, d, weight, _lattice_count, cap)

@@ -345,7 +345,7 @@ def _is_projective(fan: Fan, cones):
     return us, psi
 
 
-def _sample_interior_divisor(fan: Fan, cones, strict, us, psi) -> Divisor:
+def _sample_interior_divisor(fan: Fan, cones, us, psi) -> Divisor:
     coeffs = [Fraction(0)] * len(fan.rays)
     cone_list = [sorted(c) for c in cones]
     for rho in range(len(fan.rays)):
@@ -513,7 +513,7 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
         rayset = frozenset().union(*cones)
         strict = frozenset(range(len(fan.rays))) - rayset
         us, psi = solution
-        sample = _sample_interior_divisor(fan, cones, strict, us, psi)
+        sample = _sample_interior_divisor(fan, cones, us, psi)
         chambers.append(gkz_cone(fan, cones, strict, sample_divisor=sample))
     return chambers
 
@@ -583,7 +583,8 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
         rows = [list(b) for b in cone.lineality_basis]
         rhs = [dot(us[0], b) for b in cone.lineality_basis]
         shift = solve(rows, rhs)
-        assert shift is not None
+        if shift is None:
+            raise ToricError("internal: no shift matches the chamber's lineality space")
     else:
         shift = tuple(Fraction(0) for _ in range(n))
     shifted = linear_equiv_shift(fan, d, shift)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import ToricError
 from .linalg import dot
 
 OPTIMAL = "optimal"
@@ -133,7 +134,8 @@ def solve_lp(
             cost[j] -= tableau[i][j]
     allowed = list(range(ncols))
     status = _run_simplex(tableau, cost, basis, allowed)
-    assert status == OPTIMAL  # phase 1 objective is bounded below by 0
+    if status != OPTIMAL:  # the phase 1 objective is bounded below by 0
+        raise ToricError("internal: phase 1 of the simplex reported an unbounded objective")
     if -cost[-1] != 0:
         return LPResult(INFEASIBLE)
 
@@ -264,7 +266,8 @@ def relative_interior_functional(rows: Sequence[Sequence]) -> tuple[tuple[Fracti
         b_ub.append(0)
     objective = [0] * dim + [1] * k
     res = solve_lp(objective, a_ub, b_ub, maximize=True)
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:  # w = 0, t = 0 is feasible and t is capped
+        raise ToricError(f"internal: relative-interior LP ended {res.status}")
     w = res.point[:dim]
     implicit = [i for i, r in enumerate(rows) if dot(r, w) == 0]
     return w, implicit

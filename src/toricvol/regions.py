@@ -17,25 +17,38 @@ point membership re-tests the mixed weak/strict system pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Callable
 
 from .divisor import Divisor
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
 from .linalg import affine_rank, det, dot, rank, solve
-from .lp import max_over_cone_is_zero
+from .lp import feasible_point
+
+
+def _no_cache(key, compute):
+    """Memo stand-in for regions built outside a fan: compute, keep nothing."""
+    return compute()
 
 
 @dataclass(frozen=True)
 class HalfOpenRegion:
-    """One mixed weak/strict linear system, one constraint per ray."""
+    """One mixed weak/strict linear system, one constraint per ray.
+
+    ``memo`` stores the facts that depend only on the normals and the
+    weak set (boundedness, vertex bases).  Regions of a fan carry the
+    fan's memo, so those facts are computed once per fan; the default
+    computes them afresh on every call.
+    """
 
     normals: tuple[tuple[int, ...], ...]
     levels: tuple[Fraction, ...]
     weak: tuple[bool, ...]
     dim: int
+    memo: Callable = field(default=_no_cache, compare=False, repr=False)
 
     def contains(self, point) -> bool:
         for normal, level, is_weak in zip(self.normals, self.levels, self.weak):
@@ -55,9 +68,6 @@ class HalfOpenRegion:
 @dataclass(frozen=True)
 class RationalPolytope:
     vertices: tuple[tuple[Fraction, ...], ...]
-    normals: tuple[tuple[int, ...], ...]
-    levels: tuple[Fraction, ...]
-    geq: tuple[bool, ...]
 
 
 def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
@@ -68,35 +78,37 @@ def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
         levels=tuple(-c for c in d),
         weak=tuple(i in subset for i in range(len(fan.rays))),
         dim=fan.dim,
+        memo=fan.memo,
     )
 
 
-def _recession_rows(fan: Fan, weak_rays: frozenset[int]):
-    return [
-        fan.rays[i] if i in weak_rays else tuple(-v for v in fan.rays[i])
-        for i in range(len(fan.rays))
-    ]
+def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
+    """Whether the closure is bounded; depends on the weak set only.
+
+    The recession cone is {u : <u, r> >= 0} over the rows r = v on weak
+    rays and r = -v off them.  By Gordan's alternative it is {0} exactly
+    when the rows span the space and some lambda >= 1 has
+    sum lambda_i r_i = 0; one exact LP decides the latter.
+    """
+    weak_rays = frozenset(i for i, is_weak in enumerate(reg.weak) if is_weak)
+
+    def compute():
+        rows = [
+            v if is_weak else tuple(-x for x in v) for v, is_weak in zip(reg.normals, reg.weak)
+        ]
+        if rank(rows) < reg.dim:
+            return False
+        # lambda = 1 + mu with mu >= 0: sum mu_i r_i = -sum r_i.
+        a_eq = [[r[j] for r in rows] for j in range(reg.dim)]
+        b_eq = [-sum(r[j] for r in rows) for j in range(reg.dim)]
+        return feasible_point(a_eq=a_eq, b_eq=b_eq, nonneg=True) is not None
+
+    return reg.memo(("bounded_subset", weak_rays), compute)
 
 
 def is_bounded_subset(fan: Fan, weak_rays) -> bool:
-    """Whether the region of this subset is bounded (for every divisor).
-
-    Decided by exact LP: the recession cone is trivial iff every
-    coordinate functional is bounded (hence zero) on it, in both signs.
-    """
-    subset = frozenset(weak_rays)
-
-    def compute():
-        rows = _recession_rows(fan, subset)
-        for j in range(fan.dim):
-            for sign in (1, -1):
-                objective = [0] * fan.dim
-                objective[j] = sign
-                if not max_over_cone_is_zero(objective, rows):
-                    return False
-        return True
-
-    return fan.memo(("bounded_subset", subset), compute)
+    """Whether the region of this subset is bounded (for every divisor)."""
+    return _closure_is_bounded(region(fan, (0,) * len(fan.rays), weak_rays))
 
 
 def bounded_subsets(fan: Fan, cap: int = 20) -> tuple[frozenset[int], ...]:
@@ -120,37 +132,40 @@ def bounded_subsets(fan: Fan, cap: int = 20) -> tuple[frozenset[int], ...]:
     return fan.memo("bounded_subsets", compute)
 
 
-def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
-    rows = [
-        normal if is_weak else tuple(-v for v in normal)
-        for normal, is_weak in zip(reg.normals, reg.weak)
-    ]
-    for j in range(reg.dim):
-        for sign in (1, -1):
-            objective = [0] * reg.dim
-            objective[j] = sign
-            if not max_over_cone_is_zero(objective, rows):
-                return False
-    return True
+def _vertex_bases(reg: HalfOpenRegion):
+    """Every n-set of normals of rank n, with the exact inverse of its matrix."""
+    n = reg.dim
+
+    def compute():
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        bases = []
+        for combo in combinations(range(len(reg.normals)), n):
+            matrix = [reg.normals[i] for i in combo]
+            if rank(matrix) != n:
+                continue
+            columns = [solve(matrix, unit) for unit in units]
+            inverse = tuple(tuple(col[i] for col in columns) for i in range(n))
+            bases.append((combo, inverse))
+        return tuple(bases)
+
+    return reg.memo("vertex_bases", compute)
 
 
 def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     """Vertices of the weak closure, by brute-force basis enumeration.
 
     Every vertex is the unique solution of some n tight constraints, so
-    n-subsets of the system are solved exactly and filtered by
-    feasibility.  Raises on systems with unbounded closure.
+    each invertible n-subset of the system gives one candidate point,
+    kept when it satisfies the whole closure.  Raises on systems with
+    unbounded closure.
     """
     if not _closure_is_bounded(reg):
         raise UnboundedRegionError("region closure is unbounded")
-    n = reg.dim
     constraints = reg.closure_constraints()
     vertices = set()
-    for combo in combinations(range(len(constraints)), n):
-        matrix = [reg.normals[i] for i in combo]
-        if rank(matrix) != n:
-            continue
-        point = solve(matrix, [reg.levels[i] for i in combo])
+    for combo, inverse in _vertex_bases(reg):
+        rhs = [reg.levels[i] for i in combo]
+        point = tuple(dot(row, rhs) for row in inverse)
         ok = True
         for normal, level, is_weak in constraints:
             value = dot(normal, point)
@@ -162,13 +177,8 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
                 ok = False
                 break
         if ok:
-            vertices.add(tuple(point))
-    return RationalPolytope(
-        vertices=tuple(sorted(vertices)),
-        normals=reg.normals,
-        levels=reg.levels,
-        geq=reg.weak,
-    )
+            vertices.add(point)
+    return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
 def _facet_vertex_sets(vertices, constraints, apex, face_dim):
@@ -232,6 +242,27 @@ def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
         if reg.contains(candidate):
             points.append(candidate)
     return points
+
+
+def region_sum(fan: Fan, d: Divisor, weight, measure, cap: int = 20) -> tuple:
+    """Sum of weight(W) * measure(region of W) over the bounded subsets W.
+
+    ``weight`` maps a ray subset to a tuple of integers, of the same
+    length for every subset; a subset whose weight is all zero is
+    skipped before its region is measured.
+    """
+    total = None
+    for subset in bounded_subsets(fan, cap):
+        w = weight(subset)
+        if total is None:
+            total = [0] * len(w)
+        if not any(w):
+            continue
+        amount = measure(region(fan, d, subset))
+        if amount:
+            for i, x in enumerate(w):
+                total[i] += x * amount
+    return tuple(total)
 
 
 def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):

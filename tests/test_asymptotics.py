@@ -14,7 +14,7 @@ from toricvol.cohomology import h_all
 from toricvol.divisor import divisor, is_q_cartier, linear_equiv_shift, ray_divisor, scale
 from toricvol.errors import ChamberWallError, NotQCartierError, PreconditionError
 from toricvol.fan import Cone, cone_multiplicity
-from toricvol.fixtures import f1, p1, p1xp1, p2, weighted_p112
+from toricvol.fixtures import bl1_p3, bl2_p2, f1, p1, p1xp1, p2, weighted_p112
 
 
 def test_hhat_examples():
@@ -48,6 +48,18 @@ def test_hhat_class_invariance():
             d = divisor([rng.randint(-4, 4) for _ in range(k)])
             u = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(fan.dim))
             assert hhat(fan, linear_equiv_shift(fan, d, u)) == hhat(fan, d)
+
+
+def test_hhat_asymptotic_duality():
+    # hhat^i(D) = hhat^(n-i)(-D): up to its boundary, the region of W for
+    # -D is minus the region of the complement of W for D.
+    rng = random.Random(15)
+    for fixture in (p1, p2, p1xp1, f1, weighted_p112, bl2_p2, bl1_p3):
+        fan = fixture()
+        for _ in range(6):
+            d = divisor([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in fan.rays])
+            negated = tuple(-c for c in d)
+            assert hhat(fan, d) == hhat(fan, negated)[::-1], (fixture.__name__, d)
 
 
 def test_h_all_integer_shift_invariance():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toricvol.cli import decimal_string, format_rational, main
 from fractions import Fraction
 
@@ -157,6 +159,30 @@ def test_malformed_document_exit_code(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     div = write(tmp_path, "d.json", {"coeffs": [1, 0, 0]})
     code, report = run(tmp_path, "cohom", "--fan", str(path), "--divisor", div)
+    assert code == 2
+    assert report["error"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "fan_doc, coeffs",
+    [
+        (dict(P2, dim=2.0), [1, 0, 0]),
+        (dict(P2, dim=True), [1, 0, 0]),
+        (dict(P2, rays=[[1.7, 0], [0, 1], [-1, -1]]), [1, 0, 0]),
+        (dict(P2, rays=[[True, 0], [0, 1], [-1, -1]]), [1, 0, 0]),
+        (dict(P2, cones=[[0, 1.0], [1, 2], [2, 0]]), [1, 0, 0]),
+        (dict(P2, cones=[[False, 1], [1, 2], [2, 0]]), [1, 0, 0]),
+        (P2, [0.1, 0, 0]),
+        (P2, [True, 0, 0]),
+    ],
+    ids=["dim-float", "dim-bool", "ray-float", "ray-bool", "cone-float", "cone-bool",
+         "coeff-float", "coeff-bool"],
+)
+def test_inexact_json_numbers_rejected(tmp_path, fan_doc, coeffs):
+    # int() and Fraction() would truncate, round or coerce these silently.
+    fan = write(tmp_path, "fan.json", fan_doc)
+    div = write(tmp_path, "d.json", {"coeffs": coeffs})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
     assert code == 2
     assert report["error"]["kind"] == "validation"
 

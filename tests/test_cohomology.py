@@ -127,3 +127,31 @@ def test_full_vs_alternating_cech():
         for subset in subsets:
             assert cech_ranks(fan, subset) == cech_ranks_full(fan, subset)
         assert h_all(fan, d) == cech_oracle(fan, d)
+
+
+def test_warm_calls_run_no_lp(monkeypatch):
+    # Boundedness and vertex bases depend on the fan only: once the memo
+    # holds them, no divisor needs another LP.
+    import toricvol.lp as lp
+    from toricvol.asymptotics import hhat, self_intersection
+    from toricvol.fixtures import bl2_p2
+
+    fan = bl2_p2()
+    h_all(fan, divisor([1, 0, 2, -1, 0]))
+    hhat(fan, divisor([1, 0, 2, -1, 0]))
+    calls = []
+    original = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    rng = random.Random(16)
+    for _ in range(5):
+        d = divisor([rng.randint(-4, 4) for _ in fan.rays])
+        h_all(fan, d)
+        euler_char(fan, d)
+        hhat(fan, d)
+        self_intersection(fan, d)
+    assert calls == []

@@ -13,7 +13,14 @@ from functools import cmp_to_key
 from toricvol.divisor import divisor
 from toricvol.fixtures import bl1_p3, bl2_p2, bl3_p2, f1, p1_cubed, p1xp1, p2
 from toricvol.gkz import enumerate_maximal_chambers, gkz_membership, locate_chamber
-from toricvol.regions import bounded_subsets, closure_vertices, normalized_volume, region
+from toricvol.lp import max_over_cone_is_zero
+from toricvol.regions import (
+    bounded_subsets,
+    closure_vertices,
+    is_bounded_subset,
+    normalized_volume,
+    region,
+)
 
 
 def shoelace_double_area(points):
@@ -53,6 +60,20 @@ def test_volume_against_shoelace():
                 vertices = closure_vertices(reg).vertices
                 expected = shoelace_double_area(list(vertices))
                 assert normalized_volume(reg) == expected, (fixture.__name__, d, sorted(subset))
+
+
+def test_boundedness_against_coordinate_lps():
+    # The recession cone is {0} iff every coordinate functional, in both
+    # signs, stays bounded on it: 2n LPs per subset against one.
+    for fixture in (p2, p1xp1, f1, bl2_p2, bl3_p2, bl1_p3):
+        fan = fixture()
+        n = fan.dim
+        units = [tuple(s * int(i == j) for i in range(n)) for j in range(n) for s in (1, -1)]
+        for mask in range(2 ** len(fan.rays)):
+            subset = frozenset(i for i in range(len(fan.rays)) if mask >> i & 1)
+            rows = [v if i in subset else tuple(-x for x in v) for i, v in enumerate(fan.rays)]
+            expected = all(max_over_cone_is_zero(u, rows) for u in units)
+            assert is_bounded_subset(fan, subset) == expected, (fixture.__name__, sorted(subset))
 
 
 def test_volume_against_box_products():

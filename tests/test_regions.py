@@ -8,6 +8,7 @@ from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.errors import CapExceededError, UnboundedRegionError
 from toricvol.fixtures import f1, p1, p1xp1, p2
 from toricvol.regions import (
+    HalfOpenRegion,
     bounded_subsets,
     closure_vertices,
     ehrhart_probe,
@@ -80,6 +81,19 @@ def test_closure_vertices_unbounded_raises():
     fan = p2()
     with pytest.raises(UnboundedRegionError):
         closure_vertices(region(fan, ray_divisor(fan, 0), {0, 1}))
+
+
+def test_closure_vertices_without_fan_memo():
+    # A hand-built region has no fan memo and computes the same vertices.
+    fan = p1xp1()
+    d = divisor([2, 1, -3, 4])
+    for subset in bounded_subsets(fan):
+        reg = region(fan, d, subset)
+        bare = HalfOpenRegion(reg.normals, reg.levels, reg.weak, reg.dim)
+        assert closure_vertices(bare) == closure_vertices(reg)
+    half_plane = HalfOpenRegion(((1, 0), (0, 1)), (Fraction(0), Fraction(0)), (True, True), 2)
+    with pytest.raises(UnboundedRegionError):
+        closure_vertices(half_plane)
 
 
 def test_lower_dimensional_closure():
