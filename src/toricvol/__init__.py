@@ -81,6 +81,7 @@ from .regions import (
     closure_vertices,
     ehrhart_probe,
     is_bounded_subset,
+    lattice_count,
     lattice_points,
     normalized_volume,
     region,

@@ -16,7 +16,7 @@ from .errors import NotCompleteError, ToricError
 from .fan import Fan, chi_of_fan, intersection_ray_set, is_complete, subfan
 from .homology import local_cohomology_ranks
 from .linalg import dot, rank
-from .regions import bounded_subsets, lattice_points, region_sum
+from .regions import bounded_subsets, lattice_count, region_sum
 
 CohomologyVector = tuple[int, ...]
 
@@ -37,10 +37,6 @@ def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
     return profile[i]
 
 
-def _lattice_count(reg) -> int:
-    return len(lattice_points(reg))
-
-
 def h_all(fan: Fan, d: Divisor, cap: int = 20) -> CohomologyVector:
     """All cohomology dimensions (h^0, ..., h^n) of a complete fan's divisor."""
     if not is_complete(fan):
@@ -48,7 +44,7 @@ def h_all(fan: Fan, d: Divisor, cap: int = 20) -> CohomologyVector:
             "h_all needs a complete fan; use graded_piece_dim for single pieces"
         )
     return region_sum(
-        fan, d, lambda subset: local_cohomology_ranks(fan, subset), _lattice_count, cap
+        fan, d, lambda subset: local_cohomology_ranks(fan, subset), lattice_count, cap
     )
 
 
@@ -79,7 +75,7 @@ def euler_char(fan: Fan, d: Divisor, cap: int = 20) -> int:
         raise NotCompleteError("euler_char needs a complete fan")
     fan.memo("chi_identity", lambda: _check_chi_identity(fan, cap))
     (total,) = region_sum(
-        fan, d, lambda subset: (chi_of_fan(subfan(fan, subset)),), _lattice_count, cap
+        fan, d, lambda subset: (chi_of_fan(subfan(fan, subset)),), lattice_count, cap
     )
     return (-1) ** fan.dim * total
 
@@ -163,4 +159,4 @@ def cech_oracle(fan: Fan, d: Divisor, cap: int = 20) -> CohomologyVector:
             return zero
         return cech_ranks(fan, subset)
 
-    return region_sum(fan, d, weight, _lattice_count, cap)
+    return region_sum(fan, d, weight, lattice_count, cap)

@@ -46,7 +46,8 @@ class UnboundedRegionError(PreconditionError):
 
 
 class CapExceededError(PreconditionError):
-    """A 2^#rays sweep was requested past the configured ray cap."""
+    """Work past a fixed cap was requested: a 2^#rays sweep past the ray
+    cap, a lattice count past the fiber budget, or a probe past m = 50."""
 
 
 class ChamberWallError(PreconditionError):

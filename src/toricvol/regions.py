@@ -11,7 +11,12 @@ of a region depends only on the subset, never on the divisor.
 
 Everything here is exact: vertex enumeration solves square rational
 systems, volumes come from a recursive facet triangulation, and lattice
-point membership re-tests the mixed weak/strict system pointwise.
+points are counted one line at a time.  Above each integer point of the
+bounding box's first n - 1 coordinates, the mixed weak/strict system
+cuts the line along the last coordinate to one integer interval, found
+with integer floor divisions; a region of m*D thus costs about m^(n-1)
+fibers instead of m^n box points, and at most ``FIBER_BUDGET`` fibers
+are scanned before CapExceededError.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from typing import Callable
 
 from .divisor import Divisor
@@ -225,23 +231,77 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     return total
 
 
-def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
-    """All integer points of the half-open region, smallest box first.
+# Lattice counting scans at most this many fibers (integer prefixes of
+# the bounding box) per region; past it, it raises CapExceededError.
+FIBER_BUDGET = 10**7
 
-    Membership honors the mixed weak/strict system exactly; counts are
-    never inferred from a closed-polytope formula.
+
+def _fibers(reg: HalfOpenRegion):
+    """Yield (prefix, lo, hi) for each nonempty fiber along the last axis.
+
+    The prefixes are the integer points (x_1..x_{n-1}) of the closure's
+    bounding box, in lexicographic order; above each prefix the region
+    holds exactly the lattice points whose last coordinate is one of the
+    integers lo..hi.  Since <v, x> is an integer at lattice points, a
+    weak row <v, x> >= L is <v, x> >= ceil(L) and a strict row
+    <v, x> < L is <-v, x> >= 1 - ceil(L); every row is thus one weak
+    integer inequality, and each fiber bound is a floor division of
+    integers.  Raises CapExceededError past ``FIBER_BUDGET`` prefixes.
     """
     poly = closure_vertices(reg)
     if not poly.vertices:
-        return []
+        return
     n = reg.dim
     los = [math.ceil(min(v[j] for v in poly.vertices)) for j in range(n)]
     his = [math.floor(max(v[j] for v in poly.vertices)) for j in range(n)]
-    points = []
-    for candidate in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        if reg.contains(candidate):
-            points.append(candidate)
-    return points
+    heads = [range(lo, hi + 1) for lo, hi in zip(los[:-1], his[:-1])]
+    prefixes = math.prod(map(len, heads))
+    if prefixes > FIBER_BUDGET:
+        raise CapExceededError(
+            f"lattice count needs {prefixes} fibers; it is capped at {FIBER_BUDGET}"
+        )
+    rows = []
+    for normal, level, is_weak in zip(reg.normals, reg.levels, reg.weak):
+        bound = math.ceil(level)
+        if not is_weak:
+            normal, bound = tuple(-x for x in normal), 1 - bound
+        rows.append((normal[:-1], normal[-1], bound))
+    for prefix in product(*heads):
+        lo, hi = los[-1], his[-1]
+        for head, last, bound in rows:
+            # last * x_n >= rest: a ceiling, a floor, or all or nothing.
+            rest = bound - sum(map(mul, head, prefix))
+            if last > 0:
+                rest = -(-rest // last)
+                if rest > lo:
+                    lo = rest
+            elif last < 0:
+                rest //= last
+                if rest < hi:
+                    hi = rest
+            elif rest > 0:
+                break
+        else:
+            if lo <= hi:
+                yield prefix, lo, hi
+
+
+def lattice_count(reg: HalfOpenRegion) -> int:
+    """The number of integer points of the half-open region.
+
+    Sums the fiber lengths of ``_fibers``, so the work is one integer
+    bound per ray and fiber, and no point is listed.
+    """
+    return sum(hi - lo + 1 for _, lo, hi in _fibers(reg))
+
+
+def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
+    """All integer points of the half-open region, in lexicographic order.
+
+    Membership honors the mixed weak/strict system exactly; the points
+    are the fibers of ``_fibers`` expanded one by one.
+    """
+    return [prefix + (x,) for prefix, lo, hi in _fibers(reg) for x in range(lo, hi + 1)]
 
 
 def region_sum(fan: Fan, d: Divisor, weight, measure, cap: int = 20) -> tuple:
@@ -278,6 +338,6 @@ def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):
     table = []
     for m in range(1, m_max + 1):
         scaled = tuple(Fraction(m) * c for c in d)
-        count = len(lattice_points(region(fan, scaled, weak_rays)))
+        count = lattice_count(region(fan, scaled, weak_rays))
         table.append((m, Fraction(count * factorial, m**n)))
     return table

@@ -154,6 +154,16 @@ def test_precondition_exit_code(tmp_path):
     assert report["error"]["kind"] == "precondition"
 
 
+def test_lattice_budget_exit_code(tmp_path):
+    # 10^9 + 1 fibers for the h^0 triangle: past the budget, before any scan.
+    fan = write(tmp_path, "fan.json", P2)
+    div = write(tmp_path, "d.json", {"coeffs": [10**9, 0, 0]})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
+    assert code == 3
+    assert report["error"]["kind"] == "precondition"
+    assert "fibers" in report["error"]["message"]
+
+
 def test_malformed_document_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

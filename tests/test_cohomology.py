@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,7 +14,19 @@ from toricvol.cohomology import (
 )
 from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.errors import NotCompleteError
-from toricvol.fixtures import cube_fan, f1, p1, p1xp1, p2, quadrant_fan
+from toricvol.fan import Cone, cone_multiplicity
+from toricvol.fixtures import (
+    bl1_p3,
+    bl2_p2,
+    bl3_p2,
+    cube_fan,
+    f1,
+    p1,
+    p1_cubed,
+    p1xp1,
+    p2,
+    quadrant_fan,
+)
 from toricvol.regions import bounded_subsets, lattice_points, region
 
 
@@ -67,6 +80,33 @@ def test_h0_equals_section_polytope_count():
             full = frozenset(range(k))
             count = len(lattice_points(region(fan, d, full)))
             assert h_all(fan, d)[0] == count
+
+
+def test_p2_line_bundles_at_large_dilation():
+    # h(O(m)) = (C(m+2, 2), 0, 0) and, by Serre duality, h(O(-m)) = (0, 0, C(m-1, 2)).
+    fan = p2()
+    m = 10**5
+    assert h_all(fan, scale(ray_divisor(fan, 0), m)) == (math.comb(m + 2, 2), 0, 0)
+    assert h_all(fan, scale(ray_divisor(fan, 0), -m)) == (0, 0, math.comb(m - 1, 2))
+
+
+def test_p1_cubed_sections_closed_form():
+    fan = p1_cubed()  # rays +-e1, +-e2, +-e3 in that interleaved order
+    for a, b, c in ((0, 0, 0), (60, 1, 7), (13, 60, 29), (45, 52, 60)):
+        expected = ((a + 1) * (b + 1) * (c + 1), 0, 0, 0)
+        assert h_all(fan, divisor([a, 0, b, 0, c, 0])) == expected
+
+
+def test_serre_duality_at_large_dilation():
+    # h^i(D) = h^(n-i)(K - D) with K = -sum D_rho, on smooth complete fans.
+    rng = random.Random(50)
+    for fixture in (p1, p2, p1xp1, f1, bl2_p2, bl3_p2, p1_cubed, bl1_p3):
+        fan = fixture()
+        assert all(cone_multiplicity(fan, Cone(c, fan.dim)) == 1 for c in fan.max_cones)
+        for _ in range(2):
+            d = scale(divisor([rng.randint(-1, 1) for _ in fan.rays]), 50)
+            dual = divisor([-1 - c for c in d])
+            assert h_all(fan, dual) == h_all(fan, d)[::-1], (fixture.__name__, d)
 
 
 def test_euler_examples():

@@ -1,11 +1,15 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from toricvol.cohomology import weak_ray_set
+from toricvol import fixtures, regions
+from toricvol.cohomology import h_all, weak_ray_set
 from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.errors import CapExceededError, UnboundedRegionError
+from toricvol.fan import make_fan
 from toricvol.fixtures import f1, p1, p1xp1, p2
 from toricvol.regions import (
     HalfOpenRegion,
@@ -13,9 +17,16 @@ from toricvol.regions import (
     closure_vertices,
     ehrhart_probe,
     is_bounded_subset,
+    lattice_count,
     lattice_points,
     normalized_volume,
     region,
+)
+
+ALL_FIXTURES = (
+    fixtures.p1, fixtures.p2, fixtures.p1xp1, fixtures.f1, fixtures.weighted_p112,
+    fixtures.bl2_p2, fixtures.bl3_p2, fixtures.p1_cubed, fixtures.bl1_p3,
+    fixtures.cube_fan, fixtures.quadrant_fan, fixtures.square_cone_fan,
 )
 
 
@@ -81,6 +92,8 @@ def test_closure_vertices_unbounded_raises():
     fan = p2()
     with pytest.raises(UnboundedRegionError):
         closure_vertices(region(fan, ray_divisor(fan, 0), {0, 1}))
+    with pytest.raises(UnboundedRegionError):
+        lattice_count(region(fan, ray_divisor(fan, 0), {0, 1}))
 
 
 def test_closure_vertices_without_fan_memo():
@@ -161,6 +174,62 @@ def test_lattice_points_dilation():
             if x >= -m and y >= 0 and -x - y >= 0
         }
         assert direct == expect
+
+
+def box_scan(reg):
+    """Referee for the fiber counter: test every point of the closure's box."""
+    vertices = closure_vertices(reg).vertices
+    if not vertices:
+        return []
+    box = [
+        range(math.ceil(min(v[j] for v in vertices)), math.floor(max(v[j] for v in vertices)) + 1)
+        for j in range(reg.dim)
+    ]
+    return [point for point in product(*box) if reg.contains(point)]
+
+
+def weighted_projective_spaces():
+    """P(1,2,3) and P(1,2,3,5): last coordinates of size 3 and 5, so the
+    fiber bounds are true floor and ceiling divisions."""
+    plane = make_fan(2, [(1, 0), (0, 1), (-2, -3)], [{0, 1}, {1, 2}, {2, 0}])
+    rays = [(-2, -3, -5), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    space = make_fan(3, rays, [set(c) for c in combinations(range(4), 3)])
+    return plane, space
+
+
+def test_fibers_match_box_scan():
+    rng = random.Random(31)
+    flat_rows_with_points = set()
+    regions_checked = 0
+    for fan in [fixture() for fixture in ALL_FIXTURES] + list(weighted_projective_spaces()):
+        for _ in range(2):
+            d = divisor([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))) for _ in fan.rays])
+            for subset in bounded_subsets(fan):
+                reg = region(fan, d, subset)
+                expected = box_scan(reg)
+                assert lattice_points(reg) == expected, (fan, sorted(subset), d)
+                assert lattice_count(reg) == len(expected)
+                regions_checked += 1
+                if expected:
+                    flat_rows_with_points.update(
+                        is_weak for v, is_weak in zip(reg.normals, reg.weak) if v[-1] == 0
+                    )
+    assert regions_checked > 400
+    # Rows parallel to the fibers, weak and strict, cut nonempty regions.
+    assert flat_rows_with_points == {True, False}
+
+
+def test_fiber_budget(monkeypatch):
+    fan = p2()
+    d = scale(ray_divisor(fan, 0), 10**9)
+    with pytest.raises(CapExceededError):
+        h_all(fan, d)
+    # The h^0 triangle of 99 * D_0 has 100 fibers: at the budget it counts.
+    monkeypatch.setattr(regions, "FIBER_BUDGET", 100)
+    triangle = region(fan, scale(ray_divisor(fan, 0), 99), range(3))
+    assert lattice_count(triangle) == 100 * 101 // 2
+    with pytest.raises(CapExceededError):
+        lattice_count(region(fan, scale(ray_divisor(fan, 0), 100), range(3)))
 
 
 def test_region_partition_property():
