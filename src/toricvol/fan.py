@@ -249,11 +249,10 @@ def is_simplicial(fan: Fan) -> bool:
 class Subfan:
     """The cones of a fan whose rays all lie in a fixed ray subset."""
 
-    def __init__(self, fan: Fan, weak_rays: frozenset[int], cones_by_dim):
-        self.fan = fan
+    def __init__(self, dim: int, weak_rays: frozenset[int], cones_by_dim):
         self.weak_rays = weak_rays
         self.cones_by_dim: tuple[tuple[Cone, ...], ...] = cones_by_dim
-        self.dim = fan.dim
+        self.dim = dim
 
     def cone_counts(self) -> tuple[int, ...]:
         return tuple(len(bucket) for bucket in self.cones_by_dim)
@@ -280,7 +279,7 @@ def subfan(fan: Fan, ray_subset) -> Subfan:
             tuple(c for c in bucket if c.ray_indices <= subset)
             for bucket in all_cones(fan)
         )
-        return Subfan(fan, subset, grouped)
+        return Subfan(fan.dim, subset, grouped)
 
     return fan.memo(("subfan", subset), compute)
 

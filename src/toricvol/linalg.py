@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Everything is plain Gaussian elimination on lists of ``Fraction`` rows.
-Matrices at desk scale stay tiny (at most a few hundred rows), so no
-attempt is made at fraction-free pivoting or sparsity.
+``rank``, ``solve``, ``nullspace`` and ``det`` are plain Gaussian
+elimination on lists of ``Fraction`` rows; matrices at desk scale stay
+tiny (at most a few hundred rows), so no attempt is made at sparsity.
+``to_integers`` and ``integer_pivot`` (Edmonds' integer-preserving
+pivot) are the fraction-free pieces behind the simplex tableau and the
+vertex bases of regions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -134,6 +138,46 @@ def det(matrix: Sequence[Sequence]) -> Fraction:
                 f = rows[i][col] / inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
     return result
+
+
+def to_integers(values: Sequence) -> tuple[list[int], int]:
+    """The values times the lcm q of their denominators, as integers, and q."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    try:
+        scale = math.lcm(*(v.denominator for v in values))
+    except AttributeError:  # floats and the like: their exact Fraction values
+        values = [Fraction(v) for v in values]
+        scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def integer_pivot(rows: list[list[int]], row: int, col: int, denom: int) -> int:
+    """Pivot integer rows on ``rows[row][col]`` in place; return the new denominator.
+
+    The rows stand for ``rows / denom`` with ``denom > 0``.  The pivot
+    row is negated if its pivot is negative, so that with ``p`` the
+    absolute pivot every other row ``r`` becomes
+    ``(p * r - r[col] * rows[row]) // denom`` and the new common
+    denominator is ``p``.  Every division is exact by Sylvester's
+    identity (Edmonds 1967, Bareiss 1968), and the new rows stand for
+    exactly what one Gauss-Jordan step over ``Fraction`` gives: 1 at the
+    pivot, 0 elsewhere in its column.
+    """
+    piv = rows[row][col]
+    if piv < 0:
+        piv = -piv
+        rows[row] = [-x for x in rows[row]]
+    prow = rows[row]
+    for i, r in enumerate(rows):
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            rows[i] = [(piv * a - f * b) // denom for a, b in zip(r, prow)]
+        elif piv != denom:
+            rows[i] = [piv * a // denom for a in r]
+    return piv
 
 
 def dot(u: Sequence, v: Sequence):

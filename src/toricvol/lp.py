@@ -1,9 +1,19 @@
 """Exact rational linear programming.
 
-A small two-phase primal simplex over ``Fraction`` entries with Bland's
-rule, so every answer is exact and termination is guaranteed.  Problem
-sizes in this package are tiny (tens of variables), which makes the
-dense tableau the right tool.
+A small two-phase primal simplex with Bland's rule, so every answer is
+exact and termination is guaranteed.  Problem sizes in this package are
+tiny (tens of variables), which makes the dense tableau the right tool.
+
+The tableau is integral: each input row is scaled, with its right-hand
+side, to integers by the lcm of its denominators, and the tableau keeps
+one common denominator ``D > 0``, an entry ``x`` standing for ``x / D``.
+Pivots are Edmonds' integer-preserving elimination (the one lrs and cdd
+use): every other row becomes ``(p * row - row[c] * pivot_row) // D``
+with ``p`` the pivot entry, then ``D = |p|``; Sylvester's identity makes
+every division exact.  On integer data this is step for step the pivot
+sequence of the same simplex over ``Fraction`` entries, and a
+``Fraction`` is built only for the returned point, after the point has
+been checked against every input row in integers.
 
 Variables are free unless ``nonneg=True``; free variables are split
 into positive and negative parts internally.
@@ -16,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ToricError
-from .linalg import dot
+from .linalg import dot, integer_pivot, to_integers
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -30,41 +40,35 @@ class LPResult:
     point: tuple[Fraction, ...] | None = None
 
 
-def _pivot(tableau, cost, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[row])]
-    if cost[col] != 0:
-        f = cost[col]
-        for j in range(len(cost)):
-            cost[j] -= f * tableau[row][j]
-    basis[row] = col
+def _run_simplex(tableau, basis, allowed, denom):
+    """Minimize until no allowed column has negative reduced cost.
 
-
-def _run_simplex(tableau, cost, basis, allowed):
-    """Minimize until no allowed column has negative reduced cost."""
+    The last tableau row holds the reduced costs.  Returns the status
+    and the final common denominator.  The ratio test compares
+    ``rhs / entry`` by cross-multiplication, ties going to the lowest
+    basic index (Bland's rule).
+    """
+    cost = tableau[-1]
     while True:
-        enter = None
-        for j in allowed:
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in allowed if cost[j] < 0), None)
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, denom
         leave = None
-        best = None
-        for i, row in enumerate(tableau):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i in range(len(basis)):
+            a = tableau[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return UNBOUNDED
-        _pivot(tableau, cost, basis, leave, enter)
+            return UNBOUNDED, denom
+        denom = integer_pivot(tableau, leave, enter, denom)
+        basis[leave] = enter
+        cost = tableau[-1]
 
 
 def solve_lp(
@@ -79,64 +83,48 @@ def solve_lp(
 ) -> LPResult:
     """Optimize ``objective . x`` over ``a_ub x <= b_ub``, ``a_eq x = b_eq``."""
     nx = len(objective)
-    c_obj = [Fraction(v) for v in objective]
-    if maximize:
-        c_obj = [-v for v in c_obj]
+    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
+        raise ValueError("every constraint row needs one right-hand side")
+    if any(len(row) != nx for row in (*a_ub, *a_eq)):
+        raise ValueError(f"every constraint row needs {nx} entries, one per variable")
+
+    # Integer rows, each with its right-hand side last.
+    inputs = [(to_integers([*row, b])[0], "ub") for row, b in zip(a_ub, b_ub)]
+    inputs += [(to_integers([*row, b])[0], "eq") for row, b in zip(a_eq, b_eq)]
 
     # Structural columns: x itself, or the split x = p - m for free vars.
-    if nonneg:
-        def expand(row):
-            return [Fraction(v) for v in row]
-    else:
-        def expand(row):
-            out = []
-            for v in row:
-                out.append(Fraction(v))
-            for v in row:
-                out.append(-Fraction(v))
-            return out
-
     nstruct = nx if nonneg else 2 * nx
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    kinds: list[str] = []
-    for row, b in zip(a_ub, b_ub):
-        rows.append(expand(row))
-        rhs.append(Fraction(b))
-        kinds.append("ub")
-    for row, b in zip(a_eq, b_eq):
-        rows.append(expand(row))
-        rhs.append(Fraction(b))
-        kinds.append("eq")
-
-    nslack = sum(1 for k in kinds if k == "ub")
-    m = len(rows)
+    nslack = sum(1 for _, kind in inputs if kind == "ub")
+    m = len(inputs)
     ncols = nstruct + nslack + m  # artificials at the end
     tableau = []
     si = 0
-    for i in range(m):
-        row = rows[i] + [Fraction(0)] * (nslack + m) + [rhs[i]]
-        if kinds[i] == "ub":
-            row[nstruct + si] = Fraction(1)
+    for i, (values, kind) in enumerate(inputs):
+        row = values[:-1]
+        if not nonneg:
+            row += [-v for v in row]
+        row += [0] * (nslack + m) + [values[-1]]
+        if kind == "ub":
+            row[nstruct + si] = 1
             si += 1
         if row[-1] < 0:
             row = [-x for x in row]
-        row[nstruct + nslack + i] = Fraction(1)
+        row[nstruct + nslack + i] = 1
         tableau.append(row)
     basis = [nstruct + nslack + i for i in range(m)]
+    denom = 1
 
-    # Phase 1: minimize the sum of artificials.
-    cost = [Fraction(0)] * (ncols + 1)
+    # Phase 1: minimize the sum of artificials; the cost row goes last.
+    cost = [0] * (ncols + 1)
     for j in range(nstruct + nslack, ncols):
-        cost[j] = Fraction(1)
-    for i in range(m):
-        for j in range(ncols + 1):
-            cost[j] -= tableau[i][j]
-    allowed = list(range(ncols))
-    status = _run_simplex(tableau, cost, basis, allowed)
+        cost[j] = 1
+    for row in tableau:
+        cost = [a - b for a, b in zip(cost, row)]
+    tableau.append(cost)
+    status, denom = _run_simplex(tableau, basis, range(ncols), denom)
     if status != OPTIMAL:  # the phase 1 objective is bounded below by 0
         raise ToricError("internal: phase 1 of the simplex reported an unbounded objective")
-    if -cost[-1] != 0:
+    if tableau[-1][-1] != 0:
         return LPResult(INFEASIBLE)
 
     # Drive leftover artificials out of the basis, dropping redundant rows.
@@ -148,38 +136,46 @@ def solve_lp(
             )
             if col is None:
                 continue  # zero row: redundant constraint
-            _pivot(tableau, cost, basis, i, col)
+            denom = integer_pivot(tableau, i, col, denom)
+            basis[i] = col
         keep.append(i)
-    tableau = [tableau[i] for i in keep]
+    tableau = [tableau[i] for i in keep]  # the phase 1 cost row goes too
     basis = [basis[i] for i in keep]
 
-    # Phase 2: the real objective, artificial columns frozen out.
-    if nonneg:
-        cfull = list(c_obj)
-    else:
-        cfull = c_obj + [-v for v in c_obj]
-    cost = cfull + [Fraction(0)] * (nslack + m + 1)
-    for i, bv in enumerate(basis):
-        if cost[bv] != 0:
-            f = cost[bv]
-            for j in range(ncols + 1):
-                cost[j] -= f * tableau[i][j]
-    allowed = list(range(nstruct + nslack))
-    status = _run_simplex(tableau, cost, basis, allowed)
+    # Phase 2: the real objective (times a positive integer), artificial
+    # columns frozen out; the reduced costs are D * c - sum c_B_i * row_i.
+    c_int = to_integers(objective)[0]
+    if maximize:
+        c_int = [-v for v in c_int]
+    cfull = (c_int if nonneg else c_int + [-v for v in c_int]) + [0] * (nslack + m + 1)
+    cost = [denom * v for v in cfull]
+    for row, bv in zip(tableau, basis):
+        f = cfull[bv]
+        if f:
+            cost = [a - f * b for a, b in zip(cost, row)]
+    tableau.append(cost)
+    status, denom = _run_simplex(tableau, basis, range(nstruct + nslack), denom)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
 
-    full = [Fraction(0)] * ncols
-    for i, bv in enumerate(basis):
-        full[bv] = tableau[i][-1]
-    if nonneg:
-        point = tuple(full[:nx])
-    else:
-        point = tuple(full[i] - full[nx + i] for i in range(nx))
-    value = dot(c_obj, point)
-    if maximize:
-        value = -value
-    return LPResult(OPTIMAL, value, point)
+    full = [0] * ncols
+    for row, bv in zip(tableau, basis):
+        full[bv] = row[-1]
+    numer = full[:nx] if nonneg else [full[i] - full[nx + i] for i in range(nx)]
+    _check_certificate(inputs, full[:nstruct], numer, denom)
+    point = tuple(Fraction(v, denom) for v in numer)
+    return LPResult(OPTIMAL, dot(map(Fraction, objective), point), point)
+
+
+def _check_certificate(inputs, structural, numer, denom):
+    """Check the point numer / denom against every integer input row."""
+    if any(v < 0 for v in structural):
+        raise ToricError("internal: the simplex returned a negative structural variable")
+    for values, kind in inputs:
+        lhs = dot(values[:-1], numer)
+        rhs = values[-1] * denom
+        if lhs > rhs or (kind == "eq" and lhs != rhs):
+            raise ToricError("internal: the simplex point violates an input row")
 
 
 def feasible_point(

@@ -9,9 +9,12 @@ so the constraint is weak on W and strictly reversed off W.  Ranging
 over all subsets these regions partition the whole space.  Boundedness
 of a region depends only on the subset, never on the divisor.
 
-Everything here is exact: vertex enumeration solves square rational
-systems, volumes come from a recursive facet triangulation, and lattice
-points are counted one line at a time.  Above each integer point of the
+Everything here is exact.  Vertex enumeration runs in integers: each
+rank-n ray basis keeps its integer adjugate and determinant per fan,
+the levels are scaled once to integers over their lcm, and a candidate
+vertex is tested against every row before it becomes a ``Fraction``.
+Volumes come from a recursive facet triangulation, and lattice points
+are counted one line at a time.  Above each integer point of the
 bounding box's first n - 1 coordinates, the mixed weak/strict system
 cuts the line along the last coordinate to one integer interval, found
 with integer floor divisions; a region of m*D thus costs about m^(n-1)
@@ -31,7 +34,7 @@ from typing import Callable
 from .divisor import Divisor
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
-from .linalg import affine_rank, det, dot, rank, solve
+from .linalg import affine_rank, det, dot, integer_pivot, rank, to_integers
 from .lp import feasible_point
 
 
@@ -138,20 +141,39 @@ def bounded_subsets(fan: Fan, cap: int = 20) -> tuple[frozenset[int], ...]:
     return fan.memo("bounded_subsets", compute)
 
 
+def _adjugate(matrix):
+    """(D * inverse, D) for a square integer matrix, with D = |det| > 0.
+
+    Integer-preserving Gauss-Jordan elimination of [matrix | identity]
+    (``integer_pivot``, as in the simplex): at the end the left block is
+    D times the identity.  None if singular.
+    """
+    n = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    denom = 1
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        denom = integer_pivot(rows, col, col, denom)
+    return tuple(tuple(row[n:]) for row in rows), denom
+
+
 def _vertex_bases(reg: HalfOpenRegion):
-    """Every n-set of normals of rank n, with the exact inverse of its matrix."""
+    """Every invertible n-set of normals, as (combo, adjugate, det) in integers.
+
+    ``adjugate / det`` is the inverse of the matrix of the normals in
+    ``combo``, normalized so that det > 0.
+    """
     n = reg.dim
 
     def compute():
-        units = [[int(i == j) for i in range(n)] for j in range(n)]
         bases = []
         for combo in combinations(range(len(reg.normals)), n):
-            matrix = [reg.normals[i] for i in combo]
-            if rank(matrix) != n:
-                continue
-            columns = [solve(matrix, unit) for unit in units]
-            inverse = tuple(tuple(col[i] for col in columns) for i in range(n))
-            bases.append((combo, inverse))
+            inverse = _adjugate([reg.normals[i] for i in combo])
+            if inverse is not None:
+                bases.append((combo, *inverse))
         return tuple(bases)
 
     return reg.memo("vertex_bases", compute)
@@ -162,28 +184,27 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
 
     Every vertex is the unique solution of some n tight constraints, so
     each invertible n-subset of the system gives one candidate point,
-    kept when it satisfies the whole closure.  Raises on systems with
+    kept when it satisfies the whole closure.  The levels are scaled
+    once to integers L over their lcm q; a candidate is P / (det * q)
+    with P = adjugate . L, and is tested as <v, P> >= det * L_i on weak
+    rows and <= on strict rows, all in integers.  Raises on systems with
     unbounded closure.
     """
     if not _closure_is_bounded(reg):
         raise UnboundedRegionError("region closure is unbounded")
-    constraints = reg.closure_constraints()
+    levels, q = to_integers(reg.levels)
+    rows = list(zip(reg.normals, levels, reg.weak))
     vertices = set()
-    for combo, inverse in _vertex_bases(reg):
-        rhs = [reg.levels[i] for i in combo]
-        point = tuple(dot(row, rhs) for row in inverse)
-        ok = True
-        for normal, level, is_weak in constraints:
-            value = dot(normal, point)
-            if is_weak:
-                if value < level:
-                    ok = False
-                    break
-            elif value > level:
-                ok = False
+    for combo, adjugate, size in _vertex_bases(reg):
+        rhs = [levels[i] for i in combo]
+        point = [sum(map(mul, row, rhs)) for row in adjugate]
+        for normal, level, is_weak in rows:
+            value = sum(map(mul, normal, point))
+            if value < size * level if is_weak else value > size * level:
                 break
-        if ok:
-            vertices.add(point)
+        else:
+            scale = size * q
+            vertices.add(tuple(Fraction(x, scale) for x in point))
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 

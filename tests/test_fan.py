@@ -1,8 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from toricvol.asymptotics import hhat
+from toricvol.cohomology import euler_char, h_all
+from toricvol.divisor import divisor
 from toricvol.errors import NotSimplicialError
 from toricvol.fan import (
     Cone,
@@ -182,3 +187,22 @@ def test_completeness_monte_carlo(fixture, expected):
     else:
         assert covered < samples
     assert is_complete(fan) is expected
+
+
+def test_fan_freed_without_cycle_collection():
+    # Nothing a fan's memo holds points back at the fan, so reference
+    # counting alone frees a used fan and its whole memo.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fan = make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [{0, 3}, {3, 1}, {1, 2}, {2, 0}])
+        d = divisor([1, 2, -1, 1])
+        h_all(fan, d)
+        hhat(fan, d)
+        euler_char(fan, d)
+        alive = weakref.ref(fan)
+        del fan
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()

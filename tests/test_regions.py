@@ -11,6 +11,7 @@ from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.errors import CapExceededError, UnboundedRegionError
 from toricvol.fan import make_fan
 from toricvol.fixtures import f1, p1, p1xp1, p2
+from toricvol.linalg import dot, rank, solve
 from toricvol.regions import (
     HalfOpenRegion,
     bounded_subsets,
@@ -217,6 +218,51 @@ def test_fibers_match_box_scan():
     assert regions_checked > 400
     # Rows parallel to the fibers, weak and strict, cut nonempty regions.
     assert flat_rows_with_points == {True, False}
+
+
+def fraction_closure_vertices(reg, inverses):
+    """Referee for the integer vertex enumeration: Fraction inverses of the
+    rank-n ray bases, kept in ``inverses`` per normal set, and a Fraction
+    feasibility pass."""
+    n = reg.dim
+    if reg.normals not in inverses:
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        bases = []
+        for combo in combinations(range(len(reg.normals)), n):
+            matrix = [reg.normals[i] for i in combo]
+            if rank(matrix) == n:
+                columns = [solve(matrix, unit) for unit in units]
+                bases.append((combo, [[col[i] for col in columns] for i in range(n)]))
+        inverses[reg.normals] = bases
+    vertices = set()
+    for combo, inverse in inverses[reg.normals]:
+        rhs = [reg.levels[i] for i in combo]
+        point = tuple(dot(row, rhs) for row in inverse)
+        if all(
+            dot(v, point) >= level if is_weak else dot(v, point) <= level
+            for v, level, is_weak in zip(reg.normals, reg.levels, reg.weak)
+        ):
+            vertices.add(point)
+    return tuple(sorted(vertices))
+
+
+def test_integer_vertices_match_fraction_referee():
+    rng = random.Random(47)
+    inverses = {}
+    regions_checked = 0
+    for fan in [fixture() for fixture in ALL_FIXTURES] + list(weighted_projective_spaces()):
+        for _ in range(2):
+            d = divisor(
+                [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 10))) for _ in fan.rays]
+            )
+            for subset in bounded_subsets(fan):
+                reg = region(fan, d, subset)
+                expected = fraction_closure_vertices(reg, inverses)
+                assert closure_vertices(reg).vertices == expected, (fan, sorted(subset), d)
+                bare = HalfOpenRegion(reg.normals, reg.levels, reg.weak, reg.dim)
+                assert closure_vertices(bare).vertices == expected
+                regions_checked += 1
+    assert regions_checked > 400
 
 
 def test_fiber_budget(monkeypatch):
