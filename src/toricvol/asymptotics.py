@@ -110,12 +110,7 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices, cap: int = 20) -> Fracti
     location = gkz.locate_chamber(fan, d)
     if not location.interior:
         raise ChamberWallError("divisor class sits on a chamber wall")
-    chamber = gkz.gkz_cone(
-        fan,
-        location.sigma.max_cones,
-        location.strict_rays,
-        lineality_basis=location.sigma.lineality_basis,
-    )
+    chamber = gkz.located_cone(fan, location)
 
     step = Fraction(1)
     for row in chamber.inequalities:

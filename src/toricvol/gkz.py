@@ -20,6 +20,14 @@ This module computes, exactly:
   polynomial of the section growth rate,
 * the ampleness test through neighborhood vanishing of the higher
   asymptotic functions.
+
+Chamber facts depend on the ray configuration alone (Gelfand, Kapranov
+and Zelevinsky), so they live in the per-fan memo and are computed once
+per fan: the rays inside each cone, the extreme subset of each tight
+ray set, the condition system of each chamber cone and the list of
+maximal chambers.  The memo holds none of them as a ``GKZCone`` or as
+anything else that references the fan; every call builds fresh
+``GKZCone`` objects around the memoized data.
 """
 
 from __future__ import annotations
@@ -95,6 +103,12 @@ def _section_vertices(fan: Fan, d: Divisor):
     return poly.vertices
 
 
+def _strict_rays(fan: Fan, d: Divisor, vertices):
+    values = tuple(min(dot(v, ray) for v in vertices) for ray in fan.rays)
+    strict = frozenset(i for i, value in enumerate(values) if value > -d[i])
+    return values, strict
+
+
 def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[int]]:
     """The support function of the section polytope and its strict rays.
 
@@ -103,29 +117,35 @@ def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[i
     normal fan.
     """
     vertices = _section_vertices(fan, d)
-    values = tuple(min(dot(v, ray) for v in vertices) for ray in fan.rays)
-    strict = frozenset(i for i, value in enumerate(values) if value > -d[i])
+    values, strict = _strict_rays(fan, d, vertices)
     return SupportFunction(vertices, values), strict
 
 
+def _cone_members(fan: Fan, cone: frozenset[int]) -> frozenset[int]:
+    """The rays lying in the cone spanned by ``cone``, once per fan."""
+
+    def compute():
+        gens = [fan.rays[i] for i in sorted(cone)]
+        return frozenset(rho for rho, ray in enumerate(fan.rays) if cone_contains(gens, ray))
+
+    return fan.memo(("cone_members", cone), compute)
+
+
 def _extreme_subset(fan: Fan, rays: frozenset[int]) -> frozenset[int]:
-    keep = set()
-    for i in rays:
-        others = [fan.rays[j] for j in rays if j != i]
-        if not others or not cone_contains(others, fan.rays[i]):
-            keep.add(i)
-    return frozenset(keep)
+    """The rays of the set that no other ray of the set spans, once per fan."""
+
+    def compute():
+        keep = set()
+        for i in rays:
+            others = [fan.rays[j] for j in rays if j != i]
+            if not others or not cone_contains(others, fan.rays[i]):
+                keep.add(i)
+        return frozenset(keep)
+
+    return fan.memo(("extreme_subset", rays), compute)
 
 
-def normal_fan(fan: Fan, d: Divisor) -> PossiblyDegenerateFan:
-    """Possibly degenerate normal fan of the section polytope.
-
-    Maximal cones correspond to the polytope's vertices and are
-    positively spanned by the rays whose constraints are tight there;
-    the lineality space appears exactly when the polytope is not
-    full-dimensional.
-    """
-    vertices = _section_vertices(fan, d)
+def _normal_fan(fan: Fan, d: Divisor, vertices) -> PossiblyDegenerateFan:
     base = vertices[0]
     diffs = [tuple(a - b for a, b in zip(v, base)) for v in vertices[1:]]
     if diffs:
@@ -145,6 +165,17 @@ def normal_fan(fan: Fan, d: Divisor) -> PossiblyDegenerateFan:
     return PossiblyDegenerateFan(fan.dim, tuple(sorted(cones, key=sorted)), lineality)
 
 
+def normal_fan(fan: Fan, d: Divisor) -> PossiblyDegenerateFan:
+    """Possibly degenerate normal fan of the section polytope.
+
+    Maximal cones correspond to the polytope's vertices and are
+    positively spanned by the rays whose constraints are tight there;
+    the lineality space appears exactly when the polytope is not
+    full-dimensional.
+    """
+    return _normal_fan(fan, d, _section_vertices(fan, d))
+
+
 @dataclass(frozen=True)
 class LocatedChamber:
     sigma: PossiblyDegenerateFan
@@ -158,8 +189,9 @@ def locate_chamber(fan: Fan, d: Divisor) -> LocatedChamber:
     The interior flag is the maximal-chamber criterion: nondegenerate,
     simplicial, and strict rays complementary to the normal fan's rays.
     """
-    sigma = normal_fan(fan, d)
-    _, strict = support_function(fan, d)
+    vertices = _section_vertices(fan, d)
+    sigma = _normal_fan(fan, d, vertices)
+    _, strict = _strict_rays(fan, d, vertices)
     interior = (
         not sigma.degenerate
         and all(len(cone) == fan.dim for cone in sigma.max_cones)
@@ -225,6 +257,55 @@ class GKZCone:
         return free - self.fan.dim
 
 
+def _gkz_system(fan: Fan, cones, strict):
+    """(members, bases, equalities, inequalities) of a chamber cone, once per fan."""
+
+    def compute():
+        n = fan.dim
+        nrays = len(fan.rays)
+        members = []
+        bases = []
+        equalities: set[tuple[Fraction, ...]] = set()
+        inequalities: set[tuple[Fraction, ...]] = set()
+        for cone in cones:
+            inside = _cone_members(fan, cone)
+            members.append(inside)
+            pool = sorted(inside - strict)
+            base_found = None
+            for basis in combinations(pool, n):
+                matrix = [fan.rays[i] for i in basis]
+                if rank(matrix) != n:
+                    continue
+                if base_found is None:
+                    base_found = basis
+                columns = [[fan.rays[b][r] for b in basis] for r in range(n)]
+                for rho in range(nrays):
+                    expansion = solve(columns, fan.rays[rho])
+                    coeffs = [Fraction(0)] * nrays
+                    coeffs[rho] += 1
+                    for b, a in zip(basis, expansion):
+                        coeffs[b] -= a
+                    if not any(coeffs):
+                        continue
+                    condition = _canonical_condition(coeffs)
+                    if rho in inside and rho not in strict:
+                        equalities.add(condition)
+                    else:
+                        inequalities.add(condition)
+            if base_found is None:
+                raise ValueError("cone has no independent ray basis outside the strict set")
+            bases.append(base_found)
+        inequalities -= equalities
+        return (
+            tuple(members),
+            tuple(bases),
+            tuple(sorted(equalities)),
+            tuple(sorted(inequalities)),
+        )
+
+    return fan.memo(("gkz_system", cones, strict), compute)
+
+
 def gkz_cone(
     fan: Fan,
     sigma_cones,
@@ -232,59 +313,27 @@ def gkz_cone(
     lineality_basis=(),
     sample_divisor: Divisor | None = None,
 ) -> GKZCone:
-    """Build the chamber cone for a cone list and strict-ray set."""
+    """Build the chamber cone for a cone list and strict-ray set.
+
+    The condition system depends on the fan, the cones and the strict
+    rays only, so it is computed once per fan; each call wraps it in a
+    fresh ``GKZCone``.
+    """
     cones = tuple(sorted((frozenset(c) for c in sigma_cones), key=sorted))
     strict = frozenset(strict_rays)
     for cone in cones:
         if cone & strict:
             raise ValueError("cone generators must avoid the strict-ray set")
-    n = fan.dim
-    nrays = len(fan.rays)
-    members = []
-    bases = []
-    equalities: set[tuple[Fraction, ...]] = set()
-    inequalities: set[tuple[Fraction, ...]] = set()
-    for cone in cones:
-        gens = [fan.rays[i] for i in sorted(cone)]
-        inside = frozenset(
-            rho for rho in range(nrays) if cone_contains(gens, fan.rays[rho])
-        )
-        members.append(inside)
-        pool = sorted(inside - strict)
-        base_found = None
-        for basis in combinations(pool, n):
-            matrix = [fan.rays[i] for i in basis]
-            if rank(matrix) != n:
-                continue
-            if base_found is None:
-                base_found = basis
-            columns = [[fan.rays[b][r] for b in basis] for r in range(n)]
-            for rho in range(nrays):
-                expansion = solve(columns, fan.rays[rho])
-                coeffs = [Fraction(0)] * nrays
-                coeffs[rho] += 1
-                for b, a in zip(basis, expansion):
-                    coeffs[b] -= a
-                if not any(coeffs):
-                    continue
-                condition = _canonical_condition(coeffs)
-                if rho in inside and rho not in strict:
-                    equalities.add(condition)
-                else:
-                    inequalities.add(condition)
-        if base_found is None:
-            raise ValueError("cone has no independent ray basis outside the strict set")
-        bases.append(base_found)
-    inequalities -= equalities
+    members, bases, equalities, inequalities = _gkz_system(fan, cones, strict)
     return GKZCone(
         fan=fan,
         sigma_cones=cones,
         strict_rays=strict,
         lineality_basis=tuple(tuple(Fraction(v) for v in b) for b in lineality_basis),
-        equalities=tuple(sorted(equalities)),
-        inequalities=tuple(sorted(inequalities)),
-        members=tuple(members),
-        bases=tuple(bases),
+        equalities=equalities,
+        inequalities=inequalities,
+        members=members,
+        bases=bases,
         sample_divisor=sample_divisor,
     )
 
@@ -347,13 +396,13 @@ def _is_projective(fan: Fan, cones):
 
 def _sample_interior_divisor(fan: Fan, cones, us, psi) -> Divisor:
     coeffs = [Fraction(0)] * len(fan.rays)
-    cone_list = [sorted(c) for c in cones]
+    cone_list = [frozenset(c) for c in cones]
     for rho in range(len(fan.rays)):
         if rho in psi:
             coeffs[rho] = -psi[rho]
         else:
             for s, cone in enumerate(cone_list):
-                if cone_contains([fan.rays[i] for i in cone], fan.rays[rho]):
+                if rho in _cone_members(fan, cone):
                     coeffs[rho] = -dot(us[s], fan.rays[rho]) + 1
                     break
             else:
@@ -491,31 +540,39 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
     fans whose rays come from the ambient ray list.  Dimension 2 is
     enumerated through the cyclic ray order and is the supported
     surface; dimension 3 is a best-effort facet-matching search behind
-    the ``allow_dim3`` flag.
+    the ``allow_dim3`` flag.  The chamber list depends on the fan only:
+    the search runs once per fan, and every call returns a new list of
+    fresh ``GKZCone`` objects.
     """
     if not is_complete(fan):
         raise NotCompleteError("chamber enumeration needs a complete fan")
     if fan.dim == 2:
-        candidate_fans = _chambers_dim2(fan)
+        search = _chambers_dim2
     elif fan.dim == 3 and allow_dim3:
-        candidate_fans = _chambers_dim3(fan)
+        search = _chambers_dim3
     elif fan.dim == 3:
         raise UnsupportedDimensionError(
             "dimension-3 enumeration is best effort: pass allow_dim3=True"
         )
     else:
         raise UnsupportedDimensionError("chamber enumeration supports dimensions 2 and 3")
-    chambers = []
-    for cones in candidate_fans:
-        solution = _is_projective(fan, cones)
-        if solution is None:
-            continue
-        rayset = frozenset().union(*cones)
-        strict = frozenset(range(len(fan.rays))) - rayset
-        us, psi = solution
-        sample = _sample_interior_divisor(fan, cones, us, psi)
-        chambers.append(gkz_cone(fan, cones, strict, sample_divisor=sample))
-    return chambers
+
+    def compute():
+        found = []
+        for cones in search(fan):
+            solution = _is_projective(fan, cones)
+            if solution is None:
+                continue
+            rayset = frozenset().union(*cones)
+            strict = frozenset(range(len(fan.rays))) - rayset
+            us, psi = solution
+            found.append((tuple(cones), strict, _sample_interior_divisor(fan, cones, us, psi)))
+        return tuple(found)
+
+    return [
+        gkz_cone(fan, cones, strict, sample_divisor=sample)
+        for cones, strict, sample in fan.memo("maximal_chambers", compute)
+    ]
 
 
 # ---------------------------------------------------------------------------

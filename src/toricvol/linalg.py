@@ -3,9 +3,10 @@
 ``rank``, ``solve``, ``nullspace`` and ``det`` are plain Gaussian
 elimination on lists of ``Fraction`` rows; matrices at desk scale stay
 tiny (at most a few hundred rows), so no attempt is made at sparsity.
-``to_integers`` and ``integer_pivot`` (Edmonds' integer-preserving
-pivot) are the fraction-free pieces behind the simplex tableau and the
-vertex bases of regions.
+``to_integers``, ``integer_pivot`` (Edmonds' integer-preserving pivot)
+and ``integer_eliminate`` are the fraction-free pieces behind the
+simplex tableau and the vertex bases, boundedness tests and volumes of
+regions.
 """
 
 from __future__ import annotations
@@ -178,6 +179,26 @@ def integer_pivot(rows: list[list[int]], row: int, col: int, denom: int) -> int:
         elif piv != denom:
             rows[i] = [piv * a // denom for a in r]
     return piv
+
+
+def integer_eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Integer Gauss-Jordan on the first ``ncols`` columns, in place.
+
+    Pivots with ``integer_pivot`` column by column, on the first row at
+    or below the pivot count with a nonzero entry.  Returns the rank of
+    those columns and the final common denominator D > 0.  When the
+    rank equals the number of rows and of columns, D is |det| of the
+    square block, and the block itself has become D times the identity.
+    """
+    r, denom = 0, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        denom = integer_pivot(rows, r, col, denom)
+        r += 1
+    return r, denom
 
 
 def dot(u: Sequence, v: Sequence):

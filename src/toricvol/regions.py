@@ -9,17 +9,21 @@ so the constraint is weak on W and strictly reversed off W.  Ranging
 over all subsets these regions partition the whole space.  Boundedness
 of a region depends only on the subset, never on the divisor.
 
-Everything here is exact.  Vertex enumeration runs in integers: each
-rank-n ray basis keeps its integer adjugate and determinant per fan,
-the levels are scaled once to integers over their lcm, and a candidate
-vertex is tested against every row before it becomes a ``Fraction``.
-Volumes come from a recursive facet triangulation, and lattice points
-are counted one line at a time.  Above each integer point of the
-bounding box's first n - 1 coordinates, the mixed weak/strict system
-cuts the line along the last coordinate to one integer interval, found
-with integer floor divisions; a region of m*D thus costs about m^(n-1)
-fibers instead of m^n box points, and at most ``FIBER_BUDGET`` fibers
-are scanned before CapExceededError.
+Everything here is exact.  Vertex enumeration runs in integers: the
+rank-n ray bases keep their integer adjugates per fan, all scaled to
+one common denominator (the lcm of the basis determinants), the levels
+are scaled once to integers over their lcm, and a candidate vertex is
+tested against every row, recording its tight rows, before it becomes
+a ``Fraction``.  Volumes come from a recursive facet triangulation on
+those integer vertices: each facet is read off the tight rows, and each
+simplex's |det| is the final denominator of a fraction-free
+elimination, so no ``Fraction`` is built inside the triangulation.
+Lattice points are counted one line at a time.  Above each integer
+point of the bounding box's first n - 1 coordinates, the mixed
+weak/strict system cuts the line along the last coordinate to one
+integer interval, found with integer floor divisions; a region of m*D
+thus costs about m^(n-1) fibers instead of m^n box points, and at most
+``FIBER_BUDGET`` fibers are scanned before CapExceededError.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable
 from .divisor import Divisor
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
-from .linalg import affine_rank, det, dot, integer_pivot, rank, to_integers
+from .linalg import dot, integer_eliminate, to_integers
 from .lp import feasible_point
 
 
@@ -69,10 +73,6 @@ class HalfOpenRegion:
                 return False
         return True
 
-    def closure_constraints(self):
-        """The weak closure: >= on weak rows, <= on strict rows."""
-        return list(zip(self.normals, self.levels, self.weak))
-
 
 @dataclass(frozen=True)
 class RationalPolytope:
@@ -105,7 +105,7 @@ def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
         rows = [
             v if is_weak else tuple(-x for x in v) for v, is_weak in zip(reg.normals, reg.weak)
         ]
-        if rank(rows) < reg.dim:
+        if integer_eliminate(list(rows), reg.dim)[0] < reg.dim:
             return False
         # lambda = 1 + mu with mu >= 0: sum mu_i r_i = -sum r_i.
         a_eq = [[r[j] for r in rows] for j in range(reg.dim)]
@@ -145,38 +145,77 @@ def _adjugate(matrix):
     """(D * inverse, D) for a square integer matrix, with D = |det| > 0.
 
     Integer-preserving Gauss-Jordan elimination of [matrix | identity]
-    (``integer_pivot``, as in the simplex): at the end the left block is
-    D times the identity.  None if singular.
+    (``integer_eliminate``, the simplex's pivot step): at the end the
+    left block is D times the identity.  None if singular.
     """
     n = len(matrix)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    denom = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        denom = integer_pivot(rows, col, col, denom)
+    found, denom = integer_eliminate(rows, n)
+    if found < n:
+        return None
     return tuple(tuple(row[n:]) for row in rows), denom
 
 
 def _vertex_bases(reg: HalfOpenRegion):
-    """Every invertible n-set of normals, as (combo, adjugate, det) in integers.
+    """Every invertible n-set of normals over one common denominator.
 
-    ``adjugate / det`` is the inverse of the matrix of the normals in
-    ``combo``, normalized so that det > 0.
+    Returns (common, bases) with bases a tuple of (combo, adjugate) in
+    integers: ``adjugate / common`` is the inverse of the matrix of the
+    normals in ``combo``, and common > 0 is the lcm of the basis
+    determinants.
     """
     n = reg.dim
 
     def compute():
-        bases = []
+        found = []
         for combo in combinations(range(len(reg.normals)), n):
             inverse = _adjugate([reg.normals[i] for i in combo])
             if inverse is not None:
-                bases.append((combo, *inverse))
-        return tuple(bases)
+                found.append((combo, *inverse))
+        common = math.lcm(*(size for _, _, size in found))
+        bases = tuple(
+            (combo, tuple(tuple(x * (common // size) for x in row) for row in adjugate))
+            for combo, adjugate, size in found
+        )
+        return common, bases
 
     return reg.memo("vertex_bases", compute)
+
+
+def _integer_vertices(reg: HalfOpenRegion):
+    """The closure's vertices as integer points over one scale, with tight rows.
+
+    Returns ({P: frozenset of the rows tight at P}, scale): each vertex
+    is P / scale, with scale = common * q for the levels scaled to
+    integers L over their lcm q.  Every candidate is P = adjugate . L
+    for one vertex basis, tested as <v, P> >= common * L_i on weak rows
+    and <= on strict rows, all in integers; a point already found is
+    not tested again.  Raises on systems with unbounded closure.
+    """
+    if not _closure_is_bounded(reg):
+        raise UnboundedRegionError("region closure is unbounded")
+    common, bases = _vertex_bases(reg)
+    levels, q = to_integers(reg.levels)
+    rows = [
+        (i, normal, common * level, is_weak)
+        for i, (normal, level, is_weak) in enumerate(zip(reg.normals, levels, reg.weak))
+    ]
+    points = {}
+    for combo, adjugate in bases:
+        rhs = [levels[i] for i in combo]
+        point = tuple(sum(map(mul, row, rhs)) for row in adjugate)
+        if point in points:
+            continue
+        tight = []
+        for i, normal, level, is_weak in rows:
+            value = sum(map(mul, normal, point))
+            if value == level:
+                tight.append(i)
+            elif value < level if is_weak else value > level:
+                break
+        else:
+            points[point] = frozenset(tight)
+    return points, common * q
 
 
 def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
@@ -184,52 +223,46 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
 
     Every vertex is the unique solution of some n tight constraints, so
     each invertible n-subset of the system gives one candidate point,
-    kept when it satisfies the whole closure.  The levels are scaled
-    once to integers L over their lcm q; a candidate is P / (det * q)
-    with P = adjugate . L, and is tested as <v, P> >= det * L_i on weak
-    rows and <= on strict rows, all in integers.  Raises on systems with
-    unbounded closure.
+    kept when it satisfies the whole closure.  The candidates are
+    enumerated in integers by ``_integer_vertices``; a ``Fraction`` is
+    built only for the accepted ones.  Raises on systems with unbounded
+    closure.
     """
-    if not _closure_is_bounded(reg):
-        raise UnboundedRegionError("region closure is unbounded")
-    levels, q = to_integers(reg.levels)
-    rows = list(zip(reg.normals, levels, reg.weak))
-    vertices = set()
-    for combo, adjugate, size in _vertex_bases(reg):
-        rhs = [levels[i] for i in combo]
-        point = [sum(map(mul, row, rhs)) for row in adjugate]
-        for normal, level, is_weak in rows:
-            value = sum(map(mul, normal, point))
-            if value < size * level if is_weak else value > size * level:
-                break
-        else:
-            scale = size * q
-            vertices.add(tuple(Fraction(x, scale) for x in point))
+    points, scale = _integer_vertices(reg)
+    vertices = (tuple(Fraction(x, scale) for x in point) for point in points)
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
-def _facet_vertex_sets(vertices, constraints, apex, face_dim):
-    """Vertex sets of the facets of conv(vertices) avoiding the apex."""
+def _affine_rank(points) -> int:
+    """Dimension of the affine hull of integer points (-1 for none)."""
+    if not points:
+        return -1
+    base = points[0]
+    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    return integer_eliminate(diffs, len(base))[0]
+
+
+def _simplices(face, tight, face_dim):
+    """Pulling triangulation of a face given by its sorted vertex list.
+
+    The facets of the face avoiding its least vertex (the apex) are the
+    sets {v in face : row i is tight at v} over the rows i not tight at
+    the apex, kept when their affine rank is face_dim - 1.
+    """
+    if len(face) == face_dim + 1:
+        yield face
+        return
+    apex = face[0]
+    rows = frozenset().union(*(tight[v] for v in face)) - tight[apex]
     seen = set()
-    for normal, level, _ in constraints:
-        if dot(normal, apex) == level:
-            continue
-        tight = [v for v in vertices if dot(normal, v) == level]
-        key = frozenset(tight)
-        if key in seen or affine_rank(tight) != face_dim - 1:
+    for i in rows:
+        facet = [v for v in face if i in tight[v]]
+        key = frozenset(facet)
+        if key in seen or _affine_rank(facet) != face_dim - 1:
             continue
         seen.add(key)
-        yield sorted(tight)
-
-
-def _triangulate(vertices, constraints, face_dim):
-    if len(vertices) == face_dim + 1:
-        yield tuple(vertices)
-        return
-    apex = min(vertices)
-    for facet in _facet_vertex_sets(vertices, constraints, apex, face_dim):
-        for simplex in _triangulate(facet, constraints, face_dim - 1):
-            yield (apex,) + simplex
+        for simplex in _simplices(facet, tight, face_dim - 1):
+            yield [apex] + simplex
 
 
 def normalized_volume(reg: HalfOpenRegion) -> Fraction:
@@ -237,19 +270,23 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
 
     The strict boundary parts have measure zero, and an empty half-open
     region forces its closure onto a strict hyperplane, hence a
-    lower-dimensional closure and volume zero either way.
+    lower-dimensional closure and volume zero either way.  The closure
+    is triangulated on the integer vertices of ``_integer_vertices``,
+    its facets read off their tight rows, and each simplex contributes
+    |det| of its integer edge vectors: the final denominator of their
+    fraction-free elimination.  The sum is divided by scale^n once.
     """
-    poly = closure_vertices(reg)
-    vertices = list(poly.vertices)
+    points, scale = _integer_vertices(reg)
     n = reg.dim
-    if affine_rank(vertices) < n:
+    vertices = sorted(points)
+    if _affine_rank(vertices) < n:
         return Fraction(0)
-    total = Fraction(0)
-    for simplex in _triangulate(sorted(vertices), reg.closure_constraints(), n):
+    total = 0
+    for simplex in _simplices(vertices, points, n):
         base = simplex[0]
-        rows = [tuple(a - b for a, b in zip(v, base)) for v in simplex[1:]]
-        total += abs(det(rows))
-    return total
+        edges = [[a - b for a, b in zip(v, base)] for v in simplex[1:]]
+        total += integer_eliminate(edges, n)[1]
+    return Fraction(total, scale**n)
 
 
 # Lattice counting scans at most this many fibers (integer prefixes of
@@ -261,20 +298,21 @@ def _fibers(reg: HalfOpenRegion):
     """Yield (prefix, lo, hi) for each nonempty fiber along the last axis.
 
     The prefixes are the integer points (x_1..x_{n-1}) of the closure's
-    bounding box, in lexicographic order; above each prefix the region
-    holds exactly the lattice points whose last coordinate is one of the
-    integers lo..hi.  Since <v, x> is an integer at lattice points, a
+    bounding box (floor divisions of the integer vertices of
+    ``_integer_vertices``), in lexicographic order; above each prefix
+    the region holds exactly the lattice points whose last coordinate
+    is one of the integers lo..hi.  Since <v, x> is an integer at lattice points, a
     weak row <v, x> >= L is <v, x> >= ceil(L) and a strict row
     <v, x> < L is <-v, x> >= 1 - ceil(L); every row is thus one weak
     integer inequality, and each fiber bound is a floor division of
     integers.  Raises CapExceededError past ``FIBER_BUDGET`` prefixes.
     """
-    poly = closure_vertices(reg)
-    if not poly.vertices:
+    points, scale = _integer_vertices(reg)
+    if not points:
         return
     n = reg.dim
-    los = [math.ceil(min(v[j] for v in poly.vertices)) for j in range(n)]
-    his = [math.floor(max(v[j] for v in poly.vertices)) for j in range(n)]
+    los = [-(-min(p[j] for p in points) // scale) for j in range(n)]
+    his = [max(p[j] for p in points) // scale for j in range(n)]
     heads = [range(lo, hi + 1) for lo, hi in zip(los[:-1], his[:-1])]
     prefixes = math.prod(map(len, heads))
     if prefixes > FIBER_BUDGET:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricvol.asymptotics import hhat
+from toricvol.asymptotics import hhat, mixed_partial_h0
 from toricvol.cohomology import euler_char, h_all
 from toricvol.divisor import divisor
 from toricvol.errors import NotSimplicialError
@@ -31,6 +31,12 @@ from toricvol.fixtures import (
     p2,
     quadrant_fan,
     square_cone_fan,
+)
+from toricvol.gkz import (
+    ample_via_asymptotics,
+    enumerate_maximal_chambers,
+    gkz_cone,
+    locate_chamber,
 )
 from toricvol.lp import cone_contains
 
@@ -200,6 +206,11 @@ def test_fan_freed_without_cycle_collection():
         h_all(fan, d)
         hhat(fan, d)
         euler_char(fan, d)
+        sample = enumerate_maximal_chambers(fan)[0].sample_divisor
+        locate_chamber(fan, sample)
+        gkz_cone(fan, fan.max_cones, frozenset())
+        mixed_partial_h0(fan, sample, [0])
+        assert ample_via_asymptotics(fan, divisor([2, 2, 1, 1]))
         alive = weakref.ref(fan)
         del fan
         assert alive() is None

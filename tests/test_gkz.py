@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricvol.asymptotics import hhat
+from toricvol.asymptotics import hhat, mixed_partial_h0
 from toricvol.divisor import divisor, is_ample, linear_equiv_shift, ray_divisor, scale
 from toricvol.errors import (
     ChamberMembershipError,
@@ -15,6 +15,7 @@ from toricvol.fixtures import bl2_p2, bl3_p2, cube_fan, f1, p1_cubed, p1xp1, p2
 from toricvol.gkz import (
     ample_via_asymptotics,
     enumerate_maximal_chambers,
+    gkz_cone,
     gkz_membership,
     hhat0_on_chamber,
     locate_chamber,
@@ -136,6 +137,53 @@ def test_enumerate_chamber_samples_locate_back():
             assert set(loc.sigma.max_cones) == set(chamber.sigma_cones)
             assert loc.strict_rays == chamber.strict_rays
             assert chamber.contains_strictly(chamber.sample_divisor)
+
+
+def test_warm_chamber_calls_run_no_lp(monkeypatch):
+    # Cone members, extreme subsets, chamber systems and the chamber list
+    # depend on the fan only: once the memo holds them, repeating the
+    # chamber calls on the same divisors solves no LP.
+    import toricvol.lp as lp
+
+    fan = bl2_p2()
+    ample = divisor([3, 3, 3, 2, 2])
+
+    def chamber_calls():
+        chambers = enumerate_maximal_chambers(fan)
+        for k, chamber in enumerate(chambers):
+            d = chamber.sample_divisor
+            location = locate_chamber(fan, d)
+            gkz_cone(fan, chamber.sigma_cones, chamber.strict_rays)
+            located_cone(fan, location)
+            mixed_partial_h0(fan, d, [k % len(fan.rays)])
+            ample_via_asymptotics(fan, d)
+        return ample_via_asymptotics(fan, ample)
+
+    assert chamber_calls()
+    calls = []
+    original = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    assert chamber_calls()
+    assert calls == []
+
+
+def test_enumerate_returns_fresh_lists():
+    fan = bl2_p2()
+    first = enumerate_maximal_chambers(fan)
+    keys = [(ch.sigma_cones, ch.strict_rays, ch.sample_divisor) for ch in first]
+    first.pop()
+    first.reverse()
+    second = enumerate_maximal_chambers(fan)
+    assert second is not first
+    assert [(ch.sigma_cones, ch.strict_rays, ch.sample_divisor) for ch in second] == keys
+    third = enumerate_maximal_chambers(fan)
+    assert third == second
+    assert all(a is not b for a, b in zip(second, third))
 
 
 def test_enumerate_dim3_gate():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from toricvol.linalg import affine_rank, det, dot, nullspace, rank, solve
+from toricvol.linalg import affine_rank, det, dot, integer_eliminate, nullspace, rank, solve
 
 
 def test_rank_basics():
@@ -70,3 +70,20 @@ def test_random_nullspace_is_kernel():
         assert rank(matrix) + len(basis) == cols
         for vec in basis:
             assert all(dot(row, vec) == 0 for row in matrix)
+
+
+def test_integer_eliminate_matches_fraction_rank_and_det():
+    rng = random.Random(61)
+    determinants = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        matrix = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            matrix[-1] = [2 * a for a in matrix[0]]
+        found, denom = integer_eliminate([list(row) for row in matrix], ncols)
+        assert found == rank(matrix)
+        assert denom > 0
+        if nrows == ncols == found:
+            assert denom == abs(det(matrix))
+            determinants += 1
+    assert determinants > 30

@@ -11,7 +11,7 @@ from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.errors import CapExceededError, UnboundedRegionError
 from toricvol.fan import make_fan
 from toricvol.fixtures import f1, p1, p1xp1, p2
-from toricvol.linalg import dot, rank, solve
+from toricvol.linalg import affine_rank, det, dot, rank, solve
 from toricvol.regions import (
     HalfOpenRegion,
     bounded_subsets,
@@ -263,6 +263,69 @@ def test_integer_vertices_match_fraction_referee():
                 assert closure_vertices(bare).vertices == expected
                 regions_checked += 1
     assert regions_checked > 400
+
+
+def fraction_facet_vertex_sets(vertices, constraints, apex, face_dim):
+    """Vertex sets of the facets of conv(vertices) avoiding the apex."""
+    seen = set()
+    for normal, level, _ in constraints:
+        if dot(normal, apex) == level:
+            continue
+        tight = [v for v in vertices if dot(normal, v) == level]
+        key = frozenset(tight)
+        if key in seen or affine_rank(tight) != face_dim - 1:
+            continue
+        seen.add(key)
+        yield sorted(tight)
+
+
+def fraction_triangulate(vertices, constraints, face_dim):
+    if len(vertices) == face_dim + 1:
+        yield tuple(vertices)
+        return
+    apex = min(vertices)
+    for facet in fraction_facet_vertex_sets(vertices, constraints, apex, face_dim):
+        for simplex in fraction_triangulate(facet, constraints, face_dim - 1):
+            yield (apex,) + simplex
+
+
+def fraction_normalized_volume(reg, inverses):
+    """Referee for the integer volumes: the Fraction pulling triangulation,
+    re-deriving each facet by dot products over every row, on the vertices
+    of the Fraction vertex referee."""
+    vertices = list(fraction_closure_vertices(reg, inverses))
+    n = reg.dim
+    if affine_rank(vertices) < n:
+        return Fraction(0)
+    total = Fraction(0)
+    constraints = list(zip(reg.normals, reg.levels, reg.weak))
+    for simplex in fraction_triangulate(sorted(vertices), constraints, n):
+        base = simplex[0]
+        rows = [tuple(a - b for a, b in zip(v, base)) for v in simplex[1:]]
+        total += abs(det(rows))
+    return total
+
+
+def test_integer_volumes_match_fraction_referee():
+    rng = random.Random(53)
+    inverses = {}
+    regions_checked = positive = 0
+    for fan in [fixture() for fixture in ALL_FIXTURES] + list(weighted_projective_spaces()):
+        divisors = [divisor([0] * len(fan.rays))] + [
+            divisor([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 10))) for _ in fan.rays])
+            for _ in range(2)
+        ]
+        for d in divisors:
+            for subset in bounded_subsets(fan):
+                reg = region(fan, d, subset)
+                expected = fraction_normalized_volume(reg, inverses)
+                assert normalized_volume(reg) == expected, (fan, sorted(subset), d)
+                bare = HalfOpenRegion(reg.normals, reg.levels, reg.weak, reg.dim)
+                assert normalized_volume(bare) == expected
+                regions_checked += 1
+                positive += expected > 0
+    assert regions_checked > 600
+    assert positive > 50
 
 
 def test_fiber_budget(monkeypatch):
