@@ -151,6 +151,29 @@ def _validated_fan(path: str):
     return fan, digest, diags
 
 
+def _probe_region(text: str | None, nrays: int) -> list[int]:
+    """The sorted weak set of ``--region``: all rays when absent, none when empty.
+
+    Every comma-separated entry must be a distinct ray index of the fan.
+    """
+    if text is None:
+        return list(range(nrays))
+    if not text.strip():
+        return []
+    subset = []
+    for entry in text.split(","):
+        try:
+            index = int(entry)
+        except ValueError:
+            raise DocumentError(f"--region entry {entry!r} is not a ray index") from None
+        if not 0 <= index < nrays:
+            raise DocumentError(f"--region entry {index} is not a ray index 0..{nrays - 1}")
+        if index in subset:
+            raise DocumentError(f"--region repeats ray {index}")
+        subset.append(index)
+    return sorted(subset)
+
+
 def _locate_fields(fan, d) -> dict:
     location = locate_chamber(fan, d)
     return {
@@ -209,10 +232,9 @@ def _run_command(args) -> tuple[dict, int]:
     elif args.command == "selfint":
         result = rational_fields("self_intersection", self_intersection(fan, d, cap=args.cap))
     elif args.command == "probe":
-        if args.region is None:
-            subset = sorted(range(len(fan.rays)))
-        else:
-            subset = sorted({int(v) for v in args.region.split(",") if v.strip() != ""})
+        if args.mmax < 1:
+            raise DocumentError(f"--mmax must be at least 1, got {args.mmax}")
+        subset = _probe_region(args.region, len(fan.rays))
         table = ehrhart_probe(fan, d, subset, args.mmax)
         result = {
             "region": subset,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidFanError, NotSimplicialError
-from .linalg import det, rank
+from .linalg import det, dot, rank
 from .lp import cone_contains, is_face_subset, is_pointed, relative_interior_functional
 
 
@@ -60,6 +60,22 @@ class Fan:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+
+def _intersection_faces(rays, c1, c2) -> tuple[set[int], set[int]]:
+    """The faces of two cones that a separating functional cuts out.
+
+    ``w`` is a relative-interior point of the cone of functionals that
+    are >= 0 on the rays of ``c1`` and <= 0 on those of ``c2``; the rays
+    where it vanishes span the face of each cone that holds their
+    intersection.  The two cones meet in a common face exactly when
+    both ray sets are equal.
+    """
+    g1, g2 = sorted(c1), sorted(c2)
+    w, _ = relative_interior_functional(
+        [rays[i] for i in g1] + [tuple(-v for v in rays[i]) for i in g2]
+    )
+    return {i for i in g1 if dot(rays[i], w) == 0}, {i for i in g2 if dot(rays[i], w) == 0}
 
 
 def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
@@ -136,14 +152,7 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
             diags.append(f"cone {b} duplicates cone {a}")
             fatal = True
             continue
-        ga = sorted(cones[a])
-        gb = sorted(cones[b])
-        rows = [clean_rays[i] for i in ga] + [
-            tuple(-v for v in clean_rays[i]) for i in gb
-        ]
-        w, _ = relative_interior_functional(rows)
-        fa = {i for i in ga if sum(x * y for x, y in zip(clean_rays[i], w)) == 0}
-        fb = {i for i in gb if sum(x * y for x, y in zip(clean_rays[i], w)) == 0}
+        fa, fb = _intersection_faces(clean_rays, cones[a], cones[b])
         if fa != fb:
             diags.append(f"improper intersection of cone {a} and cone {b}")
             fatal = True

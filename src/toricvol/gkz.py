@@ -49,10 +49,10 @@ from .errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from .fan import Fan, is_complete, is_simplicial, make_fan
-from .linalg import dot, nullspace, rank, solve
+from .fan import Fan, _intersection_faces, is_complete, is_simplicial, make_fan
+from .linalg import det, dot, nullspace, rank, solve, to_integers
 from .lp import cone_contains, feasible_point, relative_interior_functional
-from .regions import HalfOpenRegion, closure_vertices, region
+from .regions import HalfOpenRegion, _integer_vertices, closure_vertices, region
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +95,24 @@ class PossiblyDegenerateFan:
 
 
 def _section_vertices(fan: Fan, d: Divisor):
+    """The section polytope's sorted vertices and, for each, its tight rays.
+
+    A ray is tight at a vertex when its inequality holds with equality
+    there; ``_integer_vertices`` records these sets in integers.
+    """
     if not is_complete(fan):
         raise NotCompleteError("support functions need a complete fan")
-    poly = closure_vertices(region(fan, d, range(len(fan.rays))))
-    if not poly.vertices:
+    points, scale = _integer_vertices(region(fan, d, range(len(fan.rays))))
+    if not points:
         raise EffectiveConeError("section polytope is empty: class not effective")
-    return poly.vertices
+    ordered = sorted(points)
+    vertices = tuple(tuple(Fraction(x, scale) for x in point) for point in ordered)
+    return vertices, [points[point] for point in ordered]
 
 
-def _strict_rays(fan: Fan, d: Divisor, vertices):
-    values = tuple(min(dot(v, ray) for v in vertices) for ray in fan.rays)
-    strict = frozenset(i for i, value in enumerate(values) if value > -d[i])
-    return values, strict
+def _strict_rays(fan: Fan, tight) -> frozenset[int]:
+    """The rays tight at no vertex: their minimum beats the level strictly."""
+    return frozenset(range(len(fan.rays))).difference(*tight)
 
 
 def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[int]]:
@@ -116,9 +122,9 @@ def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[i
     the divisor's own level strictly; they never generate cones of the
     normal fan.
     """
-    vertices = _section_vertices(fan, d)
-    values, strict = _strict_rays(fan, d, vertices)
-    return SupportFunction(vertices, values), strict
+    vertices, tight = _section_vertices(fan, d)
+    values = tuple(min(dot(v, ray) for v in vertices) for ray in fan.rays)
+    return SupportFunction(vertices, values), _strict_rays(fan, tight)
 
 
 def _cone_members(fan: Fan, cone: frozenset[int]) -> frozenset[int]:
@@ -145,7 +151,7 @@ def _extreme_subset(fan: Fan, rays: frozenset[int]) -> frozenset[int]:
     return fan.memo(("extreme_subset", rays), compute)
 
 
-def _normal_fan(fan: Fan, d: Divisor, vertices) -> PossiblyDegenerateFan:
+def _normal_fan(fan: Fan, vertices, tight) -> PossiblyDegenerateFan:
     base = vertices[0]
     diffs = [tuple(a - b for a, b in zip(v, base)) for v in vertices[1:]]
     if diffs:
@@ -154,15 +160,9 @@ def _normal_fan(fan: Fan, d: Divisor, vertices) -> PossiblyDegenerateFan:
         lineality = tuple(
             tuple(Fraction(int(i == j)) for j in range(fan.dim)) for i in range(fan.dim)
         )
-    cones = []
-    for vertex in vertices:
-        tight = frozenset(
-            i for i, ray in enumerate(fan.rays) if dot(vertex, ray) == -d[i]
-        )
-        if not lineality:
-            tight = _extreme_subset(fan, tight)
-        cones.append(tight)
-    return PossiblyDegenerateFan(fan.dim, tuple(sorted(cones, key=sorted)), lineality)
+    if not lineality:
+        tight = [_extreme_subset(fan, rays) for rays in tight]
+    return PossiblyDegenerateFan(fan.dim, tuple(sorted(tight, key=sorted)), lineality)
 
 
 def normal_fan(fan: Fan, d: Divisor) -> PossiblyDegenerateFan:
@@ -173,7 +173,7 @@ def normal_fan(fan: Fan, d: Divisor) -> PossiblyDegenerateFan:
     the lineality space appears exactly when the polytope is not
     full-dimensional.
     """
-    return _normal_fan(fan, d, _section_vertices(fan, d))
+    return _normal_fan(fan, *_section_vertices(fan, d))
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,9 @@ def locate_chamber(fan: Fan, d: Divisor) -> LocatedChamber:
     The interior flag is the maximal-chamber criterion: nondegenerate,
     simplicial, and strict rays complementary to the normal fan's rays.
     """
-    vertices = _section_vertices(fan, d)
-    sigma = _normal_fan(fan, d, vertices)
-    _, strict = _strict_rays(fan, d, vertices)
+    vertices, tight = _section_vertices(fan, d)
+    sigma = _normal_fan(fan, vertices, tight)
+    strict = _strict_rays(fan, tight)
     interior = (
         not sigma.degenerate
         and all(len(cone) == fan.dim for cone in sigma.max_cones)
@@ -202,15 +202,6 @@ def locate_chamber(fan: Fan, d: Divisor) -> LocatedChamber:
 
 # ---------------------------------------------------------------------------
 # Chamber cones: the explicit inequality system
-
-
-def _canonical_condition(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * lcm) for c in coeffs]
-    g = math.gcd(*(abs(v) for v in ints))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
 
 
 @dataclass(frozen=True)
@@ -287,7 +278,9 @@ def _gkz_system(fan: Fan, cones, strict):
                         coeffs[b] -= a
                     if not any(coeffs):
                         continue
-                    condition = _canonical_condition(coeffs)
+                    ints, _ = to_integers(coeffs)
+                    g = math.gcd(*ints)
+                    condition = tuple(Fraction(v // g) for v in ints)
                     if rho in inside and rho not in strict:
                         equalities.add(condition)
                     else:
@@ -448,15 +441,6 @@ def _chambers_dim2(fan: Fan):
     return found
 
 
-def _proper_pair(fan: Fan, c1: frozenset[int], c2: frozenset[int]) -> bool:
-    g1, g2 = sorted(c1), sorted(c2)
-    rows = [fan.rays[i] for i in g1] + [tuple(-v for v in fan.rays[i]) for i in g2]
-    w, _ = relative_interior_functional(rows)
-    f1 = {i for i in g1 if dot(fan.rays[i], w) == 0}
-    f2 = {i for i in g2 if dot(fan.rays[i], w) == 0}
-    return f1 == f2
-
-
 def _chambers_dim3(fan: Fan):
     nrays = len(fan.rays)
     if nrays > 8:
@@ -472,8 +456,6 @@ def _chambers_dim3(fan: Fan):
 
 
 def _fans_on_rays_3d(fan: Fan, subset):
-    from .linalg import det
-
     rays = fan.rays
     idx = sorted(subset)
     candidates = [
@@ -523,7 +505,8 @@ def _fans_on_rays_3d(fan: Fan, subset):
             new_side = side(facet, next(iter(cand - facet)))
             if new_side == 0 or (new_side > 0) == (old_side > 0):
                 continue
-            if all(_proper_pair(fan, cand, c) for c in chosen):
+            faces = (_intersection_faces(rays, cand, c) for c in chosen)
+            if all(f1 == f2 for f1, f2 in faces):
                 grow(chosen | {cand})
 
     seed_ray = idx[0]
@@ -655,11 +638,17 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     if any(e > 0 and rho not in cone.strict_rays for rho, e in enumerate(remainder)):
         raise ToricError("internal: remainder escaped the strict-ray support")
     shifted_vertices = closure_vertices(region(fan, shifted, range(len(fan.rays)))).vertices
+
+    def nef_memo(key, compute):
+        # The nef region's normals are the support rays, not all rays.
+        return fan.memo(("nef_region", support_rays, key), compute)
+
     nef_region = HalfOpenRegion(
         normals=tuple(fan.rays[rho] for rho in sorted(support_rays)),
         levels=tuple(-nef_coeffs[rho] for rho in sorted(support_rays)),
         weak=tuple(True for _ in support_rays),
         dim=n,
+        memo=nef_memo,
     )
     nef_vertices = closure_vertices(nef_region).vertices
     if set(shifted_vertices) != set(nef_vertices):

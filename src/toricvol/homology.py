@@ -15,7 +15,6 @@ are untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fan import Cone, Fan, all_cones, subfan
 from .linalg import rank
@@ -92,11 +91,11 @@ def sphere_complex(fan: Fan, weak_rays, *, reverse_pull: bool = False) -> Sphere
 def _boundary_matrix(smaller: list[tuple[int, ...]], larger: list[tuple[int, ...]]):
     """Boundary map from simplices of size s to size s-1 (s >= 1)."""
     index = {simplex: i for i, simplex in enumerate(smaller)}
-    matrix = [[Fraction(0)] * len(larger) for _ in smaller]
+    matrix = [[0] * len(larger) for _ in smaller]
     for col, simplex in enumerate(larger):
         for i in range(len(simplex)):
             face = simplex[:i] + simplex[i + 1 :]
-            matrix[index[face]][col] = Fraction((-1) ** i)
+            matrix[index[face]][col] = (-1) ** i
     return matrix
 
 

@@ -1,12 +1,17 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one integer elimination core.
 
-``rank``, ``solve``, ``nullspace`` and ``det`` are plain Gaussian
-elimination on lists of ``Fraction`` rows; matrices at desk scale stay
-tiny (at most a few hundred rows), so no attempt is made at sparsity.
-``to_integers``, ``integer_pivot`` (Edmonds' integer-preserving pivot)
-and ``integer_eliminate`` are the fraction-free pieces behind the
-simplex tableau and the vertex bases, boundedness tests and volumes of
-regions.
+``integer_eliminate`` is the only elimination loop: Gauss-Jordan on
+integer rows with Edmonds' integer-preserving pivot (``integer_pivot``),
+which reports its pivot columns, its final common denominator and the
+sign that row swaps and pivot-row negations give the determinant.  The
+simplex tableau, the vertex bases, boundedness tests and volumes of
+regions call it on integers directly.  ``rank``, ``solve``,
+``nullspace``, ``det`` and ``affine_rank`` read its result through one
+rational front end that first clears each row to integers with
+``to_integers``.  Since the reduced row echelon form is unique, their
+answers are exactly those of Gaussian elimination over ``Fraction``;
+matrices at desk scale stay tiny (at most a few hundred rows), so no
+attempt is made at sparsity.
 """
 
 from __future__ import annotations
@@ -16,129 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
-
-
-def _to_rows(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    """Rank of a matrix with exact rational entries."""
-    rows = _to_rows(matrix)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Vector | None:
-    """One exact solution of ``A x = b``, or None if inconsistent.
-
-    Free variables are set to zero, so the result is a particular
-    solution, not a description of the whole solution set.
-    """
-    rows = _to_rows(matrix)
-    b = [Fraction(x) for x in rhs]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * bb for a, bb in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return tuple(x)
-
-
-def nullspace(matrix: Sequence[Sequence]) -> list[Vector]:
-    """Basis of the right kernel of ``A``, as exact rational vectors."""
-    rows = _to_rows(matrix)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            vec[pcol] = -rows[i][fcol]
-        basis.append(tuple(vec))
-    return basis
-
-
-def det(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix."""
-    rows = _to_rows(matrix)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            result = -result
-        result *= rows[col][col]
-        inv = rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return result
 
 
 def to_integers(values: Sequence) -> tuple[list[int], int]:
@@ -181,24 +63,105 @@ def integer_pivot(rows: list[list[int]], row: int, col: int, denom: int) -> int:
     return piv
 
 
-def integer_eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+def integer_eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     """Integer Gauss-Jordan on the first ``ncols`` columns, in place.
 
     Pivots with ``integer_pivot`` column by column, on the first row at
-    or below the pivot count with a nonzero entry.  Returns the rank of
-    those columns and the final common denominator D > 0.  When the
-    rank equals the number of rows and of columns, D is |det| of the
-    square block, and the block itself has become D times the identity.
+    or below the pivot count with a nonzero entry.  Returns the pivot
+    columns, the final common denominator D > 0 and a sign s = +-1:
+    afterwards ``rows / D`` is the reduced row echelon form of the
+    input on those columns (further columns carried along), so the rank
+    is the number of pivot columns.  When the rank equals the number of
+    rows and of columns, the square block has become D times the
+    identity and its determinant was s * D; s counts the row swaps and
+    the pivot-row negations.
     """
-    r, denom = 0, 1
+    pivots: list[int] = []
+    denom, sign = 1, 1
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        if rows[r][col] < 0:
+            sign = -sign
         denom = integer_pivot(rows, r, col, denom)
-        r += 1
-    return r, denom
+        pivots.append(col)
+    return pivots, denom, sign
+
+
+def _reduce(matrix: Sequence[Sequence], ncols: int | None = None):
+    """The rational front end: clear each row to integers, then eliminate.
+
+    Eliminates on the first ``ncols`` columns (all by default).  Returns
+    (rows, pivots, denom, sign, scale) with the first three as in
+    ``integer_eliminate`` and scale the product of the row scales, so a
+    square matrix of full rank has determinant sign * denom / scale.
+    """
+    rows, scale = [], 1
+    for row in matrix:
+        ints, q = to_integers(row)
+        rows.append(ints)
+        scale *= q
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots, denom, sign = integer_eliminate(rows, ncols)
+    return rows, pivots, denom, sign, scale
+
+
+def rank(matrix: Sequence[Sequence]) -> int:
+    """Rank of a matrix with exact rational entries."""
+    return len(_reduce(matrix)[1])
+
+
+def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Vector | None:
+    """One exact solution of ``A x = b``, or None if inconsistent.
+
+    Free variables are set to zero, so the result is a particular
+    solution, not a description of the whole solution set.
+    """
+    if not matrix:
+        return ()
+    ncols = len(matrix[0])
+    rows, pivots, denom, _, _ = _reduce([[*row, b] for row, b in zip(matrix, rhs)], ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, col in zip(rows, pivots):
+        x[col] = Fraction(row[ncols], denom)
+    return tuple(x)
+
+
+def nullspace(matrix: Sequence[Sequence]) -> list[Vector]:
+    """Basis of the right kernel of ``A``, as exact rational vectors."""
+    if not matrix:
+        return []
+    rows, pivots, denom, _, _ = _reduce(matrix)
+    ncols = len(matrix[0])
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for row, pcol in zip(rows, pivots):
+            vec[pcol] = Fraction(-row[fcol], denom)
+        basis.append(tuple(vec))
+    return basis
+
+
+def det(matrix: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square rational matrix."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant needs a square matrix")
+    _, pivots, denom, sign, scale = _reduce(matrix, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * denom, scale)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -214,5 +177,4 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     if not points:
         return -1
     base = points[0]
-    diffs = [vec_sub(p, base) for p in points[1:]]
-    return rank(diffs) if diffs else 0
+    return len(_reduce([vec_sub(p, base) for p in points[1:]], len(base))[1])

@@ -38,7 +38,7 @@ from typing import Callable
 from .divisor import Divisor
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
-from .linalg import dot, integer_eliminate, to_integers
+from .linalg import affine_rank, dot, integer_eliminate, rank, to_integers
 from .lp import feasible_point
 
 
@@ -105,7 +105,7 @@ def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
         rows = [
             v if is_weak else tuple(-x for x in v) for v, is_weak in zip(reg.normals, reg.weak)
         ]
-        if integer_eliminate(list(rows), reg.dim)[0] < reg.dim:
+        if rank(rows) < reg.dim:
             return False
         # lambda = 1 + mu with mu >= 0: sum mu_i r_i = -sum r_i.
         a_eq = [[r[j] for r in rows] for j in range(reg.dim)]
@@ -150,8 +150,8 @@ def _adjugate(matrix):
     """
     n = len(matrix)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    found, denom = integer_eliminate(rows, n)
-    if found < n:
+    pivots, denom, _ = integer_eliminate(rows, n)
+    if len(pivots) < n:
         return None
     return tuple(tuple(row[n:]) for row in rows), denom
 
@@ -233,15 +233,6 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
-def _affine_rank(points) -> int:
-    """Dimension of the affine hull of integer points (-1 for none)."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return integer_eliminate(diffs, len(base))[0]
-
-
 def _simplices(face, tight, face_dim):
     """Pulling triangulation of a face given by its sorted vertex list.
 
@@ -258,7 +249,7 @@ def _simplices(face, tight, face_dim):
     for i in rows:
         facet = [v for v in face if i in tight[v]]
         key = frozenset(facet)
-        if key in seen or _affine_rank(facet) != face_dim - 1:
+        if key in seen or affine_rank(facet) != face_dim - 1:
             continue
         seen.add(key)
         for simplex in _simplices(facet, tight, face_dim - 1):
@@ -279,7 +270,7 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     points, scale = _integer_vertices(reg)
     n = reg.dim
     vertices = sorted(points)
-    if _affine_rank(vertices) < n:
+    if affine_rank(vertices) < n:
         return Fraction(0)
     total = 0
     for simplex in _simplices(vertices, points, n):

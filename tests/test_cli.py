@@ -106,6 +106,29 @@ def test_probe_with_explicit_region(tmp_path):
     assert values == ["0", "3/2"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--region", "a"],
+        ["--region=-1"],
+        ["--region", "0,1,99"],
+        ["--region", "0,,1"],
+        ["--region", "1,1"],
+        ["--mmax", "0"],
+        ["--mmax", "-2"],
+    ],
+    ids=["region-not-integer", "region-negative", "region-out-of-range", "region-empty-entry",
+         "region-repeated", "mmax-zero", "mmax-negative"],
+)
+def test_probe_rejects_malformed_arguments(tmp_path, argv):
+    # Each was once repaired, answered or crashed on instead of rejected.
+    fan = write(tmp_path, "fan.json", P2)
+    div = write(tmp_path, "d.json", {"coeffs": [1, 0, 0]})
+    code, report = run(tmp_path, "probe", "--fan", fan, "--divisor", div, *argv)
+    assert code == 2
+    assert report["error"]["kind"] == "validation"
+
+
 def test_gkz_locate_and_enumerate(tmp_path):
     fan = write(tmp_path, "fan.json", F1)
     div = write(tmp_path, "d.json", {"coeffs": [1, 0, 0, 2]})

@@ -140,9 +140,10 @@ def test_enumerate_chamber_samples_locate_back():
 
 
 def test_warm_chamber_calls_run_no_lp(monkeypatch):
-    # Cone members, extreme subsets, chamber systems and the chamber list
-    # depend on the fan only: once the memo holds them, repeating the
-    # chamber calls on the same divisors solves no LP.
+    # Cone members, extreme subsets, chamber systems, the chamber list and
+    # the nef regions' boundedness depend on the fan only: once the memo
+    # holds them, repeating the chamber calls on the same divisors solves
+    # no LP.
     import toricvol.lp as lp
 
     fan = bl2_p2()
@@ -154,7 +155,8 @@ def test_warm_chamber_calls_run_no_lp(monkeypatch):
             d = chamber.sample_divisor
             location = locate_chamber(fan, d)
             gkz_cone(fan, chamber.sigma_cones, chamber.strict_rays)
-            located_cone(fan, location)
+            nef_decomposition(fan, located_cone(fan, location), d)
+            nef_decomposition(fan, chamber, d)
             mixed_partial_h0(fan, d, [k % len(fan.rays)])
             ample_via_asymptotics(fan, d)
         return ample_via_asymptotics(fan, ample)
