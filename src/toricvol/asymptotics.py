@@ -11,10 +11,9 @@ growth function.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .divisor import Divisor, is_q_cartier, scale
+from .divisor import Divisor, is_q_cartier
 from .errors import (
     ChamberWallError,
     NotCompleteError,
@@ -28,45 +27,37 @@ from .regions import normalized_volume, region_sum
 AsymptoticVector = tuple[Fraction, ...]
 
 
-def hhat(fan: Fan, d: Divisor, cap: int = 20) -> AsymptoticVector:
+def hhat(fan: Fan, d: Divisor) -> AsymptoticVector:
     """The exact vector of asymptotic cohomology rates (index 0..n)."""
     if not is_complete(fan):
         raise NotCompleteError("asymptotic functions need a complete fan")
     values = region_sum(
-        fan, d, lambda subset: local_cohomology_ranks(fan, subset), normalized_volume, cap
+        fan, d, lambda subset: local_cohomology_ranks(fan, subset), normalized_volume
     )
     return tuple(Fraction(v) for v in values)
 
 
-def self_intersection(fan: Fan, d: Divisor, cap: int = 20) -> Fraction:
+def self_intersection(fan: Fan, d: Divisor) -> Fraction:
     """Top self-intersection number of a Q-Cartier divisor.
 
-    Evaluates the signed volume formula on the denominator-cleared
-    multiple (which is honestly Cartier) and scales back; both sides of
-    the formula are homogeneous of degree n, so the two conventions
-    agree exactly.
+    The signed volume formula holds for rational divisors as they are:
+    the regions of k*d are k times those of d, and both sides of the
+    formula are homogeneous of degree n.
     """
     if not is_complete(fan):
         raise NotCompleteError("self-intersection needs a complete fan")
-    cartier = is_q_cartier(fan, d)
-    if cartier is None:
+    if is_q_cartier(fan, d) is None:
         raise NotQCartierError("divisor is not Q-Cartier")
-    denominators = [c.denominator for c in d]
-    denominators += [v.denominator for u in cartier.u_sigma for v in u]
-    k = math.lcm(*denominators)
-    scaled = scale(d, k)
     (total,) = region_sum(
-        fan, scaled, lambda subset: (chi_of_fan(subfan(fan, subset)),), normalized_volume, cap
+        fan, d, lambda subset: (chi_of_fan(subfan(fan, subset)),), normalized_volume
     )
-    return (-1) ** fan.dim * total / Fraction(k) ** fan.dim
+    return Fraction((-1) ** fan.dim * total)
 
 
-def asymptotic_rr_check(fan: Fan, d: Divisor, cap: int = 20) -> tuple[Fraction, Fraction]:
+def asymptotic_rr_check(fan: Fan, d: Divisor) -> tuple[Fraction, Fraction]:
     """(self-intersection, alternating sum of asymptotic ranks); equal in theory."""
-    lhs = self_intersection(fan, d, cap)
-    rhs = sum(
-        (-1) ** i * value for i, value in enumerate(hhat(fan, d, cap))
-    )
+    lhs = self_intersection(fan, d)
+    rhs = sum((-1) ** i * value for i, value in enumerate(hhat(fan, d)))
     return lhs, Fraction(rhs)
 
 
@@ -91,7 +82,7 @@ def _derivative_weights(nodes: list[Fraction]) -> list[Fraction]:
     return weights
 
 
-def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices, cap: int = 20) -> Fraction:
+def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     """Exact mixed partial of the section growth rate along prime divisors.
 
     The growth rate restricted to an open chamber is a polynomial of
@@ -136,5 +127,5 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices, cap: int = 20) -> Fracti
             shifted[ray] += nodes[k]
             coeff *= weights[k]
         if coeff:
-            total += coeff * hhat(fan, tuple(shifted), cap)[0]
+            total += coeff * hhat(fan, tuple(shifted))[0]
     return total

@@ -219,18 +219,18 @@ def _run_command(args) -> tuple[dict, int]:
     inputs["divisor_sha256"] = ddigest
 
     if args.command == "cohom":
-        ranks = h_all(fan, d, cap=args.cap)
+        ranks = h_all(fan, d)
         result: dict = {"h": [str(v) for v in ranks]}
         if args.check_oracle:
-            oracle = cech_oracle(fan, d, cap=args.cap)
+            oracle = cech_oracle(fan, d)
             result["oracle"] = [str(v) for v in oracle]
             result["oracle_agrees"] = oracle == ranks
     elif args.command == "euler":
-        result = {"euler_characteristic": str(euler_char(fan, d, cap=args.cap))}
+        result = {"euler_characteristic": str(euler_char(fan, d))}
     elif args.command == "asym":
-        result = rational_fields("hhat", hhat(fan, d, cap=args.cap))
+        result = rational_fields("hhat", hhat(fan, d))
     elif args.command == "selfint":
-        result = rational_fields("self_intersection", self_intersection(fan, d, cap=args.cap))
+        result = rational_fields("self_intersection", self_intersection(fan, d))
     elif args.command == "probe":
         if args.mmax < 1:
             raise DocumentError(f"--mmax must be at least 1, got {args.mmax}")
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name == "gkz-enumerate":
             cmd.add_argument("--dim3", action="store_true", help="enable the 3d search")
-        cmd.add_argument("--cap", type=int, default=20, help="ray cap for subset sweeps")
         cmd.add_argument("--out", default=None, help="write the report to this path")
     return parser
 

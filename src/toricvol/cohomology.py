@@ -37,25 +37,25 @@ def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
     return profile[i]
 
 
-def h_all(fan: Fan, d: Divisor, cap: int = 20) -> CohomologyVector:
+def h_all(fan: Fan, d: Divisor) -> CohomologyVector:
     """All cohomology dimensions (h^0, ..., h^n) of a complete fan's divisor."""
     if not is_complete(fan):
         raise NotCompleteError(
             "h_all needs a complete fan; use graded_piece_dim for single pieces"
         )
     return region_sum(
-        fan, d, lambda subset: local_cohomology_ranks(fan, subset), lattice_count, cap
+        fan, d, lambda subset: local_cohomology_ranks(fan, subset), lattice_count
     )
 
 
-def _check_chi_identity(fan: Fan, cap: int) -> bool:
+def _check_chi_identity(fan: Fan) -> bool:
     """(-1)^n chi(subfan_W) = sum_i (-1)^i r_i(W) for every bounded W.
 
     The identity makes the Euler sum over regions equal the alternating
     sum of h_all for every divisor, so it is checked once per fan.
     """
     n = fan.dim
-    for subset in bounded_subsets(fan, cap):
+    for subset in bounded_subsets(fan):
         ranks = local_cohomology_ranks(fan, subset)
         alternating = sum((-1) ** i * r for i, r in enumerate(ranks))
         if (-1) ** n * chi_of_fan(subfan(fan, subset)) != alternating:
@@ -65,7 +65,7 @@ def _check_chi_identity(fan: Fan, cap: int) -> bool:
     return True
 
 
-def euler_char(fan: Fan, d: Divisor, cap: int = 20) -> int:
+def euler_char(fan: Fan, d: Divisor) -> int:
     """Euler characteristic via alternating cone counts.
 
     Cross-checked against the rank vectors once per fan: see
@@ -73,9 +73,9 @@ def euler_char(fan: Fan, d: Divisor, cap: int = 20) -> int:
     """
     if not is_complete(fan):
         raise NotCompleteError("euler_char needs a complete fan")
-    fan.memo("chi_identity", lambda: _check_chi_identity(fan, cap))
+    fan.memo("chi_identity", lambda: _check_chi_identity(fan))
     (total,) = region_sum(
-        fan, d, lambda subset: (chi_of_fan(subfan(fan, subset)),), lattice_count, cap
+        fan, d, lambda subset: (chi_of_fan(subfan(fan, subset)),), lattice_count
     )
     return (-1) ** fan.dim * total
 
@@ -142,7 +142,7 @@ def cech_ranks_full(fan: Fan, weak_rays) -> CohomologyVector:
     )
 
 
-def cech_oracle(fan: Fan, d: Divisor, cap: int = 20) -> CohomologyVector:
+def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:
     """Cohomology dimensions recomputed through Cech complexes.
 
     Graded pieces with identical weak sets share one complex, so the sum
@@ -159,4 +159,4 @@ def cech_oracle(fan: Fan, d: Divisor, cap: int = 20) -> CohomologyVector:
             return zero
         return cech_ranks(fan, subset)
 
-    return region_sum(fan, d, weight, lattice_count, cap)
+    return region_sum(fan, d, weight, lattice_count)

@@ -34,10 +34,6 @@ def scale(d: Divisor, factor) -> Divisor:
     return tuple(f * c for c in d)
 
 
-def add(d: Divisor, e: Divisor) -> Divisor:
-    return tuple(a + b for a, b in zip(d, e))
-
-
 @dataclass(frozen=True)
 class CartierData:
     """Per maximal cone, the linear functional agreeing with -d on its rays."""

@@ -682,8 +682,8 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
 
     True exactly when the located chamber is the ambient fan's own open
     chamber.  On a positive answer the vanishing is additionally
-    verified at the class itself and at perturbed classes inside the
-    chamber, two per ray by default.
+    verified at the class itself and at 2k perturbed classes inside the
+    chamber, one step each way along every ray.
     """
     if not is_complete(fan):
         raise NotCompleteError("ampleness test needs a complete fan")

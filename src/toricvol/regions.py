@@ -42,6 +42,14 @@ from .linalg import affine_rank, dot, integer_eliminate, rank, to_integers
 from .lp import feasible_point
 
 
+# Fixed work caps; past either one, CapExceededError.  The 2^k subset
+# sweep takes fans of at most SUBSET_CAP rays, and lattice counting scans
+# at most FIBER_BUDGET fibers (integer prefixes of the bounding box) per
+# region.
+SUBSET_CAP = 20
+FIBER_BUDGET = 10**7
+
+
 def _no_cache(key, compute):
     """Memo stand-in for regions built outside a fan: compute, keep nothing."""
     return compute()
@@ -120,12 +128,12 @@ def is_bounded_subset(fan: Fan, weak_rays) -> bool:
     return _closure_is_bounded(region(fan, (0,) * len(fan.rays), weak_rays))
 
 
-def bounded_subsets(fan: Fan, cap: int = 20) -> tuple[frozenset[int], ...]:
+def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
     """All ray subsets with bounded regions, by exhaustive sweep."""
     k = len(fan.rays)
-    if k > cap:
+    if k > SUBSET_CAP:
         raise CapExceededError(
-            f"fan has {k} rays; the 2^k bounded-subset sweep is capped at {cap}"
+            f"fan has {k} rays; the 2^k bounded-subset sweep is capped at {SUBSET_CAP}"
         )
 
     def compute():
@@ -280,11 +288,6 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     return Fraction(total, scale**n)
 
 
-# Lattice counting scans at most this many fibers (integer prefixes of
-# the bounding box) per region; past it, it raises CapExceededError.
-FIBER_BUDGET = 10**7
-
-
 def _fibers(reg: HalfOpenRegion):
     """Yield (prefix, lo, hi) for each nonempty fiber along the last axis.
 
@@ -354,7 +357,7 @@ def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
     return [prefix + (x,) for prefix, lo, hi in _fibers(reg) for x in range(lo, hi + 1)]
 
 
-def region_sum(fan: Fan, d: Divisor, weight, measure, cap: int = 20) -> tuple:
+def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     """Sum of weight(W) * measure(region of W) over the bounded subsets W.
 
     ``weight`` maps a ray subset to a tuple of integers, of the same
@@ -362,7 +365,7 @@ def region_sum(fan: Fan, d: Divisor, weight, measure, cap: int = 20) -> tuple:
     skipped before its region is measured.
     """
     total = None
-    for subset in bounded_subsets(fan, cap):
+    for subset in bounded_subsets(fan):
         w = weight(subset)
         if total is None:
             total = [0] * len(w)

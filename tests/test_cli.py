@@ -187,6 +187,37 @@ def test_lattice_budget_exit_code(tmp_path):
     assert "fibers" in report["error"]["message"]
 
 
+# 21 primitive rays (a, b) of Pythagorean triples (a, b, c), in angular
+# order; the divisor with coefficients c puts every v/c on the unit
+# circle, so it is ample and `ample` reaches its hhat checks.
+TRIPLES_21 = [
+    (1, 0, 1), (24, 7, 25), (12, 5, 13), (15, 8, 17), (4, 3, 5), (21, 20, 29),
+    (20, 21, 29), (3, 4, 5), (8, 15, 17), (5, 12, 13), (7, 24, 25), (0, 1, 1),
+    (-3, 4, 5), (-4, 3, 5), (-1, 0, 1), (-4, -3, 5), (-3, -4, 5), (0, -1, 1),
+    (3, -4, 5), (4, -3, 5), (12, -5, 13),
+]
+
+
+def test_subset_cap_exit_code(tmp_path):
+    k = len(TRIPLES_21)
+    doc = {
+        "dim": 2,
+        "rays": [[a, b] for a, b, _ in TRIPLES_21],
+        "cones": [[i, (i + 1) % k] for i in range(k)],
+    }
+    fan = write(tmp_path, "fan.json", doc)
+    div = write(tmp_path, "d.json", {"coeffs": [c for _, _, c in TRIPLES_21]})
+    for command in ("cohom", "euler", "asym", "selfint", "ample"):
+        code, report = run(tmp_path, command, "--fan", fan, "--divisor", div)
+        assert code == 3, command
+        assert report["error"]["kind"] == "precondition"
+        assert "subset sweep is capped at 20" in report["error"]["message"]
+    # The cap is fixed: no flag sets it.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["asym", "--fan", fan, "--divisor", div, "--cap", "30"])
+    assert exit_info.value.code == 2
+
+
 def test_malformed_document_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -1,9 +1,11 @@
 """Every demo script runs to completion under ``python -O``.
 
 ``-O`` strips ``assert`` statements, so this checks that the library's
-internal cross-checks do not rely on them.
+internal cross-checks do not rely on them; a static scan keeps the
+library free of ``assert`` statements altogether.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "toricvol").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -26,3 +29,11 @@ def test_demo_runs_optimized(script):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_library_has_no_assert():
+    assert SOURCES
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"

@@ -65,9 +65,12 @@ def test_half_space_subsets_unbounded():
     assert not is_bounded_subset(fan, {0})
 
 
-def test_cap_error():
+def test_cap_error(monkeypatch):
+    monkeypatch.setattr(regions, "SUBSET_CAP", 2)
     with pytest.raises(CapExceededError):
-        bounded_subsets(p2(), cap=2)
+        bounded_subsets(p2())
+    monkeypatch.setattr(regions, "SUBSET_CAP", 3)
+    assert bounded_subsets(p2())
 
 
 def test_closure_vertices_triangle():
