@@ -11,7 +11,9 @@ their sha256 digests.
 
 Exit status: 0 on success, 2 on validation problems (malformed
 documents, invalid fans, bad arguments), 3 on precondition violations
-(incomplete fan, empty effective cone, caps, walls).
+(incomplete fan, empty effective cone, caps, walls).  Every error exit
+writes a report with the error's kind, argument errors included (to
+``--out`` when it can be read from the arguments).
 """
 
 from __future__ import annotations
@@ -38,6 +40,17 @@ EXIT_PRECONDITION = 3
 
 class DocumentError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise instead of exiting.
+
+    ``main`` turns them into a validation report like any other bad
+    input; ``--help`` still prints and exits 0.
+    """
+
+    def error(self, message):
+        raise DocumentError(f"{self.prog}: {message}")
 
 
 def format_rational(x: Fraction) -> str:
@@ -280,7 +293,7 @@ def emit_report(report: dict, out_path: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="toricvol",
         description="exact toric divisor cohomology, asymptotics, and chambers",
     )
@@ -319,23 +332,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report: dict = {
-        "command": args.command,
-        "tool": {"name": "toricvol", "version": __version__},
+def _out_path(argv) -> str | None:
+    """The ``--out`` path of an argument list that failed to parse, if readable."""
+    for i, arg in enumerate(argv):
+        if arg == "--out" and i + 1 < len(argv):
+            return argv[i + 1]
+        if arg.startswith("--out="):
+            return arg[len("--out="):]
+    return None
+
+
+def _validation_report(report: dict, err: Exception, out_path: str | None) -> int:
+    report["error"] = {
+        "kind": "validation",
+        "message": str(err),
+        "diagnostics": getattr(err, "diagnostics", []),
     }
+    emit_report(report, out_path)
+    return EXIT_VALIDATION
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    report: dict = {"command": None, "tool": {"name": "toricvol", "version": __version__}}
+    try:
+        args = parser.parse_args(argv)
+    except DocumentError as err:
+        return _validation_report(report, err, _out_path(argv))
+    report["command"] = args.command
     try:
         body, status = _run_command(args)
     except (DocumentError, InvalidFanError) as err:
-        report["error"] = {
-            "kind": "validation",
-            "message": str(err),
-            "diagnostics": getattr(err, "diagnostics", []),
-        }
-        emit_report(report, args.out)
-        return EXIT_VALIDATION
+        return _validation_report(report, err, args.out)
     except PreconditionError as err:
         report["error"] = {"kind": "precondition", "message": str(err)}
         emit_report(report, args.out)

@@ -11,19 +11,26 @@ of a region depends only on the subset, never on the divisor.
 
 Everything here is exact.  Vertex enumeration runs in integers: the
 rank-n ray bases keep their integer adjugates per fan, all scaled to
-one common denominator (the lcm of the basis determinants), the levels
-are scaled once to integers over their lcm, and a candidate vertex is
-tested against every row, recording its tight rows, before it becomes
-a ``Fraction``.  Volumes come from a recursive facet triangulation on
-those integer vertices: each facet is read off the tight rows, and each
-simplex's |det| is the final denominator of a fraction-free
-elimination, so no ``Fraction`` is built inside the triangulation.
-Lattice points are counted one line at a time.  Above each integer
-point of the bounding box's first n - 1 coordinates, the mixed
-weak/strict system cuts the line along the last coordinate to one
-integer interval, found with integer floor divisions; a region of m*D
-thus costs about m^(n-1) fibers instead of m^n box points, and at most
-``FIBER_BUDGET`` fibers are scanned before CapExceededError.
+one common denominator (the lcm of the basis determinants), and the
+levels are scaled once to integers over their lcm.  One loop,
+``_arrangement_vertices``, solves every basis at the levels and
+classifies each distinct arrangement vertex P by the rows above it
+(<v, P> > level) and the rows tight at it (<v, P> = level).  A region's
+closure has exactly the arrangement vertices whose above rows are weak
+and whose below rows are strict, with the tight rows as their facet
+data; ``_integer_vertices`` filters one region's vertices out of the
+classification, and ``region_sum`` hands each realized region its
+vertices straight from the one pass it makes per call.  Volumes come
+from a recursive facet triangulation on those integer vertices: each
+facet is read off the tight rows, and each simplex's |det| is the final
+denominator of a fraction-free elimination, so no ``Fraction`` is built
+inside the triangulation.  Lattice points are counted one line at a
+time.  Above each integer point of the bounding box's first n - 1
+coordinates, the mixed weak/strict system cuts the line along the last
+coordinate to one integer interval, found with integer floor
+divisions; a region of m*D thus costs about m^(n-1) fibers instead of
+m^n box points, and at most ``FIBER_BUDGET`` fibers are scanned before
+CapExceededError.
 """
 
 from __future__ import annotations
@@ -80,6 +87,24 @@ class HalfOpenRegion:
             elif value >= level:
                 return False
         return True
+
+
+@dataclass(frozen=True)
+class _RealizedRegion(HalfOpenRegion):
+    """A region handed to a measure by ``region_sum``, its closure's vertices attached.
+
+    ``vertex_table`` is what ``_integer_vertices`` would return for the
+    region, read off the one arrangement-vertex pass of the call.
+    """
+
+    vertex_table: tuple = field(default=None, compare=False, repr=False)
+
+
+def _vertex_table(reg: HalfOpenRegion):
+    """The closure's integer vertex table: attached by ``region_sum``, else scanned."""
+    if isinstance(reg, _RealizedRegion):
+        return reg.vertex_table
+    return _integer_vertices(reg)
 
 
 @dataclass(frozen=True)
@@ -190,40 +215,57 @@ def _vertex_bases(reg: HalfOpenRegion):
     return reg.memo("vertex_bases", compute)
 
 
-def _integer_vertices(reg: HalfOpenRegion):
-    """The closure's vertices as integer points over one scale, with tight rows.
+def _arrangement_vertices(reg: HalfOpenRegion):
+    """Every distinct arrangement vertex at the region's levels, classified.
 
-    Returns ({P: frozenset of the rows tight at P}, scale): each vertex
-    is P / scale, with scale = common * q for the levels scaled to
-    integers L over their lcm q.  Every candidate is P = adjugate . L
-    for one vertex basis, tested as <v, P> >= common * L_i on weak rows
-    and <= on strict rows, all in integers; a point already found is
-    not tested again.  Raises on systems with unbounded closure.
+    Returns ({P: (above, tight)}, scale): each vertex is P / scale, with
+    scale = common * q for the levels scaled to integers L over their
+    lcm q, and P = adjugate . L for one vertex basis.  ``above`` holds
+    the rows with <v, P> > common * L_i and ``tight`` those with
+    equality, all tested in integers; the weak set plays no part.  A
+    point found from several bases is classified once.
     """
-    if not _closure_is_bounded(reg):
-        raise UnboundedRegionError("region closure is unbounded")
     common, bases = _vertex_bases(reg)
     levels, q = to_integers(reg.levels)
-    rows = [
-        (i, normal, common * level, is_weak)
-        for i, (normal, level, is_weak) in enumerate(zip(reg.normals, levels, reg.weak))
-    ]
-    points = {}
+    rows = [(i, normal, common * level) for i, (normal, level) in enumerate(zip(reg.normals, levels))]
+    found = {}
     for combo, adjugate in bases:
         rhs = [levels[i] for i in combo]
         point = tuple(sum(map(mul, row, rhs)) for row in adjugate)
-        if point in points:
+        if point in found:
             continue
-        tight = []
-        for i, normal, level, is_weak in rows:
+        above, tight = [], []
+        for i, normal, level in rows:
             value = sum(map(mul, normal, point))
-            if value == level:
+            if value > level:
+                above.append(i)
+            elif value == level:
                 tight.append(i)
-            elif value < level if is_weak else value > level:
-                break
-        else:
-            points[point] = frozenset(tight)
-    return points, common * q
+        found[point] = (frozenset(above), frozenset(tight))
+    return found, common * q
+
+
+def _integer_vertices(reg: HalfOpenRegion):
+    """The closure's vertices as integer points over one scale, with tight rows.
+
+    Returns ({P: frozenset of the rows tight at P}, scale) as in
+    ``_arrangement_vertices``, keeping the vertices P whose rows above
+    are all weak and whose rows below are all strict, i.e. with
+    above(P) <= W <= above(P) | tight(P) for the weak set W.  Costs one
+    classification of all C(k, n) bases against all k rows; inside
+    ``region_sum`` the measures never call it.  Raises on systems with
+    unbounded closure.
+    """
+    if not _closure_is_bounded(reg):
+        raise UnboundedRegionError("region closure is unbounded")
+    weak = frozenset(i for i, is_weak in enumerate(reg.weak) if is_weak)
+    found, scale = _arrangement_vertices(reg)
+    points = {
+        point: tight
+        for point, (above, tight) in found.items()
+        if above <= weak <= above | tight
+    }
+    return points, scale
 
 
 def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
@@ -236,7 +278,7 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     built only for the accepted ones.  Raises on systems with unbounded
     closure.
     """
-    points, scale = _integer_vertices(reg)
+    points, scale = _vertex_table(reg)
     vertices = (tuple(Fraction(x, scale) for x in point) for point in points)
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
@@ -275,7 +317,7 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     |det| of its integer edge vectors: the final denominator of their
     fraction-free elimination.  The sum is divided by scale^n once.
     """
-    points, scale = _integer_vertices(reg)
+    points, scale = _vertex_table(reg)
     n = reg.dim
     vertices = sorted(points)
     if affine_rank(vertices) < n:
@@ -301,7 +343,7 @@ def _fibers(reg: HalfOpenRegion):
     integer inequality, and each fiber bound is a floor division of
     integers.  Raises CapExceededError past ``FIBER_BUDGET`` prefixes.
     """
-    points, scale = _integer_vertices(reg)
+    points, scale = _vertex_table(reg)
     if not points:
         return
     n = reg.dim
@@ -361,17 +403,46 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     """Sum of weight(W) * measure(region of W) over the bounded subsets W.
 
     ``weight`` maps a ray subset to a tuple of integers, of the same
-    length for every subset; a subset whose weight is all zero is
-    skipped before its region is measured.
+    length for every subset.  Only the regions D realizes are visited: a
+    nonempty bounded region's closure has a vertex, which is an
+    arrangement vertex P, and the regions whose closure holds P are
+    exactly the W with above(P) <= W <= above(P) | tight(P).  One pass
+    of ``_arrangement_vertices`` (C(k, n) bases against k rows) thus
+    gives every bounded W with a nonempty closure together with its
+    vertices and their tight rows, and boundedness is a lookup in the
+    memoized ``bounded_subsets``.  Each vertex costs 2^|tight(P)| such
+    lookups, so a degenerate D realizes many regions (at D = 0 every row
+    is tight at the origin, and every bounded subset is realized).  A
+    realized subset whose weight is all zero is skipped before its
+    region is measured; the measure reads the vertices from the pass
+    instead of rescanning the bases.
     """
-    total = None
-    for subset in bounded_subsets(fan):
+    bounded = fan.memo("bounded_set", lambda: frozenset(bounded_subsets(fan)))
+    base = region(fan, d, ())
+    found, scale = _arrangement_vertices(base)
+    tables: dict = {}
+    for point, (above, tight) in found.items():
+        free = sorted(tight)
+        for size in range(len(free) + 1):
+            for extra in combinations(free, size):
+                subset = above.union(extra)
+                if subset in bounded:
+                    tables.setdefault(subset, {})[point] = tight
+    # The weight length is read off the empty subset, realized or not.
+    total = [0] * len(weight(frozenset()))
+    for subset, points in tables.items():
         w = weight(subset)
-        if total is None:
-            total = [0] * len(w)
         if not any(w):
             continue
-        amount = measure(region(fan, d, subset))
+        reg = _RealizedRegion(
+            normals=base.normals,
+            levels=base.levels,
+            weak=tuple(i in subset for i in range(len(base.normals))),
+            dim=base.dim,
+            memo=base.memo,
+            vertex_table=(points, scale),
+        )
+        amount = measure(reg)
         if amount:
             for i, x in enumerate(w):
                 total[i] += x * amount

@@ -212,10 +212,40 @@ def test_subset_cap_exit_code(tmp_path):
         assert code == 3, command
         assert report["error"]["kind"] == "precondition"
         assert "subset sweep is capped at 20" in report["error"]["message"]
-    # The cap is fixed: no flag sets it.
-    with pytest.raises(SystemExit) as exit_info:
-        main(["asym", "--fan", fan, "--divisor", div, "--cap", "30"])
-    assert exit_info.value.code == 2
+    # The cap is fixed: no flag sets it, and an unknown flag is a
+    # validation error with a report like any other.
+    code, report = run(tmp_path, "asym", "--fan", fan, "--divisor", div, "--cap", "30")
+    assert code == 2
+    assert report["error"]["kind"] == "validation"
+    assert "unrecognized arguments: --cap 30" in report["error"]["message"]
+
+
+def test_argument_errors_write_validation_report(tmp_path, capsys):
+    fan = write(tmp_path, "fan.json", P2)
+    for argv in (
+        ["cohom", "--fan", fan],  # missing --divisor
+        ["probe", "--fan", fan, "--divisor", fan, "--mmax", "ten"],
+        ["nonsense", "--fan", fan],
+    ):
+        code, report = run(tmp_path, *argv)
+        assert code == 2, argv
+        assert report["command"] is None
+        assert report["error"]["kind"] == "validation"
+        assert report["error"]["message"].startswith("toricvol")
+    # Without --out the report goes to stdout; --out=PATH is read too.
+    assert main(["validate"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "validation"
+    out = tmp_path / "eq.json"
+    assert main(["validate", "--fan", fan, "--bogus", f"--out={out}"]) == 2
+    assert "--bogus" in json.loads(out.read_text(encoding="utf-8"))["error"]["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["asym", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: toricvol" in capsys.readouterr().out
 
 
 def test_malformed_document_exit_code(tmp_path):
