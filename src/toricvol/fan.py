@@ -2,8 +2,12 @@
 
 A fan is stored as a primitive integer ray list plus the ray-index sets
 of its maximal cones.  All derived structure (face lattice, facet
-pairing, subfans) is computed exactly; geometric predicates reduce to
-exact LP feasibility.
+pairing, subfans) is computed exactly.  Validation checks strong
+convexity and extreme rays by exact LP only on cones whose generators
+are dependent (independent generators settle both with one rank), and
+solves one relative-interior LP per pair of maximal cones to check that
+they meet in a common face; face tests of non-simplicial cones are
+exact LP feasibility too.
 
 Fan objects are immutable after validation and every operation here is
 a pure function, so values may be shared freely between threads.  The
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidFanError, NotSimplicialError
-from .linalg import det, dot, rank
+from .linalg import det, rank
 from .lp import cone_contains, is_face_subset, is_pointed, relative_interior_functional
 
 
@@ -65,17 +69,18 @@ class Fan:
 def _intersection_faces(rays, c1, c2) -> tuple[set[int], set[int]]:
     """The faces of two cones that a separating functional cuts out.
 
-    ``w`` is a relative-interior point of the cone of functionals that
-    are >= 0 on the rays of ``c1`` and <= 0 on those of ``c2``; the rays
-    where it vanishes span the face of each cone that holds their
-    intersection.  The two cones meet in a common face exactly when
+    The cone of functionals that are >= 0 on the rays of ``c1`` and
+    <= 0 on those of ``c2`` vanishes identically on some of the rays
+    (its implicit rows); these span the face of each cone that holds
+    their intersection.  The two cones meet in a common face exactly when
     both ray sets are equal.
     """
     g1, g2 = sorted(c1), sorted(c2)
-    w, _ = relative_interior_functional(
+    _, implicit = relative_interior_functional(
         [rays[i] for i in g1] + [tuple(-v for v in rays[i]) for i in g2]
     )
-    return {i for i in g1 if dot(rays[i], w) == 0}, {i for i in g2 if dot(rays[i], w) == 0}
+    gens = g1 + g2
+    return {gens[j] for j in implicit if j < len(g1)}, {gens[j] for j in implicit if j >= len(g1)}
 
 
 def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
@@ -115,11 +120,18 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
         else:
             seen[ray] = i
 
-    cones = [frozenset(int(i) for i in c) for c in max_cones]
-    for j, cone in enumerate(cones):
+    cones = []
+    for j, raw in enumerate(max_cones):
+        indices = [int(i) for i in raw]
+        cone = frozenset(indices)
+        cones.append(cone)
         if not cone:
             diags.append(f"cone {j} is empty")
             fatal = True
+        for i in sorted(cone):
+            if indices.count(i) > 1:
+                diags.append(f"cone {j} repeats ray {i}")
+                fatal = True
         for i in cone:
             if not 0 <= i < len(clean_rays):
                 diags.append(f"cone {j} references unknown ray {i}")
@@ -129,6 +141,9 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
 
     for j, cone in enumerate(cones):
         gens = [clean_rays[i] for i in sorted(cone)]
+        if rank(gens) == len(gens):
+            # Independent generators: pointed, and each one extreme.
+            continue
         if not is_pointed(gens):
             diags.append(f"cone {j} is not strongly convex")
             fatal = True

@@ -238,34 +238,36 @@ def relative_interior_functional(rows: Sequence[Sequence]) -> tuple[tuple[Fracti
 
     Returns ``(w, implicit)`` where ``implicit`` lists the rows that
     vanish on the whole cone; every other row is >= 1 at w.
+
+    One LP on nonnegative variables (p, m, t) with w = p - m: maximize
+    sum t_i under t_i - row_i . w <= 0 and t_i <= 1, so 2k rows.  Since
+    t >= 0, w lies in the cone.  Scaling a relative-interior point puts
+    every row that does not vanish on the cone at >= 1, so the optimum
+    is their number, and at every optimum those rows have t_i = 1 and
+    row . w >= 1 while the implicit ones are 0.  The implicit set is
+    thus the same whichever optimal vertex the pivots reach.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return (), []
     dim = len(rows[0])
     k = len(rows)
-    # Variables (w, t): maximize sum t_i with row.w >= t_i, 0 <= t_i <= 1.
     a_ub = []
     b_ub = []
     for i, r in enumerate(rows):
-        row = [-v for v in r] + [0] * k
-        row[dim + i] = 1
-        a_ub.append(row)  # t_i - row.w <= 0
+        t = [0] * k
+        t[i] = 1
+        a_ub.append([-v for v in r] + list(r) + t)  # t_i - row.(p - m) <= 0
         b_ub.append(0)
-        cap = [0] * (dim + k)
-        cap[dim + i] = 1
-        a_ub.append(cap)  # t_i <= 1
+        a_ub.append([0] * (2 * dim) + t)  # t_i <= 1
         b_ub.append(1)
-        low = [0] * (dim + k)
-        low[dim + i] = -1
-        a_ub.append(low)  # t_i >= 0
-        b_ub.append(0)
-    objective = [0] * dim + [1] * k
-    res = solve_lp(objective, a_ub, b_ub, maximize=True)
+    objective = [0] * (2 * dim) + [1] * k
+    res = solve_lp(objective, a_ub, b_ub, maximize=True, nonneg=True)
     if res.status != OPTIMAL:  # w = 0, t = 0 is feasible and t is capped
         raise ToricError(f"internal: relative-interior LP ended {res.status}")
-    w = res.point[:dim]
-    implicit = [i for i, r in enumerate(rows) if dot(r, w) == 0]
+    w = tuple(a - b for a, b in zip(res.point[:dim], res.point[dim : 2 * dim]))
+    scaled = to_integers(w)[0]
+    implicit = [i for i, r in enumerate(rows) if dot(r, scaled) == 0]
     return w, implicit
 
 

@@ -7,7 +7,12 @@ region of a ray subset W consists of the points u with
 
 so the constraint is weak on W and strictly reversed off W.  Ranging
 over all subsets these regions partition the whole space.  Boundedness
-of a region depends only on the subset, never on the divisor.
+of a region depends only on the subset, never on the divisor, and it is
+read off the sign vectors of the normals' cocircuits with no LP: the
+region of W is unbounded exactly when the normals do not span the space
+or some cocircuit, with either sign, is positive only on W and negative
+only off W.  The patterns are computed once per normal set, from the
+kernels of its (n - 1)-subsets in integers.
 
 Everything here is exact.  Vertex enumeration runs in integers: the
 rank-n ray bases keep their integer adjugates per fan, all scaled to
@@ -46,7 +51,6 @@ from .divisor import Divisor
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
 from .linalg import affine_rank, dot, integer_eliminate, rank, to_integers
-from .lp import feasible_point
 
 
 # Fixed work caps; past either one, CapExceededError.  The 2^k subset
@@ -66,10 +70,10 @@ def _no_cache(key, compute):
 class HalfOpenRegion:
     """One mixed weak/strict linear system, one constraint per ray.
 
-    ``memo`` stores the facts that depend only on the normals and the
-    weak set (boundedness, vertex bases).  Regions of a fan carry the
-    fan's memo, so those facts are computed once per fan; the default
-    computes them afresh on every call.
+    ``memo`` stores the facts that depend only on the normals (cocircuit
+    patterns, vertex bases).  Regions of a fan carry the fan's memo, so
+    those facts are computed once per fan; the default computes them
+    afresh on every call.
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -124,28 +128,74 @@ def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
     )
 
 
+def _kernel_direction(rows, n):
+    """A nonzero integer u with <u, r> = 0 for the n - 1 integer rows, or None.
+
+    None when the rows are dependent, so that their kernel is not a line.
+    """
+    rows = [list(r) for r in rows]
+    pivots, denom, _ = integer_eliminate(rows, n)
+    if len(pivots) < n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    u = [0] * n
+    u[free] = denom
+    for row, col in zip(rows, pivots):
+        u[col] = -row[free]
+    return u
+
+
+def _unbounded_patterns(reg: HalfOpenRegion):
+    """The sign patterns (pos, neg) of the normals' cocircuits, as bitmasks.
+
+    Each kernel line u of n - 1 independent normals gives the rows with
+    <u, v> > 0 (pos) and < 0 (neg), once for u and once for -u.  When
+    the normals do not span the space, the single pattern (0, 0) of a u
+    orthogonal to all of them stands for every pattern.  Depends on the
+    normals only, so it is kept once in the region's memo.
+    """
+
+    def compute():
+        n = reg.dim
+        if rank(reg.normals) < n:
+            return ((0, 0),)
+        patterns = set()
+        for combo in combinations(reg.normals, n - 1):
+            u = _kernel_direction(combo, n)
+            if u is None:
+                continue
+            pos = neg = 0
+            for i, normal in enumerate(reg.normals):
+                value = sum(map(mul, u, normal))
+                if value > 0:
+                    pos |= 1 << i
+                elif value < 0:
+                    neg |= 1 << i
+            patterns.add((pos, neg))
+            patterns.add((neg, pos))
+        return tuple(sorted(patterns))
+
+    return reg.memo("cocircuits", compute)
+
+
+def _bounded_mask(patterns, weak: int) -> bool:
+    """Whether every pattern (pos, neg) has pos outside or neg inside the weak mask."""
+    return all(pos & ~weak or neg & weak for pos, neg in patterns)
+
+
 def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
     """Whether the closure is bounded; depends on the weak set only.
 
     The recession cone is {u : <u, r> >= 0} over the rows r = v on weak
-    rays and r = -v off them.  By Gordan's alternative it is {0} exactly
-    when the rows span the space and some lambda >= 1 has
-    sum lambda_i r_i = 0; one exact LP decides the latter.
+    rays and r = -v off them.  If the normals do not span the space it
+    holds a line.  Otherwise it is pointed, so it is {0} unless it has
+    an extreme ray, which lies on n - 1 independent tight rows: a
+    cocircuit direction u with <u, v> >= 0 on W and <= 0 off W, i.e.
+    pos(u) inside W and neg(u) outside.  One mask test per pattern of
+    ``_unbounded_patterns`` decides it, with no LP.
     """
-    weak_rays = frozenset(i for i, is_weak in enumerate(reg.weak) if is_weak)
-
-    def compute():
-        rows = [
-            v if is_weak else tuple(-x for x in v) for v, is_weak in zip(reg.normals, reg.weak)
-        ]
-        if rank(rows) < reg.dim:
-            return False
-        # lambda = 1 + mu with mu >= 0: sum mu_i r_i = -sum r_i.
-        a_eq = [[r[j] for r in rows] for j in range(reg.dim)]
-        b_eq = [-sum(r[j] for r in rows) for j in range(reg.dim)]
-        return feasible_point(a_eq=a_eq, b_eq=b_eq, nonneg=True) is not None
-
-    return reg.memo(("bounded_subset", weak_rays), compute)
+    weak = sum(1 << i for i, is_weak in enumerate(reg.weak) if is_weak)
+    return _bounded_mask(_unbounded_patterns(reg), weak)
 
 
 def is_bounded_subset(fan: Fan, weak_rays) -> bool:
@@ -154,7 +204,11 @@ def is_bounded_subset(fan: Fan, weak_rays) -> bool:
 
 
 def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
-    """All ray subsets with bounded regions, by exhaustive sweep."""
+    """All ray subsets with bounded regions, by size, then lexicographically.
+
+    Every subset is tested against the fan's cocircuit patterns; the
+    2^k enumeration is capped at ``SUBSET_CAP`` rays.
+    """
     k = len(fan.rays)
     if k > SUBSET_CAP:
         raise CapExceededError(
@@ -162,13 +216,12 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
         )
 
     def compute():
+        patterns = _unbounded_patterns(region(fan, (0,) * k, ()))
         found = []
-        indices = range(k)
         for size in range(k + 1):
-            for combo in combinations(indices, size):
-                subset = frozenset(combo)
-                if is_bounded_subset(fan, subset):
-                    found.append(subset)
+            for combo in combinations(range(k), size):
+                if _bounded_mask(patterns, sum(1 << i for i in combo)):
+                    found.append(frozenset(combo))
         return tuple(found)
 
     return fan.memo("bounded_subsets", compute)

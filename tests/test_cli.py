@@ -65,6 +65,18 @@ def test_validate_good(tmp_path):
     assert report["result"] == {"valid": True, "diagnostics": []}
 
 
+def test_repeated_ray_in_cone_is_rejected(tmp_path):
+    fan = write(tmp_path, "fan.json", dict(P2, cones=[[0, 1], [1, 2], [2, 0, 0]]))
+    code, report = run(tmp_path, "validate", "--fan", fan)
+    assert code == 2
+    assert report["result"]["valid"] is False
+    assert "cone 2 repeats ray 0" in report["result"]["diagnostics"]
+    div = write(tmp_path, "d.json", {"coeffs": [1, 0, 0]})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
+    assert code == 2
+    assert report["error"]["kind"] == "validation"
+
+
 def test_cohom_with_oracle(tmp_path):
     fan = write(tmp_path, "fan.json", P2)
     div = write(tmp_path, "d.json", {"coeffs": [2, 0, 0]})

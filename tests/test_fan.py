@@ -76,6 +76,13 @@ def test_validate_rejects_zero_and_duplicate():
     assert any("duplicates" in d for d in diags)
 
 
+def test_validate_rejects_repeated_ray_in_cone():
+    # A repeated index must not be merged away: [2, 0, 0] is not the cone {0, 2}.
+    diags, fan = fan_diagnostics(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0, 0]])
+    assert fan is None
+    assert "cone 2 repeats ray 0" in diags
+
+
 def test_validate_redundant_generator():
     # (1,1) sits inside the quadrant spanned by the other two rays.
     diags, fan = fan_diagnostics(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])
