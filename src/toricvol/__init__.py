@@ -11,7 +11,6 @@ from .asymptotics import asymptotic_rr_check, hhat, mixed_partial_h0, self_inter
 from .cohomology import (
     cech_oracle,
     cech_ranks,
-    cech_ranks_full,
     euler_char,
     graded_piece_dim,
     h_all,

@@ -9,14 +9,14 @@ ranks; agreement of the two is sheaf theory made executable.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .divisor import Divisor
 from .errors import NotCompleteError, ToricError
 from .fan import Fan, chi_of_fan, intersection_ray_set, is_complete, subfan
 from .homology import local_cohomology_ranks
 from .linalg import dot, rank
-from .regions import bounded_subsets, lattice_count, region_sum
+from .regions import lattice_count, region_sum
 
 CohomologyVector = tuple[int, ...]
 
@@ -48,36 +48,33 @@ def h_all(fan: Fan, d: Divisor) -> CohomologyVector:
     )
 
 
-def _check_chi_identity(fan: Fan) -> bool:
-    """(-1)^n chi(subfan_W) = sum_i (-1)^i r_i(W) for every bounded W.
+def _euler_weight(fan: Fan, subset: frozenset[int]) -> int:
+    """(-1)^n chi(subfan_W), checked against the rank vector of W.
 
-    The identity makes the Euler sum over regions equal the alternating
-    sum of h_all for every divisor, so it is checked once per fan.
+    The identity (-1)^n chi(subfan_W) = sum_i (-1)^i r_i(W) makes the
+    Euler sum over regions equal the alternating sum of h_all.
     """
-    n = fan.dim
-    for subset in bounded_subsets(fan):
-        ranks = local_cohomology_ranks(fan, subset)
-        alternating = sum((-1) ** i * r for i, r in enumerate(ranks))
-        if (-1) ** n * chi_of_fan(subfan(fan, subset)) != alternating:
-            raise ToricError(
-                f"internal: chi of subfan {sorted(subset)} disagrees with its ranks {ranks}"
-            )
-    return True
+    value = (-1) ** fan.dim * chi_of_fan(subfan(fan, subset))
+    ranks = local_cohomology_ranks(fan, subset)
+    if value != sum((-1) ** i * r for i, r in enumerate(ranks)):
+        raise ToricError(
+            f"internal: chi of subfan {sorted(subset)} disagrees with its ranks {ranks}"
+        )
+    return value
 
 
 def euler_char(fan: Fan, d: Divisor) -> int:
     """Euler characteristic via alternating cone counts.
 
-    Cross-checked against the rank vectors once per fan: see
-    ``_check_chi_identity``.
+    Each realized region's weight is checked by ``_euler_weight`` once
+    per fan, the first time it is used.
     """
     if not is_complete(fan):
         raise NotCompleteError("euler_char needs a complete fan")
-    fan.memo("chi_identity", lambda: _check_chi_identity(fan))
     (total,) = region_sum(
-        fan, d, lambda subset: (chi_of_fan(subfan(fan, subset)),), lattice_count
+        fan, d, lambda W: (fan.memo(("euler", W), lambda: _euler_weight(fan, W)),), lattice_count
     )
-    return (-1) ** fan.dim * total
+    return total
 
 
 def _allowed(fan: Fan, weak: frozenset[int], cone_tuple) -> bool:
@@ -127,18 +124,6 @@ def cech_ranks(fan: Fan, weak_rays) -> CohomologyVector:
     return fan.memo(
         ("cech", subset),
         lambda: _cech_rank_vector(fan, subset, lambda size: combinations(range(ncones), size)),
-    )
-
-
-def cech_ranks_full(fan: Fan, weak_rays) -> CohomologyVector:
-    """Same ranks from the full Cech complex (all tuples, repeats allowed).
-
-    Exponentially bigger matrices than the alternating complex; kept as
-    a one-off validation of the reduction, not a production path.
-    """
-    ncones = len(fan.max_cones)
-    return _cech_rank_vector(
-        fan, frozenset(weak_rays), lambda size: product(range(ncones), repeat=size)
     )
 
 

@@ -46,9 +46,9 @@ class UnboundedRegionError(PreconditionError):
 
 
 class CapExceededError(PreconditionError):
-    """Work past a fixed cap was requested: a 2^#rays sweep on a fan with
-    more than ``regions.SUBSET_CAP`` rays, a lattice count past
-    ``regions.FIBER_BUDGET`` fibers, or a probe past m = 50."""
+    """Work past a fixed cap was requested: a region sum over more than
+    2^``regions.SUBSET_CAP`` ray subsets or a subset sweep of more rays, a
+    lattice count past ``regions.FIBER_BUDGET`` fibers, or a probe past m = 50."""
 
 
 class ChamberWallError(PreconditionError):

@@ -1,7 +1,7 @@
 """Named fan fixtures used across tests, demos, and documentation.
 
 Each constructor returns one shared validated instance, so the per-fan
-memo (bounded subsets, rank vectors, Cech ranks) is reused everywhere.
+memo (cocircuit patterns, rank vectors, Cech ranks) is reused everywhere.
 """
 
 from __future__ import annotations

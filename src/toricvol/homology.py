@@ -119,7 +119,7 @@ def reduced_homology_ranks(complex_: SphereComplex) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def local_cohomology_ranks(fan: Fan, weak_rays, *, reverse_pull: bool = False) -> tuple[int, ...]:
+def local_cohomology_ranks(fan: Fan, weak_rays) -> tuple[int, ...]:
     """The rank vector (r_0, ..., r_n) for one ray subset, memoized per fan.
 
     r_i equals the reduced homology rank of the sphere complex in
@@ -128,9 +128,9 @@ def local_cohomology_ranks(fan: Fan, weak_rays, *, reverse_pull: bool = False) -
     subset = frozenset(weak_rays)
 
     def compute():
-        tilde = reduced_homology_ranks(sphere_complex(fan, subset, reverse_pull=reverse_pull))
+        tilde = reduced_homology_ranks(sphere_complex(fan, subset))
         n = fan.dim
         # tilde[s] is reduced degree s-1, so degree j sits at tilde[j+1].
         return tuple(tilde[n - i] for i in range(n + 1))
 
-    return fan.memo(("profile", subset, reverse_pull), compute)
+    return fan.memo(("profile", subset), compute)

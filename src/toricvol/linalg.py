@@ -168,13 +168,9 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def affine_rank(points: Sequence[Sequence]) -> int:
     """Dimension of the affine hull of a point set (-1 for empty)."""
     if not points:
         return -1
     base = points[0]
-    return len(_reduce([vec_sub(p, base) for p in points[1:]], len(base))[1])
+    return len(_reduce([[a - b for a, b in zip(p, base)] for p in points[1:]], len(base))[1])

@@ -270,16 +270,3 @@ def relative_interior_functional(rows: Sequence[Sequence]) -> tuple[tuple[Fracti
     implicit = [i for i, r in enumerate(rows) if dot(r, scaled) == 0]
     return w, implicit
 
-
-def max_over_cone_is_zero(objective: Sequence, rows: Sequence[Sequence]) -> bool:
-    """Whether sup of ``objective . w`` over ``{w : row.w >= 0}`` is 0.
-
-    Over a cone the supremum is either 0 or +infinity, so this reports
-    boundedness of the objective.
-    """
-    if not rows:
-        return all(v == 0 for v in objective)
-    a_ub = [[-v for v in r] for r in rows]
-    b_ub = [0] * len(rows)
-    res = solve_lp(objective, a_ub, b_ub, maximize=True)
-    return res.status == OPTIMAL

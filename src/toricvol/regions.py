@@ -11,8 +11,9 @@ of a region depends only on the subset, never on the divisor, and it is
 read off the sign vectors of the normals' cocircuits with no LP: the
 region of W is unbounded exactly when the normals do not span the space
 or some cocircuit, with either sign, is positive only on W and negative
-only off W.  The patterns are computed once per normal set, from the
-kernels of its (n - 1)-subsets in integers.
+only off W.  The patterns come once per normal set from the kernels of
+its (n - 1)-subsets in integers; a region sum tests only the weak sets
+its divisor realizes, never all 2^k.
 
 Everything here is exact.  Vertex enumeration runs in integers: the
 rank-n ray bases keep their integer adjugates per fan, all scaled to
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, product
 from operator import mul
 from typing import Callable
@@ -53,10 +55,10 @@ from .fan import Fan
 from .linalg import affine_rank, dot, integer_eliminate, rank, to_integers
 
 
-# Fixed work caps; past either one, CapExceededError.  The 2^k subset
-# sweep takes fans of at most SUBSET_CAP rays, and lattice counting scans
-# at most FIBER_BUDGET fibers (integer prefixes of the bounding box) per
-# region.
+# Fixed work caps; past either one, CapExceededError.  A region sum visits
+# at most 2^SUBSET_CAP ray subsets, the sweep ``bounded_subsets`` takes at
+# most SUBSET_CAP rays, and lattice counting scans at most FIBER_BUDGET
+# fibers (integer prefixes of the bounding box) per region.
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
 
@@ -207,24 +209,20 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
     """All ray subsets with bounded regions, by size, then lexicographically.
 
     Every subset is tested against the fan's cocircuit patterns; the
-    2^k enumeration is capped at ``SUBSET_CAP`` rays.
+    2^k enumeration is capped at ``SUBSET_CAP`` rays and not memoized.
     """
     k = len(fan.rays)
     if k > SUBSET_CAP:
         raise CapExceededError(
             f"fan has {k} rays; the 2^k bounded-subset sweep is capped at {SUBSET_CAP}"
         )
-
-    def compute():
-        patterns = _unbounded_patterns(region(fan, (0,) * k, ()))
-        found = []
-        for size in range(k + 1):
-            for combo in combinations(range(k), size):
-                if _bounded_mask(patterns, sum(1 << i for i in combo)):
-                    found.append(frozenset(combo))
-        return tuple(found)
-
-    return fan.memo("bounded_subsets", compute)
+    patterns = _unbounded_patterns(region(fan, (0,) * k, ()))
+    return tuple(
+        frozenset(combo)
+        for size in range(k + 1)
+        for combo in combinations(range(k), size)
+        if _bounded_mask(patterns, sum(1 << i for i in combo))
+    )
 
 
 def _adjugate(matrix):
@@ -461,29 +459,33 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     arrangement vertex P, and the regions whose closure holds P are
     exactly the W with above(P) <= W <= above(P) | tight(P).  One pass
     of ``_arrangement_vertices`` (C(k, n) bases against k rows) thus
-    gives every bounded W with a nonempty closure together with its
-    vertices and their tight rows, and boundedness is a lookup in the
-    memoized ``bounded_subsets``.  Each vertex costs 2^|tight(P)| such
-    lookups, so a degenerate D realizes many regions (at D = 0 every row
-    is tight at the origin, and every bounded subset is realized).  A
-    realized subset whose weight is all zero is skipped before its
-    region is measured; the measure reads the vertices from the pass
-    instead of rescanning the bases.
+    gives every candidate W, as a bitmask, with its vertices and their
+    tight rows; ``_bounded_mask`` decides each mask once per fan.  A
+    vertex costs 2^|tight(P)| candidates (at D = 0 every row is tight at
+    the origin), and past 2^SUBSET_CAP in all CapExceededError is raised
+    before any is visited.  Realized subsets with an all-zero weight are
+    skipped before their regions are measured; the measure reads the
+    vertices from the pass instead of rescanning the bases.
     """
-    bounded = fan.memo("bounded_set", lambda: frozenset(bounded_subsets(fan)))
     base = region(fan, d, ())
     found, scale = _arrangement_vertices(base)
+    visits = sum(1 << len(tight) for _, tight in found.values())
+    if visits > 1 << SUBSET_CAP:
+        raise CapExceededError(f"region sum needs {visits} ray subsets; the cap is 2^{SUBSET_CAP}")
+    patterns = _unbounded_patterns(base)
+    bounded = fan.memo("bounded_masks", lambda: cache(partial(_bounded_mask, patterns)))
     tables: dict = {}
     for point, (above, tight) in found.items():
-        free = sorted(tight)
-        for size in range(len(free) + 1):
-            for extra in combinations(free, size):
-                subset = above.union(extra)
-                if subset in bounded:
-                    tables.setdefault(subset, {})[point] = tight
-    # The weight length is read off the empty subset, realized or not.
-    total = [0] * len(weight(frozenset()))
-    for subset, points in tables.items():
+        low = sum(1 << i for i in above)
+        free = sub = sum(1 << i for i in tight)
+        while sub >= 0:  # every submask of free, down to 0
+            if bounded(low | sub):
+                tables.setdefault(low | sub, {})[point] = tight
+            sub = (sub - 1) & free if sub else -1
+    subsets = [frozenset(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in tables]
+    # The weight length is read off the first realized subset, else the empty one.
+    total = [0] * len(weight(subsets[0] if subsets else frozenset()))
+    for subset, points in zip(subsets, tables.values()):
         w = weight(subset)
         if not any(w):
             continue

@@ -10,7 +10,8 @@ so that tests can check the production answers against it:
 * ``gordan_is_bounded``: one Gordan-alternative LP per weak set;
 * ``relative_interior_3k``: the 3k-row LP on free (w, t);
 * ``all_lp_diagnostics``: ``fan_diagnostics`` with every cone checked by
-  LP and every pair separated by ``relative_interior_3k``.
+  LP and every pair separated by ``relative_interior_3k``;
+* ``max_over_cone_is_zero``: boundedness of one objective over a cone.
 """
 
 from itertools import combinations
@@ -35,6 +36,20 @@ def gordan_is_bounded(normals, weak, dim) -> bool:
     a_eq = [[r[j] for r in rows] for j in range(dim)]
     b_eq = [-sum(r[j] for r in rows) for j in range(dim)]
     return feasible_point(a_eq=a_eq, b_eq=b_eq, nonneg=True) is not None
+
+
+def max_over_cone_is_zero(objective, rows) -> bool:
+    """Whether sup of ``objective . w`` over ``{w : row.w >= 0}`` is 0.
+
+    Over a cone the supremum is either 0 or +infinity, so this reports
+    boundedness of the objective.
+    """
+    if not rows:
+        return all(v == 0 for v in objective)
+    a_ub = [[-v for v in r] for r in rows]
+    b_ub = [0] * len(rows)
+    res = solve_lp(objective, a_ub, b_ub, maximize=True)
+    return res.status == OPTIMAL
 
 
 def relative_interior_3k(rows):

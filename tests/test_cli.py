@@ -218,12 +218,29 @@ def test_subset_cap_exit_code(tmp_path):
         "cones": [[i, (i + 1) % k] for i in range(k)],
     }
     fan = write(tmp_path, "fan.json", doc)
+    # No region sum sweeps all 2^k ray subsets: past SUBSET_CAP rays the
+    # answer commands still answer, and their reports agree.
     div = write(tmp_path, "d.json", {"coeffs": [c for _, _, c in TRIPLES_21]})
+    results = {}
     for command in ("cohom", "euler", "asym", "selfint", "ample"):
         code, report = run(tmp_path, command, "--fan", fan, "--divisor", div)
+        assert code == 0, command
+        results[command] = report["result"]
+    h = [int(v) for v in results["cohom"]["h"]]
+    assert int(results["euler"]["euler_characteristic"]) == h[0] - h[1] + h[2]
+    hhat = [Fraction(v) for v in results["asym"]["hhat"]]
+    assert Fraction(results["selfint"]["self_intersection"]) == hhat[0] - hhat[1] + hhat[2]
+    assert results["ample"]["agree"] is True
+    # At D = 0 every ray is tight at the origin, so a region sum would
+    # visit all 2^21 subsets there: past the cap of 2^20, exit 3.
+    zero = write(tmp_path, "zero.json", {"coeffs": [0] * k})
+    for command in ("cohom", "euler", "asym", "selfint"):
+        code, report = run(tmp_path, command, "--fan", fan, "--divisor", zero)
         assert code == 3, command
         assert report["error"]["kind"] == "precondition"
-        assert "subset sweep is capped at 20" in report["error"]["message"]
+        assert "region sum needs 2097152 ray subsets; the cap is 2^20" in (
+            report["error"]["message"]
+        )
     # The cap is fixed: no flag sets it, and an unknown flag is a
     # validation error with a report like any other.
     code, report = run(tmp_path, "asym", "--fan", fan, "--divisor", div, "--cap", "30")

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from lp_referees import max_over_cone_is_zero
 from toricvol.errors import ToricError
 from toricvol.linalg import det, dot, solve
 from toricvol.lp import (
@@ -16,7 +17,6 @@ from toricvol.lp import (
     feasible_point,
     is_face_subset,
     is_pointed,
-    max_over_cone_is_zero,
     relative_interior_functional,
     solve_lp,
 )

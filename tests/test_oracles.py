@@ -10,10 +10,10 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 
+from lp_referees import max_over_cone_is_zero
 from toricvol.divisor import divisor
 from toricvol.fixtures import bl1_p3, bl2_p2, bl3_p2, f1, p1_cubed, p1xp1, p2
 from toricvol.gkz import enumerate_maximal_chambers, gkz_membership, locate_chamber
-from toricvol.lp import max_over_cone_is_zero
 from toricvol.regions import (
     bounded_subsets,
     closure_vertices,

@@ -8,17 +8,21 @@ their vertices off one arrangement-vertex pass per call.
 """
 
 import functools
+import hashlib
+import math
 import random
+from itertools import combinations
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
 from toricvol import asymptotics, cohomology, fixtures, regions
-from toricvol.asymptotics import hhat, self_intersection
+from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
 from toricvol.cohomology import cech_oracle, euler_char, h_all
 from toricvol.errors import ToricError, UnboundedRegionError
 from toricvol.fan import is_complete, make_fan
+from toricvol.gkz import ample_via_asymptotics, hhat0_on_chamber, locate_chamber, located_cone
 from toricvol.homology import local_cohomology_ranks
 from toricvol.linalg import to_integers
 from toricvol.regions import bounded_subsets, closure_vertices, region
@@ -45,6 +49,25 @@ def p1235():
     """The weighted projective space P(1, 2, 3, 5)."""
     rays = [(-2, -3, -5), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     return make_fan(3, rays, [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
+
+
+def star4():
+    """A complete simplicial 3-D fan on 8 rays, built from P^3 by 4 star splits.
+
+    Each split picks a maximal cone with ``random.Random(1)``, adds the
+    primitive sum of its three rays and splits the cone into three.
+    """
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    cones = [frozenset(c) for c in combinations(range(4), 3)]
+    rng = random.Random(1)
+    for _ in range(4):
+        cone = rng.choice(cones)
+        total = [sum(rays[i][j] for i in cone) for j in range(3)]
+        g = math.gcd(*total)
+        rays.append(tuple(x // g for x in total))
+        cones.remove(cone)
+        cones += [cone - {i} | {len(rays) - 1} for i in sorted(cone)]
+    return make_fan(3, rays, cones)
 
 
 COMPLETE_FIXTURES = tuple(
@@ -181,6 +204,16 @@ def test_region_sum_matches_sweep_poly12(monkeypatch):
         compare_with_sweep(monkeypatch, fan, d, (h_all, euler_char, hhat, self_intersection))
 
 
+def test_region_sum_matches_sweep_star4(monkeypatch):
+    # The sweep weighs all 94 bounded subsets with a nonzero rank vector,
+    # and their Cech complexes on 12 maximal cones take ~40 s in all, so
+    # cech_oracle is left out here as on poly12.
+    fan = star4()
+    rng = random.Random(2005 + len(fan.rays))
+    for d in sample_divisors(fan, rng, 2):
+        compare_with_sweep(monkeypatch, fan, d, (h_all, euler_char, hhat, self_intersection))
+
+
 def test_warm_h_all_measures_only_realized_regions(monkeypatch):
     # Anticanonical D on poly12: of 3964 bounded subsets with a nonzero
     # rank vector, the sweep measured every one; 78 bounded subsets have
@@ -241,3 +274,99 @@ def test_linear_equivalence_and_homogeneity(make):
         for t in (Fraction(2), Fraction(3, 2), Fraction(2, 5), Fraction(7)):
             scaled = tuple(t * c for c in d)
             assert hhat(fan, scaled) == tuple(t**n * x for x in base), (d, t)
+
+
+def fresh(fan):
+    """A new Fan on the same data, so that its per-fan memo starts empty."""
+    return make_fan(fan.dim, fan.rays, fan.max_cones)
+
+
+def guarded_answers(fan, d):
+    """Every answer that reaches a region sum, or the name of its error."""
+
+    def chamber_h0(fan, d):
+        return hhat0_on_chamber(fan, located_cone(fan, locate_chamber(fan, d)), d)
+
+    def mixed(fan, d):
+        return mixed_partial_h0(fan, d, range(min(2, fan.dim)))
+
+    answers = []
+    for function in (
+        h_all, euler_char, cech_oracle, hhat, self_intersection,
+        ample_via_asymptotics, mixed, chamber_h0,
+    ):
+        try:
+            answers.append(function(fan, d))
+        except ToricError as err:
+            answers.append(type(err).__name__)
+    return answers
+
+
+# sha256 of repr(answers) over guard_inputs(), computed while region_sum
+# still looked boundedness up in the memoized bounded_subsets.
+SWEEP_ANSWERS_SHA256 = "399dacfb916ee527b6486faa93c63b6aeee55d62a839dc65c52891059865a0e9"
+
+
+def guard_inputs():
+    """Each complete fixture with its anticanonical divisor and a seeded rational one."""
+    rng = random.Random(11)
+    for make in COMPLETE_FIXTURES:
+        k = len(make().rays)
+        yield make, (Fraction(1),) * k
+        yield make, tuple(Fraction(rng.randint(-5, 9), rng.choice((1, 2, 3))) for _ in range(k))
+
+
+def test_no_answer_runs_the_subset_sweep(monkeypatch):
+    inputs = list(guard_inputs())
+    expected = [guarded_answers(make(), d) for make, d in inputs]
+    digest = hashlib.sha256(repr(expected).encode()).hexdigest()
+    assert digest == SWEEP_ANSWERS_SHA256
+
+    def refuse(fan):
+        raise AssertionError("an answer path enumerated all ray subsets")
+
+    monkeypatch.setattr(regions, "bounded_subsets", refuse)
+    for (make, d), answers in zip(inputs, expected):
+        assert guarded_answers(fresh(make()), d) == answers, (make.__name__, d)
+
+
+def realized_subsets(fan, d):
+    """The bounded subsets whose region's closure has a vertex, by the referee scan."""
+    return {
+        subset
+        for subset in bounded_subsets(fan)
+        if scan_integer_vertices(region(fan, d, subset))[0]
+    }
+
+
+def test_cold_euler_char_ranks_only_realized_subsets(monkeypatch):
+    fan = fresh(fixtures.bl3_p2())
+    d = (2, -1, 0, 1, -1, 1)
+    realized = realized_subsets(fan, d)
+    expected = euler_char(fixtures.bl3_p2(), d)
+    ranked = []
+    ranks = cohomology.local_cohomology_ranks
+
+    def recorded(fan_, subset):
+        ranked.append(subset)
+        return ranks(fan_, subset)
+
+    monkeypatch.setattr(cohomology, "local_cohomology_ranks", recorded)
+    assert euler_char(fan, d) == expected
+    assert len(ranked) == len(set(ranked))
+    assert set(ranked) == realized
+    assert frozenset() not in realized and len(realized) < len(bounded_subsets(fan))
+
+
+def test_euler_char_rejects_a_corrupt_rank_vector(monkeypatch):
+    d = (2, -1, 0, 1, -1, 1)
+    target = max(realized_subsets(fixtures.bl3_p2(), d), key=sorted)
+    ranks = cohomology.local_cohomology_ranks
+
+    def corrupted(fan_, subset):
+        vector = ranks(fan_, subset)
+        return (vector[0] + 1,) + vector[1:] if subset == target else vector
+
+    monkeypatch.setattr(cohomology, "local_cohomology_ranks", corrupted)
+    with pytest.raises(ToricError, match="disagrees with its ranks"):
+        euler_char(fresh(fixtures.bl3_p2()), d)
