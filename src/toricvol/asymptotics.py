@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cohomology import _euler_weight
 from .divisor import Divisor, is_q_cartier
 from .errors import (
     ChamberWallError,
@@ -20,7 +21,7 @@ from .errors import (
     NotQCartierError,
     PreconditionError,
 )
-from .fan import Fan, chi_of_fan, is_complete, subfan
+from .fan import Fan, is_complete
 from .homology import local_cohomology_ranks
 from .regions import normalized_volume, region_sum
 
@@ -48,10 +49,8 @@ def self_intersection(fan: Fan, d: Divisor) -> Fraction:
         raise NotCompleteError("self-intersection needs a complete fan")
     if is_q_cartier(fan, d) is None:
         raise NotQCartierError("divisor is not Q-Cartier")
-    (total,) = region_sum(
-        fan, d, lambda subset: (chi_of_fan(subfan(fan, subset)),), normalized_volume
-    )
-    return Fraction((-1) ** fan.dim * total)
+    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), normalized_volume)
+    return Fraction(total)
 
 
 def asymptotic_rr_check(fan: Fan, d: Divisor) -> tuple[Fraction, Fraction]:
@@ -93,6 +92,9 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     from . import gkz
 
     rays = list(ray_indices)
+    k = len(fan.rays)
+    if not all(0 <= i < k for i in rays):
+        raise PreconditionError(f"ray indices must lie in 0..{k - 1}, got {rays}")
     if len(set(rays)) != len(rays):
         raise PreconditionError("ray list must consist of distinct rays")
     n = fan.dim

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .divisor import Divisor
 from .errors import NotCompleteError, ToricError
-from .fan import Fan, chi_of_fan, intersection_ray_set, is_complete, subfan
+from .fan import Fan, chi_of_fan, is_complete, subfan
 from .homology import local_cohomology_ranks
 from .linalg import dot, rank
 from .regions import lattice_count, region_sum
@@ -49,18 +49,25 @@ def h_all(fan: Fan, d: Divisor) -> CohomologyVector:
 
 
 def _euler_weight(fan: Fan, subset: frozenset[int]) -> int:
-    """(-1)^n chi(subfan_W), checked against the rank vector of W.
+    """(-1)^n chi(subfan_W), checked against the rank vector of W, memoized per fan.
 
     The identity (-1)^n chi(subfan_W) = sum_i (-1)^i r_i(W) makes the
-    Euler sum over regions equal the alternating sum of h_all.
+    Euler sum over regions equal the alternating sum of h_all; the
+    signed volume sum of ``self_intersection`` uses the same weight.
+    chi counts cones, not simplices, so the check compares two
+    independent computations.
     """
-    value = (-1) ** fan.dim * chi_of_fan(subfan(fan, subset))
-    ranks = local_cohomology_ranks(fan, subset)
-    if value != sum((-1) ** i * r for i, r in enumerate(ranks)):
-        raise ToricError(
-            f"internal: chi of subfan {sorted(subset)} disagrees with its ranks {ranks}"
-        )
-    return value
+
+    def compute():
+        value = (-1) ** fan.dim * chi_of_fan(subfan(fan, subset))
+        ranks = local_cohomology_ranks(fan, subset)
+        if value != sum((-1) ** i * r for i, r in enumerate(ranks)):
+            raise ToricError(
+                f"internal: chi of subfan {sorted(subset)} disagrees with its ranks {ranks}"
+            )
+        return value
+
+    return fan.memo(("euler", subset), compute)
 
 
 def euler_char(fan: Fan, d: Divisor) -> int:
@@ -71,26 +78,24 @@ def euler_char(fan: Fan, d: Divisor) -> int:
     """
     if not is_complete(fan):
         raise NotCompleteError("euler_char needs a complete fan")
-    (total,) = region_sum(
-        fan, d, lambda W: (fan.memo(("euler", W), lambda: _euler_weight(fan, W)),), lattice_count
-    )
+    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), lattice_count)
     return total
-
-
-def _allowed(fan: Fan, weak: frozenset[int], cone_tuple) -> bool:
-    rays = intersection_ray_set(fan, [fan.max_cones[j] for j in cone_tuple])
-    return rays <= weak
 
 
 def _cech_rank_vector(fan: Fan, subset: frozenset[int], tuples) -> CohomologyVector:
     """Cohomology ranks of the Cech complex spanned by ``tuples(size)``.
 
     A tuple contributes a line exactly when the rays of the intersection
-    of its cones all lie in the weak set.
+    of its cones all lie in the weak set.  Those are the rays the cones
+    share: in a valid fan two cones meet in a common face tau, and a ray
+    of both lies in tau and, being extreme in either cone, is a ray of
+    its face tau.  tau is again a cone of the fan, so the argument runs
+    along the whole tuple.
     """
     n = fan.dim
+    cones = fan.max_cones
     layers: list[list[tuple[int, ...]]] = [
-        [t for t in tuples(size) if _allowed(fan, subset, t)]
+        [t for t in tuples(size) if frozenset.intersection(*(cones[j] for j in t)) <= subset]
         for size in range(1, n + 3)
     ]
     ranks_of_d = [0] * (n + 2)  # rank of delta^i : C^i -> C^(i+1)
@@ -131,17 +136,11 @@ def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:
     """Cohomology dimensions recomputed through Cech complexes.
 
     Graded pieces with identical weak sets share one complex, so the sum
-    over lattice points collapses to counts times Cech ranks; the ranks
-    themselves never consult the sphere-complex machinery, which only
-    picks the regions that can contribute.
+    over lattice points collapses to counts times Cech ranks.  Every
+    realized region is weighed by its own Cech ranks, so no answer here
+    reads the sphere-complex rank vectors of ``h_all``; the two share
+    only the region sum that picks the realized regions.
     """
     if not is_complete(fan):
         raise NotCompleteError("cech_oracle needs a complete fan")
-    zero = (0,) * (fan.dim + 1)
-
-    def weight(subset):
-        if not any(local_cohomology_ranks(fan, subset)):
-            return zero
-        return cech_ranks(fan, subset)
-
-    return region_sum(fan, d, weight, lattice_count)
+    return region_sum(fan, d, lambda subset: cech_ranks(fan, subset), lattice_count)

@@ -46,6 +46,12 @@ class CartierData:
         )
 
 
+def _check_length(fan: Fan, d: Divisor) -> None:
+    """Raise ValueError unless the divisor has one coefficient per ray."""
+    if len(d) != len(fan.rays):
+        raise ValueError(f"divisor has {len(d)} coefficients, fan has {len(fan.rays)} rays")
+
+
 def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
     """Local linear data for the divisor, or None when it does not exist.
 
@@ -54,6 +60,7 @@ def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
     automatically unique, and on non-simplicial cones the consistency
     requirement across all rays is what can fail.
     """
+    _check_length(fan, d)
     us = []
     for mc in fan.max_cones:
         idx = sorted(mc)

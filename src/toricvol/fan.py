@@ -281,15 +281,6 @@ class Subfan:
     def cone_counts(self) -> tuple[int, ...]:
         return tuple(len(bucket) for bucket in self.cones_by_dim)
 
-    def max_cones(self) -> list[Cone]:
-        """Cones of the subfan not contained in a bigger one."""
-        every = [c for bucket in self.cones_by_dim for c in bucket]
-        return [
-            c
-            for c in every
-            if not any(c.ray_indices < d.ray_indices for d in every)
-        ]
-
     def __repr__(self):
         return f"Subfan(rays={sorted(self.weak_rays)}, counts={self.cone_counts()})"
 
@@ -335,23 +326,3 @@ def cone_multiplicity(fan: Fan, cone: Cone) -> int:
         minor = det([[v[c] for c in cols] for v in vectors])
         g = math.gcd(g, abs(int(minor)))
     return g
-
-
-def intersection_ray_set(fan: Fan, ray_sets) -> frozenset[int]:
-    """Ray set of the intersection of fan cones given by their ray sets.
-
-    Valid fans intersect pairwise in common faces, so the intersection
-    of any collection of cones is the unique largest cone of the fan
-    whose rays lie in every one of them.
-    """
-    common = None
-    for rs in ray_sets:
-        common = frozenset(rs) if common is None else common & frozenset(rs)
-    if common is None:
-        raise ValueError("need at least one cone")
-    best: frozenset[int] = frozenset()
-    for bucket in all_cones(fan):
-        for cone in bucket:
-            if cone.ray_indices <= common and len(cone.ray_indices) > len(best):
-                best = cone.ray_indices
-    return best

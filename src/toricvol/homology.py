@@ -6,17 +6,22 @@ rays lie in W.  It is computed as reduced simplicial homology (over the
 rationals) of the complex cut out on a small sphere around the origin:
 a cone of dimension j meets the sphere in a cell of dimension j - 1.
 
+Each fan is triangulated once and kept in the per-fan memo.
 Non-simplicial cones are triangulated by pulling from their
 lowest-index ray, which keeps shared faces consistent across the whole
-fan and introduces no new rays, so the support and its homotopy type
-are untouched.
+fan and introduces no new rays, so every support and its homotopy type
+are untouched.  Each simplex, faces included, is tagged with its
+carrier, the rays of the least fan cone containing it; it lies in the
+subfan on W exactly when its carrier lies in W, so the complex of each
+W is a filter of the one triangulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .fan import Cone, Fan, all_cones, subfan
+from .fan import Cone, Fan, all_cones
 from .linalg import rank
 
 
@@ -43,49 +48,54 @@ def _cone_facets(fan: Fan, cone: Cone) -> list[Cone]:
     return out
 
 
-def _triangulate_cone(fan: Fan, cone: Cone, pull_key) -> set[frozenset[int]]:
+def _triangulate_cone(fan: Fan, cone: Cone) -> set[frozenset[int]]:
     """Maximal simplices (as ray sets) of the pulling triangulation."""
     rays = sorted(cone.ray_indices)
     if len(rays) == cone.dim:
         return {frozenset(rays)}
-    apex = min(rays, key=pull_key)
+    apex = rays[0]
     simplices: set[frozenset[int]] = set()
     for facet in _cone_facets(fan, cone):
         if apex in facet.ray_indices:
             continue
-        for simplex in _triangulate_cone(fan, facet, pull_key):
+        for simplex in _triangulate_cone(fan, facet):
             simplices.add(simplex | {apex})
     return simplices
 
 
-def sphere_complex(fan: Fan, weak_rays, *, reverse_pull: bool = False) -> SphereComplex:
+def _carriers(fan: Fan) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
+    """Every simplex of the fan's triangulation with its carrier, once per fan.
+
+    Cones are visited by increasing dimension.  A pulling triangulation
+    restricts to the pulling triangulation of each face, so a simplex
+    first appears among the faces of its least containing cone; the
+    carrier is the first cone that produces it.
+    """
+
+    def compute():
+        carrier: dict[frozenset[int], frozenset[int]] = {}
+        for bucket in all_cones(fan):
+            for cone in bucket:
+                for top in _triangulate_cone(fan, cone):
+                    for size in range(len(top) + 1):
+                        for face in combinations(sorted(top), size):
+                            carrier.setdefault(frozenset(face), cone.ray_indices)
+        return tuple(carrier.items())
+
+    return fan.memo("triangulation", compute)
+
+
+def sphere_complex(fan: Fan, weak_rays) -> SphereComplex:
     """The simplicial complex of the subfan's section with a sphere.
 
-    Simplicial cones contribute their ray sets directly; non-simplicial
-    cones contribute their pulling triangulation.  ``reverse_pull``
-    pulls from the highest-index ray instead and exists so that
-    triangulation independence can be tested.
+    It keeps the simplices of the fan's triangulation whose carrier lies
+    in ``weak_rays``.
     """
-    key = (lambda i: -i) if reverse_pull else (lambda i: i)
-    piece = subfan(fan, weak_rays)
-    simplices: set[frozenset[int]] = {frozenset()}
-    for cone in piece.max_cones():
-        if cone.dim == 0:
-            continue
-        simplices |= _triangulate_cone(fan, cone, key)
-    closed: set[frozenset[int]] = set()
-    for simplex in simplices:
-        items = sorted(simplex)
-        stack = [items]
-        while stack:
-            face = stack.pop()
-            fs = frozenset(face)
-            if fs in closed:
-                continue
-            closed.add(fs)
-            for i in range(len(face)):
-                stack.append(face[:i] + face[i + 1 :])
-    return SphereComplex(frozenset(closed), fan.dim)
+    subset = frozenset(weak_rays)
+    return SphereComplex(
+        frozenset(simplex for simplex, carrier in _carriers(fan) if carrier <= subset),
+        fan.dim,
+    )
 
 
 def _boundary_matrix(smaller: list[tuple[int, ...]], larger: list[tuple[int, ...]]):

@@ -49,7 +49,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import Callable
 
-from .divisor import Divisor
+from .divisor import Divisor, _check_length
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
 from .linalg import affine_rank, dot, integer_eliminate, rank, to_integers
@@ -120,6 +120,7 @@ class RationalPolytope:
 
 def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
     """The region of the given ray subset for the given divisor."""
+    _check_length(fan, d)
     subset = frozenset(weak_rays)
     return HalfOpenRegion(
         normals=fan.rays,

@@ -184,6 +184,13 @@ def test_mixed_partial_wall_and_argument_errors():
         mixed_partial_h0(fan, ample, [0, 1, 2])
 
 
+@pytest.mark.parametrize("rays", ([-1], [3, -1], [4], [7], [0, 4]))
+def test_mixed_partial_rejects_unknown_rays(rays):
+    # f1 has rays 0..3; a negative index must not wrap around to ray 3.
+    with pytest.raises(PreconditionError, match=r"0\.\.3"):
+        mixed_partial_h0(f1(), divisor([1, 0, 0, 2]), rays)
+
+
 def test_distinct_chamber_polynomials_on_f1():
     # The two maximal chambers carry different growth polynomials,
     # witnessed by a mixed partial vanishing on one and not the other.

@@ -2,7 +2,8 @@
 
 ``-O`` strips ``assert`` statements, so this checks that the library's
 internal cross-checks do not rely on them; a static scan keeps the
-library free of ``assert`` statements altogether.
+library free of ``assert`` statements altogether.  Another scan keeps
+the Cech referee from reading the sphere-complex rank vectors it checks.
 """
 
 import ast
@@ -37,3 +38,18 @@ def test_library_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_cech_referee_reads_no_sphere_complex():
+    # The Cech oracle must stay independent of the rank vectors it checks.
+    tree = ast.parse((ROOT / "src" / "toricvol" / "cohomology.py").read_text(encoding="utf-8"))
+    referee = {"cech_oracle", "cech_ranks", "_cech_rank_vector"}
+    production = {"local_cohomology_ranks", "sphere_complex", "reduced_homology_ranks"}
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in referee
+    ]
+    assert {node.name for node in functions} == referee
+    for node in functions:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert not names & production, f"{node.name} mentions {sorted(names & production)}"

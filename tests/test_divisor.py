@@ -108,3 +108,25 @@ def test_linear_equiv_shift_examples():
     moved = linear_equiv_shift(line, divisor([3, 4]), (2,))
     assert moved == (Fraction(5), Fraction(2))
     assert sum(moved) == sum(divisor([3, 4]))  # degree is the class invariant
+
+
+def wrong_length_calls():
+    from toricvol.asymptotics import hhat, self_intersection
+    from toricvol.cohomology import euler_char, h_all
+    from toricvol.gkz import locate_chamber
+    from toricvol.regions import region
+
+    return (
+        h_all, euler_char, hhat, self_intersection, locate_chamber, is_q_cartier,
+        lambda fan, d: region(fan, d, ()),
+    )
+
+
+@pytest.mark.parametrize("extra", (-1, 1))
+def test_wrong_length_divisor_is_rejected(extra):
+    # h_all(p2, (3, 0, 0, 5)) used to drop the 5 and answer (10, 0, 0).
+    fan = p2()
+    d = divisor([3, 0, 0, 5][: 3 + extra])
+    for call in wrong_length_calls():
+        with pytest.raises(ValueError, match=f"divisor has {3 + extra} coefficients, fan has 3 rays"):
+            call(fan, d)

@@ -2,9 +2,11 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from complex_referees import EVERY_FIXTURE, intersection_ray_set
 from toricvol.asymptotics import hhat, mixed_partial_h0
 from toricvol.cohomology import euler_char, h_all
 from toricvol.divisor import divisor
@@ -15,7 +17,6 @@ from toricvol.fan import (
     chi_of_fan,
     cone_multiplicity,
     fan_diagnostics,
-    intersection_ray_set,
     is_complete,
     is_simplicial,
     make_fan,
@@ -174,6 +175,19 @@ def test_intersection_ray_set():
     assert shared == frozenset({2})
     opposite = intersection_ray_set(fan, [frozenset({0, 2}), frozenset({1, 3})])
     assert opposite == frozenset()
+
+
+def test_cone_intersections_are_ray_set_intersections():
+    # The Cech nerve intersects ray sets; the all-cones scan is its referee.
+    checked = 0
+    for make in EVERY_FIXTURE:
+        fan = make()
+        cones = [c.ray_indices for bucket in all_cones(fan) for c in bucket]
+        for size in range(1, 5):
+            for group in combinations(cones, size):
+                assert intersection_ray_set(fan, group) == frozenset.intersection(*group)
+                checked += 1
+    assert checked == 52018
 
 
 def _random_rational_direction(rng, n):

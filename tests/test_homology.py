@@ -1,7 +1,11 @@
 from itertools import combinations
 
-from toricvol.fan import chi_of_fan, subfan
-from toricvol.fixtures import cube_fan, f1, p1, p1_cubed, p1xp1, p2, square_cone_fan
+import pytest
+
+from complex_referees import EVERY_FIXTURE, per_subset_sphere_complex
+from toricvol import homology
+from toricvol.fan import chi_of_fan, make_fan, subfan
+from toricvol.fixtures import bl1_p3, cube_fan, f1, p1, p1_cubed, p1xp1, p2, square_cone_fan
 from toricvol.homology import (
     local_cohomology_ranks,
     reduced_homology_ranks,
@@ -93,14 +97,60 @@ def test_chi_lemma_exhaustive():
             assert lhs == rhs, (fixture.__name__, sorted(subset))
 
 
+def renumbered(fan):
+    """A copy of the fan with ray i renamed k - 1 - i.
+
+    Pulling from its lowest-index ray pulls from the original's highest.
+    """
+    k = len(fan.rays)
+    return make_fan(fan.dim, fan.rays[::-1], [{k - 1 - i for i in c} for c in fan.max_cones])
+
+
 def test_triangulation_reversal_invariance():
     # The cube fan has non-simplicial cones, so pulling order matters there.
-    for fixture in (cube_fan, square_cone_fan, p2):
+    for fixture in (cube_fan, square_cone_fan, p2, bl1_p3, p1_cubed):
         fan = fixture()
+        flipped, k = renumbered(fan), len(fan.rays)
         for subset in all_subsets(fan):
             forward = reduced_homology_ranks(sphere_complex(fan, subset))
-            backward = reduced_homology_ranks(sphere_complex(fan, subset, reverse_pull=True))
+            backward = reduced_homology_ranks(
+                sphere_complex(flipped, {k - 1 - i for i in subset})
+            )
             assert forward == backward, (fixture.__name__, sorted(subset))
+
+
+@pytest.mark.parametrize("fixture", EVERY_FIXTURE, ids=lambda f: f.__name__)
+def test_sphere_complex_matches_per_subset_referee(fixture):
+    # The carrier filter of one triangulation per fan against a fresh
+    # triangulation of each subfan, pulled from the lowest ray and, via
+    # the renumbered copy, from the highest.
+    fan = fixture()
+    flipped, k = renumbered(fan), len(fan.rays)
+    for subset in all_subsets(fan):
+        assert sphere_complex(fan, subset) == per_subset_sphere_complex(fan, subset)
+        pulled_high = sphere_complex(flipped, {k - 1 - i for i in subset})
+        assert {frozenset(k - 1 - i for i in s) for s in pulled_high.simplices} == (
+            per_subset_sphere_complex(fan, subset, lambda i: -i).simplices
+        ), (fixture.__name__, sorted(subset))
+
+
+def test_rank_vectors_triangulate_the_fan_once(monkeypatch):
+    fan = make_fan(3, cube_fan().rays, cube_fan().max_cones)
+    calls = []
+    triangulate = homology._triangulate_cone
+
+    def counted(*args):
+        calls.append(args)
+        return triangulate(*args)
+
+    monkeypatch.setattr(homology, "_triangulate_cone", counted)
+    first, *rest = all_subsets(fan)
+    local_cohomology_ranks(fan, first)
+    assert calls
+    during_first = len(calls)
+    for subset in rest:
+        local_cohomology_ranks(fan, subset)
+    assert len(calls) == during_first
 
 
 def test_unbounded_subsets_have_zero_profiles():

@@ -370,3 +370,20 @@ def test_euler_char_rejects_a_corrupt_rank_vector(monkeypatch):
     monkeypatch.setattr(cohomology, "local_cohomology_ranks", corrupted)
     with pytest.raises(ToricError, match="disagrees with its ranks"):
         euler_char(fresh(fixtures.bl3_p2()), d)
+
+
+def test_cech_oracle_ignores_a_corrupt_rank_vector(monkeypatch):
+    # The oracle weighs every realized region by its own Cech ranks, so a
+    # rank vector zeroed in the production path cannot silence it.
+    d = (2, -1, 0, 1, -1, 1)
+    target = frozenset({0, 2, 3})
+    assert target in realized_subsets(fixtures.bl3_p2(), d)
+    ranks = cohomology.local_cohomology_ranks
+
+    def corrupted(fan_, subset):
+        return (0,) * (fan_.dim + 1) if subset == target else ranks(fan_, subset)
+
+    monkeypatch.setattr(cohomology, "local_cohomology_ranks", corrupted)
+    fan = fresh(fixtures.bl3_p2())
+    assert h_all(fan, d) == (0, 3, 0)
+    assert cech_oracle(fan, d) == (0, 4, 0)
