@@ -19,6 +19,7 @@ writes a report with the error's kind, argument errors included (to
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -292,7 +293,12 @@ def emit_report(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing leaves it unchanged, so every ``main`` call shares it.
+    """
     parser = _ArgumentParser(
         prog="toricvol",
         description="exact toric divisor cohomology, asymptotics, and chambers",

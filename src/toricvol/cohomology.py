@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .divisor import Divisor
+from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
 from .fan import Fan, chi_of_fan, is_complete, subfan
 from .homology import local_cohomology_ranks
@@ -22,7 +22,11 @@ CohomologyVector = tuple[int, ...]
 
 
 def weak_ray_set(fan: Fan, d: Divisor, point) -> frozenset[int]:
-    """The rays whose section inequality holds weakly at the given point."""
+    """The rays whose section inequality holds weakly at the given point.
+
+    Raises ValueError unless the divisor has one coefficient per ray.
+    """
+    _check_length(fan, d)
     return frozenset(
         i for i, ray in enumerate(fan.rays) if dot(point, ray) >= -d[i]
     )
@@ -31,7 +35,8 @@ def weak_ray_set(fan: Fan, d: Divisor, point) -> frozenset[int]:
 def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
     """Dimension of the degree-``point`` piece of the i-th cohomology group.
 
-    Works on any valid fan, complete or not.
+    Works on any valid fan, complete or not.  The divisor's length is
+    checked by ``weak_ray_set``.
     """
     profile = local_cohomology_ranks(fan, weak_ray_set(fan, d, point))
     return profile[i]

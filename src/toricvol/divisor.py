@@ -100,5 +100,6 @@ def is_ample(fan: Fan, d: Divisor) -> bool:
 
 def linear_equiv_shift(fan: Fan, d: Divisor, u) -> Divisor:
     """The linearly equivalent divisor obtained by adding div(chi^u)."""
+    _check_length(fan, d)
     uu = tuple(Fraction(v) for v in u)
     return tuple(c + dot(uu, ray) for c, ray in zip(d, fan.rays))

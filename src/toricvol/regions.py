@@ -30,13 +30,20 @@ vertices straight from the one pass it makes per call.  Volumes come
 from a recursive facet triangulation on those integer vertices: each
 facet is read off the tight rows, and each simplex's |det| is the final
 denominator of a fraction-free elimination, so no ``Fraction`` is built
-inside the triangulation.  Lattice points are counted one line at a
-time.  Above each integer point of the bounding box's first n - 1
-coordinates, the mixed weak/strict system cuts the line along the last
-coordinate to one integer interval, found with integer floor
-divisions; a region of m*D thus costs about m^(n-1) fibers instead of
-m^n box points, and at most ``FIBER_BUDGET`` fibers are scanned before
-CapExceededError.
+inside the triangulation.  Lattice points are counted one plane at a
+time.  Above each integer point of the bounding box's first n - 2
+coordinates, the mixed weak/strict system, each row made one weak
+integer inequality, cuts a 2-D slice; its count walks the slice's lower
+and upper envelopes along the second-to-last coordinate and adds each
+run between envelope changes with two floor sums (the lattice points
+under a segment, by the Euclid-like recursion of ``floor_sum``).  A
+slice costs O(k^2 + k log m), independent of its width, so a region of
+m*D costs about m^(n-2) slices, and one of a 2-D fan a bounded number
+of integer steps for every m.  Listing points keeps the fibers of the
+last coordinate: above each integer point of the first n - 1
+coordinates the system cuts the line to one integer interval, found
+with integer floor divisions.  At most ``FIBER_BUDGET`` slices (for a
+count) or fibers (for a listing) are visited before CapExceededError.
 """
 
 from __future__ import annotations
@@ -57,8 +64,10 @@ from .linalg import affine_rank, dot, integer_eliminate, rank, to_integers
 
 # Fixed work caps; past either one, CapExceededError.  A region sum visits
 # at most 2^SUBSET_CAP ray subsets, the sweep ``bounded_subsets`` takes at
-# most SUBSET_CAP rays, and lattice counting scans at most FIBER_BUDGET
-# fibers (integer prefixes of the bounding box) per region.
+# most SUBSET_CAP rays, and a lattice count or listing visits at most
+# FIBER_BUDGET integer prefixes of the bounding box per region: of the
+# first n - 2 coordinates for a count (its 2-D slices), of the first
+# n - 1 for a listing (its fibers).
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
 
@@ -382,39 +391,61 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     return Fraction(total, scale**n)
 
 
-def _fibers(reg: HalfOpenRegion):
-    """Yield (prefix, lo, hi) for each nonempty fiber along the last axis.
+def _integer_rows(reg: HalfOpenRegion):
+    """Every row as one weak integer inequality <a, x> >= b, as pairs (a, b).
 
-    The prefixes are the integer points (x_1..x_{n-1}) of the closure's
-    bounding box (floor divisions of the integer vertices of
-    ``_integer_vertices``), in lexicographic order; above each prefix
-    the region holds exactly the lattice points whose last coordinate
-    is one of the integers lo..hi.  Since <v, x> is an integer at lattice points, a
-    weak row <v, x> >= L is <v, x> >= ceil(L) and a strict row
-    <v, x> < L is <-v, x> >= 1 - ceil(L); every row is thus one weak
-    integer inequality, and each fiber bound is a floor division of
-    integers.  Raises CapExceededError past ``FIBER_BUDGET`` prefixes.
+    Since <v, x> is an integer at lattice points, a weak row
+    <v, x> >= L is <v, x> >= ceil(L) and a strict row <v, x> < L is
+    <-v, x> >= 1 - ceil(L).
     """
-    points, scale = _vertex_table(reg)
-    if not points:
-        return
-    n = reg.dim
-    los = [-(-min(p[j] for p in points) // scale) for j in range(n)]
-    his = [max(p[j] for p in points) // scale for j in range(n)]
-    heads = [range(lo, hi + 1) for lo, hi in zip(los[:-1], his[:-1])]
-    prefixes = math.prod(map(len, heads))
-    if prefixes > FIBER_BUDGET:
-        raise CapExceededError(
-            f"lattice count needs {prefixes} fibers; it is capped at {FIBER_BUDGET}"
-        )
     rows = []
     for normal, level, is_weak in zip(reg.normals, reg.levels, reg.weak):
         bound = math.ceil(level)
         if not is_weak:
             normal, bound = tuple(-x for x in normal), 1 - bound
-        rows.append((normal[:-1], normal[-1], bound))
-    for prefix in product(*heads):
-        lo, hi = los[-1], his[-1]
+        rows.append((normal, bound))
+    return rows
+
+
+def _bounding_box(reg: HalfOpenRegion, depth: int):
+    """The integer range of each coordinate over the closure, or None if it is empty.
+
+    The ranges are floor divisions of the integer vertices of
+    ``_integer_vertices``.  Raises CapExceededError when the first
+    ``depth`` ranges hold more than ``FIBER_BUDGET`` integer prefixes.
+    """
+    points, scale = _vertex_table(reg)
+    if not points:
+        return None
+    box = [
+        range(-(-min(p[j] for p in points) // scale), max(p[j] for p in points) // scale + 1)
+        for j in range(reg.dim)
+    ]
+    prefixes = math.prod(map(len, box[:depth]))
+    if prefixes > FIBER_BUDGET:
+        raise CapExceededError(
+            f"lattice scan needs {prefixes} fibers (integer points of the first {depth}"
+            f" coordinates); it is capped at {FIBER_BUDGET}"
+        )
+    return box
+
+
+def _fibers(reg: HalfOpenRegion):
+    """Yield (prefix, lo, hi) for each nonempty fiber along the last axis.
+
+    The prefixes are the integer points (x_1..x_{n-1}) of the closure's
+    bounding box, in lexicographic order; above each prefix the region
+    holds exactly the lattice points whose last coordinate is one of
+    the integers lo..hi.  Every row is one weak integer inequality of
+    ``_integer_rows``, so each fiber bound is a floor division of
+    integers.  Raises CapExceededError past ``FIBER_BUDGET`` prefixes.
+    """
+    box = _bounding_box(reg, reg.dim - 1)
+    if box is None:
+        return
+    rows = [(normal[:-1], normal[-1], bound) for normal, bound in _integer_rows(reg)]
+    for prefix in product(*box[:-1]):
+        lo, hi = box[-1].start, box[-1].stop - 1
         for head, last, bound in rows:
             # last * x_n >= rest: a ceiling, a floor, or all or nothing.
             rest = bound - sum(map(mul, head, prefix))
@@ -433,13 +464,133 @@ def _fibers(reg: HalfOpenRegion):
                 yield prefix, lo, hi
 
 
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*i + b) / m) over i = 0..n-1, for integers n >= 0 and m >= 1.
+
+    The Euclid-like recursion, run as a loop: split off the integer
+    parts of a/m and b/m, then count the lattice points under the
+    remaining segment by swapping the roles of the axes, which replaces
+    (m, a) by (a mod m, m).  O(log m) steps; a and b may be negative.
+    """
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _active(lines, s, sign):
+    """The line (p, q, r), value (p*s + q)/r, that bounds the envelope right of s.
+
+    sign = 1 takes the maximum, -1 the minimum; ties go to the line
+    that stays extreme to the right, the one with the larger slope
+    (sign = 1) or the smaller.  Compared by cross-multiplication, r > 0.
+    """
+    best = lines[0]
+    for line in lines[1:]:
+        p, q, r = line
+        bp, bq, br = best
+        value = br * (p * s + q) - r * (bp * s + bq)
+        if sign * value > 0 or value == 0 and sign * (p * br - bp * r) > 0:
+            best = line
+    return best
+
+
+def _run_end(lines, active, sign, end):
+    """The last integer, at most ``end``, up to which ``active`` stays extreme.
+
+    Only a line steeper in the envelope's direction overtakes it, at
+    the last s with sign * (active(s) - line(s)) >= 0.
+    """
+    p, q, r = active
+    for lp, lq, lr in lines:
+        g = lr * p - r * lp
+        if sign * g < 0:
+            end = min(end, (r * lq - lr * q) // g)
+    return end
+
+
+def _slice_count(rows, s_range) -> int:
+    """The lattice points (s, t) with s in ``s_range`` and alpha*s + beta*t >= c on every row.
+
+    A row (alpha, beta, c) with beta > 0 bounds t from below by the line
+    (c - alpha*s)/beta, one with beta < 0 bounds it from above, and one
+    with beta = 0 narrows the range of s; a line is kept as (p, q, r),
+    value (p*s + q)/r with r > 0.  Above s lie U(s) - L(s) + 1 points,
+    U the floor of the upper envelope and L the ceiling of the lower,
+    when the real gap between the envelopes is nonnegative, and none
+    otherwise.  The walk jumps from s past the last integer before an
+    envelope changes row or the real gap changes sign, and adds each run
+    with two ``floor_sum`` calls.  The gap at the first s of a run is
+    evaluated directly, so a slice that is a segment or a point is
+    counted exactly.  The real gap is concave, so once it is negative
+    and not growing no point lies further right.
+    """
+    lower, upper = [], []
+    lo, hi = s_range.start, s_range.stop - 1
+    for alpha, beta, c in rows:
+        if beta > 0:
+            lower.append((-alpha, c, beta))
+        elif beta < 0:
+            upper.append((alpha, -c, -beta))
+        elif alpha > 0:
+            lo = max(lo, -(-c // alpha))
+        elif alpha < 0:
+            hi = min(hi, c // alpha)
+        elif c > 0:
+            return 0
+    total = 0
+    s = lo
+    while s <= hi:
+        low, high = _active(lower, s, 1), _active(upper, s, -1)
+        end = _run_end(upper, high, -1, _run_end(lower, low, 1, hi))
+        (pa, qa, ra), (pb, qb, rb) = low, high
+        # The real envelopes have a gap >= 0 exactly where g*s + h >= 0.
+        g, h = ra * pb - rb * pa, ra * qb - rb * qa
+        if g * s + h >= 0:
+            if g < 0:
+                end = min(end, -h // g)
+            n = end - s + 1
+            total += n + floor_sum(n, rb, pb, pb * s + qb) + floor_sum(n, ra, -pa, -pa * s - qa)
+        elif g <= 0:
+            break
+        else:
+            end = min(end, -(h // g) - 1)
+        s = end + 1
+    return total
+
+
 def lattice_count(reg: HalfOpenRegion) -> int:
     """The number of integer points of the half-open region.
 
-    Sums the fiber lengths of ``_fibers``, so the work is one integer
-    bound per ray and fiber, and no point is listed.
+    In dimension n >= 2 the region is cut into 2-D slices, one per
+    integer point of the bounding box's first n - 2 coordinates, each
+    cut out by the rows of ``_integer_rows``, and each slice is counted
+    by ``_slice_count`` with no point listed.  Both envelopes of a
+    slice are nonempty: a bounded closure has rows with a positive and
+    with a negative last coefficient, else e_n or -e_n would recede.
+    A slice with k rows costs O(k) envelope steps of O(k) work each
+    plus O(log m) per floor sum, independent of its width, so a region
+    of m*D costs about m^(n-2) slices.  At most ``FIBER_BUDGET`` slices
+    are counted before CapExceededError.  In dimension 1 the count sums
+    the fibers of ``_fibers``.
     """
-    return sum(hi - lo + 1 for _, lo, hi in _fibers(reg))
+    n = reg.dim
+    if n == 1:
+        return sum(hi - lo + 1 for _, lo, hi in _fibers(reg))
+    box = _bounding_box(reg, n - 2)
+    if box is None:
+        return 0
+    rows = [(normal[:-2], normal[-2], normal[-1], bound) for normal, bound in _integer_rows(reg)]
+    total = 0
+    for prefix in product(*box[:-2]):
+        shifted = [(a, b, bound - sum(map(mul, head, prefix))) for head, a, b, bound in rows]
+        total += _slice_count(shifted, box[-2])
+    return total
 
 
 def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,13 @@ F1 = {
     "rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],
     "cones": [[0, 3], [3, 1], [1, 2], [2, 0]],
 }
+P3 = {
+    "dim": 3,
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+}
 QUADRANT = {"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write(tmp_path, name, doc):
@@ -190,9 +200,9 @@ def test_precondition_exit_code(tmp_path):
 
 
 def test_lattice_budget_exit_code(tmp_path):
-    # 10^9 + 1 fibers for the h^0 triangle: past the budget, before any scan.
-    fan = write(tmp_path, "fan.json", P2)
-    div = write(tmp_path, "d.json", {"coeffs": [10**9, 0, 0]})
+    # 10^9 + 1 slices for the h^0 simplex of P^3: past the budget, before any count.
+    fan = write(tmp_path, "fan.json", P3)
+    div = write(tmp_path, "d.json", {"coeffs": [10**9, 0, 0, 0]})
     code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
     assert code == 3
     assert report["error"]["kind"] == "precondition"
@@ -338,6 +348,30 @@ def test_report_determinism(tmp_path):
     assert main(["asym", "--fan", fan, "--divisor", div, "--out", str(out1)]) == 0
     assert main(["asym", "--fan", fan, "--divisor", div, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    # One parser serves every main call of a process; each report must
+    # be byte-identical to the report of a fresh interpreter.
+    fan = write(tmp_path, "fan.json", P2)
+    div = write(tmp_path, "d.json", {"coeffs": ["3/2", 0, -1]})
+    calls = [
+        ["cohom", "--fan", fan, "--divisor", div, "--bogus"],
+        ["cohom", "--fan", fan, "--divisor", div, "--check-oracle"],
+        ["gkz-enumerate", "--fan", fan],
+    ]
+    expected_codes = [2, 0, 0]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for k, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{k}.json", tmp_path / f"fresh{k}.json"
+        assert main(argv + ["--out", str(here)]) == expected_codes[k]
+        done = subprocess.run(
+            [sys.executable, "-m", "toricvol.cli", *argv, "--out", str(fresh)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == expected_codes[k], done.stderr
+        assert here.read_bytes() == fresh.read_bytes(), argv
 
 
 def test_cli_matches_library_exactly(tmp_path):

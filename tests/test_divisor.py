@@ -112,13 +112,16 @@ def test_linear_equiv_shift_examples():
 
 def wrong_length_calls():
     from toricvol.asymptotics import hhat, self_intersection
-    from toricvol.cohomology import euler_char, h_all
+    from toricvol.cohomology import euler_char, graded_piece_dim, h_all, weak_ray_set
     from toricvol.gkz import locate_chamber
     from toricvol.regions import region
 
     return (
         h_all, euler_char, hhat, self_intersection, locate_chamber, is_q_cartier,
         lambda fan, d: region(fan, d, ()),
+        lambda fan, d: weak_ray_set(fan, d, (0, 0)),
+        lambda fan, d: graded_piece_dim(fan, d, (0, 0), 0),
+        lambda fan, d: linear_equiv_shift(fan, d, (1, 0)),
     )
 
 

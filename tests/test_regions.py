@@ -18,6 +18,7 @@ from toricvol.regions import (
     bounded_subsets,
     closure_vertices,
     ehrhart_probe,
+    floor_sum,
     is_bounded_subset,
     lattice_count,
     lattice_points,
@@ -332,17 +333,100 @@ def test_integer_volumes_match_fraction_referee():
     assert positive > 50
 
 
+def p3():
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    return make_fan(3, rays, [set(c) for c in combinations(range(4), 3)])
+
+
 def test_fiber_budget(monkeypatch):
-    fan = p2()
-    d = scale(ray_divisor(fan, 0), 10**9)
-    with pytest.raises(CapExceededError):
-        h_all(fan, d)
-    # The h^0 triangle of 99 * D_0 has 100 fibers: at the budget it counts.
+    fan, space = p2(), p3()
+    big = 10**9
+    # Counts in 2-D no longer grow with m: h^0 of 10^9 * D_0 on P^2 is exact.
+    assert h_all(fan, scale(ray_divisor(fan, 0), big)) == (math.comb(big + 2, 2), 0, 0)
+    # The h^0 simplex of 10^9 * D_0 on P^3 has 10^9 + 1 slices: past the budget.
+    with pytest.raises(CapExceededError, match="fibers"):
+        h_all(space, scale(ray_divisor(space, 0), big))
     monkeypatch.setattr(regions, "FIBER_BUDGET", 100)
+    # The h^0 triangle of 99 * D_0 has 100 fibers: at the budget it is listed.
     triangle = region(fan, scale(ray_divisor(fan, 0), 99), range(3))
-    assert lattice_count(triangle) == 100 * 101 // 2
+    assert len(lattice_points(triangle)) == 100 * 101 // 2
     with pytest.raises(CapExceededError):
-        lattice_count(region(fan, scale(ray_divisor(fan, 0), 100), range(3)))
+        lattice_points(region(fan, scale(ray_divisor(fan, 0), 100), range(3)))
+    # The h^0 simplex of 99 * D_0 on P^3 has 100 slices: at the budget it counts.
+    simplex = region(space, scale(ray_divisor(space, 0), 99), range(4))
+    assert lattice_count(simplex) == math.comb(102, 3)
+    with pytest.raises(CapExceededError):
+        lattice_count(region(space, scale(ray_divisor(space, 0), 100), range(4)))
+
+
+def test_floor_sum_matches_brute_force():
+    rng = random.Random(61)
+    cases = [(0, 1, 0, 0), (0, 7, -3, 5), (5, 1, -3, 4), (1, 1, 0, -9)]
+    cases += [
+        (rng.randint(0, 40), rng.randint(1, 30), rng.randint(-60, 60), rng.randint(-300, 300))
+        for _ in range(400)
+    ]
+    for n, m, a, b in cases:
+        expected = sum((a * i + b) // m for i in range(n))
+        assert floor_sum(n, m, a, b) == expected, (n, m, a, b)
+
+
+def test_slice_count_matches_fiber_listing():
+    # lattice_count walks 2-D slices with floor sums; lattice_points
+    # still lists the fibers along the last axis.
+    rng = random.Random(67)
+    fans = [fixture() for fixture in ALL_FIXTURES] + list(weighted_projective_spaces())
+    regions_checked = positive = 0
+    for fan in fans:
+        k = len(fan.rays)
+        base = divisor([Fraction(rng.randint(-4, 4), rng.choice((2, 3, 5, 7))) for _ in range(k)])
+        ample = divisor([1] * k)
+        dilations = (1, 2, 13, 300) if fan.dim <= 2 else (1, 2, 5, 14)
+        divisors = [divisor([0] * k)] + [scale(d, m) for d in (base, ample) for m in dilations]
+        for d in divisors:
+            for subset in bounded_subsets(fan):
+                reg = region(fan, d, subset)
+                expected = len(lattice_points(reg))
+                assert lattice_count(reg) == expected, (fan, sorted(subset), d)
+                regions_checked += 1
+                positive += expected > 0
+    # Bare regions on random rows: steep envelopes, rows with a zero last
+    # coefficient and gaps that change sign between two integers.
+    for dim in (2, 3):
+        for _ in range(400):
+            k = rng.randint(dim + 1, dim + 3)
+            normals = tuple(tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(k))
+            levels = tuple(
+                Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 5, 7))) for _ in range(k)
+            )
+            weak = tuple(rng.random() < 0.5 for _ in range(k))
+            reg = HalfOpenRegion(normals, levels, weak, dim)
+            try:
+                expected = len(lattice_points(reg))
+            except UnboundedRegionError:
+                continue
+            assert lattice_count(reg) == expected, reg
+            regions_checked += 1
+            positive += expected > 0
+    assert regions_checked > 2000
+    assert positive > 250
+
+
+def test_floor_sum_calls_independent_of_m(monkeypatch):
+    fan = p2()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return floor_sum(*args)
+
+    monkeypatch.setattr(regions, "floor_sum", counted)
+    counts = []
+    for m in (10, 300, 10**9):
+        calls.clear()
+        assert h_all(fan, scale(ray_divisor(fan, 0), m)) == (math.comb(m + 2, 2), 0, 0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] > 0
 
 
 def test_region_partition_property():
