@@ -4,10 +4,15 @@ A fan is stored as a primitive integer ray list plus the ray-index sets
 of its maximal cones.  All derived structure (face lattice, facet
 pairing, subfans) is computed exactly.  Validation checks strong
 convexity and extreme rays by exact LP only on cones whose generators
-are dependent (independent generators settle both with one rank), and
-solves one relative-interior LP per pair of maximal cones to check that
-they meet in a common face; face tests of non-simplicial cones are
-exact LP feasibility too.
+are dependent (independent generators settle both with one rank).  A
+cone list that passes ``_glued_cover_once`` (full-dimensional simplicial
+cones glued facet to facet on opposite sides, covering one generic point
+exactly once) is a complete fan by the proof in that docstring and needs
+no further test, which is how every complete simplicial fan is
+validated with no LP.  Every other cone list solves one
+relative-interior LP per pair of maximal cones to check that they meet
+in a common face; face tests of non-simplicial cones are exact LP
+feasibility too.
 
 Fan objects are immutable after validation and every operation here is
 a pure function, so values may be shared freely between threads.  The
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidFanError, NotSimplicialError
-from .linalg import det, rank
+from .linalg import _kernel_direction, det, dot, rank
 from .lp import cone_contains, is_face_subset, is_pointed, relative_interior_functional
 
 
@@ -83,12 +88,115 @@ def _intersection_faces(rays, c1, c2) -> tuple[set[int], set[int]]:
     return {gens[j] for j in implicit if j < len(g1)}, {gens[j] for j in implicit if j >= len(g1)}
 
 
+def _glued_cover_once(dim: int, rays, cones) -> bool:
+    """Whether the cones pass a combinatorial test that makes them a complete fan.
+
+    The test, in integers only, accepts when
+
+    (a) every cone has ``dim`` linearly independent rays;
+    (b) every facet F (the cone's rays less one) is a facet of exactly
+        two cones;
+    (c) the two rays opposite F lie strictly on opposite sides of the
+        hyperplane <nu_F, x> = 0, nu_F the integer kernel vector of F's
+        rays (``_kernel_direction``);
+    (d) the point g = (1, t, ..., t^(dim-1)), t = 1 + max |nu_F entry|,
+        lies in exactly one cone.
+
+    g lies on no facet hyperplane: <nu_F, g> is a nonzero integer
+    polynomial in t whose leading coefficient is at least 1 and whose
+    other coefficients are at most t - 1, all in absolute value, so by
+    Cauchy's bound all its roots are smaller than t in absolute value.
+    Hence g is in a cone exactly when each <nu_F, g> has the sign of
+    <nu_F, r> for the ray r opposite F.
+
+    Proof that an accepted list is a complete fan (dim >= 1, dim = 1
+    included: there the only facet is the empty set, nu = (1,) and its
+    hyperplane is {0}).
+
+    1. One count.  Off the facet hyperplanes let c(x) be the number of
+       cones that contain x.  Every cone boundary lies in these
+       hyperplanes, so c is constant on each open cell they cut out.
+       Two cells with a common wall in a hyperplane H meet at points x
+       of H on no other facet hyperplane and in no span of dim - 2 rays
+       of a cone (finitely many subspaces of dimension at most dim - 2;
+       none for dim = 1).  A cone with such an x on its boundary has x
+       in the relative interior of exactly one of its facets F, and F
+       spans H.  By (b) and (c) F has one cone on each side of H, so
+       crossing H at x enters one cone for each cone it leaves, and c
+       agrees on the two cells.  A generic segment crosses the
+       hyperplanes one at a time at such points, so every cell is
+       reached from every other: c is constant, and c = 1 by (d).
+    2. Union and interiors.  The closed cones cover the dense set of
+       points off the hyperplanes, so their union is R^dim.  Two cones
+       of the list (or two copies of one) with a common interior point
+       share an open set, hence a point off the hyperplanes counted
+       twice; so their interiors are disjoint and no cone repeats.
+    3. Common faces.  Disjoint interiors alone do not give these: a
+       cone could meet another in part of a facet.  Gluing facet to
+       facet does.  Take x in a cone sigma and let S be the rays with a
+       positive coefficient in x, so x is in the relative interior of
+       the face cone(S).  Modulo span(S) the cones whose rays contain
+       S become full-dimensional simplicial cones, whose facets are the
+       images of the facets F that contain S; both cones of such an F
+       contain S, and nu_F vanishes on span(S), so (b) and (c) hold
+       for them and step 1 gives them a constant count c_S >= 1
+       (sigma is one of them; with dim rays in S the quotient is a
+       point and c_S counts the cones on S).  Since the coefficients
+       on S stay positive near x, a point y near x lies in such a cone
+       exactly when its image lies in that cone's image.  So the cones
+       on S already cover every point near x off the hyperplanes c_S
+       times; as c = 1, c_S = 1 and no other cone holds such a point.
+       A cone tau that contains x has interior points, hence points off
+       the hyperplanes, in every neighbourhood of x, so tau's rays
+       contain S; they are independent, so S is tau's support of x as
+       well.  Hence every point of sigma & tau lies in the cone over
+       the common rays, and sigma & tau is that cone: a common face,
+       equal to neither cone by step 2.
+
+    So every pair of cones meets in a common proper face, and the pair
+    loop of ``fan_diagnostics`` would report nothing.
+    """
+    normals: dict[frozenset[int], list[int]] = {}
+    sides: dict[frozenset[int], list[bool]] = {}
+    for cone in cones:
+        if len(cone) != dim:
+            return False
+        for i in cone:
+            facet = cone - {i}
+            if facet not in normals:
+                normal = _kernel_direction([rays[j] for j in sorted(facet)], dim)
+                if normal is None:
+                    return False
+                normals[facet], sides[facet] = normal, []
+            side = dot(normals[facet], rays[i])
+            if side == 0:
+                return False
+            sides[facet].append(side > 0)
+    if any(sorted(s) != [False, True] for s in sides.values()):
+        return False
+    t = 1 + max((abs(x) for normal in normals.values() for x in normal), default=0)
+    g = [t**j for j in range(dim)]
+
+    def above(cone, i, x):
+        return dot(normals[cone - {i}], x) > 0
+
+    return sum(all(above(c, i, g) == above(c, i, rays[i]) for i in c) for c in cones) == 1
+
+
 def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     """Validate raw fan data.
 
     Returns the diagnostic list together with the Fan built from the
     (primitivized) data when no hard violation was found.  Non-primitive
     input rays are reported but repaired; everything else is fatal.
+
+    After the checks on rays and single cones, cones that pass
+    ``_glued_cover_once`` form a complete simplicial fan, so no pair of
+    them can be reported and the pair loop is skipped: such a fan is
+    validated with no LP.  Every other cone list (incomplete,
+    non-simplicial or invalid) runs the pair loop, one
+    relative-interior LP per pair of cones, with its diagnostics in
+    the same order.
     """
     diags: list[str] = []
     fatal = False
@@ -162,7 +270,8 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
             diags.append(f"ray {i} not used by any cone")
             fatal = True
 
-    for a, b in combinations(range(len(cones)), 2):
+    pairs = () if _glued_cover_once(dim, clean_rays, cones) else combinations(range(len(cones)), 2)
+    for a, b in pairs:
         if cones[a] == cones[b]:
             diags.append(f"cone {b} duplicates cone {a}")
             fatal = True

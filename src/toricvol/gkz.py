@@ -708,13 +708,13 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     values = hhat(fan, d)
     if any(values[i] != 0 for i in range(1, fan.dim + 1)):
         raise ToricError("internal: ample class with nonzero higher growth")
+    slacks = [dot(row, d) for row in chamber.inequalities]
     for rho in range(len(fan.rays)):
         for sign in (1, -1):
             step = Fraction(1)
-            for row in chamber.inequalities:
+            for row, slack in zip(chamber.inequalities, slacks):
                 drop = row[rho] * sign
                 if drop < 0:
-                    slack = dot(row, d)
                     step = min(step, slack / (-2 * drop))
             probe = list(d)
             probe[rho] += sign * step

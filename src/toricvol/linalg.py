@@ -5,9 +5,11 @@ integer rows with Edmonds' integer-preserving pivot (``integer_pivot``),
 which reports its pivot columns, its final common denominator and the
 sign that row swaps and pivot-row negations give the determinant.  The
 simplex tableau, the vertex bases, boundedness tests and volumes of
-regions call it on integers directly.  ``rank``, ``solve``,
-``nullspace``, ``det`` and ``affine_rank`` read its result through one
-rational front end that first clears each row to integers with
+regions call it on integers directly, and so does ``_kernel_direction``,
+the integer normal of n - 1 integer rows that gives both the cocircuits
+of region normals and the facet normals of fan validation.  ``rank``,
+``solve``, ``nullspace``, ``det`` and ``affine_rank`` read its result
+through one rational front end that first clears each row to integers with
 ``to_integers``.  Since the reduced row echelon form is unique, their
 answers are exactly those of Gaussian elimination over ``Fraction``;
 matrices at desk scale stay tiny (at most a few hundred rows), so no
@@ -93,6 +95,24 @@ def integer_eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int
         denom = integer_pivot(rows, r, col, denom)
         pivots.append(col)
     return pivots, denom, sign
+
+
+def _kernel_direction(rows: Sequence[Sequence[int]], n: int) -> list[int] | None:
+    """A nonzero integer u with <u, r> = 0 for the n - 1 integer rows, or None.
+
+    None when the rows are dependent, so that their kernel is not a line.
+    With no rows (n = 1) the kernel is the whole line and u = (1,).
+    """
+    rows = [list(r) for r in rows]
+    pivots, denom, _ = integer_eliminate(rows, n)
+    if len(pivots) < n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    u = [0] * n
+    u[free] = denom
+    for row, col in zip(rows, pivots):
+        u[col] = -row[free]
+    return u
 
 
 def _reduce(matrix: Sequence[Sequence], ncols: int | None = None):

@@ -59,7 +59,7 @@ from typing import Callable
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
-from .linalg import affine_rank, dot, integer_eliminate, rank, to_integers
+from .linalg import _kernel_direction, affine_rank, dot, integer_eliminate, rank, to_integers
 
 
 # Fixed work caps; past either one, CapExceededError.  A region sum visits
@@ -138,23 +138,6 @@ def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
         dim=fan.dim,
         memo=fan.memo,
     )
-
-
-def _kernel_direction(rows, n):
-    """A nonzero integer u with <u, r> = 0 for the n - 1 integer rows, or None.
-
-    None when the rows are dependent, so that their kernel is not a line.
-    """
-    rows = [list(r) for r in rows]
-    pivots, denom, _ = integer_eliminate(rows, n)
-    if len(pivots) < n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    u = [0] * n
-    u[free] = denom
-    for row, col in zip(rows, pivots):
-        u[col] = -row[free]
-    return u
 
 
 def _unbounded_patterns(reg: HalfOpenRegion):

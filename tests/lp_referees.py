@@ -2,9 +2,9 @@
 
 The library decides region boundedness from cocircuit sign patterns
 (``toricvol.regions``), finds relative-interior functionals with a
-2k-row LP on nonnegative variables (``toricvol.lp``) and skips the
+2k-row LP on nonnegative variables (``toricvol.lp``), skips the
 pointedness and extreme-ray LPs on cones with independent generators
-(``toricvol.fan``).  This module keeps each older LP formulation once,
+and skips the pair LPs on complete simplicial fans (``toricvol.fan``).  This module keeps each older LP formulation once,
 so that tests can check the production answers against it:
 
 * ``gordan_is_bounded``: one Gordan-alternative LP per weak set;

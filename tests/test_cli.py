@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from test_cold_path import counting_solve_lp
 from toricvol.cli import decimal_string, format_rational, main
 from fractions import Fraction
 
@@ -338,6 +339,17 @@ def test_cohom_oracle_on_3d_fan(tmp_path):
     code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div, "--check-oracle")
     assert code == 0
     assert report["result"]["oracle_agrees"] is True
+
+
+def test_cohom_on_complete_simplicial_fan_solves_no_lp(tmp_path, monkeypatch):
+    calls = counting_solve_lp(monkeypatch)
+    fan = write(tmp_path, "fan.json", P3)
+    div = write(tmp_path, "d.json", {"coeffs": [1, 0, 0, -5]})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div, "--check-oracle")
+    assert code == 0
+    assert report["result"]["h"] == ["0", "0", "0", "1"]
+    assert report["result"]["oracle_agrees"] is True
+    assert calls == []
 
 
 def test_report_determinism(tmp_path):

@@ -3,9 +3,9 @@
 Boundedness of regions is read off cocircuit sign patterns, relative-
 interior functionals come from a 2k-row LP, and fan validation skips
 the pointedness and extreme-ray LPs on cones with independent
-generators.  The referees in ``lp_referees`` run the older LPs; every
-answer must be identical, and the LP counts show what the cold path
-still solves.
+generators and the pair LPs on complete simplicial fans.  The referees
+in ``lp_referees`` run the older LPs; every answer must be identical,
+and the LP counts show what the cold path still solves.
 """
 
 import math
@@ -14,12 +14,14 @@ from itertools import combinations
 
 import pytest
 
+import toricvol.fan as fan_module
 import toricvol.lp as lp
+from generated_fans import polygon_fan_data, star_fan_data
 from lp_referees import all_lp_diagnostics, gordan_is_bounded, relative_interior_3k
 from test_region_sum import POLY12_RAYS, p123, p1235, poly12
 from toricvol import fixtures, regions
 from toricvol.cohomology import h_all
-from toricvol.fan import fan_diagnostics, is_simplicial, make_fan
+from toricvol.fan import fan_diagnostics, is_complete, is_simplicial, make_fan
 from toricvol.gkz import enumerate_maximal_chambers, locate_chamber, located_cone, nef_decomposition
 from toricvol.linalg import dot, rank
 from toricvol.lp import relative_interior_functional
@@ -207,15 +209,8 @@ def test_fan_diagnostics_match_all_lp_referee():
     assert outcomes == {"valid", "non-simplicial", "invalid", *kinds}
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        (fixtures.bl3_p2().dim, fixtures.bl3_p2().rays, fixtures.bl3_p2().max_cones),
-        (2, POLY12_RAYS, [{i, (i + 1) % 12} for i in range(12)]),
-    ],
-    ids=["bl3_p2", "poly12"],
-)
-def test_cold_fan_solves_one_lp_per_cone_pair(monkeypatch, data):
+def counting_solve_lp(monkeypatch):
+    """Route every ``lp.solve_lp`` call through a list of its arguments."""
     calls = []
     original = lp.solve_lp
 
@@ -224,9 +219,129 @@ def test_cold_fan_solves_one_lp_per_cone_pair(monkeypatch, data):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lp, "solve_lp", counted)
+    return calls
+
+
+def fan_data(fan):
+    return fan.dim, fan.rays, [sorted(c) for c in fan.max_cones]
+
+
+BL3_P2 = fan_data(fixtures.bl3_p2())
+POLY12 = (2, POLY12_RAYS, [{i, (i + 1) % 12} for i in range(12)])
+
+
+@pytest.mark.parametrize(
+    "data, pair_lps",
+    [
+        (BL3_P2, 0),
+        (POLY12, 0),
+        ((BL3_P2[0], BL3_P2[1], BL3_P2[2][1:]), math.comb(5, 2)),
+        (fan_data(fixtures.cube_fan()), math.comb(6, 2)),
+    ],
+    ids=["bl3_p2", "poly12", "bl3_p2_less_one_cone", "cube_fan"],
+)
+def test_cold_fan_lp_count(monkeypatch, data, pair_lps):
+    """Complete simplicial fans validate with no LP, and their cold
+    ``bounded_subsets`` and ``h_all`` solve none either; an incomplete or
+    a non-simplicial fan still solves one LP per pair of cones."""
+    calls = counting_solve_lp(monkeypatch)
+    pairs = []
+    original = fan_module.relative_interior_functional
+
+    def counted(rows):
+        pairs.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(fan_module, "relative_interior_functional", counted)
     fan = make_fan(*data)
-    assert len(calls) == math.comb(len(fan.max_cones), 2)
-    calls.clear()
+    assert len(pairs) == pair_lps
+    if pair_lps:
+        return
+    assert calls == []
     assert bounded_subsets(fan)
     h_all(fan, (1,) * len(fan.rays))
     assert calls == []
+
+
+# Glued facet to facet on opposite sides, but winding twice around 0.
+PENTAGRAM = (
+    2, [(1, 0), (3, 10), (-4, 3), (-4, -3), (3, -10)], [{i, (i + 2) % 5} for i in range(5)]
+)
+
+# Each ray in exactly two cones, but the cones fold back at rays 1 and 2:
+# a point at angle 45 degrees lies in one cone, one at 120 in three.
+FOLD = (2, [(1, 0), (-2, 1), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {2, 3}, {3, 0}])
+
+
+def suspension(dim, rays, cones):
+    """Cones over the data's cones and each of the two apexes (0, ..., 0, +-1)."""
+    apexes = (len(rays), len(rays) + 1)
+    rays = [(*r, 0) for r in rays] + [(0,) * dim + (1,), (0,) * dim + (-1,)]
+    return dim + 1, rays, [set(c) | {apex} for c in cones for apex in apexes]
+
+
+def perturbations(dim, rays, cones, rng):
+    """The valid data, then less one cone, with one cone twice, and with
+    one cone sigma replaced by two overlapping cones: sigma's rays with a
+    replaced by sum(sigma) + a, and with b replaced by sum(sigma) + b."""
+    cones = [sorted(c) for c in cones]
+    j = rng.randrange(len(cones))
+    yield dim, rays, cones
+    yield dim, rays, cones[:j] + cones[j + 1:]
+    yield dim, rays, cones + [cones[j]]
+    a, b = rng.sample(cones[j], 2)
+    total = [sum(rays[i][k] for i in cones[j]) for k in range(dim)]
+    new = [[x + y for x, y in zip(total, rays[i])] for i in (a, b)]
+    k = len(rays)
+    overlap = [[k if i == a else i for i in cones[j]], [k + 1 if i == b else i for i in cones[j]]]
+    yield dim, list(rays) + new, cones[:j] + cones[j + 1:] + overlap
+
+
+def adversarial_cone_lists():
+    rng = random.Random(2718)
+    bases = [
+        fan_data(make())
+        for make in (
+            fixtures.p2, fixtures.p1xp1, fixtures.f1, fixtures.weighted_p112,
+            fixtures.bl2_p2, fixtures.bl3_p2, fixtures.p1_cubed, fixtures.bl1_p3,
+        )
+    ]
+    bases += [star_fan_data(splits, seed) for splits, seed in ((2, 1), (4, 2))]
+    bases += [polygon_fan_data(rng) for _ in range(6)]
+    yield fan_data(fixtures.p1())
+    for folded in (PENTAGRAM, FOLD):
+        yield folded
+        yield suspension(*folded)
+    for base in bases:
+        yield from perturbations(*base, rng)
+
+
+def test_fan_diagnostics_match_all_lp_referee_on_adversarial_lists(monkeypatch):
+    """Identical diagnostics and data on a glued double cover, a folded
+    cover, holes, repeats and overlaps of valid fans; no LP on a complete
+    simplicial fan."""
+    calls = counting_solve_lp(monkeypatch)
+    outcomes = set()
+    for dim, rays, cones in adversarial_cone_lists():
+        calls.clear()
+        diags, fan = fan_diagnostics(dim, rays, cones)
+        lps = len(calls)
+        expected_diags, expected_data = all_lp_diagnostics(dim, rays, cones)
+        assert diags == expected_diags, (dim, rays, cones)
+        assert (None if fan is None else (fan.rays, fan.max_cones)) == expected_data
+        if fan is not None and is_complete(fan) and is_simplicial(fan):
+            assert lps == 0, (dim, rays, cones)
+            outcomes.add(f"complete simplicial {dim}-D")
+        else:
+            outcomes.add("valid, not complete simplicial" if fan else "invalid")
+        kinds = ("improper intersection", "duplicates cone")
+        outcomes.update(kind for kind in kinds for d in diags if kind in d)
+    assert outcomes == {
+        "complete simplicial 1-D", "complete simplicial 2-D", "complete simplicial 3-D",
+        "valid, not complete simplicial",
+        "invalid", "improper intersection", "duplicates cone",
+    }
+    assert fan_diagnostics(*PENTAGRAM)[0] == [
+        f"improper intersection of cone {a} and cone {b}"
+        for a, b in ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+    ]

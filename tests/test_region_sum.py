@@ -9,14 +9,13 @@ their vertices off one arrangement-vertex pass per call.
 
 import functools
 import hashlib
-import math
 import random
-from itertools import combinations
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
+from generated_fans import star_fan_data
 from toricvol import asymptotics, cohomology, fixtures, regions
 from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
 from toricvol.cohomology import cech_oracle, euler_char, h_all
@@ -52,22 +51,8 @@ def p1235():
 
 
 def star4():
-    """A complete simplicial 3-D fan on 8 rays, built from P^3 by 4 star splits.
-
-    Each split picks a maximal cone with ``random.Random(1)``, adds the
-    primitive sum of its three rays and splits the cone into three.
-    """
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    cones = [frozenset(c) for c in combinations(range(4), 3)]
-    rng = random.Random(1)
-    for _ in range(4):
-        cone = rng.choice(cones)
-        total = [sum(rays[i][j] for i in cone) for j in range(3)]
-        g = math.gcd(*total)
-        rays.append(tuple(x // g for x in total))
-        cones.remove(cone)
-        cones += [cone - {i} | {len(rays) - 1} for i in sorted(cone)]
-    return make_fan(3, rays, cones)
+    """A complete simplicial 3-D fan on 8 rays, built from P^3 by 4 star splits."""
+    return make_fan(*star_fan_data(4))
 
 
 COMPLETE_FIXTURES = tuple(
