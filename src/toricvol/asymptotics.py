@@ -11,6 +11,7 @@ growth function.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cohomology import _euler_weight
@@ -60,24 +61,16 @@ def asymptotic_rr_check(fan: Fan, d: Divisor) -> tuple[Fraction, Fraction]:
     return lhs, Fraction(rhs)
 
 
-def _derivative_weights(nodes: list[Fraction]) -> list[Fraction]:
-    """Weights w_k with sum w_k f(x_k) = f'(0) for degree < len(nodes)."""
-    weights = []
-    for k, xk in enumerate(nodes):
-        denom = Fraction(1)
-        for m, xm in enumerate(nodes):
-            if m != k:
-                denom *= xk - xm
-        numer = Fraction(0)
-        for m in range(len(nodes)):
-            if m == k:
-                continue
-            term = Fraction(1)
-            for l, xl in enumerate(nodes):
-                if l != k and l != m:
-                    term *= -xl
-            numer += term
-        weights.append(numer / denom)
+def _derivative_weights(n: int, step: Fraction) -> list[Fraction]:
+    """Weights w_k with sum w_k f(k * step) = f'(0), k = 0..n, for degree <= n.
+
+    The derivative at 0 of the Lagrange interpolant on the nodes k * step:
+    w_0 = -H_n / step and w_k = (-1)^(k+1) C(n, k) / (k * step).
+    """
+    weights = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1):
+        weights[k] = Fraction((-1) ** (k + 1) * math.comb(n, k), k) / step
+        weights[0] -= Fraction(1, k) / step
     return weights
 
 
@@ -115,8 +108,7 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     if step <= 0:
         raise PreconditionError("step bound underflow: no room inside the chamber")
 
-    nodes = [k * step for k in range(n + 1)]
-    weights = _derivative_weights(nodes)
+    weights = _derivative_weights(n, step)
     r = len(rays)
     total = Fraction(0)
     grid: list[tuple[int, ...]] = [()]
@@ -126,7 +118,7 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
         shifted = list(d)
         coeff = Fraction(1)
         for ray, k in zip(rays, assignment):
-            shifted[ray] += nodes[k]
+            shifted[ray] += k * step
             coeff *= weights[k]
         if coeff:
             total += coeff * hhat(fan, tuple(shifted))[0]

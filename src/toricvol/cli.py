@@ -2,12 +2,13 @@
 
 Input documents are UTF-8 JSON.  A fan file carries ``dim``, ``rays``
 (array of integer arrays) and ``cones`` (array of ray-index arrays,
-maximal cones only); a divisor file carries ``coeffs`` as integers or
-"p/q" strings.  JSON floats and booleans are rejected, never rounded or
-coerced.  Reports are byte-deterministic: keys are sorted, every
-rational is emitted as a lowest-terms "p/q" string next to a decimal
-approximation with 12 significant digits, and inputs are identified by
-their sha256 digests.
+maximal cones only), all JSON integers; a divisor file carries
+``coeffs`` as integers or "p/q" strings.  Anything else (strings in the
+fan document, floats, booleans) is rejected, never rounded or coerced.
+Reports are byte-deterministic: keys are sorted, every rational is
+emitted as a lowest-terms "p/q" string next to a decimal approximation
+with 12 significant digits, and inputs are identified by their sha256
+digests.
 
 Exit status: 0 on success, 2 on validation problems (malformed
 documents, invalid fans, bad arguments), 3 on precondition violations
@@ -76,6 +77,9 @@ def decimal_string(x: Fraction, significant: int = 12) -> str:
         exponent -= 1
     places = significant - 1 - exponent
     rounded = round(x, places)
+    if abs(rounded) >= Fraction(10) ** (exponent + 1):
+        places -= 1
+        rounded = round(x, places)
     sign = "-" if rounded < 0 else ""
     if places <= 0:
         return sign + str(abs(int(rounded)))
@@ -109,13 +113,20 @@ def _load_json(path: str):
 
 
 def _exact(value):
-    """A JSON scalar as given, unless it is a float or a boolean.
+    """A divisor coefficient as given, unless it is a float or a boolean.
 
-    ``int`` and ``Fraction`` would truncate 1.7, take 0.1 at its binary
-    value and read true as 1, silently changing the input.
+    ``Fraction`` would take 0.1 at its binary value and read true as 1,
+    silently changing the input.
     """
     if isinstance(value, (bool, float)):
         raise ValueError(f"{json.dumps(value)} is not an integer or a \"p/q\" string")
+    return value
+
+
+def _integer(value) -> int:
+    """A JSON integer as given; ``int`` would read "1_0" as 10 and true as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{json.dumps(value)} is not an integer")
     return value
 
 
@@ -133,10 +144,10 @@ def load_fan_document(path: str):
         if key not in doc:
             raise DocumentError(f"{path}: fan document lacks '{key}'")
     try:
-        dim = int(_exact(doc["dim"]))
-        rays = [[int(_exact(v)) for v in _array(ray)] for ray in _array(doc["rays"])]
-        cones = [[int(_exact(i)) for i in _array(cone)] for cone in _array(doc["cones"])]
-    except (TypeError, ValueError) as err:
+        dim = _integer(doc["dim"])
+        rays = [[_integer(v) for v in _array(ray)] for ray in _array(doc["rays"])]
+        cones = [[_integer(i) for i in _array(cone)] for cone in _array(doc["cones"])]
+    except ValueError as err:
         raise DocumentError(f"{path}: malformed fan fields: {err}") from err
     return dim, rays, cones, digest
 

@@ -15,7 +15,8 @@ This module computes, exactly:
 * explicit inequality systems for chamber cones and membership tests,
 * the located chamber of a divisor class (with an interior flag),
 * the full list of maximal chambers in dimension 2 (dimension 3 behind
-  an opt-in flag, by facet-matching search),
+  an opt-in flag, by facet-matching search), each candidate fan
+  certified complete by the fan validator's integer test,
 * nef decompositions of chamber members, pushforwards, and the chamber
   polynomial of the section growth rate,
 * the ampleness test through neighborhood vanishing of the higher
@@ -49,7 +50,7 @@ from .errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from .fan import Fan, _intersection_faces, is_complete, is_simplicial, make_fan
+from .fan import Fan, _glued_cover_once, is_complete, is_simplicial, make_fan
 from .linalg import det, dot, nullspace, rank, solve, to_integers
 from .lp import cone_contains, feasible_point, relative_interior_functional
 from .regions import HalfOpenRegion, _integer_vertices, closure_vertices, region
@@ -419,25 +420,14 @@ def _cyclic_ray_order(fan: Fan, indices):
 
 
 def _chambers_dim2(fan: Fan):
-    nrays = len(fan.rays)
+    """The cyclic cone list of every ray subset that makes a complete fan."""
     found = []
-    for size in range(3, nrays + 1):
-        for subset in combinations(range(nrays), size):
+    for size in range(3, len(fan.rays) + 1):
+        for subset in combinations(range(len(fan.rays)), size):
             ordered = _cyclic_ray_order(fan, subset)
-            spanning = True
-            for k in range(len(ordered)):
-                a = fan.rays[ordered[k]]
-                b = fan.rays[ordered[(k + 1) % len(ordered)]]
-                if a[0] * b[1] - a[1] * b[0] <= 0:
-                    spanning = False
-                    break
-            if not spanning:
-                continue
-            cones = [
-                frozenset({ordered[k], ordered[(k + 1) % len(ordered)]})
-                for k in range(len(ordered))
-            ]
-            found.append(cones)
+            cones = [frozenset({a, b}) for a, b in zip(ordered, ordered[1:] + ordered[:1])]
+            if _glued_cover_once(2, fan.rays, cones):
+                found.append(cones)
     return found
 
 
@@ -450,12 +440,16 @@ def _chambers_dim3(fan: Fan):
     all_found: set[frozenset[frozenset[int]]] = set()
     for size in range(4, nrays + 1):
         for subset in combinations(range(nrays), size):
-            for fanset in _fans_on_rays_3d(fan, subset):
-                all_found.add(fanset)
+            all_found.update(_fans_on_rays_3d(fan, subset))
     return [sorted(fs, key=sorted) for fs in sorted(all_found, key=lambda f: sorted(map(sorted, f)))]
 
 
 def _fans_on_rays_3d(fan: Fan, subset):
+    """The complete simplicial fans on exactly the rays of ``subset``.
+
+    Fills the least open facet with a cone on its other side until none
+    is open; ``_glued_cover_once`` certifies each closed cone set.
+    """
     rays = fan.rays
     idx = sorted(subset)
     candidates = [
@@ -463,8 +457,6 @@ def _fans_on_rays_3d(fan: Fan, subset):
         for c in combinations(idx, 3)
         if rank([rays[i] for i in c]) == 3
     ]
-    if not candidates:
-        return []
 
     def side(facet, other):
         f = sorted(facet)
@@ -492,9 +484,8 @@ def _fans_on_rays_3d(fan: Fan, subset):
         if opens is None:
             return
         if not opens:
-            used = set().union(*chosen)
-            if used == set(idx):
-                results.add(frozenset(chosen))
+            if set().union(*chosen) == set(idx) and _glued_cover_once(3, rays, chosen):
+                results.add(state)
             return
         facet = min(opens, key=sorted)
         owner = next(c for c in chosen if facet < c)
@@ -503,10 +494,7 @@ def _fans_on_rays_3d(fan: Fan, subset):
             if not facet < cand or cand in chosen:
                 continue
             new_side = side(facet, next(iter(cand - facet)))
-            if new_side == 0 or (new_side > 0) == (old_side > 0):
-                continue
-            faces = (_intersection_faces(rays, cand, c) for c in chosen)
-            if all(f1 == f2 for f1, f2 in faces):
+            if new_side != 0 and (new_side > 0) != (old_side > 0):
                 grow(chosen | {cand})
 
     seed_ray = idx[0]
@@ -520,10 +508,13 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
     """Every maximal chamber cone, as (fan, strict-ray) pairs with systems.
 
     Maximal chambers correspond to the complete simplicial projective
-    fans whose rays come from the ambient ray list.  Dimension 2 is
-    enumerated through the cyclic ray order and is the supported
-    surface; dimension 3 is a best-effort facet-matching search behind
-    the ``allow_dim3`` flag.  The chamber list depends on the fan only:
+    fans whose rays come from the ambient ray list.  Dimension 2 tries
+    the cyclic cone list of every ray subset; dimension 3 runs an
+    exhaustive facet-matching search, behind the ``allow_dim3`` flag and
+    capped at 8 rays.  Either way a candidate is kept only when
+    ``fan._glued_cover_once`` certifies it a complete fan, in integers
+    and with no LP; only the projectivity test of each kept candidate
+    solves one.  The chamber list depends on the fan only:
     the search runs once per fan, and every call returns a new list of
     fresh ``GKZCone`` objects.
     """
@@ -535,7 +526,7 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
         search = _chambers_dim3
     elif fan.dim == 3:
         raise UnsupportedDimensionError(
-            "dimension-3 enumeration is best effort: pass allow_dim3=True"
+            "dimension-3 enumeration is opt-in: pass allow_dim3=True"
         )
     else:
         raise UnsupportedDimensionError("chamber enumeration supports dimensions 2 and 3")

@@ -4,21 +4,26 @@ The library decides region boundedness from cocircuit sign patterns
 (``toricvol.regions``), finds relative-interior functionals with a
 2k-row LP on nonnegative variables (``toricvol.lp``), skips the
 pointedness and extreme-ray LPs on cones with independent generators
-and skips the pair LPs on complete simplicial fans (``toricvol.fan``).  This module keeps each older LP formulation once,
+and skips the pair LPs on complete simplicial fans (``toricvol.fan``),
+and certifies dimension-3 chamber candidates with the same integer test
+(``toricvol.gkz``).  This module keeps each older LP formulation once,
 so that tests can check the production answers against it:
 
 * ``gordan_is_bounded``: one Gordan-alternative LP per weak set;
 * ``relative_interior_3k``: the 3k-row LP on free (w, t);
 * ``all_lp_diagnostics``: ``fan_diagnostics`` with every cone checked by
   LP and every pair separated by ``relative_interior_3k``;
-* ``max_over_cone_is_zero``: boundedness of one objective over a cone.
+* ``max_over_cone_is_zero``: boundedness of one objective over a cone;
+* ``pairwise_lp_fans_on_rays_3d``: the dimension-3 facet-matching
+  search that keeps a partial fan only while every pair of its cones
+  meets in a common face by ``relative_interior_3k``.
 """
 
 from itertools import combinations
 
 from toricvol.errors import ToricError
 from toricvol.fan import Fan, primitivize
-from toricvol.linalg import dot, rank
+from toricvol.linalg import det, dot, rank
 from toricvol.lp import OPTIMAL, cone_contains, feasible_point, is_pointed, solve_lp
 
 
@@ -183,3 +188,56 @@ def all_lp_diagnostics(dim, rays, max_cones):
         return diags, None
     fan = Fan(dim, clean_rays, cones)
     return diags, (fan.rays, fan.max_cones)
+
+
+def pairwise_lp_fans_on_rays_3d(rays, subset):
+    """The complete simplicial fans on exactly the rays of ``subset``, in dim 3.
+
+    Grows cone sets from the cones on the smallest ray, always filling
+    the least open facet (a facet of one chosen cone only) with a cone
+    whose opposite ray is strictly on the other side; a cone joins only
+    if it meets every chosen cone in a common face, one LP per pair.  A
+    set with no open facet that uses every ray of the subset is a fan.
+    """
+    idx = sorted(subset)
+    candidates = [frozenset(c) for c in combinations(idx, 3) if rank([rays[i] for i in c]) == 3]
+
+    def side(facet, other):
+        f = sorted(facet)
+        return det([rays[f[0]], rays[f[1]], rays[other]])
+
+    results = set()
+    visited = set()
+
+    def grow(chosen):
+        if chosen in visited:
+            return
+        visited.add(chosen)
+        counts = {}
+        for cone in chosen:
+            for x in cone:
+                counts[cone - {x}] = counts.get(cone - {x}, 0) + 1
+        if any(v > 2 for v in counts.values()):
+            return
+        opens = [f for f, c in counts.items() if c == 1]
+        if not opens:
+            if set().union(*chosen) == set(idx):
+                results.add(chosen)
+            return
+        facet = min(opens, key=sorted)
+        owner = next(c for c in chosen if facet < c)
+        old_side = side(facet, next(iter(owner - facet)))
+        for cand in candidates:
+            if not facet < cand or cand in chosen:
+                continue
+            new_side = side(facet, next(iter(cand - facet)))
+            if new_side == 0 or (new_side > 0) == (old_side > 0):
+                continue
+            faces = (_intersection_faces_3k(rays, cand, c) for c in chosen)
+            if all(f1 == f2 for f1, f2 in faces):
+                grow(chosen | {cand})
+
+    for seed in candidates:
+        if idx[0] in seed:
+            grow(frozenset({seed}))
+    return results

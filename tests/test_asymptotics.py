@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from toricvol.asymptotics import (
+    _derivative_weights,
     asymptotic_rr_check,
     hhat,
     mixed_partial_h0,
@@ -143,6 +144,22 @@ def test_limit_convergence_probe():
         for i in range(2):
             gap = abs(Fraction(hs[i], m) - target[i])
             assert gap <= Fraction(1, m)
+
+
+def test_derivative_weights_are_exact_on_polynomials():
+    # sum w_k p(k * step) = p'(0) for every polynomial of degree <= n.
+    rng = random.Random(15)
+    for n in range(1, 6):
+        for step in (Fraction(1), Fraction(1, 3), Fraction(7, 100), Fraction(5, 2)):
+            weights = _derivative_weights(n, step)
+            for _ in range(5):
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
+
+                def p(x):
+                    return sum(c * x**j for j, c in enumerate(coeffs))
+
+                total = sum(w * p(k * step) for k, w in enumerate(weights))
+                assert total == coeffs[1], (n, step, coeffs)
 
 
 def test_mixed_partial_examples():

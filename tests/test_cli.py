@@ -49,6 +49,11 @@ def test_decimal_string():
     assert decimal_string(Fraction(0)) == "0.00000000000"
     assert decimal_string(Fraction(-1, 3)) == "-0.333333333333"
     assert decimal_string(Fraction(123456789012345)) == "123456789012000"
+    # Rounding that carries into a new leading digit keeps 12 digits.
+    assert decimal_string(Fraction(99999999999999, 10**13)) == "10.0000000000"
+    assert decimal_string(Fraction(9999999999999, 10**13)) == "1.00000000000"
+    assert decimal_string(Fraction(-99999999999999, 10**13)) == "-10.0000000000"
+    assert decimal_string(Fraction(-9999999999999, 10**13)) == "-1.00000000000"
 
 
 def test_asym_report(tmp_path):
@@ -319,6 +324,26 @@ def test_inexact_json_numbers_rejected(tmp_path, fan_doc, coeffs):
     code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
     assert code == 2
     assert report["error"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "fan_doc",
+    [
+        dict(P2, dim="2"),
+        dict(P2, rays=[[1, 0], [0, " 1"], [-1, -1]]),
+        dict(P2, cones=[["0", 1], [1, 2], [2, 0]]),
+    ],
+    ids=["dim-string", "ray-string", "cone-string"],
+)
+def test_string_integers_rejected(tmp_path, fan_doc):
+    # int() would read " 1" as 1 and "1_0" as 10; fan fields are JSON integers.
+    fan = write(tmp_path, "fan.json", fan_doc)
+    div = write(tmp_path, "d.json", {"coeffs": ["1/2", 0, 0]})
+    for argv in (["validate"], ["cohom", "--divisor", div]):
+        code, report = run(tmp_path, *argv, "--fan", fan)
+        assert code == 2
+        assert report["error"]["kind"] == "validation"
+        assert "is not an integer" in report["error"]["message"]
 
 
 def test_divisor_length_mismatch(tmp_path):

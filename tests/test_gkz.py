@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from generated_fans import star_fan_data
+from lp_referees import pairwise_lp_fans_on_rays_3d
+from test_cold_path import PENTAGRAM, counting_solve_lp, suspension
+from toricvol import gkz
 from toricvol.asymptotics import hhat, mixed_partial_h0
 from toricvol.divisor import divisor, is_ample, linear_equiv_shift, ray_divisor, scale
 from toricvol.errors import (
@@ -11,7 +16,8 @@ from toricvol.errors import (
     NotSimplicialError,
     UnsupportedDimensionError,
 )
-from toricvol.fixtures import bl2_p2, bl3_p2, cube_fan, f1, p1_cubed, p1xp1, p2
+from toricvol.fan import make_fan
+from toricvol.fixtures import bl1_p3, bl2_p2, bl3_p2, cube_fan, f1, p1_cubed, p1xp1, p2
 from toricvol.gkz import (
     ample_via_asymptotics,
     enumerate_maximal_chambers,
@@ -202,6 +208,38 @@ def test_enumerate_dim3_p1cubed():
     assert len(chambers) == 1
     assert set(chambers[0].sigma_cones) == set(fan.max_cones)
     assert chambers[0].strict_rays == frozenset()
+
+
+def pentagon_suspension():
+    """A complete fan whose rays also carry the suspended pentagram: cones
+    glued facet to facet on opposite sides that cover space twice."""
+    return make_fan(*suspension(2, PENTAGRAM[1], [{i, (i + 1) % 5} for i in range(5)]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        bl1_p3,
+        p1_cubed,
+        lambda: make_fan(*star_fan_data(1)),
+        lambda: make_fan(*star_fan_data(2)),
+        pentagon_suspension,
+    ],
+    ids=["bl1_p3", "p1_cubed", "star1", "star2", "pentagon_suspension"],
+)
+def test_dim3_search_matches_pairwise_lp_referee(monkeypatch, make):
+    """The integer certificate keeps exactly the fans that the pairwise
+    LP prune keeps, on every ray subset, and the search solves no LP."""
+    fan = make()
+    calls = counting_solve_lp(monkeypatch)
+    found = {}
+    for size in range(4, len(fan.rays) + 1):
+        for subset in combinations(range(len(fan.rays)), size):
+            found[subset] = set(gkz._fans_on_rays_3d(fan, subset))
+    assert calls == []
+    assert any(found.values())
+    for subset, fans in found.items():
+        assert fans == pairwise_lp_fans_on_rays_3d(fan.rays, subset), subset
 
 
 def test_gkz_membership_examples():

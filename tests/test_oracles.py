@@ -2,18 +2,28 @@
 
 Volumes come from a recursive facet triangulation; these tests recheck
 them against formulas that share no code with that path (shoelace areas
-in the plane, box products in space), and recheck the dimension-3
-chamber search against a hand-built two-chamber example.
+in the plane, box products in space), recheck the dimension-2 chamber
+candidates against an angular-gap oracle with its own angular order,
+and the dimension-3 chamber search against a hand-built two-chamber
+example.
 """
 
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 
+from generated_fans import polygon_fan_data
 from lp_referees import max_over_cone_is_zero
 from toricvol.divisor import divisor
+from toricvol.fan import make_fan
 from toricvol.fixtures import bl1_p3, bl2_p2, bl3_p2, f1, p1_cubed, p1xp1, p2
-from toricvol.gkz import enumerate_maximal_chambers, gkz_membership, locate_chamber
+from toricvol.gkz import (
+    _chambers_dim2,
+    enumerate_maximal_chambers,
+    gkz_membership,
+    locate_chamber,
+)
 from toricvol.regions import (
     bounded_subsets,
     closure_vertices,
@@ -23,16 +33,11 @@ from toricvol.regions import (
 )
 
 
-def shoelace_double_area(points):
-    """Twice the area of a convex planar polygon given unordered vertices."""
-    if len(points) < 3:
-        return Fraction(0)
-    cx = sum(p[0] for p in points) / len(points)
-    cy = sum(p[1] for p in points) / len(points)
+def by_angle(items, vector):
+    """The items sorted by the angle of their vectors, counterclockwise from (1, 0)."""
 
     def compare(a, b):
-        ax, ay = a[0] - cx, a[1] - cy
-        bx, by = b[0] - cx, b[1] - cy
+        (ax, ay), (bx, by) = vector(a), vector(b)
         ha = 0 if (ay > 0 or (ay == 0 and ax > 0)) else 1
         hb = 0 if (by > 0 or (by == 0 and bx > 0)) else 1
         if ha != hb:
@@ -40,7 +45,16 @@ def shoelace_double_area(points):
         cross = ax * by - ay * bx
         return -1 if cross > 0 else (1 if cross < 0 else 0)
 
-    ordered = sorted(points, key=cmp_to_key(compare))
+    return sorted(items, key=cmp_to_key(compare))
+
+
+def shoelace_double_area(points):
+    """Twice the area of a convex planar polygon given unordered vertices."""
+    if len(points) < 3:
+        return Fraction(0)
+    cx = sum(p[0] for p in points) / len(points)
+    cy = sum(p[1] for p in points) / len(points)
+    ordered = by_angle(points, lambda p: (p[0] - cx, p[1] - cy))
     total = Fraction(0)
     for i, p in enumerate(ordered):
         q = ordered[(i + 1) % len(ordered)]
@@ -148,30 +162,38 @@ def test_partition_and_location_on_hexagon():
             assert not strict
 
 
+def gap_oracle_chambers(fan):
+    """The cyclic cone lists of the ray subsets whose angular gaps all stay
+    below a half turn, subsets in ``combinations`` order."""
+    k = len(fan.rays)
+    found = []
+    for size in range(3, k + 1):
+        for subset in combinations(range(k), size):
+            ordered = by_angle(subset, lambda i: fan.rays[i])
+            pairs = list(zip(ordered, ordered[1:] + ordered[:1]))
+            if all(
+                fan.rays[a][0] * fan.rays[b][1] - fan.rays[a][1] * fan.rays[b][0] > 0
+                for a, b in pairs
+            ):
+                found.append([frozenset(pair) for pair in pairs])
+    return found
+
+
 def test_dim2_chamber_counts_match_gap_oracle():
     # In the plane, maximal chambers correspond to ray subsets whose
-    # cyclic angular gaps all stay below a half turn; count them directly.
-    from itertools import combinations
-
-    from toricvol.gkz import _cyclic_ray_order
-
-    for fixture in (p2, p1xp1, f1, bl2_p2, bl3_p2):
+    # cyclic angular gaps all stay below a half turn.  The candidate
+    # list, order included, is the oracle's on the fixtures and on
+    # random polygon normal fans; every candidate is a chamber.
+    census = {p2: 1, p1xp1: 1, f1: 2, bl2_p2: 5, bl3_p2: 18}
+    for fixture, count in census.items():
         fan = fixture()
-        k = len(fan.rays)
-        expected = 0
-        for size in range(3, k + 1):
-            for subset in combinations(range(k), size):
-                ordered = _cyclic_ray_order(fan, subset)
-                ok = True
-                for i in range(len(ordered)):
-                    a = fan.rays[ordered[i]]
-                    b = fan.rays[ordered[(i + 1) % len(ordered)]]
-                    if a[0] * b[1] - a[1] * b[0] <= 0:
-                        ok = False
-                        break
-                expected += ok
-        assert len(enumerate_maximal_chambers(fan)) == expected
-        # Chamber census: 1 on the minimal fans, 2 on the one-point
-        # blow-up, 5 on the two-point blow-up, 18 on the hexagon.
-        frozen = {p2: 1, p1xp1: 1, f1: 2, bl2_p2: 5, bl3_p2: 18}
-        assert expected == frozen[fixture]
+        expected = gap_oracle_chambers(fan)
+        assert _chambers_dim2(fan) == expected, fixture.__name__
+        assert len(enumerate_maximal_chambers(fan)) == len(expected) == count
+    rng = random.Random(1515)
+    sizes = set()
+    for _ in range(20):
+        fan = make_fan(*polygon_fan_data(rng, points=10, bound=6))
+        sizes.add(len(fan.rays))
+        assert _chambers_dim2(fan) == gap_oracle_chambers(fan), fan.rays
+    assert len(sizes) >= 3
