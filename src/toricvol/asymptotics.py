@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .cohomology import _euler_weight
 from .divisor import Divisor, is_q_cartier
@@ -24,19 +25,31 @@ from .errors import (
 )
 from .fan import Fan, is_complete
 from .homology import local_cohomology_ranks
+from .linalg import to_integers
 from .regions import normalized_volume, region_sum
 
 AsymptoticVector = tuple[Fraction, ...]
 
 
-def hhat(fan: Fan, d: Divisor) -> AsymptoticVector:
-    """The exact vector of asymptotic cohomology rates (index 0..n)."""
+def _rates(fan: Fan, d: Divisor, degrees: slice) -> AsymptoticVector:
+    """The asymptotic rates of the degrees in the slice, in order.
+
+    Each region is weighted by the slice of its rank vector, so a region
+    whose ranks vanish on those degrees is never measured: the section
+    polytope (all rays weak) carries degree 0 alone, so leaving degree 0
+    out skips the largest region.
+    """
     if not is_complete(fan):
         raise NotCompleteError("asymptotic functions need a complete fan")
     values = region_sum(
-        fan, d, lambda subset: local_cohomology_ranks(fan, subset), normalized_volume
+        fan, d, lambda subset: local_cohomology_ranks(fan, subset)[degrees], normalized_volume
     )
     return tuple(Fraction(v) for v in values)
+
+
+def hhat(fan: Fan, d: Divisor) -> AsymptoticVector:
+    """The exact vector of asymptotic cohomology rates (index 0..n)."""
+    return _rates(fan, d, slice(None))
 
 
 def self_intersection(fan: Fan, d: Divisor) -> Fraction:
@@ -80,7 +93,9 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     The growth rate restricted to an open chamber is a polynomial of
     degree at most n in the coefficients, so the derivative is read off
     from exact finite differences on a grid small enough (slack bound
-    from the chamber inequalities) to stay inside the chamber.
+    from the chamber's integer inequalities) to stay inside the chamber.
+    Each grid point measures ĥ^0 alone, the volume of its section
+    polytope.
     """
     from . import gkz
 
@@ -98,12 +113,13 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
         raise ChamberWallError("divisor class sits on a chamber wall")
     chamber = gkz.located_cone(fan, location)
 
+    coeffs, q = to_integers(d)
     step = Fraction(1)
-    for row in chamber.inequalities:
-        slack = sum(c * v for c, v in zip(row, d))
+    for row in chamber._integer_conditions[1]:
         relevant = sum(abs(row[i]) for i in rays)
         if relevant:
-            bound = slack / (2 * n * relevant)
+            # The slack of d is this integer dot over q.
+            bound = Fraction(sum(map(mul, row, coeffs)), 2 * n * relevant * q)
             step = min(step, bound)
     if step <= 0:
         raise PreconditionError("step bound underflow: no room inside the chamber")
@@ -121,5 +137,5 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
             shifted[ray] += k * step
             coeff *= weights[k]
         if coeff:
-            total += coeff * hhat(fan, tuple(shifted))[0]
+            total += coeff * _rates(fan, tuple(shifted), slice(1))[0]
     return total

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotCompleteError
 from .fan import Fan, is_complete
-from .linalg import dot, solve
+from .linalg import _adjugate, dot, solve, to_integers
 
 Divisor = tuple[Fraction, ...]
 
@@ -52,23 +53,47 @@ def _check_length(fan: Fan, d: Divisor) -> None:
         raise ValueError(f"divisor has {len(d)} coefficients, fan has {len(fan.rays)} rays")
 
 
+def _cone_inverses(fan: Fan):
+    """Per maximal cone, its sorted rays and their integer inverse, once per fan.
+
+    The inverse is ``linalg._adjugate`` of the matrix of the rays when
+    the cone has n independent rays, and None for every other cone.
+    """
+
+    def compute():
+        table = []
+        for mc in fan.max_cones:
+            idx = tuple(sorted(mc))
+            inverse = _adjugate([fan.rays[i] for i in idx]) if len(idx) == fan.dim else None
+            table.append((idx, inverse))
+        return tuple(table)
+
+    return fan.memo("cone_inverses", compute)
+
+
 def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
     """Local linear data for the divisor, or None when it does not exist.
 
     On each maximal cone the system <u, v_rho> = -d_rho over the cone's
     rays must be solvable; on full-dimensional cones the solution is
     automatically unique, and on non-simplicial cones the consistency
-    requirement across all rays is what can fail.
+    requirement across all rays is what can fail.  A full-dimensional
+    simplicial cone reads its u off the fan's integer inverse of its
+    rays, applied to the divisor cleared to integers once per call; any
+    other cone solves its system.
     """
     _check_length(fan, d)
+    coeffs, q = to_integers(d)
     us = []
-    for mc in fan.max_cones:
-        idx = sorted(mc)
-        matrix = [fan.rays[i] for i in idx]
-        rhs = [-d[i] for i in idx]
-        u = solve(matrix, rhs)
-        if u is None:
-            return None
+    for idx, inverse in _cone_inverses(fan):
+        if inverse is None:
+            u = solve([fan.rays[i] for i in idx], [-d[i] for i in idx])
+            if u is None:
+                return None
+        else:
+            adjugate, size = inverse
+            rhs = [-coeffs[i] for i in idx]
+            u = tuple(Fraction(sum(map(mul, row, rhs)), size * q) for row in adjugate)
         us.append(u)
     return CartierData(tuple(us))
 

@@ -188,7 +188,8 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
 
     Returns the diagnostic list together with the Fan built from the
     (primitivized) data when no hard violation was found.  Non-primitive
-    input rays are reported but repaired; everything else is fatal.
+    input rays are reported but repaired; everything else is fatal,
+    starting with a dimension below 1, which ends the checks at once.
 
     After the checks on rays and single cones, cones that pass
     ``_glued_cover_once`` form a complete simplicial fan, so no pair of
@@ -198,6 +199,8 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     relative-interior LP per pair of cones, with its diagnostics in
     the same order.
     """
+    if dim < 1:
+        return [f"dimension {dim} is not positive"], None
     diags: list[str] = []
     fatal = False
     clean_rays: list[tuple[int, ...]] = []

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from .asymptotics import hhat, self_intersection
+from .asymptotics import _rates, self_intersection
 from .divisor import Divisor, is_q_cartier, linear_equiv_shift
 from .errors import (
     ChamberMembershipError,
@@ -213,6 +214,11 @@ class GKZCone:
     equalities demand zero, inequalities demand nonnegativity.  The
     system is assembled from all expansions of rays in independent ray
     bases inside each cone, so membership is a finite exact check.
+    Every condition is a primitive integer vector: ``equalities`` and
+    ``inequalities`` hold it as ``Fraction`` entries, and the private
+    ``_integer_conditions`` holds the same two lists as ``int`` tuples.
+    Membership clears d to integers once (times q > 0, which keeps every
+    sign) and takes integer dots with those.
     """
 
     fan: Fan
@@ -223,17 +229,24 @@ class GKZCone:
     inequalities: tuple[tuple[Fraction, ...], ...]
     members: tuple[frozenset[int], ...]  # rays lying in each cone
     bases: tuple[tuple[int, ...], ...]  # one independent ray basis per cone
+    # (equalities, inequalities) as int tuples, in the same order.
+    _integer_conditions: tuple = field(compare=False, repr=False)
     sample_divisor: Divisor | None = None
 
-    def contains(self, d: Divisor) -> bool:
-        return all(dot(c, d) == 0 for c in self.equalities) and all(
-            dot(c, d) >= 0 for c in self.inequalities
+    def _holds(self, d: Divisor, least: int) -> bool:
+        """Equalities at zero and inequalities at ``least`` or more, in integers."""
+        coeffs, _ = to_integers(d)
+        equalities, inequalities = self._integer_conditions
+        return not any(sum(map(mul, c, coeffs)) for c in equalities) and all(
+            sum(map(mul, c, coeffs)) >= least for c in inequalities
         )
 
+    def contains(self, d: Divisor) -> bool:
+        return self._holds(d, 0)
+
     def contains_strictly(self, d: Divisor) -> bool:
-        return all(dot(c, d) == 0 for c in self.equalities) and all(
-            dot(c, d) > 0 for c in self.inequalities
-        )
+        # An integer dot is positive exactly when it is at least 1.
+        return self._holds(d, 1)
 
     def class_cone_dim(self) -> int:
         """Dimension of the solution cone modulo linear equivalence."""
@@ -250,15 +263,21 @@ class GKZCone:
 
 
 def _gkz_system(fan: Fan, cones, strict):
-    """(members, bases, equalities, inequalities) of a chamber cone, once per fan."""
+    """(members, bases, equalities, inequalities, integer conditions) of a chamber cone.
+
+    Computed once per fan.  The conditions are primitive integer
+    vectors, sorted; the equalities and inequalities hold them with
+    ``Fraction`` entries and the integer conditions as the pair of
+    ``int`` tuple lists.
+    """
 
     def compute():
         n = fan.dim
         nrays = len(fan.rays)
         members = []
         bases = []
-        equalities: set[tuple[Fraction, ...]] = set()
-        inequalities: set[tuple[Fraction, ...]] = set()
+        equalities: set[tuple[int, ...]] = set()
+        inequalities: set[tuple[int, ...]] = set()
         for cone in cones:
             inside = _cone_members(fan, cone)
             members.append(inside)
@@ -281,7 +300,7 @@ def _gkz_system(fan: Fan, cones, strict):
                         continue
                     ints, _ = to_integers(coeffs)
                     g = math.gcd(*ints)
-                    condition = tuple(Fraction(v // g) for v in ints)
+                    condition = tuple(v // g for v in ints)
                     if rho in inside and rho not in strict:
                         equalities.add(condition)
                     else:
@@ -290,12 +309,9 @@ def _gkz_system(fan: Fan, cones, strict):
                 raise ValueError("cone has no independent ray basis outside the strict set")
             bases.append(base_found)
         inequalities -= equalities
-        return (
-            tuple(members),
-            tuple(bases),
-            tuple(sorted(equalities)),
-            tuple(sorted(inequalities)),
-        )
+        conditions = (tuple(sorted(equalities)), tuple(sorted(inequalities)))
+        as_fractions = (tuple(tuple(map(Fraction, c)) for c in rows) for rows in conditions)
+        return tuple(members), tuple(bases), *as_fractions, conditions
 
     return fan.memo(("gkz_system", cones, strict), compute)
 
@@ -318,7 +334,7 @@ def gkz_cone(
     for cone in cones:
         if cone & strict:
             raise ValueError("cone generators must avoid the strict-ray set")
-    members, bases, equalities, inequalities = _gkz_system(fan, cones, strict)
+    members, bases, equalities, inequalities, conditions = _gkz_system(fan, cones, strict)
     return GKZCone(
         fan=fan,
         sigma_cones=cones,
@@ -328,6 +344,7 @@ def gkz_cone(
         inequalities=inequalities,
         members=members,
         bases=bases,
+        _integer_conditions=conditions,
         sample_divisor=sample_divisor,
     )
 
@@ -656,7 +673,7 @@ def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
     """
     if not cone.contains(d):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
-    direct = hhat(fan, d)[0]
+    direct = _rates(fan, d, slice(1))[0]
     if cone.lineality_basis:
         if direct != 0:
             raise ToricError("internal: degenerate chamber with nonzero growth")
@@ -674,7 +691,10 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     True exactly when the located chamber is the ambient fan's own open
     chamber.  On a positive answer the vanishing is additionally
     verified at the class itself and at 2k perturbed classes inside the
-    chamber, one step each way along every ray.
+    chamber, one step each way along every ray.  These checks compute
+    ĥ^1..ĥ^n only, so the section polytope is never measured; the
+    slacks and steps come from integer dots with the divisor cleared to
+    integers once.
     """
     if not is_complete(fan):
         raise NotCompleteError("ampleness test needs a complete fan")
@@ -696,23 +716,25 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
         return False
 
     chamber = gkz_cone(fan, fan.max_cones, frozenset())
-    values = hhat(fan, d)
-    if any(values[i] != 0 for i in range(1, fan.dim + 1)):
+    higher = slice(1, None)
+    if any(_rates(fan, d, higher)):
         raise ToricError("internal: ample class with nonzero higher growth")
-    slacks = [dot(row, d) for row in chamber.inequalities]
+    # Each slack of d is its integer dot over q.
+    coeffs, q = to_integers(d)
+    inequalities = chamber._integer_conditions[1]
+    slacks = [sum(map(mul, row, coeffs)) for row in inequalities]
     for rho in range(len(fan.rays)):
         for sign in (1, -1):
             step = Fraction(1)
-            for row, slack in zip(chamber.inequalities, slacks):
+            for row, slack in zip(inequalities, slacks):
                 drop = row[rho] * sign
                 if drop < 0:
-                    step = min(step, slack / (-2 * drop))
+                    step = min(step, Fraction(slack, -2 * drop * q))
             probe = list(d)
             probe[rho] += sign * step
             probe = tuple(probe)
             if not chamber.contains_strictly(probe):
                 raise ToricError("internal: perturbation left the open chamber")
-            pvals = hhat(fan, probe)
-            if any(pvals[i] != 0 for i in range(1, fan.dim + 1)):
+            if any(_rates(fan, probe, higher)):
                 raise ToricError("internal: higher growth appeared inside the chamber")
     return True

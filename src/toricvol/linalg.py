@@ -4,10 +4,12 @@
 integer rows with Edmonds' integer-preserving pivot (``integer_pivot``),
 which reports its pivot columns, its final common denominator and the
 sign that row swaps and pivot-row negations give the determinant.  The
-simplex tableau, the vertex bases, boundedness tests and volumes of
-regions call it on integers directly, and so does ``_kernel_direction``,
-the integer normal of n - 1 integer rows that gives both the cocircuits
-of region normals and the facet normals of fan validation.  ``rank``,
+simplex tableau, boundedness tests and volumes of regions call it on
+integers directly, and so do ``_kernel_direction``, the integer normal
+of n - 1 integer rows that gives both the cocircuits of region normals
+and the facet normals of fan validation, and ``_adjugate``, the integer
+inverse of a square integer matrix behind the vertex bases of regions
+and the Cartier data of simplicial cones.  ``rank``,
 ``solve``, ``nullspace``, ``det`` and ``affine_rank`` read its result
 through one rational front end that first clears each row to integers with
 ``to_integers``.  Since the reduced row echelon form is unique, their
@@ -113,6 +115,21 @@ def _kernel_direction(rows: Sequence[Sequence[int]], n: int) -> list[int] | None
     for row, col in zip(rows, pivots):
         u[col] = -row[free]
     return u
+
+
+def _adjugate(matrix):
+    """(D * inverse, D) for a square integer matrix, with D = |det| > 0.
+
+    Integer-preserving Gauss-Jordan elimination of [matrix | identity]
+    (``integer_eliminate``, the simplex's pivot step): at the end the
+    left block is D times the identity.  None if singular.
+    """
+    n = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    pivots, denom, _ = integer_eliminate(rows, n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in rows), denom
 
 
 def _reduce(matrix: Sequence[Sequence], ncols: int | None = None):

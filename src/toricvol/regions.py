@@ -16,34 +16,36 @@ its (n - 1)-subsets in integers; a region sum tests only the weak sets
 its divisor realizes, never all 2^k.
 
 Everything here is exact.  Vertex enumeration runs in integers: the
-rank-n ray bases keep their integer adjugates per fan, all scaled to
-one common denominator (the lcm of the basis determinants), and the
-levels are scaled once to integers over their lcm.  One loop,
+rank-n ray bases keep their integer adjugates (``linalg._adjugate``,
+shared with the Cartier data of ``divisor``) per fan, all scaled to one
+common denominator (the lcm of the basis determinants), and the levels
+are scaled once to integers over their lcm.  One loop,
 ``_arrangement_vertices``, solves every basis at the levels and
-classifies each distinct arrangement vertex P by the rows above it
-(<v, P> > level) and the rows tight at it (<v, P> = level).  A region's
+classifies each distinct arrangement vertex P by the rows above
+it (<v, P> > level) and the rows tight at it (<v, P> = level).  A region's
 closure has exactly the arrangement vertices whose above rows are weak
 and whose below rows are strict, with the tight rows as their facet
 data; ``_integer_vertices`` filters one region's vertices out of the
 classification, and ``region_sum`` hands each realized region its
 vertices straight from the one pass it makes per call.  Volumes come
 from a recursive facet triangulation on those integer vertices: each
-facet is read off the tight rows, and each simplex's |det| is the final
-denominator of a fraction-free elimination, so no ``Fraction`` is built
-inside the triangulation.  Lattice points are counted one plane at a
-time.  Above each integer point of the bounding box's first n - 2
-coordinates, the mixed weak/strict system, each row made one weak
-integer inequality, cuts a 2-D slice; its count walks the slice's lower
-and upper envelopes along the second-to-last coordinate and adds each
-run between envelope changes with two floor sums (the lattice points
-under a segment, by the Euclid-like recursion of ``floor_sum``).  A
-slice costs O(k^2 + k log m), independent of its width, so a region of
-m*D costs about m^(n-2) slices, and one of a 2-D fan a bounded number
-of integer steps for every m.  Listing points keeps the fibers of the
-last coordinate: above each integer point of the first n - 1
-coordinates the system cuts the line to one integer interval, found
-with integer floor divisions.  At most ``FIBER_BUDGET`` slices (for a
-count) or fibers (for a listing) are visited before CapExceededError.
+facet is read off the tight rows, and its affine rank and each simplex's
+|det| come from fraction-free eliminations of integer edge vectors, so
+no ``Fraction`` is built inside the triangulation.  Lattice points are
+counted one plane at a time.  Above each integer point of the bounding
+box's first n - 2 coordinates, the mixed weak/strict system, each row
+made one weak integer inequality, cuts a 2-D slice; its count walks the
+slice's lower and upper envelopes along the second-to-last coordinate
+and adds each run between envelope changes with two floor sums (the
+lattice points under a segment, by the Euclid-like recursion of
+``floor_sum``).  A slice costs O(k^2 + k log m), independent of its
+width, so a region of m*D costs about m^(n-2) slices, and one of a 2-D
+fan a bounded number of integer steps for every m.  Listing points keeps
+the fibers of the last coordinate: above each integer point of the first
+n - 1 coordinates the system cuts the line to one integer interval,
+found with integer floor divisions.  At most ``FIBER_BUDGET`` slices
+(for a count) or fibers (for a listing) are visited before
+CapExceededError.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import Callable
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
-from .linalg import _kernel_direction, affine_rank, dot, integer_eliminate, rank, to_integers
+from .linalg import _adjugate, _kernel_direction, dot, integer_eliminate, rank, to_integers
 
 
 # Fixed work caps; past either one, CapExceededError.  A region sum visits
@@ -218,21 +220,6 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
     )
 
 
-def _adjugate(matrix):
-    """(D * inverse, D) for a square integer matrix, with D = |det| > 0.
-
-    Integer-preserving Gauss-Jordan elimination of [matrix | identity]
-    (``integer_eliminate``, the simplex's pivot step): at the end the
-    left block is D times the identity.  None if singular.
-    """
-    n = len(matrix)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    pivots, denom, _ = integer_eliminate(rows, n)
-    if len(pivots) < n:
-        return None
-    return tuple(tuple(row[n:]) for row in rows), denom
-
-
 def _vertex_bases(reg: HalfOpenRegion):
     """Every invertible n-set of normals over one common denominator.
 
@@ -327,6 +314,15 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
+def _affine_rank(points) -> int:
+    """Dimension of the affine hull of integer points (-1 for none), in integers."""
+    if not points:
+        return -1
+    base = points[0]
+    edges = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    return len(integer_eliminate(edges, len(base))[0])
+
+
 def _simplices(face, tight, face_dim):
     """Pulling triangulation of a face given by its sorted vertex list.
 
@@ -343,7 +339,7 @@ def _simplices(face, tight, face_dim):
     for i in rows:
         facet = [v for v in face if i in tight[v]]
         key = frozenset(facet)
-        if key in seen or affine_rank(facet) != face_dim - 1:
+        if key in seen or _affine_rank(facet) != face_dim - 1:
             continue
         seen.add(key)
         for simplex in _simplices(facet, tight, face_dim - 1):
@@ -364,7 +360,7 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     points, scale = _vertex_table(reg)
     n = reg.dim
     vertices = sorted(points)
-    if affine_rank(vertices) < n:
+    if _affine_rank(vertices) < n:
         return Fraction(0)
     total = 0
     for simplex in _simplices(vertices, points, n):
@@ -599,8 +595,11 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     vertex costs 2^|tight(P)| candidates (at D = 0 every row is tight at
     the origin), and past 2^SUBSET_CAP in all CapExceededError is raised
     before any is visited.  Realized subsets with an all-zero weight are
-    skipped before their regions are measured; the measure reads the
-    vertices from the pass instead of rescanning the bases.
+    skipped before their regions are measured, so a caller that weights
+    by a slice of the rank vectors measures only the regions that slice
+    reads, and only the nonzero entries of a weight are added.  The
+    measure reads the vertices from the pass instead of rescanning
+    the bases.
     """
     base = region(fan, d, ())
     found, scale = _arrangement_vertices(base)
@@ -635,7 +634,8 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
         amount = measure(reg)
         if amount:
             for i, x in enumerate(w):
-                total[i] += x * amount
+                if x:
+                    total[i] += x * amount
     return tuple(total)
 
 

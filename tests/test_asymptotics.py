@@ -6,6 +6,7 @@ import pytest
 
 from toricvol.asymptotics import (
     _derivative_weights,
+    _rates,
     asymptotic_rr_check,
     hhat,
     mixed_partial_h0,
@@ -216,3 +217,15 @@ def test_distinct_chamber_polynomials_on_f1():
     gamma_coarse = divisor([1, 0, 0, 2])  # chamber of the 3-ray fan
     assert mixed_partial_h0(fan, gamma_full, [0, 1]) == 0
     assert mixed_partial_h0(fan, gamma_coarse, [0, 1]) == 2
+
+
+@pytest.mark.parametrize("fixture", [p2, bl2_p2, weighted_p112, bl1_p3], ids=lambda f: f.__name__)
+def test_rates_are_slices_of_hhat(fixture):
+    # Each slice weights the regions by that slice of their rank vectors.
+    fan = fixture()
+    rng = random.Random(16)
+    for _ in range(6):
+        d = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in fan.rays)
+        full = hhat(fan, d)
+        for degrees in (slice(None), slice(1), slice(1, None), slice(0, None, 2)):
+            assert _rates(fan, d, degrees) == full[degrees], (d, degrees)

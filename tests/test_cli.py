@@ -346,6 +346,41 @@ def test_string_integers_rejected(tmp_path, fan_doc):
         assert "is not an integer" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "coeff",
+    ["1_0", "1e3", " 1/2 ", "\u0661", "1/0", True, 0.5],
+    ids=["underscore", "exponent", "spaces", "arabic-indic-digit", "zero-denominator",
+         "bool", "float"],
+)
+def test_divisor_coefficient_spellings_rejected(tmp_path, coeff):
+    # Fraction() would read these as 10, 1000, 1/2, 1 and 1 (or raise
+    # ZeroDivisionError); only JSON integers and ASCII "p" / "p/q" strings pass.
+    fan = write(tmp_path, "fan.json", P2)
+    div = write(tmp_path, "d.json", {"coeffs": [coeff, 0, 0]})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
+    assert code == 2
+    assert report["error"]["kind"] == "validation"
+
+
+def test_divisor_coefficient_spellings_accepted(tmp_path):
+    fan = write(tmp_path, "fan.json", P2)
+    div = write(tmp_path, "d.json", {"coeffs": ["+3", "-1/2", "04/6"]})
+    code, report = run(tmp_path, "asym", "--fan", fan, "--divisor", div)
+    assert code == 0
+    div_int = write(tmp_path, "d_int.json", {"coeffs": [6, -1, 1]})
+    expected = run(tmp_path, "asym", "--fan", fan, "--divisor", div_int)[1]["result"]
+    # 3 - 1/2 + 2/3 = 19/6 is the degree; (19/6)^2 = 361/36 is the growth rate.
+    assert report["result"]["hhat"] == ["361/36", "0", "0"]
+    assert expected["hhat"] == ["36", "0", "0"]
+
+
+def test_nonpositive_dimension_rejected(tmp_path):
+    fan = write(tmp_path, "fan.json", {"dim": -1, "rays": [], "cones": []})
+    code, report = run(tmp_path, "validate", "--fan", fan)
+    assert code == 2
+    assert report["result"] == {"valid": False, "diagnostics": ["dimension -1 is not positive"]}
+
+
 def test_divisor_length_mismatch(tmp_path):
     fan = write(tmp_path, "fan.json", P2)
     div = write(tmp_path, "d.json", {"coeffs": [1, 0]})

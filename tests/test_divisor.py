@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import fraction_linalg
+from complex_referees import EVERY_FIXTURE
+from generated_fans import star_fan_data
 from toricvol.divisor import (
     divisor,
     is_ample,
@@ -13,6 +17,7 @@ from toricvol.divisor import (
     scale,
 )
 from toricvol.errors import NotCompleteError
+from toricvol.fan import validate_fan
 from toricvol.fixtures import f1, p1, p2, quadrant_fan, square_cone_fan, weighted_p112
 
 
@@ -133,3 +138,45 @@ def test_wrong_length_divisor_is_rejected(extra):
     for call in wrong_length_calls():
         with pytest.raises(ValueError, match=f"divisor has {3 + extra} coefficients, fan has 3 rays"):
             call(fan, d)
+
+
+def cartier_referee(fan, d):
+    """``u_sigma`` by one ``Fraction`` solve per maximal cone, or None."""
+    us = []
+    for mc in fan.max_cones:
+        idx = sorted(mc)
+        u = fraction_linalg.solve([fan.rays[i] for i in idx], [-d[i] for i in idx])
+        if u is None:
+            return None
+        us.append(tuple(u))
+    return tuple(us)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*EVERY_FIXTURE, *(partial(validate_fan, *star_fan_data(s)) for s in (1, 2, 3))],
+    ids=[f.__name__ for f in EVERY_FIXTURE] + ["star1", "star2", "star3"],
+)
+def test_q_cartier_matches_per_cone_solve(make):
+    # Simplicial cones read u off the fan's integer inverses; the referee
+    # solves every cone over Fraction.  Principal divisors (shifted by a
+    # random rational u) are Q-Cartier on every fan, the others mostly
+    # only on simplicial ones.
+    fan = make()
+    rng = random.Random(16)
+    k = len(fan.rays)
+    for trial in range(30):
+        d = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(k)]
+        if trial % 3 == 0:
+            u = [Fraction(rng.randint(-5, 5), rng.choice((1, 4))) for _ in range(fan.dim)]
+            d = [-sum(a * b for a, b in zip(u, ray)) for ray in fan.rays]
+        elif trial % 3 == 1:
+            d = [int(c) for c in d]
+        d = tuple(d)
+        data = is_q_cartier(fan, d)
+        expected = cartier_referee(fan, d)
+        if expected is None:
+            assert data is None, (d,)
+        else:
+            assert data is not None and data.u_sigma == expected, (d,)
+            assert all(type(v) is Fraction for u in data.u_sigma for v in u)

@@ -10,7 +10,7 @@ from complex_referees import EVERY_FIXTURE, intersection_ray_set
 from toricvol.asymptotics import hhat, mixed_partial_h0
 from toricvol.cohomology import euler_char, h_all
 from toricvol.divisor import divisor
-from toricvol.errors import NotSimplicialError
+from toricvol.errors import InvalidFanError, NotSimplicialError
 from toricvol.fan import (
     Cone,
     all_cones,
@@ -75,6 +75,13 @@ def test_validate_rejects_zero_and_duplicate():
     diags, fan = fan_diagnostics(2, [(1, 0), (2, 0)], [{0}, {1}])
     assert fan is None
     assert any("duplicates" in d for d in diags)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_validate_rejects_nonpositive_dimension(dim):
+    assert fan_diagnostics(dim, [], []) == ([f"dimension {dim} is not positive"], None)
+    with pytest.raises(InvalidFanError):
+        validate_fan(dim, [], [])
 
 
 def test_validate_rejects_repeated_ray_in_cone():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,8 +9,8 @@ from generated_fans import star_fan_data
 from lp_referees import pairwise_lp_fans_on_rays_3d
 from test_cold_path import PENTAGRAM, counting_solve_lp, suspension
 from toricvol import gkz
-from toricvol.asymptotics import hhat, mixed_partial_h0
-from toricvol.divisor import divisor, is_ample, linear_equiv_shift, ray_divisor, scale
+from toricvol.asymptotics import _rates, hhat, mixed_partial_h0
+from toricvol.divisor import divisor, is_ample, is_q_cartier, linear_equiv_shift, ray_divisor, scale
 from toricvol.errors import (
     ChamberMembershipError,
     EffectiveConeError,
@@ -17,7 +18,18 @@ from toricvol.errors import (
     UnsupportedDimensionError,
 )
 from toricvol.fan import make_fan
-from toricvol.fixtures import bl1_p3, bl2_p2, bl3_p2, cube_fan, f1, p1_cubed, p1xp1, p2
+from toricvol.fixtures import (
+    bl1_p3,
+    bl2_p2,
+    bl3_p2,
+    cube_fan,
+    f1,
+    p1,
+    p1_cubed,
+    p1xp1,
+    p2,
+    weighted_p112,
+)
 from toricvol.gkz import (
     ample_via_asymptotics,
     enumerate_maximal_chambers,
@@ -486,3 +498,166 @@ def test_three_ampleness_routes_agree():
             except EffectiveConeError:
                 located = False
             assert located == direct, (fixture.__name__, d)
+
+
+# ---------------------------------------------------------------------------
+# Integer chamber tests and higher-degree probes against Fraction referees
+
+COMPLETE_2D = (p2, p1xp1, f1, weighted_p112, bl2_p2, bl3_p2)
+COMPLETE_SIMPLICIAL = (p1, *COMPLETE_2D, p1_cubed, bl1_p3)
+
+
+def fraction_dots(rows, d):
+    return [sum(Fraction(c) * Fraction(x) for c, x in zip(row, d)) for row in rows]
+
+
+def fraction_membership(cone, d):
+    """(contains, contains_strictly) by ``Fraction`` dots with the public rows."""
+    on = all(v == 0 for v in fraction_dots(cone.equalities, d))
+    slacks = fraction_dots(cone.inequalities, d)
+    return on and all(v >= 0 for v in slacks), on and all(v > 0 for v in slacks)
+
+
+def wall_divisors(cone, inside):
+    """Divisors moved from ``inside`` along one coordinate onto each inequality's wall."""
+    for row in cone.inequalities:
+        rho = next(i for i, c in enumerate(row) if c)
+        slack = sum(c * x for c, x in zip(row, inside))
+        moved = list(inside)
+        moved[rho] -= slack / row[rho]
+        yield tuple(moved)
+
+
+def membership_cases(fan, cone, inside, rng):
+    yield inside
+    yield from wall_divisors(cone, inside)
+    for _ in range(12):
+        t = Fraction(rng.randint(1, 9), rng.choice((1, 2, 3)))
+        yield tuple(t * x + Fraction(rng.randint(-2, 2), rng.choice((5, 7))) for x in inside)
+        yield tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5))) for _ in fan.rays)
+
+
+def chambers_with_interior_points(fan, rng):
+    """Every maximal chamber with its sample, and the chamber each random class lands in."""
+    for chamber in enumerate_maximal_chambers(fan):
+        yield chamber, chamber.sample_divisor
+    for _ in range(8):
+        d = effective(fan, rng)
+        yield located_cone(fan, locate_chamber(fan, d)), d
+
+
+@pytest.mark.parametrize("make", COMPLETE_2D, ids=lambda f: f.__name__)
+def test_chamber_membership_matches_fraction_referee_2d(make):
+    fan = make()
+    rng = random.Random(16)
+    on_walls = 0
+    for cone, inside in chambers_with_interior_points(fan, rng):
+        for d in membership_cases(fan, cone, inside, rng):
+            answer = (cone.contains(d), cone.contains_strictly(d))
+            assert answer == fraction_membership(cone, d), d
+            on_walls += answer == (True, False)
+    assert on_walls
+
+
+@pytest.mark.parametrize(
+    "make, ample", [(bl1_p3, [3, 3, 3, 3, -1]), (p1_cubed, [1] * 6)], ids=["bl1_p3", "p1_cubed"]
+)
+def test_own_chamber_membership_matches_fraction_referee_3d(make, ample):
+    fan = make()
+    cone = gkz_cone(fan, fan.max_cones, frozenset())
+    rng = random.Random(16)
+    answers = set()
+    for d in membership_cases(fan, cone, divisor(ample), rng):
+        answer = (cone.contains(d), cone.contains_strictly(d))
+        assert answer == fraction_membership(cone, d), d
+        answers.add(answer)
+    assert answers == {(True, True), (True, False), (False, False)}
+
+
+def fraction_ample_referee(fan, d):
+    """The asymptotic ampleness test with ``Fraction`` dots and full ``hhat`` probes."""
+    try:
+        location = locate_chamber(fan, d)
+    except EffectiveConeError:
+        return False
+    if location.sigma.degenerate or not location.interior:
+        return False
+    if set(location.sigma.max_cones) != set(fan.max_cones) or location.strict_rays:
+        return False
+    chamber = gkz_cone(fan, fan.max_cones, frozenset())
+    assert not any(hhat(fan, d)[1:])
+    slacks = fraction_dots(chamber.inequalities, d)
+    for rho in range(len(fan.rays)):
+        for sign in (1, -1):
+            step = Fraction(1)
+            for row, slack in zip(chamber.inequalities, slacks):
+                if row[rho] * sign < 0:
+                    step = min(step, slack / (-2 * row[rho] * sign))
+            probe = list(d)
+            probe[rho] += sign * step
+            assert fraction_membership(chamber, probe)[1]
+            assert not any(hhat(fan, tuple(probe))[1:])
+    return True
+
+
+def ample_cases(fan, rng, count):
+    """Seeded ample classes (-K scaled, perturbed and shifted; every fixture is Fano) and random ones."""
+    own = gkz_cone(fan, fan.max_cones, frozenset())
+    for _ in range(count):
+        t = Fraction(rng.randint(1, 9), rng.choice((1, 2, 3)))
+        d = tuple(t + Fraction(rng.randint(-1, 1), 10) for _ in fan.rays)
+        if fraction_membership(own, d)[1]:
+            u = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(fan.dim)]
+            yield linear_equiv_shift(fan, d, u)
+        yield tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in fan.rays)
+
+
+@pytest.mark.parametrize("make", COMPLETE_SIMPLICIAL, ids=lambda f: f.__name__)
+def test_ample_via_asymptotics_matches_fraction_referee(make):
+    fan = make()
+    rng = random.Random(16)
+    answers = set()
+    for d in ample_cases(fan, rng, 8 if fan.dim < 3 else 3):
+        answer = ample_via_asymptotics(fan, d)
+        assert answer == fraction_ample_referee(fan, d) == is_ample(fan, d), d
+        assert _rates(fan, d, slice(1, None)) == hhat(fan, d)[1:], d
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def counting(monkeypatch, module, name, record):
+    """Route every binding of ``module.name`` in the package through ``record``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        record(*args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("toricvol") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+@pytest.mark.parametrize(
+    "make, ample", [(bl2_p2, [3, 3, 3, 2, 2]), (bl1_p3, [3, 3, 3, 3, -1])], ids=["bl2_p2", "bl1_p3"]
+)
+def test_warm_ampleness_solves_nothing_and_skips_the_section_polytope(monkeypatch, make, ample):
+    import toricvol.asymptotics as asymptotics
+    import toricvol.linalg as linalg
+
+    fan = make()
+    d = divisor(ample)
+    assert ample_via_asymptotics(fan, d) and is_q_cartier(fan, d) is not None  # warm
+    solves, measured = [], []
+    counting(monkeypatch, linalg, "solve", lambda *args: solves.append(args))
+    counting(monkeypatch, asymptotics, "normalized_volume", lambda reg: measured.append(reg.weak))
+    assert is_q_cartier(fan, d) is not None
+    assert solves == []
+    assert ample_via_asymptotics(fan, d)
+    assert solves == []
+    assert not any(all(weak) for weak in measured)
+    # The counters do see a full hhat's section polytope and a non-simplicial cone's solve.
+    hhat(fan, d)
+    assert any(all(weak) for weak in measured)
+    assert is_q_cartier(cube_fan(), divisor([1] * 8)) is not None
+    assert solves
