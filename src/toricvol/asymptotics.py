@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 from .cohomology import _euler_weight
 from .divisor import Divisor, is_q_cartier
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .fan import Fan, is_complete
 from .homology import local_cohomology_ranks
-from .linalg import to_integers
 from .regions import normalized_volume, region_sum
 
 AsymptoticVector = tuple[Fraction, ...]
@@ -113,13 +111,12 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
         raise ChamberWallError("divisor class sits on a chamber wall")
     chamber = gkz.located_cone(fan, location)
 
-    coeffs, q = to_integers(d)
+    _, slacks, q = chamber._slacks(d)
     step = Fraction(1)
-    for row in chamber._integer_conditions[1]:
+    for row, slack in slacks:
         relevant = sum(abs(row[i]) for i in rays)
         if relevant:
-            # The slack of d is this integer dot over q.
-            bound = Fraction(sum(map(mul, row, coeffs)), 2 * n * relevant * q)
+            bound = Fraction(slack, 2 * n * relevant * q)
             step = min(step, bound)
     if step <= 0:
         raise PreconditionError("step bound underflow: no room inside the chamber")

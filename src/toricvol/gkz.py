@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -214,11 +214,12 @@ class GKZCone:
     equalities demand zero, inequalities demand nonnegativity.  The
     system is assembled from all expansions of rays in independent ray
     bases inside each cone, so membership is a finite exact check.
-    Every condition is a primitive integer vector: ``equalities`` and
-    ``inequalities`` hold it as ``Fraction`` entries, and the private
-    ``_integer_conditions`` holds the same two lists as ``int`` tuples.
-    Membership clears d to integers once (times q > 0, which keeps every
-    sign) and takes integer dots with those.
+    The conditions ``gkz_cone`` builds are primitive integer vectors
+    held with ``Fraction`` entries.  On first use an instance derives
+    ``int`` rows from its public rows, so a copy made with
+    ``dataclasses.replace`` derives its own.  ``_slacks`` clears d to
+    integers once (times q > 0, which keeps every sign) and takes integer
+    dots with those rows; membership and the chamber step bounds read it.
     """
 
     fan: Fan
@@ -229,17 +230,35 @@ class GKZCone:
     inequalities: tuple[tuple[Fraction, ...], ...]
     members: tuple[frozenset[int], ...]  # rays lying in each cone
     bases: tuple[tuple[int, ...], ...]  # one independent ray basis per cone
-    # (equalities, inequalities) as int tuples, in the same order.
-    _integer_conditions: tuple = field(compare=False, repr=False)
     sample_divisor: Divisor | None = None
+
+    # The public rows as int tuples, in the same order, each cleared to
+    # integers (a positive multiple of it); read on first use.
+    @functools.cached_property
+    def _integer_equalities(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(to_integers(row)[0]) for row in self.equalities)
+
+    @functools.cached_property
+    def _integer_inequalities(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(to_integers(row)[0]) for row in self.inequalities)
+
+    def _slacks(self, d: Divisor):
+        """(equality dots, inequality (row, dot) pairs, q) of d cleared to integers.
+
+        Each dot is an integer row times the coefficients of d times
+        q > 0, so dot / q is the slack of d at that integer row.  It keeps
+        the sign of the slack at the public row, and a ratio of a dot to
+        entries of its own row keeps its value.
+        """
+        coeffs, q = to_integers(d)
+        equal = [sum(map(mul, row, coeffs)) for row in self._integer_equalities]
+        pairs = [(row, sum(map(mul, row, coeffs))) for row in self._integer_inequalities]
+        return equal, pairs, q
 
     def _holds(self, d: Divisor, least: int) -> bool:
         """Equalities at zero and inequalities at ``least`` or more, in integers."""
-        coeffs, _ = to_integers(d)
-        equalities, inequalities = self._integer_conditions
-        return not any(sum(map(mul, c, coeffs)) for c in equalities) and all(
-            sum(map(mul, c, coeffs)) >= least for c in inequalities
-        )
+        equal, pairs, _ = self._slacks(d)
+        return not any(equal) and all(v >= least for _, v in pairs)
 
     def contains(self, d: Divisor) -> bool:
         return self._holds(d, 0)
@@ -263,21 +282,15 @@ class GKZCone:
 
 
 def _gkz_system(fan: Fan, cones, strict):
-    """(members, bases, equalities, inequalities, integer conditions) of a chamber cone.
-
-    Computed once per fan.  The conditions are primitive integer
-    vectors, sorted; the equalities and inequalities hold them with
-    ``Fraction`` entries and the integer conditions as the pair of
-    ``int`` tuple lists.
-    """
+    """(members, bases, equalities, inequalities) of a chamber cone, once per fan."""
 
     def compute():
         n = fan.dim
         nrays = len(fan.rays)
         members = []
         bases = []
-        equalities: set[tuple[int, ...]] = set()
-        inequalities: set[tuple[int, ...]] = set()
+        equalities: set[tuple[Fraction, ...]] = set()
+        inequalities: set[tuple[Fraction, ...]] = set()
         for cone in cones:
             inside = _cone_members(fan, cone)
             members.append(inside)
@@ -300,7 +313,7 @@ def _gkz_system(fan: Fan, cones, strict):
                         continue
                     ints, _ = to_integers(coeffs)
                     g = math.gcd(*ints)
-                    condition = tuple(v // g for v in ints)
+                    condition = tuple(Fraction(v // g) for v in ints)
                     if rho in inside and rho not in strict:
                         equalities.add(condition)
                     else:
@@ -309,9 +322,12 @@ def _gkz_system(fan: Fan, cones, strict):
                 raise ValueError("cone has no independent ray basis outside the strict set")
             bases.append(base_found)
         inequalities -= equalities
-        conditions = (tuple(sorted(equalities)), tuple(sorted(inequalities)))
-        as_fractions = (tuple(tuple(map(Fraction, c)) for c in rows) for rows in conditions)
-        return tuple(members), tuple(bases), *as_fractions, conditions
+        return (
+            tuple(members),
+            tuple(bases),
+            tuple(sorted(equalities)),
+            tuple(sorted(inequalities)),
+        )
 
     return fan.memo(("gkz_system", cones, strict), compute)
 
@@ -334,7 +350,7 @@ def gkz_cone(
     for cone in cones:
         if cone & strict:
             raise ValueError("cone generators must avoid the strict-ray set")
-    members, bases, equalities, inequalities, conditions = _gkz_system(fan, cones, strict)
+    members, bases, equalities, inequalities = _gkz_system(fan, cones, strict)
     return GKZCone(
         fan=fan,
         sigma_cones=cones,
@@ -344,7 +360,6 @@ def gkz_cone(
         inequalities=inequalities,
         members=members,
         bases=bases,
-        _integer_conditions=conditions,
         sample_divisor=sample_divisor,
     )
 
@@ -719,14 +734,11 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     higher = slice(1, None)
     if any(_rates(fan, d, higher)):
         raise ToricError("internal: ample class with nonzero higher growth")
-    # Each slack of d is its integer dot over q.
-    coeffs, q = to_integers(d)
-    inequalities = chamber._integer_conditions[1]
-    slacks = [sum(map(mul, row, coeffs)) for row in inequalities]
+    _, slacks, q = chamber._slacks(d)
     for rho in range(len(fan.rays)):
         for sign in (1, -1):
             step = Fraction(1)
-            for row, slack in zip(inequalities, slacks):
+            for row, slack in slacks:
                 drop = row[rho] * sign
                 if drop < 0:
                     step = min(step, Fraction(slack, -2 * drop * q))

@@ -61,7 +61,15 @@ from typing import Callable
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan
-from .linalg import _adjugate, _kernel_direction, dot, integer_eliminate, rank, to_integers
+from .linalg import (
+    _adjugate,
+    _kernel_direction,
+    affine_rank,
+    dot,
+    integer_eliminate,
+    rank,
+    to_integers,
+)
 
 
 # Fixed work caps; past either one, CapExceededError.  A region sum visits
@@ -314,15 +322,6 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
-def _affine_rank(points) -> int:
-    """Dimension of the affine hull of integer points (-1 for none), in integers."""
-    if not points:
-        return -1
-    base = points[0]
-    edges = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return len(integer_eliminate(edges, len(base))[0])
-
-
 def _simplices(face, tight, face_dim):
     """Pulling triangulation of a face given by its sorted vertex list.
 
@@ -339,7 +338,7 @@ def _simplices(face, tight, face_dim):
     for i in rows:
         facet = [v for v in face if i in tight[v]]
         key = frozenset(facet)
-        if key in seen or _affine_rank(facet) != face_dim - 1:
+        if key in seen or affine_rank(facet) != face_dim - 1:
             continue
         seen.add(key)
         for simplex in _simplices(facet, tight, face_dim - 1):
@@ -360,7 +359,7 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     points, scale = _vertex_table(reg)
     n = reg.dim
     vertices = sorted(points)
-    if _affine_rank(vertices) < n:
+    if affine_rank(vertices) < n:
         return Fraction(0)
     total = 0
     for simplex in _simplices(vertices, points, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -572,6 +573,42 @@ def test_own_chamber_membership_matches_fraction_referee_3d(make, ample):
         assert answer == fraction_membership(cone, d), d
         answers.add(answer)
     assert answers == {(True, True), (True, False), (False, False)}
+
+
+def test_integer_rows_follow_the_public_rows():
+    fan = bl2_p2()
+    own = gkz_cone(fan, fan.max_cones, frozenset())
+    fields = {f: getattr(own, f) for f in gkz.GKZCone.__dataclass_fields__ if f[0] != "_"}
+    assert gkz.GKZCone(**fields) == own
+    # Rows rescaled by positive rationals, rows with entries over unequal
+    # denominators, one row dropped, one made an equality.
+    scaled = tuple(
+        tuple(Fraction(i + 1, 3) * c for c in row) for i, row in enumerate(own.inequalities)
+    )
+    skewed = tuple(
+        tuple(Fraction(c * (j + 1), i + 2) for j, c in enumerate(row))
+        for i, row in enumerate(own.inequalities)
+    )
+    ample = divisor([3, 3, 3, 2, 2])
+    variants = [
+        (dataclasses.replace(own, inequalities=scaled), ample),
+        (dataclasses.replace(own, inequalities=skewed), ample),
+        (dataclasses.replace(own, inequalities=own.inequalities[1:]), ample),
+        (
+            dataclasses.replace(
+                own, equalities=own.inequalities[:1], inequalities=own.inequalities[1:]
+            ),
+            next(wall_divisors(own, ample)),
+        ),
+    ]
+    rng = random.Random(7)
+    for cone, seed in variants:
+        seen = set()
+        for d in membership_cases(fan, cone, seed, rng):
+            answer = (cone.contains(d), cone.contains_strictly(d))
+            assert answer == fraction_membership(cone, d), (cone, d)
+            seen.add(answer[0])
+        assert seen == {True, False}, cone
 
 
 def fraction_ample_referee(fan, d):
