@@ -4,9 +4,9 @@ Input documents are UTF-8 JSON.  A fan file carries ``dim``, ``rays``
 (array of integer arrays) and ``cones`` (array of ray-index arrays,
 maximal cones only), all JSON integers; a divisor file carries
 ``coeffs`` as integers or ASCII strings "p" or "p/q" (an optional sign,
-decimal digits, a nonzero denominator).  Anything else (strings in the
-fan document, floats, booleans, other string spellings) is rejected,
-never rounded or coerced.
+decimal digits, a nonzero denominator), read by ``divisor.divisor``.
+Anything else (strings in the fan document, floats, booleans, other
+string spellings) is rejected, never rounded or coerced.
 Reports are byte-deterministic: keys are sorted, every rational is
 emitted as a lowest-terms "p/q" string next to a decimal approximation
 with 12 significant digits, and inputs are identified by their sha256
@@ -25,14 +25,13 @@ import argparse
 import functools
 import hashlib
 import json
-import re
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .asymptotics import hhat, self_intersection
 from .cohomology import cech_oracle, euler_char, h_all
-from .divisor import is_ample
+from .divisor import divisor, is_ample
 from .errors import EffectiveConeError, InvalidFanError, PreconditionError
 from .fan import Fan, fan_diagnostics
 from .gkz import ample_via_asymptotics, enumerate_maximal_chambers, locate_chamber
@@ -115,28 +114,6 @@ def _load_json(path: str):
         raise DocumentError(f"{path} is not valid UTF-8 JSON: {err}") from err
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def _coefficient(value) -> Fraction:
-    """A divisor coefficient: a JSON integer, or a string "p" or "p/q" in ASCII digits.
-
-    ``Fraction`` alone would take 0.1 at its binary value, read true as
-    1, "1_0" as 10, "1e3" as 1000 and " 1/2 " as 1/2, and accept
-    non-ASCII digits, silently changing the input.
-    """
-    if type(value) is int:
-        return Fraction(value)
-    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
-    if match is None:
-        raise ValueError(f"{json.dumps(value)} is not an integer or a \"p/q\" string")
-    numerator, denominator = match.groups()
-    denominator = int(denominator) if denominator else 1
-    if not denominator:
-        raise ValueError(f"{json.dumps(value)} has a zero denominator")
-    return Fraction(int(numerator), denominator)
-
-
 def _integer(value) -> int:
     """A JSON integer as given; ``int`` would read "1_0" as 10 and true as 1."""
     if type(value) is not int:
@@ -171,7 +148,7 @@ def load_divisor_document(path: str, fan: Fan):
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise DocumentError(f"{path}: divisor document lacks 'coeffs'")
     try:
-        coeffs = tuple(_coefficient(c) for c in _array(doc["coeffs"]))
+        coeffs = divisor(_array(doc["coeffs"]))
     except ValueError as err:
         raise DocumentError(f"{path}: malformed coefficients: {err}") from err
     if len(coeffs) != len(fan.rays):

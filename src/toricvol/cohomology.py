@@ -4,7 +4,9 @@ The production path groups lattice points by which weak/strict region
 they fall in and multiplies counts with precomputed local cohomology
 rank vectors.  An independent cross-check builds, per graded piece, the
 alternating Cech complex on the cover by maximal cones and takes exact
-ranks; agreement of the two is sheaf theory made executable.
+ranks of its coboundaries, built as sparse integer rows for
+``linalg._sparse_rank``; agreement of the two is sheaf theory made
+executable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
 from .fan import Fan, chi_of_fan, is_complete, subfan
 from .homology import local_cohomology_ranks
-from .linalg import dot, rank
+from .linalg import _sparse_rank, dot
 from .regions import lattice_count, region_sum
 
 CohomologyVector = tuple[int, ...]
@@ -95,32 +97,59 @@ def _cech_rank_vector(fan: Fan, subset: frozenset[int], tuples) -> CohomologyVec
     share: in a valid fan two cones meet in a common face tau, and a ray
     of both lies in tau and, being extreme in either cone, is a ray of
     its face tau.  tau is again a cone of the fan, so the argument runs
-    along the whole tuple.
+    along the whole tuple.  Each tuple's shared rays are kept per fan,
+    so a new weak set only compares them.
     """
     n = fan.dim
     cones = fan.max_cones
-    layers: list[list[tuple[int, ...]]] = [
-        [t for t in tuples(size) if frozenset.intersection(*(cones[j] for j in t)) <= subset]
-        for size in range(1, n + 3)
-    ]
+    meets = fan.memo("cech_meets", dict)
+    layers: list[list[tuple[int, ...]]] = []
+    for size in range(1, n + 3):
+        layer = []
+        for t in tuples(size):
+            meet = meets.get(t)
+            if meet is None:
+                meet = meets[t] = frozenset.intersection(*(cones[j] for j in t))
+            if meet <= subset:
+                layer.append(t)
+        layers.append(layer)
     ranks_of_d = [0] * (n + 2)  # rank of delta^i : C^i -> C^(i+1)
     for i in range(n + 1):
-        small, large = layers[i], layers[i + 1]
-        if not small or not large:
-            continue
-        index = {t: k for k, t in enumerate(small)}
-        matrix = [[0] * len(small) for _ in large]
-        for row, big in enumerate(large):
-            for j in range(len(big)):
-                sub = big[:j] + big[j + 1 :]
-                if sub in index:
-                    # With repeated cones two deletions can give one face.
-                    matrix[row][index[sub]] += (-1) ** j
-        ranks_of_d[i] = rank(matrix)
+        if layers[i] and layers[i + 1]:
+            ranks_of_d[i] = _sparse_rank(_coboundary_rows(layers[i], layers[i + 1]))
     return tuple(
         len(layers[i]) - ranks_of_d[i] - (ranks_of_d[i - 1] if i else 0)
         for i in range(n + 1)
     )
+
+
+def _coboundary_rows(small: list[tuple[int, ...]], large: list[tuple[int, ...]]):
+    """The Cech coboundary from tuples ``small`` to ``large``, as sparse rows.
+
+    One ``{column: entry}`` row per tuple of ``large``, the face that
+    drops position j entering with (-1)^j; ``combinations`` lists the
+    faces from the last position dropped to the first.  With repeated
+    cones two deletions can give one face: their entries are summed and
+    zeros dropped.
+    """
+    index = {t: k for k, t in enumerate(small)}
+    rows = []
+    for big in large:
+        m = len(big) - 1
+        sign = -1 if m & 1 else 1
+        row: dict[int, int] = {}
+        for face in combinations(big, m):
+            col = index.get(face)
+            if col is not None:
+                if col in row:
+                    row[col] += sign
+                    if not row[col]:
+                        del row[col]
+                else:
+                    row[col] = sign
+            sign = -sign
+        rows.append(row)
+    return rows
 
 
 def cech_ranks(fan: Fan, weak_rays) -> CohomologyVector:

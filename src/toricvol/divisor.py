@@ -7,6 +7,7 @@ equivalence shifts are decided exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -18,9 +19,34 @@ from .linalg import _adjugate, dot, solve, to_integers
 Divisor = tuple[Fraction, ...]
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _coefficient(value) -> Fraction:
+    """A divisor coefficient: an int, a Fraction, or a string "p" or "p/q" in ASCII digits.
+
+    ``Fraction`` alone would take 0.1 at its binary value, read True as
+    1, "1_0" as 10, "1e3" as 1000 and " 1/2 " as 1/2, and accept
+    non-ASCII digits, silently changing the input.
+    """
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return Fraction(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f"{value!r} is not an integer, a Fraction or a \"p/q\" string")
+    numerator, denominator = match.groups()
+    denominator = int(denominator) if denominator else 1
+    if not denominator:
+        raise ValueError(f"{value!r} has a zero denominator")
+    return Fraction(int(numerator), denominator)
+
+
 def divisor(coeffs) -> Divisor:
-    """Coerce a sequence of ints / 'p/q' strings / Fractions to a divisor."""
-    return tuple(Fraction(c) for c in coeffs)
+    """Coerce a sequence of ints / 'p/q' strings / Fractions to a divisor.
+
+    Raises ValueError on any other coefficient (see ``_coefficient``).
+    """
+    return tuple(_coefficient(c) for c in coeffs)
 
 
 def ray_divisor(fan: Fan, i: int, multiple=1) -> Divisor:

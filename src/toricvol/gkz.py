@@ -41,7 +41,7 @@ from itertools import combinations
 from operator import mul
 
 from .asymptotics import _rates, self_intersection
-from .divisor import Divisor, is_q_cartier, linear_equiv_shift
+from .divisor import Divisor, _check_length, is_q_cartier, linear_equiv_shift
 from .errors import (
     ChamberMembershipError,
     EffectiveConeError,
@@ -248,8 +248,10 @@ class GKZCone:
         Each dot is an integer row times the coefficients of d times
         q > 0, so dot / q is the slack of d at that integer row.  It keeps
         the sign of the slack at the public row, and a ratio of a dot to
-        entries of its own row keeps its value.
+        entries of its own row keeps its value.  Raises ValueError unless
+        d has one coefficient per ray.
         """
+        _check_length(self.fan, d)
         coeffs, q = to_integers(d)
         equal = [sum(map(mul, row, coeffs)) for row in self._integer_equalities]
         pairs = [(row, sum(map(mul, row, coeffs))) for row in self._integer_inequalities]

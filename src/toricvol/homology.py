@@ -14,6 +14,10 @@ are untouched.  Each simplex, faces included, is tagged with its
 carrier, the rays of the least fan cone containing it; it lies in the
 subfan on W exactly when its carrier lies in W, so the complex of each
 W is a filter of the one triangulation.
+
+The boundary maps are built as sparse integer rows and ranked by
+``linalg._sparse_rank``, which keeps the {0, +-1} matrices sparse
+instead of filling them in.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fan import Cone, Fan, all_cones
-from .linalg import rank
+from .linalg import _sparse_rank
 
 
 @dataclass(frozen=True)
@@ -98,15 +102,17 @@ def sphere_complex(fan: Fan, weak_rays) -> SphereComplex:
     )
 
 
-def _boundary_matrix(smaller: list[tuple[int, ...]], larger: list[tuple[int, ...]]):
-    """Boundary map from simplices of size s to size s-1 (s >= 1)."""
+def _boundary_rows(smaller: list[tuple[int, ...]], larger: list[tuple[int, ...]]):
+    """The boundary map from simplices of size s to size s-1 (s >= 1), as sparse rows.
+
+    One ``{face index: +-1}`` row per simplex of ``larger``: the
+    transpose of the boundary matrix, which has the same rank.
+    """
     index = {simplex: i for i, simplex in enumerate(smaller)}
-    matrix = [[0] * len(larger) for _ in smaller]
-    for col, simplex in enumerate(larger):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1 :]
-            matrix[index[face]][col] = (-1) ** i
-    return matrix
+    return [
+        {index[simplex[:i] + simplex[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(simplex))}
+        for simplex in larger
+    ]
 
 
 def reduced_homology_ranks(complex_: SphereComplex) -> tuple[int, ...]:
@@ -121,7 +127,7 @@ def reduced_homology_ranks(complex_: SphereComplex) -> tuple[int, ...]:
     boundary_ranks = [0] * (n + 1)  # rank of d_s : C_s -> C_(s-1), sizes
     for s in range(1, n + 1):
         if dims[s] and dims[s - 1]:
-            boundary_ranks[s] = rank(_boundary_matrix(by_size[s - 1], by_size[s]))
+            boundary_ranks[s] = _sparse_rank(_boundary_rows(by_size[s - 1], by_size[s]))
     ranks = []
     for s in range(n + 1):  # chain degree s-1
         incoming = boundary_ranks[s + 1] if s + 1 <= n else 0

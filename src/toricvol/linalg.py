@@ -1,21 +1,29 @@
-"""Exact linear algebra over the rationals, on one integer elimination core.
+"""Exact linear algebra over the rationals, on two integer loops.
 
-``integer_eliminate`` is the only elimination loop: Gauss-Jordan on
+``integer_eliminate`` is the only Gauss-Jordan loop: elimination on
 integer rows with Edmonds' integer-preserving pivot (``integer_pivot``),
 which reports its pivot columns, its final common denominator and the
-sign that row swaps and pivot-row negations give the determinant.  The
-simplex tableau, boundedness tests and volumes of regions call it on
-integers directly, and so do ``_kernel_direction``, the integer normal
-of n - 1 integer rows that gives both the cocircuits of region normals
-and the facet normals of fan validation, and ``_adjugate``, the integer
-inverse of a square integer matrix behind the vertex bases of regions
-and the Cartier data of simplicial cones.  ``rank``,
-``solve``, ``nullspace``, ``det`` and ``affine_rank`` read its result
-through one rational front end that first clears each row to integers with
-``to_integers``.  Since the reduced row echelon form is unique, their
-answers are exactly those of Gaussian elimination over ``Fraction``;
-matrices at desk scale stay tiny (at most a few hundred rows), so no
-attempt is made at sparsity.
+sign that row swaps and pivot-row negations give the determinant.  It
+serves every answer that needs a reduced row echelon form or a
+determinant.  The simplex tableau pivots with ``integer_pivot`` too.
+The volumes of regions call the loop on integers directly, and so do
+``_kernel_direction``, the integer normal of n - 1 integer rows that
+gives both the cocircuits of region normals and the facet normals of
+fan validation, and ``_adjugate``, the integer inverse of a square
+integer matrix behind the vertex bases of regions and the Cartier data
+of simplicial cones.  ``solve``, ``nullspace`` and ``det`` read its
+result through one rational front end that first clears each row to
+integers with ``to_integers``.  Since the reduced row echelon form is
+unique, their answers are exactly those of Gaussian elimination over
+``Fraction``.
+
+``_sparse_rank`` is the only rank loop: a fraction-free row echelon on
+sparse integer rows, each row's pivot its largest column, as in the
+column reduction of persistent homology (Zomorodian and Carlsson 2005).
+``rank`` and ``affine_rank`` clear rows to integers and call it; the
+boundary and coboundary matrices of ``homology`` and ``cohomology``,
+whose {0, +-1} entries fill in under Gauss-Jordan, are built as sparse
+rows for it directly.
 """
 
 from __future__ import annotations
@@ -151,9 +159,50 @@ def _reduce(matrix: Sequence[Sequence], ncols: int | None = None):
     return rows, pivots, denom, sign, scale
 
 
+def _sparse_rank(rows) -> int:
+    """Rank of integer rows given as ``{column: nonzero int}`` dicts.
+
+    Each row is reduced against the stored pivot row of its largest
+    column until that column holds no pivot yet, where it is stored, or
+    nothing is left.  With a / b the ratio of the pivot to the row's
+    entry in lowest terms and a > 0, the row becomes a * row - b *
+    pivot_row; when a = 1 (a pivot of +-1 above all) that is a
+    subtraction in place, otherwise the result is divided by its
+    content.  Every step scales the row by a nonzero rational and
+    subtracts a multiple of an earlier row, so the rank, the number of
+    stored pivots, is exact.  The dicts are reduced in place.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = row
+                break
+            a, b = prow[col], row[col]
+            g = -math.gcd(a, b) if a < 0 else math.gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in prow.items():
+                x = row.get(c, 0) - b * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            if a != 1:
+                content = math.gcd(*row.values())
+                if content > 1:
+                    row = {c: v // content for c, v in row.items()}
+    return len(pivots)
+
+
 def rank(matrix: Sequence[Sequence]) -> int:
     """Rank of a matrix with exact rational entries."""
-    return len(_reduce(matrix)[1])
+    return _sparse_rank(
+        {j: v for j, v in enumerate(to_integers(row)[0]) if v} for row in matrix
+    )
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Vector | None:
@@ -210,4 +259,4 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     if not points:
         return -1
     base = points[0]
-    return len(_reduce([[a - b for a, b in zip(p, base)] for p in points[1:]], len(base))[1])
+    return rank([[a - b for a, b in zip(p, base)] for p in points[1:]])

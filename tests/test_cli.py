@@ -8,6 +8,7 @@ import pytest
 
 from test_cold_path import counting_solve_lp
 from toricvol.cli import decimal_string, format_rational, main
+from toricvol.divisor import divisor
 from fractions import Fraction
 
 P2 = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [2, 0]]}
@@ -360,6 +361,19 @@ def test_divisor_coefficient_spellings_rejected(tmp_path, coeff):
     code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
     assert code == 2
     assert report["error"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize("coeff", ["1_0", "1/0", True, 0.5, None])
+def test_divisor_document_and_library_share_one_rule(tmp_path, coeff):
+    # The CLI reads coefficients through divisor.divisor, so it rejects
+    # exactly what the library rejects, with the library's message.
+    with pytest.raises(ValueError) as err:
+        divisor([coeff, 0, 0])
+    fan = write(tmp_path, "fan.json", P2)
+    div = write(tmp_path, "d.json", {"coeffs": [coeff, 0, 0]})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
+    assert code == 2
+    assert report["error"]["message"].endswith(f"malformed coefficients: {err.value}")
 
 
 def test_divisor_coefficient_spellings_accepted(tmp_path):

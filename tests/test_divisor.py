@@ -24,6 +24,22 @@ from toricvol.fixtures import f1, p1, p2, quadrant_fan, square_cone_fan, weighte
 def test_parse_divisor():
     d = divisor([1, "1/2", "-3"])
     assert d == (Fraction(1), Fraction(1, 2), Fraction(-3))
+    assert divisor(["+3", "-1/2", "04/6", Fraction(5, 7), -2]) == (
+        Fraction(3), Fraction(-1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(-2)
+    )
+    assert all(type(c) is Fraction for c in divisor([1, "2", Fraction(3)]))
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["1_0", "1e3", " 1/2 ", "\u0661", "1/0", "1/-2", "", "0.5", True, 0.5, None, [1]],
+)
+def test_divisor_rejects_other_spellings(coeff):
+    # Fraction() would read the first four as 10, 1000, 1/2 and 1, True as
+    # 1 and 0.5 at its binary value; only ints, Fractions and ASCII
+    # "p" / "p/q" strings pass.
+    with pytest.raises(ValueError):
+        divisor([0, coeff, 0])
 
 
 def test_q_cartier_p2():

@@ -285,6 +285,20 @@ def test_chamber_dimension_formula():
             assert chamber.class_cone_dim() == pic_rank + len(chamber.strict_rays)
 
 
+def test_chamber_tests_reject_wrong_length_divisors():
+    # The dots used to zip the rows with the coefficients and stop at the
+    # shorter, so on P^2 contains((1,)) and contains_strictly((5,)) held.
+    fan = p2()
+    chamber = located_cone(fan, locate_chamber(fan, ray_divisor(fan, 0)))
+    for d in ((1,), (5,), (1, 1), (1, 1, 1, 1)):
+        for test in (chamber.contains, chamber.contains_strictly):
+            with pytest.raises(ValueError, match=f"divisor has {len(d)} coefficients, fan has 3 rays"):
+                test(d)
+        with pytest.raises(ValueError, match="coefficients"):
+            gkz_membership(fan, chamber, d)
+    assert chamber.contains_strictly((5, 0, 0)) and chamber.contains((1, 1, 1))
+
+
 def test_chamber_partition_on_f1():
     fan = f1()
     chambers = enumerate_maximal_chambers(fan)

@@ -4,7 +4,21 @@ from fractions import Fraction
 import pytest
 
 import fraction_linalg as referee
-from toricvol.linalg import affine_rank, det, dot, integer_eliminate, nullspace, rank, solve
+from complex_referees import EVERY_FIXTURE
+from generated_fans import star_fan_data
+from toricvol import cohomology, homology
+from toricvol.fan import is_complete, make_fan
+from toricvol.linalg import (
+    _sparse_rank,
+    affine_rank,
+    det,
+    dot,
+    integer_eliminate,
+    nullspace,
+    rank,
+    solve,
+)
+from toricvol.regions import bounded_subsets
 
 
 def test_rank_basics():
@@ -159,3 +173,92 @@ def test_empty_and_degenerate_shapes():
             det(bad)
         with pytest.raises(ValueError):
             referee.det(bad)
+
+
+def dense(rows):
+    """A list of ``{column: entry}`` rows as a dense integer matrix."""
+    ncols = 1 + max((max(row) for row in rows if row), default=-1)
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def random_sparse_rows(rng, nrows, ncols):
+    """Sparse integer rows, entries mostly +-1 but up to +-6, with zero and repeated rows."""
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for c in rng.sample(range(ncols), rng.randint(0, min(ncols, 5))):
+            row[c] = rng.choice((1, -1, 1, -1, 2, -2, 3, -4, 6))
+        rows.append(row)
+    for _ in range(rng.randint(0, 3)):
+        rows.append(dict(rng.choice(rows)))  # a repeated row
+        rows.append({})
+        source = rng.choice(rows)  # a multiple of a row
+        rows.append({c: 3 * v for c, v in source.items()})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_rank_matches_fraction_referee_on_random_rows():
+    rng = random.Random(17)
+    deficient = 0
+    for size in (1, 2, 3, 5, 8, 13, 21, 34, 60):
+        for _ in range(3 if size > 20 else 12):
+            nrows, ncols = rng.randint(1, size), rng.randint(1, size)
+            rows = random_sparse_rows(rng, nrows, ncols)
+            expected = referee.rank(dense(rows))
+            found = _sparse_rank([dict(row) for row in rows])
+            assert found == expected, rows
+            deficient += found < min(len(rows), ncols)
+    assert deficient > 20
+
+
+def test_sparse_rank_gcd_path():
+    # Pivots of 2 and 3 force the a * row - b * pivot_row step and the
+    # content division; the third row is 2 * first + 3 * second.
+    rows = [{0: 3, 2: 2}, {1: 4, 2: 3}, {0: 6, 1: 12, 2: 13}, {2: 5}]
+    assert _sparse_rank([dict(row) for row in rows]) == referee.rank(dense(rows)) == 3
+    assert _sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {1: 7}]) == 2
+    assert _sparse_rank([]) == 0 and _sparse_rank([{}, {}]) == 0
+
+
+# Dense Fraction Gauss-Jordan needs ~0.1 s for a 70 x 56 matrix, the
+# largest of the complete fixtures, star1 and star2, but ~3 s for one
+# 252 x 210 top Cech matrix of star3 and minutes for star4's 792 x 495;
+# the matrices above this many entries are checked through the Cech
+# ranks instead.
+REFEREE_ENTRIES = 4000
+
+
+@pytest.mark.parametrize(
+    "data",
+    [(f().dim, f().rays, f().max_cones) for f in EVERY_FIXTURE if is_complete(f())]
+    + [star_fan_data(splits) for splits in (1, 2, 3, 4)],
+    ids=[f.__name__ for f in EVERY_FIXTURE if is_complete(f())]
+    + [f"star{splits}" for splits in (1, 2, 3, 4)],
+)
+def test_sparse_rank_matches_fraction_referee_on_chain_complexes(monkeypatch, data):
+    # Every boundary matrix of a sphere complex and every Cech coboundary
+    # matrix of every bounded subset, as the library hands them to
+    # _sparse_rank.  Every weak set W is realized at u = 0 by D = -1 off
+    # W and 0 on it, so the Cech ranks equal the local cohomology ranks;
+    # that checks the matrices too large for the Fraction referee.
+    fan = make_fan(*data)  # a fresh fan: nothing memoized yet
+    ranks = {}
+
+    def recorded(rows):
+        rows = list(rows)
+        key = tuple(tuple(sorted(row.items())) for row in rows)
+        ranks[key] = _sparse_rank(rows)
+        return ranks[key]
+
+    monkeypatch.setattr(homology, "_sparse_rank", recorded)
+    monkeypatch.setattr(cohomology, "_sparse_rank", recorded)
+    for subset in bounded_subsets(fan):
+        assert cohomology.cech_ranks(fan, subset) == homology.local_cohomology_ranks(fan, subset)
+    compared = 0
+    for key, found in ranks.items():
+        ncols = 1 + max((row[-1][0] for row in key if row), default=-1)
+        if len(key) * ncols <= REFEREE_ENTRIES:
+            assert found == referee.rank(dense([dict(row) for row in key])), key
+            compared += 1
+    assert compared >= min(len(ranks), 15)

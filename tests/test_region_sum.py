@@ -180,23 +180,31 @@ def test_region_sum_matches_sweep(monkeypatch, make):
 
 
 def test_region_sum_matches_sweep_poly12(monkeypatch):
-    # The Cech complex on 12 maximal cones costs ~0.2 s per ray subset,
+    # The Cech complex on 12 maximal cones costs ~10 ms per ray subset,
     # too much for a sweep over ~4000 subsets; cech_oracle is compared
-    # on the smaller fans above.
+    # with h_all on poly12 in the next test.
     fan = poly12()
     rng = random.Random(12)
     for d in sample_divisors(fan, rng, 1):
         compare_with_sweep(monkeypatch, fan, d, (h_all, euler_char, hhat, self_intersection))
 
 
+def test_cech_oracle_matches_h_all_poly12():
+    # A fresh fan, so every realized region's Cech ranks are computed cold.
+    fan = fresh(poly12())
+    k = len(fan.rays)
+    rng = random.Random(1212)
+    for d in ((1,) * k, tuple(Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3))) for _ in range(k))):
+        assert cech_oracle(fan, d) == h_all(fan, d), d
+
+
 def test_region_sum_matches_sweep_star4(monkeypatch):
-    # The sweep weighs all 94 bounded subsets with a nonzero rank vector,
-    # and their Cech complexes on 12 maximal cones take ~40 s in all, so
-    # cech_oracle is left out here as on poly12.
+    # The sweep weighs all 156 bounded subsets, so cech_oracle ranks the
+    # Cech complex on 12 maximal cones of each (~1.2 s in all).
     fan = star4()
     rng = random.Random(2005 + len(fan.rays))
     for d in sample_divisors(fan, rng, 2):
-        compare_with_sweep(monkeypatch, fan, d, (h_all, euler_char, hhat, self_intersection))
+        compare_with_sweep(monkeypatch, fan, d, ALL_FUNCTIONS)
 
 
 def test_warm_h_all_measures_only_realized_regions(monkeypatch):
