@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .divisor import Divisor, _check_length
+from .divisor import Divisor, _check_length, _check_rays
 from .errors import NotCompleteError, ToricError
 from .fan import Fan, chi_of_fan, is_complete, subfan
 from .homology import local_cohomology_ranks
@@ -26,9 +26,12 @@ CohomologyVector = tuple[int, ...]
 def weak_ray_set(fan: Fan, d: Divisor, point) -> frozenset[int]:
     """The rays whose section inequality holds weakly at the given point.
 
-    Raises ValueError unless the divisor has one coefficient per ray.
+    Raises ValueError unless the divisor has one coefficient per ray and
+    the point one coordinate per dimension.
     """
     _check_length(fan, d)
+    if len(point) != fan.dim:
+        raise ValueError(f"point has {len(point)} coordinates, fan has dimension {fan.dim}")
     return frozenset(
         i for i, ray in enumerate(fan.rays) if dot(point, ray) >= -d[i]
     )
@@ -156,14 +159,17 @@ def cech_ranks(fan: Fan, weak_rays) -> CohomologyVector:
     """Cohomology ranks of the alternating Cech complex for one region type.
 
     The complex lives on the ordered cover by maximal cones.  Memoized
-    per fan and subset.
+    per fan and subset; raises ValueError on an index that is no ray of
+    the fan, checked only when the ranks are computed.
     """
     subset = frozenset(weak_rays)
     ncones = len(fan.max_cones)
-    return fan.memo(
-        ("cech", subset),
-        lambda: _cech_rank_vector(fan, subset, lambda size: combinations(range(ncones), size)),
-    )
+
+    def compute():
+        _check_rays(fan, subset)
+        return _cech_rank_vector(fan, subset, lambda size: combinations(range(ncones), size))
+
+    return fan.memo(("cech", subset), compute)
 
 
 def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import NotCompleteError
-from .fan import Fan, is_complete
-from .linalg import _adjugate, dot, solve, to_integers
+from .fan import Fan, _basis_inverses, is_complete
+from .linalg import dot, solve, to_integers
 
 Divisor = tuple[Fraction, ...]
 
@@ -50,14 +50,20 @@ def divisor(coeffs) -> Divisor:
 
 
 def ray_divisor(fan: Fan, i: int, multiple=1) -> Divisor:
-    """The divisor ``multiple * D_i`` supported on a single ray."""
+    """The divisor ``multiple * D_i`` supported on a single ray.
+
+    Raises ValueError unless i is a ray index and ``multiple`` a
+    coefficient as ``_coefficient`` reads it.
+    """
+    _check_rays(fan, (i,))
     coeffs = [Fraction(0)] * len(fan.rays)
-    coeffs[i] = Fraction(multiple)
+    coeffs[i] = _coefficient(multiple)
     return tuple(coeffs)
 
 
 def scale(d: Divisor, factor) -> Divisor:
-    f = Fraction(factor)
+    """The divisor ``factor * d``; the factor is read by ``_coefficient``."""
+    f = _coefficient(factor)
     return tuple(f * c for c in d)
 
 
@@ -79,22 +85,27 @@ def _check_length(fan: Fan, d: Divisor) -> None:
         raise ValueError(f"divisor has {len(d)} coefficients, fan has {len(fan.rays)} rays")
 
 
-def _cone_inverses(fan: Fan):
-    """Per maximal cone, its sorted rays and their integer inverse, once per fan.
+def _check_rays(fan: Fan, rays) -> None:
+    """Raise ValueError unless every entry is a ray index 0..k-1 of the fan."""
+    bad = sorted(i for i in rays if not 0 <= i < len(fan.rays))
+    if bad:
+        raise ValueError(f"ray indices {bad} are not among the fan's {len(fan.rays)} rays")
 
-    The inverse is ``linalg._adjugate`` of the matrix of the rays when
-    the cone has n independent rays, and None for every other cone.
+
+def _basis_functional(fan: Fan, idx: tuple[int, ...], coeffs, q: int):
+    """The u with <u, v_i> = -coeffs[i] / q for i in idx, read off the fan's inverses.
+
+    ``idx`` is a sorted tuple of ray indices and ``coeffs / q`` a
+    divisor cleared to integers (``to_integers``).  None unless the rays
+    of idx form a basis, that is, unless the fan's table of basis
+    inverses (``fan._basis_inverses``) holds idx.
     """
-
-    def compute():
-        table = []
-        for mc in fan.max_cones:
-            idx = tuple(sorted(mc))
-            inverse = _adjugate([fan.rays[i] for i in idx]) if len(idx) == fan.dim else None
-            table.append((idx, inverse))
-        return tuple(table)
-
-    return fan.memo("cone_inverses", compute)
+    common, inverses = _basis_inverses(fan.rays, fan.dim, fan.memo)
+    inverse = inverses.get(idx)
+    if inverse is None:
+        return None
+    rhs = [-coeffs[i] for i in idx]
+    return tuple(Fraction(sum(map(mul, row, rhs)), common * q) for row in inverse)
 
 
 def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
@@ -104,22 +115,23 @@ def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
     rays must be solvable; on full-dimensional cones the solution is
     automatically unique, and on non-simplicial cones the consistency
     requirement across all rays is what can fail.  A full-dimensional
-    simplicial cone reads its u off the fan's integer inverse of its
-    rays, applied to the divisor cleared to integers once per call; any
-    other cone solves its system.
+    simplicial cone reads its u off the integer inverse of its rays in
+    the fan's table of basis inverses (``fan._basis_inverses``), applied
+    to the divisor cleared to integers once per call; any other cone
+    solves its system.  A cold call builds the whole table, every
+    invertible n-subset of the rays, which region sums and chamber
+    systems read as well.
     """
     _check_length(fan, d)
     coeffs, q = to_integers(d)
     us = []
-    for idx, inverse in _cone_inverses(fan):
-        if inverse is None:
+    for mc in fan.max_cones:
+        idx = tuple(sorted(mc))
+        u = _basis_functional(fan, idx, coeffs, q)
+        if u is None:
             u = solve([fan.rays[i] for i in idx], [-d[i] for i in idx])
             if u is None:
                 return None
-        else:
-            adjugate, size = inverse
-            rhs = [-coeffs[i] for i in idx]
-            u = tuple(Fraction(sum(map(mul, row, rhs)), size * q) for row in adjugate)
         us.append(u)
     return CartierData(tuple(us))
 
@@ -150,7 +162,13 @@ def is_ample(fan: Fan, d: Divisor) -> bool:
 
 
 def linear_equiv_shift(fan: Fan, d: Divisor, u) -> Divisor:
-    """The linearly equivalent divisor obtained by adding div(chi^u)."""
+    """The linearly equivalent divisor obtained by adding div(chi^u).
+
+    Raises ValueError unless d has one coefficient per ray and u one
+    entry per coordinate.
+    """
     _check_length(fan, d)
+    if len(u) != fan.dim:
+        raise ValueError(f"character has {len(u)} entries, fan has dimension {fan.dim}")
     uu = tuple(Fraction(v) for v in u)
     return tuple(c + dot(uu, ray) for c, ray in zip(d, fan.rays))

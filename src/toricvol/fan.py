@@ -14,6 +14,10 @@ relative-interior LP per pair of maximal cones to check that they meet
 in a common face; face tests of non-simplicial cones are exact LP
 feasibility too.
 
+The integer inverse of every ray basis lives here too
+(``_basis_inverses``, one table per fan), for the region vertices, the
+Cartier data and the chamber systems of the modules above.
+
 Fan objects are immutable after validation and every operation here is
 a pure function, so values may be shared freely between threads.  The
 per-fan memo is only ever filled with idempotently recomputable values.
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidFanError, NotSimplicialError
-from .linalg import _kernel_direction, det, dot, rank
+from .linalg import _adjugate, _kernel_direction, det, dot, rank
 from .lp import cone_contains, is_face_subset, is_pointed, relative_interior_functional
 
 
@@ -69,6 +73,34 @@ class Fan:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+
+def _basis_inverses(vectors, dim: int, memo):
+    """The integer inverse of every invertible ``dim``-subset of the vectors, once per memo.
+
+    Returns (common, inverses): ``inverses`` maps each sorted index tuple
+    whose vectors are independent, in lexicographic order, to the
+    integer matrix A with A / common the inverse of the matrix whose
+    rows are those vectors (``linalg._adjugate``, rescaled), and
+    common > 0 is the lcm of the basis determinants.  So A . b / common
+    is the point u with <u, v_i> = b_i on the basis, and column i of
+    A . v / common is the coefficient of basis vector i in v.  Fans pass
+    their rays and ``Fan.memo``; a region passes its own normals and memo.
+    """
+
+    def compute():
+        found = {}
+        for combo in combinations(range(len(vectors)), dim):
+            inverse = _adjugate([vectors[i] for i in combo])
+            if inverse is not None:
+                found[combo] = inverse
+        common = math.lcm(*(size for _, size in found.values()))
+        return common, {
+            combo: tuple(tuple(x * (common // size) for x in row) for row in adjugate)
+            for combo, (adjugate, size) in found.items()
+        }
+
+    return memo("basis_inverses", compute)
 
 
 def _intersection_faces(rays, c1, c2) -> tuple[set[int], set[int]]:

@@ -25,9 +25,15 @@ This module computes, exactly:
 Chamber facts depend on the ray configuration alone (Gelfand, Kapranov
 and Zelevinsky), so they live in the per-fan memo and are computed once
 per fan: the rays inside each cone, the extreme subset of each tight
-ray set, the condition system of each chamber cone and the list of
-maximal chambers.  The memo holds none of them as a ``GKZCone`` or as
-anything else that references the fan; every call builds fresh
+ray set, the condition system of each chamber cone, the list of
+maximal chambers and the standalone fan of each chamber that
+``hhat0_on_chamber`` evaluates on.  Every condition system and every
+cone functional of a nef decomposition reads the fan's one table of
+integer basis inverses (``fan._basis_inverses``), which the region
+vertices and the Cartier data of ``divisor`` read too, so neither
+runs an elimination of its own.  The memo holds none of them as a
+``GKZCone`` or as anything else that references the ambient fan (a
+chamber's fan is built on copies of its rays); every call builds fresh
 ``GKZCone`` objects around the memoized data.
 """
 
@@ -41,7 +47,7 @@ from itertools import combinations
 from operator import mul
 
 from .asymptotics import _rates, self_intersection
-from .divisor import Divisor, _check_length, is_q_cartier, linear_equiv_shift
+from .divisor import Divisor, _basis_functional, _check_length, is_q_cartier, linear_equiv_shift
 from .errors import (
     ChamberMembershipError,
     EffectiveConeError,
@@ -51,7 +57,7 @@ from .errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from .fan import Fan, _glued_cover_once, is_complete, is_simplicial, make_fan
+from .fan import Fan, _basis_inverses, _glued_cover_once, is_complete, is_simplicial, make_fan
 from .linalg import det, dot, nullspace, rank, solve, to_integers
 from .lp import cone_contains, feasible_point, relative_interior_functional
 from .regions import HalfOpenRegion, _integer_vertices, closure_vertices, region
@@ -284,11 +290,23 @@ class GKZCone:
 
 
 def _gkz_system(fan: Fan, cones, strict):
-    """(members, bases, equalities, inequalities) of a chamber cone, once per fan."""
+    """(members, bases, equalities, inequalities) of a chamber cone, once per fan.
+
+    For every independent ray basis B inside a cone and off the strict
+    set, each ray rho gives the condition e_rho - sum_b c_b e_b with
+    v_rho = sum_b c_b v_b: an equality when rho lies in the cone and
+    off the strict set, an inequality otherwise.  B is independent
+    exactly when the fan's table of basis inverses
+    (``fan._basis_inverses``) holds it, and with A / common its inverse
+    the condition times common is the integer vector common * e_rho -
+    sum_b (column b of A . v_rho) e_b, stored as its primitive part
+    with ``Fraction`` entries.  The first basis of each cone is its
+    recorded basis.
+    """
 
     def compute():
         n = fan.dim
-        nrays = len(fan.rays)
+        common, inverses = _basis_inverses(fan.rays, n, fan.memo)
         members = []
         bases = []
         equalities: set[tuple[Fraction, ...]] = set()
@@ -296,33 +314,25 @@ def _gkz_system(fan: Fan, cones, strict):
         for cone in cones:
             inside = _cone_members(fan, cone)
             members.append(inside)
-            pool = sorted(inside - strict)
-            base_found = None
-            for basis in combinations(pool, n):
-                matrix = [fan.rays[i] for i in basis]
-                if rank(matrix) != n:
-                    continue
-                if base_found is None:
-                    base_found = basis
-                columns = [[fan.rays[b][r] for b in basis] for r in range(n)]
-                for rho in range(nrays):
-                    expansion = solve(columns, fan.rays[rho])
-                    coeffs = [Fraction(0)] * nrays
-                    coeffs[rho] += 1
-                    for b, a in zip(basis, expansion):
-                        coeffs[b] -= a
-                    if not any(coeffs):
+            independent = [b for b in combinations(sorted(inside - strict), n) if b in inverses]
+            if not independent:
+                raise ValueError("cone has no independent ray basis outside the strict set")
+            bases.append(independent[0])
+            for basis in independent:
+                columns = list(zip(basis, zip(*inverses[basis])))
+                for rho, ray in enumerate(fan.rays):
+                    ints = [0] * len(fan.rays)
+                    ints[rho] = common
+                    for b, column in columns:
+                        ints[b] -= sum(map(mul, column, ray))
+                    if not any(ints):
                         continue
-                    ints, _ = to_integers(coeffs)
                     g = math.gcd(*ints)
                     condition = tuple(Fraction(v // g) for v in ints)
                     if rho in inside and rho not in strict:
                         equalities.add(condition)
                     else:
                         inequalities.add(condition)
-            if base_found is None:
-                raise ValueError("cone has no independent ray basis outside the strict set")
-            bases.append(base_found)
         inequalities -= equalities
         return (
             tuple(members),
@@ -486,11 +496,8 @@ def _fans_on_rays_3d(fan: Fan, subset):
     """
     rays = fan.rays
     idx = sorted(subset)
-    candidates = [
-        frozenset(c)
-        for c in combinations(idx, 3)
-        if rank([rays[i] for i in c]) == 3
-    ]
+    _, inverses = _basis_inverses(rays, fan.dim, fan.memo)
+    candidates = [frozenset(c) for c in combinations(idx, 3) if c in inverses]
 
     def side(facet, other):
         f = sorted(facet)
@@ -620,12 +627,15 @@ class NefDecomposition:
 
 
 def _piecewise_linear_data(fan: Fan, cone: GKZCone, d: Divisor):
-    """Per-cone linear functionals of the member's support-style function."""
-    us = []
-    for basis in cone.bases:
-        matrix = [fan.rays[i] for i in basis]
-        u = solve(matrix, [-d[i] for i in basis])
-        us.append(u)
+    """Per-cone linear functionals of the member's support-style function.
+
+    The functional of a cone agrees with -d on the cone's recorded
+    basis; it is read off that basis's integer inverse in the fan's
+    table (``divisor._basis_functional``), applied to d cleared to
+    integers once.
+    """
+    coeffs, q = to_integers(d)
+    us = [_basis_functional(fan, basis, coeffs, q) for basis in cone.bases]
     values = []
     for rho in range(len(fan.rays)):
         owner = next(s for s, inside in enumerate(cone.members) if rho in inside)
@@ -687,6 +697,8 @@ def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
     Nondegenerate chambers evaluate the top self-intersection of the
     pushforward on the chamber's own fan and cross-check against the
     direct volume computation; degenerate chambers are identically zero.
+    The chamber's fan is built once per ambient fan and kept in its
+    memo, so its own memo stays warm across calls.
     """
     if not cone.contains(d):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
@@ -695,7 +707,9 @@ def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
         if direct != 0:
             raise ToricError("internal: degenerate chamber with nonzero growth")
         return Fraction(0)
-    sigma_fan = sigma_to_fan(fan, cone.sigma_cones)
+    sigma_fan = fan.memo(
+        ("sigma_fan", cone.sigma_cones), lambda: sigma_to_fan(fan, cone.sigma_cones)
+    )
     value = self_intersection(sigma_fan, pushforward(fan, sigma_fan, d))
     if value != direct:
         raise ToricError("internal: pushforward power disagrees with volume sum")

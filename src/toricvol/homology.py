@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .divisor import _check_rays
 from .fan import Cone, Fan, all_cones
 from .linalg import _sparse_rank
 
@@ -139,11 +140,13 @@ def local_cohomology_ranks(fan: Fan, weak_rays) -> tuple[int, ...]:
     """The rank vector (r_0, ..., r_n) for one ray subset, memoized per fan.
 
     r_i equals the reduced homology rank of the sphere complex in
-    degree n - i - 1.
+    degree n - i - 1.  Raises ValueError on an index that is no ray of
+    the fan, checked only when the ranks are computed.
     """
     subset = frozenset(weak_rays)
 
     def compute():
+        _check_rays(fan, subset)
         tilde = reduced_homology_ranks(sphere_complex(fan, subset))
         n = fan.dim
         # tilde[s] is reduced degree s-1, so degree j sits at tilde[j+1].

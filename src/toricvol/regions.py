@@ -15,11 +15,11 @@ only off W.  The patterns come once per normal set from the kernels of
 its (n - 1)-subsets in integers; a region sum tests only the weak sets
 its divisor realizes, never all 2^k.
 
-Everything here is exact.  Vertex enumeration runs in integers: the
-rank-n ray bases keep their integer adjugates (``linalg._adjugate``,
-shared with the Cartier data of ``divisor``) per fan, all scaled to one
-common denominator (the lcm of the basis determinants), and the levels
-are scaled once to integers over their lcm.  One loop,
+Everything here is exact.  Vertex enumeration runs in integers: it
+reads the integer inverse of every rank-n basis of normals over one
+common denominator (``fan._basis_inverses``, the per-fan table that the
+Cartier data of ``divisor`` and the chamber systems of ``gkz`` read
+too), and the levels are scaled once to integers over their lcm.  One loop,
 ``_arrangement_vertices``, solves every basis at the levels and
 classifies each distinct arrangement vertex P by the rows above
 it (<v, P> > level) and the rows tight at it (<v, P> = level).  A region's
@@ -58,11 +58,10 @@ from itertools import combinations, product
 from operator import mul
 from typing import Callable
 
-from .divisor import Divisor, _check_length
+from .divisor import Divisor, _check_length, _check_rays
 from .errors import CapExceededError, UnboundedRegionError
-from .fan import Fan
+from .fan import Fan, _basis_inverses
 from .linalg import (
-    _adjugate,
     _kernel_direction,
     affine_rank,
     dot,
@@ -92,7 +91,7 @@ class HalfOpenRegion:
     """One mixed weak/strict linear system, one constraint per ray.
 
     ``memo`` stores the facts that depend only on the normals (cocircuit
-    patterns, vertex bases).  Regions of a fan carry the fan's memo, so
+    patterns, basis inverses).  Regions of a fan carry the fan's memo, so
     those facts are computed once per fan; the default computes them
     afresh on every call.
     """
@@ -138,9 +137,14 @@ class RationalPolytope:
 
 
 def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
-    """The region of the given ray subset for the given divisor."""
+    """The region of the given ray subset for the given divisor.
+
+    Raises ValueError unless d has one coefficient per ray and every
+    entry of the subset is a ray index.
+    """
     _check_length(fan, d)
     subset = frozenset(weak_rays)
+    _check_rays(fan, subset)
     return HalfOpenRegion(
         normals=fan.rays,
         levels=tuple(-c for c in d),
@@ -228,47 +232,22 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
     )
 
 
-def _vertex_bases(reg: HalfOpenRegion):
-    """Every invertible n-set of normals over one common denominator.
-
-    Returns (common, bases) with bases a tuple of (combo, adjugate) in
-    integers: ``adjugate / common`` is the inverse of the matrix of the
-    normals in ``combo``, and common > 0 is the lcm of the basis
-    determinants.
-    """
-    n = reg.dim
-
-    def compute():
-        found = []
-        for combo in combinations(range(len(reg.normals)), n):
-            inverse = _adjugate([reg.normals[i] for i in combo])
-            if inverse is not None:
-                found.append((combo, *inverse))
-        common = math.lcm(*(size for _, _, size in found))
-        bases = tuple(
-            (combo, tuple(tuple(x * (common // size) for x in row) for row in adjugate))
-            for combo, adjugate, size in found
-        )
-        return common, bases
-
-    return reg.memo("vertex_bases", compute)
-
-
 def _arrangement_vertices(reg: HalfOpenRegion):
     """Every distinct arrangement vertex at the region's levels, classified.
 
     Returns ({P: (above, tight)}, scale): each vertex is P / scale, with
     scale = common * q for the levels scaled to integers L over their
-    lcm q, and P = adjugate . L for one vertex basis.  ``above`` holds
-    the rows with <v, P> > common * L_i and ``tight`` those with
-    equality, all tested in integers; the weak set plays no part.  A
-    point found from several bases is classified once.
+    lcm q, and P = A . L for one basis inverse A of
+    ``fan._basis_inverses``.  ``above`` holds the rows with
+    <v, P> > common * L_i and ``tight`` those with equality, all tested
+    in integers; the weak set plays no part.  A point found from several
+    bases is classified once.
     """
-    common, bases = _vertex_bases(reg)
+    common, bases = _basis_inverses(reg.normals, reg.dim, reg.memo)
     levels, q = to_integers(reg.levels)
     rows = [(i, normal, common * level) for i, (normal, level) in enumerate(zip(reg.normals, levels))]
     found = {}
-    for combo, adjugate in bases:
+    for combo, adjugate in bases.items():
         rhs = [levels[i] for i in combo]
         point = tuple(sum(map(mul, row, rhs)) for row in adjugate)
         if point in found:

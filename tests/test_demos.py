@@ -2,8 +2,9 @@
 
 ``-O`` strips ``assert`` statements, so this checks that the library's
 internal cross-checks do not rely on them; a static scan keeps the
-library free of ``assert`` statements altogether.  Another scan keeps
-the Cech referee from reading the sphere-complex rank vectors it checks.
+library free of ``assert`` statements altogether, and one more keeps
+its runtime on the standard library.  Another scan keeps the Cech
+referee from reading the sphere-complex rank vectors it checks.
 """
 
 import ast
@@ -38,6 +39,22 @@ def test_library_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_library_imports_only_the_standard_library():
+    assert SOURCES
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {name}"
 
 
 def test_cech_referee_reads_no_sphere_complex():

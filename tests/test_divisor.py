@@ -42,6 +42,29 @@ def test_divisor_rejects_other_spellings(coeff):
         divisor([0, coeff, 0])
 
 
+@pytest.mark.parametrize("factor", ["1_0", " 1e3 ", "1/0", True, 0.1, None])
+def test_scale_and_ray_divisor_read_factors_like_divisor(factor):
+    # Fraction() read "1_0" as 10, " 1e3 " as 1000 and 0.1 at its binary value.
+    with pytest.raises(ValueError):
+        scale(divisor([1, 2]), factor)
+    with pytest.raises(ValueError):
+        ray_divisor(p2(), 0, factor)
+
+
+def test_scale_and_ray_divisor_examples():
+    assert scale(divisor([1, 2]), "-1/2") == (Fraction(-1, 2), Fraction(-1))
+    assert scale(divisor([1]), Fraction(2, 3)) == (Fraction(2, 3),)
+    assert ray_divisor(p2(), 2, "3/4") == (0, 0, Fraction(3, 4))
+    assert all(type(c) is Fraction for c in ray_divisor(p2(), 1, 5))
+
+
+@pytest.mark.parametrize("index", [-1, 3, 7])
+def test_ray_divisor_rejects_other_indices(index):
+    # ray_divisor(p2(), -1) used to return D_2.
+    with pytest.raises(ValueError, match=f"ray indices \\[{index}\\] are not among the fan's 3 rays"):
+        ray_divisor(p2(), index)
+
+
 def test_q_cartier_p2():
     fan = p2()
     data = is_q_cartier(fan, ray_divisor(fan, 0))
@@ -154,6 +177,52 @@ def test_wrong_length_divisor_is_rejected(extra):
     for call in wrong_length_calls():
         with pytest.raises(ValueError, match=f"divisor has {3 + extra} coefficients, fan has 3 rays"):
             call(fan, d)
+
+
+def malformed_calls():
+    from toricvol.cohomology import cech_ranks, graded_piece_dim, weak_ray_set
+    from toricvol.homology import local_cohomology_ranks
+    from toricvol.regions import ehrhart_probe, is_bounded_subset, region
+
+    d = divisor([1, 1, 1])
+    return (
+        (lambda fan: linear_equiv_shift(fan, d, (1,)), "character has 1 entries"),
+        (lambda fan: linear_equiv_shift(fan, d, (1, 2, 3)), "character has 3 entries"),
+        (lambda fan: weak_ray_set(fan, d, (0,)), "point has 1 coordinates"),
+        (lambda fan: graded_piece_dim(fan, d, (0, 0, 0), 0), "point has 3 coordinates"),
+        (lambda fan: region(fan, d, [7]), "ray indices \\[7\\]"),
+        (lambda fan: region(fan, d, [0, -1, 3]), "ray indices \\[-1, 3\\]"),
+        (lambda fan: ehrhart_probe(fan, d, [7], 2), "ray indices \\[7\\]"),
+        (lambda fan: local_cohomology_ranks(fan, [7]), "ray indices \\[7\\]"),
+        (lambda fan: cech_ranks(fan, [-1]), "ray indices \\[-1\\]"),
+        (lambda fan: is_bounded_subset(fan, [-1]), "ray indices \\[-1\\]"),
+    )
+
+
+def test_malformed_points_characters_and_ray_indices_are_rejected():
+    # Each call used to answer: a short character or point was read as if
+    # zero-padded, a long one truncated, and unknown ray indices dropped.
+    fan = p2()
+    for call, message in malformed_calls():
+        for _ in range(2):  # a failed memoized compute stores nothing
+            with pytest.raises(ValueError, match=message):
+                call(fan)
+
+
+def test_rank_functions_check_ray_indices_only_when_computing(monkeypatch):
+    from toricvol.cohomology import cech_ranks
+    from toricvol.homology import local_cohomology_ranks
+
+    fan = validate_fan(2, p2().rays, p2().max_cones)  # a fresh memo
+    cold = (local_cohomology_ranks(fan, [0, 2]), cech_ranks(fan, [0, 2]))
+    checked = []
+    for module in ("toricvol.homology", "toricvol.cohomology"):
+        monkeypatch.setattr(f"{module}._check_rays", lambda *args: checked.append(args))
+    assert (local_cohomology_ranks(fan, [2, 0]), cech_ranks(fan, [2, 0])) == cold
+    assert checked == []
+    local_cohomology_ranks(fan, [1])
+    cech_ranks(fan, [1])
+    assert len(checked) == 2
 
 
 def cartier_referee(fan, d):

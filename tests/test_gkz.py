@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from generated_fans import star_fan_data
+import chamber_referees
+from generated_fans import polygon_fan_data, star_fan_data
 from lp_referees import pairwise_lp_fans_on_rays_3d
 from test_cold_path import PENTAGRAM, counting_solve_lp, suspension
 from toricvol import gkz
@@ -712,3 +713,61 @@ def test_warm_ampleness_solves_nothing_and_skips_the_section_polytope(monkeypatc
     assert any(all(weak) for weak in measured)
     assert is_q_cartier(cube_fan(), divisor([1] * 8)) is not None
     assert solves
+
+
+def polygon_fan(seed):
+    def make():
+        return make_fan(*polygon_fan_data(random.Random(seed)))
+
+    make.__name__ = f"polygon{seed}"
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, search",
+    [
+        *((make, True) for make in (*COMPLETE_2D, bl1_p3, p1_cubed, *map(polygon_fan, range(4)))),
+        (cube_fan, False),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_chamber_systems_match_fraction_referees(make, search):
+    # Every maximal chamber (cube_fan's cold search is left out for time)
+    # and the chambers of the zero divisor and of 40 seeded divisors,
+    # degenerate ones included.  The systems, and the cone functionals of
+    # each member, match one Fraction solve per ray and basis.
+    fan = make()
+    rng = random.Random(18)
+    cases = []
+    if search:
+        cases += [(ch, ch.sample_divisor) for ch in enumerate_maximal_chambers(fan, allow_dim3=True)]
+    for d in [divisor([0] * len(fan.rays))] + [effective(fan, rng) for _ in range(40)]:
+        cases.append((located_cone(fan, locate_chamber(fan, d)), d))
+    for cone, d in cases:
+        system = (cone.members, cone.bases, cone.equalities, cone.inequalities)
+        assert system == chamber_referees.gkz_system(fan, cone.sigma_cones, cone.strict_rays)
+        expected = chamber_referees.piecewise_linear_data(fan, cone, d)
+        assert gkz._piecewise_linear_data(fan, cone, d) == expected, d
+    assert any(cone.lineality_basis for cone, _ in cases)
+    assert any(not cone.lineality_basis for cone, _ in cases)
+
+
+def test_hhat0_on_chamber_builds_each_chamber_fan_once(monkeypatch):
+    import toricvol.fan as fan_module
+
+    fan = bl3_p2()
+    chambers = enumerate_maximal_chambers(fan)
+    first = [hhat0_on_chamber(fan, ch, ch.sample_divisor) for ch in chambers]
+    built = []
+    original = fan_module.fan_diagnostics
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fan_module, "fan_diagnostics", counted)
+    assert [hhat0_on_chamber(fan, ch, ch.sample_divisor) for ch in chambers] == first
+    assert built == []
+    # The counter does see a chamber fan built afresh.
+    sigma_to_fan(fan, chambers[0].sigma_cones)
+    assert built

@@ -20,7 +20,7 @@ from toricvol import asymptotics, cohomology, fixtures, regions
 from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
 from toricvol.cohomology import cech_oracle, euler_char, h_all
 from toricvol.errors import ToricError, UnboundedRegionError
-from toricvol.fan import is_complete, make_fan
+from toricvol.fan import _basis_inverses, is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, hhat0_on_chamber, locate_chamber, located_cone
 from toricvol.homology import local_cohomology_ranks
 from toricvol.linalg import to_integers
@@ -74,14 +74,14 @@ def scan_integer_vertices(reg):
     """
     if not regions._closure_is_bounded(reg):
         raise UnboundedRegionError("region closure is unbounded")
-    common, bases = regions._vertex_bases(reg)
+    common, bases = _basis_inverses(reg.normals, reg.dim, reg.memo)
     levels, q = to_integers(reg.levels)
     rows = [
         (i, normal, common * level, is_weak)
         for i, (normal, level, is_weak) in enumerate(zip(reg.normals, levels, reg.weak))
     ]
     points = {}
-    for combo, adjugate in bases:
+    for combo, adjugate in bases.items():
         rhs = [levels[i] for i in combo]
         point = tuple(sum(map(mul, row, rhs)) for row in adjugate)
         if point in points:
