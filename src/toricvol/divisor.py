@@ -165,10 +165,10 @@ def linear_equiv_shift(fan: Fan, d: Divisor, u) -> Divisor:
     """The linearly equivalent divisor obtained by adding div(chi^u).
 
     Raises ValueError unless d has one coefficient per ray and u one
-    entry per coordinate.
+    entry per coordinate, each read by ``_coefficient``.
     """
     _check_length(fan, d)
     if len(u) != fan.dim:
         raise ValueError(f"character has {len(u)} entries, fan has dimension {fan.dim}")
-    uu = tuple(Fraction(v) for v in u)
+    uu = tuple(_coefficient(v) for v in u)
     return tuple(c + dot(uu, ray) for c, ray in zip(d, fan.rays))

@@ -16,7 +16,9 @@ This module computes, exactly:
 * the located chamber of a divisor class (with an interior flag),
 * the full list of maximal chambers in dimension 2 (dimension 3 behind
   an opt-in flag, by facet-matching search), each candidate fan
-  certified complete by the fan validator's integer test,
+  certified complete by the fan validator's integer test and
+  projective by one LP over its own condition system, whose point is
+  the chamber's sample divisor,
 * nef decompositions of chamber members, pushforwards, and the chamber
   polynomial of the section growth rate,
 * the ampleness test through neighborhood vanishing of the higher
@@ -47,7 +49,14 @@ from itertools import combinations
 from operator import mul
 
 from .asymptotics import _rates, self_intersection
-from .divisor import Divisor, _basis_functional, _check_length, is_q_cartier, linear_equiv_shift
+from .divisor import (
+    Divisor,
+    _basis_functional,
+    _check_length,
+    _check_rays,
+    is_q_cartier,
+    linear_equiv_shift,
+)
 from .errors import (
     ChamberMembershipError,
     EffectiveConeError,
@@ -301,10 +310,12 @@ def _gkz_system(fan: Fan, cones, strict):
     the condition times common is the integer vector common * e_rho -
     sum_b (column b of A . v_rho) e_b, stored as its primitive part
     with ``Fraction`` entries.  The first basis of each cone is its
-    recorded basis.
+    recorded basis.  Raises ValueError unless every cone and strict ray
+    is a ray index of the fan; the check runs only when computing.
     """
 
     def compute():
+        _check_rays(fan, strict.union(*cones))
         n = fan.dim
         common, inverses = _basis_inverses(fan.rays, n, fan.memo)
         members = []
@@ -376,10 +387,15 @@ def gkz_cone(
     )
 
 
-def gkz_membership(fan: Fan, cone: GKZCone, d: Divisor) -> bool:
-    """Whether the divisor class lies in the (closed) chamber cone."""
+def _check_fan(fan: Fan, cone: GKZCone) -> None:
+    """Raise ValueError unless the chamber cone was built on this fan."""
     if cone.fan is not fan:
         raise ValueError("chamber cone belongs to a different fan")
+
+
+def gkz_membership(fan: Fan, cone: GKZCone, d: Divisor) -> bool:
+    """Whether the divisor class lies in the (closed) chamber cone."""
+    _check_fan(fan, cone)
     return cone.contains(d)
 
 
@@ -396,56 +412,19 @@ def located_cone(fan: Fan, location: LocatedChamber) -> GKZCone:
 # Enumeration of maximal chambers
 
 
-def _is_projective(fan: Fan, cones):
-    """Strictly convex piecewise linear data on the candidate fan, or None.
+def _interior_sample(fan: Fan, cones, strict) -> Divisor | None:
+    """A divisor strictly inside the candidate's chamber, or None if it has no interior.
 
-    Solved as exact LP feasibility: one linear functional per maximal
-    cone, equal to a shared value on the cone's own rays and at least
-    one better elsewhere.  The unit gap loses no generality since strict
-    feasibility is scale-invariant.
+    A complete simplicial candidate is a chamber exactly when a strictly
+    convex piecewise linear function lives on it (GKZ 1994, ch. 7), that
+    is, when its own condition system has a point with every equality at
+    0 and every inequality positive, at 1 or more after scaling.  One LP
+    over the cone's integer rows finds that point or proves it absent.
     """
-    cones = [sorted(c) for c in cones]
-    ray_list = sorted({i for c in cones for i in c})
-    pos = {rho: k for k, rho in enumerate(ray_list)}
-    n = fan.dim
-    nvars = len(cones) * n + len(ray_list)
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for s, cone in enumerate(cones):
-        for rho in ray_list:
-            row = [Fraction(0)] * nvars
-            for j in range(n):
-                row[s * n + j] = Fraction(fan.rays[rho][j])
-            if rho in cone:
-                row[len(cones) * n + pos[rho]] = Fraction(-1)
-                a_eq.append(row)
-                b_eq.append(Fraction(0))
-            else:
-                neg = [-v for v in row]
-                neg[len(cones) * n + pos[rho]] = Fraction(1)
-                a_ub.append(neg)  # psi_rho + 1 - <u_s, v_rho> <= 0
-                b_ub.append(Fraction(-1))
-    point = feasible_point(a_ub, b_ub, a_eq, b_eq, nvars=nvars)
-    if point is None:
-        return None
-    us = [tuple(point[s * n : (s + 1) * n]) for s in range(len(cones))]
-    psi = {rho: point[len(cones) * n + pos[rho]] for rho in ray_list}
-    return us, psi
-
-
-def _sample_interior_divisor(fan: Fan, cones, us, psi) -> Divisor:
-    coeffs = [Fraction(0)] * len(fan.rays)
-    cone_list = [frozenset(c) for c in cones]
-    for rho in range(len(fan.rays)):
-        if rho in psi:
-            coeffs[rho] = -psi[rho]
-        else:
-            for s, cone in enumerate(cone_list):
-                if rho in _cone_members(fan, cone):
-                    coeffs[rho] = -dot(us[s], fan.rays[rho]) + 1
-                    break
-            else:
-                raise ToricError("ray escaped the candidate fan's support")
-    return tuple(coeffs)
+    chamber = gkz_cone(fan, cones, strict)
+    below = [[-v for v in row] for row in chamber._integer_inequalities]
+    equal = chamber._integer_equalities
+    return feasible_point(below, [-1] * len(below), equal, [0] * len(equal), nvars=len(fan.rays))
 
 
 def _cyclic_ray_order(fan: Fan, indices):
@@ -554,10 +533,11 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
     exhaustive facet-matching search, behind the ``allow_dim3`` flag and
     capped at 8 rays.  Either way a candidate is kept only when
     ``fan._glued_cover_once`` certifies it a complete fan, in integers
-    and with no LP; only the projectivity test of each kept candidate
-    solves one.  The chamber list depends on the fan only:
-    the search runs once per fan, and every call returns a new list of
-    fresh ``GKZCone`` objects.
+    and with no LP, and its own condition system has a point strictly
+    inside (``_interior_sample``): one LP per certified candidate, which
+    decides projectivity and gives the sample divisor.  The chamber list
+    depends on the fan only: the search runs once per fan, and every
+    call returns a new list of fresh ``GKZCone`` objects.
     """
     if not is_complete(fan):
         raise NotCompleteError("chamber enumeration needs a complete fan")
@@ -575,13 +555,10 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
     def compute():
         found = []
         for cones in search(fan):
-            solution = _is_projective(fan, cones)
-            if solution is None:
-                continue
-            rayset = frozenset().union(*cones)
-            strict = frozenset(range(len(fan.rays))) - rayset
-            us, psi = solution
-            found.append((tuple(cones), strict, _sample_interior_divisor(fan, cones, us, psi)))
+            strict = frozenset(range(len(fan.rays))).difference(*cones)
+            sample = _interior_sample(fan, cones, strict)
+            if sample is not None:
+                found.append((tuple(cones), strict, sample))
         return tuple(found)
 
     return [
@@ -648,8 +625,10 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
 
     All three postconditions are recomputed and enforced: the remainder
     is nonnegative and supported on the strict rays, and the shifted
-    divisor has exactly the nef part's section polytope.
+    divisor has exactly the nef part's section polytope.  Raises
+    ValueError unless the cone was built on ``fan``.
     """
+    _check_fan(fan, cone)
     if not cone.contains(d):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
     us, xi_values = _piecewise_linear_data(fan, cone, d)
@@ -698,8 +677,10 @@ def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
     pushforward on the chamber's own fan and cross-check against the
     direct volume computation; degenerate chambers are identically zero.
     The chamber's fan is built once per ambient fan and kept in its
-    memo, so its own memo stays warm across calls.
+    memo, so its own memo stays warm across calls.  Raises ValueError
+    unless the cone was built on ``fan``.
     """
+    _check_fan(fan, cone)
     if not cone.contains(d):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
     direct = _rates(fan, d, slice(1))[0]

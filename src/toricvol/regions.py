@@ -621,8 +621,11 @@ def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):
     """Scaled lattice counts of the dilated regions, for m = 1..m_max.
 
     Row m holds (m, count(region of m*d) * n! / m^n); the values converge
-    to the normalized volume of the region of d.
+    to the normalized volume of the region of d.  Raises ValueError
+    unless m_max is an int (not a bool) of at least 1.
     """
+    if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 1:
+        raise ValueError(f"m_max must be an integer of at least 1, got {m_max!r}")
     if m_max > 50:
         raise CapExceededError("ehrhart probe is capped at m_max = 50")
     n = fan.dim

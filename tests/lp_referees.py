@@ -5,7 +5,9 @@ The library decides region boundedness from cocircuit sign patterns
 2k-row LP on nonnegative variables (``toricvol.lp``), skips the
 pointedness and extreme-ray LPs on cones with independent generators
 and skips the pair LPs on complete simplicial fans (``toricvol.fan``),
-and certifies dimension-3 chamber candidates with the same integer test
+certifies dimension-3 chamber candidates with the same integer test,
+and decides each candidate's projectivity, and its sample divisor, by
+one LP over the candidate's own chamber condition system
 (``toricvol.gkz``).  This module keeps each older LP formulation once,
 so that tests can check the production answers against it:
 
@@ -16,9 +18,13 @@ so that tests can check the production answers against it:
 * ``max_over_cone_is_zero``: boundedness of one objective over a cone;
 * ``pairwise_lp_fans_on_rays_3d``: the dimension-3 facet-matching
   search that keeps a partial fan only while every pair of its cones
-  meets in a common face by ``relative_interior_3k``.
+  meets in a common face by ``relative_interior_3k``;
+* ``projective_sample``: the projectivity LP on one functional per
+  cone and one value per used ray (cones·n + k variables), with the
+  sample divisor built from its point.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from toricvol.errors import ToricError
@@ -241,3 +247,47 @@ def pairwise_lp_fans_on_rays_3d(rays, subset):
         if idx[0] in seed:
             grow(frozenset({seed}))
     return results
+
+
+def projective_sample(fan, cones):
+    """A divisor strictly inside the candidate's chamber, by the functional LP, or None.
+
+    One linear functional u_s per maximal cone and one value psi_rho per
+    used ray: <u_s, v_rho> = psi_rho on the cone's own rays and
+    <u_s, v_rho> >= psi_rho + 1 on every other used ray.  The unit gap
+    loses no generality since strict feasibility is scale-invariant.
+    The sample is -psi on the used rays and 1 - <u_s, v_rho> on every
+    other ray, with s a cone whose span holds it.
+    """
+    cones = [sorted(c) for c in cones]
+    ray_list = sorted({i for c in cones for i in c})
+    pos = {rho: k for k, rho in enumerate(ray_list)}
+    n = fan.dim
+    nvars = len(cones) * n + len(ray_list)
+    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    for s, cone in enumerate(cones):
+        for rho in ray_list:
+            row = [Fraction(0)] * nvars
+            for j in range(n):
+                row[s * n + j] = Fraction(fan.rays[rho][j])
+            if rho in cone:
+                row[len(cones) * n + pos[rho]] = Fraction(-1)
+                a_eq.append(row)
+                b_eq.append(Fraction(0))
+            else:
+                neg = [-v for v in row]
+                neg[len(cones) * n + pos[rho]] = Fraction(1)
+                a_ub.append(neg)  # psi_rho + 1 - <u_s, v_rho> <= 0
+                b_ub.append(Fraction(-1))
+    point = feasible_point(a_ub, b_ub, a_eq, b_eq, nvars=nvars)
+    if point is None:
+        return None
+    us = [point[s * n : (s + 1) * n] for s in range(len(cones))]
+    coeffs = []
+    for rho, ray in enumerate(fan.rays):
+        if rho in pos:
+            coeffs.append(-point[len(cones) * n + pos[rho]])
+        else:
+            s = next(s for s, c in enumerate(cones) if cone_contains([fan.rays[i] for i in c], ray))
+            coeffs.append(1 - dot(us[s], ray))
+    return tuple(coeffs)

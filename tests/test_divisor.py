@@ -44,11 +44,14 @@ def test_divisor_rejects_other_spellings(coeff):
 
 @pytest.mark.parametrize("factor", ["1_0", " 1e3 ", "1/0", True, 0.1, None])
 def test_scale_and_ray_divisor_read_factors_like_divisor(factor):
-    # Fraction() read "1_0" as 10, " 1e3 " as 1000 and 0.1 at its binary value.
+    # Fraction() read "1_0" as 10, " 1e3 " as 1000 and 0.1 at its binary
+    # value, in factors and in the entries of linear_equiv_shift's character.
     with pytest.raises(ValueError):
         scale(divisor([1, 2]), factor)
     with pytest.raises(ValueError):
         ray_divisor(p2(), 0, factor)
+    with pytest.raises(ValueError):
+        linear_equiv_shift(p2(), divisor([1, 0, 0]), (factor, 0))
 
 
 def test_scale_and_ray_divisor_examples():
@@ -152,6 +155,9 @@ def test_linear_equiv_shift_examples():
     moved = linear_equiv_shift(line, divisor([3, 4]), (2,))
     assert moved == (Fraction(5), Fraction(2))
     assert sum(moved) == sum(divisor([3, 4]))  # degree is the class invariant
+    halves = linear_equiv_shift(fan, ray_divisor(fan, 0), ("-1/2", Fraction(1, 3)))
+    assert halves == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    assert all(type(c) is Fraction for c in halves)
 
 
 def wrong_length_calls():
@@ -181,6 +187,7 @@ def test_wrong_length_divisor_is_rejected(extra):
 
 def malformed_calls():
     from toricvol.cohomology import cech_ranks, graded_piece_dim, weak_ray_set
+    from toricvol.gkz import gkz_cone
     from toricvol.homology import local_cohomology_ranks
     from toricvol.regions import ehrhart_probe, is_bounded_subset, region
 
@@ -193,6 +200,13 @@ def malformed_calls():
         (lambda fan: region(fan, d, [7]), "ray indices \\[7\\]"),
         (lambda fan: region(fan, d, [0, -1, 3]), "ray indices \\[-1, 3\\]"),
         (lambda fan: ehrhart_probe(fan, d, [7], 2), "ray indices \\[7\\]"),
+        (lambda fan: ehrhart_probe(fan, d, [0], 0), "m_max must be an integer of at least 1, got 0"),
+        (lambda fan: ehrhart_probe(fan, d, [0], -3), "got -3"),
+        (lambda fan: ehrhart_probe(fan, d, [0], True), "got True"),
+        (lambda fan: ehrhart_probe(fan, d, [0], 2.0), "got 2.0"),
+        (lambda fan: gkz_cone(fan, [{0, 7}], ()), "ray indices \\[7\\]"),
+        (lambda fan: gkz_cone(fan, [{0, 1}], (9,)), "ray indices \\[9\\]"),
+        (lambda fan: gkz_cone(fan, [{-1, 1}], ()), "ray indices \\[-1\\]"),
         (lambda fan: local_cohomology_ranks(fan, [7]), "ray indices \\[7\\]"),
         (lambda fan: cech_ranks(fan, [-1]), "ray indices \\[-1\\]"),
         (lambda fan: is_bounded_subset(fan, [-1]), "ray indices \\[-1\\]"),
@@ -201,7 +215,9 @@ def malformed_calls():
 
 def test_malformed_points_characters_and_ray_indices_are_rejected():
     # Each call used to answer: a short character or point was read as if
-    # zero-padded, a long one truncated, and unknown ray indices dropped.
+    # zero-padded, a long one truncated, and unknown ray indices dropped;
+    # ehrhart_probe gave an empty table for m_max <= 0 and gkz_cone raised
+    # IndexError.
     fan = p2()
     for call, message in malformed_calls():
         for _ in range(2):  # a failed memoized compute stores nothing

@@ -8,7 +8,7 @@ import pytest
 
 import chamber_referees
 from generated_fans import polygon_fan_data, star_fan_data
-from lp_referees import pairwise_lp_fans_on_rays_3d
+from lp_referees import pairwise_lp_fans_on_rays_3d, projective_sample
 from test_cold_path import PENTAGRAM, counting_solve_lp, suspension
 from toricvol import gkz
 from toricvol.asymptotics import _rates, hhat, mixed_partial_h0
@@ -149,9 +149,9 @@ def test_enumerate_chambers_counts():
 
 
 def test_enumerate_chamber_samples_locate_back():
-    for fixture in (p2, p1xp1, f1, bl2_p2):
+    for fixture in (*COMPLETE_2D, bl1_p3, p1_cubed):
         fan = fixture()
-        for chamber in enumerate_maximal_chambers(fan):
+        for chamber in enumerate_maximal_chambers(fan, allow_dim3=True):
             loc = locate_chamber(fan, chamber.sample_divisor)
             assert loc.interior
             assert set(loc.sigma.max_cones) == set(chamber.sigma_cones)
@@ -224,6 +224,62 @@ def test_enumerate_dim3_p1cubed():
     assert chambers[0].strict_rays == frozenset()
 
 
+def polygon_fan(seed):
+    def make():
+        return make_fan(*polygon_fan_data(random.Random(seed)))
+
+    make.__name__ = f"polygon{seed}"
+    return make
+
+
+def chamber_candidates(fan):
+    """Every certified candidate of the chamber search, with its strict rays."""
+    search = gkz._chambers_dim2 if fan.dim == 2 else gkz._chambers_dim3
+    for cones in search(fan):
+        yield cones, frozenset(range(len(fan.rays))).difference(*cones)
+
+
+def check_projectivity_against_referee(fan, candidates):
+    """The chamber's own LP and the functional LP accept the same candidates,
+    and each sample of either lies strictly inside the chamber."""
+    for cones, strict in candidates:
+        sample = gkz._interior_sample(fan, cones, strict)
+        expected = projective_sample(fan, cones)
+        assert (sample is None) == (expected is None), cones
+        if sample is not None:
+            chamber = gkz_cone(fan, cones, strict)
+            assert chamber.contains_strictly(sample) and chamber.contains_strictly(expected)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        bl1_p3,
+        p1_cubed,
+        *(lambda s=s: make_fan(*star_fan_data(s)) for s in (1, 2, 3)),
+        *map(polygon_fan, range(4)),
+    ],
+    ids=["bl1_p3", "p1_cubed", "star1", "star2", "star3", *(f"polygon{i}" for i in range(4))],
+)
+def test_projectivity_matches_functional_lp_referee(make):
+    fan = make()
+    candidates = list(chamber_candidates(fan))
+    assert candidates
+    check_projectivity_against_referee(fan, candidates)
+
+
+def test_projectivity_matches_functional_lp_referee_on_cube_fan():
+    # 18 of cube_fan's 166 candidates are complete but not projective.
+    # The referee runs on those and on a seeded dozen of the others (all
+    # 166 take it ~20 s).
+    fan = cube_fan()
+    candidates = list(chamber_candidates(fan))
+    rejected = [c for c in candidates if gkz._interior_sample(fan, *c) is None]
+    accepted = [c for c in candidates if c not in rejected]
+    assert (len(rejected), len(accepted)) == (18, 148)
+    check_projectivity_against_referee(fan, rejected + random.Random(19).sample(accepted, 12))
+
+
 def pentagon_suspension():
     """A complete fan whose rays also carry the suspended pentagram: cones
     glued facet to facet on opposite sides that cover space twice."""
@@ -272,6 +328,28 @@ def test_gkz_membership_examples():
     plane = p2()
     chamber = enumerate_maximal_chambers(plane)[0]
     assert not gkz_membership(plane, chamber, scale(ray_divisor(plane, 0), -1))
+
+
+def test_chamber_calls_reject_a_cone_of_another_fan():
+    # nef_decomposition and hhat0_on_chamber used to answer, or fail with
+    # TypeError / InvalidFanError, on an f1 chamber passed with p1xp1.
+    coarse = next(ch for ch in enumerate_maximal_chambers(f1()) if ch.strict_rays)
+    box = p1xp1()
+    d = divisor([1, 0, 1, 0])
+    for call in (gkz_membership, nef_decomposition, hhat0_on_chamber):
+        with pytest.raises(ValueError, match="chamber cone belongs to a different fan"):
+            call(box, coarse, d)
+
+
+def test_gkz_cone_checks_ray_indices_only_when_computing(monkeypatch):
+    fan = make_fan(2, p2().rays, p2().max_cones)  # a fresh memo
+    cold = gkz_cone(fan, fan.max_cones, ())
+    checked = []
+    monkeypatch.setattr(gkz, "_check_rays", lambda *args: checked.append(args))
+    assert gkz_cone(fan, fan.max_cones, ()) == cold
+    assert checked == []
+    gkz_cone(fan, [{0, 1}], {2})
+    assert len(checked) == 1
 
 
 def test_chamber_dimension_formula():
@@ -715,25 +793,16 @@ def test_warm_ampleness_solves_nothing_and_skips_the_section_polytope(monkeypatc
     assert solves
 
 
-def polygon_fan(seed):
-    def make():
-        return make_fan(*polygon_fan_data(random.Random(seed)))
-
-    make.__name__ = f"polygon{seed}"
-    return make
-
-
 @pytest.mark.parametrize(
     "make, search",
     [
         *((make, True) for make in (*COMPLETE_2D, bl1_p3, p1_cubed, *map(polygon_fan, range(4)))),
-        (cube_fan, False),
+        (cube_fan, True),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
 def test_chamber_systems_match_fraction_referees(make, search):
-    # Every maximal chamber (cube_fan's cold search is left out for time)
-    # and the chambers of the zero divisor and of 40 seeded divisors,
+    # Every maximal chamber and the chambers of the zero divisor and of 40 seeded divisors,
     # degenerate ones included.  The systems, and the cone functionals of
     # each member, match one Fraction solve per ray and basis.
     fan = make()
