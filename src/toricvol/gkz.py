@@ -115,16 +115,18 @@ def _section_vertices(fan: Fan, d: Divisor):
     """The section polytope's sorted vertices and, for each, its tight rays.
 
     A ray is tight at a vertex when its inequality holds with equality
-    there; ``_integer_vertices`` records these sets in integers.
+    there; ``_integer_vertices`` records these sets in integers, as
+    bitmasks, turned into ray sets here once.
     """
     if not is_complete(fan):
         raise NotCompleteError("support functions need a complete fan")
-    points, scale = _integer_vertices(region(fan, d, range(len(fan.rays))))
+    k = len(fan.rays)
+    points, scale = _integer_vertices(region(fan, d, range(k)))
     if not points:
         raise EffectiveConeError("section polytope is empty: class not effective")
     ordered = sorted(points)
     vertices = tuple(tuple(Fraction(x, scale) for x in point) for point in ordered)
-    return vertices, [points[point] for point in ordered]
+    return vertices, [frozenset(i for i in range(k) if points[point] >> i & 1) for point in ordered]
 
 
 def _strict_rays(fan: Fan, tight) -> frozenset[int]:
@@ -298,8 +300,8 @@ class GKZCone:
         return free - self.fan.dim
 
 
-def _gkz_system(fan: Fan, cones, strict):
-    """(members, bases, equalities, inequalities) of a chamber cone, once per fan.
+def _condition_system(fan: Fan, cones, strict):
+    """(members, bases, equalities, inequalities) of a chamber cone.
 
     For every independent ray basis B inside a cone and off the strict
     set, each ray rho gives the condition e_rho - sum_b c_b e_b with
@@ -311,48 +313,54 @@ def _gkz_system(fan: Fan, cones, strict):
     sum_b (column b of A . v_rho) e_b, stored as its primitive part
     with ``Fraction`` entries.  The first basis of each cone is its
     recorded basis.  Raises ValueError unless every cone and strict ray
-    is a ray index of the fan; the check runs only when computing.
+    is a ray index of the fan.
     """
+    _check_rays(fan, strict.union(*cones))
+    n = fan.dim
+    common, inverses = _basis_inverses(fan.rays, n, fan.memo)
+    members = []
+    bases = []
+    equalities: set[tuple[Fraction, ...]] = set()
+    inequalities: set[tuple[Fraction, ...]] = set()
+    for cone in cones:
+        inside = _cone_members(fan, cone)
+        members.append(inside)
+        independent = [b for b in combinations(sorted(inside - strict), n) if b in inverses]
+        if not independent:
+            raise ValueError("cone has no independent ray basis outside the strict set")
+        bases.append(independent[0])
+        for basis in independent:
+            columns = list(zip(basis, zip(*inverses[basis])))
+            for rho, ray in enumerate(fan.rays):
+                ints = [0] * len(fan.rays)
+                ints[rho] = common
+                for b, column in columns:
+                    ints[b] -= sum(map(mul, column, ray))
+                if not any(ints):
+                    continue
+                g = math.gcd(*ints)
+                condition = tuple(Fraction(v // g) for v in ints)
+                if rho in inside and rho not in strict:
+                    equalities.add(condition)
+                else:
+                    inequalities.add(condition)
+    inequalities -= equalities
+    return (
+        tuple(members),
+        tuple(bases),
+        tuple(sorted(equalities)),
+        tuple(sorted(inequalities)),
+    )
 
-    def compute():
-        _check_rays(fan, strict.union(*cones))
-        n = fan.dim
-        common, inverses = _basis_inverses(fan.rays, n, fan.memo)
-        members = []
-        bases = []
-        equalities: set[tuple[Fraction, ...]] = set()
-        inequalities: set[tuple[Fraction, ...]] = set()
-        for cone in cones:
-            inside = _cone_members(fan, cone)
-            members.append(inside)
-            independent = [b for b in combinations(sorted(inside - strict), n) if b in inverses]
-            if not independent:
-                raise ValueError("cone has no independent ray basis outside the strict set")
-            bases.append(independent[0])
-            for basis in independent:
-                columns = list(zip(basis, zip(*inverses[basis])))
-                for rho, ray in enumerate(fan.rays):
-                    ints = [0] * len(fan.rays)
-                    ints[rho] = common
-                    for b, column in columns:
-                        ints[b] -= sum(map(mul, column, ray))
-                    if not any(ints):
-                        continue
-                    g = math.gcd(*ints)
-                    condition = tuple(Fraction(v // g) for v in ints)
-                    if rho in inside and rho not in strict:
-                        equalities.add(condition)
-                    else:
-                        inequalities.add(condition)
-        inequalities -= equalities
-        return (
-            tuple(members),
-            tuple(bases),
-            tuple(sorted(equalities)),
-            tuple(sorted(inequalities)),
-        )
 
-    return fan.memo(("gkz_system", cones, strict), compute)
+def _gkz_system(fan: Fan, cones, strict):
+    """``_condition_system``, once per fan; the ray check runs only when computing."""
+    return fan.memo(("gkz_system", cones, strict), lambda: _condition_system(fan, cones, strict))
+
+
+def _cone_key(sigma_cones) -> tuple[frozenset[int], ...]:
+    """The cones as frozensets in one canonical order, as the chamber memo keys them."""
+    return tuple(sorted((frozenset(c) for c in sigma_cones), key=sorted))
 
 
 def gkz_cone(
@@ -368,7 +376,7 @@ def gkz_cone(
     rays only, so it is computed once per fan; each call wraps it in a
     fresh ``GKZCone``.
     """
-    cones = tuple(sorted((frozenset(c) for c in sigma_cones), key=sorted))
+    cones = _cone_key(sigma_cones)
     strict = frozenset(strict_rays)
     for cone in cones:
         if cone & strict:
@@ -419,12 +427,20 @@ def _interior_sample(fan: Fan, cones, strict) -> Divisor | None:
     convex piecewise linear function lives on it (GKZ 1994, ch. 7), that
     is, when its own condition system has a point with every equality at
     0 and every inequality positive, at 1 or more after scaling.  One LP
-    over the cone's integer rows finds that point or proves it absent.
+    over the system's integer rows finds that point or proves it absent.
+    The system is built afresh and kept in the per-fan memo of
+    ``_gkz_system`` only when the candidate is a chamber, so a rejected
+    candidate leaves nothing behind.
     """
-    chamber = gkz_cone(fan, cones, strict)
-    below = [[-v for v in row] for row in chamber._integer_inequalities]
-    equal = chamber._integer_equalities
-    return feasible_point(below, [-1] * len(below), equal, [0] * len(equal), nvars=len(fan.rays))
+    cones = _cone_key(cones)
+    system = _condition_system(fan, cones, strict)
+    _, _, equalities, inequalities = system
+    below = [[-v for v in to_integers(row)[0]] for row in inequalities]
+    equal = [to_integers(row)[0] for row in equalities]
+    sample = feasible_point(below, [-1] * len(below), equal, [0] * len(equal), nvars=len(fan.rays))
+    if sample is not None:
+        fan.memo(("gkz_system", cones, strict), lambda: system)
+    return sample
 
 
 def _cyclic_ray_order(fan: Fan, indices):

@@ -36,12 +36,18 @@ Vector = tuple[Fraction, ...]
 
 
 def to_integers(values: Sequence) -> tuple[list[int], int]:
-    """The values times the lcm q of their denominators, as integers, and q."""
+    """The values times the lcm q of their denominators, as integers, and q.
+
+    Raises TypeError on a string: ``Fraction`` would parse it leniently
+    (``divisor.divisor`` is the reader for text).
+    """
     if all(type(v) is int for v in values):
         return list(values), 1
     try:
         scale = math.lcm(*(v.denominator for v in values))
     except AttributeError:  # floats and the like: their exact Fraction values
+        if any(isinstance(v, str) for v in values):
+            raise TypeError("values must be numbers, not strings") from None
         values = [Fraction(v) for v in values]
         scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale

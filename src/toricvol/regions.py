@@ -19,19 +19,25 @@ Everything here is exact.  Vertex enumeration runs in integers: it
 reads the integer inverse of every rank-n basis of normals over one
 common denominator (``fan._basis_inverses``, the per-fan table that the
 Cartier data of ``divisor`` and the chamber systems of ``gkz`` read
-too), and the levels are scaled once to integers over their lcm.  One loop,
-``_arrangement_vertices``, solves every basis at the levels and
-classifies each distinct arrangement vertex P by the rows above
-it (<v, P> > level) and the rows tight at it (<v, P> = level).  A region's
+too; ``_vertex_bases`` adds each basis's bitmask and the rows outside
+it).  The levels are cleared once to integers L over their lcm q, and
+each row's lattice bound ceil(L_i / q) is one floor division of them.
+One loop, ``_arrangement_vertices``, solves every basis at the levels
+and classifies each distinct arrangement vertex P by two bitmasks: the
+rows above it (<v, P> > level) and the rows tight at it
+(<v, P> = level), the basis rows tight by construction.  A region's
 closure has exactly the arrangement vertices whose above rows are weak
-and whose below rows are strict, with the tight rows as their facet
+and whose below rows are strict, with the tight masks as their facet
 data; ``_integer_vertices`` filters one region's vertices out of the
-classification, and ``region_sum`` hands each realized region its
-vertices straight from the one pass it makes per call.  Volumes come
-from a recursive facet triangulation on those integer vertices: each
-facet is read off the tight rows, and its affine rank and each simplex's
-|det| come from fraction-free eliminations of integer edge vectors, so
-no ``Fraction`` is built inside the triangulation.  Lattice points are
+classification.  ``region_sum`` clears its divisor once per call and
+hands each realized region its vertices and row bounds straight from
+that clearing and the one pass it makes, so a realized region builds
+no ``Fraction``; a region built by ``region`` clears its own levels
+through the same helpers.  Volumes come from a recursive facet
+triangulation on those integer vertices: each facet is read off the
+tight masks, and its affine rank and each simplex's |det| come from
+fraction-free eliminations of integer edge vectors, so no ``Fraction``
+is built inside the triangulation.  Lattice points are
 counted one plane at a time.  Above each integer point of the bounding
 box's first n - 2 coordinates, the mixed weak/strict system, each row
 made one weak integer inequality, cuts a 2-D slice; its count walks the
@@ -91,9 +97,9 @@ class HalfOpenRegion:
     """One mixed weak/strict linear system, one constraint per ray.
 
     ``memo`` stores the facts that depend only on the normals (cocircuit
-    patterns, basis inverses).  Regions of a fan carry the fan's memo, so
-    those facts are computed once per fan; the default computes them
-    afresh on every call.
+    patterns, basis inverses, negated normals).  Regions of a fan carry
+    the fan's memo, so those facts are computed once per fan; the
+    default computes them afresh on every call.
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -115,13 +121,15 @@ class HalfOpenRegion:
 
 @dataclass(frozen=True)
 class _RealizedRegion(HalfOpenRegion):
-    """A region handed to a measure by ``region_sum``, its closure's vertices attached.
+    """A region handed to a measure by ``region_sum``, its integer data attached.
 
     ``vertex_table`` is what ``_integer_vertices`` would return for the
-    region, read off the one arrangement-vertex pass of the call.
+    region and ``bounds`` what ``_row_bounds`` would return, both read
+    off the one clearing and arrangement-vertex pass of the call.
     """
 
     vertex_table: tuple = field(default=None, compare=False, repr=False)
+    bounds: tuple = field(default=None, compare=False, repr=False)
 
 
 def _vertex_table(reg: HalfOpenRegion):
@@ -129,6 +137,27 @@ def _vertex_table(reg: HalfOpenRegion):
     if isinstance(reg, _RealizedRegion):
         return reg.vertex_table
     return _integer_vertices(reg)
+
+
+def _row_bounds(reg: HalfOpenRegion):
+    """Each row's integer bound ceil(level): attached by ``region_sum``, else cleared."""
+    if isinstance(reg, _RealizedRegion):
+        return reg.bounds
+    return _ceilings(*to_integers(reg.levels))
+
+
+def _ceilings(levels, q: int):
+    """ceil(L_i / q) for the integer levels L over q, each by one floor division.
+
+    At a lattice point x, where <v, x> is an integer, <v, x> >= L_i / q
+    exactly when <v, x> >= ceil(L_i / q).
+    """
+    return tuple(-(-x // q) for x in levels)
+
+
+def _weak_mask(weak) -> int:
+    """The weak flags as a bitmask, bit i for row i."""
+    return sum(1 << i for i, is_weak in enumerate(weak) if is_weak)
 
 
 @dataclass(frozen=True)
@@ -154,27 +183,27 @@ def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
     )
 
 
-def _unbounded_patterns(reg: HalfOpenRegion):
+def _unbounded_patterns(normals, dim: int, memo):
     """The sign patterns (pos, neg) of the normals' cocircuits, as bitmasks.
 
     Each kernel line u of n - 1 independent normals gives the rows with
     <u, v> > 0 (pos) and < 0 (neg), once for u and once for -u.  When
     the normals do not span the space, the single pattern (0, 0) of a u
     orthogonal to all of them stands for every pattern.  Depends on the
-    normals only, so it is kept once in the region's memo.
+    normals only, so it is kept once in the given memo (a fan's, or a
+    region's own).
     """
 
     def compute():
-        n = reg.dim
-        if rank(reg.normals) < n:
+        if rank(normals) < dim:
             return ((0, 0),)
         patterns = set()
-        for combo in combinations(reg.normals, n - 1):
-            u = _kernel_direction(combo, n)
+        for combo in combinations(normals, dim - 1):
+            u = _kernel_direction(combo, dim)
             if u is None:
                 continue
             pos = neg = 0
-            for i, normal in enumerate(reg.normals):
+            for i, normal in enumerate(normals):
                 value = sum(map(mul, u, normal))
                 if value > 0:
                     pos |= 1 << i
@@ -184,7 +213,7 @@ def _unbounded_patterns(reg: HalfOpenRegion):
             patterns.add((neg, pos))
         return tuple(sorted(patterns))
 
-    return reg.memo("cocircuits", compute)
+    return memo("cocircuits", compute)
 
 
 def _bounded_mask(patterns, weak: int) -> bool:
@@ -203,8 +232,8 @@ def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
     pos(u) inside W and neg(u) outside.  One mask test per pattern of
     ``_unbounded_patterns`` decides it, with no LP.
     """
-    weak = sum(1 << i for i, is_weak in enumerate(reg.weak) if is_weak)
-    return _bounded_mask(_unbounded_patterns(reg), weak)
+    patterns = _unbounded_patterns(reg.normals, reg.dim, reg.memo)
+    return _bounded_mask(patterns, _weak_mask(reg.weak))
 
 
 def is_bounded_subset(fan: Fan, weak_rays) -> bool:
@@ -223,7 +252,7 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
         raise CapExceededError(
             f"fan has {k} rays; the 2^k bounded-subset sweep is capped at {SUBSET_CAP}"
         )
-    patterns = _unbounded_patterns(region(fan, (0,) * k, ()))
+    patterns = _unbounded_patterns(fan.rays, fan.dim, fan.memo)
     return tuple(
         frozenset(combo)
         for size in range(k + 1)
@@ -232,56 +261,76 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
     )
 
 
-def _arrangement_vertices(reg: HalfOpenRegion):
-    """Every distinct arrangement vertex at the region's levels, classified.
+def _vertex_bases(normals, dim: int, memo):
+    """The basis inverses of ``fan._basis_inverses`` as the vertex pass reads them, once per memo.
+
+    Returns (common, bases) with one entry (combo, basis, adjugate,
+    others) per invertible n-subset ``combo`` of the normals: ``basis``
+    is its bitmask, ``adjugate`` its integer inverse over ``common`` and
+    ``others`` the triples (bit, normal, i) of the rows outside it.
+    """
+
+    def compute():
+        common, inverses = _basis_inverses(normals, dim, memo)
+        rows = [(1 << i, normal, i) for i, normal in enumerate(normals)]
+        return common, tuple(
+            (combo, sum(1 << i for i in combo), adjugate, tuple(row for row in rows if row[2] not in combo))
+            for combo, adjugate in inverses.items()
+        )
+
+    return memo("vertex_bases", compute)
+
+
+def _arrangement_vertices(normals, dim: int, memo, levels, q: int):
+    """Every distinct arrangement vertex at the integer levels L / q, classified.
 
     Returns ({P: (above, tight)}, scale): each vertex is P / scale, with
-    scale = common * q for the levels scaled to integers L over their
-    lcm q, and P = A . L for one basis inverse A of
-    ``fan._basis_inverses``.  ``above`` holds the rows with
-    <v, P> > common * L_i and ``tight`` those with equality, all tested
-    in integers; the weak set plays no part.  A point found from several
-    bases is classified once.
+    scale = common * q, and P = A . L for one basis inverse A of
+    ``_vertex_bases``.  ``above`` and ``tight`` are bitmasks of the rows
+    with <v, P> > common * L_i and with equality, tested in integers;
+    the basis rows are tight by construction and take no dot product.
+    No weak set plays a part.  A point found from several bases is
+    classified once.
     """
-    common, bases = _basis_inverses(reg.normals, reg.dim, reg.memo)
-    levels, q = to_integers(reg.levels)
-    rows = [(i, normal, common * level) for i, (normal, level) in enumerate(zip(reg.normals, levels))]
+    common, bases = _vertex_bases(normals, dim, memo)
+    scaled = [common * level for level in levels]
     found = {}
-    for combo, adjugate in bases.items():
+    for combo, basis, adjugate, others in bases:
         rhs = [levels[i] for i in combo]
         point = tuple(sum(map(mul, row, rhs)) for row in adjugate)
         if point in found:
             continue
-        above, tight = [], []
-        for i, normal, level in rows:
+        above, tight = 0, basis
+        for bit, normal, i in others:
             value = sum(map(mul, normal, point))
-            if value > level:
-                above.append(i)
-            elif value == level:
-                tight.append(i)
-        found[point] = (frozenset(above), frozenset(tight))
+            if value > scaled[i]:
+                above |= bit
+            elif value == scaled[i]:
+                tight |= bit
+        found[point] = (above, tight)
     return found, common * q
 
 
 def _integer_vertices(reg: HalfOpenRegion):
     """The closure's vertices as integer points over one scale, with tight rows.
 
-    Returns ({P: frozenset of the rows tight at P}, scale) as in
+    Returns ({P: bitmask of the rows tight at P}, scale) as in
     ``_arrangement_vertices``, keeping the vertices P whose rows above
     are all weak and whose rows below are all strict, i.e. with
-    above(P) <= W <= above(P) | tight(P) for the weak set W.  Costs one
-    classification of all C(k, n) bases against all k rows; inside
-    ``region_sum`` the measures never call it.  Raises on systems with
-    unbounded closure.
+    above(P) <= W <= above(P) | tight(P) for the weak mask W.  Costs one
+    clearing of the levels to integers and one classification of all
+    C(k, n) bases against all k rows; inside ``region_sum`` the measures
+    never call it.  Raises on systems with unbounded closure.
     """
     if not _closure_is_bounded(reg):
         raise UnboundedRegionError("region closure is unbounded")
-    weak = frozenset(i for i, is_weak in enumerate(reg.weak) if is_weak)
-    found, scale = _arrangement_vertices(reg)
+    weak = _weak_mask(reg.weak)
+    levels, q = to_integers(reg.levels)
+    found, scale = _arrangement_vertices(reg.normals, reg.dim, reg.memo, levels, q)
     points = {
         point: tight
         for point, (above, tight) in found.items()
-        if above <= weak <= above | tight
+        if not above & ~weak and not weak & ~(above | tight)
     }
     return points, scale
 
@@ -306,16 +355,22 @@ def _simplices(face, tight, face_dim):
 
     The facets of the face avoiding its least vertex (the apex) are the
     sets {v in face : row i is tight at v} over the rows i not tight at
-    the apex, kept when their affine rank is face_dim - 1.
+    the apex, kept when their affine rank is face_dim - 1.  ``tight``
+    maps each vertex to the bitmask of its tight rows.
     """
     if len(face) == face_dim + 1:
         yield face
         return
     apex = face[0]
-    rows = frozenset().union(*(tight[v] for v in face)) - tight[apex]
+    rows = 0
+    for v in face:
+        rows |= tight[v]
+    rows &= ~tight[apex]
     seen = set()
-    for i in rows:
-        facet = [v for v in face if i in tight[v]]
+    while rows:
+        bit = rows & -rows
+        rows ^= bit
+        facet = [v for v in face if tight[v] & bit]
         key = frozenset(facet)
         if key in seen or affine_rank(facet) != face_dim - 1:
             continue
@@ -353,15 +408,17 @@ def _integer_rows(reg: HalfOpenRegion):
 
     Since <v, x> is an integer at lattice points, a weak row
     <v, x> >= L is <v, x> >= ceil(L) and a strict row <v, x> < L is
-    <-v, x> >= 1 - ceil(L).
+    <-v, x> >= 1 - ceil(L), with ceil(L) from ``_row_bounds``.  The
+    negated normals depend on the normals only and are kept in the
+    region's memo.
     """
-    rows = []
-    for normal, level, is_weak in zip(reg.normals, reg.levels, reg.weak):
-        bound = math.ceil(level)
-        if not is_weak:
-            normal, bound = tuple(-x for x in normal), 1 - bound
-        rows.append((normal, bound))
-    return rows
+    negated = reg.memo(
+        "negated_normals", lambda: tuple(tuple(-x for x in normal) for normal in reg.normals)
+    )
+    return [
+        (normal, bound) if is_weak else (minus, 1 - bound)
+        for normal, minus, bound, is_weak in zip(reg.normals, negated, _row_bounds(reg), reg.weak)
+    ]
 
 
 def _bounding_box(reg: HalfOpenRegion, depth: int):
@@ -374,10 +431,7 @@ def _bounding_box(reg: HalfOpenRegion, depth: int):
     points, scale = _vertex_table(reg)
     if not points:
         return None
-    box = [
-        range(-(-min(p[j] for p in points) // scale), max(p[j] for p in points) // scale + 1)
-        for j in range(reg.dim)
-    ]
+    box = [range(-(-min(column) // scale), max(column) // scale + 1) for column in zip(*points)]
     prefixes = math.prod(map(len, box[:depth]))
     if prefixes > FIBER_BUDGET:
         raise CapExceededError(
@@ -559,6 +613,16 @@ def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
     return [prefix + (x,) for prefix, lo, hi in _fibers(reg) for x in range(lo, hi + 1)]
 
 
+def _realized_subset(patterns, k: int, mask: int):
+    """The ray subset and weak flags of a weak mask, or None if its region is unbounded."""
+    if not _bounded_mask(patterns, mask):
+        return None
+    return (
+        frozenset(i for i in range(k) if mask >> i & 1),
+        tuple(bool(mask >> i & 1) for i in range(k)),
+    )
+
+
 def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     """Sum of weight(W) * measure(region of W) over the bounded subsets W.
 
@@ -566,48 +630,70 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     length for every subset.  Only the regions D realizes are visited: a
     nonempty bounded region's closure has a vertex, which is an
     arrangement vertex P, and the regions whose closure holds P are
-    exactly the W with above(P) <= W <= above(P) | tight(P).  One pass
-    of ``_arrangement_vertices`` (C(k, n) bases against k rows) thus
-    gives every candidate W, as a bitmask, with its vertices and their
-    tight rows; ``_bounded_mask`` decides each mask once per fan.  A
-    vertex costs 2^|tight(P)| candidates (at D = 0 every row is tight at
-    the origin), and past 2^SUBSET_CAP in all CapExceededError is raised
-    before any is visited.  Realized subsets with an all-zero weight are
-    skipped before their regions are measured, so a caller that weights
-    by a slice of the rank vectors measures only the regions that slice
+    exactly the W with above(P) <= W <= above(P) | tight(P).  The
+    divisor is cleared to integer levels once per call, which also gives
+    every row's integer bound (``_ceilings``), and one pass of
+    ``_arrangement_vertices`` (C(k, n) bases against k rows) gives
+    every candidate W as a bitmask, with its vertices and their tight
+    masks.  A per-fan cache, kept as the ``"bounded_masks"`` memo,
+    decides each mask met once per fan with ``_bounded_mask`` and keeps
+    the subset and weak flags of the bounded ones.  A vertex costs
+    2^|tight(P)| candidates (at D = 0 every row is tight at the origin),
+    and past 2^SUBSET_CAP in all CapExceededError is raised before any
+    is visited.  Realized subsets with an all-zero weight are skipped
+    before their regions are measured, so a caller that weights by a
+    slice of the rank vectors measures only the regions that slice
     reads, and only the nonzero entries of a weight are added.  The
-    measure reads the vertices from the pass instead of rescanning
-    the bases.
+    measure reads the vertices and row bounds from the call instead of
+    rescanning the bases or clearing the levels again.
     """
-    base = region(fan, d, ())
-    found, scale = _arrangement_vertices(base)
-    visits = sum(1 << len(tight) for _, tight in found.values())
+    _check_length(fan, d)
+    coefficients, q = to_integers(d)
+    integers = [-x for x in coefficients]
+    # The measures read only the integer data; the exact levels are kept
+    # for the region's own use, as ints when the divisor is integral.
+    levels = tuple(integers) if q == 1 else tuple(-c for c in d)
+    bounds = _ceilings(integers, q)
+    found, scale = _arrangement_vertices(fan.rays, fan.dim, fan.memo, integers, q)
+    visits = sum(1 << tight.bit_count() for _, tight in found.values())
     if visits > 1 << SUBSET_CAP:
         raise CapExceededError(f"region sum needs {visits} ray subsets; the cap is 2^{SUBSET_CAP}")
-    patterns = _unbounded_patterns(base)
-    bounded = fan.memo("bounded_masks", lambda: cache(partial(_bounded_mask, patterns)))
+    realized = fan.memo(
+        "bounded_masks",
+        lambda: cache(
+            partial(
+                _realized_subset,
+                _unbounded_patterns(fan.rays, fan.dim, fan.memo),
+                len(fan.rays),
+            )
+        ),
+    )
     tables: dict = {}
     for point, (above, tight) in found.items():
-        low = sum(1 << i for i in above)
-        free = sub = sum(1 << i for i in tight)
-        while sub >= 0:  # every submask of free, down to 0
-            if bounded(low | sub):
-                tables.setdefault(low | sub, {})[point] = tight
-            sub = (sub - 1) & free if sub else -1
-    subsets = [frozenset(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in tables]
+        sub = tight
+        while sub >= 0:  # every submask of tight, down to 0
+            mask = above | sub
+            if mask in tables:
+                tables[mask][point] = tight
+            elif realized(mask):
+                tables[mask] = {point: tight}
+            sub = (sub - 1) & tight if sub else -1
     # The weight length is read off the first realized subset, else the empty one.
-    total = [0] * len(weight(subsets[0] if subsets else frozenset()))
-    for subset, points in zip(subsets, tables.values()):
+    first = next(iter(tables), None)
+    total = [0] * len(weight(frozenset() if first is None else realized(first)[0]))
+    for mask, points in tables.items():
+        subset, weak = realized(mask)
         w = weight(subset)
         if not any(w):
             continue
         reg = _RealizedRegion(
-            normals=base.normals,
-            levels=base.levels,
-            weak=tuple(i in subset for i in range(len(base.normals))),
-            dim=base.dim,
-            memo=base.memo,
+            normals=fan.rays,
+            levels=levels,
+            weak=weak,
+            dim=fan.dim,
+            memo=fan.memo,
             vertex_table=(points, scale),
+            bounds=bounds,
         )
         amount = measure(reg)
         if amount:

@@ -162,12 +162,12 @@ def test_linear_equiv_shift_examples():
 
 def wrong_length_calls():
     from toricvol.asymptotics import hhat, self_intersection
-    from toricvol.cohomology import euler_char, graded_piece_dim, h_all, weak_ray_set
+    from toricvol.cohomology import cech_oracle, euler_char, graded_piece_dim, h_all, weak_ray_set
     from toricvol.gkz import locate_chamber
     from toricvol.regions import region
 
     return (
-        h_all, euler_char, hhat, self_intersection, locate_chamber, is_q_cartier,
+        h_all, euler_char, cech_oracle, hhat, self_intersection, locate_chamber, is_q_cartier,
         lambda fan, d: region(fan, d, ()),
         lambda fan, d: weak_ray_set(fan, d, (0, 0)),
         lambda fan, d: graded_piece_dim(fan, d, (0, 0), 0),
@@ -183,6 +183,18 @@ def test_wrong_length_divisor_is_rejected(extra):
     for call in wrong_length_calls():
         with pytest.raises(ValueError, match=f"divisor has {3 + extra} coefficients, fan has 3 rays"):
             call(fan, d)
+
+
+def test_string_coefficients_are_rejected_outside_divisor():
+    # Only ``divisor`` reads text; elsewhere " 1" would be parsed leniently.
+    from toricvol.asymptotics import hhat
+    from toricvol.cohomology import euler_char, h_all
+
+    fan = p2()
+    for call in (h_all, euler_char, hhat, is_q_cartier):
+        with pytest.raises(TypeError, match="not strings"):
+            call(fan, ("1", "2", " 1"))
+    assert h_all(fan, divisor(["1", "2", "1"])) == (15, 0, 0)
 
 
 def malformed_calls():

@@ -280,6 +280,18 @@ def test_projectivity_matches_functional_lp_referee_on_cube_fan():
     check_projectivity_against_referee(fan, rejected + random.Random(19).sample(accepted, 12))
 
 
+def test_enumeration_memoizes_only_accepted_chamber_systems():
+    # cube_fan certifies 166 candidates, of which 18 are not projective:
+    # a fresh enumeration keeps the condition systems of the 148 chambers
+    # and of nothing else.
+    fan = make_fan(3, cube_fan().rays, cube_fan().max_cones)
+    chambers = enumerate_maximal_chambers(fan, allow_dim3=True)
+    assert len(list(chamber_candidates(fan))) == 166
+    kept = {key for key in fan._memo if isinstance(key, tuple) and key[0] == "gkz_system"}
+    assert len(chambers) == len(kept) == 148
+    assert kept == {("gkz_system", ch.sigma_cones, ch.strict_rays) for ch in chambers}
+
+
 def pentagon_suspension():
     """A complete fan whose rays also carry the suspended pentagram: cones
     glued facet to facet on opposite sides that cover space twice."""

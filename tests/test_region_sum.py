@@ -15,7 +15,8 @@ from operator import mul
 
 import pytest
 
-from generated_fans import star_fan_data
+from generated_fans import polygon_fan_data, star_fan_data
+from test_regions import box_scan
 from toricvol import asymptotics, cohomology, fixtures, regions
 from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
 from toricvol.cohomology import cech_oracle, euler_char, h_all
@@ -24,7 +25,7 @@ from toricvol.fan import _basis_inverses, is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, hhat0_on_chamber, locate_chamber, located_cone
 from toricvol.homology import local_cohomology_ranks
 from toricvol.linalg import to_integers
-from toricvol.regions import bounded_subsets, closure_vertices, region
+from toricvol.regions import bounded_subsets, closure_vertices, lattice_count, lattice_points, region
 
 POLY12_RAYS = [
     (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2),
@@ -70,7 +71,9 @@ def scan_integer_vertices(reg):
     """One region's vertices by its own scan of every basis against every row.
 
     Each candidate P = adjugate . L is tested as <v, P> >= level on weak
-    rows and <= on strict rows, leaving at the first violated row.
+    rows and <= on strict rows, leaving at the first violated row.  The
+    rows tight at P are returned as a bitmask, the format of
+    ``regions._integer_vertices``.
     """
     if not regions._closure_is_bounded(reg):
         raise UnboundedRegionError("region closure is unbounded")
@@ -94,7 +97,7 @@ def scan_integer_vertices(reg):
             elif value < level if is_weak else value > level:
                 break
         else:
-            points[point] = frozenset(tight)
+            points[point] = sum(1 << i for i in tight)
     return points, common * q
 
 
@@ -380,3 +383,105 @@ def test_cech_oracle_ignores_a_corrupt_rank_vector(monkeypatch):
     fan = fresh(fixtures.bl3_p2())
     assert h_all(fan, d) == (0, 3, 0)
     assert cech_oracle(fan, d) == (0, 4, 0)
+
+
+def realized_regions(fan, d):
+    """Every region ``region_sum`` measures for d, captured through a wrapped measure."""
+    seen = []
+
+    def measure(reg):
+        seen.append(reg)
+        return 1
+
+    regions.region_sum(fan, d, lambda subset: (1,), measure)
+    return seen
+
+
+def hazard_divisors(fan, rng):
+    """Two divisors per denominator 2, 3, 5, 7, each with a negative non-integer entry."""
+    k = len(fan.rays)
+    for q in (2, 3, 5, 7, 2, 3, 5, 7):
+        coeffs = [Fraction(rng.randint(-3 * q, 3 * q), q) for _ in range(k)]
+        coeffs[rng.randrange(k)] = Fraction(-rng.randint(0, 2) * q - rng.randint(1, q - 1), q)
+        yield tuple(coeffs)
+
+
+def row_bound_fans():
+    """Fixtures of dimensions 1, 2 and 3, P(1, 2, 3), P(1, 2, 3, 5) and the star fans."""
+    yield from (fixtures.p1(), fixtures.p2(), fixtures.f1(), fixtures.weighted_p112())
+    yield from (fixtures.bl3_p2(), fixtures.p1_cubed(), fixtures.bl1_p3(), p123(), p1235())
+    yield from (make_fan(*star_fan_data(s)) for s in (1, 2, 3))
+
+
+def test_row_bounds_count_each_realized_region_like_a_fresh_one():
+    # Each realized region carries the row bounds ceil(-d_i) of one
+    # clearing per call; a fresh region clears its own levels, and the
+    # box scan tests each point against the exact Fraction levels.
+    rng = random.Random(2020)
+    counted = nonzero = 0
+    for fan in row_bound_fans():
+        for d in hazard_divisors(fan, rng):
+            assert any(c < 0 and c.denominator > 1 for c in d)
+            for reg in realized_regions(fan, d):
+                subset = frozenset(i for i, is_weak in enumerate(reg.weak) if is_weak)
+                own = region(fan, d, subset)
+                count = lattice_count(reg)
+                assert count == lattice_count(own), (fan, d, sorted(subset))
+                assert lattice_points(reg) == lattice_points(own) == box_scan(own)
+                assert count == len(box_scan(own))
+                counted += 1
+                nonzero += count > 0
+    assert counted > 250 and nonzero > 100
+
+
+def scan_arrangement_vertices(fan, d):
+    """Every basis's vertex, each classified by one dot product with every row.
+
+    The basis rows are scanned like the others, and a vertex found from
+    several bases must be classified the same way each time.
+    """
+    common, bases = _basis_inverses(fan.rays, fan.dim, lambda key, compute: compute())
+    levels, q = to_integers([-c for c in d])
+    found = {}
+    for combo, adjugate in bases.items():
+        rhs = [levels[i] for i in combo]
+        point = tuple(sum(map(mul, row, rhs)) for row in adjugate)
+        above = tight = 0
+        for i, (normal, level) in enumerate(zip(fan.rays, levels)):
+            value = sum(map(mul, normal, point))
+            if value > common * level:
+                above |= 1 << i
+            elif value == common * level:
+                tight |= 1 << i
+        assert all(tight >> i & 1 for i in combo)
+        assert found.setdefault(point, (above, tight)) == (above, tight)
+    return found, common * q
+
+
+def tight_divisors(fan, rng):
+    """D = 0, ΣD_ρ, and divisors of two characters: each ray is tight at u or at u'."""
+    k, n = len(fan.rays), fan.dim
+    yield (Fraction(0),) * k
+    yield (Fraction(1),) * k
+    for _ in range(3):
+        u = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+        w = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        yield tuple(
+            -sum(map(mul, u if rng.random() < 0.5 else w, ray)) for ray in fan.rays
+        )
+
+
+def test_bitmask_vertex_pass_matches_a_scan_of_every_row():
+    rng = random.Random(2021)
+    fans = [make() for make in COMPLETE_FIXTURES]
+    fans += [make_fan(*star_fan_data(s)) for s in (1, 2, 3)]
+    fans += [make_fan(*polygon_fan_data(random.Random(seed))) for seed in range(4)]
+    many_tight = 0
+    for fan in fans:
+        for d in tight_divisors(fan, rng):
+            expected = scan_arrangement_vertices(fan, d)
+            coefficients, q = to_integers(d)
+            integers = [-c for c in coefficients]
+            assert regions._arrangement_vertices(fan.rays, fan.dim, fan.memo, integers, q) == expected
+            many_tight += any(tight.bit_count() > fan.dim for _, tight in expected[0].values())
+    assert many_tight > 2 * len(fans)
