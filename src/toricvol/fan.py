@@ -20,7 +20,9 @@ Cartier data and the chamber systems of the modules above.
 
 Fan objects are immutable after validation and every operation here is
 a pure function, so values may be shared freely between threads.  The
-per-fan memo is only ever filled with idempotently recomputable values.
+per-fan memo is only ever filled with idempotently recomputable values;
+one of them, the last-divisor slot of ``regions.region_sum``, is a
+mutable entry that a new divisor replaces in one assignment.
 """
 
 from __future__ import annotations
@@ -69,7 +71,13 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
     def memo(self, key, compute):
-        """Write-once cache; concurrent duplicate computes are benign."""
+        """Write-once cache; concurrent duplicate computes are benign.
+
+        Every key is written once, but a few values are containers filled
+        later: the one-divisor slot of ``regions.region_sum`` under
+        ``"last_divisor"``, replaced whole in one assignment, and per-fan
+        caches of values that never change once made.
+        """
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]

@@ -29,11 +29,13 @@ rows above it (<v, P> > level) and the rows tight at it
 closure has exactly the arrangement vertices whose above rows are weak
 and whose below rows are strict, with the tight masks as their facet
 data; ``_integer_vertices`` filters one region's vertices out of the
-classification.  ``region_sum`` clears its divisor once per call and
-hands each realized region its vertices and row bounds straight from
-that clearing and the one pass it makes, so a realized region builds
-no ``Fraction``; a region built by ``region`` clears its own levels
-through the same helpers.  Volumes come from a recursive facet
+classification.  ``region_sum`` clears its divisor once, makes the one
+pass, and keeps the row bounds and the realized regions' vertex tables
+of the last divisor summed in one slot per fan, together with the
+amount of each region measured so far; a region it measures reads its
+vertices and row bounds from there and builds no ``Fraction`` for
+them.  A region built by ``region`` clears its own levels through the
+same helpers.  Volumes come from a recursive facet
 triangulation on those integer vertices: each facet is read off the
 tight masks, and its affine rank and each simplex's |det| come from
 fraction-free eliminations of integer edge vectors, so no ``Fraction``
@@ -125,7 +127,7 @@ class _RealizedRegion(HalfOpenRegion):
 
     ``vertex_table`` is what ``_integer_vertices`` would return for the
     region and ``bounds`` what ``_row_bounds`` would return, both read
-    off the one clearing and arrangement-vertex pass of the call.
+    off the fan's slot for the divisor (``_divisor_table``).
     """
 
     vertex_table: tuple = field(default=None, compare=False, repr=False)
@@ -623,37 +625,23 @@ def _realized_subset(patterns, k: int, mask: int):
     )
 
 
-def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
-    """Sum of weight(W) * measure(region of W) over the bounded subsets W.
+def _divisor_table(fan: Fan, coefficients, q: int):
+    """The weight-free data of the region sum of the divisor q * d = ``coefficients``.
 
-    ``weight`` maps a ray subset to a tuple of integers, of the same
-    length for every subset.  Only the regions D realizes are visited: a
-    nonempty bounded region's closure has a vertex, which is an
-    arrangement vertex P, and the regions whose closure holds P are
-    exactly the W with above(P) <= W <= above(P) | tight(P).  The
-    divisor is cleared to integer levels once per call, which also gives
-    every row's integer bound (``_ceilings``), and one pass of
-    ``_arrangement_vertices`` (C(k, n) bases against k rows) gives
-    every candidate W as a bitmask, with its vertices and their tight
-    masks.  A per-fan cache, kept as the ``"bounded_masks"`` memo,
-    decides each mask met once per fan with ``_bounded_mask`` and keeps
-    the subset and weak flags of the bounded ones.  A vertex costs
-    2^|tight(P)| candidates (at D = 0 every row is tight at the origin),
-    and past 2^SUBSET_CAP in all CapExceededError is raised before any
-    is visited.  Realized subsets with an all-zero weight are skipped
-    before their regions are measured, so a caller that weights by a
-    slice of the rank vectors measures only the regions that slice
-    reads, and only the nonzero entries of a weight are added.  The
-    measure reads the vertices and row bounds from the call instead of
-    rescanning the bases or clearing the levels again.
+    Returns (bounds, levels, scale, masks, amounts): each row's integer
+    bound (``_ceilings``), the exact levels -d_i (ints when q = 1), the
+    vertex scale of ``_arrangement_vertices``, one entry (mask, subset,
+    weak flags, {P: tight}) per realized bounded mask in the order the
+    vertex pass meets them, and an empty dict for the amounts that
+    ``region_sum`` fills.  One pass of ``_arrangement_vertices`` gives
+    every candidate mask: a vertex P holds the W with
+    above(P) <= W <= above(P) | tight(P), 2^|tight(P)| candidates, and
+    past 2^SUBSET_CAP in all CapExceededError is raised before any is
+    visited.  The per-fan ``"bounded_masks"`` cache decides each mask
+    met once per fan with ``_bounded_mask`` and keeps the subset and
+    weak flags of the bounded ones.
     """
-    _check_length(fan, d)
-    coefficients, q = to_integers(d)
     integers = [-x for x in coefficients]
-    # The measures read only the integer data; the exact levels are kept
-    # for the region's own use, as ints when the divisor is integral.
-    levels = tuple(integers) if q == 1 else tuple(-c for c in d)
-    bounds = _ceilings(integers, q)
     found, scale = _arrangement_vertices(fan.rays, fan.dim, fan.memo, integers, q)
     visits = sum(1 << tight.bit_count() for _, tight in found.values())
     if visits > 1 << SUBSET_CAP:
@@ -678,24 +666,71 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
             elif realized(mask):
                 tables[mask] = {point: tight}
             sub = (sub - 1) & tight if sub else -1
+    masks = tuple((mask, *realized(mask), points) for mask, points in tables.items())
+    levels = tuple(integers) if q == 1 else tuple(Fraction(x, q) for x in integers)
+    return _ceilings(integers, q), levels, scale, masks, {}
+
+
+def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
+    """Sum of weight(W) * measure(region of W) over the bounded subsets W.
+
+    ``weight`` maps a ray subset to a tuple of integers, of the same
+    length for every subset.  Only the regions D realizes are visited: a
+    nonempty bounded region's closure has a vertex, which is an
+    arrangement vertex P, and the regions whose closure holds P are
+    exactly the W with above(P) <= W <= above(P) | tight(P).
+
+    The fan keeps the weight-free data of the last divisor summed (row
+    bounds, exact levels and the vertex tables of its realized masks,
+    see ``_divisor_table``) in one slot under the ``"last_divisor"``
+    memo, keyed by the cleared divisor (the integers q * d and their q),
+    so 2 and Fraction(4, 2) share it.  A new divisor replaces it in one
+    assignment, so concurrent calls need no lock; a divisor past the
+    subset cap raises before it is stored.  The slot also keeps the
+    amount of every (mask, measure) pair measured so far, so a second
+    question about one divisor (``cech_oracle`` or ``euler_char`` after
+    ``h_all``, ``self_intersection`` after ``hhat``) measures no region
+    the first one did.  The amounts are keyed by the measure object, so
+    a measure must be a pure function of its region.
+
+    Weights are asked per call: realized subsets with an all-zero weight
+    are skipped, so a caller that weights by a slice of the rank vectors
+    measures only the regions that slice reads, and only the nonzero
+    entries of a weight are added.  A region is built only when its
+    amount is missing; it reads its vertices, row bounds and levels from
+    the slot.
+    """
+    _check_length(fan, d)
+    coefficients, q = to_integers(d)
+    key = (tuple(coefficients), q)
+    last = fan.memo("last_divisor", lambda: [None])
+    slot = last[0]
+    if slot is not None and slot[0] == key:
+        entry = slot[1]
+    else:
+        entry = _divisor_table(fan, coefficients, q)
+        last[0] = (key, entry)
+    bounds, levels, scale, masks, amounts = entry
     # The weight length is read off the first realized subset, else the empty one.
-    first = next(iter(tables), None)
-    total = [0] * len(weight(frozenset() if first is None else realized(first)[0]))
-    for mask, points in tables.items():
-        subset, weak = realized(mask)
+    total = [0] * len(weight(masks[0][1] if masks else frozenset()))
+    for mask, subset, weak, points in masks:
         w = weight(subset)
         if not any(w):
             continue
-        reg = _RealizedRegion(
-            normals=fan.rays,
-            levels=levels,
-            weak=weak,
-            dim=fan.dim,
-            memo=fan.memo,
-            vertex_table=(points, scale),
-            bounds=bounds,
-        )
-        amount = measure(reg)
+        amount = amounts.get((mask, measure))
+        if amount is None:
+            amount = measure(
+                _RealizedRegion(
+                    normals=fan.rays,
+                    levels=levels,
+                    weak=weak,
+                    dim=fan.dim,
+                    memo=fan.memo,
+                    vertex_table=(points, scale),
+                    bounds=bounds,
+                )
+            )
+            amounts[mask, measure] = amount
         if amount:
             for i, x in enumerate(w):
                 if x:

@@ -7,9 +7,12 @@ production path visits only the regions the divisor realizes, reading
 their vertices off one arrangement-vertex pass per call.
 """
 
+import contextlib
 import functools
 import hashlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import mul
 
@@ -20,7 +23,7 @@ from test_regions import box_scan
 from toricvol import asymptotics, cohomology, fixtures, regions
 from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
 from toricvol.cohomology import cech_oracle, euler_char, h_all
-from toricvol.errors import ToricError, UnboundedRegionError
+from toricvol.errors import CapExceededError, ToricError, UnboundedRegionError
 from toricvol.fan import _basis_inverses, is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, hhat0_on_chamber, locate_chamber, located_cone
 from toricvol.homology import local_cohomology_ranks
@@ -485,3 +488,189 @@ def test_bitmask_vertex_pass_matches_a_scan_of_every_row():
             assert regions._arrangement_vertices(fan.rays, fan.dim, fan.memo, integers, q) == expected
             many_tight += any(tight.bit_count() > fan.dim for _, tight in expected[0].values())
     assert many_tight > 2 * len(fans)
+
+
+def last_divisor(fan):
+    """The (cleared divisor, entry) pair in the fan's ``region_sum`` slot, or None."""
+    return fan._memo.get("last_divisor", [None])[0]
+
+
+@contextlib.contextmanager
+def counted_measuring(monkeypatch):
+    """Record every realized region built and every 2-D slice counted meanwhile."""
+    built, slices = [], []
+    count = regions._slice_count
+
+    class Counted(regions._RealizedRegion):
+        def __init__(self, **fields):
+            built.append(fields["weak"])
+            super().__init__(**fields)
+
+    def counted_slice(rows, s_range):
+        slices.append(s_range)
+        return count(rows, s_range)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regions, "_RealizedRegion", Counted)
+        patch.setattr(regions, "_slice_count", counted_slice)
+        yield built, slices
+
+
+@pytest.mark.parametrize("make", (poly12, fixtures.bl1_p3), ids=lambda make: make.__name__)
+def test_a_repeated_question_measures_no_region(monkeypatch, make):
+    # The second and third question about one divisor read the amounts
+    # the first one measured: the Euler weight and the Cech ranks vanish
+    # wherever the rank vector does, and so does the weight of
+    # self_intersection wherever that of hhat does.
+    fan = fresh(make())
+    rng = random.Random(21 + len(fan.rays))
+    divisors = [(Fraction(1),) * len(fan.rays)] + sample_divisors(fan, rng, 2)[1:]
+    measured = 0
+    for d in divisors:
+        reference = fresh(fan)
+        expected = [f(reference, d) for f in (h_all, cech_oracle, euler_char, hhat, self_intersection)]
+        with counted_measuring(monkeypatch) as (built, slices):
+            answers = [h_all(fan, d)]
+            measured += len(built)
+            built.clear()
+            slices.clear()
+            answers += [cech_oracle(fan, d), euler_char(fan, d)]
+            assert (built, slices) == ([], []), d
+            answers.append(hhat(fan, d))
+            built.clear()
+            answers.append(self_intersection(fan, d))
+            assert built == [], d
+        assert answers == expected, d
+    assert measured > len(divisors)
+
+
+def table_sequence(fan, rng):
+    """Nine divisors shuffled with repeats, two equal ones written two ways each."""
+    k = len(fan.rays)
+    base = [rng.randint(-2, 3) for _ in range(k)]
+    half = [Fraction(rng.randint(-5, 7), 2) for _ in range(k)]
+    spellings = [
+        tuple(base),
+        tuple(Fraction(2 * c, 2) for c in base),
+        tuple(half),
+        tuple(Fraction(2 * c.numerator, 2 * c.denominator) for c in half),
+        # The integers of the cleared 1/2-divisor, over 1: the key needs q.
+        tuple(2 * c for c in half),
+    ]
+    spellings += [
+        tuple(Fraction(rng.randint(-4, 6), rng.choice((1, 3))) for _ in range(k))
+        for _ in range(6)
+    ]
+    sequence = spellings * 2
+    rng.shuffle(sequence)
+    return sequence
+
+
+@pytest.mark.parametrize("make", (fixtures.bl3_p2, fixtures.bl1_p3), ids=lambda make: make.__name__)
+def test_divisor_slot_answers_like_a_fresh_fan(make):
+    fan = fresh(make())
+    rng = random.Random(2121 + len(fan.rays))
+    sequence = table_sequence(fan, rng)
+    expected = {}
+    for d in sequence:
+        key = tuple(Fraction(c) for c in d)
+        if key not in expected:
+            expected[key] = guarded_answers(fresh(fan), d)
+        assert guarded_answers(fan, d) == expected[key], d
+    # Nine distinct divisors, two of them written two ways each.
+    assert len(expected) == len(sequence) // 2 - 2
+    # The slot holds the divisor summed last, cleared.
+    coefficients, q = to_integers(sequence[-1])
+    assert last_divisor(fan)[0] == (tuple(coefficients), q)
+
+
+def test_equal_divisors_written_differently_share_the_slot():
+    fan = fresh(fixtures.bl3_p2())
+    for spellings in (
+        [(2, 1, 0, -1, 1, 0), (Fraction(4, 2), 1, 0, -1, 1, 0)],
+        [(Fraction(1, 2), 1, 0, -1, 1, 0), (Fraction(2, 4), 1, 0, -1, 1, 0)],
+    ):
+        first = h_all(fan, spellings[0])
+        entry = last_divisor(fan)[1]
+        assert h_all(fan, spellings[1]) == first == h_all(fresh(fan), spellings[0])
+        assert last_divisor(fan)[1] is entry
+
+
+def test_divisor_past_the_cap_is_never_stored():
+    from test_cli import TRIPLES_21  # test_cli imports this module
+
+    # At D = 0 all 21 rays are tight at the origin: 2^21 candidates.
+    k = len(TRIPLES_21)
+    fan = make_fan(2, [(a, b) for a, b, _ in TRIPLES_21], [{i, (i + 1) % k} for i in range(k)])
+    zero = (0,) * k
+    for _ in range(2):
+        with pytest.raises(CapExceededError, match="region sum needs 2097152 ray subsets"):
+            h_all(fan, zero)
+        assert last_divisor(fan) is None
+    ample = tuple(c for _, _, c in TRIPLES_21)
+    h_all(fan, ample)
+    assert last_divisor(fan)[0] == (ample, 1)
+    with pytest.raises(CapExceededError):
+        h_all(fan, zero)
+    assert last_divisor(fan)[0] == (ample, 1)
+
+
+def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):
+    fan = fresh(fixtures.bl1_p3())
+    d = (3, 2, Fraction(5, 2), -1, 1)
+    expected = h_all(fresh(fan), d)
+    count = regions._slice_count
+    calls = []
+
+    def failing(rows, s_range):
+        calls.append(s_range)
+        if len(calls) == 3:
+            raise RuntimeError("slice count interrupted")
+        return count(rows, s_range)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regions, "_slice_count", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            h_all(fan, d)
+    assert len(calls) == 3
+    assert h_all(fan, d) == expected
+
+    def partial_measure(reg):
+        if partial_measure.left == 0:
+            raise RuntimeError("measure interrupted")
+        partial_measure.left -= 1
+        return lattice_count(reg) + 1000
+
+    partial_measure.left = 1
+    with pytest.raises(RuntimeError, match="measure interrupted"):
+        regions.region_sum(fan, d, lambda subset: (1,), partial_measure)
+    assert h_all(fan, d) == expected
+    assert cech_oracle(fan, d) == expected
+
+
+def test_concurrent_questions_answer_like_serial_ones():
+    # 4 threads share one fan and ask mixed questions of many divisors,
+    # so the slot is replaced while other threads still sum on the entry
+    # they read; a short switch interval makes the threads interleave.
+    fan = fresh(fixtures.bl3_p2())
+    rng = random.Random(404)
+    k = len(fan.rays)
+    divisors = [
+        tuple(Fraction(rng.randint(-4, 8), rng.choice((1, 2, 3))) for _ in range(k))
+        for _ in range(60)
+    ]
+    functions = (h_all, cech_oracle, hhat)
+    reference = fresh(fan)
+    expected = {(f.__name__, d): f(reference, d) for f in functions for d in divisors}
+    jobs = [(f, d) for d in divisors for f in functions]
+    rng.shuffle(jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(lambda job: job[0](fan, job[1]), jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(answers) == len(jobs)
+    for (f, d), answer in zip(jobs, answers):
+        assert answer == expected[f.__name__, d], (f.__name__, d)
