@@ -41,10 +41,12 @@ def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
     """Dimension of the degree-``point`` piece of the i-th cohomology group.
 
     Works on any valid fan, complete or not.  The divisor's length is
-    checked by ``weak_ray_set``.
+    checked by ``weak_ray_set``; raises ValueError unless i is an int
+    (not a bool) in 0..n.
     """
-    profile = local_cohomology_ranks(fan, weak_ray_set(fan, d, point))
-    return profile[i]
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= fan.dim:
+        raise ValueError(f"cohomology degree must be an integer in 0..{fan.dim}, got {i!r}")
+    return local_cohomology_ranks(fan, weak_ray_set(fan, d, point))[i]
 
 
 def h_all(fan: Fan, d: Divisor) -> CohomologyVector:

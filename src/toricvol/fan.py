@@ -438,17 +438,16 @@ class Subfan:
 
 
 def subfan(fan: Fan, ray_subset) -> Subfan:
-    """All cones of the fan whose ray set lies inside ``ray_subset``."""
+    """All cones of the fan whose ray set lies inside ``ray_subset``.
+
+    Built afresh on each call and not memoized: the one production
+    caller, ``cohomology._euler_weight``, keeps its own integer result.
+    """
     subset = frozenset(ray_subset)
-
-    def compute():
-        grouped = tuple(
-            tuple(c for c in bucket if c.ray_indices <= subset)
-            for bucket in all_cones(fan)
-        )
-        return Subfan(fan.dim, subset, grouped)
-
-    return fan.memo(("subfan", subset), compute)
+    grouped = tuple(
+        tuple(c for c in bucket if c.ray_indices <= subset) for bucket in all_cones(fan)
+    )
+    return Subfan(fan.dim, subset, grouped)
 
 
 def chi_of_fan(fan_or_subfan) -> int:

@@ -69,7 +69,7 @@ from .errors import (
 from .fan import Fan, _basis_inverses, _glued_cover_once, is_complete, is_simplicial, make_fan
 from .linalg import det, dot, nullspace, rank, solve, to_integers
 from .lp import cone_contains, feasible_point, relative_interior_functional
-from .regions import HalfOpenRegion, _integer_vertices, closure_vertices, region
+from .regions import HalfOpenRegion, closure_vertices, region
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +112,22 @@ class PossiblyDegenerateFan:
 
 
 def _section_vertices(fan: Fan, d: Divisor):
-    """The section polytope's sorted vertices and, for each, its tight rays.
+    """The section polytope's vertices as sorted integer points, their scale, and tight rays.
 
-    A ray is tight at a vertex when its inequality holds with equality
-    there; ``_integer_vertices`` records these sets in integers, as
-    bitmasks, turned into ray sets here once.
+    Returns (points, scale, tight): the vertices are P / scale for the
+    integer points P in sorted order, read off the region's
+    ``vertex_table``, and ``tight`` holds each vertex's tight rays, those
+    whose inequality holds with equality there, turned from the table's
+    bitmasks into ray sets once.  No ``Fraction`` is built here.
     """
     if not is_complete(fan):
         raise NotCompleteError("support functions need a complete fan")
     k = len(fan.rays)
-    points, scale = _integer_vertices(region(fan, d, range(k)))
-    if not points:
+    table, scale = region(fan, d, range(k)).vertex_table
+    if not table:
         raise EffectiveConeError("section polytope is empty: class not effective")
-    ordered = sorted(points)
-    vertices = tuple(tuple(Fraction(x, scale) for x in point) for point in ordered)
-    return vertices, [frozenset(i for i in range(k) if points[point] >> i & 1) for point in ordered]
+    points = sorted(table)
+    return points, scale, [frozenset(i for i in range(k) if table[point] >> i & 1) for point in points]
 
 
 def _strict_rays(fan: Fan, tight) -> frozenset[int]:
@@ -141,7 +142,8 @@ def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[i
     the divisor's own level strictly; they never generate cones of the
     normal fan.
     """
-    vertices, tight = _section_vertices(fan, d)
+    points, scale, tight = _section_vertices(fan, d)
+    vertices = tuple(tuple(Fraction(x, scale) for x in point) for point in points)
     values = tuple(min(dot(v, ray) for v in vertices) for ray in fan.rays)
     return SupportFunction(vertices, values), _strict_rays(fan, tight)
 
@@ -170,9 +172,14 @@ def _extreme_subset(fan: Fan, rays: frozenset[int]) -> frozenset[int]:
     return fan.memo(("extreme_subset", rays), compute)
 
 
-def _normal_fan(fan: Fan, vertices, tight) -> PossiblyDegenerateFan:
-    base = vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, base)) for v in vertices[1:]]
+def _normal_fan(fan: Fan, points, tight) -> PossiblyDegenerateFan:
+    """The normal fan of the vertices P / scale given by their integer points P.
+
+    The lineality space is the kernel of the vertex differences, which
+    no positive scale changes, so it comes from the integer differences.
+    """
+    base = points[0]
+    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
     if diffs:
         lineality = tuple(nullspace(diffs))
     else:
@@ -192,7 +199,8 @@ def normal_fan(fan: Fan, d: Divisor) -> PossiblyDegenerateFan:
     the lineality space appears exactly when the polytope is not
     full-dimensional.
     """
-    return _normal_fan(fan, *_section_vertices(fan, d))
+    points, _, tight = _section_vertices(fan, d)
+    return _normal_fan(fan, points, tight)
 
 
 @dataclass(frozen=True)
@@ -208,8 +216,8 @@ def locate_chamber(fan: Fan, d: Divisor) -> LocatedChamber:
     The interior flag is the maximal-chamber criterion: nondegenerate,
     simplicial, and strict rays complementary to the normal fan's rays.
     """
-    vertices, tight = _section_vertices(fan, d)
-    sigma = _normal_fan(fan, vertices, tight)
+    points, _, tight = _section_vertices(fan, d)
+    sigma = _normal_fan(fan, points, tight)
     strict = _strict_rays(fan, tight)
     interior = (
         not sigma.degenerate
@@ -588,8 +596,12 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
 
 
 def sigma_to_fan(fan: Fan, sigma_cones) -> Fan:
-    """A standalone Fan on the subset of ambient rays used by the cones."""
+    """A standalone Fan on the subset of ambient rays used by the cones.
+
+    Raises ValueError on an entry that is no ray index of the fan.
+    """
     ray_list = sorted(frozenset().union(*[frozenset(c) for c in sigma_cones]))
+    _check_rays(fan, ray_list)
     remap = {old: new for new, old in enumerate(ray_list)}
     return make_fan(
         fan.dim,
@@ -599,7 +611,11 @@ def sigma_to_fan(fan: Fan, sigma_cones) -> Fan:
 
 
 def pushforward(fan: Fan, sigma_fan: Fan, d: Divisor) -> Divisor:
-    """Restrict the coefficient vector along a ray-subset birational map."""
+    """Restrict the coefficient vector along a ray-subset birational map.
+
+    Raises ValueError unless d has one coefficient per ray of ``fan``.
+    """
+    _check_length(fan, d)
     index = {ray: i for i, ray in enumerate(fan.rays)}
     out = []
     for ray in sigma_fan.rays:

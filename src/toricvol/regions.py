@@ -29,13 +29,15 @@ rows above it (<v, P> > level) and the rows tight at it
 closure has exactly the arrangement vertices whose above rows are weak
 and whose below rows are strict, with the tight masks as their facet
 data; ``_integer_vertices`` filters one region's vertices out of the
-classification.  ``region_sum`` clears its divisor once, makes the one
+classification.  There is one region type, ``HalfOpenRegion``, and it
+computes this integer data (its vertex table and row bounds) at most
+once per object, on first use, so the measures asked of one region
+share one pass.  ``region_sum`` clears its divisor once, makes the one
 pass, and keeps the row bounds and the realized regions' vertex tables
 of the last divisor summed in one slot per fan, together with the
-amount of each region measured so far; a region it measures reads its
-vertices and row bounds from there and builds no ``Fraction`` for
-them.  A region built by ``region`` clears its own levels through the
-same helpers.  Volumes come from a recursive facet
+amount of each region measured so far; it hands each region it builds
+its table and row bounds from there, so that region runs no pass and
+builds no ``Fraction`` for them.  Volumes come from a recursive facet
 triangulation on those integer vertices: each facet is read off the
 tight masks, and its affine rank and each simplex's |det| come from
 fraction-free eliminations of integer edge vectors, so no ``Fraction``
@@ -61,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, product
 from operator import mul
 from typing import Callable
@@ -101,7 +103,10 @@ class HalfOpenRegion:
     ``memo`` stores the facts that depend only on the normals (cocircuit
     patterns, basis inverses, negated normals).  Regions of a fan carry
     the fan's memo, so those facts are computed once per fan; the
-    default computes them afresh on every call.
+    default computes them afresh on every call.  The integer data every
+    measure reads, ``vertex_table`` and ``row_bounds``, is computed at
+    most once per region object, on first use; ``region_sum`` hands
+    each region it builds the table of its divisor's slot instead.
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -120,32 +125,15 @@ class HalfOpenRegion:
                 return False
         return True
 
+    @cached_property
+    def vertex_table(self):
+        """The closure's integer vertices ({P: tight}, scale) of ``_integer_vertices``."""
+        return _integer_vertices(self)
 
-@dataclass(frozen=True)
-class _RealizedRegion(HalfOpenRegion):
-    """A region handed to a measure by ``region_sum``, its integer data attached.
-
-    ``vertex_table`` is what ``_integer_vertices`` would return for the
-    region and ``bounds`` what ``_row_bounds`` would return, both read
-    off the fan's slot for the divisor (``_divisor_table``).
-    """
-
-    vertex_table: tuple = field(default=None, compare=False, repr=False)
-    bounds: tuple = field(default=None, compare=False, repr=False)
-
-
-def _vertex_table(reg: HalfOpenRegion):
-    """The closure's integer vertex table: attached by ``region_sum``, else scanned."""
-    if isinstance(reg, _RealizedRegion):
-        return reg.vertex_table
-    return _integer_vertices(reg)
-
-
-def _row_bounds(reg: HalfOpenRegion):
-    """Each row's integer bound ceil(level): attached by ``region_sum``, else cleared."""
-    if isinstance(reg, _RealizedRegion):
-        return reg.bounds
-    return _ceilings(*to_integers(reg.levels))
+    @cached_property
+    def row_bounds(self) -> tuple[int, ...]:
+        """Each row's integer bound ceil(level), from one clearing of the levels."""
+        return _ceilings(*to_integers(self.levels))
 
 
 def _ceilings(levels, q: int):
@@ -239,8 +227,15 @@ def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
 
 
 def is_bounded_subset(fan: Fan, weak_rays) -> bool:
-    """Whether the region of this subset is bounded (for every divisor)."""
-    return _closure_is_bounded(region(fan, (0,) * len(fan.rays), weak_rays))
+    """Whether the region of this subset is bounded (for every divisor).
+
+    One mask test against the fan's cocircuit patterns; raises
+    ValueError unless every entry of the subset is a ray index.
+    """
+    subset = frozenset(weak_rays)
+    _check_rays(fan, subset)
+    patterns = _unbounded_patterns(fan.rays, fan.dim, fan.memo)
+    return _bounded_mask(patterns, sum(1 << i for i in subset))
 
 
 def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
@@ -321,8 +316,9 @@ def _integer_vertices(reg: HalfOpenRegion):
     are all weak and whose rows below are all strict, i.e. with
     above(P) <= W <= above(P) | tight(P) for the weak mask W.  Costs one
     clearing of the levels to integers and one classification of all
-    C(k, n) bases against all k rows; inside ``region_sum`` the measures
-    never call it.  Raises on systems with unbounded closure.
+    C(k, n) bases against all k rows, run at most once per region object
+    through ``HalfOpenRegion.vertex_table``; the regions ``region_sum``
+    builds never run it.  Raises on systems with unbounded closure.
     """
     if not _closure_is_bounded(reg):
         raise UnboundedRegionError("region closure is unbounded")
@@ -338,16 +334,16 @@ def _integer_vertices(reg: HalfOpenRegion):
 
 
 def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
-    """Vertices of the weak closure, by brute-force basis enumeration.
+    """Vertices of the weak closure, sorted, as ``Fraction`` points.
 
     Every vertex is the unique solution of some n tight constraints, so
-    each invertible n-subset of the system gives one candidate point,
-    kept when it satisfies the whole closure.  The candidates are
-    enumerated in integers by ``_integer_vertices``; a ``Fraction`` is
-    built only for the accepted ones.  Raises on systems with unbounded
+    it is an arrangement vertex, and the one classification pass of
+    ``_arrangement_vertices`` tells which of them the closure keeps.
+    They are read in integers off ``vertex_table``; a ``Fraction`` is
+    built only here, for the answer.  Raises on systems with unbounded
     closure.
     """
-    points, scale = _vertex_table(reg)
+    points, scale = reg.vertex_table
     vertices = (tuple(Fraction(x, scale) for x in point) for point in points)
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
@@ -387,12 +383,12 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     The strict boundary parts have measure zero, and an empty half-open
     region forces its closure onto a strict hyperplane, hence a
     lower-dimensional closure and volume zero either way.  The closure
-    is triangulated on the integer vertices of ``_integer_vertices``,
+    is triangulated on the integer vertices of ``vertex_table``,
     its facets read off their tight rows, and each simplex contributes
     |det| of its integer edge vectors: the final denominator of their
     fraction-free elimination.  The sum is divided by scale^n once.
     """
-    points, scale = _vertex_table(reg)
+    points, scale = reg.vertex_table
     n = reg.dim
     vertices = sorted(points)
     if affine_rank(vertices) < n:
@@ -410,7 +406,7 @@ def _integer_rows(reg: HalfOpenRegion):
 
     Since <v, x> is an integer at lattice points, a weak row
     <v, x> >= L is <v, x> >= ceil(L) and a strict row <v, x> < L is
-    <-v, x> >= 1 - ceil(L), with ceil(L) from ``_row_bounds``.  The
+    <-v, x> >= 1 - ceil(L), with ceil(L) from ``row_bounds``.  The
     negated normals depend on the normals only and are kept in the
     region's memo.
     """
@@ -419,7 +415,7 @@ def _integer_rows(reg: HalfOpenRegion):
     )
     return [
         (normal, bound) if is_weak else (minus, 1 - bound)
-        for normal, minus, bound, is_weak in zip(reg.normals, negated, _row_bounds(reg), reg.weak)
+        for normal, minus, bound, is_weak in zip(reg.normals, negated, reg.row_bounds, reg.weak)
     ]
 
 
@@ -427,10 +423,10 @@ def _bounding_box(reg: HalfOpenRegion, depth: int):
     """The integer range of each coordinate over the closure, or None if it is empty.
 
     The ranges are floor divisions of the integer vertices of
-    ``_integer_vertices``.  Raises CapExceededError when the first
+    ``vertex_table``.  Raises CapExceededError when the first
     ``depth`` ranges hold more than ``FIBER_BUDGET`` integer prefixes.
     """
-    points, scale = _vertex_table(reg)
+    points, scale = reg.vertex_table
     if not points:
         return None
     box = [range(-(-min(column) // scale), max(column) // scale + 1) for column in zip(*points)]
@@ -697,8 +693,8 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     are skipped, so a caller that weights by a slice of the rank vectors
     measures only the regions that slice reads, and only the nonzero
     entries of a weight are added.  A region is built only when its
-    amount is missing; it reads its vertices, row bounds and levels from
-    the slot.
+    amount is missing; it is handed its levels, vertex table and row
+    bounds from the slot.
     """
     _check_length(fan, d)
     coefficients, q = to_integers(d)
@@ -719,17 +715,10 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
             continue
         amount = amounts.get((mask, measure))
         if amount is None:
-            amount = measure(
-                _RealizedRegion(
-                    normals=fan.rays,
-                    levels=levels,
-                    weak=weak,
-                    dim=fan.dim,
-                    memo=fan.memo,
-                    vertex_table=(points, scale),
-                    bounds=bounds,
-                )
-            )
+            reg = HalfOpenRegion(normals=fan.rays, levels=levels, weak=weak, dim=fan.dim, memo=fan.memo)
+            # The slot's data, stored where the cached properties keep theirs.
+            vars(reg).update(vertex_table=(points, scale), row_bounds=bounds)
+            amount = measure(reg)
             amounts[mask, measure] = amount
         if amount:
             for i, x in enumerate(w):

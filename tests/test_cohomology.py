@@ -15,7 +15,7 @@ from toricvol.cohomology import (
 )
 from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.errors import NotCompleteError
-from toricvol.fan import Cone, cone_multiplicity
+from toricvol.fan import Cone, cone_multiplicity, make_fan
 from toricvol.fixtures import (
     bl1_p3,
     bl2_p2,
@@ -127,6 +127,19 @@ def test_euler_alternating_sum_random():
             d = divisor([rng.randint(-5, 5) for _ in range(k)])
             hs = h_all(fan, d)
             assert euler_char(fan, d) == sum((-1) ** i * h for i, h in enumerate(hs))
+
+
+def test_euler_weights_keep_no_subfan():
+    # _euler_weight memoizes its integer per subset; the subfan it counts
+    # is built afresh and not kept in the fan's memo.
+    shared = bl3_p2()
+    fan = make_fan(shared.dim, shared.rays, shared.max_cones)  # an empty memo
+    d = (2, -1, 0, 1, -1, 1)
+    hs = h_all(fan, d)
+    assert euler_char(fan, d) == sum((-1) ** i * h for i, h in enumerate(hs))
+    keys = [key for key in fan._memo if isinstance(key, tuple)]
+    assert any(key[0] == "euler" for key in keys)
+    assert not any(key[0] == "subfan" for key in keys)
 
 
 def test_cech_oracle_examples():

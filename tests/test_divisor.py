@@ -163,12 +163,13 @@ def test_linear_equiv_shift_examples():
 def wrong_length_calls():
     from toricvol.asymptotics import hhat, self_intersection
     from toricvol.cohomology import cech_oracle, euler_char, graded_piece_dim, h_all, weak_ray_set
-    from toricvol.gkz import locate_chamber
+    from toricvol.gkz import locate_chamber, pushforward
     from toricvol.regions import region
 
     return (
         h_all, euler_char, cech_oracle, hhat, self_intersection, locate_chamber, is_q_cartier,
         lambda fan, d: region(fan, d, ()),
+        lambda fan, d: pushforward(fan, fan, d),
         lambda fan, d: weak_ray_set(fan, d, (0, 0)),
         lambda fan, d: graded_piece_dim(fan, d, (0, 0), 0),
         lambda fan, d: linear_equiv_shift(fan, d, (1, 0)),
@@ -177,7 +178,8 @@ def wrong_length_calls():
 
 @pytest.mark.parametrize("extra", (-1, 1))
 def test_wrong_length_divisor_is_rejected(extra):
-    # h_all(p2, (3, 0, 0, 5)) used to drop the 5 and answer (10, 0, 0).
+    # h_all(p2, (3, 0, 0, 5)) used to drop the 5 and answer (10, 0, 0);
+    # pushforward dropped the extra coefficient too.
     fan = p2()
     d = divisor([3, 0, 0, 5][: 3 + extra])
     for call in wrong_length_calls():
@@ -199,7 +201,7 @@ def test_string_coefficients_are_rejected_outside_divisor():
 
 def malformed_calls():
     from toricvol.cohomology import cech_ranks, graded_piece_dim, weak_ray_set
-    from toricvol.gkz import gkz_cone
+    from toricvol.gkz import gkz_cone, sigma_to_fan
     from toricvol.homology import local_cohomology_ranks
     from toricvol.regions import ehrhart_probe, is_bounded_subset, region
 
@@ -209,6 +211,9 @@ def malformed_calls():
         (lambda fan: linear_equiv_shift(fan, d, (1, 2, 3)), "character has 3 entries"),
         (lambda fan: weak_ray_set(fan, d, (0,)), "point has 1 coordinates"),
         (lambda fan: graded_piece_dim(fan, d, (0, 0, 0), 0), "point has 3 coordinates"),
+        (lambda fan: graded_piece_dim(fan, d, (0, 0), -1), "in 0..2, got -1"),
+        (lambda fan: graded_piece_dim(fan, d, (0, 0), 7), "in 0..2, got 7"),
+        (lambda fan: graded_piece_dim(fan, d, (0, 0), True), "in 0..2, got True"),
         (lambda fan: region(fan, d, [7]), "ray indices \\[7\\]"),
         (lambda fan: region(fan, d, [0, -1, 3]), "ray indices \\[-1, 3\\]"),
         (lambda fan: ehrhart_probe(fan, d, [7], 2), "ray indices \\[7\\]"),
@@ -219,6 +224,7 @@ def malformed_calls():
         (lambda fan: gkz_cone(fan, [{0, 7}], ()), "ray indices \\[7\\]"),
         (lambda fan: gkz_cone(fan, [{0, 1}], (9,)), "ray indices \\[9\\]"),
         (lambda fan: gkz_cone(fan, [{-1, 1}], ()), "ray indices \\[-1\\]"),
+        (lambda fan: sigma_to_fan(fan, [{0, 1}, {1, 7}]), "ray indices \\[7\\]"),
         (lambda fan: local_cohomology_ranks(fan, [7]), "ray indices \\[7\\]"),
         (lambda fan: cech_ranks(fan, [-1]), "ray indices \\[-1\\]"),
         (lambda fan: is_bounded_subset(fan, [-1]), "ray indices \\[-1\\]"),
@@ -228,8 +234,9 @@ def malformed_calls():
 def test_malformed_points_characters_and_ray_indices_are_rejected():
     # Each call used to answer: a short character or point was read as if
     # zero-padded, a long one truncated, and unknown ray indices dropped;
-    # ehrhart_probe gave an empty table for m_max <= 0 and gkz_cone raised
-    # IndexError.
+    # ehrhart_probe gave an empty table for m_max <= 0, gkz_cone and
+    # sigma_to_fan raised IndexError, and graded_piece_dim read degree -1
+    # as the top degree and raised IndexError on degree 7.
     fan = p2()
     for call, message in malformed_calls():
         for _ in range(2):  # a failed memoized compute stores nothing

@@ -46,6 +46,7 @@ from toricvol.gkz import (
     sigma_to_fan,
     support_function,
 )
+from toricvol.linalg import dot, nullspace
 from toricvol.regions import closure_vertices, region
 
 
@@ -115,6 +116,76 @@ def test_normal_fan_degenerate_segment():
     assert nf.degenerate
     assert len(nf.lineality_basis) == 1
     assert nf.lineality_basis[0][0] == 0  # the vertical axis survives
+
+
+def fraction_chamber_path(fan, d):
+    """Support values, normal fan and strict rays from ``Fraction`` vertices.
+
+    The vertices are the sorted ``closure_vertices`` of the all-weak
+    region, a ray is tight where its level is met exactly, and the
+    lineality basis is ``linalg.nullspace`` of the ``Fraction`` vertex
+    differences (all of space for a point).  None for an empty polytope.
+    """
+    k, n = len(fan.rays), fan.dim
+    vertices = closure_vertices(region(fan, d, range(k))).vertices
+    if not vertices:
+        return None
+    tight = [frozenset(i for i in range(k) if dot(v, fan.rays[i]) == -d[i]) for v in vertices]
+    diffs = [tuple(a - b for a, b in zip(v, vertices[0])) for v in vertices[1:]]
+    if diffs:
+        lineality = tuple(nullspace(diffs))
+    else:
+        lineality = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    strict = frozenset(range(k)).difference(*tight)
+    if not lineality:
+        tight = [gkz._extreme_subset(fan, rays) for rays in tight]
+    values = tuple(min(dot(v, ray) for v in vertices) for ray in fan.rays)
+    return vertices, values, tuple(sorted(tight, key=sorted)), lineality, strict
+
+
+def chamber_referee_divisors(fan, rng):
+    """D = 0, each ray divisor, their sum, and seeded rational ones, degenerate ones included."""
+    k = len(fan.rays)
+    yield (Fraction(0),) * k
+    for rho in range(k):
+        yield ray_divisor(fan, rho)
+        yield scale(ray_divisor(fan, rho), Fraction(3, 2))
+    yield (Fraction(1),) * k
+    for _ in range(4):
+        yield tuple(Fraction(rng.randint(-3, 6), rng.choice((1, 2, 3))) for _ in range(k))
+
+
+def test_chamber_path_matches_fraction_referee():
+    from test_region_sum import COMPLETE_FIXTURES
+
+    rng = random.Random(2222)
+    lineality_dims = set()
+    for make in COMPLETE_FIXTURES:
+        fan = make()
+        for d in chamber_referee_divisors(fan, rng):
+            expected = fraction_chamber_path(fan, d)
+            if expected is None:
+                for call in (support_function, normal_fan, locate_chamber):
+                    with pytest.raises(EffectiveConeError):
+                        call(fan, d)
+                continue
+            vertices, values, cones, lineality, strict = expected
+            xi, xi_strict = support_function(fan, d)
+            assert (xi.vertices, xi.ray_values, xi_strict) == (vertices, values, strict), d
+            sigma = normal_fan(fan, d)
+            assert (sigma.max_cones, sigma.lineality_basis) == (cones, lineality), d
+            assert all(type(x) is Fraction for row in lineality for x in row)
+            loc = locate_chamber(fan, d)
+            assert (loc.sigma, loc.strict_rays) == (sigma, strict), d
+            interior = (
+                not lineality
+                and all(len(cone) == fan.dim for cone in cones)
+                and len(strict) == len(fan.rays) - len(sigma.ray_set())
+            )
+            assert loc.interior == interior, d
+            lineality_dims.add((fan.dim, len(lineality)))
+    # Points, segments and full-dimensional polytopes in dimensions 2 and 3.
+    assert {(2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (3, 3)} <= lineality_dims
 
 
 def test_locate_chamber_examples():

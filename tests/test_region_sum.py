@@ -497,11 +497,11 @@ def last_divisor(fan):
 
 @contextlib.contextmanager
 def counted_measuring(monkeypatch):
-    """Record every realized region built and every 2-D slice counted meanwhile."""
+    """Record every region built and every 2-D slice counted meanwhile."""
     built, slices = [], []
     count = regions._slice_count
 
-    class Counted(regions._RealizedRegion):
+    class Counted(regions.HalfOpenRegion):
         def __init__(self, **fields):
             built.append(fields["weak"])
             super().__init__(**fields)
@@ -511,7 +511,7 @@ def counted_measuring(monkeypatch):
         return count(rows, s_range)
 
     with monkeypatch.context() as patch:
-        patch.setattr(regions, "_RealizedRegion", Counted)
+        patch.setattr(regions, "HalfOpenRegion", Counted)
         patch.setattr(regions, "_slice_count", counted_slice)
         yield built, slices
 

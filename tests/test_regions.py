@@ -115,6 +115,36 @@ def test_closure_vertices_without_fan_memo():
         closure_vertices(half_plane)
 
 
+def test_a_region_runs_its_vertex_pass_once(monkeypatch):
+    # The measures of one region object share the vertex table and the
+    # row bounds it computes on first use; a new object computes its own.
+    fan = fixtures.bl1_p3()
+    d = divisor([2, 1, 1, 1, 0])
+    weak = range(len(fan.rays))
+    measures = (closure_vertices, normalized_volume, lattice_count, lattice_points)
+    expected = [measure(region(fan, d, weak)) for measure in measures]
+    scans, clearings = [], []
+    scan, ceilings = regions._integer_vertices, regions._ceilings
+
+    def counted_scan(reg):
+        scans.append(reg)
+        return scan(reg)
+
+    def counted_ceilings(levels, q):
+        clearings.append(levels)
+        return ceilings(levels, q)
+
+    monkeypatch.setattr(regions, "_integer_vertices", counted_scan)
+    monkeypatch.setattr(regions, "_ceilings", counted_ceilings)
+    for reg in (region(fan, d, weak), HalfOpenRegion(fan.rays, tuple(-c for c in d), (True,) * 5, 3)):
+        scans.clear()
+        clearings.clear()
+        assert [measure(reg) for measure in measures] == expected
+        assert len(scans) == 1 and scans[0] is reg
+        assert len(clearings) == 1
+    assert expected[2] == len(expected[3]) > 0 and expected[1] > 0
+
+
 def test_lower_dimensional_closure():
     # Empty half-open region with a point closure: volume 0, no points.
     fan = p2()
