@@ -22,7 +22,7 @@ from .errors import (
     NotQCartierError,
     PreconditionError,
 )
-from .fan import Fan, is_complete
+from .fan import Fan, _is_int, is_complete
 from .homology import local_cohomology_ranks
 from .regions import normalized_volume, region_sum
 
@@ -93,14 +93,15 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     from exact finite differences on a grid small enough (slack bound
     from the chamber's integer inequalities) to stay inside the chamber.
     Each grid point measures ĥ^0 alone, the volume of its section
-    polytope.
+    polytope.  Raises PreconditionError unless the ray indices are 1 to
+    n distinct ints in 0..k-1 (True and 1.0 are no ray index).
     """
     from . import gkz
 
     rays = list(ray_indices)
     k = len(fan.rays)
-    if not all(0 <= i < k for i in rays):
-        raise PreconditionError(f"ray indices must lie in 0..{k - 1}, got {rays}")
+    if not all(_is_int(i) and 0 <= i < k for i in rays):
+        raise PreconditionError(f"ray indices must be ints in 0..{k - 1}, got {rays}")
     if len(set(rays)) != len(rays):
         raise PreconditionError("ray list must consist of distinct rays")
     n = fan.dim

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .divisor import Divisor, _check_length, _check_rays
+from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
-from .fan import Fan, chi_of_fan, is_complete, subfan
+from .fan import Fan, _check_rays, chi_of_fan, is_complete, subfan
 from .homology import local_cohomology_ranks
 from .linalg import _sparse_rank, dot
 from .regions import lattice_count, region_sum

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import NotCompleteError
-from .fan import Fan, _basis_inverses, is_complete
+from .fan import Fan, _basis_inverses, _check_rays, _is_int, is_complete
 from .linalg import dot, solve, to_integers
 
 Divisor = tuple[Fraction, ...]
@@ -29,7 +29,7 @@ def _coefficient(value) -> Fraction:
     1, "1_0" as 10, "1e3" as 1000 and " 1/2 " as 1/2, and accept
     non-ASCII digits, silently changing the input.
     """
-    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+    if isinstance(value, Fraction) or _is_int(value):
         return Fraction(value)
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
@@ -83,13 +83,6 @@ def _check_length(fan: Fan, d: Divisor) -> None:
     """Raise ValueError unless the divisor has one coefficient per ray."""
     if len(d) != len(fan.rays):
         raise ValueError(f"divisor has {len(d)} coefficients, fan has {len(fan.rays)} rays")
-
-
-def _check_rays(fan: Fan, rays) -> None:
-    """Raise ValueError unless every entry is a ray index 0..k-1 of the fan."""
-    bad = sorted(i for i in rays if not 0 <= i < len(fan.rays))
-    if bad:
-        raise ValueError(f"ray indices {bad} are not among the fan's {len(fan.rays)} rays")
 
 
 def _basis_functional(fan: Fan, idx: tuple[int, ...], coeffs, q: int):

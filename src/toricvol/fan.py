@@ -36,6 +36,26 @@ from .linalg import _adjugate, _kernel_direction, det, dot, rank
 from .lp import cone_contains, is_face_subset, is_pointed, relative_interior_functional
 
 
+def _is_int(value) -> bool:
+    """Whether the value is an int and not a bool, the one spelling of an integer input."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_rays(fan: Fan, rays) -> frozenset[int]:
+    """The entries as a frozenset; ValueError unless each is a ray index 0..k-1 of the fan.
+
+    Ints only: True and 1.0 equal 1 but are no ray index.
+    """
+    rays = tuple(rays)
+    odd = [i for i in rays if not _is_int(i)]
+    if odd:
+        raise ValueError(f"ray indices {odd!r} are not integers")
+    bad = sorted(i for i in rays if not 0 <= i < len(fan.rays))
+    if bad:
+        raise ValueError(f"ray indices {bad} are not among the fan's {len(fan.rays)} rays")
+    return frozenset(rays)
+
+
 def primitivize(vector) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries."""
     vec = tuple(int(v) for v in vector)
@@ -229,7 +249,9 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     Returns the diagnostic list together with the Fan built from the
     (primitivized) data when no hard violation was found.  Non-primitive
     input rays are reported but repaired; everything else is fatal,
-    starting with a dimension below 1, which ends the checks at once.
+    starting with a dimension that is not an int of at least 1, which
+    ends the checks at once.  A ray entry or cone index that is not an
+    int (bools included) is fatal too, never rounded or parsed.
 
     After the checks on rays and single cones, cones that pass
     ``_glued_cover_once`` form a complete simplicial fan, so no pair of
@@ -239,20 +261,26 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     relative-interior LP per pair of cones, with its diagnostics in
     the same order.
     """
+    if not _is_int(dim):
+        return [f"dimension {dim!r} is not an integer"], None
     if dim < 1:
         return [f"dimension {dim} is not positive"], None
     diags: list[str] = []
     fatal = False
     clean_rays: list[tuple[int, ...]] = []
     for i, ray in enumerate(rays):
-        ray = tuple(int(v) for v in ray)
-        if len(ray) != dim:
-            diags.append(f"ray {i} has length {len(ray)}, expected {dim}")
-            fatal = True
-            clean_rays.append(ray)
-            continue
-        if not any(ray):
-            diags.append(f"ray {i} is zero")
+        ray = tuple(ray)
+        odd = [v for v in ray if not _is_int(v)]
+        if odd:
+            problem = f"has entries {odd!r} that are not integers"
+        elif len(ray) != dim:
+            problem = f"has length {len(ray)}, expected {dim}"
+        elif not any(ray):
+            problem = "is zero"
+        else:
+            problem = None
+        if problem:
+            diags.append(f"ray {i} {problem}")
             fatal = True
             clean_rays.append(ray)
             continue
@@ -273,7 +301,12 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
 
     cones = []
     for j, raw in enumerate(max_cones):
-        indices = [int(i) for i in raw]
+        indices = list(raw)
+        odd = [i for i in indices if not _is_int(i)]
+        if odd:
+            diags.append(f"cone {j} has indices {odd!r} that are not integers")
+            fatal = True
+            indices = [i for i in indices if _is_int(i)]
         cone = frozenset(indices)
         cones.append(cone)
         if not cone:
@@ -463,9 +496,10 @@ def cone_multiplicity(fan: Fan, cone: Cone) -> int:
     """Index of the lattice spanned by the cone's rays in its saturation.
 
     Equals the gcd of the maximal minors of the ray matrix; for a
-    full-dimensional simplicial cone this is |det| of the rays.
+    full-dimensional simplicial cone this is |det| of the rays.  Raises
+    ValueError unless every index of the cone is a ray index of the fan.
     """
-    idx = sorted(cone.ray_indices)
+    idx = sorted(_check_rays(fan, cone.ray_indices))
     if not idx:
         return 1
     vectors = [fan.rays[i] for i in idx]

@@ -33,7 +33,16 @@ maximal chambers and the standalone fan of each chamber that
 cone functional of a nef decomposition reads the fan's one table of
 integer basis inverses (``fan._basis_inverses``), which the region
 vertices and the Cartier data of ``divisor`` read too, so neither
-runs an elimination of its own.  The memo holds none of them as a
+runs an elimination of its own.
+
+Every decision reads integers.  A condition system holds its rows as
+primitive int tuples, once per fan, and membership, the chamber step
+bounds and the interior-sample LP read those rows as they are; the
+3-D chamber search takes a ray's side of a facet from the facet's
+integer normal, and a nef decomposition compares the two section
+polytopes on their regions' integer vertex tables.  A ``Fraction`` is
+built only for an answer: support function values, sample divisors,
+nef parts, shifts and growth rates.  The memo holds none of them as a
 ``GKZCone`` or as anything else that references the ambient fan (a
 chamber's fan is built on copies of its rays); every call builds fresh
 ``GKZCone`` objects around the memoized data.
@@ -49,14 +58,7 @@ from itertools import combinations
 from operator import mul
 
 from .asymptotics import _rates, self_intersection
-from .divisor import (
-    Divisor,
-    _basis_functional,
-    _check_length,
-    _check_rays,
-    is_q_cartier,
-    linear_equiv_shift,
-)
+from .divisor import Divisor, _basis_functional, _check_length, is_q_cartier, linear_equiv_shift
 from .errors import (
     ChamberMembershipError,
     EffectiveConeError,
@@ -66,10 +68,12 @@ from .errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from .fan import Fan, _basis_inverses, _glued_cover_once, is_complete, is_simplicial, make_fan
-from .linalg import det, dot, nullspace, rank, solve, to_integers
+from .fan import (
+    Fan, _basis_inverses, _check_rays, _glued_cover_once, is_complete, is_simplicial, make_fan
+)
+from .linalg import _kernel_direction, dot, nullspace, rank, solve, to_integers
 from .lp import cone_contains, feasible_point, relative_interior_functional
-from .regions import HalfOpenRegion, closure_vertices, region
+from .regions import HalfOpenRegion, region
 
 
 # ---------------------------------------------------------------------------
@@ -239,60 +243,45 @@ class GKZCone:
     equalities demand zero, inequalities demand nonnegativity.  The
     system is assembled from all expansions of rays in independent ray
     bases inside each cone, so membership is a finite exact check.
-    The conditions ``gkz_cone`` builds are primitive integer vectors
-    held with ``Fraction`` entries.  On first use an instance derives
-    ``int`` rows from its public rows, so a copy made with
-    ``dataclasses.replace`` derives its own.  ``_slacks`` clears d to
-    integers once (times q > 0, which keeps every sign) and takes integer
-    dots with those rows; membership and the chamber step bounds read it.
+    The conditions ``gkz_cone`` builds are primitive integer vectors,
+    held as int tuples once per fan, and an instance keeps no other copy
+    of them.  ``_slacks`` clears d to integers once (times q > 0, which
+    keeps every sign) and dots the public rows with it; membership and
+    the chamber step bounds read it.
     """
 
     fan: Fan
     sigma_cones: tuple[frozenset[int], ...]
     strict_rays: frozenset[int]
     lineality_basis: tuple[tuple[Fraction, ...], ...]
-    equalities: tuple[tuple[Fraction, ...], ...]
-    inequalities: tuple[tuple[Fraction, ...], ...]
+    equalities: tuple[tuple[int, ...], ...]
+    inequalities: tuple[tuple[int, ...], ...]
     members: tuple[frozenset[int], ...]  # rays lying in each cone
     bases: tuple[tuple[int, ...], ...]  # one independent ray basis per cone
     sample_divisor: Divisor | None = None
 
-    # The public rows as int tuples, in the same order, each cleared to
-    # integers (a positive multiple of it); read on first use.
-    @functools.cached_property
-    def _integer_equalities(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(to_integers(row)[0]) for row in self.equalities)
-
-    @functools.cached_property
-    def _integer_inequalities(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(to_integers(row)[0]) for row in self.inequalities)
-
     def _slacks(self, d: Divisor):
         """(equality dots, inequality (row, dot) pairs, q) of d cleared to integers.
 
-        Each dot is an integer row times the coefficients of d times
-        q > 0, so dot / q is the slack of d at that integer row.  It keeps
-        the sign of the slack at the public row, and a ratio of a dot to
-        entries of its own row keeps its value.  Raises ValueError unless
-        d has one coefficient per ray.
+        Each dot is a public row times the coefficients of d times q > 0,
+        so dot / q is the slack of d at that row and has its sign.  It is
+        an integer for the integer rows ``gkz_cone`` builds; a copy with
+        rational rows gets rational dots.  Raises ValueError unless d has
+        one coefficient per ray.
         """
         _check_length(self.fan, d)
         coeffs, q = to_integers(d)
-        equal = [sum(map(mul, row, coeffs)) for row in self._integer_equalities]
-        pairs = [(row, sum(map(mul, row, coeffs))) for row in self._integer_inequalities]
+        equal = [sum(map(mul, row, coeffs)) for row in self.equalities]
+        pairs = [(row, sum(map(mul, row, coeffs))) for row in self.inequalities]
         return equal, pairs, q
 
-    def _holds(self, d: Divisor, least: int) -> bool:
-        """Equalities at zero and inequalities at ``least`` or more, in integers."""
-        equal, pairs, _ = self._slacks(d)
-        return not any(equal) and all(v >= least for _, v in pairs)
-
     def contains(self, d: Divisor) -> bool:
-        return self._holds(d, 0)
+        equal, pairs, _ = self._slacks(d)
+        return not any(equal) and all(v >= 0 for _, v in pairs)
 
     def contains_strictly(self, d: Divisor) -> bool:
-        # An integer dot is positive exactly when it is at least 1.
-        return self._holds(d, 1)
+        equal, pairs, _ = self._slacks(d)
+        return not any(equal) and all(v > 0 for _, v in pairs)
 
     def class_cone_dim(self) -> int:
         """Dimension of the solution cone modulo linear equivalence."""
@@ -318,18 +307,18 @@ def _condition_system(fan: Fan, cones, strict):
     exactly when the fan's table of basis inverses
     (``fan._basis_inverses``) holds it, and with A / common its inverse
     the condition times common is the integer vector common * e_rho -
-    sum_b (column b of A . v_rho) e_b, stored as its primitive part
-    with ``Fraction`` entries.  The first basis of each cone is its
-    recorded basis.  Raises ValueError unless every cone and strict ray
-    is a ray index of the fan.
+    sum_b (column b of A . v_rho) e_b, stored as its primitive part, an
+    int tuple; no ``Fraction`` is built.  The first basis of each cone
+    is its recorded basis.  Raises ValueError unless every cone and
+    strict ray is a ray index of the fan.
     """
     _check_rays(fan, strict.union(*cones))
     n = fan.dim
     common, inverses = _basis_inverses(fan.rays, n, fan.memo)
     members = []
     bases = []
-    equalities: set[tuple[Fraction, ...]] = set()
-    inequalities: set[tuple[Fraction, ...]] = set()
+    equalities: set[tuple[int, ...]] = set()
+    inequalities: set[tuple[int, ...]] = set()
     for cone in cones:
         inside = _cone_members(fan, cone)
         members.append(inside)
@@ -347,7 +336,7 @@ def _condition_system(fan: Fan, cones, strict):
                 if not any(ints):
                     continue
                 g = math.gcd(*ints)
-                condition = tuple(Fraction(v // g) for v in ints)
+                condition = tuple(v // g for v in ints)
                 if rho in inside and rho not in strict:
                     equalities.add(condition)
                 else:
@@ -435,7 +424,8 @@ def _interior_sample(fan: Fan, cones, strict) -> Divisor | None:
     convex piecewise linear function lives on it (GKZ 1994, ch. 7), that
     is, when its own condition system has a point with every equality at
     0 and every inequality positive, at 1 or more after scaling.  One LP
-    over the system's integer rows finds that point or proves it absent.
+    over the system's integer rows, handed over as they are, finds that
+    point or proves it absent.
     The system is built afresh and kept in the per-fan memo of
     ``_gkz_system`` only when the candidate is a chamber, so a rejected
     candidate leaves nothing behind.
@@ -443,9 +433,10 @@ def _interior_sample(fan: Fan, cones, strict) -> Divisor | None:
     cones = _cone_key(cones)
     system = _condition_system(fan, cones, strict)
     _, _, equalities, inequalities = system
-    below = [[-v for v in to_integers(row)[0]] for row in inequalities]
-    equal = [to_integers(row)[0] for row in equalities]
-    sample = feasible_point(below, [-1] * len(below), equal, [0] * len(equal), nvars=len(fan.rays))
+    below = [[-v for v in row] for row in inequalities]
+    sample = feasible_point(
+        below, [-1] * len(below), equalities, [0] * len(equalities), nvars=len(fan.rays)
+    )
     if sample is not None:
         fan.memo(("gkz_system", cones, strict), lambda: system)
     return sample
@@ -495,16 +486,21 @@ def _fans_on_rays_3d(fan: Fan, subset):
     """The complete simplicial fans on exactly the rays of ``subset``.
 
     Fills the least open facet with a cone on its other side until none
-    is open; ``_glued_cover_once`` certifies each closed cone set.
+    is open; ``_glued_cover_once`` certifies each closed cone set.  The
+    side of a ray is the sign of its dot with the facet's integer normal
+    (``_kernel_direction``, the normal ``_glued_cover_once`` takes), made
+    once per facet; sides are only compared within one facet.
     """
     rays = fan.rays
     idx = sorted(subset)
     _, inverses = _basis_inverses(rays, fan.dim, fan.memo)
     candidates = [frozenset(c) for c in combinations(idx, 3) if c in inverses]
+    normals: dict[frozenset[int], list[int]] = {}
 
     def side(facet, other):
-        f = sorted(facet)
-        return det([rays[f[0]], rays[f[1]], rays[other]])
+        if facet not in normals:
+            normals[facet] = _kernel_direction([rays[j] for j in sorted(facet)], 3)
+        return dot(normals[facet], rays[other])
 
     results: set[frozenset[frozenset[int]]] = set()
     visited: set[frozenset[frozenset[int]]] = set()
@@ -657,8 +653,10 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
 
     All three postconditions are recomputed and enforced: the remainder
     is nonnegative and supported on the strict rays, and the shifted
-    divisor has exactly the nef part's section polytope.  Raises
-    ValueError unless the cone was built on ``fan``.
+    divisor has exactly the nef part's section polytope.  The polytopes
+    are compared on the two regions' integer vertex tables: with points
+    P / s and Q / t, the vertex sets agree exactly when {t P} = {s Q}.
+    Raises ValueError unless the cone was built on ``fan``.
     """
     _check_fan(fan, cone)
     if not cone.contains(d):
@@ -683,7 +681,7 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
         raise ToricError("internal: remainder picked up a negative coefficient")
     if any(e > 0 and rho not in cone.strict_rays for rho, e in enumerate(remainder)):
         raise ToricError("internal: remainder escaped the strict-ray support")
-    shifted_vertices = closure_vertices(region(fan, shifted, range(len(fan.rays)))).vertices
+    shifted_table, s = region(fan, shifted, range(len(fan.rays))).vertex_table
 
     def nef_memo(key, compute):
         # The nef region's normals are the support rays, not all rays.
@@ -696,8 +694,9 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
         dim=n,
         memo=nef_memo,
     )
-    nef_vertices = closure_vertices(nef_region).vertices
-    if set(shifted_vertices) != set(nef_vertices):
+    nef_table, t = nef_region.vertex_table
+    shifted_points = {tuple(t * x for x in p) for p in shifted_table}
+    if shifted_points != {tuple(s * x for x in q) for q in nef_table}:
         raise ToricError("internal: nef part's polytope differs from the shifted one")
     return NefDecomposition(shifted, shift, nef_coeffs, remainder)
 

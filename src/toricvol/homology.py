@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .divisor import _check_rays
-from .fan import Cone, Fan, all_cones
+from .fan import Cone, Fan, _check_rays, all_cones
 from .linalg import _sparse_rank
 
 

@@ -68,9 +68,9 @@ from itertools import combinations, product
 from operator import mul
 from typing import Callable
 
-from .divisor import Divisor, _check_length, _check_rays
+from .divisor import Divisor, _check_length
 from .errors import CapExceededError, UnboundedRegionError
-from .fan import Fan, _basis_inverses
+from .fan import Fan, _basis_inverses, _check_rays
 from .linalg import (
     _kernel_direction,
     affine_rank,
@@ -107,6 +107,8 @@ class HalfOpenRegion:
     measure reads, ``vertex_table`` and ``row_bounds``, is computed at
     most once per region object, on first use; ``region_sum`` hands
     each region it builds the table of its divisor's slot instead.
+    Raises ValueError unless ``normals``, ``levels`` and ``weak`` have one
+    entry per row and every normal has ``dim`` entries.
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -114,6 +116,14 @@ class HalfOpenRegion:
     weak: tuple[bool, ...]
     dim: int
     memo: Callable = field(default=_no_cache, compare=False, repr=False)
+
+    def __post_init__(self):
+        k = len(self.normals)
+        if len(self.levels) != k or len(self.weak) != k or set(map(len, self.normals)) - {self.dim}:
+            raise ValueError(
+                f"a region needs one level and one weak flag per normal and {self.dim} entries "
+                f"per normal; got {k} normals, {len(self.levels)} levels, {len(self.weak)} flags"
+            )
 
     def contains(self, point) -> bool:
         for normal, level, is_weak in zip(self.normals, self.levels, self.weak):
@@ -162,8 +172,7 @@ def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
     entry of the subset is a ray index.
     """
     _check_length(fan, d)
-    subset = frozenset(weak_rays)
-    _check_rays(fan, subset)
+    subset = _check_rays(fan, weak_rays)
     return HalfOpenRegion(
         normals=fan.rays,
         levels=tuple(-c for c in d),
@@ -232,8 +241,7 @@ def is_bounded_subset(fan: Fan, weak_rays) -> bool:
     One mask test against the fan's cocircuit patterns; raises
     ValueError unless every entry of the subset is a ray index.
     """
-    subset = frozenset(weak_rays)
-    _check_rays(fan, subset)
+    subset = _check_rays(fan, weak_rays)
     patterns = _unbounded_patterns(fan.rays, fan.dim, fan.memo)
     return _bounded_mask(patterns, sum(1 << i for i in subset))
 

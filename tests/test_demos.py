@@ -4,7 +4,9 @@
 internal cross-checks do not rely on them; a static scan keeps the
 library free of ``assert`` statements altogether, and one more keeps
 its runtime on the standard library.  Another scan keeps the Cech
-referee from reading the sphere-complex rank vectors it checks.
+referee from reading the sphere-complex rank vectors it checks, and one
+keeps floating point off every path: no float literal, no ``float``
+use and no ``math`` function other than the integer ones.
 """
 
 import ast
@@ -70,3 +72,27 @@ def test_cech_referee_reads_no_sphere_complex():
         names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert not names & production, f"{node.name} mentions {sorted(names & production)}"
+
+
+# The math functions that take and return integers only.
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def test_library_has_no_floating_point():
+    assert SOURCES
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), f"{where} float literal"
+            elif isinstance(node, ast.Name):
+                assert node.id != "float", f"{where} uses float"
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "math":
+                    assert node.attr in INTEGER_MATH, f"{where} uses math.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+                names = {alias.name for alias in node.names}
+                assert node.module == "math" and names <= INTEGER_MATH, f"{where} imports {names}"
+            elif isinstance(node, ast.Import):
+                assert "cmath" not in {alias.name for alias in node.names}, f"{where} imports cmath"

@@ -200,7 +200,11 @@ def test_string_coefficients_are_rejected_outside_divisor():
 
 
 def malformed_calls():
+    """(call on P², message, and the error type when it is not ValueError)."""
+    from toricvol.asymptotics import mixed_partial_h0
     from toricvol.cohomology import cech_ranks, graded_piece_dim, weak_ray_set
+    from toricvol.errors import PreconditionError
+    from toricvol.fan import Cone, cone_multiplicity
     from toricvol.gkz import gkz_cone, sigma_to_fan
     from toricvol.homology import local_cohomology_ranks
     from toricvol.regions import ehrhart_probe, is_bounded_subset, region
@@ -228,6 +232,14 @@ def malformed_calls():
         (lambda fan: local_cohomology_ranks(fan, [7]), "ray indices \\[7\\]"),
         (lambda fan: cech_ranks(fan, [-1]), "ray indices \\[-1\\]"),
         (lambda fan: is_bounded_subset(fan, [-1]), "ray indices \\[-1\\]"),
+        (lambda fan: region(fan, d, [True]), "ray indices \\[True\\] are not integers"),
+        (lambda fan: region(fan, d, [1.0]), "ray indices \\[1.0\\] are not integers"),
+        (lambda fan: ray_divisor(fan, True), "ray indices \\[True\\] are not integers"),
+        (lambda fan: is_bounded_subset(fan, [0.0, 1.0, 2.0]), "\\[0.0, 1.0, 2.0\\] are not integers"),
+        (lambda fan: mixed_partial_h0(fan, d, [True]), "got \\[True\\]", PreconditionError),
+        (lambda fan: mixed_partial_h0(fan, d, [1.0]), "got \\[1.0\\]", PreconditionError),
+        (lambda fan: cone_multiplicity(fan, Cone(frozenset({-1, 0}), 2)), "ray indices \\[-1\\]"),
+        (lambda fan: cone_multiplicity(fan, Cone(frozenset({5, 0}), 2)), "ray indices \\[5\\]"),
     )
 
 
@@ -236,11 +248,14 @@ def test_malformed_points_characters_and_ray_indices_are_rejected():
     # zero-padded, a long one truncated, and unknown ray indices dropped;
     # ehrhart_probe gave an empty table for m_max <= 0, gkz_cone and
     # sigma_to_fan raised IndexError, and graded_piece_dim read degree -1
-    # as the top degree and raised IndexError on degree 7.
+    # as the top degree and raised IndexError on degree 7.  True and 1.0
+    # were read as ray 1 (mixed_partial_h0 and is_bounded_subset raised
+    # TypeError on some), and cone_multiplicity read ray -1 as ray 2 and
+    # raised IndexError on ray 5.
     fan = p2()
-    for call, message in malformed_calls():
+    for call, message, *error in malformed_calls():
         for _ in range(2):  # a failed memoized compute stores nothing
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error[0] if error else ValueError, match=message):
                 call(fan)
 
 

@@ -91,6 +91,30 @@ def test_validate_rejects_repeated_ray_in_cone():
     assert "cone 2 repeats ray 0" in diags
 
 
+@pytest.mark.parametrize(
+    "dim, rays, cones, message",
+    [
+        (2, [(1.5, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {2, 0}], "ray 0 has entries [1.5]"),
+        (2, [(1, 0), ("1", 1), (-1, -1)], [{0, 1}, {1, 2}, {2, 0}], "ray 1 has entries ['1']"),
+        (2, [(1, 0), (0, True), (-1, -1)], [{0, 1}, {1, 2}, {2, 0}], "ray 1 has entries [True]"),
+        (2, [(1, 0), (0, 1), (-1, -1)], [{0.9, 1}, {1, 2}, {2, 0}], "cone 0 has indices [0.9]"),
+        (2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, "2"}, {2, 0}], "cone 1 has indices ['2']"),
+        (2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {2, False}], "cone 2 has indices [False]"),
+        (2.0, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {2, 0}], "dimension 2.0 is not an integer"),
+        (True, [(1,), (-1,)], [{0}, {1}], "dimension True is not an integer"),
+        ("2", [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {2, 0}], "dimension '2' is not an integer"),
+    ],
+)
+def test_validate_rejects_entries_that_are_not_ints(dim, rays, cones, message):
+    # Each of these used to be repaired: 1.5 read as 1, index 0.9 as 0, and
+    # "1" parsed, so a different fan was validated than the one given.
+    diags, fan = fan_diagnostics(dim, rays, cones)
+    assert fan is None
+    assert any(diag.startswith(message) for diag in diags), diags
+    with pytest.raises(InvalidFanError):
+        validate_fan(dim, rays, cones)
+
+
 def test_validate_redundant_generator():
     # (1,1) sits inside the quadrant spanned by the other two rays.
     diags, fan = fan_diagnostics(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])

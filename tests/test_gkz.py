@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from toricvol.errors import (
     ChamberMembershipError,
     EffectiveConeError,
     NotSimplicialError,
+    ToricError,
     UnsupportedDimensionError,
 )
 from toricvol.fan import make_fan
@@ -265,6 +267,23 @@ def test_warm_chamber_calls_run_no_lp(monkeypatch):
     assert calls == []
 
 
+def test_enumerated_chambers_and_samples_are_pinned():
+    # The chamber lists and sample divisors (the interior-sample LP's
+    # points) of two fans; a change of the rows' type or order must keep them.
+    samples = [ch.sample_divisor for ch in enumerate_maximal_chambers(bl2_p2())]
+    assert samples == [
+        (0, 1, 0, 2, 1), (0, 1, 1, 0, 2), (0, 1, 1, 2, 0), (1, 1, 1, 0, 0), (0, 2, 1, 1, 0)
+    ]
+    chambers = enumerate_maximal_chambers(cube_fan(), allow_dim3=True)
+    listed = repr(
+        [(tuple(tuple(sorted(c)) for c in ch.sigma_cones), tuple(sorted(ch.strict_rays))) for ch in chambers]
+    )
+    sampled = repr([tuple(map(str, ch.sample_divisor)) for ch in chambers])
+    assert len(chambers) == 148
+    assert hashlib.sha256(listed.encode()).hexdigest().startswith("588db0c889f1814a")
+    assert hashlib.sha256(sampled.encode()).hexdigest().startswith("e83610b82611aab1")
+
+
 def test_enumerate_returns_fresh_lists():
     fan = bl2_p2()
     first = enumerate_maximal_chambers(fan)
@@ -508,6 +527,24 @@ def test_nef_decomposition_on_coarse_chamber():
     d2 = divisor([1, 0, 0, 3])
     nd2 = nef_decomposition(fan, coarse, d2)
     assert nd2.remainder == (0, 0, 0, 2)
+
+
+def test_nef_decomposition_rejects_a_wrong_shift(monkeypatch):
+    # The polytope postcondition compares the two integer vertex tables: a
+    # shift that moves one coefficient by 1/3 must trip it.
+    fan = bl2_p2()
+    chamber = enumerate_maximal_chambers(fan)[0]
+    d = scale(chamber.sample_divisor, Fraction(3, 2))
+    assert nef_decomposition(fan, chamber, d).shifted == d
+    original = gkz.linear_equiv_shift
+
+    def skewed(fan, d, u):
+        shifted = original(fan, d, u)
+        return (shifted[0] + Fraction(1, 3),) + shifted[1:]
+
+    monkeypatch.setattr(gkz, "linear_equiv_shift", skewed)
+    with pytest.raises(ToricError, match="polytope differs"):
+        nef_decomposition(fan, chamber, d)
 
 
 def test_nef_decomposition_ample_is_trivial():
@@ -785,6 +822,25 @@ def test_integer_rows_follow_the_public_rows():
             assert answer == fraction_membership(cone, d), (cone, d)
             seen.add(answer[0])
         assert seen == {True, False}, cone
+
+
+def test_chamber_rows_are_int_tuples_and_membership_clears_only_the_divisor(monkeypatch):
+    # The rows are held once per fan as the referee's primitive integer
+    # rows, so a fresh cone clears only the divisor it is asked about.
+    import toricvol.linalg as linalg
+
+    fan = bl2_p2()
+    d = divisor([3, 3, 3, 2, 2])
+    chambers = [gkz_cone(fan, fan.max_cones, frozenset()), *enumerate_maximal_chambers(fan)]
+    for cone in chambers:
+        rows = cone.equalities + cone.inequalities
+        assert rows and all(type(row) is tuple and all(type(x) is int for x in row) for row in rows)
+        referee = chamber_referees.gkz_system(fan, cone.sigma_cones, cone.strict_rays)
+        assert (cone.equalities, cone.inequalities) == referee[2:]
+    cleared = []
+    counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
+    assert gkz_cone(fan, fan.max_cones, frozenset()).contains(d)
+    assert cleared == [d]
 
 
 def fraction_ample_referee(fan, d):

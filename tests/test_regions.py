@@ -115,6 +115,25 @@ def test_closure_vertices_without_fan_memo():
         closure_vertices(half_plane)
 
 
+def test_region_rejects_mismatched_lengths():
+    # contains() used to ignore the third normal of a two-level region, its
+    # lattice count raised IndexError, and a weak tuple one entry short
+    # reported an unbounded region.
+    fan = p2()
+    levels = (Fraction(0),) * 3
+    bad = [
+        (fan.rays, levels[:2], (True,) * 3, 2),
+        (fan.rays, levels, (True,) * 2, 2),
+        (fan.rays[:2], levels, (True,) * 3, 2),
+        (fan.rays, levels, (True,) * 3, 3),
+        (((1, 0), (0, 1, 0), (-1, -1)), levels, (True,) * 3, 2),
+    ]
+    for normals, lv, weak, dim in bad:
+        with pytest.raises(ValueError, match="one level and one weak flag per normal"):
+            HalfOpenRegion(normals=normals, levels=lv, weak=weak, dim=dim)
+    assert HalfOpenRegion(fan.rays, levels, (True,) * 3, 2).contains((0, 0))
+
+
 def test_a_region_runs_its_vertex_pass_once(monkeypatch):
     # The measures of one region object share the vertex table and the
     # row bounds it computes on first use; a new object computes its own.
