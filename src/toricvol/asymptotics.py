@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .fan import Fan, _is_int, is_complete
-from .homology import local_cohomology_ranks
+from .homology import _local_ranks
 from .regions import normalized_volume, region_sum
 
 AsymptoticVector = tuple[Fraction, ...]
@@ -40,7 +40,7 @@ def _rates(fan: Fan, d: Divisor, degrees: slice) -> AsymptoticVector:
     if not is_complete(fan):
         raise NotCompleteError("asymptotic functions need a complete fan")
     values = region_sum(
-        fan, d, lambda subset: local_cohomology_ranks(fan, subset)[degrees], normalized_volume
+        fan, d, lambda subset: _local_ranks(fan, subset)[degrees], normalized_volume
     )
     return tuple(Fraction(v) for v in values)
 
@@ -90,8 +90,9 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
 
     The growth rate restricted to an open chamber is a polynomial of
     degree at most n in the coefficients, so the derivative is read off
-    from exact finite differences on a grid small enough (slack bound
-    from the chamber's integer inequalities) to stay inside the chamber.
+    from exact finite differences on the grid of 0..n steps along each
+    ray, with the step of ``GKZCone.interior_step`` for these rays at
+    reach n, which keeps every grid point strictly inside the chamber.
     Each grid point measures ĥ^0 alone, the volume of its section
     polytope.  Raises PreconditionError unless the ray indices are 1 to
     n distinct ints in 0..k-1 (True and 1.0 are no ray index).
@@ -110,15 +111,7 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     location = gkz.locate_chamber(fan, d)
     if not location.interior:
         raise ChamberWallError("divisor class sits on a chamber wall")
-    chamber = gkz.located_cone(fan, location)
-
-    _, slacks, q = chamber._slacks(d)
-    step = Fraction(1)
-    for row, slack in slacks:
-        relevant = sum(abs(row[i]) for i in rays)
-        if relevant:
-            bound = Fraction(slack, 2 * n * relevant * q)
-            step = min(step, bound)
+    step = gkz.located_cone(fan, location).interior_step(d, rays, n)
     if step <= 0:
         raise PreconditionError("step bound underflow: no room inside the chamber")
 

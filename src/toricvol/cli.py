@@ -22,6 +22,7 @@ writes a report with the error's kind, argument errors included (to
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import hashlib
 import json
@@ -57,37 +58,33 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise DocumentError(f"{self.prog}: {message}")
 
 
+# Significant digits of a report's decimal approximations, and the one
+# context that rounds them: fixed, so a caller's thread context cannot
+# change a digit, and with the widest exponent range.
+SIGNIFICANT = 12
+_DECIMAL = decimal.Context(
+    prec=SIGNIFICANT,
+    rounding=decimal.ROUND_HALF_EVEN,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+)
+
+
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """The lowest-terms "p" or "p/q" string of a rational."""
+    return str(Fraction(x))
 
 
-def decimal_string(x: Fraction, significant: int = 12) -> str:
-    """Fixed-point decimal with the requested count of significant digits."""
+def decimal_string(x: Fraction) -> str:
+    """Fixed-point decimal of x rounded to ``SIGNIFICANT`` significant digits.
+
+    The exact quotient is rounded once, half to even (as ``round`` rounds
+    a ``Fraction``), and printed with every significant digit, trailing
+    zeros included; 0 prints as "0." and ``SIGNIFICANT`` - 1 zeros.
+    """
     x = Fraction(x)
-    if x == 0:
-        return "0." + "0" * (significant - 1)
-    mag = abs(x)
-    exponent = 0
-    while mag >= 10:
-        mag /= 10
-        exponent += 1
-    while mag < 1:
-        mag *= 10
-        exponent -= 1
-    places = significant - 1 - exponent
-    rounded = round(x, places)
-    if abs(rounded) >= Fraction(10) ** (exponent + 1):
-        places -= 1
-        rounded = round(x, places)
-    sign = "-" if rounded < 0 else ""
-    if places <= 0:
-        return sign + str(abs(int(rounded)))
-    scaled = abs(rounded.numerator * 10**places // rounded.denominator)
-    digits = str(scaled).rjust(places + 1, "0")
-    return sign + digits[:-places] + "." + digits[-places:]
+    q = _DECIMAL.divide(decimal.Decimal(x.numerator), x.denominator)
+    return f"{q:.{max(SIGNIFICANT - 1 - q.adjusted(), 0)}f}"
 
 
 def rational_fields(name: str, value) -> dict:

@@ -16,7 +16,7 @@ from itertools import combinations
 from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
 from .fan import Fan, _check_rays, chi_of_fan, is_complete, subfan
-from .homology import local_cohomology_ranks
+from .homology import _local_ranks, local_cohomology_ranks
 from .linalg import _sparse_rank, dot
 from .regions import lattice_count, region_sum
 
@@ -56,7 +56,7 @@ def h_all(fan: Fan, d: Divisor) -> CohomologyVector:
             "h_all needs a complete fan; use graded_piece_dim for single pieces"
         )
     return region_sum(
-        fan, d, lambda subset: local_cohomology_ranks(fan, subset), lattice_count
+        fan, d, lambda subset: _local_ranks(fan, subset), lattice_count
     )
 
 
@@ -157,21 +157,28 @@ def _coboundary_rows(small: list[tuple[int, ...]], large: list[tuple[int, ...]])
     return rows
 
 
+def _cech_ranks(fan: Fan, subset: frozenset[int]) -> CohomologyVector:
+    """The Cech ranks of a frozenset of ray indices, memoized per fan; no check.
+
+    The oracle's region sum weighs its subsets here: it builds them from
+    ray bitmasks, so every entry is a ray index of the fan.
+    """
+    ncones = len(fan.max_cones)
+    return fan.memo(
+        ("cech", subset),
+        lambda: _cech_rank_vector(fan, subset, lambda size: combinations(range(ncones), size)),
+    )
+
+
 def cech_ranks(fan: Fan, weak_rays) -> CohomologyVector:
     """Cohomology ranks of the alternating Cech complex for one region type.
 
     The complex lives on the ordered cover by maximal cones.  Memoized
     per fan and subset; raises ValueError on an index that is no ray of
-    the fan, checked only when the ranks are computed.
+    the fan, checked on the raw entries on every call, before the memo
+    lookup: a frozenset would merge True into 1.
     """
-    subset = frozenset(weak_rays)
-    ncones = len(fan.max_cones)
-
-    def compute():
-        _check_rays(fan, subset)
-        return _cech_rank_vector(fan, subset, lambda size: combinations(range(ncones), size))
-
-    return fan.memo(("cech", subset), compute)
+    return _cech_ranks(fan, _check_rays(fan, weak_rays))
 
 
 def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:
@@ -185,4 +192,4 @@ def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:
     """
     if not is_complete(fan):
         raise NotCompleteError("cech_oracle needs a complete fan")
-    return region_sum(fan, d, lambda subset: cech_ranks(fan, subset), lattice_count)
+    return region_sum(fan, d, lambda subset: _cech_ranks(fan, subset), lattice_count)

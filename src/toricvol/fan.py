@@ -50,7 +50,7 @@ def _check_rays(fan: Fan, rays) -> frozenset[int]:
     odd = [i for i in rays if not _is_int(i)]
     if odd:
         raise ValueError(f"ray indices {odd!r} are not integers")
-    bad = sorted(i for i in rays if not 0 <= i < len(fan.rays))
+    bad = sorted({i for i in rays if not 0 <= i < len(fan.rays)})
     if bad:
         raise ValueError(f"ray indices {bad} are not among the fan's {len(fan.rays)} rays")
     return frozenset(rays)

@@ -37,15 +37,16 @@ runs an elimination of its own.
 
 Every decision reads integers.  A condition system holds its rows as
 primitive int tuples, once per fan, and membership, the chamber step
-bounds and the interior-sample LP read those rows as they are; the
-3-D chamber search takes a ray's side of a facet from the facet's
-integer normal, and a nef decomposition compares the two section
-polytopes on their regions' integer vertex tables.  A ``Fraction`` is
-built only for an answer: support function values, sample divisors,
-nef parts, shifts and growth rates.  The memo holds none of them as a
-``GKZCone`` or as anything else that references the ambient fan (a
-chamber's fan is built on copies of its rays); every call builds fresh
-``GKZCone`` objects around the memoized data.
+(``GKZCone.interior_step``, the one step rule of the ampleness probes
+and of the ĥ^0 derivative grid) and the interior-sample LP read those
+rows as they are; the 3-D chamber search takes a ray's side of a facet
+from the facet's integer normal, and a nef decomposition compares the
+two section polytopes on their regions' integer vertex tables.  A
+``Fraction`` is built only for an answer: support function values,
+sample divisors, nef parts, shifts and growth rates.  The memo holds
+none of them as a ``GKZCone`` or as anything else that references the
+ambient fan (a chamber's fan is built on copies of its rays); every
+call builds fresh ``GKZCone`` objects around the memoized data.
 """
 
 from __future__ import annotations
@@ -58,13 +59,12 @@ from itertools import combinations
 from operator import mul
 
 from .asymptotics import _rates, self_intersection
-from .divisor import Divisor, _basis_functional, _check_length, is_q_cartier, linear_equiv_shift
+from .divisor import Divisor, _basis_functional, _check_length, linear_equiv_shift
 from .errors import (
     ChamberMembershipError,
     EffectiveConeError,
     NotCompleteError,
     NotSimplicialError,
-    NotQCartierError,
     ToricError,
     UnsupportedDimensionError,
 )
@@ -247,7 +247,7 @@ class GKZCone:
     held as int tuples once per fan, and an instance keeps no other copy
     of them.  ``_slacks`` clears d to integers once (times q > 0, which
     keeps every sign) and dots the public rows with it; membership and
-    the chamber step bounds read it.
+    ``interior_step`` are its only readers.
     """
 
     fan: Fan
@@ -283,6 +283,23 @@ class GKZCone:
         equal, pairs, _ = self._slacks(d)
         return not any(equal) and all(v > 0 for _, v in pairs)
 
+    def interior_step(self, d: Divisor, rays, reach: int) -> Fraction:
+        """A step that moves a strict member along the given rays without leaving.
+
+        The step is min(1, slack / (2 reach pull)) over the inequality
+        rows whose pull, the sum of |row_i| over i in ``rays``, is
+        nonzero.  Moving d along each of those rays by at most ``reach``
+        steps, either way, changes a row's slack by at most half of it,
+        so every such point lies strictly inside when d does.
+        """
+        _, pairs, q = self._slacks(d)
+        step = Fraction(1)
+        for row, slack in pairs:
+            pull = sum(abs(row[i]) for i in rays)
+            if pull:
+                step = min(step, Fraction(slack, 2 * reach * pull * q))
+        return step
+
     def class_cone_dim(self) -> int:
         """Dimension of the solution cone modulo linear equivalence."""
         rows = list(self.inequalities)
@@ -309,10 +326,9 @@ def _condition_system(fan: Fan, cones, strict):
     the condition times common is the integer vector common * e_rho -
     sum_b (column b of A . v_rho) e_b, stored as its primitive part, an
     int tuple; no ``Fraction`` is built.  The first basis of each cone
-    is its recorded basis.  Raises ValueError unless every cone and
-    strict ray is a ray index of the fan.
+    is its recorded basis.  The entries are taken as ray indices of the
+    fan, as ``gkz_cone`` checks them and the chamber searches make them.
     """
-    _check_rays(fan, strict.union(*cones))
     n = fan.dim
     common, inverses = _basis_inverses(fan.rays, n, fan.memo)
     members = []
@@ -351,7 +367,7 @@ def _condition_system(fan: Fan, cones, strict):
 
 
 def _gkz_system(fan: Fan, cones, strict):
-    """``_condition_system``, once per fan; the ray check runs only when computing."""
+    """``_condition_system``, once per fan."""
     return fan.memo(("gkz_system", cones, strict), lambda: _condition_system(fan, cones, strict))
 
 
@@ -371,10 +387,16 @@ def gkz_cone(
 
     The condition system depends on the fan, the cones and the strict
     rays only, so it is computed once per fan; each call wraps it in a
-    fresh ``GKZCone``.
+    fresh ``GKZCone``.  Raises ValueError unless every entry of every
+    cone and of the strict rays is a ray index of the fan, checked on
+    the raw entries on every call, before any sort or set union could
+    fail on an entry or merge True into 1.
     """
+    sigma_cones = list(sigma_cones)
+    strict = tuple(strict_rays)
+    _check_rays(fan, [i for cone in (strict, *sigma_cones) for i in cone])
     cones = _cone_key(sigma_cones)
-    strict = frozenset(strict_rays)
+    strict = frozenset(strict)
     for cone in cones:
         if cone & strict:
             raise ValueError("cone generators must avoid the strict-ray set")
@@ -594,10 +616,10 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
 def sigma_to_fan(fan: Fan, sigma_cones) -> Fan:
     """A standalone Fan on the subset of ambient rays used by the cones.
 
-    Raises ValueError on an entry that is no ray index of the fan.
+    Raises ValueError on an entry that is no ray index of the fan,
+    checked on the raw entries before they are sorted or merged.
     """
-    ray_list = sorted(frozenset().union(*[frozenset(c) for c in sigma_cones]))
-    _check_rays(fan, ray_list)
+    ray_list = sorted(_check_rays(fan, [i for cone in sigma_cones for i in cone]))
     remap = {old: new for new, old in enumerate(ray_list)}
     return make_fan(
         fan.dim,
@@ -658,8 +680,7 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     P / s and Q / t, the vertex sets agree exactly when {t P} = {s Q}.
     Raises ValueError unless the cone was built on ``fan``.
     """
-    _check_fan(fan, cone)
-    if not cone.contains(d):
+    if not gkz_membership(fan, cone, d):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
     us, xi_values = _piecewise_linear_data(fan, cone, d)
     n = fan.dim
@@ -711,8 +732,7 @@ def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
     memo, so its own memo stays warm across calls.  Raises ValueError
     unless the cone was built on ``fan``.
     """
-    _check_fan(fan, cone)
-    if not cone.contains(d):
+    if not gkz_membership(fan, cone, d):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
     direct = _rates(fan, d, slice(1))[0]
     if cone.lineality_basis:
@@ -734,10 +754,11 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     True exactly when the located chamber is the ambient fan's own open
     chamber.  On a positive answer the vanishing is additionally
     verified at the class itself and at 2k perturbed classes inside the
-    chamber, one step each way along every ray.  These checks compute
-    ĥ^1..ĥ^n only, so the section polytope is never measured; the
-    slacks and steps come from integer dots with the divisor cleared to
-    integers once.
+    chamber, one step each way along every ray, the step of
+    ``GKZCone.interior_step`` for that ray alone (reach 1), so both
+    probes lie strictly inside.  These checks compute ĥ^1..ĥ^n only, so
+    the section polytope is never measured.  A complete simplicial fan
+    makes every divisor Q-Cartier, so no Cartier test runs.
     """
     if not is_complete(fan):
         raise NotCompleteError("ampleness test needs a complete fan")
@@ -747,29 +768,22 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
             "all, where neighborhood vanishing holds with nothing ample; this "
             "test refuses them"
         )
-    if is_q_cartier(fan, d) is None:
-        raise NotQCartierError("divisor is not Q-Cartier")
     try:
         location = locate_chamber(fan, d)
     except EffectiveConeError:
         return False
-    if location.sigma.degenerate or not location.interior:
+    if not location.interior:
         return False
     if set(location.sigma.max_cones) != set(fan.max_cones) or location.strict_rays:
         return False
 
-    chamber = gkz_cone(fan, fan.max_cones, frozenset())
+    chamber = located_cone(fan, location)
     higher = slice(1, None)
     if any(_rates(fan, d, higher)):
         raise ToricError("internal: ample class with nonzero higher growth")
-    _, slacks, q = chamber._slacks(d)
     for rho in range(len(fan.rays)):
+        step = chamber.interior_step(d, (rho,), 1)
         for sign in (1, -1):
-            step = Fraction(1)
-            for row, slack in slacks:
-                drop = row[rho] * sign
-                if drop < 0:
-                    step = min(step, Fraction(slack, -2 * drop * q))
             probe = list(d)
             probe[rho] += sign * step
             probe = tuple(probe)

@@ -135,20 +135,28 @@ def reduced_homology_ranks(complex_: SphereComplex) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def local_cohomology_ranks(fan: Fan, weak_rays) -> tuple[int, ...]:
-    """The rank vector (r_0, ..., r_n) for one ray subset, memoized per fan.
+def _local_ranks(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
+    """The rank vector of a frozenset of ray indices, memoized per fan; no check.
 
-    r_i equals the reduced homology rank of the sphere complex in
-    degree n - i - 1.  Raises ValueError on an index that is no ray of
-    the fan, checked only when the ranks are computed.
+    The region sum weighs its subsets here: it builds them from ray
+    bitmasks, so every entry is a ray index of the fan.
     """
-    subset = frozenset(weak_rays)
 
     def compute():
-        _check_rays(fan, subset)
         tilde = reduced_homology_ranks(sphere_complex(fan, subset))
         n = fan.dim
         # tilde[s] is reduced degree s-1, so degree j sits at tilde[j+1].
         return tuple(tilde[n - i] for i in range(n + 1))
 
     return fan.memo(("profile", subset), compute)
+
+
+def local_cohomology_ranks(fan: Fan, weak_rays) -> tuple[int, ...]:
+    """The rank vector (r_0, ..., r_n) for one ray subset, memoized per fan.
+
+    r_i equals the reduced homology rank of the sphere complex in
+    degree n - i - 1.  Raises ValueError on an index that is no ray of
+    the fan, checked on the raw entries on every call, before the memo
+    lookup: a frozenset would merge True into 1.
+    """
+    return _local_ranks(fan, _check_rays(fan, weak_rays))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,36 @@ def test_decimal_string():
     assert decimal_string(Fraction(9999999999999, 10**13)) == "1.00000000000"
     assert decimal_string(Fraction(-99999999999999, 10**13)) == "-10.0000000000"
     assert decimal_string(Fraction(-9999999999999, 10**13)) == "-1.00000000000"
+
+
+def nearest_twelve_digits(x):
+    """The number with 12 significant digits nearest x, ties to even, in Fraction arithmetic."""
+    if x == 0:
+        return Fraction(0)
+    e = len(str(abs(x.numerator))) - len(str(x.denominator))
+    if abs(x) < Fraction(10) ** e:
+        e -= 1  # now 10^e <= |x| < 10^(e+1)
+    unit = Fraction(10) ** (e - 11)
+    return round(x / unit) * unit
+
+
+def test_decimal_string_is_the_nearest_twelve_digit_number():
+    rng = random.Random(24)
+    cases = [Fraction(0)]
+    for _ in range(1500):
+        k = rng.randrange(10**11, 10**12)
+        cases.append(Fraction(2 * k + 1, 2) / Fraction(10) ** rng.randint(-40, 40))  # exact ties
+        cases.append(Fraction(10**13 - rng.randint(1, 9), 10 ** rng.randint(0, 30)))  # carries
+        scale = Fraction(10) ** rng.randint(-300, 300)  # huge and tiny magnitudes
+        cases.append(Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30)) * scale)
+        cases.append(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+    for x in cases:
+        for value in (x, -x):
+            text = decimal_string(value)
+            assert Fraction(text) == nearest_twelve_digits(value), value
+            # Every significant digit is printed, trailing zeros included.
+            digits = text.lstrip("-").replace(".", "").lstrip("0")
+            assert len(digits) == 12 or (len(digits) > 12 and "." not in text) or x == 0, text
 
 
 def test_asym_report(tmp_path):

@@ -4,9 +4,10 @@
 internal cross-checks do not rely on them; a static scan keeps the
 library free of ``assert`` statements altogether, and one more keeps
 its runtime on the standard library.  Another scan keeps the Cech
-referee from reading the sphere-complex rank vectors it checks, and one
+referee from reading the sphere-complex rank vectors it checks, one
 keeps floating point off every path: no float literal, no ``float``
-use and no ``math`` function other than the integer ones.
+use and no ``math`` function other than the integer ones, and one keeps
+every private member read on ``self``.
 """
 
 import ast
@@ -62,8 +63,8 @@ def test_library_imports_only_the_standard_library():
 def test_cech_referee_reads_no_sphere_complex():
     # The Cech oracle must stay independent of the rank vectors it checks.
     tree = ast.parse((ROOT / "src" / "toricvol" / "cohomology.py").read_text(encoding="utf-8"))
-    referee = {"cech_oracle", "cech_ranks", "_cech_rank_vector"}
-    production = {"local_cohomology_ranks", "sphere_complex", "reduced_homology_ranks"}
+    referee = {"cech_oracle", "cech_ranks", "_cech_ranks", "_cech_rank_vector"}
+    production = {"local_cohomology_ranks", "_local_ranks", "sphere_complex", "reduced_homology_ranks"}
     functions = [
         node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in referee
     ]
@@ -72,6 +73,23 @@ def test_cech_referee_reads_no_sphere_complex():
         names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert not names & production, f"{node.name} mentions {sorted(names & production)}"
+
+
+def test_library_reads_no_private_member_of_another_object():
+    # A single-underscore attribute is read only off ``self``: a private
+    # member has one owner, and another module or object asks its public
+    # methods instead.
+    assert SOURCES
+    reads = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+            if not on_self and not node.attr.startswith("__"):
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not reads, reads
 
 
 # The math functions that take and return integers only.

@@ -210,6 +210,8 @@ def malformed_calls():
     from toricvol.regions import ehrhart_probe, is_bounded_subset, region
 
     d = divisor([1, 1, 1])
+    warm = ([0, 1, 2], [0, True, 2.0])  # the second call used to hit the first's memo entry
+    not_ints = "ray indices \\[True, 2.0\\] are not integers"
     return (
         (lambda fan: linear_equiv_shift(fan, d, (1,)), "character has 1 entries"),
         (lambda fan: linear_equiv_shift(fan, d, (1, 2, 3)), "character has 3 entries"),
@@ -229,8 +231,15 @@ def malformed_calls():
         (lambda fan: gkz_cone(fan, [{0, 1}], (9,)), "ray indices \\[9\\]"),
         (lambda fan: gkz_cone(fan, [{-1, 1}], ()), "ray indices \\[-1\\]"),
         (lambda fan: sigma_to_fan(fan, [{0, 1}, {1, 7}]), "ray indices \\[7\\]"),
+        (lambda fan: gkz_cone(fan, [{0, "a"}], ()), "ray indices \\['a'\\] are not integers"),
+        (lambda fan: sigma_to_fan(fan, [{0, "a"}]), "ray indices \\['a'\\] are not integers"),
+        (lambda fan: gkz_cone(fan, [{0, 1}], (True,)), "ray indices \\[True\\] are not integers"),
+        (lambda fan: gkz_cone(fan, [[0, 1], [True, 2]], ()), "ray indices \\[True\\] are not integers"),
+        (lambda fan: sigma_to_fan(fan, [[0, 1], [1.0, 2]]), "ray indices \\[1.0\\] are not integers"),
         (lambda fan: local_cohomology_ranks(fan, [7]), "ray indices \\[7\\]"),
         (lambda fan: cech_ranks(fan, [-1]), "ray indices \\[-1\\]"),
+        (lambda fan: [local_cohomology_ranks(fan, rays) for rays in warm], not_ints),
+        (lambda fan: [cech_ranks(fan, rays) for rays in warm], not_ints),
         (lambda fan: is_bounded_subset(fan, [-1]), "ray indices \\[-1\\]"),
         (lambda fan: region(fan, d, [True]), "ray indices \\[True\\] are not integers"),
         (lambda fan: region(fan, d, [1.0]), "ray indices \\[1.0\\] are not integers"),
@@ -251,7 +260,10 @@ def test_malformed_points_characters_and_ray_indices_are_rejected():
     # as the top degree and raised IndexError on degree 7.  True and 1.0
     # were read as ray 1 (mixed_partial_h0 and is_bounded_subset raised
     # TypeError on some), and cone_multiplicity read ray -1 as ray 2 and
-    # raised IndexError on ray 5.
+    # raised IndexError on ray 5.  The rank functions read [0, True, 2.0]
+    # as [0, 1, 2] once that subset was memoized; gkz_cone and
+    # sigma_to_fan raised a bare TypeError on a cone {0, 'a'}, and
+    # gkz_cone took a strict True for ray 1 of the cone.
     fan = p2()
     for call, message, *error in malformed_calls():
         for _ in range(2):  # a failed memoized compute stores nothing
@@ -259,19 +271,32 @@ def test_malformed_points_characters_and_ray_indices_are_rejected():
                 call(fan)
 
 
-def test_rank_functions_check_ray_indices_only_when_computing(monkeypatch):
-    from toricvol.cohomology import cech_ranks
+def test_rank_functions_check_ray_indices_on_every_call(monkeypatch):
+    # The public rank functions check the raw entries before the memo
+    # lookup, warm or cold; the region sums weigh their subsets, built
+    # from ray bitmasks, through the memo readers, which check nothing.
+    from toricvol import cohomology, homology
+    from toricvol.cohomology import cech_oracle, cech_ranks, h_all
+    from toricvol.fan import _check_rays
     from toricvol.homology import local_cohomology_ranks
 
     fan = validate_fan(2, p2().rays, p2().max_cones)  # a fresh memo
     cold = (local_cohomology_ranks(fan, [0, 2]), cech_ranks(fan, [0, 2]))
     checked = []
-    for module in ("toricvol.homology", "toricvol.cohomology"):
-        monkeypatch.setattr(f"{module}._check_rays", lambda *args: checked.append(args))
+
+    def recorded(fan_, rays):
+        rays = tuple(rays)
+        checked.append(rays)
+        return _check_rays(fan_, rays)
+
+    for module in (homology, cohomology):
+        monkeypatch.setattr(module, "_check_rays", recorded)
     assert (local_cohomology_ranks(fan, [2, 0]), cech_ranks(fan, [2, 0])) == cold
-    assert checked == []
-    local_cohomology_ranks(fan, [1])
-    cech_ranks(fan, [1])
+    assert checked == [(2, 0), (2, 0)]
+    d = divisor([2, -1, 1])
+    assert h_all(fan, d) == cech_oracle(fan, d)
+    subset = frozenset({0, 2})
+    assert (homology._local_ranks(fan, subset), cohomology._cech_ranks(fan, subset)) == cold
     assert len(checked) == 2
 
 

@@ -443,15 +443,24 @@ def test_chamber_calls_reject_a_cone_of_another_fan():
             call(box, coarse, d)
 
 
-def test_gkz_cone_checks_ray_indices_only_when_computing(monkeypatch):
+def test_gkz_cone_checks_raw_ray_indices_on_every_call(monkeypatch):
+    # One check over the raw entries of every cone and of the strict rays,
+    # warm or cold; the memoized condition system checks nothing more.
     fan = make_fan(2, p2().rays, p2().max_cones)  # a fresh memo
     cold = gkz_cone(fan, fan.max_cones, ())
     checked = []
-    monkeypatch.setattr(gkz, "_check_rays", lambda *args: checked.append(args))
+    check = gkz._check_rays
+
+    def recorded(fan_, rays):
+        rays = tuple(rays)
+        checked.append(sorted(rays))
+        return check(fan_, rays)
+
+    monkeypatch.setattr(gkz, "_check_rays", recorded)
     assert gkz_cone(fan, fan.max_cones, ()) == cold
-    assert checked == []
+    assert checked == [[0, 0, 1, 1, 2, 2]]
     gkz_cone(fan, [{0, 1}], {2})
-    assert len(checked) == 1
+    assert checked == [[0, 0, 1, 1, 2, 2], [0, 1, 2]]
 
 
 def test_chamber_dimension_formula():
@@ -659,6 +668,51 @@ def test_ample_via_asymptotics_examples():
     d = divisor([1, 0, -1, 0])
     assert hhat(box, d)[1] > 0
     assert not ample_via_asymptotics(box, d)
+
+
+def recorded_rates(monkeypatch):
+    """The divisors handed to ``_rates`` by the chamber code, in call order."""
+    import toricvol.asymptotics as asymptotics
+
+    seen = []
+    rates = asymptotics._rates
+
+    def recorded(fan, d, degrees):
+        seen.append(tuple(d))
+        return rates(fan, d, degrees)
+
+    for module in (gkz, asymptotics):
+        monkeypatch.setattr(module, "_rates", recorded)
+    return seen
+
+
+def assert_probes_inside(fan, d, probes, rays):
+    """Every probe lies strictly inside d's chamber and moves d only along ``rays``."""
+    chamber = located_cone(fan, locate_chamber(fan, d))
+    assert probes
+    for probe in probes:
+        assert chamber.contains_strictly(probe), (d, probe)
+        assert {i for i, (a, b) in enumerate(zip(probe, d)) if a != b} <= set(rays), (d, probe)
+
+
+def test_chamber_probes_stay_strictly_inside_along_the_probed_rays(monkeypatch):
+    probes = recorded_rates(monkeypatch)
+    for make in (bl2_p2, f1):
+        fan = make()
+        for chamber in enumerate_maximal_chambers(fan):
+            d = chamber.sample_divisor
+            for rays in [*combinations(range(len(fan.rays)), 1), *combinations(range(len(fan.rays)), 2)]:
+                probes.clear()
+                mixed_partial_h0(fan, d, rays)
+                assert len(probes) > len(rays)
+                assert_probes_inside(fan, d, probes, rays)
+    for fan, d in ((bl1_p3(), divisor([3, 3, 3, 3, -1])), (bl2_p2(), divisor([3, 3, 3, 2, 2]))):
+        probes.clear()
+        assert ample_via_asymptotics(fan, d)
+        assert len(probes) == 1 + 2 * len(fan.rays)
+        assert_probes_inside(fan, d, probes, range(len(fan.rays)))
+        moved = [{i for i, (a, b) in enumerate(zip(probe, d)) if a != b} for probe in probes[1:]]
+        assert moved == [{rho} for rho in range(len(fan.rays)) for _ in (1, -1)]
 
 
 def test_ample_via_asymptotics_requires_simplicial():

@@ -377,12 +377,12 @@ def test_cech_oracle_ignores_a_corrupt_rank_vector(monkeypatch):
     d = (2, -1, 0, 1, -1, 1)
     target = frozenset({0, 2, 3})
     assert target in realized_subsets(fixtures.bl3_p2(), d)
-    ranks = cohomology.local_cohomology_ranks
+    ranks = cohomology._local_ranks
 
     def corrupted(fan_, subset):
         return (0,) * (fan_.dim + 1) if subset == target else ranks(fan_, subset)
 
-    monkeypatch.setattr(cohomology, "local_cohomology_ranks", corrupted)
+    monkeypatch.setattr(cohomology, "_local_ranks", corrupted)
     fan = fresh(fixtures.bl3_p2())
     assert h_all(fan, d) == (0, 3, 0)
     assert cech_oracle(fan, d) == (0, 4, 0)
