@@ -22,7 +22,8 @@ Fan objects are immutable after validation and every operation here is
 a pure function, so values may be shared freely between threads.  The
 per-fan memo is only ever filled with idempotently recomputable values;
 one of them, the last-divisor slot of ``regions.region_sum``, is a
-mutable entry that a new divisor replaces in one assignment.
+mutable entry that a new divisor replaces in one assignment, and the
+type cells of ``regions`` are added to and filled in once each.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class Fan:
 
         Every key is written once, but a few values are containers filled
         later: the one-divisor slot of ``regions.region_sum`` under
-        ``"last_divisor"``, replaced whole in one assignment, and per-fan
-        caches of values that never change once made.
+        ``"last_divisor"``, replaced whole in one assignment, the type
+        cells under ``"arrangement"``, and per-fan caches of values that
+        never change once made.
         """
         if key not in self._memo:
             self._memo[key] = compute()

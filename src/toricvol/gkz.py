@@ -33,7 +33,10 @@ maximal chambers and the standalone fan of each chamber that
 cone functional of a nef decomposition reads the fan's one table of
 integer basis inverses (``fan._basis_inverses``), which the region
 vertices and the Cartier data of ``divisor`` read too, so neither
-runs an elimination of its own.
+runs an elimination of its own.  The located chamber of a divisor is
+constant on its type cell (``regions``: the divisors with the same
+circuit signs), so it is kept on the cell, and a divisor of a cell met
+before is located by its cell key alone.
 
 Every decision reads integers.  A condition system holds its rows as
 primitive int tuples, once per fan, and membership, the chamber step
@@ -73,7 +76,7 @@ from .fan import (
 )
 from .linalg import _kernel_direction, dot, nullspace, rank, solve, to_integers
 from .lp import cone_contains, feasible_point, relative_interior_functional
-from .regions import HalfOpenRegion, region
+from .regions import HalfOpenRegion, _divisor_slot, _vertex_table, region
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +118,31 @@ class PossiblyDegenerateFan:
         return out
 
 
-def _section_vertices(fan: Fan, d: Divisor):
+# The error of an empty section polytope, and the located chamber of a
+# type cell where it is empty.
+_NOT_EFFECTIVE = "section polytope is empty: class not effective"
+
+
+def _section_slot(fan: Fan, d: Divisor):
+    """The divisor's slot (``regions._divisor_slot``), kept as the fan's last divisor."""
+    if not is_complete(fan):
+        raise NotCompleteError("support functions need a complete fan")
+    _check_length(fan, d)
+    return _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d), keep=True)
+
+
+def _section_vertices(fan: Fan, slot):
     """The section polytope's vertices as sorted integer points, their scale, and tight rays.
 
     Returns (points, scale, tight): the vertices are P / scale for the
-    integer points P in sorted order, read off the region's
-    ``vertex_table``, and ``tight`` holds each vertex's tight rays, those
-    whose inequality holds with equality there, turned from the table's
-    bitmasks into ray sets once.  No ``Fraction`` is built here.
+    integer points P in sorted order, read off the slot's type cell
+    with all rays weak, and ``tight`` holds each vertex's tight rays,
+    those whose inequality holds with equality there, turned from the
+    cell's bitmasks into ray sets once.  No ``Fraction`` is built here.
+    The lists are empty when the polytope is.
     """
-    if not is_complete(fan):
-        raise NotCompleteError("support functions need a complete fan")
     k = len(fan.rays)
-    table, scale = region(fan, d, range(k)).vertex_table
-    if not table:
-        raise EffectiveConeError("section polytope is empty: class not effective")
+    table, scale = _vertex_table(slot, (1 << k) - 1)
     points = sorted(table)
     return points, scale, [frozenset(i for i in range(k) if table[point] >> i & 1) for point in points]
 
@@ -146,7 +159,9 @@ def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[i
     the divisor's own level strictly; they never generate cones of the
     normal fan.
     """
-    points, scale, tight = _section_vertices(fan, d)
+    points, scale, tight = _section_vertices(fan, _section_slot(fan, d))
+    if not points:
+        raise EffectiveConeError(_NOT_EFFECTIVE)
     vertices = tuple(tuple(Fraction(x, scale) for x in point) for point in points)
     values = tuple(min(dot(v, ray) for v in vertices) for ray in fan.rays)
     return SupportFunction(vertices, values), _strict_rays(fan, tight)
@@ -201,10 +216,10 @@ def normal_fan(fan: Fan, d: Divisor) -> PossiblyDegenerateFan:
     Maximal cones correspond to the polytope's vertices and are
     positively spanned by the rays whose constraints are tight there;
     the lineality space appears exactly when the polytope is not
-    full-dimensional.
+    full-dimensional.  It is the located chamber's, so it is computed
+    once per type cell.
     """
-    points, _, tight = _section_vertices(fan, d)
-    return _normal_fan(fan, points, tight)
+    return locate_chamber(fan, d).sigma
 
 
 @dataclass(frozen=True)
@@ -219,8 +234,28 @@ def locate_chamber(fan: Fan, d: Divisor) -> LocatedChamber:
 
     The interior flag is the maximal-chamber criterion: nondegenerate,
     simplicial, and strict rays complementary to the normal fan's rays.
+    Everything it reads is constant on the divisor's type cell (the
+    tight sets of the section polytope's vertices, and the span of
+    their differences, which is the kernel of the rows tight at all of
+    them), so the answer, or the mark of an empty section polytope that
+    raises EffectiveConeError, is kept on the cell
+    (``regions._TypeCell.chamber``): a divisor of a cell met before
+    solves no vertex.
     """
-    points, _, tight = _section_vertices(fan, d)
+    slot = _section_slot(fan, d)
+    cell = slot.cell
+    if cell.chamber is None:
+        cell.chamber = _located_chamber(fan, slot)
+    if cell.chamber is _NOT_EFFECTIVE:
+        raise EffectiveConeError(_NOT_EFFECTIVE)
+    return cell.chamber
+
+
+def _located_chamber(fan: Fan, slot):
+    """The located chamber of the slot's cell, or ``_NOT_EFFECTIVE``."""
+    points, _, tight = _section_vertices(fan, slot)
+    if not points:
+        return _NOT_EFFECTIVE
     sigma = _normal_fan(fan, points, tight)
     strict = _strict_rays(fan, tight)
     interior = (

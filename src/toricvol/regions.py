@@ -19,24 +19,34 @@ Everything here is exact.  Vertex enumeration runs in integers: it
 reads the integer inverse of every rank-n basis of normals over one
 common denominator (``fan._basis_inverses``, the per-fan table that the
 Cartier data of ``divisor`` and the chamber systems of ``gkz`` read
-too; ``_vertex_bases`` adds each basis's bitmask and the rows outside
-it).  The levels are cleared once to integers L over their lcm q, and
+too).  The levels are cleared once to integers L over their lcm q, and
 each row's lattice bound ceil(L_i / q) is one floor division of them.
-One loop, ``_arrangement_vertices``, solves every basis at the levels
-and classifies each distinct arrangement vertex P by two bitmasks: the
-rows above it (<v, P> > level) and the rows tight at it
-(<v, P> = level), the basis rows tight by construction.  A region's
-closure has exactly the arrangement vertices whose above rows are weak
-and whose below rows are strict, with the tight masks as their facet
-data; ``_integer_vertices`` filters one region's vertices out of the
-classification.  There is one region type, ``HalfOpenRegion``, and it
-computes this integer data (its vertex table and row bounds) at most
-once per object, on first use, so the measures asked of one region
-share one pass.  ``region_sum`` clears its divisor once, makes the one
-pass, and keeps the row bounds and the realized regions' vertex tables
-of the last divisor summed in one slot per fan, together with the
-amount of each region measured so far; it hands each region it builds
-its table and row bounds from there, so that region runs no pass and
+Each arrangement vertex P is classified by two bitmasks: the rows above
+it (<v, P> > level) and the rows tight at it (<v, P> = level).  A
+region's closure has exactly the vertices whose above rows are weak and
+whose below rows are strict, with the tight masks as their facet data.
+
+That classification is constant on a type cell: the set of divisors on
+which the sign of every (n + 1) x (n + 1) minor of [V | d] is fixed
+(McMullen 1973).  Once per normal set, ``_Arrangement`` takes the
+integer dependency lam of every spanning (n + 1)-subset S of normals,
+read off a basis inverse, and the sign of the circuit value <lam, L_S>
+at the levels places row i against the vertex of the basis S - {i}.  A
+divisor's cell key is the tuple of its circuit signs, unchanged under
+linear equivalence and positive scaling.  Each memo keeps the cells it
+meets (``_TypeCell``, at most ``CELL_BUDGET`` entries per memo): one
+vertex per tight set with its basis and masks, classified from the
+signs alone with no point solved, and, filled on first use, the
+realized bounded masks of a region sum and the located chamber of
+``gkz.locate_chamber``.  A divisor solves only the vertices of the
+regions it asks about, P_B = A_B . L_B, once each: ``_DivisorSlot``
+keeps them with the divisor's levels, and each memo holds the slot of
+its last divisor.  There is one region type, ``HalfOpenRegion``; it
+reads its integer data (its vertex table and row bounds) at most once
+per object, on first use, so the measures asked of one region share
+it.  ``region_sum`` keeps the last divisor summed in its fan's slot,
+together with the amount of each region measured so far, and hands each
+region it builds its table and row bounds from there, so that region
 builds no ``Fraction`` for them.  Volumes come from a recursive facet
 triangulation on those integer vertices: each facet is read off the
 tight masks, and its affine rank and each simplex's |det| come from
@@ -65,7 +75,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations, product
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable
 
 from .divisor import Divisor, _check_length
@@ -89,6 +99,11 @@ from .linalg import (
 # n - 1 for a listing (its fibers).
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
+# Each normal set's memo keeps at most CELL_BUDGET entries of type cells:
+# one per circuit sign of a kept cell's key and one per vertex, and one per
+# (region, vertex) incidence of its realized regions once those are kept
+# too.  Past it, new cells are built and used but not kept.
+CELL_BUDGET = 2**11
 
 
 def _no_cache(key, compute):
@@ -175,7 +190,7 @@ def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
     subset = _check_rays(fan, weak_rays)
     return HalfOpenRegion(
         normals=fan.rays,
-        levels=tuple(-c for c in d),
+        levels=_levels(*to_integers(d)),
         weak=tuple(i in subset for i in range(len(fan.rays))),
         dim=fan.dim,
         memo=fan.memo,
@@ -266,87 +281,245 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
     )
 
 
-def _vertex_bases(normals, dim: int, memo):
-    """The basis inverses of ``fan._basis_inverses`` as the vertex pass reads them, once per memo.
+class _Arrangement:
+    """The type-cell machinery of one normal set, built once per memo.
 
-    Returns (common, bases) with one entry (combo, basis, adjugate,
-    others) per invertible n-subset ``combo`` of the normals: ``basis``
-    is its bitmask, ``adjugate`` its integer inverse over ``common`` and
-    ``others`` the triples (bit, normal, i) of the rows outside it.
+    ``bases`` has one entry (combo, adjugate, basis, bits, codes) per
+    invertible n-subset of the normals, in the order of
+    ``fan._basis_inverses``: ``adjugate`` is its integer inverse over
+    ``common``, ``basis`` its bitmask, and ``bits`` and ``codes`` name
+    the rows outside it with the sign that places each (below).
+    ``circuits`` has one entry (getter, lam) per (n + 1)-subset S that
+    spans, met as B + {i} for the first basis B inside it: ``getter``
+    reads L_S off the levels and lam is the integer dependency of S,
+    lam_B = v_i . A_B and lam_i = -common.  With L the integer levels and
+    P_B = A_B . L_B the vertex of a basis B inside S and i = S - B,
+
+        sign(<v_i, P_B> - common * L_i) = -sign(lam_i) * sign(<lam, L_S>),
+
+    since the dependency that B gives is a multiple of lam with a
+    negative entry at i.  So a row's code is 2c for circuit c when
+    lam_i < 0 and 2c + 1 otherwise, entry 2c + 1 of a cell's sign list
+    being the negated sign.  ``cells`` holds the type cells met so far
+    by their keys, and ``entries`` the entries they keep, at most
+    ``CELL_BUDGET``.
     """
 
-    def compute():
-        common, inverses = _basis_inverses(normals, dim, memo)
-        rows = [(1 << i, normal, i) for i, normal in enumerate(normals)]
-        return common, tuple(
-            (combo, sum(1 << i for i in combo), adjugate, tuple(row for row in rows if row[2] not in combo))
-            for combo, adjugate in inverses.items()
-        )
+    def __init__(self, normals, dim: int, memo):
+        self.common, inverses = _basis_inverses(normals, dim, memo)
+        found: dict = {}
+        circuits = []
+        self.bases = []
+        for combo, adjugate in inverses.items():
+            basis = sum(1 << i for i in combo)
+            columns = tuple(zip(*adjugate))
+            bits, codes = [], []
+            for i, normal in enumerate(normals):
+                bit = 1 << i
+                if basis & bit:
+                    continue
+                circuit = found.get(basis | bit)
+                if circuit is None:
+                    lam = [sum(map(mul, normal, column)) for column in columns]
+                    lam.append(-self.common)
+                    indices = combo + (i,)
+                    negative = 0
+                    for j, x in zip(indices, lam):
+                        if x < 0:
+                            negative |= 1 << j
+                    circuit = found[basis | bit] = (2 * len(circuits), negative)
+                    circuits.append((itemgetter(*indices), lam))
+                code, negative = circuit
+                bits.append(bit)
+                codes.append(code if negative & bit else code + 1)
+            self.bases.append((combo, adjugate, basis, tuple(bits), tuple(codes)))
+        self.circuits = tuple(circuits)
+        self.cells: dict = {}
+        self.entries = 0
 
-    return memo("vertex_bases", compute)
+    def admit(self, size: int) -> bool:
+        """Whether ``size`` more entries fit in ``CELL_BUDGET``; if so they are counted.
+
+        Not atomic: callers admitting at the same moment in other threads
+        may each pass, so the budget holds up to their concurrent cells.
+        """
+        if self.entries + size > CELL_BUDGET:
+            return False
+        self.entries += size
+        return True
 
 
-def _arrangement_vertices(normals, dim: int, memo, levels, q: int):
-    """Every distinct arrangement vertex at the integer levels L / q, classified.
+def _arrangement(normals, dim: int, memo) -> _Arrangement:
+    return memo("arrangement", lambda: _Arrangement(normals, dim, memo))
 
-    Returns ({P: (above, tight)}, scale): each vertex is P / scale, with
-    scale = common * q, and P = A . L for one basis inverse A of
-    ``_vertex_bases``.  ``above`` and ``tight`` are bitmasks of the rows
-    with <v, P> > common * L_i and with equality, tested in integers;
-    the basis rows are tight by construction and take no dot product.
-    No weak set plays a part.  A point found from several bases is
-    classified once.
+
+class _TypeCell:
+    """What every divisor of one type cell shares: its arrangement combinatorics.
+
+    ``vertices`` has one triple (basis, above, tight) per distinct
+    arrangement vertex, the first basis in basis order that meets it,
+    with the bitmasks of the rows above it and tight at it.  ``visits``
+    is the number of candidate weak sets, sum 2^|tight|, that a region
+    sum visits.  Filled later, once: ``masks``, the realized bounded
+    masks of ``_realized_masks`` (when ``kept``, only within the budget),
+    and ``chamber``, the located chamber of ``gkz.locate_chamber``.
     """
-    common, bases = _vertex_bases(normals, dim, memo)
-    scaled = [common * level for level in levels]
-    found = {}
-    for combo, basis, adjugate, others in bases:
-        rhs = [levels[i] for i in combo]
-        point = tuple(sum(map(mul, row, rhs)) for row in adjugate)
-        if point in found:
-            continue
-        above, tight = 0, basis
-        for bit, normal, i in others:
-            value = sum(map(mul, normal, point))
-            if value > scaled[i]:
+
+    __slots__ = ("vertices", "visits", "kept", "masks", "chamber")
+
+    def __init__(self, vertices):
+        self.vertices = vertices
+        self.visits = sum(1 << tight.bit_count() for _, _, tight in vertices)
+        self.kept = False
+        self.masks = None
+        self.chamber = None
+
+
+def _cell_key(arrangement: _Arrangement, integers) -> tuple[int, ...]:
+    """The type cell of the integer levels L: the sign of every circuit value <lam, L_S>.
+
+    It does not change under L -> L + q div(chi^u), since lam is a
+    dependency of its rays, nor under positive scaling.
+    """
+    values = [sum(map(mul, lam, get(integers))) for get, lam in arrangement.circuits]
+    return tuple((value > 0) - (value < 0) for value in values)
+
+
+def _type_cell(arrangement: _Arrangement, integers) -> _TypeCell:
+    """The type cell of the integer levels L, built from its circuit signs on a miss.
+
+    A new cell classifies every basis's vertex from the signs alone, with
+    no point solved, and keeps one vertex per tight set: a tight set
+    holds a basis, so it fixes its point.  It is kept while the budget
+    lasts.
+    """
+    key = _cell_key(arrangement, integers)
+    cell = arrangement.cells.get(key)
+    if cell is not None:
+        return cell
+    # Entry 2c is the sign of circuit c, entry 2c + 1 its negative.
+    signs = [0] * (2 * len(key))
+    signs[::2] = key
+    signs[1::2] = [-x for x in key]
+    seen = set()
+    vertices = []
+    for b, (_, _, tight, bits, codes) in enumerate(arrangement.bases):
+        above = 0
+        for bit, code in zip(bits, codes):
+            sign = signs[code]
+            if sign > 0:
                 above |= bit
-            elif value == scaled[i]:
+            elif not sign:
                 tight |= bit
-        found[point] = (above, tight)
-    return found, common * q
+        if tight not in seen:
+            seen.add(tight)
+            vertices.append((b, above, tight))
+    cell = _TypeCell(tuple(vertices))
+    if arrangement.admit(len(key) + len(vertices)):
+        cell.kept = True
+        arrangement.cells[key] = cell
+    return cell
+
+
+def _levels(coefficients, q: int):
+    """The exact levels -d_i of the cleared divisor q * d: ints when q = 1."""
+    if q == 1:
+        return tuple(-x for x in coefficients)
+    return tuple(Fraction(-x, q) for x in coefficients)
+
+
+@dataclass(eq=False, slots=True)
+class _DivisorSlot:
+    """One divisor's view of its type cell: its points, levels and amounts.
+
+    ``key`` is (q * d, q), the divisor cleared to integers.  Each vertex
+    point P_B = A_B . L_B is solved on first use and kept in ``points``
+    by basis; ``region_sum`` fills the rest on first use.
+    """
+
+    key: tuple
+    arrangement: _Arrangement
+    cell: _TypeCell
+    points: dict = field(default_factory=dict)
+    masks: tuple | None = None
+    amounts: dict = field(default_factory=dict)
+    levels: tuple | None = None
+    bounds: tuple | None = None
+
+    @property
+    def scale(self) -> int:
+        return self.arrangement.common * self.key[1]
+
+    def point(self, b: int):
+        """The integer point of basis b; the vertex is point / scale."""
+        point = self.points.get(b)
+        if point is None:
+            combo, adjugate, *_ = self.arrangement.bases[b]
+            coefficients = self.key[0]
+            rhs = [-coefficients[i] for i in combo]
+            point = self.points[b] = tuple(sum(map(mul, row, rhs)) for row in adjugate)
+        return point
+
+
+def _divisor_slot(normals, dim: int, memo, coefficients, q: int, keep: bool = False) -> _DivisorSlot:
+    """The slot of the cleared divisor q * d = ``coefficients``: the memo's last one if it matches.
+
+    Otherwise a new slot, on the type cell of the levels -q * d.  With
+    ``keep`` the new slot replaces the held one, in one assignment so
+    that concurrent calls need no lock, unless its cell visits more than
+    2^SUBSET_CAP candidate subsets.
+    """
+    key = (tuple(coefficients), q)
+    last = memo("last_divisor", lambda: [None])
+    held = last[0]
+    if held is not None and held[0] == key:
+        return held[1]
+    arrangement = _arrangement(normals, dim, memo)
+    slot = _DivisorSlot(key, arrangement, _type_cell(arrangement, [-x for x in coefficients]))
+    if keep and slot.cell.visits <= 1 << SUBSET_CAP:
+        last[0] = (key, slot)
+    return slot
+
+
+def _vertex_table(slot: _DivisorSlot, weak: int):
+    """({P: tight}, scale) for the vertices of the weak mask's closure.
+
+    Those are the vertices P with above(P) <= W <= above(P) | tight(P):
+    every row above is weak and every row below strict.
+    """
+    point = slot.point
+    table = {
+        point(b): tight
+        for b, above, tight in slot.cell.vertices
+        if not above & ~weak and not weak & ~(above | tight)
+    }
+    return table, slot.scale
 
 
 def _integer_vertices(reg: HalfOpenRegion):
     """The closure's vertices as integer points over one scale, with tight rows.
 
-    Returns ({P: bitmask of the rows tight at P}, scale) as in
-    ``_arrangement_vertices``, keeping the vertices P whose rows above
-    are all weak and whose rows below are all strict, i.e. with
-    above(P) <= W <= above(P) | tight(P) for the weak mask W.  Costs one
-    clearing of the levels to integers and one classification of all
-    C(k, n) bases against all k rows, run at most once per region object
-    through ``HalfOpenRegion.vertex_table``; the regions ``region_sum``
-    builds never run it.  Raises on systems with unbounded closure.
+    Returns ({P: bitmask of the rows tight at P}, scale) of
+    ``_vertex_table``, read off the type cell of the region's levels in
+    its memo and solving only the vertices kept.  A slot of the memo's
+    last divisor is read when it matches and not replaced otherwise.
+    Runs at most once per region object, through
+    ``HalfOpenRegion.vertex_table``; the regions ``region_sum`` builds
+    never run it.  Raises on systems with unbounded closure.
     """
     if not _closure_is_bounded(reg):
         raise UnboundedRegionError("region closure is unbounded")
-    weak = _weak_mask(reg.weak)
-    levels, q = to_integers(reg.levels)
-    found, scale = _arrangement_vertices(reg.normals, reg.dim, reg.memo, levels, q)
-    points = {
-        point: tight
-        for point, (above, tight) in found.items()
-        if not above & ~weak and not weak & ~(above | tight)
-    }
-    return points, scale
+    integers, q = to_integers(reg.levels)
+    slot = _divisor_slot(reg.normals, reg.dim, reg.memo, [-x for x in integers], q)
+    return _vertex_table(slot, _weak_mask(reg.weak))
 
 
 def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     """Vertices of the weak closure, sorted, as ``Fraction`` points.
 
     Every vertex is the unique solution of some n tight constraints, so
-    it is an arrangement vertex, and the one classification pass of
-    ``_arrangement_vertices`` tells which of them the closure keeps.
+    it is an arrangement vertex, and the type cell of the levels tells
+    which of them the closure keeps.
     They are read in integers off ``vertex_table``; a ``Fraction`` is
     built only here, for the answer.  Raises on systems with unbounded
     closure.
@@ -629,50 +802,46 @@ def _realized_subset(patterns, k: int, mask: int):
     )
 
 
-def _divisor_table(fan: Fan, coefficients, q: int):
-    """The weight-free data of the region sum of the divisor q * d = ``coefficients``.
+def _realized_masks(fan: Fan, slot: _DivisorSlot):
+    """The realized bounded masks of the slot's cell, as (mask, subset, weak flags, vertices).
 
-    Returns (bounds, levels, scale, masks, amounts): each row's integer
-    bound (``_ceilings``), the exact levels -d_i (ints when q = 1), the
-    vertex scale of ``_arrangement_vertices``, one entry (mask, subset,
-    weak flags, {P: tight}) per realized bounded mask in the order the
-    vertex pass meets them, and an empty dict for the amounts that
-    ``region_sum`` fills.  One pass of ``_arrangement_vertices`` gives
-    every candidate mask: a vertex P holds the W with
-    above(P) <= W <= above(P) | tight(P), 2^|tight(P)| candidates, and
-    past 2^SUBSET_CAP in all CapExceededError is raised before any is
-    visited.  The per-fan ``"bounded_masks"`` cache decides each mask
-    met once per fan with ``_bounded_mask`` and keeps the subset and
-    weak flags of the bounded ones.
+    A vertex P holds the W with above(P) <= W <= above(P) | tight(P),
+    2^|tight(P)| candidates, each kept with the cell's vertex triples
+    of its closure, in the order the vertices meet it.  The per-fan
+    ``"bounded_masks"`` cache decides each mask met once per fan with
+    ``_bounded_mask`` and keeps the subset and weak flags of the bounded
+    ones.  Computed once per slot, which keeps them, and once per kept
+    cell while its entries fit the budget.
     """
-    integers = [-x for x in coefficients]
-    found, scale = _arrangement_vertices(fan.rays, fan.dim, fan.memo, integers, q)
-    visits = sum(1 << tight.bit_count() for _, tight in found.values())
-    if visits > 1 << SUBSET_CAP:
-        raise CapExceededError(f"region sum needs {visits} ray subsets; the cap is 2^{SUBSET_CAP}")
-    realized = fan.memo(
-        "bounded_masks",
-        lambda: cache(
-            partial(
-                _realized_subset,
-                _unbounded_patterns(fan.rays, fan.dim, fan.memo),
-                len(fan.rays),
-            )
-        ),
-    )
-    tables: dict = {}
-    for point, (above, tight) in found.items():
-        sub = tight
-        while sub >= 0:  # every submask of tight, down to 0
-            mask = above | sub
-            if mask in tables:
-                tables[mask][point] = tight
-            elif realized(mask):
-                tables[mask] = {point: tight}
-            sub = (sub - 1) & tight if sub else -1
-    masks = tuple((mask, *realized(mask), points) for mask, points in tables.items())
-    levels = tuple(integers) if q == 1 else tuple(Fraction(x, q) for x in integers)
-    return _ceilings(integers, q), levels, scale, masks, {}
+    cell = slot.cell
+    masks = cell.masks
+    if masks is None:
+        realized = fan.memo(
+            "bounded_masks",
+            lambda: cache(
+                partial(
+                    _realized_subset,
+                    _unbounded_patterns(fan.rays, fan.dim, fan.memo),
+                    len(fan.rays),
+                )
+            ),
+        )
+        tables: dict = {}
+        for vertex in cell.vertices:
+            _, above, tight = vertex
+            sub = tight
+            while sub >= 0:  # every submask of tight, down to 0
+                mask = above | sub
+                if mask in tables:
+                    tables[mask].append(vertex)
+                elif realized(mask):
+                    tables[mask] = [vertex]
+                sub = (sub - 1) & tight if sub else -1
+        masks = tuple((mask, *realized(mask), tuple(vertices)) for mask, vertices in tables.items())
+        if cell.kept and slot.arrangement.admit(sum(len(entry[3]) for entry in masks)):
+            cell.masks = masks
+    slot.masks = masks
+    return masks
 
 
 def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
@@ -684,18 +853,20 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     arrangement vertex P, and the regions whose closure holds P are
     exactly the W with above(P) <= W <= above(P) | tight(P).
 
-    The fan keeps the weight-free data of the last divisor summed (row
-    bounds, exact levels and the vertex tables of its realized masks,
-    see ``_divisor_table``) in one slot under the ``"last_divisor"``
-    memo, keyed by the cleared divisor (the integers q * d and their q),
-    so 2 and Fraction(4, 2) share it.  A new divisor replaces it in one
-    assignment, so concurrent calls need no lock; a divisor past the
-    subset cap raises before it is stored.  The slot also keeps the
-    amount of every (mask, measure) pair measured so far, so a second
-    question about one divisor (``cech_oracle`` or ``euler_char`` after
-    ``h_all``, ``self_intersection`` after ``hhat``) measures no region
-    the first one did.  The amounts are keyed by the measure object, so
-    a measure must be a pure function of its region.
+    The fan keeps the last divisor summed in one slot (``_DivisorSlot``)
+    under the ``"last_divisor"`` memo, keyed by the cleared divisor (the
+    integers q * d and their q), so 2 and Fraction(4, 2) share it.  The
+    slot reads its realized masks off the divisor's type cell and solves
+    the vertices of the regions it measures, once each.  A new divisor
+    replaces it in one assignment, so concurrent calls need no lock; a
+    divisor whose cell visits more than 2^SUBSET_CAP candidate subsets
+    raises CapExceededError before it is stored, on every call.  The
+    slot also keeps the amount of every (mask, measure) pair measured so
+    far, so a second question about one divisor (``cech_oracle`` or
+    ``euler_char`` after ``h_all``, ``self_intersection`` after
+    ``hhat``) measures no region the first one did.  The amounts are
+    keyed by the measure object, so a measure must be a pure function of
+    its region.
 
     Weights are asked per call: realized subsets with an all-zero weight
     are skipped, so a caller that weights by a slice of the rank vectors
@@ -706,33 +877,46 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     """
     _check_length(fan, d)
     coefficients, q = to_integers(d)
-    key = (tuple(coefficients), q)
-    last = fan.memo("last_divisor", lambda: [None])
-    slot = last[0]
-    if slot is not None and slot[0] == key:
-        entry = slot[1]
-    else:
-        entry = _divisor_table(fan, coefficients, q)
-        last[0] = (key, entry)
-    bounds, levels, scale, masks, amounts = entry
+    slot = _divisor_slot(fan.rays, fan.dim, fan.memo, coefficients, q, keep=True)
+    visits = slot.cell.visits
+    if visits > 1 << SUBSET_CAP:
+        raise CapExceededError(f"region sum needs {visits} ray subsets; the cap is 2^{SUBSET_CAP}")
+    masks = slot.masks
+    if masks is None:
+        masks = _realized_masks(fan, slot)
+    amounts = slot.amounts
     # The weight length is read off the first realized subset, else the empty one.
     total = [0] * len(weight(masks[0][1] if masks else frozenset()))
-    for mask, subset, weak, points in masks:
+    for mask, subset, weak, vertices in masks:
         w = weight(subset)
         if not any(w):
             continue
         amount = amounts.get((mask, measure))
         if amount is None:
-            reg = HalfOpenRegion(normals=fan.rays, levels=levels, weak=weak, dim=fan.dim, memo=fan.memo)
-            # The slot's data, stored where the cached properties keep theirs.
-            vars(reg).update(vertex_table=(points, scale), row_bounds=bounds)
-            amount = measure(reg)
-            amounts[mask, measure] = amount
+            amount = amounts[mask, measure] = measure(_slot_region(fan, slot, weak, vertices))
         if amount:
             for i, x in enumerate(w):
                 if x:
                     total[i] += x * amount
     return tuple(total)
+
+
+def _slot_region(fan: Fan, slot: _DivisorSlot, weak, vertices) -> HalfOpenRegion:
+    """The region of the weak flags, handed its vertex table and row bounds from the slot.
+
+    The exact levels -d_i and the row bounds are made once per slot.
+    """
+    if slot.levels is None:
+        coefficients, q = slot.key
+        # Bounds first: a concurrent caller that sees the levels sees them too.
+        slot.bounds = _ceilings([-x for x in coefficients], q)
+        slot.levels = _levels(coefficients, q)
+    reg = HalfOpenRegion(normals=fan.rays, levels=slot.levels, weak=weak, dim=fan.dim, memo=fan.memo)
+    point = slot.point
+    table = {point(b): tight for b, _, tight in vertices}
+    # The slot's data, stored where the cached properties keep theirs.
+    vars(reg).update(vertex_table=(table, slot.scale), row_bounds=slot.bounds)
+    return reg
 
 
 def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):
@@ -746,11 +930,13 @@ def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):
         raise ValueError(f"m_max must be an integer of at least 1, got {m_max!r}")
     if m_max > 50:
         raise CapExceededError("ehrhart probe is capped at m_max = 50")
+    _check_length(fan, d)
+    coefficients, q = to_integers(d)
     n = fan.dim
     factorial = math.factorial(n)
     table = []
     for m in range(1, m_max + 1):
-        scaled = tuple(Fraction(m) * c for c in d)
+        scaled = tuple(Fraction(m * c, q) for c in coefficients)
         count = lattice_count(region(fan, scaled, weak_rays))
         table.append((m, Fraction(count * factorial, m**n)))
     return table

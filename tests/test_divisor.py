@@ -205,11 +205,15 @@ def malformed_calls():
     from toricvol.cohomology import cech_ranks, graded_piece_dim, weak_ray_set
     from toricvol.errors import PreconditionError
     from toricvol.fan import Cone, cone_multiplicity
-    from toricvol.gkz import gkz_cone, sigma_to_fan
+    from toricvol.gkz import (
+        ample_via_asymptotics, gkz_cone, locate_chamber, normal_fan, sigma_to_fan, support_function
+    )
     from toricvol.homology import local_cohomology_ranks
     from toricvol.regions import ehrhart_probe, is_bounded_subset, region
 
     d = divisor([1, 1, 1])
+    text = ("1", "2", "1")  # h_all rejects it with this message
+    strings = "values must be numbers, not strings"
     warm = ([0, 1, 2], [0, True, 2.0])  # the second call used to hit the first's memo entry
     not_ints = "ray indices \\[True, 2.0\\] are not integers"
     return (
@@ -249,6 +253,15 @@ def malformed_calls():
         (lambda fan: mixed_partial_h0(fan, d, [1.0]), "got \\[1.0\\]", PreconditionError),
         (lambda fan: cone_multiplicity(fan, Cone(frozenset({-1, 0}), 2)), "ray indices \\[-1\\]"),
         (lambda fan: cone_multiplicity(fan, Cone(frozenset({5, 0}), 2)), "ray indices \\[5\\]"),
+        (lambda fan: region(fan, text, [0]), strings, TypeError),
+        (lambda fan: support_function(fan, text), strings, TypeError),
+        (lambda fan: normal_fan(fan, text), strings, TypeError),
+        (lambda fan: locate_chamber(fan, text), strings, TypeError),
+        (lambda fan: mixed_partial_h0(fan, text, [0]), strings, TypeError),
+        (lambda fan: ample_via_asymptotics(fan, text), strings, TypeError),
+        (lambda fan: ehrhart_probe(fan, text, [0], 2), strings, TypeError),
+        (lambda fan: region(fan, (1, None, 1), [0]), "Rational instance", TypeError),
+        (lambda fan: locate_chamber(fan, (1, None, 1)), "Rational instance", TypeError),
     )
 
 
@@ -263,7 +276,10 @@ def test_malformed_points_characters_and_ray_indices_are_rejected():
     # raised IndexError on ray 5.  The rank functions read [0, True, 2.0]
     # as [0, 1, 2] once that subset was memoized; gkz_cone and
     # sigma_to_fan raised a bare TypeError on a cone {0, 'a'}, and
-    # gkz_cone took a strict True for ray 1 of the cone.
+    # gkz_cone took a strict True for ray 1 of the cone.  String and None
+    # coefficients failed in region and the chamber functions with "bad
+    # operand type for unary -", and in ehrhart_probe with "can't multiply
+    # sequence"; every divisor is now cleared like h_all clears it.
     fan = p2()
     for call, message, *error in malformed_calls():
         for _ in range(2):  # a failed memoized compute stores nothing

@@ -4,7 +4,7 @@ The referee is the sweep ``region_sum`` used to run: every bounded ray
 subset with a nonzero weight is measured, and each region's vertices
 come from its own scan of all rank-n bases against all rows.  The
 production path visits only the regions the divisor realizes, reading
-their vertices off one arrangement-vertex pass per call.
+their vertices off its divisor's type-cell table.
 """
 
 import contextlib
@@ -483,9 +483,9 @@ def test_bitmask_vertex_pass_matches_a_scan_of_every_row():
     for fan in fans:
         for d in tight_divisors(fan, rng):
             expected = scan_arrangement_vertices(fan, d)
-            coefficients, q = to_integers(d)
-            integers = [-c for c in coefficients]
-            assert regions._arrangement_vertices(fan.rays, fan.dim, fan.memo, integers, q) == expected
+            slot = regions._divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d))
+            table = {slot.point(b): (above, tight) for b, above, tight in slot.cell.vertices}
+            assert (table, slot.scale) == expected
             many_tight += any(tight.bit_count() > fan.dim for _, tight in expected[0].values())
     assert many_tight > 2 * len(fans)
 
