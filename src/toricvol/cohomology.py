@@ -15,9 +15,9 @@ from itertools import combinations
 
 from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
-from .fan import Fan, _check_rays, chi_of_fan, is_complete, subfan
+from .fan import Fan, _check_rays, _subfan, chi_of_fan, is_complete
 from .homology import _local_ranks, local_cohomology_ranks
-from .linalg import _sparse_rank, dot
+from .linalg import _sparse_rank, dot, to_integers
 from .regions import lattice_count, region_sum
 
 CohomologyVector = tuple[int, ...]
@@ -26,22 +26,26 @@ CohomologyVector = tuple[int, ...]
 def weak_ray_set(fan: Fan, d: Divisor, point) -> frozenset[int]:
     """The rays whose section inequality holds weakly at the given point.
 
+    The divisor is cleared to integers once (``linalg.to_integers``,
+    times q > 0), so <m, v_i> >= -d_i is read as q <m, v_i> + q d_i >= 0.
     Raises ValueError unless the divisor has one coefficient per ray and
-    the point one coordinate per dimension.
+    the point one coordinate per dimension, and TypeError on a string
+    coefficient.
     """
     _check_length(fan, d)
     if len(point) != fan.dim:
         raise ValueError(f"point has {len(point)} coordinates, fan has dimension {fan.dim}")
+    coeffs, q = to_integers(d)
     return frozenset(
-        i for i, ray in enumerate(fan.rays) if dot(point, ray) >= -d[i]
+        i for i, ray in enumerate(fan.rays) if q * dot(point, ray) + coeffs[i] >= 0
     )
 
 
 def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
     """Dimension of the degree-``point`` piece of the i-th cohomology group.
 
-    Works on any valid fan, complete or not.  The divisor's length is
-    checked by ``weak_ray_set``; raises ValueError unless i is an int
+    Works on any valid fan, complete or not.  The divisor is checked and
+    cleared by ``weak_ray_set``; raises ValueError unless i is an int
     (not a bool) in 0..n.
     """
     if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= fan.dim:
@@ -71,7 +75,7 @@ def _euler_weight(fan: Fan, subset: frozenset[int]) -> int:
     """
 
     def compute():
-        value = (-1) ** fan.dim * chi_of_fan(subfan(fan, subset))
+        value = (-1) ** fan.dim * chi_of_fan(_subfan(fan, subset))
         ranks = local_cohomology_ranks(fan, subset)
         if value != sum((-1) ** i * r for i, r in enumerate(ranks)):
             raise ToricError(

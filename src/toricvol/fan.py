@@ -476,9 +476,16 @@ def subfan(fan: Fan, ray_subset) -> Subfan:
     """All cones of the fan whose ray set lies inside ``ray_subset``.
 
     Built afresh on each call and not memoized: the one production
-    caller, ``cohomology._euler_weight``, keeps its own integer result.
+    caller, ``cohomology._euler_weight``, reads ``_subfan`` and keeps
+    its own integer result.  Raises ValueError on an entry that is no
+    ray index of the fan, checked on the raw entries on every call: a
+    frozenset would merge True into 1.
     """
-    subset = frozenset(ray_subset)
+    return _subfan(fan, _check_rays(fan, ray_subset))
+
+
+def _subfan(fan: Fan, subset: frozenset[int]) -> Subfan:
+    """``subfan`` of a frozenset of ray indices; no check."""
     grouped = tuple(
         tuple(c for c in bucket if c.ray_indices <= subset) for bucket in all_cones(fan)
     )

@@ -15,10 +15,10 @@ This module computes, exactly:
 * explicit inequality systems for chamber cones and membership tests,
 * the located chamber of a divisor class (with an interior flag),
 * the full list of maximal chambers in dimension 2 (dimension 3 behind
-  an opt-in flag, by facet-matching search), each candidate fan
-  certified complete by the fan validator's integer test and
-  projective by one LP over its own condition system, whose point is
-  the chamber's sample divisor,
+  an opt-in flag), by one facet-filling search over the ray subsets for
+  both dimensions, each candidate fan certified complete by the fan
+  validator's integer test and projective by one LP over its own
+  condition system, whose point is the chamber's sample divisor,
 * nef decompositions of chamber members, pushforwards, and the chamber
   polynomial of the section growth rate,
 * the ampleness test through neighborhood vanishing of the higher
@@ -26,24 +26,27 @@ This module computes, exactly:
 
 Chamber facts depend on the ray configuration alone (Gelfand, Kapranov
 and Zelevinsky), so they live in the per-fan memo and are computed once
-per fan: the rays inside each cone, the extreme subset of each tight
-ray set, the condition system of each chamber cone, the list of
-maximal chambers and the standalone fan of each chamber that
-``hhat0_on_chamber`` evaluates on.  Every condition system and every
-cone functional of a nef decomposition reads the fan's one table of
-integer basis inverses (``fan._basis_inverses``), which the region
-vertices and the Cartier data of ``divisor`` read too, so neither
-runs an elimination of its own.  The located chamber of a divisor is
-constant on its type cell (``regions``: the divisors with the same
-circuit signs), so it is kept on the cell, and a divisor of a cell met
-before is located by its cell key alone.
+per fan: the inside mask of each ray basis (the rays in its cone), the
+rays inside each cone, the extreme subset of each tight ray set, the
+condition system of each chamber cone, the list of maximal chambers and
+the standalone fan of each chamber that ``hhat0_on_chamber`` evaluates
+on.  The inside masks, and with them every ray-in-cone fact of the
+chamber search, the condition systems and the normal fans, are read off
+the fan's one table of integer basis inverses (``fan._basis_inverses``).
+So are the condition systems and the cone functionals of nef
+decompositions, and the region vertices and the Cartier data of
+``divisor`` read the table too, so none of them runs an elimination or
+an LP of its own.  The located chamber of a divisor is constant on its
+type cell (``regions``: the divisors with the same circuit signs), so it
+is kept on the cell, and a divisor of a cell met before is located by
+its cell key alone.
 
 Every decision reads integers.  A condition system holds its rows as
 primitive int tuples, once per fan, and membership, the chamber step
 (``GKZCone.interior_step``, the one step rule of the ampleness probes
 and of the ĥ^0 derivative grid) and the interior-sample LP read those
-rows as they are; the 3-D chamber search takes a ray's side of a facet
-from the facet's integer normal, and a nef decomposition compares the
+rows as they are; the chamber search takes a ray's side of a facet
+from a column of a basis inverse, and a nef decomposition compares the
 two section polytopes on their regions' integer vertex tables.  A
 ``Fraction`` is built only for an answer: support function values,
 sample divisors, nef parts, shifts and growth rates.  The memo holds
@@ -54,7 +57,6 @@ call builds fresh ``GKZCone`` objects around the memoized data.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +76,8 @@ from .errors import (
 from .fan import (
     Fan, _basis_inverses, _check_rays, _glued_cover_once, is_complete, is_simplicial, make_fan
 )
-from .linalg import _kernel_direction, dot, nullspace, rank, solve, to_integers
-from .lp import cone_contains, feasible_point, relative_interior_functional
+from .linalg import dot, nullspace, rank, solve, to_integers
+from .lp import feasible_point, relative_interior_functional
 from .regions import HalfOpenRegion, _divisor_slot, _vertex_table, region
 
 
@@ -167,26 +169,73 @@ def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[i
     return SupportFunction(vertices, values), _strict_rays(fan, tight)
 
 
+def _inside_masks(fan: Fan):
+    """The reader of the fan's inside masks, filled one basis at a time.
+
+    The mask of a sorted index tuple B has bit rho set when ray rho lies
+    in the closed cone(B), that is, when its coefficient on every ray b
+    of B, column b of B's integer inverse in ``fan._basis_inverses``
+    dotted with v_rho, is >= 0; a tuple that is no basis gets 0.  The
+    masks are kept in the per-fan memo as they are asked for, not built
+    for all bases at once.  The reader holds the table and the rays, not
+    the fan.
+    """
+    rays = fan.rays
+    _, inverses = _basis_inverses(rays, fan.dim, fan.memo)
+    masks = fan.memo("inside_masks", dict)
+
+    def mask(basis) -> int:
+        found = masks.get(basis)
+        if found is None:
+            found = 0
+            if basis in inverses:
+                columns = list(zip(*inverses[basis]))
+                for rho, ray in enumerate(rays):
+                    if all(sum(map(mul, column, ray)) >= 0 for column in columns):
+                        found |= 1 << rho
+            masks[basis] = found
+        return found
+
+    return mask
+
+
 def _cone_members(fan: Fan, cone: frozenset[int]) -> frozenset[int]:
-    """The rays lying in the cone spanned by ``cone``, once per fan."""
+    """The rays lying in the closed cone spanned by ``cone``, once per fan.
+
+    By the conic Carathéodory theorem a ray lies in a full-dimensional
+    cone, pointed or not, exactly when it lies in the cone of some ray
+    basis inside it, so the members are the union of the inside masks
+    (``_inside_masks``) of the cone's n-subsets.  A lower-dimensional
+    cone has no basis and gets no member.  No LP runs.
+    """
 
     def compute():
-        gens = [fan.rays[i] for i in sorted(cone)]
-        return frozenset(rho for rho, ray in enumerate(fan.rays) if cone_contains(gens, ray))
+        mask = _inside_masks(fan)
+        inside = 0
+        for basis in combinations(sorted(cone), fan.dim):
+            inside |= mask(basis)
+        return frozenset(rho for rho in range(len(fan.rays)) if inside >> rho & 1)
 
     return fan.memo(("cone_members", cone), compute)
 
 
 def _extreme_subset(fan: Fan, rays: frozenset[int]) -> frozenset[int]:
-    """The rays of the set that no other ray of the set spans, once per fan."""
+    """The rays of a spanning set that no other ray of the set spans, once per fan.
+
+    Ray i is dropped when the inside mask of some basis among the other
+    rays holds it (conic Carathéodory, as in ``_cone_members``).  The set
+    must span: the one caller, ``_normal_fan`` with no lineality, passes
+    the tight set of a vertex of a full-dimensional section polytope.
+    Then when the other rays do not span, i lies off their span and is
+    kept.  No LP runs.
+    """
 
     def compute():
-        keep = set()
-        for i in rays:
-            others = [fan.rays[j] for j in rays if j != i]
-            if not others or not cone_contains(others, fan.rays[i]):
-                keep.add(i)
-        return frozenset(keep)
+        mask = _inside_masks(fan)
+        held = 0
+        for basis in combinations(sorted(rays), fan.dim):
+            held |= mask(basis) & ~sum(1 << b for b in basis)
+        return frozenset(i for i in rays if not held >> i & 1)
 
     return fan.memo(("extreme_subset", rays), compute)
 
@@ -499,139 +548,117 @@ def _interior_sample(fan: Fan, cones, strict) -> Divisor | None:
     return sample
 
 
-def _cyclic_ray_order(fan: Fan, indices):
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+def _fans_on_rays(fan: Fan, subset) -> set[frozenset[frozenset[int]]]:
+    """The complete simplicial fans on exactly the rays of ``subset``.
 
-    def compare(i, j):
-        a, b = fan.rays[i], fan.rays[j]
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return ha - hb
-        cross = a[0] * b[1] - a[1] * b[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
+    A cone of a simplicial fan holds no ray of the fan but its own, so
+    the candidate cones are the bases B of the subset whose inside mask
+    (``_inside_masks``) meets the subset in B alone.  From each candidate
+    on the subset's least ray the search fills the least open facet
+    F = sigma - {x} with each candidate on F's other side, one whose ray
+    off F pairs negatively with column x of sigma's inverse (the
+    coefficient on v_x, zero on F and positive at v_x).  In the plane
+    that is the angular neighbour, one candidate per facet.  A facet of
+    three cones ends a branch, and ``_glued_cover_once`` certifies each
+    cone set with no open facet.
+    """
+    n = fan.dim
+    rays = fan.rays
+    _, inverses = _basis_inverses(rays, n, fan.memo)
+    mask = _inside_masks(fan)
+    idx = sorted(subset)
+    bits = sum(1 << i for i in idx)
 
-    return sorted(indices, key=functools.cmp_to_key(compare))
+    def facets_of(cone):
+        return [cone[:j] + cone[j + 1 :] for j in range(n)]
 
-
-def _chambers_dim2(fan: Fan):
-    """The cyclic cone list of every ray subset that makes a complete fan."""
-    found = []
-    for size in range(3, len(fan.rays) + 1):
-        for subset in combinations(range(len(fan.rays)), size):
-            ordered = _cyclic_ray_order(fan, subset)
-            cones = [frozenset({a, b}) for a, b in zip(ordered, ordered[1:] + ordered[:1])]
-            if _glued_cover_once(2, fan.rays, cones):
-                found.append(cones)
+    # Cones and facets are sorted index tuples, and the facet of a cone
+    # that lacks its ray at position j is its facet j.  A basis's own rays
+    # are in its mask, so it is a candidate when no other ray is.  A state
+    # is (cones, open facets, closed facets), a closed facet being one of
+    # two cones; the seeds hold the least ray.
+    across: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}  # facet -> (cone, j)
+    stack = []
+    for basis in combinations(idx, n):
+        if (mask(basis) & bits).bit_count() == n:
+            facets = facets_of(basis)
+            for j, facet in enumerate(facets):
+                across.setdefault(facet, []).append((basis, j))
+            if basis[0] == idx[0]:
+                stack.append(((basis,), frozenset(facets), frozenset()))
+    found: set[frozenset[frozenset[int]]] = set()
+    seen: set[frozenset[tuple[int, ...]]] = set()
+    while stack:
+        chosen, opens, closed = stack.pop()
+        state = frozenset(chosen)
+        if state in seen:
+            continue
+        seen.add(state)
+        if not opens:
+            cones = frozenset(map(frozenset, chosen))
+            if _glued_cover_once(n, rays, cones):
+                found.add(cones)
+            continue
+        facet = min(opens)
+        owner, j = next((cone, j) for cone, j in across[facet] if cone in chosen)
+        column = [row[j] for row in inverses[owner]]
+        for cone, i in across[facet]:
+            if sum(map(mul, column, rays[cone[i]])) < 0:
+                facets = facets_of(cone)
+                if closed.isdisjoint(facets):
+                    glued = opens.intersection(facets)
+                    stack.append((chosen + (cone,), opens.symmetric_difference(facets), closed | glued))
     return found
 
 
-def _chambers_dim3(fan: Fan):
-    nrays = len(fan.rays)
-    if nrays > 8:
-        raise UnsupportedDimensionError(
-            "dimension-3 chamber search is capped at 8 rays"
-        )
-    all_found: set[frozenset[frozenset[int]]] = set()
-    for size in range(4, nrays + 1):
-        for subset in combinations(range(nrays), size):
-            all_found.update(_fans_on_rays_3d(fan, subset))
-    return [sorted(fs, key=sorted) for fs in sorted(all_found, key=lambda f: sorted(map(sorted, f)))]
+def _chambers(fan: Fan) -> list[list[frozenset[int]]]:
+    """The sorted cone list of every complete simplicial fan on a subset of the rays.
 
-
-def _fans_on_rays_3d(fan: Fan, subset):
-    """The complete simplicial fans on exactly the rays of ``subset``.
-
-    Fills the least open facet with a cone on its other side until none
-    is open; ``_glued_cover_once`` certifies each closed cone set.  The
-    side of a ray is the sign of its dot with the facet's integer normal
-    (``_kernel_direction``, the normal ``_glued_cover_once`` takes), made
-    once per facet; sides are only compared within one facet.
+    The ray subsets are visited by size, in ``combinations`` order, so in
+    the plane, where a subset carries at most one fan, the list is in
+    subset order; in space it is sorted by the cone lists.
     """
-    rays = fan.rays
-    idx = sorted(subset)
-    _, inverses = _basis_inverses(rays, fan.dim, fan.memo)
-    candidates = [frozenset(c) for c in combinations(idx, 3) if c in inverses]
-    normals: dict[frozenset[int], list[int]] = {}
-
-    def side(facet, other):
-        if facet not in normals:
-            normals[facet] = _kernel_direction([rays[j] for j in sorted(facet)], 3)
-        return dot(normals[facet], rays[other])
-
-    results: set[frozenset[frozenset[int]]] = set()
-    visited: set[frozenset[frozenset[int]]] = set()
-
-    def open_facets(chosen):
-        counts: dict[frozenset[int], int] = {}
-        for cone in chosen:
-            for x in cone:
-                facet = cone - {x}
-                counts[facet] = counts.get(facet, 0) + 1
-        if any(v > 2 for v in counts.values()):
-            return None
-        return {f: c for f, c in counts.items() if c == 1}
-
-    def grow(chosen):
-        state = frozenset(chosen)
-        if state in visited:
-            return
-        visited.add(state)
-        opens = open_facets(chosen)
-        if opens is None:
-            return
-        if not opens:
-            if set().union(*chosen) == set(idx) and _glued_cover_once(3, rays, chosen):
-                results.add(state)
-            return
-        facet = min(opens, key=sorted)
-        owner = next(c for c in chosen if facet < c)
-        old_side = side(facet, next(iter(owner - facet)))
-        for cand in candidates:
-            if not facet < cand or cand in chosen:
-                continue
-            new_side = side(facet, next(iter(cand - facet)))
-            if new_side != 0 and (new_side > 0) != (old_side > 0):
-                grow(chosen | {cand})
-
-    seed_ray = idx[0]
-    for seed in candidates:
-        if seed_ray in seed:
-            grow(frozenset({seed}))
-    return results
+    k = len(fan.rays)
+    found = []
+    for size in range(fan.dim + 1, k + 1):
+        for subset in combinations(range(k), size):
+            found.extend(sorted(fs, key=sorted) for fs in _fans_on_rays(fan, subset))
+    if fan.dim == 3:
+        found.sort(key=lambda cones: [sorted(c) for c in cones])
+    return found
 
 
 def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GKZCone]:
     """Every maximal chamber cone, as (fan, strict-ray) pairs with systems.
 
     Maximal chambers correspond to the complete simplicial projective
-    fans whose rays come from the ambient ray list.  Dimension 2 tries
-    the cyclic cone list of every ray subset; dimension 3 runs an
-    exhaustive facet-matching search, behind the ``allow_dim3`` flag and
-    capped at 8 rays.  Either way a candidate is kept only when
+    fans whose rays come from the ambient ray list.  One exhaustive
+    facet-filling search (``_chambers``) finds them on every ray subset
+    in both dimensions; dimension 3 is behind the ``allow_dim3`` flag and
+    capped at 8 rays.  A candidate is kept only when
     ``fan._glued_cover_once`` certifies it a complete fan, in integers
     and with no LP, and its own condition system has a point strictly
     inside (``_interior_sample``): one LP per certified candidate, which
-    decides projectivity and gives the sample divisor.  The chamber list
-    depends on the fan only: the search runs once per fan, and every
-    call returns a new list of fresh ``GKZCone`` objects.
+    decides projectivity and gives the sample divisor, and no other LP,
+    as the search and the systems read which rays lie in which cone off
+    the fan's basis inverses.  The chamber list depends on the fan
+    only: the search runs once per fan, and every call returns a new
+    list of fresh ``GKZCone`` objects.
     """
     if not is_complete(fan):
         raise NotCompleteError("chamber enumeration needs a complete fan")
-    if fan.dim == 2:
-        search = _chambers_dim2
-    elif fan.dim == 3 and allow_dim3:
-        search = _chambers_dim3
-    elif fan.dim == 3:
+    if fan.dim == 3 and not allow_dim3:
         raise UnsupportedDimensionError(
             "dimension-3 enumeration is opt-in: pass allow_dim3=True"
         )
-    else:
+    if fan.dim not in (2, 3):
         raise UnsupportedDimensionError("chamber enumeration supports dimensions 2 and 3")
+    if fan.dim == 3 and len(fan.rays) > 8:
+        raise UnsupportedDimensionError("dimension-3 chamber search is capped at 8 rays")
 
     def compute():
         found = []
-        for cones in search(fan):
+        for cones in _chambers(fan):
             strict = frozenset(range(len(fan.rays))).difference(*cones)
             sample = _interior_sample(fan, cones, strict)
             if sample is not None:

@@ -93,9 +93,14 @@ def sphere_complex(fan: Fan, weak_rays) -> SphereComplex:
     """The simplicial complex of the subfan's section with a sphere.
 
     It keeps the simplices of the fan's triangulation whose carrier lies
-    in ``weak_rays``.
+    in ``weak_rays``.  Raises ValueError on an entry that is no ray
+    index of the fan, checked on the raw entries on every call.
     """
-    subset = frozenset(weak_rays)
+    return _sphere_complex(fan, _check_rays(fan, weak_rays))
+
+
+def _sphere_complex(fan: Fan, subset: frozenset[int]) -> SphereComplex:
+    """``sphere_complex`` of a frozenset of ray indices; no check."""
     return SphereComplex(
         frozenset(simplex for simplex, carrier in _carriers(fan) if carrier <= subset),
         fan.dim,
@@ -143,7 +148,7 @@ def _local_ranks(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
     """
 
     def compute():
-        tilde = reduced_homology_ranks(sphere_complex(fan, subset))
+        tilde = reduced_homology_ranks(_sphere_complex(fan, subset))
         n = fan.dim
         # tilde[s] is reduced degree s-1, so degree j sits at tilde[j+1].
         return tuple(tilde[n - i] for i in range(n + 1))

@@ -64,7 +64,9 @@ def test_cech_referee_reads_no_sphere_complex():
     # The Cech oracle must stay independent of the rank vectors it checks.
     tree = ast.parse((ROOT / "src" / "toricvol" / "cohomology.py").read_text(encoding="utf-8"))
     referee = {"cech_oracle", "cech_ranks", "_cech_ranks", "_cech_rank_vector"}
-    production = {"local_cohomology_ranks", "_local_ranks", "sphere_complex", "reduced_homology_ranks"}
+    production = {
+        "local_cohomology_ranks", "_local_ranks", "sphere_complex", "_sphere_complex", "reduced_homology_ranks"
+    }
     functions = [
         node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in referee
     ]
@@ -73,6 +75,24 @@ def test_cech_referee_reads_no_sphere_complex():
         names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert not names & production, f"{node.name} mentions {sorted(names & production)}"
+
+
+def test_gkz_reads_ray_in_cone_facts_off_the_basis_table():
+    # Which rays lie in a cone, and which rays of a tight set are extreme,
+    # come from the fan's integer basis inverses: from .lp the chamber
+    # module takes only the sample LP and the relative-interior LP.
+    tree = ast.parse((ROOT / "src" / "toricvol" / "gkz.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[-1] == "lp"
+        for alias in node.names
+    }
+    assert imported == {"feasible_point", "relative_interior_functional"}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & {"cone_contains", "_kernel_direction"}
 
 
 def test_library_reads_no_private_member_of_another_object():

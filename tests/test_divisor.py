@@ -204,11 +204,11 @@ def malformed_calls():
     from toricvol.asymptotics import mixed_partial_h0
     from toricvol.cohomology import cech_ranks, graded_piece_dim, weak_ray_set
     from toricvol.errors import PreconditionError
-    from toricvol.fan import Cone, cone_multiplicity
+    from toricvol.fan import Cone, cone_multiplicity, subfan
     from toricvol.gkz import (
         ample_via_asymptotics, gkz_cone, locate_chamber, normal_fan, sigma_to_fan, support_function
     )
-    from toricvol.homology import local_cohomology_ranks
+    from toricvol.homology import local_cohomology_ranks, sphere_complex
     from toricvol.regions import ehrhart_probe, is_bounded_subset, region
 
     d = divisor([1, 1, 1])
@@ -262,6 +262,12 @@ def malformed_calls():
         (lambda fan: ehrhart_probe(fan, text, [0], 2), strings, TypeError),
         (lambda fan: region(fan, (1, None, 1), [0]), "Rational instance", TypeError),
         (lambda fan: locate_chamber(fan, (1, None, 1)), "Rational instance", TypeError),
+        (lambda fan: subfan(fan, [5]), "ray indices \\[5\\]"),
+        (lambda fan: subfan(fan, [True]), "ray indices \\[True\\] are not integers"),
+        (lambda fan: sphere_complex(fan, ["a"]), "ray indices \\['a'\\] are not integers"),
+        (lambda fan: weak_ray_set(fan, text, (0, 0)), strings, TypeError),
+        (lambda fan: graded_piece_dim(fan, text, (0, 0), 0), strings, TypeError),
+        (lambda fan: weak_ray_set(fan, (1, None, 1), (0, 0)), "Rational instance", TypeError),
     )
 
 
@@ -277,9 +283,11 @@ def test_malformed_points_characters_and_ray_indices_are_rejected():
     # as [0, 1, 2] once that subset was memoized; gkz_cone and
     # sigma_to_fan raised a bare TypeError on a cone {0, 'a'}, and
     # gkz_cone took a strict True for ray 1 of the cone.  String and None
-    # coefficients failed in region and the chamber functions with "bad
-    # operand type for unary -", and in ehrhart_probe with "can't multiply
-    # sequence"; every divisor is now cleared like h_all clears it.
+    # coefficients failed in region, the chamber functions, weak_ray_set
+    # and graded_piece_dim with "bad operand type for unary -", and in
+    # ehrhart_probe with "can't multiply sequence"; every divisor is now
+    # cleared like h_all clears it.  subfan returned a subfan for ray 5,
+    # read True as ray 1, and sphere_complex took ray 'a'.
     fan = p2()
     for call, message, *error in malformed_calls():
         for _ in range(2):  # a failed memoized compute stores nothing

@@ -21,7 +21,8 @@ from toricvol.errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from toricvol.fan import make_fan
+from toricvol.fan import is_complete, make_fan
+from toricvol.lp import cone_contains
 from toricvol.fixtures import (
     bl1_p3,
     bl2_p2,
@@ -48,7 +49,7 @@ from toricvol.gkz import (
     sigma_to_fan,
     support_function,
 )
-from toricvol.linalg import dot, nullspace
+from toricvol.linalg import dot, nullspace, rank
 from toricvol.regions import closure_vertices, region
 
 
@@ -324,8 +325,7 @@ def polygon_fan(seed):
 
 def chamber_candidates(fan):
     """Every certified candidate of the chamber search, with its strict rays."""
-    search = gkz._chambers_dim2 if fan.dim == 2 else gkz._chambers_dim3
-    for cones in search(fan):
+    for cones in gkz._chambers(fan):
         yield cones, frozenset(range(len(fan.rays))).difference(*cones)
 
 
@@ -407,7 +407,7 @@ def test_dim3_search_matches_pairwise_lp_referee(monkeypatch, make):
     found = {}
     for size in range(4, len(fan.rays) + 1):
         for subset in combinations(range(len(fan.rays)), size):
-            found[subset] = set(gkz._fans_on_rays_3d(fan, subset))
+            found[subset] = set(gkz._fans_on_rays(fan, subset))
     assert calls == []
     assert any(found.values())
     for subset, fans in found.items():
@@ -1012,6 +1012,90 @@ def test_chamber_systems_match_fraction_referees(make, search):
         assert gkz._piecewise_linear_data(fan, cone, d) == expected, d
     assert any(cone.lineality_basis for cone, _ in cases)
     assert any(not cone.lineality_basis for cone, _ in cases)
+
+
+def fresh(fan):
+    """A new Fan on the same data, so that its per-fan memo starts empty."""
+    return make_fan(fan.dim, fan.rays, fan.max_cones)
+
+
+def star_fan(splits):
+    def make():
+        return make_fan(*star_fan_data(splits))
+
+    make.__name__ = f"star{splits}"
+    return make
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*COMPLETE_2D, bl1_p3, p1_cubed, cube_fan, *map(star_fan, range(1, 5)), *map(polygon_fan, range(4))],
+    ids=lambda make: make.__name__,
+)
+def test_cone_members_and_extreme_subsets_match_lp_referee(make):
+    # Every cone and tight set that enumeration, gkz_cone and the location
+    # of the chamber samples, of 0, of the sum of the ray divisors and of
+    # seeded divisors meet (all kept in the fan's memo), degenerate and
+    # non-simplicial chambers included: the members read off the basis
+    # table are the rays cone_contains puts in the cone, and the extreme
+    # subset the rays it finds outside the cone of the others.
+    fan = fresh(make())
+    k = len(fan.rays)
+    rng = random.Random(26)
+    divisors = [divisor([0] * k), divisor([1] * k)]
+    for chamber in enumerate_maximal_chambers(fan, allow_dim3=True):
+        gkz_cone(fan, chamber.sigma_cones, chamber.strict_rays)
+        divisors.append(chamber.sample_divisor)
+    divisors += [effective(fan, rng) for _ in range(20)]
+    for d in divisors:
+        located_cone(fan, locate_chamber(fan, d))
+    facts = {kind: {} for kind in ("cone_members", "extreme_subset")}
+    for key, value in fan._memo.items():
+        if isinstance(key, tuple) and key[0] in facts:
+            facts[key[0]][key[1]] = value
+    assert facts["cone_members"] and facts["extreme_subset"]
+    for cone, members in facts["cone_members"].items():
+        gens = [fan.rays[i] for i in sorted(cone)]
+        assert members == {rho for rho, ray in enumerate(fan.rays) if cone_contains(gens, ray)}, cone
+    for rays, extreme in facts["extreme_subset"].items():
+        others = {i: [fan.rays[j] for j in rays if j != i] for i in rays}
+        held = {i for i in rays if others[i] and cone_contains(others[i], fan.rays[i])}
+        assert extreme == rays - held, rays
+
+
+def test_gkz_cone_rejects_a_lower_dimensional_cone():
+    # A cone that spans no full-dimensional space holds no ray basis, so
+    # it has no members and no condition system.
+    cases = [(p2(), {0}), (bl1_p3(), {0, 1}), (cube_fan(), {0, 1}), (cube_fan(), {0, 1, 6, 7})]
+    assert rank([cube_fan().rays[i] for i in (0, 1, 6, 7)]) == 2
+    for fan, cone in cases:
+        with pytest.raises(ValueError, match="cone has no independent ray basis outside the strict set"):
+            gkz_cone(fresh(fan), [cone], ())
+
+
+def test_cold_lp_census(monkeypatch):
+    # A cold enumeration solves one LP per certified candidate, the one
+    # that decides projectivity and gives the sample: 5 on bl2_p2 and 166
+    # on cube_fan, whose own face LPs are warmed first.  Cold chamber
+    # location, chamber cones, nef splits and ampleness tests on a fresh
+    # simplicial fan solve none.
+    calls = counting_solve_lp(monkeypatch)
+    for make, certified in ((bl2_p2, 5), (cube_fan, 166)):
+        fan = fresh(make())
+        is_complete(fan)
+        calls.clear()
+        enumerate_maximal_chambers(fan, allow_dim3=True)
+        assert len(calls) == certified, make.__name__
+    for make in (bl3_p2, bl1_p3, star_fan(3)):
+        fan = fresh(make())
+        calls.clear()
+        rng = random.Random(27)
+        k = len(fan.rays)
+        for d in [divisor([0] * k), divisor([1] * k), *(effective(fan, rng) for _ in range(12))]:
+            location = locate_chamber(fan, d)
+            nef_decomposition(fan, located_cone(fan, location), d)
+            ample_via_asymptotics(fan, d)
+        assert calls == [], make.__name__
 
 
 def test_hhat0_on_chamber_builds_each_chamber_fan_once(monkeypatch):
