@@ -15,16 +15,17 @@ import math
 from fractions import Fraction
 
 from .cohomology import _euler_weight
-from .divisor import Divisor, is_q_cartier
+from .divisor import Divisor, _check_length, is_q_cartier
 from .errors import (
     ChamberWallError,
     NotCompleteError,
     NotQCartierError,
     PreconditionError,
 )
-from .fan import Fan, _is_int, is_complete
+from .fan import Fan, _is_int, is_complete, is_simplicial
 from .homology import _local_ranks
-from .regions import normalized_volume, region_sum
+from .linalg import to_integers
+from .regions import _cleared_sum, normalized_volume, region_sum
 
 AsymptoticVector = tuple[Fraction, ...]
 
@@ -32,15 +33,25 @@ AsymptoticVector = tuple[Fraction, ...]
 def _rates(fan: Fan, d: Divisor, degrees: slice) -> AsymptoticVector:
     """The asymptotic rates of the degrees in the slice, in order.
 
+    Checks the fan and the length and clears d once; ``_cleared_rates``
+    sums the regions.
+    """
+    if not is_complete(fan):
+        raise NotCompleteError("asymptotic functions need a complete fan")
+    _check_length(fan, d)
+    return _cleared_rates(fan, *to_integers(d), degrees)
+
+
+def _cleared_rates(fan: Fan, coefficients, q: int, degrees: slice) -> AsymptoticVector:
+    """``_rates`` of the divisor cleared to integers (``regions._cleared_sum``).
+
     Each region is weighted by the slice of its rank vector, so a region
     whose ranks vanish on those degrees is never measured: the section
     polytope (all rays weak) carries degree 0 alone, so leaving degree 0
     out skips the largest region.
     """
-    if not is_complete(fan):
-        raise NotCompleteError("asymptotic functions need a complete fan")
-    values = region_sum(
-        fan, d, lambda subset: _local_ranks(fan, subset)[degrees], normalized_volume
+    values = _cleared_sum(
+        fan, coefficients, q, lambda subset: _local_ranks(fan, subset)[degrees], normalized_volume
     )
     return tuple(Fraction(v) for v in values)
 
@@ -55,11 +66,13 @@ def self_intersection(fan: Fan, d: Divisor) -> Fraction:
 
     The signed volume formula holds for rational divisors as they are:
     the regions of k*d are k times those of d, and both sides of the
-    formula are homogeneous of degree n.
+    formula are homogeneous of degree n.  On a simplicial fan every
+    divisor is Q-Cartier, so only a non-simplicial fan builds the
+    Cartier data to test it.
     """
     if not is_complete(fan):
         raise NotCompleteError("self-intersection needs a complete fan")
-    if is_q_cartier(fan, d) is None:
+    if not is_simplicial(fan) and is_q_cartier(fan, d) is None:
         raise NotQCartierError("divisor is not Q-Cartier")
     (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), normalized_volume)
     return Fraction(total)
@@ -91,8 +104,9 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     The growth rate restricted to an open chamber is a polynomial of
     degree at most n in the coefficients, so the derivative is read off
     from exact finite differences on the grid of 0..n steps along each
-    ray, with the step of ``GKZCone.interior_step`` for these rays at
-    reach n, which keeps every grid point strictly inside the chamber.
+    ray, with the step of ``GKZCone.step`` for these rays at reach n,
+    read off the chamber's slacks of d cleared to integers, which keeps
+    every grid point strictly inside the chamber.
     Each grid point measures ĥ^0 alone, the volume of its section
     polytope.  Raises PreconditionError unless the ray indices are 1 to
     n distinct ints in 0..k-1 (True and 1.0 are no ray index).
@@ -111,7 +125,9 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     location = gkz.locate_chamber(fan, d)
     if not location.interior:
         raise ChamberWallError("divisor class sits on a chamber wall")
-    step = gkz.located_cone(fan, location).interior_step(d, rays, n)
+    chamber = gkz.located_cone(fan, location)
+    coefficients, q = to_integers(d)
+    step = Fraction(*chamber.step(chamber.slacks(coefficients), q, rays, n))
     if step <= 0:
         raise PreconditionError("step bound underflow: no room inside the chamber")
 

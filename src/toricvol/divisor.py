@@ -85,20 +85,22 @@ def _check_length(fan: Fan, d: Divisor) -> None:
         raise ValueError(f"divisor has {len(d)} coefficients, fan has {len(fan.rays)} rays")
 
 
-def _basis_functional(fan: Fan, idx: tuple[int, ...], coeffs, q: int):
-    """The u with <u, v_i> = -coeffs[i] / q for i in idx, read off the fan's inverses.
+def _basis_functional(fan: Fan, idx: tuple[int, ...], coeffs):
+    """The integer U with <U, v_i> = -common * coeffs[i] for i in idx, read off the fan's inverses.
 
     ``idx`` is a sorted tuple of ray indices and ``coeffs / q`` a
-    divisor cleared to integers (``to_integers``).  None unless the rays
-    of idx form a basis, that is, unless the fan's table of basis
-    inverses (``fan._basis_inverses``) holds idx.
+    divisor cleared to integers (``to_integers``), so U / (common * q)
+    is the functional that agrees with -d on idx, for the ``common``
+    denominator of the fan's table of basis inverses
+    (``fan._basis_inverses``).  None unless the rays of idx form a
+    basis, that is, unless the table holds idx.
     """
-    common, inverses = _basis_inverses(fan.rays, fan.dim, fan.memo)
+    _, inverses = _basis_inverses(fan.rays, fan.dim, fan.memo)
     inverse = inverses.get(idx)
     if inverse is None:
         return None
     rhs = [-coeffs[i] for i in idx]
-    return tuple(Fraction(sum(map(mul, row, rhs)), common * q) for row in inverse)
+    return tuple(sum(map(mul, row, rhs)) for row in inverse)
 
 
 def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
@@ -117,14 +119,17 @@ def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
     """
     _check_length(fan, d)
     coeffs, q = to_integers(d)
+    common, _ = _basis_inverses(fan.rays, fan.dim, fan.memo)
     us = []
     for mc in fan.max_cones:
         idx = tuple(sorted(mc))
-        u = _basis_functional(fan, idx, coeffs, q)
+        u = _basis_functional(fan, idx, coeffs)
         if u is None:
             u = solve([fan.rays[i] for i in idx], [-d[i] for i in idx])
             if u is None:
                 return None
+        else:
+            u = tuple(Fraction(x, common * q) for x in u)
         us.append(u)
     return CartierData(tuple(us))
 

@@ -43,13 +43,20 @@ its cell key alone.
 
 Every decision reads integers.  A condition system holds its rows as
 primitive int tuples, once per fan, and membership, the chamber step
-(``GKZCone.interior_step``, the one step rule of the ampleness probes
-and of the ĥ^0 derivative grid) and the interior-sample LP read those
-rows as they are; the chamber search takes a ray's side of a facet
-from a column of a basis inverse, and a nef decomposition compares the
-two section polytopes on their regions' integer vertex tables.  A
-``Fraction`` is built only for an answer: support function values,
-sample divisors, nef parts, shifts and growth rates.  The memo holds
+(``GKZCone.step``, the one step rule of the ampleness probes and of the
+ĥ^0 derivative grid) and the interior-sample LP read those rows as they
+are; the chamber search takes a ray's side of a facet from a column of
+a basis inverse.  The growth path clears each divisor to integers once
+per call (``linalg.to_integers``) and stays there: ``GKZCone.slacks``
+takes the cleared divisor, so the ampleness test reads the step for
+every ray off one set of slacks, builds each probe d +- (a / b) e_rho as
+integers over q b in lowest terms, tests it with integer dots and hands
+it to the cleared region sum (``asymptotics._cleared_rates``).  A nef
+decomposition computes its cone functionals, its parts and its two
+vertex tables as integers over one scale.  A ``Fraction`` is built only
+for an answer: support function values, sample divisors, nef parts,
+shifts and growth rates, and the ĥ^0 grid of ``mixed_partial_h0``,
+whose points are summed as growth rates.  The memo holds
 none of them as a ``GKZCone`` or as anything else that references the
 ambient fan (a chamber's fan is built on copies of its rays); every
 call builds fresh ``GKZCone`` objects around the memoized data.
@@ -63,8 +70,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .asymptotics import _rates, self_intersection
-from .divisor import Divisor, _basis_functional, _check_length, linear_equiv_shift
+from .asymptotics import _cleared_rates, _rates, self_intersection
+from .divisor import Divisor, _basis_functional, _check_length
 from .errors import (
     ChamberMembershipError,
     EffectiveConeError,
@@ -78,7 +85,7 @@ from .fan import (
 )
 from .linalg import dot, nullspace, rank, solve, to_integers
 from .lp import feasible_point, relative_interior_functional
-from .regions import HalfOpenRegion, _divisor_slot, _vertex_table, region
+from .regions import _divisor_slot, _polytope_table, _vertex_table
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +336,9 @@ class GKZCone:
     bases inside each cone, so membership is a finite exact check.
     The conditions ``gkz_cone`` builds are primitive integer vectors,
     held as int tuples once per fan, and an instance keeps no other copy
-    of them.  ``_slacks`` clears d to integers once (times q > 0, which
-    keeps every sign) and dots the public rows with it; membership and
-    ``interior_step`` are its only readers.
+    of them.  ``slacks`` dots them with a divisor already cleared to
+    integers (times q > 0, which keeps every sign); membership and the
+    step rule ``step`` read those dots.
     """
 
     fan: Fan
@@ -344,45 +351,47 @@ class GKZCone:
     bases: tuple[tuple[int, ...], ...]  # one independent ray basis per cone
     sample_divisor: Divisor | None = None
 
-    def _slacks(self, d: Divisor):
-        """(equality dots, inequality (row, dot) pairs, q) of d cleared to integers.
+    def slacks(self, coefficients):
+        """(equality dots, inequality dots) of a divisor cleared to integers.
 
-        Each dot is a public row times the coefficients of d times q > 0,
-        so dot / q is the slack of d at that row and has its sign.  It is
-        an integer for the integer rows ``gkz_cone`` builds; a copy with
-        rational rows gets rational dots.  Raises ValueError unless d has
-        one coefficient per ray.
+        ``coefficients`` is q * d for some q > 0 (``linalg.to_integers``),
+        so each dot over q is the slack of d at its row and has its sign.
+        The dots are integers for the integer rows ``gkz_cone`` builds; a
+        copy with rational rows gets rational dots.  Raises ValueError
+        unless there is one coefficient per ray.
         """
-        _check_length(self.fan, d)
-        coeffs, q = to_integers(d)
-        equal = [sum(map(mul, row, coeffs)) for row in self.equalities]
-        pairs = [(row, sum(map(mul, row, coeffs))) for row in self.inequalities]
-        return equal, pairs, q
+        _check_length(self.fan, coefficients)
+        return (
+            [sum(map(mul, row, coefficients)) for row in self.equalities],
+            [sum(map(mul, row, coefficients)) for row in self.inequalities],
+        )
 
     def contains(self, d: Divisor) -> bool:
-        equal, pairs, _ = self._slacks(d)
-        return not any(equal) and all(v >= 0 for _, v in pairs)
+        return _in_closed(self.slacks(to_integers(d)[0]))
 
     def contains_strictly(self, d: Divisor) -> bool:
-        equal, pairs, _ = self._slacks(d)
-        return not any(equal) and all(v > 0 for _, v in pairs)
+        return _in_open(self.slacks(to_integers(d)[0]))
 
-    def interior_step(self, d: Divisor, rays, reach: int) -> Fraction:
-        """A step that moves a strict member along the given rays without leaving.
+    def step(self, slacks, q: int, rays, reach: int) -> tuple[int, int]:
+        """A step a / b that moves a strict member along the given rays without leaving.
 
-        The step is min(1, slack / (2 reach pull)) over the inequality
-        rows whose pull, the sum of |row_i| over i in ``rays``, is
-        nonzero.  Moving d along each of those rays by at most ``reach``
-        steps, either way, changes a row's slack by at most half of it,
-        so every such point lies strictly inside when d does.
+        ``slacks`` are this cone's ``slacks`` of q * d.  The step is
+        min(1, slack / (2 reach pull)) over the inequality rows whose
+        pull, the sum of |row_i| over i in ``rays``, is nonzero.  Moving d
+        along each of those rays by at most ``reach`` steps, either way,
+        changes a row's slack by at most half of it, so every such point
+        lies strictly inside when d does.  The minimum is taken by
+        cross-multiplying, and (a, b) is returned with b > 0 as found,
+        not in lowest terms.
         """
-        _, pairs, q = self._slacks(d)
-        step = Fraction(1)
-        for row, slack in pairs:
+        a, b = 1, 1
+        for row, value in zip(self.inequalities, slacks[1]):
             pull = sum(abs(row[i]) for i in rays)
             if pull:
-                step = min(step, Fraction(slack, 2 * reach * pull * q))
-        return step
+                den = 2 * reach * pull * q
+                if value * b < a * den:
+                    a, b = value, den
+        return a, b
 
     def class_cone_dim(self) -> int:
         """Dimension of the solution cone modulo linear equivalence."""
@@ -398,8 +407,20 @@ class GKZCone:
         return free - self.fan.dim
 
 
+def _in_closed(slacks) -> bool:
+    """Whether ``GKZCone.slacks`` put the divisor in the closed cone."""
+    equal, slack = slacks
+    return not any(equal) and all(v >= 0 for v in slack)
+
+
+def _in_open(slacks) -> bool:
+    """Whether ``GKZCone.slacks`` put the divisor strictly inside the cone."""
+    equal, slack = slacks
+    return not any(equal) and all(v > 0 for v in slack)
+
+
 def _condition_system(fan: Fan, cones, strict):
-    """(members, bases, equalities, inequalities) of a chamber cone.
+    """(members, bases, owners, equalities, inequalities) of a chamber cone.
 
     For every independent ray basis B inside a cone and off the strict
     set, each ray rho gives the condition e_rho - sum_b c_b e_b with
@@ -410,8 +431,10 @@ def _condition_system(fan: Fan, cones, strict):
     the condition times common is the integer vector common * e_rho -
     sum_b (column b of A . v_rho) e_b, stored as its primitive part, an
     int tuple; no ``Fraction`` is built.  The first basis of each cone
-    is its recorded basis.  The entries are taken as ray indices of the
-    fan, as ``gkz_cone`` checks them and the chamber searches make them.
+    is its recorded basis, and a ray's owner is the first cone holding
+    it (None if none does), whose functional values it in a nef
+    decomposition.  The entries are taken as ray indices of the fan, as
+    ``gkz_cone`` checks them and the chamber searches make them.
     """
     n = fan.dim
     common, inverses = _basis_inverses(fan.rays, n, fan.memo)
@@ -442,9 +465,14 @@ def _condition_system(fan: Fan, cones, strict):
                 else:
                     inequalities.add(condition)
     inequalities -= equalities
+    owners = tuple(
+        next((c for c, inside in enumerate(members) if rho in inside), None)
+        for rho in range(len(fan.rays))
+    )
     return (
         tuple(members),
         tuple(bases),
+        owners,
         tuple(sorted(equalities)),
         tuple(sorted(inequalities)),
     )
@@ -484,7 +512,7 @@ def gkz_cone(
     for cone in cones:
         if cone & strict:
             raise ValueError("cone generators must avoid the strict-ray set")
-    members, bases, equalities, inequalities = _gkz_system(fan, cones, strict)
+    members, bases, _, equalities, inequalities = _gkz_system(fan, cones, strict)
     return GKZCone(
         fan=fan,
         sigma_cones=cones,
@@ -538,7 +566,7 @@ def _interior_sample(fan: Fan, cones, strict) -> Divisor | None:
     """
     cones = _cone_key(cones)
     system = _condition_system(fan, cones, strict)
-    _, _, equalities, inequalities = system
+    *_, equalities, inequalities = system
     below = [[-v for v in row] for row in inequalities]
     sample = feasible_point(
         below, [-1] * len(below), equalities, [0] * len(equalities), nvars=len(fan.rays)
@@ -715,73 +743,87 @@ class NefDecomposition:
     remainder: Divisor
 
 
-def _piecewise_linear_data(fan: Fan, cone: GKZCone, d: Divisor):
-    """Per-cone linear functionals of the member's support-style function.
-
-    The functional of a cone agrees with -d on the cone's recorded
-    basis; it is read off that basis's integer inverse in the fan's
-    table (``divisor._basis_functional``), applied to d cleared to
-    integers once.
-    """
-    coeffs, q = to_integers(d)
-    us = [_basis_functional(fan, basis, coeffs, q) for basis in cone.bases]
-    values = []
-    for rho in range(len(fan.rays)):
-        owner = next(s for s, inside in enumerate(cone.members) if rho in inside)
-        values.append(dot(us[owner], fan.rays[rho]))
-    return us, tuple(values)
-
-
 def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     """Split a chamber member into a nef part plus a remainder on strict rays.
+
+    With d cleared once to coefficients / q, the functional of each cone
+    is U / (common q), agreeing with -d on the cone's recorded basis B:
+    U = A_B . (-q d_B) for B's integer inverse A_B / common in the fan's
+    table (``divisor._basis_functional``).  With each ray's value on its
+    owner cone, xi = <U, v> / (common q), the shift T / t (0 / 1 unless
+    the chamber has a lineality space) and its values <T, v> / t, every
+    part is an integer vector over the one scale M = common * q * t:
+    remainder = xi + d, shifted = d + <shift, v> and nef = <shift, v> -
+    xi.  A ``Fraction`` is built only for these answers.
 
     All three postconditions are recomputed and enforced: the remainder
     is nonnegative and supported on the strict rays, and the shifted
     divisor has exactly the nef part's section polytope.  The polytopes
-    are compared on the two regions' integer vertex tables: with points
-    P / s and Q / t, the vertex sets agree exactly when {t P} = {s Q}.
-    Raises ValueError unless the cone was built on ``fan``.
+    are compared on their integer vertex tables, the shifted one read
+    off its divisor slot in the fan's memo and the nef one off the nef
+    region's memo: with points P / s and Q / r, the vertex sets agree
+    exactly when {r P} = {s Q}.  Raises ValueError unless the cone was
+    built on ``fan`` and its cones hold every ray.
     """
-    if not gkz_membership(fan, cone, d):
+    _check_fan(fan, cone)
+    coefficients, q = to_integers(d)
+    if not _in_closed(cone.slacks(coefficients)):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
-    us, xi_values = _piecewise_linear_data(fan, cone, d)
+    owners = _gkz_system(fan, cone.sigma_cones, cone.strict_rays)[2]
+    if None in owners:
+        raise ValueError("the chamber's cones must hold every ray")
     n = fan.dim
+    common, _ = _basis_inverses(fan.rays, n, fan.memo)
+    functionals = [_basis_functional(fan, basis, coefficients) for basis in cone.bases]
+    xi = [sum(map(mul, functionals[owner], ray)) for owner, ray in zip(owners, fan.rays)]
     if cone.lineality_basis:
-        rows = [list(b) for b in cone.lineality_basis]
-        rhs = [dot(us[0], b) for b in cone.lineality_basis]
-        shift = solve(rows, rhs)
+        base = functionals[0]
+        rhs = [Fraction(sum(map(mul, base, b)), common * q) for b in cone.lineality_basis]
+        shift = solve([list(b) for b in cone.lineality_basis], rhs)
         if shift is None:
             raise ToricError("internal: no shift matches the chamber's lineality space")
+        moved, t = to_integers(shift)
     else:
         shift = tuple(Fraction(0) for _ in range(n))
-    shifted = linear_equiv_shift(fan, d, shift)
-    remainder = tuple(xi + c for xi, c in zip(xi_values, d))
-    support_rays = frozenset().union(*cone.sigma_cones)
-    nef_coeffs = {
-        rho: -(xi_values[rho] - dot(shift, fan.rays[rho])) for rho in sorted(support_rays)
-    }
+        moved, t = [0] * n, 1
+    scale = common * q * t
+    lifts = [common * q * sum(map(mul, moved, ray)) for ray in fan.rays]
+    remainder = [t * (x + common * c) for x, c in zip(xi, coefficients)]
     if any(e < 0 for e in remainder):
         raise ToricError("internal: remainder picked up a negative coefficient")
     if any(e > 0 and rho not in cone.strict_rays for rho, e in enumerate(remainder)):
         raise ToricError("internal: remainder escaped the strict-ray support")
-    shifted_table, s = region(fan, shifted, range(len(fan.rays))).vertex_table
+    shifted = [common * t * c + lift for c, lift in zip(coefficients, lifts)]
+    support_rays = frozenset().union(*cone.sigma_cones)
+    support = sorted(support_rays)
+    nef = [lifts[rho] - t * xi[rho] for rho in support]
+    shifted_table, s = _polytope_table(fan.rays, n, fan.memo, *_lowest_terms(shifted, scale))
 
     def nef_memo(key, compute):
         # The nef region's normals are the support rays, not all rays.
         return fan.memo(("nef_region", support_rays, key), compute)
 
-    nef_region = HalfOpenRegion(
-        normals=tuple(fan.rays[rho] for rho in sorted(support_rays)),
-        levels=tuple(-nef_coeffs[rho] for rho in sorted(support_rays)),
-        weak=tuple(True for _ in support_rays),
-        dim=n,
-        memo=nef_memo,
-    )
-    nef_table, t = nef_region.vertex_table
-    shifted_points = {tuple(t * x for x in p) for p in shifted_table}
-    if shifted_points != {tuple(s * x for x in q) for q in nef_table}:
+    normals = tuple(fan.rays[rho] for rho in support)
+    nef_table, r = _polytope_table(normals, n, nef_memo, *_lowest_terms(nef, scale))
+    shifted_points = {tuple(r * x for x in p) for p in shifted_table}
+    if shifted_points != {tuple(s * x for x in p) for p in nef_table}:
         raise ToricError("internal: nef part's polytope differs from the shifted one")
-    return NefDecomposition(shifted, shift, nef_coeffs, remainder)
+    return NefDecomposition(
+        tuple(Fraction(x, scale) for x in shifted),
+        shift,
+        {rho: Fraction(x, scale) for rho, x in zip(support, nef)},
+        tuple(Fraction(x, scale) for x in remainder),
+    )
+
+
+def _lowest_terms(numerators, scale: int):
+    """(numerators / g, scale / g) for g the gcd of all of them.
+
+    For scale > 0 that is the pair ``linalg.to_integers`` gives for the
+    values numerators / scale, so it keys their divisor slot.
+    """
+    g = math.gcd(scale, *numerators)
+    return [x // g for x in numerators], scale // g
 
 
 def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
@@ -817,8 +859,11 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     chamber.  On a positive answer the vanishing is additionally
     verified at the class itself and at 2k perturbed classes inside the
     chamber, one step each way along every ray, the step of
-    ``GKZCone.interior_step`` for that ray alone (reach 1), so both
-    probes lie strictly inside.  These checks compute ĥ^1..ĥ^n only, so
+    ``GKZCone.step`` for that ray alone (reach 1), so both probes lie
+    strictly inside.  After its chamber is located, the class is cleared
+    to integers once: every step is read off its one set of slacks, and
+    each probe is built, tested and measured as integers over q b
+    (``_cleared_rates``).  These checks compute ĥ^1..ĥ^n only, so
     the section polytope is never measured.  A complete simplicial fan
     makes every divisor Q-Cartier, so no Cartier test runs.
     """
@@ -839,18 +884,21 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     if set(location.sigma.max_cones) != set(fan.max_cones) or location.strict_rays:
         return False
 
+    coefficients, q = to_integers(d)
     chamber = located_cone(fan, location)
+    slacks = chamber.slacks(coefficients)
     higher = slice(1, None)
-    if any(_rates(fan, d, higher)):
+    if any(_cleared_rates(fan, coefficients, q, higher)):
         raise ToricError("internal: ample class with nonzero higher growth")
     for rho in range(len(fan.rays)):
-        step = chamber.interior_step(d, (rho,), 1)
+        a, b = chamber.step(slacks, q, (rho,), 1)
         for sign in (1, -1):
-            probe = list(d)
-            probe[rho] += sign * step
-            probe = tuple(probe)
-            if not chamber.contains_strictly(probe):
+            # d + sign (a / b) e_rho, as integers over q b in lowest terms.
+            probe = [b * c for c in coefficients]
+            probe[rho] += sign * a * q
+            probe, scale = _lowest_terms(probe, q * b)
+            if not _in_open(chamber.slacks(probe)):
                 raise ToricError("internal: perturbation left the open chamber")
-            if any(_rates(fan, probe, higher)):
+            if any(_cleared_rates(fan, probe, scale, higher)):
                 raise ToricError("internal: higher growth appeared inside the chamber")
     return True

@@ -246,8 +246,12 @@ def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
     pos(u) inside W and neg(u) outside.  One mask test per pattern of
     ``_unbounded_patterns`` decides it, with no LP.
     """
-    patterns = _unbounded_patterns(reg.normals, reg.dim, reg.memo)
-    return _bounded_mask(patterns, _weak_mask(reg.weak))
+    return _is_bounded(reg.normals, reg.dim, reg.memo, _weak_mask(reg.weak))
+
+
+def _is_bounded(normals, dim: int, memo, weak: int) -> bool:
+    """Whether the closure of the weak mask's region of these normals is bounded."""
+    return _bounded_mask(_unbounded_patterns(normals, dim, memo), weak)
 
 
 def is_bounded_subset(fan: Fan, weak_rays) -> bool:
@@ -257,8 +261,7 @@ def is_bounded_subset(fan: Fan, weak_rays) -> bool:
     ValueError unless every entry of the subset is a ray index.
     """
     subset = _check_rays(fan, weak_rays)
-    patterns = _unbounded_patterns(fan.rays, fan.dim, fan.memo)
-    return _bounded_mask(patterns, sum(1 << i for i in subset))
+    return _is_bounded(fan.rays, fan.dim, fan.memo, sum(1 << i for i in subset))
 
 
 def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
@@ -512,6 +515,19 @@ def _integer_vertices(reg: HalfOpenRegion):
     integers, q = to_integers(reg.levels)
     slot = _divisor_slot(reg.normals, reg.dim, reg.memo, [-x for x in integers], q)
     return _vertex_table(slot, _weak_mask(reg.weak))
+
+
+def _polytope_table(normals, dim: int, memo, coefficients, q: int):
+    """``_vertex_table`` of the polytope <u, v_i> >= -d_i, all rows weak, of d = coefficients / q.
+
+    The pair is a divisor cleared as ``linalg.to_integers`` clears it,
+    and the table is read off its slot in the memo, which is not
+    replaced.  Raises on normals whose polytopes are unbounded.
+    """
+    weak = (1 << len(normals)) - 1
+    if not _is_bounded(normals, dim, memo, weak):
+        raise UnboundedRegionError("region closure is unbounded")
+    return _vertex_table(_divisor_slot(normals, dim, memo, coefficients, q), weak)
 
 
 def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
@@ -873,10 +889,19 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     measures only the regions that slice reads, and only the nonzero
     entries of a weight are added.  A region is built only when its
     amount is missing; it is handed its levels, vertex table and row
-    bounds from the slot.
+    bounds from the slot.  This wrapper checks the length and clears d
+    once; ``_cleared_sum`` is the loop.
     """
     _check_length(fan, d)
-    coefficients, q = to_integers(d)
+    return _cleared_sum(fan, *to_integers(d), weight, measure)
+
+
+def _cleared_sum(fan: Fan, coefficients, q: int, weight, measure) -> tuple:
+    """``region_sum`` of the divisor cleared to integers: ``coefficients`` / q.
+
+    The pair must be the one ``linalg.to_integers`` gives (q > 0 and no
+    common factor of q and every coefficient), since it keys the slot.
+    """
     slot = _divisor_slot(fan.rays, fan.dim, fan.memo, coefficients, q, keep=True)
     visits = slot.cell.visits
     if visits > 1 << SUBSET_CAP:

@@ -9,9 +9,10 @@ loop of ``fraction_linalg``, so that it shares no elimination with the
 production path.
 
 * ``gkz_system``: the (members, bases, equalities, inequalities) of a
-  chamber cone, as ``toricvol.gkz._gkz_system`` returns them;
-* ``piecewise_linear_data``: the per-cone functionals and ray values of
-  ``toricvol.gkz._piecewise_linear_data``, one solve per cone basis.
+  chamber cone, as the ``toricvol.gkz.GKZCone`` fields hold them;
+* ``piecewise_linear_data``: the per-cone functionals and the ray
+  values on each ray's owner cone that ``toricvol.gkz.nef_decomposition``
+  reads, one solve per cone basis.
 """
 
 import math

@@ -1,0 +1,79 @@
+"""The growth path's nef split and ampleness probes in ``Fraction``s: test-only referees.
+
+The library clears each divisor to integers once per call and builds a
+``Fraction`` only for an answer (``toricvol.gkz``).  This module keeps
+the older formulation once, as the old vertex pass became
+``arrangement_referees``:
+
+* ``nef_decomposition``: the split d = nef + remainder after a shift,
+  from ``Fraction`` cone functionals (``chamber_referees``) and a
+  ``Fraction`` shift, with the three postconditions checked on
+  ``Fraction`` vertices;
+* ``ample_probes``: the divisors ``ample_via_asymptotics`` measures,
+  the class itself and d +- step e_rho for every ray, each step
+  min(1, slack / (2 |row_rho|)) over ``Fraction`` slacks of the public
+  chamber rows.
+"""
+
+from fractions import Fraction
+
+import chamber_referees
+import fraction_linalg
+from toricvol.errors import EffectiveConeError
+from toricvol.gkz import NefDecomposition, located_cone, locate_chamber
+from toricvol.regions import HalfOpenRegion, closure_vertices, region
+
+
+def _dot(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def nef_decomposition(fan, cone, d):
+    """The nef split of a chamber member, or AssertionError if a postcondition fails."""
+    us, xi = chamber_referees.piecewise_linear_data(fan, cone, d)
+    n = fan.dim
+    if cone.lineality_basis:
+        rhs = [_dot(us[0], b) for b in cone.lineality_basis]
+        shift = fraction_linalg.solve([list(b) for b in cone.lineality_basis], rhs)
+        assert shift is not None
+    else:
+        shift = tuple(Fraction(0) for _ in range(n))
+    shifted = tuple(Fraction(c) + _dot(shift, ray) for c, ray in zip(d, fan.rays))
+    remainder = tuple(x + c for x, c in zip(xi, d))
+    support = sorted(frozenset().union(*cone.sigma_cones))
+    nef_coeffs = {rho: _dot(shift, fan.rays[rho]) - xi[rho] for rho in support}
+    assert all(e >= 0 for e in remainder)
+    assert all(e == 0 for rho, e in enumerate(remainder) if rho not in cone.strict_rays)
+    nef_region = HalfOpenRegion(
+        normals=tuple(fan.rays[rho] for rho in support),
+        levels=tuple(-nef_coeffs[rho] for rho in support),
+        weak=(True,) * len(support),
+        dim=n,
+    )
+    shifted_region = region(fan, shifted, range(len(fan.rays)))
+    assert closure_vertices(shifted_region) == closure_vertices(nef_region)
+    return NefDecomposition(shifted, shift, nef_coeffs, remainder)
+
+
+def ample_probes(fan, d):
+    """The divisors whose higher rates the ampleness test reads, in order; [] when it stops early."""
+    try:
+        location = locate_chamber(fan, d)
+    except EffectiveConeError:
+        return []
+    own = set(location.sigma.max_cones) == set(fan.max_cones) and not location.strict_rays
+    if not (location.interior and own):
+        return []
+    chamber = located_cone(fan, location)
+    slacks = [_dot(row, d) for row in chamber.inequalities]
+    probes = [tuple(Fraction(c) for c in d)]
+    for rho in range(len(fan.rays)):
+        step = Fraction(1)
+        for row, slack in zip(chamber.inequalities, slacks):
+            if row[rho]:
+                step = min(step, slack / (2 * abs(row[rho])))
+        for sign in (1, -1):
+            probe = list(probes[0])
+            probe[rho] += sign * step
+            probes.append(tuple(probe))
+    return probes

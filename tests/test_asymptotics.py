@@ -98,8 +98,26 @@ def test_self_intersection_not_q_cartier():
     from toricvol.fixtures import cube_fan
 
     fan = cube_fan()
+    assert is_q_cartier(fan, ray_divisor(fan, 0)) is None
     with pytest.raises(NotQCartierError):
         self_intersection(fan, ray_divisor(fan, 0))
+    assert self_intersection(fan, divisor([1] * 8)) == 8  # the octahedron, 3! * 4/3
+
+
+def test_self_intersection_builds_no_cartier_data_on_simplicial_fans(monkeypatch):
+    # Every Weil divisor of a complete simplicial fan is Q-Cartier.
+    import toricvol.asymptotics as asymptotics
+
+    asked = []
+    original = asymptotics.is_q_cartier
+    monkeypatch.setattr(asymptotics, "is_q_cartier", lambda fan, d: asked.append(d) or original(fan, d))
+    for make, d in ((p2, (3, 0, 0)), (bl2_p2, (1, 1, 1, 1, 1)), (bl1_p3, (3, 3, 3, 3, -1))):
+        self_intersection(make(), divisor(d))
+    assert asked == []
+    from toricvol.fixtures import cube_fan
+
+    self_intersection(cube_fan(), divisor([1] * 8))
+    assert asked
 
 
 def test_rr_check_examples():

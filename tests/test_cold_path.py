@@ -117,15 +117,17 @@ def test_boundedness_matches_gordan_on_random_normals():
 
 
 def test_nef_region_boundedness_matches_gordan(monkeypatch):
+    # Nef decompositions read both polytopes through ``regions._is_bounded``.
     seen = []
-    original = regions._closure_is_bounded
+    original = regions._is_bounded
 
-    def recorded(reg):
-        answer = original(reg)
-        seen.append((reg.normals, reg.weak, reg.dim, answer))
+    def recorded(normals, dim, memo, weak):
+        answer = original(normals, dim, memo, weak)
+        flags = tuple(bool(weak >> i & 1) for i in range(len(normals)))
+        seen.append((normals, flags, dim, answer))
         return answer
 
-    monkeypatch.setattr(regions, "_closure_is_bounded", recorded)
+    monkeypatch.setattr(regions, "_is_bounded", recorded)
     fan_rays = set()
     for make in (fixtures.bl2_p2, fixtures.bl3_p2, fixtures.f1):
         fan = make()

@@ -201,7 +201,7 @@ def test_string_coefficients_are_rejected_outside_divisor():
 
 def malformed_calls():
     """(call on P², message, and the error type when it is not ValueError)."""
-    from toricvol.asymptotics import mixed_partial_h0
+    from toricvol.asymptotics import mixed_partial_h0, self_intersection
     from toricvol.cohomology import cech_ranks, graded_piece_dim, weak_ray_set
     from toricvol.errors import PreconditionError
     from toricvol.fan import Cone, cone_multiplicity, subfan
@@ -259,6 +259,8 @@ def malformed_calls():
         (lambda fan: locate_chamber(fan, text), strings, TypeError),
         (lambda fan: mixed_partial_h0(fan, text, [0]), strings, TypeError),
         (lambda fan: ample_via_asymptotics(fan, text), strings, TypeError),
+        (lambda fan: self_intersection(fan, text), strings, TypeError),
+        (lambda fan: self_intersection(fan, (1, None, 1)), "Rational instance", TypeError),
         (lambda fan: ehrhart_probe(fan, text, [0], 2), strings, TypeError),
         (lambda fan: region(fan, (1, None, 1), [0]), "Rational instance", TypeError),
         (lambda fan: locate_chamber(fan, (1, None, 1)), "Rational instance", TypeError),

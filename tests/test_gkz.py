@@ -8,12 +8,15 @@ from itertools import combinations
 import pytest
 
 import chamber_referees
+import growth_referees
 from generated_fans import polygon_fan_data, star_fan_data
 from lp_referees import pairwise_lp_fans_on_rays_3d, projective_sample
 from test_cold_path import PENTAGRAM, counting_solve_lp, suspension
 from toricvol import gkz
 from toricvol.asymptotics import _rates, hhat, mixed_partial_h0
-from toricvol.divisor import divisor, is_ample, is_q_cartier, linear_equiv_shift, ray_divisor, scale
+from toricvol.divisor import (
+    _basis_functional, divisor, is_ample, is_q_cartier, linear_equiv_shift, ray_divisor, scale
+)
 from toricvol.errors import (
     ChamberMembershipError,
     EffectiveConeError,
@@ -21,7 +24,7 @@ from toricvol.errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from toricvol.fan import is_complete, make_fan
+from toricvol.fan import _basis_inverses, is_complete, make_fan
 from toricvol.lp import cone_contains
 from toricvol.fixtures import (
     bl1_p3,
@@ -49,7 +52,7 @@ from toricvol.gkz import (
     sigma_to_fan,
     support_function,
 )
-from toricvol.linalg import dot, nullspace, rank
+from toricvol.linalg import dot, nullspace, rank, to_integers
 from toricvol.regions import closure_vertices, region
 
 
@@ -540,18 +543,22 @@ def test_nef_decomposition_on_coarse_chamber():
 
 def test_nef_decomposition_rejects_a_wrong_shift(monkeypatch):
     # The polytope postcondition compares the two integer vertex tables: a
-    # shift that moves one coefficient by 1/3 must trip it.
+    # shift that moves one coefficient by 1/3 must trip it.  The shifted
+    # divisor's table is the one read on the fan's own memo.
     fan = bl2_p2()
     chamber = enumerate_maximal_chambers(fan)[0]
     d = scale(chamber.sample_divisor, Fraction(3, 2))
     assert nef_decomposition(fan, chamber, d).shifted == d
-    original = gkz.linear_equiv_shift
+    original = gkz._polytope_table
 
-    def skewed(fan, d, u):
-        shifted = original(fan, d, u)
-        return (shifted[0] + Fraction(1, 3),) + shifted[1:]
+    def skewed(normals, dim, memo, coefficients, q):
+        if memo == fan.memo:
+            values = [Fraction(c, q) for c in coefficients]
+            values[0] += Fraction(1, 3)
+            coefficients, q = to_integers(values)
+        return original(normals, dim, memo, coefficients, q)
 
-    monkeypatch.setattr(gkz, "linear_equiv_shift", skewed)
+    monkeypatch.setattr(gkz, "_polytope_table", skewed)
     with pytest.raises(ToricError, match="polytope differs"):
         nef_decomposition(fan, chamber, d)
 
@@ -671,18 +678,23 @@ def test_ample_via_asymptotics_examples():
 
 
 def recorded_rates(monkeypatch):
-    """The divisors handed to ``_rates`` by the chamber code, in call order."""
+    """The divisors whose rates the chamber code sums, in call order, as ``Fraction`` tuples.
+
+    Every rate goes through ``_cleared_rates`` on the divisor cleared to
+    integers: the ampleness probes call it directly, the ĥ^0 grid
+    through ``_rates``.
+    """
     import toricvol.asymptotics as asymptotics
 
     seen = []
-    rates = asymptotics._rates
+    rates = asymptotics._cleared_rates
 
-    def recorded(fan, d, degrees):
-        seen.append(tuple(d))
-        return rates(fan, d, degrees)
+    def recorded(fan, coefficients, q, degrees):
+        seen.append(tuple(Fraction(c, q) for c in coefficients))
+        return rates(fan, coefficients, q, degrees)
 
     for module in (gkz, asymptotics):
-        monkeypatch.setattr(module, "_rates", recorded)
+        monkeypatch.setattr(module, "_cleared_rates", recorded)
     return seen
 
 
@@ -961,6 +973,67 @@ def counting(monkeypatch, module, name, record):
             monkeypatch.setattr(mod, name, counted)
 
 
+def test_warm_ampleness_clears_the_divisor_at_most_three_times(monkeypatch):
+    # The class is cleared to integers for its chamber and once more for
+    # its slacks, rates and probes; each probe is built cleared.  A
+    # Fraction probe path clears 5k + 2 = 27 times here.
+    import toricvol.linalg as linalg
+
+    fan = bl2_p2()
+    d = divisor([3, 3, 3, 2, 2])
+    assert ample_via_asymptotics(fan, d)  # warm
+    cleared = []
+    counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
+    assert ample_via_asymptotics(fan, d)
+    assert 1 <= len(cleared) <= 3, cleared
+
+
+def nef_cases(fan, rng):
+    """Chamber members: every maximal chamber's sample (2-D), the nef chamber
+    of an ample class (3-D), and seeded rational divisors in their located
+    chambers, degenerate ones included, each scaled and moved by a character."""
+    k = len(fan.rays)
+    if fan.dim == 2:
+        cases = [(ch, ch.sample_divisor) for ch in enumerate_maximal_chambers(fan)]
+    else:
+        cases = [(gkz_cone(fan, fan.max_cones, frozenset()), divisor([3, 3, 3, 3, -1]))]
+    for d in [divisor([0] * k), *(effective(fan, rng) for _ in range(6))]:
+        cases.append((located_cone(fan, locate_chamber(fan, d)), d))
+    for cone, d in list(cases):
+        t = Fraction(rng.randint(1, 9), rng.choice((2, 3, 5)))
+        u = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in range(fan.dim)]
+        cases.append((cone, linear_equiv_shift(fan, scale(d, t), u)))
+    return cases
+
+
+@pytest.mark.parametrize("make", (*COMPLETE_2D, bl1_p3), ids=lambda f: f.__name__)
+def test_nef_decomposition_matches_fraction_referee(make):
+    fan = make()
+    cases = nef_cases(fan, random.Random(31))
+    for cone, d in cases:
+        answer = nef_decomposition(fan, cone, d)
+        assert answer == growth_referees.nef_decomposition(fan, cone, d), (cone.sigma_cones, d)
+        fields = (*answer.shifted, *answer.shift, *answer.nef_coeffs.values(), *answer.remainder)
+        assert all(type(x) is Fraction for x in fields)
+    assert any(cone.lineality_basis for cone, _ in cases)
+
+
+@pytest.mark.parametrize("make", COMPLETE_SIMPLICIAL, ids=lambda f: f.__name__)
+def test_ample_probes_match_fraction_referee(monkeypatch, make):
+    # The probes are built as integers over q b in lowest terms; they are
+    # the divisors d +- step e_rho of the Fraction formulation, in order.
+    fan = make()
+    probes = recorded_rates(monkeypatch)
+    divisors = [ch.sample_divisor for ch in enumerate_maximal_chambers(fan)] if fan.dim == 2 else []
+    divisors += ample_cases(fan, random.Random(19), 6 if fan.dim < 3 else 2)
+    answers = set()
+    for d in divisors:
+        probes.clear()
+        answers.add(ample_via_asymptotics(fan, d))
+        assert probes == growth_referees.ample_probes(fan, d), d
+    assert answers == {True, False}
+
+
 @pytest.mark.parametrize(
     "make, ample", [(bl2_p2, [3, 3, 3, 2, 2]), (bl1_p3, [3, 3, 3, 3, -1])], ids=["bl2_p2", "bl1_p3"]
 )
@@ -999,6 +1072,7 @@ def test_chamber_systems_match_fraction_referees(make, search):
     # degenerate ones included.  The systems, and the cone functionals of
     # each member, match one Fraction solve per ray and basis.
     fan = make()
+    common, _ = _basis_inverses(fan.rays, fan.dim, fan.memo)
     rng = random.Random(18)
     cases = []
     if search:
@@ -1008,8 +1082,14 @@ def test_chamber_systems_match_fraction_referees(make, search):
     for cone, d in cases:
         system = (cone.members, cone.bases, cone.equalities, cone.inequalities)
         assert system == chamber_referees.gkz_system(fan, cone.sigma_cones, cone.strict_rays)
-        expected = chamber_referees.piecewise_linear_data(fan, cone, d)
-        assert gkz._piecewise_linear_data(fan, cone, d) == expected, d
+        coefficients, q = to_integers(d)
+        us = [
+            tuple(Fraction(x, common * q) for x in u)
+            for u in (_basis_functional(fan, basis, coefficients) for basis in cone.bases)
+        ]
+        owners = gkz._gkz_system(fan, cone.sigma_cones, cone.strict_rays)[2]
+        values = tuple(dot(us[owner], ray) for owner, ray in zip(owners, fan.rays))
+        assert (us, values) == chamber_referees.piecewise_linear_data(fan, cone, d), d
     assert any(cone.lineality_basis for cone, _ in cases)
     assert any(not cone.lineality_basis for cone, _ in cases)
 

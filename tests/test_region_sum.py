@@ -145,6 +145,9 @@ def compare_with_sweep(monkeypatch, fan, d, functions):
     def sweep(fan_, d_, weight, measure):
         return sweep_region_sum(fan_, d_, weight, measure, amounts)
 
+    def cleared_sweep(fan_, coefficients, q, weight, measure):
+        return sweep(fan_, tuple(Fraction(c, q) for c in coefficients), weight, measure)
+
     def scan(reg):
         if reg.weak not in scans:
             scans[reg.weak] = scan_integer_vertices(reg)
@@ -153,6 +156,7 @@ def compare_with_sweep(monkeypatch, fan, d, functions):
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "region_sum", sweep)
         patch.setattr(asymptotics, "region_sum", sweep)
+        patch.setattr(asymptotics, "_cleared_sum", cleared_sweep)
         patch.setattr(regions, "_integer_vertices", scan)
         expected = {f.__name__: outcome(f, fan, d) for f in functions}
     assert actual == expected, d
