@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .cohomology import _euler_weight
 from .divisor import Divisor, _check_length, is_q_cartier
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .fan import Fan, _is_int, is_complete, is_simplicial
 from .homology import _local_ranks
-from .linalg import to_integers
+from .linalg import _lowest_terms, to_integers
 from .regions import _cleared_sum, normalized_volume, region_sum
 
 AsymptoticVector = tuple[Fraction, ...]
@@ -104,14 +105,18 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     The growth rate restricted to an open chamber is a polynomial of
     degree at most n in the coefficients, so the derivative is read off
     from exact finite differences on the grid of 0..n steps along each
-    ray, with the step of ``GKZCone.step`` for these rays at reach n,
-    read off the chamber's slacks of d cleared to integers, which keeps
-    every grid point strictly inside the chamber.
-    Each grid point measures ĥ^0 alone, the volume of its section
-    polytope.  Raises PreconditionError unless the ray indices are 1 to
-    n distinct ints in 0..k-1 (True and 1.0 are no ray index).
+    ray, with the step a / b of ``GKZCone.step`` for these rays at reach
+    n, which keeps every grid point strictly inside the chamber.  The
+    divisor is cleared to integers once, q * d, when its chamber is
+    located; the step is read off the chamber's slacks of q * d, and
+    each grid point d + sum k_j (a / b) e_rho_j is built as the integer
+    vector b (q * d) + sum k_j a q e_rho_j over q b, in lowest terms, so
+    a float divisor counts as its exact value.  Each grid point measures
+    ĥ^0 alone, the volume of its section polytope (``_cleared_rates``).
+    Raises PreconditionError unless the ray indices are 1 to n distinct
+    ints in 0..k-1 (True and 1.0 are no ray index).
     """
-    from . import gkz
+    from .gkz import _section_slot, _slot_chamber, located_cone
 
     rays = list(ray_indices)
     k = len(fan.rays)
@@ -122,27 +127,24 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     n = fan.dim
     if not 1 <= len(rays) <= n:
         raise PreconditionError("need between 1 and n distinct rays")
-    location = gkz.locate_chamber(fan, d)
+    slot = _section_slot(fan, d)
+    location = _slot_chamber(fan, slot)
     if not location.interior:
         raise ChamberWallError("divisor class sits on a chamber wall")
-    chamber = gkz.located_cone(fan, location)
-    coefficients, q = to_integers(d)
-    step = Fraction(*chamber.step(chamber.slacks(coefficients), q, rays, n))
-    if step <= 0:
+    chamber = located_cone(fan, location)
+    coefficients, q = slot.key
+    a, b = chamber.step(chamber.slacks(coefficients), q, rays, n)
+    if a <= 0:
         raise PreconditionError("step bound underflow: no room inside the chamber")
 
-    weights = _derivative_weights(n, step)
-    r = len(rays)
+    weights = _derivative_weights(n, Fraction(a, b))
+    base = [b * c for c in coefficients]
     total = Fraction(0)
-    grid: list[tuple[int, ...]] = [()]
-    for _ in range(r):
-        grid = [g + (k,) for g in grid for k in range(n + 1)]
-    for assignment in grid:
-        shifted = list(d)
+    for assignment in product(range(n + 1), repeat=len(rays)):
+        point = list(base)
         coeff = Fraction(1)
-        for ray, k in zip(rays, assignment):
-            shifted[ray] += k * step
-            coeff *= weights[k]
-        if coeff:
-            total += coeff * _rates(fan, tuple(shifted), slice(1))[0]
+        for ray, j in zip(rays, assignment):
+            point[ray] += j * a * q
+            coeff *= weights[j]
+        total += coeff * _cleared_rates(fan, *_lowest_terms(point, q * b), slice(1))[0]
     return total

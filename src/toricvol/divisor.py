@@ -74,9 +74,11 @@ class CartierData:
     u_sigma: tuple[tuple[Fraction, ...], ...]  # parallel to fan.max_cones
 
     def is_integral(self, d: Divisor) -> bool:
-        return all(v.denominator == 1 for u in self.u_sigma for v in u) and all(
-            c.denominator == 1 for c in d
-        )
+        """Whether every u_sigma and every coefficient of d is an integer.
+
+        d is read through ``to_integers``, so a float is its exact value.
+        """
+        return all(v.denominator == 1 for u in self.u_sigma for v in u) and to_integers(d)[1] == 1
 
 
 def _check_length(fan: Fan, d: Divisor) -> None:

@@ -83,7 +83,7 @@ from .errors import (
 from .fan import (
     Fan, _basis_inverses, _check_rays, _glued_cover_once, is_complete, is_simplicial, make_fan
 )
-from .linalg import dot, nullspace, rank, solve, to_integers
+from .linalg import _lowest_terms, dot, nullspace, rank, solve, to_integers
 from .lp import feasible_point, relative_interior_functional
 from .regions import _divisor_slot, _polytope_table, _vertex_table
 
@@ -298,7 +298,11 @@ def locate_chamber(fan: Fan, d: Divisor) -> LocatedChamber:
     (``regions._TypeCell.chamber``): a divisor of a cell met before
     solves no vertex.
     """
-    slot = _section_slot(fan, d)
+    return _slot_chamber(fan, _section_slot(fan, d))
+
+
+def _slot_chamber(fan: Fan, slot) -> LocatedChamber:
+    """``locate_chamber`` of the slot's divisor, read off its type cell and kept there."""
     cell = slot.cell
     if cell.chamber is None:
         cell.chamber = _located_chamber(fan, slot)
@@ -814,16 +818,6 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
         {rho: Fraction(x, scale) for rho, x in zip(support, nef)},
         tuple(Fraction(x, scale) for x in remainder),
     )
-
-
-def _lowest_terms(numerators, scale: int):
-    """(numerators / g, scale / g) for g the gcd of all of them.
-
-    For scale > 0 that is the pair ``linalg.to_integers`` gives for the
-    values numerators / scale, so it keys their divisor slot.
-    """
-    g = math.gcd(scale, *numerators)
-    return [x // g for x in numerators], scale // g
 
 
 def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:

@@ -53,6 +53,16 @@ def to_integers(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def _lowest_terms(numerators, scale: int):
+    """(numerators / g, scale / g) for g the gcd of all of them.
+
+    For scale > 0 that is the pair ``to_integers`` gives for the values
+    numerators / scale, so it keys their divisor slot.
+    """
+    g = math.gcd(scale, *numerators)
+    return [x // g for x in numerators], scale // g
+
+
 def integer_pivot(rows: list[list[int]], row: int, col: int, denom: int) -> int:
     """Pivot integer rows on ``rows[row][col]`` in place; return the new denominator.
 

@@ -37,8 +37,9 @@ linear equivalence and positive scaling.  Each memo keeps the cells it
 meets (``_TypeCell``, at most ``CELL_BUDGET`` entries per memo): one
 vertex per tight set with its basis and masks, classified from the
 signs alone with no point solved, and, filled on first use, the
-realized bounded masks of a region sum and the located chamber of
-``gkz.locate_chamber``.  A divisor solves only the vertices of the
+realized bounded masks of a region sum, each measured region's
+triangulation and the located chamber of ``gkz.locate_chamber``.  A
+divisor solves only the vertices of the
 regions it asks about, P_B = A_B . L_B, once each: ``_DivisorSlot``
 keeps them with the divisor's levels, and each memo holds the slot of
 its last divisor.  There is one region type, ``HalfOpenRegion``; it
@@ -47,11 +48,16 @@ per object, on first use, so the measures asked of one region share
 it.  ``region_sum`` keeps the last divisor summed in its fan's slot,
 together with the amount of each region measured so far, and hands each
 region it builds its table and row bounds from there, so that region
-builds no ``Fraction`` for them.  Volumes come from a recursive facet
-triangulation on those integer vertices: each facet is read off the
-tight masks, and its affine rank and each simplex's |det| come from
-fraction-free eliminations of integer edge vectors, so no ``Fraction``
-is built inside the triangulation.  Lattice points are
+builds no ``Fraction`` for them.  Volumes come from a pulling
+triangulation on those integer vertices, taken in basis order, the
+order of the cell's vertices: each face's apex is its first vertex,
+each facet is read off the tight masks, and its affine rank comes from
+a fraction-free elimination of integer edge vectors.  The face lattice
+of a region is fixed on its type cell (Lawrence 1991: one triangulation
+serves every polytope of one combinatorial type), so a kept cell keeps
+each region's simplices as vertex positions, and a later divisor of the
+cell takes only each simplex's |det|, an n x n integer elimination.  No
+``Fraction`` is built inside a volume but its answer.  Lattice points are
 counted one plane at a time.  Above each integer point of the bounding
 box's first n - 2 coordinates, the mixed weak/strict system, each row
 made one weak integer inequality, cuts a 2-D slice; its count walks the
@@ -100,9 +106,11 @@ from .linalg import (
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
 # Each normal set's memo keeps at most CELL_BUDGET entries of type cells:
-# one per circuit sign of a kept cell's key and one per vertex, and one per
+# one per circuit sign of a kept cell's key and one per vertex, one per
 # (region, vertex) incidence of its realized regions once those are kept
-# too.  Past it, new cells are built and used but not kept.
+# too, and one per simplex of each region triangulation it keeps (one for
+# the empty triangulation of a lower-dimensional region).  Past it, new
+# cells are built and used but not kept, and a kept cell keeps no more.
 CELL_BUDGET = 2**11
 
 
@@ -118,10 +126,12 @@ class HalfOpenRegion:
     ``memo`` stores the facts that depend only on the normals (cocircuit
     patterns, basis inverses, negated normals).  Regions of a fan carry
     the fan's memo, so those facts are computed once per fan; the
-    default computes them afresh on every call.  The integer data every
-    measure reads, ``vertex_table`` and ``row_bounds``, is computed at
-    most once per region object, on first use; ``region_sum`` hands
-    each region it builds the table of its divisor's slot instead.
+    default computes them afresh on every call.  The integer data the
+    measures read, ``vertex_table``, ``triangulation`` and
+    ``row_bounds``, is computed at most once per region object, on first
+    use; ``region_sum`` hands each region it builds the table of its
+    divisor's slot instead, and the triangulation of its type cell when
+    the cell keeps one.
     Raises ValueError unless ``normals``, ``levels`` and ``weak`` have one
     entry per row and every normal has ``dim`` entries.
     """
@@ -154,6 +164,14 @@ class HalfOpenRegion:
     def vertex_table(self):
         """The closure's integer vertices ({P: tight}, scale) of ``_integer_vertices``."""
         return _integer_vertices(self)
+
+    @cached_property
+    def triangulation(self) -> tuple[tuple[int, ...], ...]:
+        """The closure's pulling triangulation, each simplex as positions in ``vertex_table``.
+
+        Empty when the closure has lower dimension (``_triangulation``).
+        """
+        return _triangulation(self)
 
     @cached_property
     def row_bounds(self) -> tuple[int, ...]:
@@ -366,9 +384,15 @@ class _TypeCell:
     sum visits.  Filled later, once: ``masks``, the realized bounded
     masks of ``_realized_masks`` (when ``kept``, only within the budget),
     and ``chamber``, the located chamber of ``gkz.locate_chamber``.
+    ``simplices`` maps a realized mask to its region's triangulation
+    (``HalfOpenRegion.triangulation``), as positions in the region's
+    vertices in basis order, filled per mask as regions are measured,
+    only when ``kept`` and within the budget.  The face lattice of each
+    region is fixed on the cell, so one triangulation serves every
+    divisor of it.
     """
 
-    __slots__ = ("vertices", "visits", "kept", "masks", "chamber")
+    __slots__ = ("vertices", "visits", "kept", "masks", "chamber", "simplices")
 
     def __init__(self, vertices):
         self.vertices = vertices
@@ -376,6 +400,7 @@ class _TypeCell:
         self.kept = False
         self.masks = None
         self.chamber = None
+        self.simplices = {}
 
 
 def _cell_key(arrangement: _Arrangement, integers) -> tuple[int, ...]:
@@ -485,10 +510,12 @@ def _divisor_slot(normals, dim: int, memo, coefficients, q: int, keep: bool = Fa
 
 
 def _vertex_table(slot: _DivisorSlot, weak: int):
-    """({P: tight}, scale) for the vertices of the weak mask's closure.
+    """({P: tight}, scale) for the vertices of the weak mask's closure, in basis order.
 
     Those are the vertices P with above(P) <= W <= above(P) | tight(P):
-    every row above is weak and every row below strict.
+    every row above is weak and every row below strict.  Their order,
+    that of the cell's vertices, is the same for every divisor of the
+    cell, so a triangulation's positions hold across the cell.
     """
     point = slot.point
     table = {
@@ -545,13 +572,27 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
-def _simplices(face, tight, face_dim):
-    """Pulling triangulation of a face given by its sorted vertex list.
+def _triangulation(reg: HalfOpenRegion) -> tuple[tuple[int, ...], ...]:
+    """A pulling triangulation of the closure, as positions in its ``vertex_table``.
 
-    The facets of the face avoiding its least vertex (the apex) are the
+    Empty when the vertices span less than the whole space.  The
+    positions follow the table's basis order, so the answer depends
+    only on the closure's face lattice, which is fixed on a type cell.
+    """
+    points, _ = reg.vertex_table
+    vertices = tuple(points)
+    if affine_rank(vertices) < reg.dim:
+        return ()
+    return tuple(_simplices(vertices, tuple(points.values()), tuple(range(len(vertices))), reg.dim))
+
+
+def _simplices(vertices, tight, face, face_dim):
+    """Pulling triangulation of a face, given by ascending positions in ``vertices``.
+
+    The facets of the face avoiding its first vertex (the apex) are the
     sets {v in face : row i is tight at v} over the rows i not tight at
     the apex, kept when their affine rank is face_dim - 1.  ``tight``
-    maps each vertex to the bitmask of its tight rows.
+    holds each vertex's bitmask of tight rows, by position.
     """
     if len(face) == face_dim + 1:
         yield face
@@ -565,13 +606,12 @@ def _simplices(face, tight, face_dim):
     while rows:
         bit = rows & -rows
         rows ^= bit
-        facet = [v for v in face if tight[v] & bit]
-        key = frozenset(facet)
-        if key in seen or affine_rank(facet) != face_dim - 1:
+        facet = tuple(v for v in face if tight[v] & bit)
+        if facet in seen or affine_rank([vertices[v] for v in facet]) != face_dim - 1:
             continue
-        seen.add(key)
-        for simplex in _simplices(facet, tight, face_dim - 1):
-            yield [apex] + simplex
+        seen.add(facet)
+        for simplex in _simplices(vertices, tight, facet, face_dim - 1):
+            yield (apex, *simplex)
 
 
 def normalized_volume(reg: HalfOpenRegion) -> Fraction:
@@ -579,21 +619,23 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
 
     The strict boundary parts have measure zero, and an empty half-open
     region forces its closure onto a strict hyperplane, hence a
-    lower-dimensional closure and volume zero either way.  The closure
-    is triangulated on the integer vertices of ``vertex_table``,
-    its facets read off their tight rows, and each simplex contributes
-    |det| of its integer edge vectors: the final denominator of their
-    fraction-free elimination.  The sum is divided by scale^n once.
+    lower-dimensional closure and volume zero either way.  Each simplex
+    of ``triangulation`` on the integer vertices of ``vertex_table``
+    contributes |det| of its integer edge vectors: the final denominator
+    of their fraction-free elimination.  The sum is divided by scale^n
+    once.  A region of a kept type cell whose triangulation is known
+    solves no facet: it takes only the n x n determinants.
     """
     points, scale = reg.vertex_table
-    n = reg.dim
-    vertices = sorted(points)
-    if affine_rank(vertices) < n:
+    simplices = reg.triangulation
+    if not simplices:
         return Fraction(0)
+    n = reg.dim
+    vertices = tuple(points)
     total = 0
-    for simplex in _simplices(vertices, points, n):
-        base = simplex[0]
-        edges = [[a - b for a, b in zip(v, base)] for v in simplex[1:]]
+    for simplex in simplices:
+        base = vertices[simplex[0]]
+        edges = [[a - b for a, b in zip(vertices[v], base)] for v in simplex[1:]]
         total += integer_eliminate(edges, n)[1]
     return Fraction(total, scale**n)
 
@@ -889,8 +931,10 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     measures only the regions that slice reads, and only the nonzero
     entries of a weight are added.  A region is built only when its
     amount is missing; it is handed its levels, vertex table and row
-    bounds from the slot.  This wrapper checks the length and clears d
-    once; ``_cleared_sum`` is the loop.
+    bounds from the slot, and its triangulation from the type cell when
+    the cell keeps one.  A triangulation the measure makes is kept on
+    the cell while the budget lasts.  This wrapper checks the length and
+    clears d once; ``_cleared_sum`` is the loop.
     """
     _check_length(fan, d)
     return _cleared_sum(fan, *to_integers(d), weight, measure)
@@ -918,7 +962,9 @@ def _cleared_sum(fan: Fan, coefficients, q: int, weight, measure) -> tuple:
             continue
         amount = amounts.get((mask, measure))
         if amount is None:
-            amount = amounts[mask, measure] = measure(_slot_region(fan, slot, weak, vertices))
+            reg = _slot_region(fan, slot, mask, weak, vertices)
+            amount = amounts[mask, measure] = measure(reg)
+            _keep_triangulation(slot, mask, reg)
         if amount:
             for i, x in enumerate(w):
                 if x:
@@ -926,10 +972,12 @@ def _cleared_sum(fan: Fan, coefficients, q: int, weight, measure) -> tuple:
     return tuple(total)
 
 
-def _slot_region(fan: Fan, slot: _DivisorSlot, weak, vertices) -> HalfOpenRegion:
-    """The region of the weak flags, handed its vertex table and row bounds from the slot.
+def _slot_region(fan: Fan, slot: _DivisorSlot, mask: int, weak, vertices) -> HalfOpenRegion:
+    """The region of the weak mask, handed its vertex table and row bounds from the slot.
 
     The exact levels -d_i and the row bounds are made once per slot.
+    The region is handed its cell's triangulation of the mask too, when
+    the cell keeps one.
     """
     if slot.levels is None:
         coefficients, q = slot.key
@@ -941,7 +989,27 @@ def _slot_region(fan: Fan, slot: _DivisorSlot, weak, vertices) -> HalfOpenRegion
     table = {point(b): tight for b, _, tight in vertices}
     # The slot's data, stored where the cached properties keep theirs.
     vars(reg).update(vertex_table=(table, slot.scale), row_bounds=slot.bounds)
+    simplices = slot.cell.simplices.get(mask)
+    if simplices is not None:
+        vars(reg)["triangulation"] = simplices
     return reg
+
+
+def _keep_triangulation(slot: _DivisorSlot, mask: int, reg: HalfOpenRegion) -> None:
+    """Keep the triangulation a measure made on the region of the mask, on a kept cell.
+
+    It is kept under the mask while the budget lasts, one entry per
+    simplex and one for an empty triangulation.
+    """
+    cell = slot.cell
+    simplices = vars(reg).get("triangulation")
+    if (
+        cell.kept
+        and simplices is not None
+        and mask not in cell.simplices
+        and slot.arrangement.admit(max(len(simplices), 1))
+    ):
+        cell.simplices[mask] = simplices
 
 
 def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):

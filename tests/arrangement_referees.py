@@ -5,10 +5,18 @@ region sums ran on every divisor before the tables were kept per type
 cell: every basis's vertex is solved and dotted with every row outside
 the basis.  It shares only the per-fan basis inverses with the
 production path, never a circuit, a sign or a cell.
+
+``sorted_apex_volume`` is the volume that ``normalized_volume`` took of
+every region before the triangulations were kept per type cell: the
+pulling triangulation from the region's vertices sorted by their
+coordinates, each face's least vertex its apex, with the affine ranks
+and determinants taken over ``Fraction`` (``fraction_linalg``).
 """
 
+from fractions import Fraction
 from operator import mul
 
+import fraction_linalg
 from toricvol.fan import _basis_inverses
 from toricvol.linalg import to_integers
 
@@ -75,3 +83,40 @@ def realized_tables(found, bounded):
                 break
             sub = (sub - 1) & tight
     return tables
+
+
+def _sorted_apex_simplices(face, tight, face_dim):
+    """Pulling triangulation of a face given by its sorted vertex list, from its least vertex."""
+    if len(face) == face_dim + 1:
+        yield face
+        return
+    apex = face[0]
+    rows = 0
+    for v in face:
+        rows |= tight[v]
+    rows &= ~tight[apex]
+    seen = set()
+    while rows:
+        bit = rows & -rows
+        rows ^= bit
+        facet = [v for v in face if tight[v] & bit]
+        key = frozenset(facet)
+        if key in seen or fraction_linalg.affine_rank(facet) != face_dim - 1:
+            continue
+        seen.add(key)
+        for simplex in _sorted_apex_simplices(facet, tight, face_dim - 1):
+            yield [apex] + simplex
+
+
+def sorted_apex_volume(reg):
+    """n! times the volume of the region's closure, from its sorted integer vertices."""
+    points, scale = reg.vertex_table
+    n = reg.dim
+    vertices = sorted(points)
+    if fraction_linalg.affine_rank(vertices) < n:
+        return Fraction(0)
+    total = Fraction(0)
+    for simplex in _sorted_apex_simplices(vertices, points, n):
+        base = simplex[0]
+        total += abs(fraction_linalg.det([[a - b for a, b in zip(v, base)] for v in simplex[1:]]))
+    return total / scale**n

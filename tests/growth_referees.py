@@ -12,13 +12,20 @@ the older formulation once, as the old vertex pass became
 * ``ample_probes``: the divisors ``ample_via_asymptotics`` measures,
   the class itself and d +- step e_rho for every ray, each step
   min(1, slack / (2 |row_rho|)) over ``Fraction`` slacks of the public
-  chamber rows.
+  chamber rows;
+* ``mixed_partial_h0``: the derivative of ĥ^0 from the ``Fraction``
+  grid d + sum k_j step e_rho_j, k_j = 0..n, each point's ĥ^0 from
+  ``hhat``, with the step min(1, slack / (2 n pull)) over ``Fraction``
+  slacks and the Lagrange weights of the derivative at 0 written out.
 """
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import chamber_referees
 import fraction_linalg
+from toricvol.asymptotics import hhat
 from toricvol.errors import EffectiveConeError
 from toricvol.gkz import NefDecomposition, located_cone, locate_chamber
 from toricvol.regions import HalfOpenRegion, closure_vertices, region
@@ -77,3 +84,29 @@ def ample_probes(fan, d):
             probe[rho] += sign * step
             probes.append(tuple(probe))
     return probes
+
+
+def mixed_partial_h0(fan, d, rays):
+    """The mixed partial of ĥ^0 along the rays at d, from the ``Fraction`` grid; d in an open chamber."""
+    location = locate_chamber(fan, d)
+    assert location.interior
+    chamber = located_cone(fan, location)
+    n = fan.dim
+    step = Fraction(1)
+    for row in chamber.inequalities:
+        pull = sum(abs(row[i]) for i in rays)
+        if pull:
+            step = min(step, _dot(row, d) / (2 * n * pull))
+    assert step > 0
+    # f'(0) = sum w_k f(k step) for f of degree <= n.
+    weights = [-sum(Fraction(1, k) for k in range(1, n + 1)) / step]
+    weights += [Fraction((-1) ** (k + 1) * math.comb(n, k), k) / step for k in range(1, n + 1)]
+    total = Fraction(0)
+    for assignment in product(range(n + 1), repeat=len(rays)):
+        point = [Fraction(c) for c in d]
+        coeff = Fraction(1)
+        for ray, k in zip(rays, assignment):
+            point[ray] += k * step
+            coeff *= weights[k]
+        total += coeff * hhat(fan, tuple(point))[0]
+    return total

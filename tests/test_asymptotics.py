@@ -189,6 +189,14 @@ def test_mixed_partial_examples():
     assert mixed_partial_h0(fan, d, [1, 2]) == 2
 
 
+def test_mixed_partial_reads_a_float_divisor_at_its_exact_value():
+    # The grid is built on the divisor cleared to integers, so a float
+    # coefficient is its exact binary value, as everywhere else.
+    assert mixed_partial_h0(p2(), (0.1, 0, 0), [0]) == 2 * Fraction(0.1)
+    assert mixed_partial_h0(bl2_p2(), (3.0, 3.0, 3.0, 2.0, 2.1), [0, 4]) == 2
+    assert mixed_partial_h0(bl2_p2(), (3, 3, 3, 2, Fraction(2.1)), [0, 4]) == 2
+
+
 def test_mixed_partial_multiplicity_constant():
     fan = weighted_p112()
     d = divisor([1, 1, 1])

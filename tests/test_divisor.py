@@ -99,6 +99,16 @@ def test_weighted_fan_fractional_cartier_data():
     assert is_cartier(fan, scale(d, 2))
 
 
+def test_is_cartier_reads_a_float_divisor_at_its_exact_value():
+    fan = p2()
+    assert is_cartier(fan, (1.0, 0, 0))
+    assert not is_cartier(fan, (0.5, 0, 0))
+    assert not is_cartier(fan, (0.1, 0.0, 0.0))
+    weighted = weighted_p112()
+    assert not is_cartier(weighted, (1.0, 0.0, 0.0))
+    assert is_cartier(weighted, (2.0, 0.0, 0.0))
+
+
 def test_ample_p2():
     fan = p2()
     assert is_ample(fan, ray_divisor(fan, 0))

@@ -681,8 +681,8 @@ def recorded_rates(monkeypatch):
     """The divisors whose rates the chamber code sums, in call order, as ``Fraction`` tuples.
 
     Every rate goes through ``_cleared_rates`` on the divisor cleared to
-    integers: the ampleness probes call it directly, the ĥ^0 grid
-    through ``_rates``.
+    integers: the ampleness probes and the ĥ^0 grid both call it
+    directly.
     """
     import toricvol.asymptotics as asymptotics
 
@@ -986,6 +986,41 @@ def test_warm_ampleness_clears_the_divisor_at_most_three_times(monkeypatch):
     counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
     assert ample_via_asymptotics(fan, d)
     assert 1 <= len(cleared) <= 3, cleared
+
+
+@pytest.mark.parametrize(
+    "make, ample, rays",
+    [(bl2_p2, [3, 3, 3, 2, 2], [0, 4]), (bl1_p3, [3, 3, 3, 3, -1], [1, 4])],
+    ids=["bl2_p2", "bl1_p3"],
+)
+def test_warm_mixed_partial_clears_the_divisor_once(monkeypatch, make, ample, rays):
+    # The chamber is located on the slot of the cleared class, whose step
+    # and grid points stay in integers; a Fraction grid clears every grid
+    # point again, (n + 1)^r + 2 times in all.
+    import toricvol.linalg as linalg
+
+    fan = make()
+    d = divisor(ample)
+    expected = mixed_partial_h0(fan, d, rays)  # warm
+    cleared = []
+    counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
+    assert mixed_partial_h0(fan, d, rays) == expected
+    assert cleared == [tuple(d)]
+
+
+@pytest.mark.parametrize("make", [*COMPLETE_2D, bl1_p3], ids=lambda make: make.__name__)
+def test_mixed_partials_match_the_fraction_grid(make):
+    # Every maximal chamber's sample, along every ray and every ray pair.
+    fan = make()
+    k = len(fan.rays)
+    checked = 0
+    for chamber in enumerate_maximal_chambers(fan, allow_dim3=True):
+        d = chamber.sample_divisor
+        for rays in [*combinations(range(k), 1), *combinations(range(k), 2)]:
+            expected = growth_referees.mixed_partial_h0(fan, d, rays)
+            assert mixed_partial_h0(fan, d, rays) == expected, (d, rays)
+            checked += 1
+    assert checked >= k + k * (k - 1) // 2
 
 
 def nef_cases(fan, rng):

@@ -2,8 +2,9 @@
 
 A type cell is the set of divisors on which the sign of every
 (n + 1) x (n + 1) minor of [V | d] is fixed; ``regions`` keeps each
-cell's vertex classification, realized regions and located chamber per
-fan, and solves a divisor's own vertices only when a region asks.
+cell's vertex classification, realized regions, region triangulations
+and located chamber per fan, and solves a divisor's own vertices only
+when a region asks.
 """
 
 import random
@@ -11,17 +12,23 @@ from fractions import Fraction
 
 import pytest
 
-from arrangement_referees import arrangement_vertices, divisor_vertices, filtered, realized_tables
+from arrangement_referees import (
+    arrangement_vertices,
+    divisor_vertices,
+    filtered,
+    realized_tables,
+    sorted_apex_volume,
+)
 from generated_fans import polygon_fan_data, star_fan_data
 from toricvol import fixtures, regions
-from toricvol.asymptotics import hhat
+from toricvol.asymptotics import hhat, self_intersection
 from toricvol.cohomology import h_all
 from toricvol.divisor import ray_divisor
 from toricvol.errors import CapExceededError, ToricError
 from toricvol.fan import is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, enumerate_maximal_chambers, locate_chamber
 from toricvol.linalg import to_integers
-from toricvol.regions import HalfOpenRegion, is_bounded_subset
+from toricvol.regions import HalfOpenRegion, is_bounded_subset, normalized_volume, region_sum
 
 EVERY_FIXTURE = (
     fixtures.p1, fixtures.p2, fixtures.p1xp1, fixtures.f1, fixtures.weighted_p112,
@@ -234,9 +241,16 @@ def test_a_repeated_ampleness_test_builds_no_cell(monkeypatch):
 
 
 def kept_entries(arrangement):
-    """The entries of the kept cells, counted from their keys and the cells themselves."""
+    """The entries of the kept cells, counted from their keys and the cells themselves.
+
+    A kept triangulation counts one entry per simplex, and one when it
+    is empty (a region of lower dimension).
+    """
     return sum(
-        len(key) + len(cell.vertices) + (sum(len(entry[3]) for entry in cell.masks) if cell.masks else 0)
+        len(key)
+        + len(cell.vertices)
+        + (sum(len(entry[3]) for entry in cell.masks) if cell.masks else 0)
+        + sum(max(len(simplices), 1) for simplices in cell.simplices.values())
         for key, cell in arrangement.cells.items()
     )
 
@@ -278,3 +292,131 @@ def test_every_divisor_of_an_over_cap_cell_raises_and_is_never_stored():
     assert len(arrangement.cells) == 1
     (cell,) = arrangement.cells.values()
     assert cell.masks is None and cell.visits == 1 << k
+
+
+def wall_divisor(fan, rng):
+    """A seeded rational divisor at which the value of the arrangement's first circuit is zero.
+
+    The circuit's last row gets the level that makes <lam, L_S> vanish;
+    None when the rays have no circuit.
+    """
+    arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
+    if not arrangement.circuits:
+        return None
+    get, lam = arrangement.circuits[0]
+    indices = get(range(len(fan.rays)))
+    levels = [Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in fan.rays]
+    levels[indices[-1]] = sum(x * levels[i] for x, i in zip(lam, indices[:-1])) / -lam[-1]
+    d = tuple(-x for x in levels)
+    assert cell_key(fan, d)[0] == 0
+    return d
+
+
+def volume_divisors(fan, rng):
+    """``referee_divisors``, a cell-wall divisor, and on 2-D fans and bl1_p3 every chamber sample."""
+    yield from referee_divisors(fan, rng)
+    wall = wall_divisor(fan, rng)
+    if wall is not None:
+        yield wall
+    if fan.dim == 2 and is_complete(fan) or fan.rays == fixtures.bl1_p3().rays:
+        yield from (ch.sample_divisor for ch in enumerate_maximal_chambers(fan, allow_dim3=True))
+
+
+def refereed_volumes(fan, d):
+    """Every realized region's volume of d against ``sorted_apex_volume``.
+
+    Returns (regions measured, regions handed their cell's triangulation).
+    """
+    measured, handed = [], []
+
+    def measure(reg):
+        handed.append("triangulation" in vars(reg))
+        volume = normalized_volume(reg)
+        assert volume == sorted_apex_volume(reg), (fan.rays, d, reg.weak)
+        measured.append(volume)
+        return volume
+
+    region_sum(fan, d, lambda subset: (1,), measure)
+    return len(measured), sum(handed)
+
+
+def test_cell_triangulations_match_the_sorted_apex_referee():
+    # Each divisor, then a second divisor of its cell (scaled and
+    # shifted), which reads the triangulations the first one kept.
+    rng = random.Random(2030)
+    fans = [fresh(make()) for make in EVERY_FIXTURE]
+    fans += [make_fan(*star_fan_data(s)) for s in range(1, 5)]
+    fans += [make_fan(*polygon_fan_data(random.Random(seed))) for seed in range(4)]
+    measured = handed = 0
+    for fan in fans:
+        n = fan.dim
+        for d in volume_divisors(fan, rng):
+            first, _ = refereed_volumes(fan, d)
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            second = shift(fan, tuple(t * c for c in d), [rng.randint(-3, 3) for _ in range(n)])
+            assert cell_key(fan, second) == cell_key(fan, d)
+            count, kept = refereed_volumes(fan, second)
+            assert count == first
+            cell = slot_of(fan, d).cell
+            if cell.kept:
+                masks = regions._realized_masks(fan, slot_of(fan, d))
+                assert kept == sum(mask in cell.simplices for mask, *_ in masks)
+            measured += first
+            handed += kept
+    assert measured > 2000 and handed > measured // 2
+
+
+def counted_affine_ranks(monkeypatch):
+    """The point lists the package hands to ``linalg.affine_rank`` from now on."""
+    from test_gkz import counting
+    from toricvol import linalg
+
+    ranks = []
+    counting(monkeypatch, linalg, "affine_rank", ranks.append)
+    return ranks
+
+
+@pytest.mark.parametrize("make", [fixtures.bl2_p2, fixtures.bl3_p2, fixtures.bl1_p3, fixtures.p1_cubed])
+def test_a_second_divisor_of_a_kept_cell_runs_no_affine_rank(monkeypatch, make):
+    rng = random.Random(2031)
+    fan = fresh(make())
+    k, n = len(fan.rays), fan.dim
+    d = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(k))
+    second = shift(fan, tuple(3 * c for c in d), [rng.randint(-3, 3) for _ in range(n)])
+    expected = [f(fresh(fan), x) for x in (d, second) for f in (hhat, self_intersection)]
+    ranks = counted_affine_ranks(monkeypatch)
+    assert [f(fan, d) for f in (hhat, self_intersection)] == expected[:2]
+    assert ranks  # the first divisor of the cell triangulates its regions
+    assert slot_of(fan, d).cell.kept and slot_of(fan, d).cell.simplices
+    ranks.clear()
+    assert [f(fan, second) for f in (hhat, self_intersection)] == expected[2:]
+    assert ranks == []
+
+
+def test_a_cell_past_the_budget_gives_the_same_volumes(monkeypatch):
+    # With room for the cell's key, vertices and realized regions but for
+    # only some of its triangulations, and with room for none of them,
+    # every volume is the same and the entries stay counted.
+    rng = random.Random(2032)
+    fan = fresh(fixtures.bl3_p2())
+    k = len(fan.rays)
+    d = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(k))
+    second = shift(fan, tuple(2 * c for c in d), (1, -1))
+    expected = [f(fan, x) for x in (d, second) for f in (hhat, self_intersection)]
+    arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
+    (cell,) = arrangement.cells.values()
+    kept = sum(max(len(simplices), 1) for simplices in cell.simplices.values())
+    assert len(cell.simplices) > 2 and kept_entries(arrangement) == arrangement.entries
+    for budget, room in ((arrangement.entries - kept // 2, True), (0, False)):
+        monkeypatch.setattr(regions, "CELL_BUDGET", budget)
+        crowded = fresh(fan)
+        assert [f(crowded, d) for f in (hhat, self_intersection)] == expected[:2]
+        crowded_cell = slot_of(crowded, d).cell
+        assert crowded_cell.kept == room
+        assert (0 < len(crowded_cell.simplices) < len(cell.simplices)) == room
+        ranks = counted_affine_ranks(monkeypatch)
+        assert [f(crowded, second) for f in (hhat, self_intersection)] == expected[2:]
+        assert ranks  # the second divisor triangulates what its cell could not keep
+        crowded_arrangement = regions._arrangement(crowded.rays, crowded.dim, crowded.memo)
+        assert kept_entries(crowded_arrangement) == crowded_arrangement.entries <= budget
+        monkeypatch.undo()
