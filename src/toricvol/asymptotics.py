@@ -4,16 +4,15 @@ The i-th asymptotic function of a divisor is the limit of
 h^i(m d) / (m^n / n!).  On a complete fan it is computed exactly as a
 weighted sum of normalized region volumes, never through the limit; the
 limit shows up only in diagnostic probes.  The same machinery yields
-the top self-intersection number as a signed volume sum and exact mixed
-partial derivatives of the degree-n chamber polynomial of the section
-growth function.
+the top self-intersection number as a signed volume sum.  Exact mixed
+partial derivatives of the section growth function on an open chamber
+are read off the degree-n polynomial that its section polytope's kept
+triangulation makes of the volume, not off finite differences.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import product
 
 from .cohomology import _euler_weight
 from .divisor import Divisor, _check_length, is_q_cartier
@@ -25,8 +24,8 @@ from .errors import (
 )
 from .fan import Fan, _is_int, is_complete, is_simplicial
 from .homology import _local_ranks
-from .linalg import _lowest_terms, to_integers
-from .regions import _cleared_sum, normalized_volume, region_sum
+from .linalg import to_integers
+from .regions import _cleared_sum, _volume_partial, normalized_volume, region_sum
 
 AsymptoticVector = tuple[Fraction, ...]
 
@@ -86,65 +85,30 @@ def asymptotic_rr_check(fan: Fan, d: Divisor) -> tuple[Fraction, Fraction]:
     return lhs, Fraction(rhs)
 
 
-def _derivative_weights(n: int, step: Fraction) -> list[Fraction]:
-    """Weights w_k with sum w_k f(k * step) = f'(0), k = 0..n, for degree <= n.
-
-    The derivative at 0 of the Lagrange interpolant on the nodes k * step:
-    w_0 = -H_n / step and w_k = (-1)^(k+1) C(n, k) / (k * step).
-    """
-    weights = [Fraction(0)] * (n + 1)
-    for k in range(1, n + 1):
-        weights[k] = Fraction((-1) ** (k + 1) * math.comb(n, k), k) / step
-        weights[0] -= Fraction(1, k) / step
-    return weights
-
-
 def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     """Exact mixed partial of the section growth rate along prime divisors.
 
-    The growth rate restricted to an open chamber is a polynomial of
-    degree at most n in the coefficients, so the derivative is read off
-    from exact finite differences on the grid of 0..n steps along each
-    ray, with the step a / b of ``GKZCone.step`` for these rays at reach
-    n, which keeps every grid point strictly inside the chamber.  The
-    divisor is cleared to integers once, q * d, when its chamber is
-    located; the step is read off the chamber's slacks of q * d, and
-    each grid point d + sum k_j (a / b) e_rho_j is built as the integer
-    vector b (q * d) + sum k_j a q e_rho_j over q b, in lowest terms, so
-    a float divisor counts as its exact value.  Each grid point measures
-    ĥ^0 alone, the volume of its section polytope (``_cleared_rates``).
-    Raises PreconditionError unless the ray indices are 1 to n distinct
-    ints in 0..k-1 (True and 1.0 are no ray index).
+    On an open chamber the growth rate is the normalized volume of a
+    simple section polytope, whose vertices are linear in d, and the
+    pulling triangulation its type cell keeps makes that volume an
+    explicit polynomial of degree n near d (Lawrence 1991); the partial
+    is read off it in integers (``regions._volume_partial``), with no
+    region sum.  The divisor is cleared to integers once, when its
+    chamber is located, so a float divisor counts as its exact value.
+    Raises ChamberWallError off an open chamber, and PreconditionError
+    unless the ray indices are 1 to n distinct ints in 0..k-1 (True and
+    1.0 are no ray index).
     """
-    from .gkz import _section_slot, _slot_chamber, located_cone
+    from .gkz import _section_slot, _slot_chamber
 
     rays = list(ray_indices)
-    k = len(fan.rays)
-    if not all(_is_int(i) and 0 <= i < k for i in rays):
-        raise PreconditionError(f"ray indices must be ints in 0..{k - 1}, got {rays}")
+    if not all(_is_int(i) and 0 <= i < len(fan.rays) for i in rays):
+        raise PreconditionError(f"ray indices must be ints in 0..{len(fan.rays) - 1}, got {rays}")
     if len(set(rays)) != len(rays):
         raise PreconditionError("ray list must consist of distinct rays")
-    n = fan.dim
-    if not 1 <= len(rays) <= n:
+    if not 1 <= len(rays) <= fan.dim:
         raise PreconditionError("need between 1 and n distinct rays")
     slot = _section_slot(fan, d)
-    location = _slot_chamber(fan, slot)
-    if not location.interior:
+    if not _slot_chamber(fan, slot).interior:
         raise ChamberWallError("divisor class sits on a chamber wall")
-    chamber = located_cone(fan, location)
-    coefficients, q = slot.key
-    a, b = chamber.step(chamber.slacks(coefficients), q, rays, n)
-    if a <= 0:
-        raise PreconditionError("step bound underflow: no room inside the chamber")
-
-    weights = _derivative_weights(n, Fraction(a, b))
-    base = [b * c for c in coefficients]
-    total = Fraction(0)
-    for assignment in product(range(n + 1), repeat=len(rays)):
-        point = list(base)
-        coeff = Fraction(1)
-        for ray, j in zip(rays, assignment):
-            point[ray] += j * a * q
-            coeff *= weights[j]
-        total += coeff * _cleared_rates(fan, *_lowest_terms(point, q * b), slice(1))[0]
-    return total
+    return _volume_partial(fan, slot, rays)

@@ -6,7 +6,9 @@ maximal cones only), all JSON integers; a divisor file carries
 ``coeffs`` as integers or ASCII strings "p" or "p/q" (an optional sign,
 decimal digits, a nonzero denominator), read by ``divisor.divisor``.
 Anything else (strings in the fan document, floats, booleans, other
-string spellings) is rejected, never rounded or coerced.
+string spellings) is rejected, never rounded or coerced, and so is a
+command line number (``--mmax``, each ``--region`` entry) spelled other
+than in ASCII digits alone.
 Reports are byte-deterministic: keys are sorted, every rational is
 emitted as a lowest-terms "p/q" string next to a decimal approximation
 with 12 significant digits, and inputs are identified by their sha256
@@ -164,22 +166,30 @@ def _validated_fan(path: str):
     return fan, digest, diags
 
 
+def _digits(text: str) -> int:
+    """A command line count in ASCII digits alone; ``int`` would also read "1_0", " 1", "+1" and "٣"."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in ASCII digits 0-9")
+    return int(text)
+
+
 def _probe_region(text: str | None, nrays: int) -> list[int]:
     """The sorted weak set of ``--region``: all rays when absent, none when empty.
 
-    Every comma-separated entry must be a distinct ray index of the fan.
+    Every comma-separated entry must be a distinct ray index of the fan,
+    spelled in ASCII digits alone (``_digits``).
     """
     if text is None:
         return list(range(nrays))
-    if not text.strip():
+    if not text:
         return []
     subset = []
     for entry in text.split(","):
         try:
-            index = int(entry)
-        except ValueError:
+            index = _digits(entry)
+        except argparse.ArgumentTypeError:
             raise DocumentError(f"--region entry {entry!r} is not a ray index") from None
-        if not 0 <= index < nrays:
+        if index >= nrays:
             raise DocumentError(f"--region entry {index} is not a ray index 0..{nrays - 1}")
         if index in subset:
             raise DocumentError(f"--region repeats ray {index}")
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "cohom":
             cmd.add_argument("--check-oracle", action="store_true", dest="check_oracle")
         if name == "probe":
-            cmd.add_argument("--mmax", type=int, default=10)
+            cmd.add_argument("--mmax", type=_digits, default=10)
             cmd.add_argument(
                 "--region",
                 default=None,

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
-from .fan import Fan, _check_rays, _subfan, chi_of_fan, is_complete
+from .fan import Fan, _check_rays, _is_int, _subfan, chi_of_fan, is_complete
 from .homology import _local_ranks, local_cohomology_ranks
 from .linalg import _sparse_rank, dot, to_integers
 from .regions import lattice_count, region_sum
@@ -46,10 +46,13 @@ def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
 
     Works on any valid fan, complete or not.  The divisor is checked and
     cleared by ``weak_ray_set``; raises ValueError unless i is an int
-    (not a bool) in 0..n.
+    (not a bool) in 0..n and the point, a character, has int (not bool)
+    coordinates.
     """
-    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= fan.dim:
+    if not _is_int(i) or not 0 <= i <= fan.dim:
         raise ValueError(f"cohomology degree must be an integer in 0..{fan.dim}, got {i!r}")
+    if not all(map(_is_int, point)):
+        raise ValueError(f"point {tuple(point)!r} has coordinates that are not integers")
     return local_cohomology_ranks(fan, weak_ray_set(fan, d, point))[i]
 
 

@@ -43,23 +43,22 @@ its cell key alone.
 
 Every decision reads integers.  A condition system holds its rows as
 primitive int tuples, once per fan, and membership, the chamber step
-(``GKZCone.step``, the one step rule of the ampleness probes and of the
-ĥ^0 derivative grid) and the interior-sample LP read those rows as they
-are; the chamber search takes a ray's side of a facet from a column of
-a basis inverse.  The growth path clears each divisor to integers once
-per call (``linalg.to_integers``) and stays there: ``GKZCone.slacks``
-takes the cleared divisor, so the ampleness test reads the step for
-every ray off one set of slacks, builds each probe d +- (a / b) e_rho as
-integers over q b in lowest terms, tests it with integer dots and hands
-it to the cleared region sum (``asymptotics._cleared_rates``).  A nef
+(``GKZCone.step``, the step rule of the ampleness probes) and the
+interior-sample LP read those rows as they are; the chamber search
+takes a ray's side of a facet from a column of a basis inverse.  The
+growth path clears each divisor to integers once per call
+(``linalg.to_integers``) and stays there: ``GKZCone.slacks`` takes the
+cleared divisor, so the ampleness test reads the step for every ray off
+one set of slacks, builds each probe d +- (a / b) e_rho as integers over
+q b in lowest terms, tests it with integer dots and hands it to the
+cleared region sum (``asymptotics._cleared_rates``).  A nef
 decomposition computes its cone functionals, its parts and its two
 vertex tables as integers over one scale.  A ``Fraction`` is built only
 for an answer: support function values, sample divisors, nef parts,
-shifts and growth rates, and the ĥ^0 grid of ``mixed_partial_h0``,
-whose points are summed as growth rates.  The memo holds
-none of them as a ``GKZCone`` or as anything else that references the
-ambient fan (a chamber's fan is built on copies of its rays); every
-call builds fresh ``GKZCone`` objects around the memoized data.
+shifts and growth rates.  The memo holds none of them as a ``GKZCone``
+or as anything else that references the ambient fan (a chamber's fan is
+built on copies of its rays); every call builds fresh ``GKZCone``
+objects around the memoized data.
 """
 
 from __future__ import annotations
@@ -376,25 +375,22 @@ class GKZCone:
     def contains_strictly(self, d: Divisor) -> bool:
         return _in_open(self.slacks(to_integers(d)[0]))
 
-    def step(self, slacks, q: int, rays, reach: int) -> tuple[int, int]:
-        """A step a / b that moves a strict member along the given rays without leaving.
+    def step(self, slacks, q: int, rho: int) -> tuple[int, int]:
+        """A step a / b that moves a strict member along ray rho without leaving.
 
         ``slacks`` are this cone's ``slacks`` of q * d.  The step is
-        min(1, slack / (2 reach pull)) over the inequality rows whose
-        pull, the sum of |row_i| over i in ``rays``, is nonzero.  Moving d
-        along each of those rays by at most ``reach`` steps, either way,
-        changes a row's slack by at most half of it, so every such point
-        lies strictly inside when d does.  The minimum is taken by
+        min(1, slack / (2 |row_rho|)) over the inequality rows with
+        row_rho nonzero.  Moving d by one step either way along rho
+        changes a row's slack by at most half of it, so both points lie
+        strictly inside when d does.  The minimum is taken by
         cross-multiplying, and (a, b) is returned with b > 0 as found,
         not in lowest terms.
         """
         a, b = 1, 1
         for row, value in zip(self.inequalities, slacks[1]):
-            pull = sum(abs(row[i]) for i in rays)
-            if pull:
-                den = 2 * reach * pull * q
-                if value * b < a * den:
-                    a, b = value, den
+            den = 2 * abs(row[rho]) * q
+            if den and value * b < a * den:
+                a, b = value, den
         return a, b
 
     def class_cone_dim(self) -> int:
@@ -853,10 +849,10 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     chamber.  On a positive answer the vanishing is additionally
     verified at the class itself and at 2k perturbed classes inside the
     chamber, one step each way along every ray, the step of
-    ``GKZCone.step`` for that ray alone (reach 1), so both probes lie
-    strictly inside.  After its chamber is located, the class is cleared
-    to integers once: every step is read off its one set of slacks, and
-    each probe is built, tested and measured as integers over q b
+    ``GKZCone.step`` for that ray, so both probes lie strictly inside.
+    After its chamber is located, the class is cleared to integers once:
+    every step is read off its one set of slacks, and each probe is
+    built, tested and measured as integers over q b
     (``_cleared_rates``).  These checks compute ĥ^1..ĥ^n only, so
     the section polytope is never measured.  A complete simplicial fan
     makes every divisor Q-Cartier, so no Cartier test runs.
@@ -885,7 +881,7 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     if any(_cleared_rates(fan, coefficients, q, higher)):
         raise ToricError("internal: ample class with nonzero higher growth")
     for rho in range(len(fan.rays)):
-        a, b = chamber.step(slacks, q, (rho,), 1)
+        a, b = chamber.step(slacks, q, rho)
         for sign in (1, -1):
             # d + sign (a / b) e_rho, as integers over q b in lowest terms.
             probe = [b * c for c in coefficients]

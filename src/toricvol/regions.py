@@ -56,20 +56,24 @@ a fraction-free elimination of integer edge vectors.  The face lattice
 of a region is fixed on its type cell (Lawrence 1991: one triangulation
 serves every polytope of one combinatorial type), so a kept cell keeps
 each region's simplices as vertex positions, and a later divisor of the
-cell takes only each simplex's |det|, an n x n integer elimination.  No
-``Fraction`` is built inside a volume but its answer.  Lattice points are
-counted one plane at a time.  Above each integer point of the bounding
-box's first n - 2 coordinates, the mixed weak/strict system, each row
-made one weak integer inequality, cuts a 2-D slice; its count walks the
-slice's lower and upper envelopes along the second-to-last coordinate
-and adds each run between envelope changes with two floor sums (the
-lattice points under a segment, by the Euclid-like recursion of
-``floor_sum``).  A slice costs O(k^2 + k log m), independent of its
-width, so a region of m*D costs about m^(n-2) slices, and one of a 2-D
-fan a bounded number of integer steps for every m.  Listing points keeps
-the fibers of the last coordinate: above each integer point of the first
-n - 1 coordinates the system cuts the line to one integer interval,
-found with integer floor divisions.  At most ``FIBER_BUDGET`` slices
+cell takes only each simplex's |det|, an n x n integer elimination.  On
+an open chamber the section polytope's simplices keep their signs and
+its vertices move linearly with d, so its volume is a polynomial whose
+mixed partials ``_volume_partial`` reads off in integer determinants.
+No ``Fraction`` is built inside a volume but its answer.  Lattice
+points are counted one plane at a time.  Above each integer point of
+the bounding box's first n - 2 coordinates, the mixed weak/strict
+system, each row made one weak integer inequality, cuts a 2-D slice;
+its count walks the slice's lower and upper envelopes along the
+second-to-last coordinate and adds each run between envelope changes
+with two floor sums (the lattice points under a segment, by the
+Euclid-like recursion of ``floor_sum``).  A slice costs
+O(k^2 + k log m), independent of its width, so a region of m*D costs
+about m^(n-2) slices, and one of a 2-D fan a bounded number of integer
+steps for every m.  Listing points keeps the fibers of the last
+coordinate: above each integer point of the first n - 1 coordinates the
+system cuts the line to one integer interval, found with integer floor
+divisions.  At most ``FIBER_BUDGET`` slices
 (for a count) or fibers (for a listing) are visited before
 CapExceededError.
 """
@@ -80,7 +84,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import itemgetter, mul
 from typing import Callable
 
@@ -386,10 +390,11 @@ class _TypeCell:
     and ``chamber``, the located chamber of ``gkz.locate_chamber``.
     ``simplices`` maps a realized mask to its region's triangulation
     (``HalfOpenRegion.triangulation``), as positions in the region's
-    vertices in basis order, filled per mask as regions are measured,
-    only when ``kept`` and within the budget.  The face lattice of each
-    region is fixed on the cell, so one triangulation serves every
-    divisor of it.
+    vertices in basis order, filled per mask as regions are measured
+    and as ``_volume_partial`` reads the section polytope (all rows
+    weak), only when ``kept`` and within the budget.  The face lattice
+    of each region is fixed on the cell, so one triangulation serves
+    every divisor of it.
     """
 
     __slots__ = ("vertices", "visits", "kept", "masks", "chamber", "simplices")
@@ -530,28 +535,29 @@ def _integer_vertices(reg: HalfOpenRegion):
     """The closure's vertices as integer points over one scale, with tight rows.
 
     Returns ({P: bitmask of the rows tight at P}, scale) of
-    ``_vertex_table``, read off the type cell of the region's levels in
-    its memo and solving only the vertices kept.  A slot of the memo's
-    last divisor is read when it matches and not replaced otherwise.
-    Runs at most once per region object, through
-    ``HalfOpenRegion.vertex_table``; the regions ``region_sum`` builds
-    never run it.  Raises on systems with unbounded closure.
+    ``_unkept_table`` for the region's levels and weak mask.  Runs at
+    most once per region object, through ``HalfOpenRegion.vertex_table``;
+    the regions ``region_sum`` builds never run it.  Raises on systems
+    with unbounded closure.
     """
-    if not _closure_is_bounded(reg):
-        raise UnboundedRegionError("region closure is unbounded")
-    integers, q = to_integers(reg.levels)
-    slot = _divisor_slot(reg.normals, reg.dim, reg.memo, [-x for x in integers], q)
-    return _vertex_table(slot, _weak_mask(reg.weak))
+    levels, q = to_integers(reg.levels)
+    return _unkept_table(reg.normals, reg.dim, reg.memo, [-x for x in levels], q, _weak_mask(reg.weak))
 
 
 def _polytope_table(normals, dim: int, memo, coefficients, q: int):
-    """``_vertex_table`` of the polytope <u, v_i> >= -d_i, all rows weak, of d = coefficients / q.
+    """``_unkept_table`` of the polytope <u, v_i> >= -d_i, all rows weak."""
+    return _unkept_table(normals, dim, memo, coefficients, q, (1 << len(normals)) - 1)
 
-    The pair is a divisor cleared as ``linalg.to_integers`` clears it,
-    and the table is read off its slot in the memo, which is not
-    replaced.  Raises on normals whose polytopes are unbounded.
+
+def _unkept_table(normals, dim: int, memo, coefficients, q: int, weak: int):
+    """``_vertex_table`` of the weak mask's closure for d = coefficients / q.
+
+    The pair is a divisor cleared as ``linalg.to_integers`` clears it.
+    The table is read off the type cell of its levels in the memo,
+    solving only the vertices kept: off the memo's last divisor's slot
+    when it matches, which is not replaced otherwise.  Raises on an
+    unbounded closure.
     """
-    weak = (1 << len(normals)) - 1
     if not _is_bounded(normals, dim, memo, weak):
         raise UnboundedRegionError("region closure is unbounded")
     return _vertex_table(_divisor_slot(normals, dim, memo, coefficients, q), weak)
@@ -1010,6 +1016,49 @@ def _keep_triangulation(slot: _DivisorSlot, mask: int, reg: HalfOpenRegion) -> N
         and slot.arrangement.admit(max(len(simplices), 1))
     ):
         cell.simplices[mask] = simplices
+
+
+def _volume_partial(fan: Fan, slot: _DivisorSlot, rays) -> Fraction:
+    """The mixed partial along the distinct ``rays`` of the section polytope's normalized volume.
+
+    The slot's divisor must lie in an open chamber, where the section
+    polytope (all rows weak) is simple: each vertex is tight on one
+    basis B, read off the cell's vertex triple, and P_B = A_B . (-d_B) /
+    common is linear in d, with dP_B / dd_rho = -(column j of A_B) /
+    common when rho = B_j and 0 when rho is not in B.  Each simplex S of
+    the polytope's pulling triangulation, the one ``region_sum`` keeps
+    on the cell under the all-weak mask (made and kept here on a miss),
+    keeps the sign of its determinant near d, so the volume is the
+    polynomial sum_S sign_S det(edges_S) and its r-th mixed partial
+    replaces r edge rows by their derivative differences, summed over
+    every injective choice of rows.  Every determinant is an integer
+    elimination; one ``Fraction`` is built, over scale^(n - r) common^r.
+    """
+    k, n, r = len(fan.rays), fan.dim, len(rays)
+    weak = (1 << k) - 1
+    vertices = tuple(vertex for vertex in slot.cell.vertices if vertex[1] | vertex[2] == weak)
+    reg = _slot_region(fan, slot, weak, (True,) * k, vertices)
+    points = tuple(reg.vertex_table[0])
+    bases = slot.arrangement.bases
+    # columns[v][rho] is column j of A_B for rho = B_j: -common * dP_B / dd_rho.
+    columns = [dict(zip(bases[b][0], zip(*bases[b][1]))) for b, _, _ in vertices]
+    zero = (0,) * n
+    total = 0
+    for simplex in reg.triangulation:
+        apex = simplex[0]
+        edges = [[a - b for a, b in zip(points[v], points[apex])] for v in simplex[1:]]
+        sign = integer_eliminate(list(edges), n)[2]
+        for rows in permutations(range(n), r):
+            matrix = list(edges)
+            for rho, row in zip(rays, rows):
+                tip, base = columns[simplex[row + 1]].get(rho, zero), columns[apex].get(rho, zero)
+                matrix[row] = [a - b for a, b in zip(tip, base)]
+            pivots, denom, s = integer_eliminate(matrix, n)
+            if len(pivots) == n:
+                total += sign * s * denom
+    _keep_triangulation(slot, weak, reg)
+    # Each of the r replaced rows is -common times a derivative difference.
+    return Fraction((-1) ** r * total, slot.scale ** (n - r) * slot.arrangement.common**r)
 
 
 def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):

@@ -1,8 +1,10 @@
-"""The growth path's nef split and ampleness probes in ``Fraction``s: test-only referees.
+"""The growth path's nef split, ampleness probes and ĥ^0 derivatives in ``Fraction``s: test-only referees.
 
 The library clears each divisor to integers once per call and builds a
-``Fraction`` only for an answer (``toricvol.gkz``).  This module keeps
-the older formulation once, as the old vertex pass became
+``Fraction`` only for an answer (``toricvol.gkz``), and it reads the
+derivatives of ĥ^0 off the polynomial of a kept triangulation
+(``toricvol.regions._volume_partial``).  This module keeps the older
+formulations once, as the old vertex pass became
 ``arrangement_referees``:
 
 * ``nef_decomposition``: the split d = nef + remainder after a shift,
@@ -16,7 +18,7 @@ the older formulation once, as the old vertex pass became
 * ``mixed_partial_h0``: the derivative of ĥ^0 from the ``Fraction``
   grid d + sum k_j step e_rho_j, k_j = 0..n, each point's ĥ^0 from
   ``hhat``, with the step min(1, slack / (2 n pull)) over ``Fraction``
-  slacks and the Lagrange weights of the derivative at 0 written out.
+  slacks and the Lagrange weights of ``derivative_weights``.
 """
 
 import math
@@ -86,6 +88,19 @@ def ample_probes(fan, d):
     return probes
 
 
+def derivative_weights(n, step):
+    """Weights w_k with sum w_k f(k * step) = f'(0), k = 0..n, for degree <= n.
+
+    The derivative at 0 of the Lagrange interpolant on the nodes k * step:
+    w_0 = -H_n / step and w_k = (-1)^(k+1) C(n, k) / (k * step).
+    """
+    weights = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1):
+        weights[k] = Fraction((-1) ** (k + 1) * math.comb(n, k), k) / step
+        weights[0] -= Fraction(1, k) / step
+    return weights
+
+
 def mixed_partial_h0(fan, d, rays):
     """The mixed partial of ĥ^0 along the rays at d, from the ``Fraction`` grid; d in an open chamber."""
     location = locate_chamber(fan, d)
@@ -98,9 +113,7 @@ def mixed_partial_h0(fan, d, rays):
         if pull:
             step = min(step, _dot(row, d) / (2 * n * pull))
     assert step > 0
-    # f'(0) = sum w_k f(k step) for f of degree <= n.
-    weights = [-sum(Fraction(1, k) for k in range(1, n + 1)) / step]
-    weights += [Fraction((-1) ** (k + 1) * math.comb(n, k), k) / step for k in range(1, n + 1)]
+    weights = derivative_weights(n, step)
     total = Fraction(0)
     for assignment in product(range(n + 1), repeat=len(rays)):
         point = [Fraction(c) for c in d]

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from growth_referees import derivative_weights
 from toricvol.asymptotics import (
-    _derivative_weights,
     _rates,
     asymptotic_rr_check,
     hhat,
@@ -166,11 +166,12 @@ def test_limit_convergence_probe():
 
 
 def test_derivative_weights_are_exact_on_polynomials():
-    # sum w_k p(k * step) = p'(0) for every polynomial of degree <= n.
+    # sum w_k p(k * step) = p'(0) for every polynomial of degree <= n: the
+    # weights of the Fraction grid referee of mixed_partial_h0.
     rng = random.Random(15)
     for n in range(1, 6):
         for step in (Fraction(1), Fraction(1, 3), Fraction(7, 100), Fraction(5, 2)):
-            weights = _derivative_weights(n, step)
+            weights = derivative_weights(n, step)
             for _ in range(5):
                 coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
 

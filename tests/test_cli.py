@@ -176,12 +176,19 @@ def test_probe_with_explicit_region(tmp_path):
         ["--region", "1,1"],
         ["--mmax", "0"],
         ["--mmax", "-2"],
+        ["--mmax", "1_0"],
+        ["--mmax", "٣"],
+        ["--region", " 1"],
+        ["--region", "+1"],
+        ["--region", "١"],
     ],
     ids=["region-not-integer", "region-negative", "region-out-of-range", "region-empty-entry",
-         "region-repeated", "mmax-zero", "mmax-negative"],
+         "region-repeated", "mmax-zero", "mmax-negative", "mmax-underscore", "mmax-arabic-indic",
+         "region-space", "region-plus", "region-arabic-indic"],
 )
 def test_probe_rejects_malformed_arguments(tmp_path, argv):
-    # Each was once repaired, answered or crashed on instead of rejected.
+    # Each was once repaired, answered or crashed on instead of rejected;
+    # a count is ASCII digits alone, never what ``int`` also reads.
     fan = write(tmp_path, "fan.json", P2)
     div = write(tmp_path, "d.json", {"coeffs": [1, 0, 0]})
     code, report = run(tmp_path, "probe", "--fan", fan, "--divisor", div, *argv)

@@ -234,6 +234,9 @@ def malformed_calls():
         (lambda fan: graded_piece_dim(fan, d, (0, 0), -1), "in 0..2, got -1"),
         (lambda fan: graded_piece_dim(fan, d, (0, 0), 7), "in 0..2, got 7"),
         (lambda fan: graded_piece_dim(fan, d, (0, 0), True), "in 0..2, got True"),
+        (lambda fan: graded_piece_dim(fan, d, (Fraction(1, 2), 0), 0), "\\(Fraction\\(1, 2\\), 0\\) has"),
+        (lambda fan: graded_piece_dim(fan, d, (0.5, 0), 0), "\\(0.5, 0\\) has coordinates that are not"),
+        (lambda fan: graded_piece_dim(fan, d, (True, 0), 0), "\\(True, 0\\) has coordinates that are not"),
         (lambda fan: region(fan, d, [7]), "ray indices \\[7\\]"),
         (lambda fan: region(fan, d, [0, -1, 3]), "ray indices \\[-1, 3\\]"),
         (lambda fan: ehrhart_probe(fan, d, [7], 2), "ray indices \\[7\\]"),

@@ -681,8 +681,7 @@ def recorded_rates(monkeypatch):
     """The divisors whose rates the chamber code sums, in call order, as ``Fraction`` tuples.
 
     Every rate goes through ``_cleared_rates`` on the divisor cleared to
-    integers: the ampleness probes and the ĥ^0 grid both call it
-    directly.
+    integers: the ampleness probes call it directly.
     """
     import toricvol.asymptotics as asymptotics
 
@@ -714,10 +713,9 @@ def test_chamber_probes_stay_strictly_inside_along_the_probed_rays(monkeypatch):
         for chamber in enumerate_maximal_chambers(fan):
             d = chamber.sample_divisor
             for rays in [*combinations(range(len(fan.rays)), 1), *combinations(range(len(fan.rays)), 2)]:
-                probes.clear()
+                # The derivatives come off the kept triangulation: no rate is summed.
                 mixed_partial_h0(fan, d, rays)
-                assert len(probes) > len(rays)
-                assert_probes_inside(fan, d, probes, rays)
+                assert probes == []
     for fan, d in ((bl1_p3(), divisor([3, 3, 3, 3, -1])), (bl2_p2(), divisor([3, 3, 3, 2, 2]))):
         probes.clear()
         assert ample_via_asymptotics(fan, d)
@@ -1008,19 +1006,58 @@ def test_warm_mixed_partial_clears_the_divisor_once(monkeypatch, make, ample, ra
     assert cleared == [tuple(d)]
 
 
-@pytest.mark.parametrize("make", [*COMPLETE_2D, bl1_p3], ids=lambda make: make.__name__)
-def test_mixed_partials_match_the_fraction_grid(make):
-    # Every maximal chamber's sample, along every ray and every ray pair.
+@pytest.mark.parametrize(
+    "make", [*COMPLETE_2D, bl1_p3, p1_cubed, cube_fan], ids=lambda make: make.__name__
+)
+def test_mixed_partials_match_the_fraction_grid(monkeypatch, make):
+    # Every maximal chamber's sample along every ray tuple of size 1..n;
+    # on cube_fan, whose 148 samples make the Fraction grid slow, along
+    # one ray and one ray pair per sample, turning with its index.  The
+    # derivative sums no region; the referee's hhat calls do.
+    from toricvol import asymptotics, regions
+
+    sums = []
+    original = regions._cleared_sum
+
+    def recorded(*args):
+        sums.append(args)
+        return original(*args)
+
+    for module in (asymptotics, regions):
+        monkeypatch.setattr(module, "_cleared_sum", recorded)
     fan = make()
     k = len(fan.rays)
+    pairs = list(combinations(range(k), 2))
+    every = [rays for r in range(1, fan.dim + 1) for rays in combinations(range(k), r)]
     checked = 0
-    for chamber in enumerate_maximal_chambers(fan, allow_dim3=True):
+    for index, chamber in enumerate(enumerate_maximal_chambers(fan, allow_dim3=True)):
         d = chamber.sample_divisor
-        for rays in [*combinations(range(k), 1), *combinations(range(k), 2)]:
+        for rays in [(index % k,), pairs[index % len(pairs)]] if make is cube_fan else every:
             expected = growth_referees.mixed_partial_h0(fan, d, rays)
+            sums.clear()
             assert mixed_partial_h0(fan, d, rays) == expected, (d, rays)
+            assert sums == [], (d, rays)
             checked += 1
     assert checked >= k + k * (k - 1) // 2
+
+
+@pytest.mark.parametrize("make", [*COMPLETE_2D, bl1_p3], ids=lambda make: make.__name__)
+def test_h0_partials_obey_the_euler_and_character_identities(make):
+    # ĥ^0 is homogeneous of degree n and constant along div(chi^u), so
+    # on an open chamber sum_rho d_rho dĥ^0/dd_rho = n ĥ^0(d) and
+    # sum_rho <u, v_rho> dĥ^0/dd_rho = 0 for each coordinate u: checks
+    # that need no referee.
+    fan = make()
+    n = fan.dim
+    checked = 0
+    for chamber in enumerate_maximal_chambers(fan, allow_dim3=True):
+        for d in (chamber.sample_divisor, scale(chamber.sample_divisor, Fraction(7, 3))):
+            partials = [mixed_partial_h0(fan, d, [rho]) for rho in range(len(fan.rays))]
+            assert sum(c * p for c, p in zip(d, partials)) == n * hhat(fan, d)[0], d
+            for axis in range(n):
+                assert sum(ray[axis] * p for ray, p in zip(fan.rays, partials)) == 0, (d, axis)
+            checked += 1
+    assert checked >= 2
 
 
 def nef_cases(fan, rng):
