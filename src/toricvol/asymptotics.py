@@ -25,7 +25,7 @@ from .errors import (
 from .fan import Fan, _is_int, is_complete, is_simplicial
 from .homology import _local_ranks
 from .linalg import to_integers
-from .regions import _cleared_sum, _volume_partial, normalized_volume, region_sum
+from .regions import _cleared_sum, _slot_volume, _volume_partial, region_sum
 
 AsymptoticVector = tuple[Fraction, ...]
 
@@ -51,7 +51,7 @@ def _cleared_rates(fan: Fan, coefficients, q: int, degrees: slice) -> Asymptotic
     out skips the largest region.
     """
     values = _cleared_sum(
-        fan, coefficients, q, lambda subset: _local_ranks(fan, subset)[degrees], normalized_volume
+        fan, coefficients, q, lambda subset: _local_ranks(fan, subset)[degrees], _slot_volume
     )
     return tuple(Fraction(v) for v in values)
 
@@ -74,7 +74,7 @@ def self_intersection(fan: Fan, d: Divisor) -> Fraction:
         raise NotCompleteError("self-intersection needs a complete fan")
     if not is_simplicial(fan) and is_q_cartier(fan, d) is None:
         raise NotQCartierError("divisor is not Q-Cartier")
-    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), normalized_volume)
+    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), _slot_volume)
     return Fraction(total)
 
 

@@ -17,8 +17,8 @@ from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
 from .fan import Fan, _check_rays, _is_int, _subfan, chi_of_fan, is_complete
 from .homology import _local_ranks, local_cohomology_ranks
-from .linalg import _sparse_rank, dot, to_integers
-from .regions import lattice_count, region_sum
+from .linalg import _point_integers, _sparse_rank, dot, to_integers
+from .regions import _slot_count, region_sum
 
 CohomologyVector = tuple[int, ...]
 
@@ -26,19 +26,20 @@ CohomologyVector = tuple[int, ...]
 def weak_ray_set(fan: Fan, d: Divisor, point) -> frozenset[int]:
     """The rays whose section inequality holds weakly at the given point.
 
-    The divisor is cleared to integers once (``linalg.to_integers``,
-    times q > 0), so <m, v_i> >= -d_i is read as q <m, v_i> + q d_i >= 0.
-    Raises ValueError unless the divisor has one coefficient per ray and
-    the point one coordinate per dimension, and TypeError on a string
-    coefficient.
+    The divisor and the point are cleared to integers once each
+    (``linalg.to_integers``: d = c / q and m = x / p with q, p > 0), so
+    a float counts as its exact value and <m, v_i> >= -d_i is read as
+    q <x, v_i> + p c_i >= 0.  Raises ValueError unless the divisor has
+    one coefficient per ray and the point one coordinate per dimension,
+    none of them a bool, and TypeError on a string coefficient or
+    coordinate.
     """
     _check_length(fan, d)
     if len(point) != fan.dim:
         raise ValueError(f"point has {len(point)} coordinates, fan has dimension {fan.dim}")
     coeffs, q = to_integers(d)
-    return frozenset(
-        i for i, ray in enumerate(fan.rays) if q * dot(point, ray) + coeffs[i] >= 0
-    )
+    x, p = _point_integers(point)
+    return frozenset(i for i, ray in enumerate(fan.rays) if q * dot(x, ray) + p * coeffs[i] >= 0)
 
 
 def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
@@ -62,9 +63,7 @@ def h_all(fan: Fan, d: Divisor) -> CohomologyVector:
         raise NotCompleteError(
             "h_all needs a complete fan; use graded_piece_dim for single pieces"
         )
-    return region_sum(
-        fan, d, lambda subset: _local_ranks(fan, subset), lattice_count
-    )
+    return region_sum(fan, d, lambda subset: _local_ranks(fan, subset), _slot_count)
 
 
 def _euler_weight(fan: Fan, subset: frozenset[int]) -> int:
@@ -97,7 +96,7 @@ def euler_char(fan: Fan, d: Divisor) -> int:
     """
     if not is_complete(fan):
         raise NotCompleteError("euler_char needs a complete fan")
-    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), lattice_count)
+    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), _slot_count)
     return total
 
 
@@ -199,4 +198,4 @@ def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:
     """
     if not is_complete(fan):
         raise NotCompleteError("cech_oracle needs a complete fan")
-    return region_sum(fan, d, lambda subset: _cech_ranks(fan, subset), lattice_count)
+    return region_sum(fan, d, lambda subset: _cech_ranks(fan, subset), _slot_count)

@@ -164,11 +164,15 @@ def is_ample(fan: Fan, d: Divisor) -> bool:
 def linear_equiv_shift(fan: Fan, d: Divisor, u) -> Divisor:
     """The linearly equivalent divisor obtained by adding div(chi^u).
 
-    Raises ValueError unless d has one coefficient per ray and u one
-    entry per coordinate, each read by ``_coefficient``.
+    The coefficients of d are read at their exact values
+    (``linalg.to_integers``, which raises TypeError on a string), so a
+    float coefficient counts exactly.  Raises ValueError unless d has
+    one coefficient per ray and u one entry per coordinate, each read
+    by ``_coefficient``.
     """
     _check_length(fan, d)
     if len(u) != fan.dim:
         raise ValueError(f"character has {len(u)} entries, fan has dimension {fan.dim}")
     uu = tuple(_coefficient(v) for v in u)
-    return tuple(c + dot(uu, ray) for c, ray in zip(d, fan.rays))
+    coefficients, q = to_integers(d)
+    return tuple(Fraction(c, q) + dot(uu, ray) for c, ray in zip(coefficients, fan.rays))

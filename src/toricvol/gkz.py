@@ -70,7 +70,7 @@ from itertools import combinations
 from operator import mul
 
 from .asymptotics import _cleared_rates, _rates, self_intersection
-from .divisor import Divisor, _basis_functional, _check_length
+from .divisor import Divisor, _basis_functional, _check_length, _coefficient
 from .errors import (
     ChamberMembershipError,
     EffectiveConeError,
@@ -502,8 +502,13 @@ def gkz_cone(
     fresh ``GKZCone``.  Raises ValueError unless every entry of every
     cone and of the strict rays is a ray index of the fan, checked on
     the raw entries on every call, before any sort or set union could
-    fail on an entry or merge True into 1.
+    fail on an entry or merge True into 1, and unless every vector of
+    ``lineality_basis`` has one entry per dimension, each read by
+    ``divisor._coefficient``.
     """
+    lineality = tuple(tuple(_coefficient(v) for v in b) for b in lineality_basis)
+    if any(len(b) != fan.dim for b in lineality):
+        raise ValueError(f"every lineality vector needs {fan.dim} entries, got {lineality}")
     sigma_cones = list(sigma_cones)
     strict = tuple(strict_rays)
     _check_rays(fan, [i for cone in (strict, *sigma_cones) for i in cone])
@@ -517,7 +522,7 @@ def gkz_cone(
         fan=fan,
         sigma_cones=cones,
         strict_rays=strict,
-        lineality_basis=tuple(tuple(Fraction(v) for v in b) for b in lineality_basis),
+        lineality_basis=lineality,
         equalities=equalities,
         inequalities=inequalities,
         members=members,

@@ -53,6 +53,17 @@ def to_integers(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def _point_integers(point) -> tuple[list[int], int]:
+    """``to_integers`` of a point's coordinates, each read at its exact value.
+
+    Raises ValueError on a bool coordinate, which is no number here,
+    and TypeError on a string.
+    """
+    if any(isinstance(x, bool) for x in point):
+        raise ValueError(f"point {tuple(point)!r} has a bool coordinate")
+    return to_integers(point)
+
+
 def _lowest_terms(numerators, scale: int):
     """(numerators / g, scale / g) for g the gcd of all of them.
 

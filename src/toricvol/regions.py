@@ -37,18 +37,19 @@ linear equivalence and positive scaling.  Each memo keeps the cells it
 meets (``_TypeCell``, at most ``CELL_BUDGET`` entries per memo): one
 vertex per tight set with its basis and masks, classified from the
 signs alone with no point solved, and, filled on first use, the
-realized bounded masks of a region sum, each measured region's
+realized bounded masks of a region sum, each realized region's
 triangulation and the located chamber of ``gkz.locate_chamber``.  A
-divisor solves only the vertices of the
-regions it asks about, P_B = A_B . L_B, once each: ``_DivisorSlot``
-keeps them with the divisor's levels, and each memo holds the slot of
-its last divisor.  There is one region type, ``HalfOpenRegion``; it
-reads its integer data (its vertex table and row bounds) at most once
-per object, on first use, so the measures asked of one region share
-it.  ``region_sum`` keeps the last divisor summed in its fan's slot,
-together with the amount of each region measured so far, and hands each
-region it builds its table and row bounds from there, so that region
-builds no ``Fraction`` for them.  Volumes come from a pulling
+divisor solves only the vertices of the regions it asks about,
+P_B = A_B . L_B, once each: ``_DivisorSlot`` keeps them with the
+divisor's row bounds, and each memo holds the slot of its last divisor.
+``region_sum`` measures a realized region straight off that slot and
+the region's weak mask, with no region object: its measure is one of
+two integer kernels, ``_slot_count`` (the slot's row bounds and the
+mask's solved vertices) and ``_slot_volume`` (those vertices and the
+triangulation the cell keeps under the mask).  A standalone
+``HalfOpenRegion`` feeds the same integer core from its own vertex
+table and row bounds, each computed at most once per object, on first
+use.  Volumes come from a pulling
 triangulation on those integer vertices, taken in basis order, the
 order of the cell's vertices: each face's apex is its first vertex,
 each facet is read off the tight masks, and its affine rank comes from
@@ -93,6 +94,7 @@ from .errors import CapExceededError, UnboundedRegionError
 from .fan import Fan, _basis_inverses, _check_rays
 from .linalg import (
     _kernel_direction,
+    _point_integers,
     affine_rank,
     dot,
     integer_eliminate,
@@ -131,13 +133,11 @@ class HalfOpenRegion:
     patterns, basis inverses, negated normals).  Regions of a fan carry
     the fan's memo, so those facts are computed once per fan; the
     default computes them afresh on every call.  The integer data the
-    measures read, ``vertex_table``, ``triangulation`` and
+    public measures read, ``vertex_table``, ``triangulation`` and
     ``row_bounds``, is computed at most once per region object, on first
-    use; ``region_sum`` hands each region it builds the table of its
-    divisor's slot instead, and the triangulation of its type cell when
-    the cell keeps one.
-    Raises ValueError unless ``normals``, ``levels`` and ``weak`` have one
-    entry per row and every normal has ``dim`` entries.
+    use.  ``region_sum`` builds no region: it measures off its divisor's
+    slot.  Raises ValueError unless ``normals``, ``levels`` and ``weak``
+    have one entry per row and every normal has ``dim`` entries.
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -155,12 +155,14 @@ class HalfOpenRegion:
             )
 
     def contains(self, point) -> bool:
+        """Whether the point, read at its exact value (``linalg._point_integers``), lies inside."""
+        coordinates, p = _point_integers(point)
         for normal, level, is_weak in zip(self.normals, self.levels, self.weak):
-            value = dot(normal, point)
+            value = dot(normal, coordinates)
             if is_weak:
-                if value < level:
+                if value < p * level:
                     return False
-            elif value >= level:
+            elif value >= p * level:
                 return False
         return True
 
@@ -175,7 +177,8 @@ class HalfOpenRegion:
 
         Empty when the closure has lower dimension (``_triangulation``).
         """
-        return _triangulation(self)
+        points, _ = self.vertex_table
+        return _triangulation(tuple(points), tuple(points.values()), self.dim)
 
     @cached_property
     def row_bounds(self) -> tuple[int, ...]:
@@ -257,8 +260,8 @@ def _bounded_mask(patterns, weak: int) -> bool:
     return all(pos & ~weak or neg & weak for pos, neg in patterns)
 
 
-def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
-    """Whether the closure is bounded; depends on the weak set only.
+def _is_bounded(normals, dim: int, memo, weak: int) -> bool:
+    """Whether the closure of the weak mask's region of these normals is bounded.
 
     The recession cone is {u : <u, r> >= 0} over the rows r = v on weak
     rays and r = -v off them.  If the normals do not span the space it
@@ -268,11 +271,6 @@ def _closure_is_bounded(reg: HalfOpenRegion) -> bool:
     pos(u) inside W and neg(u) outside.  One mask test per pattern of
     ``_unbounded_patterns`` decides it, with no LP.
     """
-    return _is_bounded(reg.normals, reg.dim, reg.memo, _weak_mask(reg.weak))
-
-
-def _is_bounded(normals, dim: int, memo, weak: int) -> bool:
-    """Whether the closure of the weak mask's region of these normals is bounded."""
     return _bounded_mask(_unbounded_patterns(normals, dim, memo), weak)
 
 
@@ -388,13 +386,13 @@ class _TypeCell:
     sum visits.  Filled later, once: ``masks``, the realized bounded
     masks of ``_realized_masks`` (when ``kept``, only within the budget),
     and ``chamber``, the located chamber of ``gkz.locate_chamber``.
-    ``simplices`` maps a realized mask to its region's triangulation
-    (``HalfOpenRegion.triangulation``), as positions in the region's
-    vertices in basis order, filled per mask as regions are measured
-    and as ``_volume_partial`` reads the section polytope (all rows
-    weak), only when ``kept`` and within the budget.  The face lattice
-    of each region is fixed on the cell, so one triangulation serves
-    every divisor of it.
+    ``simplices`` maps a realized mask to its region's pulling
+    triangulation, as positions in the region's vertices in basis
+    order, filled per mask by ``_cell_simplices`` as ``_slot_volume``
+    measures regions and as ``_volume_partial`` reads the section
+    polytope (all rows weak), only when ``kept`` and within the budget.
+    The face lattice of each region is fixed on the cell, so one
+    triangulation serves every divisor of it.
     """
 
     __slots__ = ("vertices", "visits", "kept", "masks", "chamber", "simplices")
@@ -463,11 +461,12 @@ def _levels(coefficients, q: int):
 
 @dataclass(eq=False, slots=True)
 class _DivisorSlot:
-    """One divisor's view of its type cell: its points, levels and amounts.
+    """One divisor's view of its type cell: its points, row bounds and amounts.
 
     ``key`` is (q * d, q), the divisor cleared to integers.  Each vertex
     point P_B = A_B . L_B is solved on first use and kept in ``points``
-    by basis; ``region_sum`` fills the rest on first use.
+    by basis; ``region_sum`` fills its realized masks and amounts, and
+    ``_slot_count`` its row bounds, on first use.
     """
 
     key: tuple
@@ -476,7 +475,6 @@ class _DivisorSlot:
     points: dict = field(default_factory=dict)
     masks: tuple | None = None
     amounts: dict = field(default_factory=dict)
-    levels: tuple | None = None
     bounds: tuple | None = None
 
     @property
@@ -537,8 +535,8 @@ def _integer_vertices(reg: HalfOpenRegion):
     Returns ({P: bitmask of the rows tight at P}, scale) of
     ``_unkept_table`` for the region's levels and weak mask.  Runs at
     most once per region object, through ``HalfOpenRegion.vertex_table``;
-    the regions ``region_sum`` builds never run it.  Raises on systems
-    with unbounded closure.
+    ``region_sum`` builds no region, so never runs it.  Raises on
+    systems with unbounded closure.
     """
     levels, q = to_integers(reg.levels)
     return _unkept_table(reg.normals, reg.dim, reg.memo, [-x for x in levels], q, _weak_mask(reg.weak))
@@ -578,18 +576,17 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
-def _triangulation(reg: HalfOpenRegion) -> tuple[tuple[int, ...], ...]:
-    """A pulling triangulation of the closure, as positions in its ``vertex_table``.
+def _triangulation(vertices, tight, dim: int) -> tuple[tuple[int, ...], ...]:
+    """A pulling triangulation of a closure, as positions in its integer ``vertices``.
 
+    ``tight`` holds each vertex's bitmask of tight rows, by position.
     Empty when the vertices span less than the whole space.  The
-    positions follow the table's basis order, so the answer depends
+    positions follow the vertices' basis order, so the answer depends
     only on the closure's face lattice, which is fixed on a type cell.
     """
-    points, _ = reg.vertex_table
-    vertices = tuple(points)
-    if affine_rank(vertices) < reg.dim:
+    if affine_rank(vertices) < dim:
         return ()
-    return tuple(_simplices(vertices, tuple(points.values()), tuple(range(len(vertices))), reg.dim))
+    return tuple(_simplices(vertices, tight, tuple(range(len(vertices))), dim))
 
 
 def _simplices(vertices, tight, face, face_dim):
@@ -625,19 +622,24 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
 
     The strict boundary parts have measure zero, and an empty half-open
     region forces its closure onto a strict hyperplane, hence a
-    lower-dimensional closure and volume zero either way.  Each simplex
-    of ``triangulation`` on the integer vertices of ``vertex_table``
-    contributes |det| of its integer edge vectors: the final denominator
-    of their fraction-free elimination.  The sum is divided by scale^n
-    once.  A region of a kept type cell whose triangulation is known
-    solves no facet: it takes only the n x n determinants.
+    lower-dimensional closure and volume zero either way.  It runs
+    ``_volume`` on the region's own ``vertex_table`` and
+    ``triangulation``.
     """
     points, scale = reg.vertex_table
-    simplices = reg.triangulation
-    if not simplices:
-        return Fraction(0)
-    n = reg.dim
-    vertices = tuple(points)
+    return _volume(tuple(points), reg.triangulation, scale, reg.dim)
+
+
+def _volume(vertices, simplices, scale: int, n: int) -> Fraction:
+    """The normalized volume of a triangulated closure on integer ``vertices`` / scale.
+
+    Each simplex, as positions in ``vertices``, contributes |det| of its
+    integer edge vectors: the final denominator of their fraction-free
+    elimination.  The sum is divided by scale^n once, and no simplex
+    (a lower-dimensional closure) gives volume zero.  A closure whose
+    triangulation is known solves no facet: it takes only the n x n
+    determinants.
+    """
     total = 0
     for simplex in simplices:
         base = vertices[simplex[0]]
@@ -646,32 +648,32 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     return Fraction(total, scale**n)
 
 
-def _integer_rows(reg: HalfOpenRegion):
+def _integer_rows(normals, memo, bounds, weak: int):
     """Every row as one weak integer inequality <a, x> >= b, as pairs (a, b).
 
     Since <v, x> is an integer at lattice points, a weak row
     <v, x> >= L is <v, x> >= ceil(L) and a strict row <v, x> < L is
-    <-v, x> >= 1 - ceil(L), with ceil(L) from ``row_bounds``.  The
+    <-v, x> >= 1 - ceil(L), with ceil(L) the row's entry of ``bounds``
+    and the row weak when its bit of the ``weak`` mask is set.  The
     negated normals depend on the normals only and are kept in the
-    region's memo.
+    memo.
     """
-    negated = reg.memo(
-        "negated_normals", lambda: tuple(tuple(-x for x in normal) for normal in reg.normals)
+    negated = memo(
+        "negated_normals", lambda: tuple(tuple(-x for x in normal) for normal in normals)
     )
     return [
-        (normal, bound) if is_weak else (minus, 1 - bound)
-        for normal, minus, bound, is_weak in zip(reg.normals, negated, reg.row_bounds, reg.weak)
+        (normal, bound) if weak >> i & 1 else (minus, 1 - bound)
+        for i, (normal, minus, bound) in enumerate(zip(normals, negated, bounds))
     ]
 
 
-def _bounding_box(reg: HalfOpenRegion, depth: int):
-    """The integer range of each coordinate over the closure, or None if it is empty.
+def _bounding_box(points, scale: int, depth: int):
+    """The integer range of each coordinate over a closure, or None if it is empty.
 
-    The ranges are floor divisions of the integer vertices of
-    ``vertex_table``.  Raises CapExceededError when the first
+    The ranges are floor divisions of the closure's integer vertices
+    ``points`` over ``scale``.  Raises CapExceededError when the first
     ``depth`` ranges hold more than ``FIBER_BUDGET`` integer prefixes.
     """
-    points, scale = reg.vertex_table
     if not points:
         return None
     box = [range(-(-min(column) // scale), max(column) // scale + 1) for column in zip(*points)]
@@ -684,7 +686,7 @@ def _bounding_box(reg: HalfOpenRegion, depth: int):
     return box
 
 
-def _fibers(reg: HalfOpenRegion):
+def _fibers(rows, points, scale: int, n: int):
     """Yield (prefix, lo, hi) for each nonempty fiber along the last axis.
 
     The prefixes are the integer points (x_1..x_{n-1}) of the closure's
@@ -692,12 +694,14 @@ def _fibers(reg: HalfOpenRegion):
     holds exactly the lattice points whose last coordinate is one of
     the integers lo..hi.  Every row is one weak integer inequality of
     ``_integer_rows``, so each fiber bound is a floor division of
-    integers.  Raises CapExceededError past ``FIBER_BUDGET`` prefixes.
+    integers.  The closure is given by its integer vertices ``points``
+    over ``scale``.  Raises CapExceededError past ``FIBER_BUDGET``
+    prefixes.
     """
-    box = _bounding_box(reg, reg.dim - 1)
+    box = _bounding_box(points, scale, n - 1)
     if box is None:
         return
-    rows = [(normal[:-1], normal[-1], bound) for normal, bound in _integer_rows(reg)]
+    rows = [(normal[:-1], normal[-1], bound) for normal, bound in rows]
     for prefix in product(*box[:-1]):
         lo, hi = box[-1].start, box[-1].stop - 1
         for head, last, bound in rows:
@@ -831,15 +835,27 @@ def lattice_count(reg: HalfOpenRegion) -> int:
     plus O(log m) per floor sum, independent of its width, so a region
     of m*D costs about m^(n-2) slices.  At most ``FIBER_BUDGET`` slices
     are counted before CapExceededError.  In dimension 1 the count sums
-    the fibers of ``_fibers``.
+    the fibers of ``_fibers``.  It runs ``_lattice_count`` on the
+    region's own ``vertex_table`` and ``row_bounds``.
     """
-    n = reg.dim
+    points, scale = reg.vertex_table
+    rows = _integer_rows(reg.normals, reg.memo, reg.row_bounds, _weak_mask(reg.weak))
+    return _lattice_count(rows, points, scale, reg.dim)
+
+
+def _lattice_count(rows, points, scale: int, n: int) -> int:
+    """The number of lattice points on the integer ``rows`` of ``_integer_rows``.
+
+    The closure is given by its integer vertices ``points`` over
+    ``scale``; the count cuts it into 2-D slices as ``lattice_count``
+    describes.
+    """
     if n == 1:
-        return sum(hi - lo + 1 for _, lo, hi in _fibers(reg))
-    box = _bounding_box(reg, n - 2)
+        return sum(hi - lo + 1 for _, lo, hi in _fibers(rows, points, scale, n))
+    box = _bounding_box(points, scale, n - 2)
     if box is None:
         return 0
-    rows = [(normal[:-2], normal[-2], normal[-1], bound) for normal, bound in _integer_rows(reg)]
+    rows = [(normal[:-2], normal[-2], normal[-1], bound) for normal, bound in rows]
     total = 0
     for prefix in product(*box[:-2]):
         shifted = [(a, b, bound - sum(map(mul, head, prefix))) for head, a, b, bound in rows]
@@ -853,29 +869,29 @@ def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
     Membership honors the mixed weak/strict system exactly; the points
     are the fibers of ``_fibers`` expanded one by one.
     """
-    return [prefix + (x,) for prefix, lo, hi in _fibers(reg) for x in range(lo, hi + 1)]
+    points, scale = reg.vertex_table
+    rows = _integer_rows(reg.normals, reg.memo, reg.row_bounds, _weak_mask(reg.weak))
+    fibers = _fibers(rows, points, scale, reg.dim)
+    return [prefix + (x,) for prefix, lo, hi in fibers for x in range(lo, hi + 1)]
 
 
 def _realized_subset(patterns, k: int, mask: int):
-    """The ray subset and weak flags of a weak mask, or None if its region is unbounded."""
-    if not _bounded_mask(patterns, mask):
-        return None
-    return (
-        frozenset(i for i in range(k) if mask >> i & 1),
-        tuple(bool(mask >> i & 1) for i in range(k)),
-    )
+    """The ray subset of a weak mask, or None if its region is unbounded."""
+    if _bounded_mask(patterns, mask):
+        return frozenset(i for i in range(k) if mask >> i & 1)
+    return None
 
 
 def _realized_masks(fan: Fan, slot: _DivisorSlot):
-    """The realized bounded masks of the slot's cell, as (mask, subset, weak flags, vertices).
+    """The realized bounded masks of the slot's cell, as (mask, subset, vertices).
 
     A vertex P holds the W with above(P) <= W <= above(P) | tight(P),
     2^|tight(P)| candidates, each kept with the cell's vertex triples
     of its closure, in the order the vertices meet it.  The per-fan
     ``"bounded_masks"`` cache decides each mask met once per fan with
-    ``_bounded_mask`` and keeps the subset and weak flags of the bounded
-    ones.  Computed once per slot, which keeps them, and once per kept
-    cell while its entries fit the budget.
+    ``_bounded_mask`` and keeps the subset of the bounded ones.
+    Computed once per slot, which keeps them, and once per kept cell
+    while its entries fit the budget.
     """
     cell = slot.cell
     masks = cell.masks
@@ -898,11 +914,11 @@ def _realized_masks(fan: Fan, slot: _DivisorSlot):
                 mask = above | sub
                 if mask in tables:
                     tables[mask].append(vertex)
-                elif realized(mask):
+                elif realized(mask) is not None:
                     tables[mask] = [vertex]
                 sub = (sub - 1) & tight if sub else -1
-        masks = tuple((mask, *realized(mask), tuple(vertices)) for mask, vertices in tables.items())
-        if cell.kept and slot.arrangement.admit(sum(len(entry[3]) for entry in masks)):
+        masks = tuple((mask, realized(mask), tuple(vertices)) for mask, vertices in tables.items())
+        if cell.kept and slot.arrangement.admit(sum(len(entry[2]) for entry in masks)):
             cell.masks = masks
     slot.masks = masks
     return masks
@@ -912,7 +928,11 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     """Sum of weight(W) * measure(region of W) over the bounded subsets W.
 
     ``weight`` maps a ray subset to a tuple of integers, of the same
-    length for every subset.  Only the regions D realizes are visited: a
+    length for every subset.  ``measure`` is a kernel that measures a
+    region off its divisor's slot, called as measure(fan, slot, mask,
+    vertices) with the region's weak mask and its closure's vertex
+    triples: ``_slot_count`` for lattice counts, ``_slot_volume`` for
+    normalized volumes.  Only the regions D realizes are visited: a
     nonempty bounded region's closure has a vertex, which is an
     arrangement vertex P, and the regions whose closure holds P are
     exactly the W with above(P) <= W <= above(P) | tight(P).
@@ -935,12 +955,9 @@ def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
     Weights are asked per call: realized subsets with an all-zero weight
     are skipped, so a caller that weights by a slice of the rank vectors
     measures only the regions that slice reads, and only the nonzero
-    entries of a weight are added.  A region is built only when its
-    amount is missing; it is handed its levels, vertex table and row
-    bounds from the slot, and its triangulation from the type cell when
-    the cell keeps one.  A triangulation the measure makes is kept on
-    the cell while the budget lasts.  This wrapper checks the length and
-    clears d once; ``_cleared_sum`` is the loop.
+    entries of a weight are added.  A region is measured only when its
+    amount is missing, and no region object is built.  This wrapper
+    checks the length and clears d once; ``_cleared_sum`` is the loop.
     """
     _check_length(fan, d)
     return _cleared_sum(fan, *to_integers(d), weight, measure)
@@ -962,15 +979,13 @@ def _cleared_sum(fan: Fan, coefficients, q: int, weight, measure) -> tuple:
     amounts = slot.amounts
     # The weight length is read off the first realized subset, else the empty one.
     total = [0] * len(weight(masks[0][1] if masks else frozenset()))
-    for mask, subset, weak, vertices in masks:
+    for mask, subset, vertices in masks:
         w = weight(subset)
         if not any(w):
             continue
         amount = amounts.get((mask, measure))
         if amount is None:
-            reg = _slot_region(fan, slot, mask, weak, vertices)
-            amount = amounts[mask, measure] = measure(reg)
-            _keep_triangulation(slot, mask, reg)
+            amount = amounts[mask, measure] = measure(fan, slot, mask, vertices)
         if amount:
             for i, x in enumerate(w):
                 if x:
@@ -978,44 +993,48 @@ def _cleared_sum(fan: Fan, coefficients, q: int, weight, measure) -> tuple:
     return tuple(total)
 
 
-def _slot_region(fan: Fan, slot: _DivisorSlot, mask: int, weak, vertices) -> HalfOpenRegion:
-    """The region of the weak mask, handed its vertex table and row bounds from the slot.
+def _slot_count(fan: Fan, slot: _DivisorSlot, mask: int, vertices) -> int:
+    """The lattice count of the weak mask's region, read off the divisor slot.
 
-    The exact levels -d_i and the row bounds are made once per slot.
-    The region is handed its cell's triangulation of the mask too, when
-    the cell keeps one.
+    The rows' bounds ceil(-d_i) are cleared once per slot, and the
+    closure's vertices are the slot's solved points of ``vertices``, the
+    mask's vertex triples; ``_lattice_count`` counts.
     """
-    if slot.levels is None:
+    if slot.bounds is None:
         coefficients, q = slot.key
-        # Bounds first: a concurrent caller that sees the levels sees them too.
         slot.bounds = _ceilings([-x for x in coefficients], q)
-        slot.levels = _levels(coefficients, q)
-    reg = HalfOpenRegion(normals=fan.rays, levels=slot.levels, weak=weak, dim=fan.dim, memo=fan.memo)
-    point = slot.point
-    table = {point(b): tight for b, _, tight in vertices}
-    # The slot's data, stored where the cached properties keep theirs.
-    vars(reg).update(vertex_table=(table, slot.scale), row_bounds=slot.bounds)
-    simplices = slot.cell.simplices.get(mask)
-    if simplices is not None:
-        vars(reg)["triangulation"] = simplices
-    return reg
+    rows = _integer_rows(fan.rays, fan.memo, slot.bounds, mask)
+    return _lattice_count(rows, [slot.point(b) for b, _, _ in vertices], slot.scale, fan.dim)
 
 
-def _keep_triangulation(slot: _DivisorSlot, mask: int, reg: HalfOpenRegion) -> None:
-    """Keep the triangulation a measure made on the region of the mask, on a kept cell.
+def _slot_volume(fan: Fan, slot: _DivisorSlot, mask: int, vertices) -> Fraction:
+    """The normalized volume of the weak mask's region, read off the divisor slot.
 
-    It is kept under the mask while the budget lasts, one entry per
-    simplex and one for an empty triangulation.
+    The closure's vertices are the slot's solved points of ``vertices``,
+    the mask's vertex triples, and its triangulation the one the type
+    cell keeps under the mask (``_cell_simplices``).
+    """
+    points = [slot.point(b) for b, _, _ in vertices]
+    simplices = _cell_simplices(slot, mask, vertices, points, fan.dim)
+    return _volume(points, simplices, slot.scale, fan.dim)
+
+
+def _cell_simplices(slot: _DivisorSlot, mask: int, vertices, points, dim: int):
+    """The pulling triangulation of the mask's closure, as the slot's type cell keeps it.
+
+    On a miss it is made from the closure's vertex triples ``vertices``
+    and their solved ``points``, in basis order, and kept under the mask
+    on a kept cell while the budget lasts: one entry per simplex and one
+    for an empty triangulation.
     """
     cell = slot.cell
-    simplices = vars(reg).get("triangulation")
-    if (
-        cell.kept
-        and simplices is not None
-        and mask not in cell.simplices
-        and slot.arrangement.admit(max(len(simplices), 1))
-    ):
-        cell.simplices[mask] = simplices
+    simplices = cell.simplices.get(mask)
+    if simplices is None:
+        simplices = _triangulation(points, [tight for _, _, tight in vertices], dim)
+        room = max(len(simplices), 1)
+        if cell.kept and mask not in cell.simplices and slot.arrangement.admit(room):
+            cell.simplices[mask] = simplices
+    return simplices
 
 
 def _volume_partial(fan: Fan, slot: _DivisorSlot, rays) -> Fraction:
@@ -1026,9 +1045,9 @@ def _volume_partial(fan: Fan, slot: _DivisorSlot, rays) -> Fraction:
     basis B, read off the cell's vertex triple, and P_B = A_B . (-d_B) /
     common is linear in d, with dP_B / dd_rho = -(column j of A_B) /
     common when rho = B_j and 0 when rho is not in B.  Each simplex S of
-    the polytope's pulling triangulation, the one ``region_sum`` keeps
-    on the cell under the all-weak mask (made and kept here on a miss),
-    keeps the sign of its determinant near d, so the volume is the
+    the polytope's pulling triangulation, the one the cell keeps under
+    the all-weak mask (``_cell_simplices``, which ``_slot_volume`` reads
+    too), keeps the sign of its determinant near d, so the volume is the
     polynomial sum_S sign_S det(edges_S) and its r-th mixed partial
     replaces r edge rows by their derivative differences, summed over
     every injective choice of rows.  Every determinant is an integer
@@ -1037,14 +1056,13 @@ def _volume_partial(fan: Fan, slot: _DivisorSlot, rays) -> Fraction:
     k, n, r = len(fan.rays), fan.dim, len(rays)
     weak = (1 << k) - 1
     vertices = tuple(vertex for vertex in slot.cell.vertices if vertex[1] | vertex[2] == weak)
-    reg = _slot_region(fan, slot, weak, (True,) * k, vertices)
-    points = tuple(reg.vertex_table[0])
+    points = [slot.point(b) for b, _, _ in vertices]
     bases = slot.arrangement.bases
     # columns[v][rho] is column j of A_B for rho = B_j: -common * dP_B / dd_rho.
     columns = [dict(zip(bases[b][0], zip(*bases[b][1]))) for b, _, _ in vertices]
     zero = (0,) * n
     total = 0
-    for simplex in reg.triangulation:
+    for simplex in _cell_simplices(slot, weak, vertices, points, n):
         apex = simplex[0]
         edges = [[a - b for a, b in zip(points[v], points[apex])] for v in simplex[1:]]
         sign = integer_eliminate(list(edges), n)[2]
@@ -1056,7 +1074,6 @@ def _volume_partial(fan: Fan, slot: _DivisorSlot, rays) -> Fraction:
             pivots, denom, s = integer_eliminate(matrix, n)
             if len(pivots) == n:
                 total += sign * s * denom
-    _keep_triangulation(slot, weak, reg)
     # Each of the r replaced rows is -common times a derivative difference.
     return Fraction((-1) ** r * total, slot.scale ** (n - r) * slot.arrangement.common**r)
 

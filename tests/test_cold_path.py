@@ -110,7 +110,8 @@ def test_boundedness_matches_gordan_on_random_normals():
         for weak in weak_sets:
             reg = HalfOpenRegion(normals, (0,) * k, tuple(weak), n, memo)
             expected = gordan_is_bounded(normals, weak, n)
-            assert regions._closure_is_bounded(reg) == expected, (normals, weak)
+            mask = regions._weak_mask(reg.weak)
+            assert regions._is_bounded(reg.normals, reg.dim, reg.memo, mask) == expected, (normals, weak)
             bounded_seen += expected
     assert min(spans.values()) > 300
     assert bounded_seen > 300

@@ -6,8 +6,9 @@ library free of ``assert`` statements altogether, and one more keeps
 its runtime on the standard library.  Another scan keeps the Cech
 referee from reading the sphere-complex rank vectors it checks, one
 keeps floating point off every path: no float literal, no ``float``
-use and no ``math`` function other than the integer ones, and one keeps
-every private member read on ``self``.
+use and no ``math`` function other than the integer ones, one keeps
+every private member read on ``self``, and one keeps every object's
+``__dict__`` out of reach: no ``vars()`` call and no ``__dict__``.
 """
 
 import ast
@@ -110,6 +111,23 @@ def test_library_reads_no_private_member_of_another_object():
             if not on_self and not node.attr.startswith("__"):
                 reads.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not reads, reads
+
+
+def test_library_reaches_into_no_instance_dict():
+    # Facts live in declared fields, cached properties and memos, never
+    # in entries written into, or read out of, an object's __dict__.
+    assert SOURCES
+    reaches = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars":
+                reaches.append(f"{path.name}:{node.lineno} vars()")
+            elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                reaches.append(f"{path.name}:{node.lineno} .__dict__")
+            elif isinstance(node, ast.Constant) and node.value == "__dict__":
+                reaches.append(f"{path.name}:{node.lineno} '__dict__'")
+    assert not reaches, reaches
 
 
 # The math functions that take and return integers only.

@@ -219,9 +219,14 @@ def malformed_calls():
         ample_via_asymptotics, gkz_cone, locate_chamber, normal_fan, sigma_to_fan, support_function
     )
     from toricvol.homology import local_cohomology_ranks, sphere_complex
-    from toricvol.regions import ehrhart_probe, is_bounded_subset, region
+    from toricvol.regions import HalfOpenRegion, ehrhart_probe, is_bounded_subset, region
 
     d = divisor([1, 1, 1])
+    half_plane = HalfOpenRegion(((1, 0),), (Fraction(0),), (True,), 2)
+
+    def lineality(basis):  # P²'s own chamber with the given lineality basis
+        return lambda fan: gkz_cone(fan, fan.max_cones, (), lineality_basis=basis)
+
     text = ("1", "2", "1")  # h_all rejects it with this message
     strings = "values must be numbers, not strings"
     warm = ([0, 1, 2], [0, True, 2.0])  # the second call used to hit the first's memo entry
@@ -283,6 +288,16 @@ def malformed_calls():
         (lambda fan: weak_ray_set(fan, text, (0, 0)), strings, TypeError),
         (lambda fan: graded_piece_dim(fan, text, (0, 0), 0), strings, TypeError),
         (lambda fan: weak_ray_set(fan, (1, None, 1), (0, 0)), "Rational instance", TypeError),
+        (lambda fan: weak_ray_set(fan, d, (True, 0)), "\\(True, 0\\) has a bool coordinate"),
+        (lambda fan: weak_ray_set(fan, d, ("1", 0)), strings, TypeError),
+        (lambda fan: half_plane.contains((0, False)), "\\(0, False\\) has a bool coordinate"),
+        (lambda fan: half_plane.contains(("1", 0)), strings, TypeError),
+        (lambda fan: linear_equiv_shift(fan, text, (1, 0)), strings, TypeError),
+        (lineality([(" 1/2 ", 1)]), "' 1/2 ' is not an integer"),
+        (lineality([(1, True)]), "True is not an integer"),
+        (lineality([("1e3", 0)]), "'1e3' is not an integer"),
+        (lineality([(1,)]), "lineality vector needs 2 entries"),
+        (lineality([(1, 0, 0)]), "needs 2 entries"),
     )
 
 
@@ -308,6 +323,28 @@ def test_malformed_points_characters_and_ray_indices_are_rejected():
         for _ in range(2):  # a failed memoized compute stores nothing
             with pytest.raises(error[0] if error else ValueError, match=message):
                 call(fan)
+
+
+def test_float_points_and_coefficients_are_read_at_their_exact_values():
+    # The exact value of the float 0.3 lies below 3/10, and that of
+    # 0.1 + 0.2 above the exact 0.1 plus the exact 0.2; each call used to
+    # decide or compute in float arithmetic.
+    from toricvol.cohomology import weak_ray_set
+    from toricvol.gkz import gkz_cone
+    from toricvol.regions import HalfOpenRegion
+
+    fan = p2()
+    d = (Fraction(-3, 10), 0, 0)
+    assert weak_ray_set(fan, d, (0.3, 0)) == {1}
+    assert weak_ray_set(fan, d, (Fraction(3, 10), 0)) == weak_ray_set(fan, d, (0.5, 0)) == {0, 1}
+    tight = HalfOpenRegion(((1, 1),), (Fraction(0.1 + 0.2),), (True,), 2)
+    assert not tight.contains((0.1, 0.2))
+    assert tight.contains((0.1, 0.25)) and tight.contains((Fraction(0.1 + 0.2), 0))
+    shifted = linear_equiv_shift(fan, (0.1, 0, 0), (1, 0))
+    assert shifted == (Fraction(0.1) + 1, 0, -1)
+    assert all(type(c) is Fraction for c in shifted)
+    cone = gkz_cone(fan, fan.max_cones, (), lineality_basis=[("1/2", 1)])
+    assert cone.lineality_basis == ((Fraction(1, 2), Fraction(1)),)
 
 
 def test_rank_functions_check_ray_indices_on_every_call(monkeypatch):

@@ -28,7 +28,14 @@ from toricvol.fan import _basis_inverses, is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, hhat0_on_chamber, locate_chamber, located_cone
 from toricvol.homology import local_cohomology_ranks
 from toricvol.linalg import to_integers
-from toricvol.regions import bounded_subsets, closure_vertices, lattice_count, lattice_points, region
+from toricvol.regions import (
+    bounded_subsets,
+    closure_vertices,
+    lattice_count,
+    lattice_points,
+    normalized_volume,
+    region,
+)
 
 POLY12_RAYS = [
     (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2),
@@ -78,7 +85,7 @@ def scan_integer_vertices(reg):
     rows tight at P are returned as a bitmask, the format of
     ``regions._integer_vertices``.
     """
-    if not regions._closure_is_bounded(reg):
+    if not regions._is_bounded(reg.normals, reg.dim, reg.memo, regions._weak_mask(reg.weak)):
         raise UnboundedRegionError("region closure is unbounded")
     common, bases = _basis_inverses(reg.normals, reg.dim, reg.memo)
     levels, q = to_integers(reg.levels)
@@ -104,12 +111,18 @@ def scan_integer_vertices(reg):
     return points, common * q
 
 
+# The public measure of a standalone region that each region-sum kernel stands for.
+PUBLIC_MEASURES = {regions._slot_count: lattice_count, regions._slot_volume: normalized_volume}
+
+
 def sweep_region_sum(fan, d, weight, measure, amounts):
     """The sum over every bounded subset, each region measured on its own scan.
 
-    ``amounts`` caches each region's measure, so one divisor's sweep
-    serves every function compared.
+    Each region is built on its own and measured by the public measure
+    of the kernel passed.  ``amounts`` caches each region's measure, so
+    one divisor's sweep serves every function compared.
     """
+    public = PUBLIC_MEASURES[measure]
     total = None
     for subset in bounded_subsets(fan):
         w = weight(subset)
@@ -117,9 +130,9 @@ def sweep_region_sum(fan, d, weight, measure, amounts):
             total = [0] * len(w)
         if not any(w):
             continue
-        key = (measure.__name__, subset)
+        key = (public.__name__, subset)
         if key not in amounts:
-            amounts[key] = measure(region(fan, d, subset))
+            amounts[key] = public(region(fan, d, subset))
         amount = amounts[key]
         if amount:
             for i, x in enumerate(w):
@@ -227,19 +240,19 @@ def test_warm_h_all_measures_only_realized_regions(monkeypatch):
     expected_h = h_all(fan, d)
     measured = []
     scans = []
-    count = cohomology.lattice_count
+    count = cohomology._slot_count
     scan = regions._integer_vertices
 
-    def recorded_count(reg):
-        measured.append(frozenset(i for i, is_weak in enumerate(reg.weak) if is_weak))
-        return count(reg)
+    def recorded_count(fan_, slot, mask, vertices):
+        measured.append(frozenset(i for i in range(len(fan_.rays)) if mask >> i & 1))
+        return count(fan_, slot, mask, vertices)
 
     def recorded_scan(reg):
         scans.append(reg)
         return scan(reg)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "lattice_count", recorded_count)
+        patch.setattr(cohomology, "_slot_count", recorded_count)
         patch.setattr(regions, "_integer_vertices", recorded_scan)
         assert h_all(fan, d) == expected_h
     assert scans == []
@@ -393,11 +406,11 @@ def test_cech_oracle_ignores_a_corrupt_rank_vector(monkeypatch):
 
 
 def realized_regions(fan, d):
-    """Every region ``region_sum`` measures for d, captured through a wrapped measure."""
+    """Every (slot, mask, vertices) ``region_sum`` measures for d, captured by a wrapped kernel."""
     seen = []
 
-    def measure(reg):
-        seen.append(reg)
+    def measure(fan_, slot, mask, vertices):
+        seen.append((slot, mask, vertices))
         return 1
 
     regions.region_sum(fan, d, lambda subset: (1,), measure)
@@ -414,31 +427,38 @@ def hazard_divisors(fan, rng):
 
 
 def row_bound_fans():
-    """Fixtures of dimensions 1, 2 and 3, P(1, 2, 3), P(1, 2, 3, 5) and the star fans."""
-    yield from (fixtures.p1(), fixtures.p2(), fixtures.f1(), fixtures.weighted_p112())
-    yield from (fixtures.bl3_p2(), fixtures.p1_cubed(), fixtures.bl1_p3(), p123(), p1235())
-    yield from (make_fan(*star_fan_data(s)) for s in (1, 2, 3))
+    """The complete fixtures, P(1, 2, 3), P(1, 2, 3, 5), star_fan_data(1..4) and four polygon fans."""
+    yield from (make() for make in COMPLETE_FIXTURES)
+    yield from (p123(), p1235())
+    yield from (make_fan(*star_fan_data(s)) for s in (1, 2, 3, 4))
+    yield from (make_fan(*polygon_fan_data(random.Random(seed))) for seed in range(4))
 
 
 def test_row_bounds_count_each_realized_region_like_a_fresh_one():
-    # Each realized region carries the row bounds ceil(-d_i) of one
-    # clearing per call; a fresh region clears its own levels, and the
-    # box scan tests each point against the exact Fraction levels.
+    # The kernels measure each realized region off its divisor's slot,
+    # with the row bounds ceil(-d_i) of one clearing per slot; a fresh
+    # region clears its own levels, and the box scan tests each point
+    # against the exact Fraction levels.  Hazard divisors (negative
+    # non-integer entries), D = 0 and divisors tight at many rows.
     rng = random.Random(2020)
     counted = nonzero = 0
     for fan in row_bound_fans():
-        for d in hazard_divisors(fan, rng):
-            assert any(c < 0 and c.denominator > 1 for c in d)
-            for reg in realized_regions(fan, d):
-                subset = frozenset(i for i, is_weak in enumerate(reg.weak) if is_weak)
+        k = len(fan.rays)
+        hazards = list(hazard_divisors(fan, rng))
+        assert all(any(c < 0 and c.denominator > 1 for c in d) for d in hazards)
+        for d in (*hazards, *tight_divisors(fan, rng)):
+            for slot, mask, vertices in realized_regions(fan, d):
+                subset = [i for i in range(k) if mask >> i & 1]
                 own = region(fan, d, subset)
-                count = lattice_count(reg)
-                assert count == lattice_count(own), (fan, d, sorted(subset))
-                assert lattice_points(reg) == lattice_points(own) == box_scan(own)
-                assert count == len(box_scan(own))
+                count = regions._slot_count(fan, slot, mask, vertices)
+                points = box_scan(own)
+                assert count == lattice_count(own) == len(points), (fan, d, subset)
+                assert lattice_points(own) == points
+                volume = regions._slot_volume(fan, slot, mask, vertices)
+                assert volume == normalized_volume(own), (fan, d, subset)
                 counted += 1
                 nonzero += count > 0
-    assert counted > 250 and nonzero > 100
+    assert counted > 2000 and nonzero > 600
 
 
 def scan_arrangement_vertices(fan, d):
@@ -501,23 +521,32 @@ def last_divisor(fan):
 
 @contextlib.contextmanager
 def counted_measuring(monkeypatch):
-    """Record every region built and every 2-D slice counted meanwhile."""
-    built, slices = [], []
-    count = regions._slice_count
+    """Record every region built, region measured and 2-D slice counted meanwhile.
+
+    A region is measured by the integer count or volume core, which
+    both the region-sum kernels and the public measures call.
+    """
+    built, measured, slices = [], [], []
+    cores = {name: getattr(regions, name) for name in ("_lattice_count", "_volume", "_slice_count")}
 
     class Counted(regions.HalfOpenRegion):
-        def __init__(self, **fields):
-            built.append(fields["weak"])
-            super().__init__(**fields)
+        def __init__(self, *args, **fields):
+            built.append(args or fields)
+            super().__init__(*args, **fields)
 
-    def counted_slice(rows, s_range):
-        slices.append(s_range)
-        return count(rows, s_range)
+    def counted(name, record):
+        def call(*args):
+            record.append(args)
+            return cores[name](*args)
+
+        return call
 
     with monkeypatch.context() as patch:
         patch.setattr(regions, "HalfOpenRegion", Counted)
-        patch.setattr(regions, "_slice_count", counted_slice)
-        yield built, slices
+        patch.setattr(regions, "_lattice_count", counted("_lattice_count", measured))
+        patch.setattr(regions, "_volume", counted("_volume", measured))
+        patch.setattr(regions, "_slice_count", counted("_slice_count", slices))
+        yield built, measured, slices
 
 
 @pytest.mark.parametrize("make", (poly12, fixtures.bl1_p3), ids=lambda make: make.__name__)
@@ -533,19 +562,43 @@ def test_a_repeated_question_measures_no_region(monkeypatch, make):
     for d in divisors:
         reference = fresh(fan)
         expected = [f(reference, d) for f in (h_all, cech_oracle, euler_char, hhat, self_intersection)]
-        with counted_measuring(monkeypatch) as (built, slices):
+        with counted_measuring(monkeypatch) as (built, regions_measured, slices):
             answers = [h_all(fan, d)]
-            measured += len(built)
-            built.clear()
+            measured += len(regions_measured)
+            regions_measured.clear()
             slices.clear()
             answers += [cech_oracle(fan, d), euler_char(fan, d)]
-            assert (built, slices) == ([], []), d
+            assert (regions_measured, slices) == ([], []), d
             answers.append(hhat(fan, d))
-            built.clear()
+            regions_measured.clear()
             answers.append(self_intersection(fan, d))
+            assert regions_measured == [], d
             assert built == [], d
         assert answers == expected, d
     assert measured > len(divisors)
+
+
+@pytest.mark.parametrize("make", (fixtures.bl2_p2, fixtures.bl1_p3), ids=lambda make: make.__name__)
+def test_warm_questions_build_no_region(monkeypatch, make):
+    # On a warm fan every question measures its divisor's realized
+    # regions straight off the divisor's slot and reads the section
+    # polytope's triangulation off its type cell: no HalfOpenRegion is
+    # built, by the region sums or by the mixed partials and ampleness
+    # probes, and every answer is a fresh fan's.
+    fan = fresh(make())
+    k = len(fan.rays)
+    rng = random.Random(22 + k)
+    guarded_answers(fan, (Fraction(1),) * k)  # warms the fan's tables
+    divisors = [(Fraction(3, 2),) * k, (2,) * k] + sample_divisors(fan, rng, 2)[1:]
+    measured = partials = 0
+    for d in divisors:
+        expected = guarded_answers(fresh(fan), d)
+        with counted_measuring(monkeypatch) as (built, regions_measured, _):
+            assert guarded_answers(fan, d) == expected, d
+        assert built == [], d
+        measured += len(regions_measured)
+        partials += isinstance(expected[6], Fraction)  # a mixed partial, not an error
+    assert measured > 3 * len(divisors) and partials >= 2
 
 
 def table_sequence(fan, rng):
@@ -639,11 +692,11 @@ def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):
     assert len(calls) == 3
     assert h_all(fan, d) == expected
 
-    def partial_measure(reg):
+    def partial_measure(fan_, slot, mask, vertices):
         if partial_measure.left == 0:
             raise RuntimeError("measure interrupted")
         partial_measure.left -= 1
-        return lattice_count(reg) + 1000
+        return regions._slot_count(fan_, slot, mask, vertices) + 1000
 
     partial_measure.left = 1
     with pytest.raises(RuntimeError, match="measure interrupted"):

@@ -28,7 +28,7 @@ from toricvol.errors import CapExceededError, ToricError
 from toricvol.fan import is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, enumerate_maximal_chambers, locate_chamber
 from toricvol.linalg import to_integers
-from toricvol.regions import HalfOpenRegion, is_bounded_subset, normalized_volume, region_sum
+from toricvol.regions import HalfOpenRegion, is_bounded_subset, normalized_volume, region, region_sum
 
 EVERY_FIXTURE = (
     fixtures.p1, fixtures.p2, fixtures.p1xp1, fixtures.f1, fixtures.weighted_p112,
@@ -86,11 +86,10 @@ def test_cell_tables_match_the_arrangement_referee():
             expected = realized_tables(found, bounded)
             masks = regions._realized_masks(fan, slot)
             assert [mask for mask, *_ in masks] == list(expected), (fan, d)
-            for mask, subset, weak, vertices in masks:
+            for mask, subset, vertices in masks:
                 table = {slot.point(b): tight for b, _, tight in vertices}
                 assert list(table.items()) == list(expected[mask].items()), (fan, d, mask)
                 assert subset == frozenset(i for i in range(k) if mask >> i & 1)
-                assert weak == tuple(bool(mask >> i & 1) for i in range(k))
                 masks_checked += 1
         fans += 1
     assert fans == len(EVERY_FIXTURE) + 10 and masks_checked > 2000
@@ -121,7 +120,7 @@ def test_regions_off_the_fan_memo_match_the_referee():
                     HalfOpenRegion(normals, levels, weak, fan.dim, memo),
                     HalfOpenRegion(normals, levels, weak, fan.dim),
                 ):
-                    if not regions._closure_is_bounded(reg):
+                    if not regions._is_bounded(reg.normals, reg.dim, reg.memo, (1 << (k - 1)) - 1):
                         continue
                     found, scale = arrangement_vertices(normals, fan.dim, memo, *to_integers(levels))
                     table = reg.vertex_table
@@ -135,7 +134,7 @@ def test_regions_off_the_fan_memo_match_the_referee():
         for mask in range(1 << k):
             weak = tuple(bool(mask >> i & 1) for i in range(k))
             reg = HalfOpenRegion(fan.rays, levels, weak, fan.dim)
-            if regions._closure_is_bounded(reg):
+            if regions._is_bounded(reg.normals, reg.dim, reg.memo, mask):
                 assert reg.vertex_table == (filtered(found, mask), scale)
                 checked += 1
     assert checked > 60
@@ -249,7 +248,7 @@ def kept_entries(arrangement):
     return sum(
         len(key)
         + len(cell.vertices)
-        + (sum(len(entry[3]) for entry in cell.masks) if cell.masks else 0)
+        + (sum(len(entry[2]) for entry in cell.masks) if cell.masks else 0)
         + sum(max(len(simplices), 1) for simplices in cell.simplices.values())
         for key, cell in arrangement.cells.items()
     )
@@ -323,16 +322,21 @@ def volume_divisors(fan, rng):
 
 
 def refereed_volumes(fan, d):
-    """Every realized region's volume of d against ``sorted_apex_volume``.
+    """Every realized region's volume of d by ``_slot_volume``, against its own region's.
 
-    Returns (regions measured, regions handed their cell's triangulation).
+    The kernel's volume must equal ``normalized_volume`` and
+    ``sorted_apex_volume`` of the standalone region of the same subset.
+    Returns (regions measured, regions whose triangulation the cell kept
+    before they were measured).
     """
     measured, handed = [], []
+    k = len(fan.rays)
 
-    def measure(reg):
-        handed.append("triangulation" in vars(reg))
-        volume = normalized_volume(reg)
-        assert volume == sorted_apex_volume(reg), (fan.rays, d, reg.weak)
+    def measure(fan_, slot, mask, vertices):
+        handed.append(mask in slot.cell.simplices)
+        volume = regions._slot_volume(fan_, slot, mask, vertices)
+        own = region(fan, d, [i for i in range(k) if mask >> i & 1])
+        assert volume == normalized_volume(own) == sorted_apex_volume(own), (fan.rays, d, mask)
         measured.append(volume)
         return volume
 
