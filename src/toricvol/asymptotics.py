@@ -4,10 +4,13 @@ The i-th asymptotic function of a divisor is the limit of
 h^i(m d) / (m^n / n!).  On a complete fan it is computed exactly as a
 weighted sum of normalized region volumes, never through the limit; the
 limit shows up only in diagnostic probes.  The same machinery yields
-the top self-intersection number as a signed volume sum.  Exact mixed
+the top self-intersection number as a signed volume sum.  Both sums are
+read off the integer volume table of the divisor's type cell
+(``regions._lawrence_columns``): on the cell each ĥ^i is the explicit
+polynomial sum_B c_{B,i} N_B <g_B, L_B>^n of Lawrence's vertex formula,
+with one column per rank degree and one of Euler weights.  Exact mixed
 partial derivatives of the section growth function on an open chamber
-are read off the degree-n polynomial that its section polytope's kept
-triangulation makes of the volume, not off finite differences.
+are that polynomial's derivatives, not finite differences.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import _euler_weight
-from .divisor import Divisor, _check_length, is_q_cartier
+from .divisor import Divisor, is_q_cartier
 from .errors import (
     ChamberWallError,
     NotCompleteError,
@@ -24,36 +27,29 @@ from .errors import (
 )
 from .fan import Fan, _is_int, is_complete, is_simplicial
 from .homology import _local_ranks
-from .linalg import to_integers
-from .regions import _cleared_sum, _slot_volume, _volume_partial, region_sum
+from .regions import _divisor_slot, _h0_partial, _held_slot, _lawrence_sum
 
 AsymptoticVector = tuple[Fraction, ...]
 
 
 def _rates(fan: Fan, d: Divisor, degrees: slice) -> AsymptoticVector:
-    """The asymptotic rates of the degrees in the slice, in order.
+    """The asymptotic rates of the degrees in the slice, in order, off the held slot.
 
-    Checks the fan and the length and clears d once; ``_cleared_rates``
-    sums the regions.
+    Only the table columns of those degrees are read: on an ample cell
+    the columns of degrees 1..n are empty.
     """
-    if not is_complete(fan):
-        raise NotCompleteError("asymptotic functions need a complete fan")
-    _check_length(fan, d)
-    return _cleared_rates(fan, *to_integers(d), degrees)
+    return _lawrence_sum(fan, _held_slot(fan, d), _local_ranks, degrees)
 
 
 def _cleared_rates(fan: Fan, coefficients, q: int, degrees: slice) -> AsymptoticVector:
-    """``_rates`` of the divisor cleared to integers (``regions._cleared_sum``).
+    """``_rates`` of the divisor cleared to integers, keyed without replacing the held slot."""
+    slot = _divisor_slot(fan.rays, fan.dim, fan.memo, coefficients, q)
+    return _lawrence_sum(fan, slot, _local_ranks, degrees)
 
-    Each region is weighted by the slice of its rank vector, so a region
-    whose ranks vanish on those degrees is never measured: the section
-    polytope (all rays weak) carries degree 0 alone, so leaving degree 0
-    out skips the largest region.
-    """
-    values = _cleared_sum(
-        fan, coefficients, q, lambda subset: _local_ranks(fan, subset)[degrees], _slot_volume
-    )
-    return tuple(Fraction(v) for v in values)
+
+def _euler_weights(fan: Fan, subset: frozenset[int]) -> tuple[int]:
+    """``_euler_weight`` as a one-entry weight, the key of the Euler column."""
+    return (_euler_weight(fan, subset),)
 
 
 def hhat(fan: Fan, d: Divisor) -> AsymptoticVector:
@@ -74,8 +70,7 @@ def self_intersection(fan: Fan, d: Divisor) -> Fraction:
         raise NotCompleteError("self-intersection needs a complete fan")
     if not is_simplicial(fan) and is_q_cartier(fan, d) is None:
         raise NotQCartierError("divisor is not Q-Cartier")
-    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), _slot_volume)
-    return Fraction(total)
+    return _lawrence_sum(fan, _held_slot(fan, d), _euler_weights, slice(None))[0]
 
 
 def asymptotic_rr_check(fan: Fan, d: Divisor) -> tuple[Fraction, Fraction]:
@@ -88,18 +83,18 @@ def asymptotic_rr_check(fan: Fan, d: Divisor) -> tuple[Fraction, Fraction]:
 def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
     """Exact mixed partial of the section growth rate along prime divisors.
 
-    On an open chamber the growth rate is the normalized volume of a
-    simple section polytope, whose vertices are linear in d, and the
-    pulling triangulation its type cell keeps makes that volume an
-    explicit polynomial of degree n near d (Lawrence 1991); the partial
-    is read off it in integers (``regions._volume_partial``), with no
-    region sum.  The divisor is cleared to integers once, when its
-    chamber is located, so a float divisor counts as its exact value.
+    On an open chamber the growth rate is the normalized volume of the
+    section polytope, and the degree-0 column of the volume table of its
+    type cell makes it an explicit polynomial of degree n near d
+    (Lawrence 1991); the partial is read off it in integers
+    (``regions._h0_partial``), with no region sum.  The divisor is
+    cleared to integers once, when its chamber is located, so a float
+    divisor counts as its exact value.
     Raises ChamberWallError off an open chamber, and PreconditionError
     unless the ray indices are 1 to n distinct ints in 0..k-1 (True and
     1.0 are no ray index).
     """
-    from .gkz import _section_slot, _slot_chamber
+    from .gkz import _slot_chamber
 
     rays = list(ray_indices)
     if not all(_is_int(i) and 0 <= i < len(fan.rays) for i in rays):
@@ -108,7 +103,7 @@ def mixed_partial_h0(fan: Fan, d: Divisor, ray_indices) -> Fraction:
         raise PreconditionError("ray list must consist of distinct rays")
     if not 1 <= len(rays) <= fan.dim:
         raise PreconditionError("need between 1 and n distinct rays")
-    slot = _section_slot(fan, d)
+    slot = _held_slot(fan, d)
     if not _slot_chamber(fan, slot).interior:
         raise ChamberWallError("divisor class sits on a chamber wall")
-    return _volume_partial(fan, slot, rays)
+    return _h0_partial(fan, slot, _local_ranks, rays)

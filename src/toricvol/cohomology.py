@@ -18,7 +18,7 @@ from .errors import NotCompleteError, ToricError
 from .fan import Fan, _check_rays, _is_int, _subfan, chi_of_fan, is_complete
 from .homology import _local_ranks, local_cohomology_ranks
 from .linalg import _point_integers, _sparse_rank, dot, to_integers
-from .regions import _slot_count, region_sum
+from .regions import region_sum
 
 CohomologyVector = tuple[int, ...]
 
@@ -63,7 +63,7 @@ def h_all(fan: Fan, d: Divisor) -> CohomologyVector:
         raise NotCompleteError(
             "h_all needs a complete fan; use graded_piece_dim for single pieces"
         )
-    return region_sum(fan, d, lambda subset: _local_ranks(fan, subset), _slot_count)
+    return region_sum(fan, d, lambda subset: _local_ranks(fan, subset))
 
 
 def _euler_weight(fan: Fan, subset: frozenset[int]) -> int:
@@ -96,7 +96,7 @@ def euler_char(fan: Fan, d: Divisor) -> int:
     """
     if not is_complete(fan):
         raise NotCompleteError("euler_char needs a complete fan")
-    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),), _slot_count)
+    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),))
     return total
 
 
@@ -198,4 +198,4 @@ def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:
     """
     if not is_complete(fan):
         raise NotCompleteError("cech_oracle needs a complete fan")
-    return region_sum(fan, d, lambda subset: _cech_ranks(fan, subset), _slot_count)
+    return region_sum(fan, d, lambda subset: _cech_ranks(fan, subset))

@@ -106,15 +106,21 @@ class Fan:
 
 
 def _basis_inverses(vectors, dim: int, memo):
+    """(common, inverses) of ``_basis_table``."""
+    return _basis_table(vectors, dim, memo)[:2]
+
+
+def _basis_table(vectors, dim: int, memo):
     """The integer inverse of every invertible ``dim``-subset of the vectors, once per memo.
 
-    Returns (common, inverses): ``inverses`` maps each sorted index tuple
+    Returns (common, inverses, sizes): ``inverses`` maps each sorted index tuple
     whose vectors are independent, in lexicographic order, to the
     integer matrix A with A / common the inverse of the matrix whose
     rows are those vectors (``linalg._adjugate``, rescaled), and
     common > 0 is the lcm of the basis determinants.  So A . b / common
     is the point u with <u, v_i> = b_i on the basis, and column i of
-    A . v / common is the coefficient of basis vector i in v.  Fans pass
+    A . v / common is the coefficient of basis vector i in v, and
+    ``sizes`` maps each index tuple to |det| of its matrix.  Fans pass
     their rays and ``Fan.memo``; a region passes its own normals and memo.
     """
 
@@ -125,10 +131,11 @@ def _basis_inverses(vectors, dim: int, memo):
             if inverse is not None:
                 found[combo] = inverse
         common = math.lcm(*(size for _, size in found.values()))
-        return common, {
+        inverses = {
             combo: tuple(tuple(x * (common // size) for x in row) for row in adjugate)
             for combo, (adjugate, size) in found.items()
         }
+        return common, inverses, {combo: size for combo, (_, size) in found.items()}
 
     return memo("basis_inverses", compute)
 

@@ -51,7 +51,7 @@ growth path clears each divisor to integers once per call
 cleared divisor, so the ampleness test reads the step for every ray off
 one set of slacks, builds each probe d +- (a / b) e_rho as integers over
 q b in lowest terms, tests it with integer dots and hands it to the
-cleared region sum (``asymptotics._cleared_rates``).  A nef
+cleared rates (``asymptotics._cleared_rates``).  A nef
 decomposition computes its cone functionals, its parts and its two
 vertex tables as integers over one scale.  A ``Fraction`` is built only
 for an answer: support function values, sample divisors, nef parts,
@@ -84,7 +84,7 @@ from .fan import (
 )
 from .linalg import _lowest_terms, dot, nullspace, rank, solve, to_integers
 from .lp import feasible_point, relative_interior_functional
-from .regions import _divisor_slot, _polytope_table, _vertex_table
+from .regions import _held_slot, _polytope_table, _vertex_table
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +131,6 @@ class PossiblyDegenerateFan:
 _NOT_EFFECTIVE = "section polytope is empty: class not effective"
 
 
-def _section_slot(fan: Fan, d: Divisor):
-    """The divisor's slot (``regions._divisor_slot``), kept as the fan's last divisor."""
-    if not is_complete(fan):
-        raise NotCompleteError("support functions need a complete fan")
-    _check_length(fan, d)
-    return _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d), keep=True)
-
-
 def _section_vertices(fan: Fan, slot):
     """The section polytope's vertices as sorted integer points, their scale, and tight rays.
 
@@ -167,7 +159,7 @@ def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[i
     the divisor's own level strictly; they never generate cones of the
     normal fan.
     """
-    points, scale, tight = _section_vertices(fan, _section_slot(fan, d))
+    points, scale, tight = _section_vertices(fan, _held_slot(fan, d))
     if not points:
         raise EffectiveConeError(_NOT_EFFECTIVE)
     vertices = tuple(tuple(Fraction(x, scale) for x in point) for point in points)
@@ -297,7 +289,7 @@ def locate_chamber(fan: Fan, d: Divisor) -> LocatedChamber:
     (``regions._TypeCell.chamber``): a divisor of a cell met before
     solves no vertex.
     """
-    return _slot_chamber(fan, _section_slot(fan, d))
+    return _slot_chamber(fan, _held_slot(fan, d))
 
 
 def _slot_chamber(fan: Fan, slot) -> LocatedChamber:
@@ -517,18 +509,18 @@ def gkz_cone(
     for cone in cones:
         if cone & strict:
             raise ValueError("cone generators must avoid the strict-ray set")
+    return GKZCone(fan, *_cone_fields(fan, cones, strict, lineality), sample_divisor)
+
+
+def _cone_fields(fan: Fan, cones, strict: frozenset[int], lineality) -> tuple:
+    """The ``GKZCone`` fields after ``fan`` of a checked cone key, strict set and lineality.
+
+    The condition system comes from the per-fan ``_gkz_system``, so a
+    caller that keeps these fields builds a fresh ``GKZCone`` from them
+    with no check, sort or system lookup.
+    """
     members, bases, _, equalities, inequalities = _gkz_system(fan, cones, strict)
-    return GKZCone(
-        fan=fan,
-        sigma_cones=cones,
-        strict_rays=strict,
-        lineality_basis=lineality,
-        equalities=equalities,
-        inequalities=inequalities,
-        members=members,
-        bases=bases,
-        sample_divisor=sample_divisor,
-    )
+    return cones, strict, lineality, equalities, inequalities, members, bases
 
 
 def _check_fan(fan: Fan, cone: GKZCone) -> None:
@@ -544,12 +536,19 @@ def gkz_membership(fan: Fan, cone: GKZCone, d: Divisor) -> bool:
 
 
 def located_cone(fan: Fan, location: LocatedChamber) -> GKZCone:
-    return gkz_cone(
-        fan,
-        location.sigma.max_cones,
-        location.strict_rays,
-        lineality_basis=location.sigma.lineality_basis,
-    )
+    """The chamber cone of a located chamber, a fresh ``GKZCone`` on every call.
+
+    Its fields are kept per fan and location (the ``"located_cones"``
+    memo), built by ``gkz_cone`` with its checks the first time a
+    location is asked, so a location kept on a type cell is checked once.
+    """
+    kept = fan.memo("located_cones", dict)
+    fields = kept.get(location)
+    if fields is None:
+        sigma = location.sigma
+        cone = gkz_cone(fan, sigma.max_cones, location.strict_rays, lineality_basis=sigma.lineality_basis)
+        fields = kept[location] = _cone_fields(fan, cone.sigma_cones, cone.strict_rays, cone.lineality_basis)
+    return GKZCone(fan, *fields)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +674,9 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
     decides projectivity and gives the sample divisor, and no other LP,
     as the search and the systems read which rays lie in which cone off
     the fan's basis inverses.  The chamber list depends on the fan
-    only: the search runs once per fan, and every call returns a new
-    list of fresh ``GKZCone`` objects.
+    only: the search runs once per fan and keeps every chamber's
+    ``GKZCone`` fields, and every call returns a new list of fresh
+    ``GKZCone`` objects built from them with no check.
     """
     if not is_complete(fan):
         raise NotCompleteError("chamber enumeration needs a complete fan")
@@ -695,13 +695,10 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
             strict = frozenset(range(len(fan.rays))).difference(*cones)
             sample = _interior_sample(fan, cones, strict)
             if sample is not None:
-                found.append((tuple(cones), strict, sample))
+                found.append((*_cone_fields(fan, tuple(cones), strict, ()), sample))
         return tuple(found)
 
-    return [
-        gkz_cone(fan, cones, strict, sample_divisor=sample)
-        for cones, strict, sample in fan.memo("maximal_chambers", compute)
-    ]
+    return [GKZCone(fan, *fields) for fields in fan.memo("maximal_chambers", compute)]
 
 
 # ---------------------------------------------------------------------------
@@ -857,10 +854,12 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     ``GKZCone.step`` for that ray, so both probes lie strictly inside.
     After its chamber is located, the class is cleared to integers once:
     every step is read off its one set of slacks, and each probe is
-    built, tested and measured as integers over q b
-    (``_cleared_rates``).  These checks compute ĥ^1..ĥ^n only, so
-    the section polytope is never measured.  A complete simplicial fan
-    makes every divisor Q-Cartier, so no Cartier test runs.
+    built and tested as integers over q b, and its ĥ^1..ĥ^n read off the
+    volume table of its type cell (``_cleared_rates``), keyed without
+    replacing the class's held slot.  Only the table columns of degrees
+    1..n are read, which an ample cell leaves empty.  A complete
+    simplicial fan makes every divisor Q-Cartier, so no Cartier test
+    runs.
     """
     if not is_complete(fan):
         raise NotCompleteError("ampleness test needs a complete fan")

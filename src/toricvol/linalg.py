@@ -20,7 +20,7 @@ unique, their answers are exactly those of Gaussian elimination over
 ``_sparse_rank`` is the only rank loop: a fraction-free row echelon on
 sparse integer rows, each row's pivot its largest column, as in the
 column reduction of persistent homology (Zomorodian and Carlsson 2005).
-``rank`` and ``affine_rank`` clear rows to integers and call it; the
+``rank`` clears rows to integers and calls it; the
 boundary and coboundary matrices of ``homology`` and ``cohomology``,
 whose {0, +-1} entries fill in under Gauss-Jordan, are built as sparse
 rows for it directly.
@@ -280,10 +280,3 @@ def det(matrix: Sequence[Sequence]) -> Fraction:
 def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull of a point set (-1 for empty)."""
-    if not points:
-        return -1
-    base = points[0]
-    return rank([[a - b for a, b in zip(p, base)] for p in points[1:]])

@@ -37,32 +37,42 @@ linear equivalence and positive scaling.  Each memo keeps the cells it
 meets (``_TypeCell``, at most ``CELL_BUDGET`` entries per memo): one
 vertex per tight set with its basis and masks, classified from the
 signs alone with no point solved, and, filled on first use, the
-realized bounded masks of a region sum, each realized region's
-triangulation and the located chamber of ``gkz.locate_chamber``.  A
-divisor solves only the vertices of the regions it asks about,
-P_B = A_B . L_B, once each: ``_DivisorSlot`` keeps them with the
-divisor's row bounds, and each memo holds the slot of its last divisor.
-``region_sum`` measures a realized region straight off that slot and
-the region's weak mask, with no region object: its measure is one of
-two integer kernels, ``_slot_count`` (the slot's row bounds and the
-mask's solved vertices) and ``_slot_volume`` (those vertices and the
-triangulation the cell keeps under the mask).  A standalone
-``HalfOpenRegion`` feeds the same integer core from its own vertex
-table and row bounds, each computed at most once per object, on first
-use.  Volumes come from a pulling
-triangulation on those integer vertices, taken in basis order, the
-order of the cell's vertices: each face's apex is its first vertex,
-each facet is read off the tight masks, and its affine rank comes from
-a fraction-free elimination of integer edge vectors.  The face lattice
-of a region is fixed on its type cell (Lawrence 1991: one triangulation
-serves every polytope of one combinatorial type), so a kept cell keeps
-each region's simplices as vertex positions, and a later divisor of the
-cell takes only each simplex's |det|, an n x n integer elimination.  On
-an open chamber the section polytope's simplices keep their signs and
-its vertices move linearly with d, so its volume is a polynomial whose
-mixed partials ``_volume_partial`` reads off in integer determinants.
-No ``Fraction`` is built inside a volume but its answer.  Lattice
-points are counted one plane at a time.  Above each integer point of
+realized bounded masks of a region sum, the located chamber of
+``gkz.locate_chamber`` and the volume tables below.  A divisor solves
+only the vertices of the regions it counts, P_B = A_B . L_B, once
+each: ``_DivisorSlot`` keeps them with the divisor's row bounds, and
+each memo holds the slot of its last divisor.  ``region_sum`` counts a
+realized region's lattice points straight off that slot and the
+region's weak mask, with no region object (``_slot_count``).  A
+standalone ``HalfOpenRegion`` feeds the same integer core from its own
+vertex table and row bounds, each computed at most once per object, on
+first use.
+
+Volumes are Lawrence vertex sums (Lawrence 1991).  Raising the levels
+by theta_i = eps^(i + 1), eps -> 0+, makes every circuit value nonzero
+(simulation of simplicity, Edelsbrunner and Muecke 1990): a zero value
+takes the sign of lam at its least ray index with lam != 0.  On that
+simple cell each basis B is its own vertex, and its 2^n orthant masks
+W = above(P_B) | s+ are the regions around it.  With xi = (1, t, ...,
+t^(n - 1)) pairing nonzero with every column of every basis inverse,
+g_B = A_B^T xi and N_B = |det A_B| / prod_j (-g_B[j]), the closure of
+a bounded region W has
+
+    nvol(W) = sum over its vertices P_B of (prod_j s_j) N_B <g_B, L_B>^n / (q common)^n,
+
+so a weighted sum over the regions is sum_B c_B N_B <g_B, L_B>^n with
+c_B = sum_s (prod_j s_j) w(above(P_B) | s+) over the bounded orthant
+masks.  The coefficients depend on the cell alone, so each type cell
+keeps the nonzero ones of its simple cell as one integer table per
+weight (``_lawrence_columns``), and a divisor of a known cell pays one
+dot product and one power per basis in the table.  Volumes are continuous
+in the levels, so the table of the raised levels' cell gives the exact
+sums at the levels themselves; the same polynomial, differentiated,
+gives the mixed partials of the section polytope's volume
+(``_h0_partial``).  No ``Fraction`` is built inside a volume but its
+answer.
+
+Lattice points are counted one plane at a time.  Above each integer point of
 the bounding box's first n - 2 coordinates, the mixed weak/strict
 system, each row made one weak integer inequality, cuts a 2-D slice;
 its count walks the slice's lower and upper envelopes along the
@@ -85,22 +95,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import combinations, permutations, product
+from itertools import combinations, count, product
 from operator import itemgetter, mul
 from typing import Callable
 
 from .divisor import Divisor, _check_length
-from .errors import CapExceededError, UnboundedRegionError
-from .fan import Fan, _basis_inverses, _check_rays
-from .linalg import (
-    _kernel_direction,
-    _point_integers,
-    affine_rank,
-    dot,
-    integer_eliminate,
-    rank,
-    to_integers,
-)
+from .errors import CapExceededError, NotCompleteError, UnboundedRegionError
+from .fan import Fan, _basis_table, _check_rays, is_complete
+from .linalg import _kernel_direction, _point_integers, dot, rank, to_integers
 
 
 # Fixed work caps; past either one, CapExceededError.  A region sum visits
@@ -114,10 +116,11 @@ FIBER_BUDGET = 10**7
 # Each normal set's memo keeps at most CELL_BUDGET entries of type cells:
 # one per circuit sign of a kept cell's key and one per vertex, one per
 # (region, vertex) incidence of its realized regions once those are kept
-# too, and one per simplex of each region triangulation it keeps (one for
-# the empty triangulation of a lower-dimensional region).  Past it, new
+# too, and one per row of each volume table column it keeps.  Past it, new
 # cells are built and used but not kept, and a kept cell keeps no more.
 CELL_BUDGET = 2**11
+# The zero rate, shared by every volume sum that adds up to nothing.
+_ZERO = Fraction(0)
 
 
 def _no_cache(key, compute):
@@ -133,11 +136,11 @@ class HalfOpenRegion:
     patterns, basis inverses, negated normals).  Regions of a fan carry
     the fan's memo, so those facts are computed once per fan; the
     default computes them afresh on every call.  The integer data the
-    public measures read, ``vertex_table``, ``triangulation`` and
-    ``row_bounds``, is computed at most once per region object, on first
-    use.  ``region_sum`` builds no region: it measures off its divisor's
-    slot.  Raises ValueError unless ``normals``, ``levels`` and ``weak``
-    have one entry per row and every normal has ``dim`` entries.
+    lattice measures read, ``vertex_table`` and ``row_bounds``, is
+    computed at most once per region object, on first use.
+    ``region_sum`` builds no region: it counts off its divisor's slot.
+    Raises ValueError unless ``normals``, ``levels`` and ``weak`` have
+    one entry per row and every normal has ``dim`` entries.
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -155,7 +158,12 @@ class HalfOpenRegion:
             )
 
     def contains(self, point) -> bool:
-        """Whether the point, read at its exact value (``linalg._point_integers``), lies inside."""
+        """Whether the point, read at its exact value (``linalg._point_integers``), lies inside.
+
+        Raises ValueError unless the point has ``dim`` coordinates.
+        """
+        if len(point) != self.dim:
+            raise ValueError(f"point has {len(point)} coordinates, region has dimension {self.dim}")
         coordinates, p = _point_integers(point)
         for normal, level, is_weak in zip(self.normals, self.levels, self.weak):
             value = dot(normal, coordinates)
@@ -170,15 +178,6 @@ class HalfOpenRegion:
     def vertex_table(self):
         """The closure's integer vertices ({P: tight}, scale) of ``_integer_vertices``."""
         return _integer_vertices(self)
-
-    @cached_property
-    def triangulation(self) -> tuple[tuple[int, ...], ...]:
-        """The closure's pulling triangulation, each simplex as positions in ``vertex_table``.
-
-        Empty when the closure has lower dimension (``_triangulation``).
-        """
-        points, _ = self.vertex_table
-        return _triangulation(tuple(points), tuple(points.values()), self.dim)
 
     @cached_property
     def row_bounds(self) -> tuple[int, ...]:
@@ -325,11 +324,14 @@ class _Arrangement:
     lam_i < 0 and 2c + 1 otherwise, entry 2c + 1 of a cell's sign list
     being the negated sign.  ``cells`` holds the type cells met so far
     by their keys, and ``entries`` the entries they keep, at most
-    ``CELL_BUDGET``.
+    ``CELL_BUDGET``.  The data of the volumes, ``lawrence``, ``den`` and
+    ``weights``, is computed on first use, so that a normal set whose
+    regions are only counted never pays for it.
     """
 
     def __init__(self, normals, dim: int, memo):
-        self.common, inverses = _basis_inverses(normals, dim, memo)
+        self.common, inverses, self.sizes = _basis_table(normals, dim, memo)
+        self.rows, self.dim = len(normals), dim
         found: dict = {}
         circuits = []
         self.bases = []
@@ -360,6 +362,40 @@ class _Arrangement:
         self.cells: dict = {}
         self.entries = 0
 
+    @cached_property
+    def lawrence(self) -> tuple:
+        """One pair (combo, g_B) per basis, g_B = A_B^T xi.
+
+        xi = (1, t, ..., t^(n - 1)) for the least t >= 1 at which no entry
+        of any g_B is zero: each entry is a nonzero polynomial in t, so
+        some t works.
+        """
+        for t in count(1):
+            xi = [t**j for j in range(self.dim)]
+            pairs = tuple(
+                (combo, tuple(sum(map(mul, xi, column)) for column in zip(*adjugate)))
+                for combo, adjugate, *_ in self.bases
+            )
+            if all(all(g) for _, g in pairs):
+                return pairs
+
+    @cached_property
+    def den(self) -> int:
+        """The least common multiple of the |prod_j g_B[j]|."""
+        return math.lcm(*(abs(math.prod(g)) for _, g in self.lawrence))
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """N_B * ``den`` per basis, N_B = |det A_B| / prod_j (-g_B[j]).
+
+        |det A_B| = common^n / |det V_B|, the basis sizes ``sizes`` of
+        ``fan._basis_table``.
+        """
+        return tuple(
+            self.common**self.dim // self.sizes[combo] * (self.den // math.prod(-x for x in g))
+            for combo, g in self.lawrence
+        )
+
     def admit(self, size: int) -> bool:
         """Whether ``size`` more entries fit in ``CELL_BUDGET``; if so they are counted.
 
@@ -379,31 +415,28 @@ def _arrangement(normals, dim: int, memo) -> _Arrangement:
 class _TypeCell:
     """What every divisor of one type cell shares: its arrangement combinatorics.
 
-    ``vertices`` has one triple (basis, above, tight) per distinct
-    arrangement vertex, the first basis in basis order that meets it,
-    with the bitmasks of the rows above it and tight at it.  ``visits``
-    is the number of candidate weak sets, sum 2^|tight|, that a region
-    sum visits.  Filled later, once: ``masks``, the realized bounded
-    masks of ``_realized_masks`` (when ``kept``, only within the budget),
-    and ``chamber``, the located chamber of ``gkz.locate_chamber``.
-    ``simplices`` maps a realized mask to its region's pulling
-    triangulation, as positions in the region's vertices in basis
-    order, filled per mask by ``_cell_simplices`` as ``_slot_volume``
-    measures regions and as ``_volume_partial`` reads the section
-    polytope (all rows weak), only when ``kept`` and within the budget.
-    The face lattice of each region is fixed on the cell, so one
-    triangulation serves every divisor of it.
+    ``key`` is the cell's circuit signs.  ``vertices`` has one triple
+    (basis, above, tight) per distinct arrangement vertex, the first
+    basis in basis order that meets it, with the bitmasks of the rows
+    above it and tight at it.  ``visits`` is the number of candidate
+    weak sets, sum 2^|tight|, that a region sum visits.  Filled later,
+    once: ``masks``, the realized bounded masks of ``_realized_masks``
+    (when ``kept``, only within the budget), and ``chamber``, the
+    located chamber of ``gkz.locate_chamber``.  ``columns`` maps a
+    weight to the cell's volume table (``_lawrence_columns``), only when
+    ``kept`` and within the budget.
     """
 
-    __slots__ = ("vertices", "visits", "kept", "masks", "chamber", "simplices")
+    __slots__ = ("key", "vertices", "visits", "kept", "masks", "chamber", "columns")
 
-    def __init__(self, vertices):
+    def __init__(self, key, vertices):
+        self.key = key
         self.vertices = vertices
         self.visits = sum(1 << tight.bit_count() for _, _, tight in vertices)
         self.kept = False
         self.masks = None
         self.chamber = None
-        self.simplices = {}
+        self.columns = {}
 
 
 def _cell_key(arrangement: _Arrangement, integers) -> tuple[int, ...]:
@@ -417,14 +450,18 @@ def _cell_key(arrangement: _Arrangement, integers) -> tuple[int, ...]:
 
 
 def _type_cell(arrangement: _Arrangement, integers) -> _TypeCell:
-    """The type cell of the integer levels L, built from its circuit signs on a miss.
+    """The type cell of the integer levels L (``_cell_of``)."""
+    return _cell_of(arrangement, _cell_key(arrangement, integers))
+
+
+def _cell_of(arrangement: _Arrangement, key) -> _TypeCell:
+    """The type cell of the circuit signs ``key``, built from them on a miss.
 
     A new cell classifies every basis's vertex from the signs alone, with
     no point solved, and keeps one vertex per tight set: a tight set
     holds a basis, so it fixes its point.  It is kept while the budget
     lasts.
     """
-    key = _cell_key(arrangement, integers)
     cell = arrangement.cells.get(key)
     if cell is not None:
         return cell
@@ -445,11 +482,32 @@ def _type_cell(arrangement: _Arrangement, integers) -> _TypeCell:
         if tight not in seen:
             seen.add(tight)
             vertices.append((b, above, tight))
-    cell = _TypeCell(tuple(vertices))
+    cell = _TypeCell(key, tuple(vertices))
     if arrangement.admit(len(key) + len(vertices)):
         cell.kept = True
         arrangement.cells[key] = cell
     return cell
+
+
+def _simple_cell(arrangement: _Arrangement, cell: _TypeCell) -> _TypeCell:
+    """The cell of the levels raised by theta_i = eps^(i + 1), eps -> 0+.
+
+    A nonzero circuit value keeps its sign, and a zero one <lam, L_S>
+    becomes sum_i lam_i eps^(i + 1), the sign of lam at its least ray
+    index with lam != 0.  So no circuit sign is zero: no n + 1 rows meet
+    in a point, and each basis is a vertex tight on its own rows alone.
+    A cell with no zero sign is its own simple cell; another is read off
+    its key with no new dot product.
+    """
+    key = cell.key
+    if 0 not in key:
+        return cell
+    rows = range(arrangement.rows)
+    raised = tuple(
+        x or (1 if min((j, y) for j, y in zip(get(rows), lam) if y)[1] > 0 else -1)
+        for x, (get, lam) in zip(key, arrangement.circuits)
+    )
+    return _cell_of(arrangement, raised)
 
 
 def _levels(coefficients, q: int):
@@ -461,12 +519,13 @@ def _levels(coefficients, q: int):
 
 @dataclass(eq=False, slots=True)
 class _DivisorSlot:
-    """One divisor's view of its type cell: its points, row bounds and amounts.
+    """One divisor's view of its type cell: its points, row bounds, counts and powers.
 
     ``key`` is (q * d, q), the divisor cleared to integers.  Each vertex
     point P_B = A_B . L_B is solved on first use and kept in ``points``
-    by basis; ``region_sum`` fills its realized masks and amounts, and
-    ``_slot_count`` its row bounds, on first use.
+    by basis; ``region_sum`` fills its realized masks and its lattice
+    counts by mask, ``_slot_count`` its row bounds, and the volume sums
+    ``powers``, <g_B, L_B>^n by basis, on first use.
     """
 
     key: tuple
@@ -476,6 +535,7 @@ class _DivisorSlot:
     masks: tuple | None = None
     amounts: dict = field(default_factory=dict)
     bounds: tuple | None = None
+    powers: dict = field(default_factory=dict)
 
     @property
     def scale(self) -> int:
@@ -490,6 +550,12 @@ class _DivisorSlot:
             rhs = [-coefficients[i] for i in combo]
             point = self.points[b] = tuple(sum(map(mul, row, rhs)) for row in adjugate)
         return point
+
+    def level(self, b: int) -> int:
+        """<g_B, L_B> of basis b for the levels L = -q * d: scale times <xi, P_B>."""
+        combo, g = self.arrangement.lawrence[b]
+        coefficients = self.key[0]
+        return -sum(x * coefficients[i] for x, i in zip(g, combo))
 
 
 def _divisor_slot(normals, dim: int, memo, coefficients, q: int, keep: bool = False) -> _DivisorSlot:
@@ -512,13 +578,24 @@ def _divisor_slot(normals, dim: int, memo, coefficients, q: int, keep: bool = Fa
     return slot
 
 
+def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
+    """The slot of d on a complete fan (``_divisor_slot``), kept as the fan's last divisor.
+
+    Raises NotCompleteError unless the fan is complete, and ValueError
+    unless d has one coefficient per ray.
+    """
+    if not is_complete(fan):
+        raise NotCompleteError("support functions and growth rates need a complete fan")
+    _check_length(fan, d)
+    return _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d), keep=True)
+
+
 def _vertex_table(slot: _DivisorSlot, weak: int):
     """({P: tight}, scale) for the vertices of the weak mask's closure, in basis order.
 
     Those are the vertices P with above(P) <= W <= above(P) | tight(P):
-    every row above is weak and every row below strict.  Their order,
-    that of the cell's vertices, is the same for every divisor of the
-    cell, so a triangulation's positions hold across the cell.
+    every row above is weak and every row below strict, in the order of
+    the cell's vertices.
     """
     point = slot.point
     table = {
@@ -576,76 +653,30 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
-def _triangulation(vertices, tight, dim: int) -> tuple[tuple[int, ...], ...]:
-    """A pulling triangulation of a closure, as positions in its integer ``vertices``.
-
-    ``tight`` holds each vertex's bitmask of tight rows, by position.
-    Empty when the vertices span less than the whole space.  The
-    positions follow the vertices' basis order, so the answer depends
-    only on the closure's face lattice, which is fixed on a type cell.
-    """
-    if affine_rank(vertices) < dim:
-        return ()
-    return tuple(_simplices(vertices, tight, tuple(range(len(vertices))), dim))
-
-
-def _simplices(vertices, tight, face, face_dim):
-    """Pulling triangulation of a face, given by ascending positions in ``vertices``.
-
-    The facets of the face avoiding its first vertex (the apex) are the
-    sets {v in face : row i is tight at v} over the rows i not tight at
-    the apex, kept when their affine rank is face_dim - 1.  ``tight``
-    holds each vertex's bitmask of tight rows, by position.
-    """
-    if len(face) == face_dim + 1:
-        yield face
-        return
-    apex = face[0]
-    rows = 0
-    for v in face:
-        rows |= tight[v]
-    rows &= ~tight[apex]
-    seen = set()
-    while rows:
-        bit = rows & -rows
-        rows ^= bit
-        facet = tuple(v for v in face if tight[v] & bit)
-        if facet in seen or affine_rank([vertices[v] for v in facet]) != face_dim - 1:
-            continue
-        seen.add(facet)
-        for simplex in _simplices(vertices, tight, facet, face_dim - 1):
-            yield (apex, *simplex)
-
-
 def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     """n! times the Euclidean volume of the region's weak closure.
 
     The strict boundary parts have measure zero, and an empty half-open
     region forces its closure onto a strict hyperplane, hence a
-    lower-dimensional closure and volume zero either way.  It runs
-    ``_volume`` on the region's own ``vertex_table`` and
-    ``triangulation``.
+    lower-dimensional closure and volume zero either way.  The volume
+    is the Lawrence sum over the closure's vertices on the simple cell
+    of its raised levels (``_simple_cell``): the bases B with
+    above(P_B) <= W <= above(P_B) | B, each signed by its rows off W.
+    The cell is read off the memo's held slot when the levels are its
+    divisor's.  Raises on systems with unbounded closure.
     """
-    points, scale = reg.vertex_table
-    return _volume(tuple(points), reg.triangulation, scale, reg.dim)
-
-
-def _volume(vertices, simplices, scale: int, n: int) -> Fraction:
-    """The normalized volume of a triangulated closure on integer ``vertices`` / scale.
-
-    Each simplex, as positions in ``vertices``, contributes |det| of its
-    integer edge vectors: the final denominator of their fraction-free
-    elimination.  The sum is divided by scale^n once, and no simplex
-    (a lower-dimensional closure) gives volume zero.  A closure whose
-    triangulation is known solves no facet: it takes only the n x n
-    determinants.
-    """
+    weak = _weak_mask(reg.weak)
+    if not _is_bounded(reg.normals, reg.dim, reg.memo, weak):
+        raise UnboundedRegionError("region closure is unbounded")
+    levels, q = to_integers(reg.levels)
+    slot = _divisor_slot(reg.normals, reg.dim, reg.memo, [-x for x in levels], q)
+    arrangement = slot.arrangement
     total = 0
-    for simplex in simplices:
-        base = vertices[simplex[0]]
-        edges = [[a - b for a, b in zip(vertices[v], base)] for v in simplex[1:]]
-        total += integer_eliminate(edges, n)[1]
-    return Fraction(total, scale**n)
+    for b, above, basis in _simple_cell(arrangement, slot.cell).vertices:
+        if not above & ~weak and not weak & ~(above | basis):
+            term = arrangement.weights[b] * slot.level(b) ** reg.dim
+            total += -term if (basis & ~weak).bit_count() & 1 else term
+    return Fraction(total, arrangement.den * (q * arrangement.common) ** reg.dim)
 
 
 def _integer_rows(normals, memo, bounds, weak: int):
@@ -882,30 +913,33 @@ def _realized_subset(patterns, k: int, mask: int):
     return None
 
 
+def _realized_reader(fan: Fan):
+    """The per-fan ``"bounded_masks"`` cache: a mask's ray subset, or None if unbounded.
+
+    Each mask met is decided once per fan with ``_bounded_mask``.
+    """
+    return fan.memo(
+        "bounded_masks",
+        lambda: cache(
+            partial(_realized_subset, _unbounded_patterns(fan.rays, fan.dim, fan.memo), len(fan.rays))
+        ),
+    )
+
+
 def _realized_masks(fan: Fan, slot: _DivisorSlot):
     """The realized bounded masks of the slot's cell, as (mask, subset, vertices).
 
     A vertex P holds the W with above(P) <= W <= above(P) | tight(P),
     2^|tight(P)| candidates, each kept with the cell's vertex triples
-    of its closure, in the order the vertices meet it.  The per-fan
-    ``"bounded_masks"`` cache decides each mask met once per fan with
-    ``_bounded_mask`` and keeps the subset of the bounded ones.
-    Computed once per slot, which keeps them, and once per kept cell
-    while its entries fit the budget.
+    of its closure, in the order the vertices meet it, when
+    ``_realized_reader`` finds it bounded.  Computed once per slot,
+    which keeps them, and once per kept cell while its entries fit the
+    budget.
     """
     cell = slot.cell
     masks = cell.masks
     if masks is None:
-        realized = fan.memo(
-            "bounded_masks",
-            lambda: cache(
-                partial(
-                    _realized_subset,
-                    _unbounded_patterns(fan.rays, fan.dim, fan.memo),
-                    len(fan.rays),
-                )
-            ),
-        )
+        realized = _realized_reader(fan)
         tables: dict = {}
         for vertex in cell.vertices:
             _, above, tight = vertex
@@ -924,52 +958,36 @@ def _realized_masks(fan: Fan, slot: _DivisorSlot):
     return masks
 
 
-def region_sum(fan: Fan, d: Divisor, weight, measure) -> tuple:
-    """Sum of weight(W) * measure(region of W) over the bounded subsets W.
+def region_sum(fan: Fan, d: Divisor, weight) -> tuple:
+    """Sum of weight(W) * (lattice points in the region of W) over the bounded subsets W.
 
     ``weight`` maps a ray subset to a tuple of integers, of the same
-    length for every subset.  ``measure`` is a kernel that measures a
-    region off its divisor's slot, called as measure(fan, slot, mask,
-    vertices) with the region's weak mask and its closure's vertex
-    triples: ``_slot_count`` for lattice counts, ``_slot_volume`` for
-    normalized volumes.  Only the regions D realizes are visited: a
+    length for every subset.  Only the regions D realizes are visited: a
     nonempty bounded region's closure has a vertex, which is an
     arrangement vertex P, and the regions whose closure holds P are
-    exactly the W with above(P) <= W <= above(P) | tight(P).
+    exactly the W with above(P) <= W <= above(P) | tight(P).  Each is
+    counted off the divisor's slot by ``_slot_count``.
 
     The fan keeps the last divisor summed in one slot (``_DivisorSlot``)
     under the ``"last_divisor"`` memo, keyed by the cleared divisor (the
     integers q * d and their q), so 2 and Fraction(4, 2) share it.  The
     slot reads its realized masks off the divisor's type cell and solves
-    the vertices of the regions it measures, once each.  A new divisor
+    the vertices of the regions it counts, once each.  A new divisor
     replaces it in one assignment, so concurrent calls need no lock; a
     divisor whose cell visits more than 2^SUBSET_CAP candidate subsets
     raises CapExceededError before it is stored, on every call.  The
-    slot also keeps the amount of every (mask, measure) pair measured so
-    far, so a second question about one divisor (``cech_oracle`` or
-    ``euler_char`` after ``h_all``, ``self_intersection`` after
-    ``hhat``) measures no region the first one did.  The amounts are
-    keyed by the measure object, so a measure must be a pure function of
-    its region.
+    slot also keeps the count of every mask counted so far, so a second
+    question about one divisor (``cech_oracle`` or ``euler_char`` after
+    ``h_all``) counts no region the first one did.
 
     Weights are asked per call: realized subsets with an all-zero weight
     are skipped, so a caller that weights by a slice of the rank vectors
-    measures only the regions that slice reads, and only the nonzero
-    entries of a weight are added.  A region is measured only when its
-    amount is missing, and no region object is built.  This wrapper
-    checks the length and clears d once; ``_cleared_sum`` is the loop.
+    counts only the regions that slice reads, and only the nonzero
+    entries of a weight are added.  A region is counted only when its
+    count is missing, and no region object is built.
     """
     _check_length(fan, d)
-    return _cleared_sum(fan, *to_integers(d), weight, measure)
-
-
-def _cleared_sum(fan: Fan, coefficients, q: int, weight, measure) -> tuple:
-    """``region_sum`` of the divisor cleared to integers: ``coefficients`` / q.
-
-    The pair must be the one ``linalg.to_integers`` gives (q > 0 and no
-    common factor of q and every coefficient), since it keys the slot.
-    """
-    slot = _divisor_slot(fan.rays, fan.dim, fan.memo, coefficients, q, keep=True)
+    slot = _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d), keep=True)
     visits = slot.cell.visits
     if visits > 1 << SUBSET_CAP:
         raise CapExceededError(f"region sum needs {visits} ray subsets; the cap is 2^{SUBSET_CAP}")
@@ -983,9 +1001,9 @@ def _cleared_sum(fan: Fan, coefficients, q: int, weight, measure) -> tuple:
         w = weight(subset)
         if not any(w):
             continue
-        amount = amounts.get((mask, measure))
+        amount = amounts.get(mask)
         if amount is None:
-            amount = amounts[mask, measure] = measure(fan, slot, mask, vertices)
+            amount = amounts[mask] = _slot_count(fan, slot, mask, vertices)
         if amount:
             for i, x in enumerate(w):
                 if x:
@@ -1007,75 +1025,88 @@ def _slot_count(fan: Fan, slot: _DivisorSlot, mask: int, vertices) -> int:
     return _lattice_count(rows, [slot.point(b) for b, _, _ in vertices], slot.scale, fan.dim)
 
 
-def _slot_volume(fan: Fan, slot: _DivisorSlot, mask: int, vertices) -> Fraction:
-    """The normalized volume of the weak mask's region, read off the divisor slot.
+def _lawrence_columns(fan: Fan, slot: _DivisorSlot, weight):
+    """The volume table of the slot's type cell for a weight: one column per weight entry.
 
-    The closure's vertices are the slot's solved points of ``vertices``,
-    the mask's vertex triples, and its triangulation the one the type
-    cell keeps under the mask (``_cell_simplices``).
+    ``weight`` maps (fan, ray subset) to a tuple of integers of one
+    length.  At each basis B of the cell's simple cell (``_simple_cell``)
+    the orthant masks W = above(P_B) | S, S any submask of B, are the
+    2^n regions around P_B, and c_B = sum_S (-1)^|B - S| weight(W) over
+    the bounded ones (``_realized_reader``).  Column i holds the pairs
+    (b, c_B[i] * N_B * den) with c_B[i] != 0, so that the weighted
+    normalized volumes sum to sum_b entry * <g_B, L_B>^n / (den (q
+    common)^n).  Kept on the slot's cell, when it is kept, within the
+    budget, one entry per pair, under the weight object: a degenerate
+    cell keeps its table without its simple cell.
     """
-    points = [slot.point(b) for b, _, _ in vertices]
-    simplices = _cell_simplices(slot, mask, vertices, points, fan.dim)
-    return _volume(points, simplices, slot.scale, fan.dim)
+    arrangement, cell = slot.arrangement, slot.cell
+    columns = cell.columns.get(weight)
+    if columns is not None:
+        return columns
+    realized = _realized_reader(fan)
+    n, size = fan.dim, len(weight(fan, frozenset()))
+    rows = []
+    for b, above, basis in _simple_cell(arrangement, cell).vertices:
+        c = [0] * size
+        sub = basis
+        while sub >= 0:  # every submask of the basis, down to 0
+            subset = realized(above | sub)
+            if subset is not None:
+                sign = -1 if (n - sub.bit_count()) & 1 else 1
+                c = [x + sign * y for x, y in zip(c, weight(fan, subset))]
+            sub = (sub - 1) & basis if sub else -1
+        rows.append((arrangement.weights[b], b, c))
+    columns = tuple(tuple((b, m * c[i]) for m, b, c in rows if c[i]) for i in range(size))
+    if cell.kept and arrangement.admit(sum(map(len, columns))):
+        cell.columns[weight] = columns
+    return columns
 
 
-def _cell_simplices(slot: _DivisorSlot, mask: int, vertices, points, dim: int):
-    """The pulling triangulation of the mask's closure, as the slot's type cell keeps it.
+def _lawrence_sum(fan: Fan, slot: _DivisorSlot, weight, degrees: slice) -> tuple[Fraction, ...]:
+    """sum_W weight(W)[i] * nvol(W) over the bounded regions of the slot's divisor, i in ``degrees``.
 
-    On a miss it is made from the closure's vertex triples ``vertices``
-    and their solved ``points``, in basis order, and kept under the mask
-    on a kept cell while the budget lasts: one entry per simplex and one
-    for an empty triangulation.
+    Read off ``_lawrence_columns``: each basis in a column costs one
+    power <g_B, L_B>^n, kept on the slot, so ``self_intersection`` after
+    ``hhat`` takes none twice, and each nonzero entry of the answer is
+    one ``Fraction``; a zero entry, such as every higher rate of an
+    ample cell, is the shared ``_ZERO``.
     """
-    cell = slot.cell
-    simplices = cell.simplices.get(mask)
-    if simplices is None:
-        simplices = _triangulation(points, [tight for _, _, tight in vertices], dim)
-        room = max(len(simplices), 1)
-        if cell.kept and mask not in cell.simplices and slot.arrangement.admit(room):
-            cell.simplices[mask] = simplices
-    return simplices
+    n = fan.dim
+    powers = slot.powers
+    scale = slot.arrangement.den * slot.scale**n
+    answer = []
+    for column in _lawrence_columns(fan, slot, weight)[degrees]:
+        total = 0
+        for b, m in column:
+            power = powers.get(b)
+            if power is None:
+                power = powers[b] = slot.level(b) ** n
+            total += m * power
+        answer.append(Fraction(total, scale) if total else _ZERO)
+    return tuple(answer)
 
 
-def _volume_partial(fan: Fan, slot: _DivisorSlot, rays) -> Fraction:
-    """The mixed partial along the distinct ``rays`` of the section polytope's normalized volume.
+def _h0_partial(fan: Fan, slot: _DivisorSlot, weight, rays) -> Fraction:
+    """The mixed partial along the distinct ``rays`` of column 0 of the slot's volume sum.
 
-    The slot's divisor must lie in an open chamber, where the section
-    polytope (all rows weak) is simple: each vertex is tight on one
-    basis B, read off the cell's vertex triple, and P_B = A_B . (-d_B) /
-    common is linear in d, with dP_B / dd_rho = -(column j of A_B) /
-    common when rho = B_j and 0 when rho is not in B.  Each simplex S of
-    the polytope's pulling triangulation, the one the cell keeps under
-    the all-weak mask (``_cell_simplices``, which ``_slot_volume`` reads
-    too), keeps the sign of its determinant near d, so the volume is the
-    polynomial sum_S sign_S det(edges_S) and its r-th mixed partial
-    replaces r edge rows by their derivative differences, summed over
-    every injective choice of rows.  Every determinant is an integer
-    elimination; one ``Fraction`` is built, over scale^(n - r) common^r.
+    With L = -q d, <g_B, L_B> / q = -<g_B, d_B> is linear in d, so the
+    degree-0 column is the polynomial sum_B m_B (-<g_B, d_B>)^n /
+    (den common^n), and its r-th mixed partial takes the bases B that
+    hold every ray rho = B_j: n! / (n - r)! (-<g_B, d_B>)^(n - r)
+    prod_rho (-g_B[j]).  It is the partial of the volume sum wherever
+    that sum is this polynomial near d, as on an open chamber.  One
+    ``Fraction`` is built.
     """
-    k, n, r = len(fan.rays), fan.dim, len(rays)
-    weak = (1 << k) - 1
-    vertices = tuple(vertex for vertex in slot.cell.vertices if vertex[1] | vertex[2] == weak)
-    points = [slot.point(b) for b, _, _ in vertices]
-    bases = slot.arrangement.bases
-    # columns[v][rho] is column j of A_B for rho = B_j: -common * dP_B / dd_rho.
-    columns = [dict(zip(bases[b][0], zip(*bases[b][1]))) for b, _, _ in vertices]
-    zero = (0,) * n
+    arrangement = slot.arrangement
+    n, r = fan.dim, len(rays)
     total = 0
-    for simplex in _cell_simplices(slot, weak, vertices, points, n):
-        apex = simplex[0]
-        edges = [[a - b for a, b in zip(points[v], points[apex])] for v in simplex[1:]]
-        sign = integer_eliminate(list(edges), n)[2]
-        for rows in permutations(range(n), r):
-            matrix = list(edges)
-            for rho, row in zip(rays, rows):
-                tip, base = columns[simplex[row + 1]].get(rho, zero), columns[apex].get(rho, zero)
-                matrix[row] = [a - b for a, b in zip(tip, base)]
-            pivots, denom, s = integer_eliminate(matrix, n)
-            if len(pivots) == n:
-                total += sign * s * denom
-    # Each of the r replaced rows is -common times a derivative difference.
-    return Fraction((-1) ** r * total, slot.scale ** (n - r) * slot.arrangement.common**r)
+    for b, m in _lawrence_columns(fan, slot, weight)[0]:
+        combo, g = arrangement.lawrence[b]
+        found = dict(zip(combo, g))
+        if all(rho in found for rho in rays):
+            total += m * slot.level(b) ** (n - r) * math.prod(-found[rho] for rho in rays)
+    scale = arrangement.den * arrangement.common**n * slot.key[1] ** (n - r)
+    return Fraction(math.perm(n, r) * total, scale)
 
 
 def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):

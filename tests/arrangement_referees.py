@@ -6,11 +6,22 @@ cell: every basis's vertex is solved and dotted with every row outside
 the basis.  It shares only the per-fan basis inverses with the
 production path, never a circuit, a sign or a cell.
 
-``sorted_apex_volume`` is the volume that ``normalized_volume`` took of
-every region before the triangulations were kept per type cell: the
-pulling triangulation from the region's vertices sorted by their
-coordinates, each face's least vertex its apex, with the affine ranks
-and determinants taken over ``Fraction`` (``fraction_linalg``).
+Two volume referees read a region's integer vertex table and never a
+volume table, a raised level or a Lawrence weight:
+
+* ``pulling_volume`` is the volume that ``normalized_volume`` took of
+  every region before volumes became Lawrence vertex sums: the pulling
+  triangulation in the vertex table's basis order, each face's first
+  vertex its apex, its facets read off the tight masks, with integer
+  affine ranks and determinants (``toricvol.linalg``);
+* ``sorted_apex_volume`` is the volume it took before that: the pulling
+  triangulation from the region's vertices sorted by their coordinates,
+  each face's least vertex its apex, with the affine ranks and
+  determinants taken over ``Fraction`` (``fraction_linalg``).
+
+``weighted_volumes`` sums either over the bounded regions a divisor
+realizes, found by this module's own vertex pass, as ``hhat`` and
+``self_intersection`` sum over every bounded region.
 """
 
 from fractions import Fraction
@@ -18,7 +29,8 @@ from operator import mul
 
 import fraction_linalg
 from toricvol.fan import _basis_inverses
-from toricvol.linalg import to_integers
+from toricvol.linalg import integer_eliminate, rank, to_integers
+from toricvol.regions import is_bounded_subset, region
 
 
 def arrangement_vertices(normals, dim, memo, levels, q):
@@ -120,3 +132,81 @@ def sorted_apex_volume(reg):
         base = simplex[0]
         total += abs(fraction_linalg.det([[a - b for a, b in zip(v, base)] for v in simplex[1:]]))
     return total / scale**n
+
+
+def affine_rank(points):
+    """Dimension of the affine hull of a point set (-1 for none), by ``toricvol.linalg.rank``."""
+    if not points:
+        return -1
+    return rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
+
+
+def _pulling_simplices(vertices, tight, face, face_dim):
+    """Pulling triangulation of a face, given by ascending positions in ``vertices``.
+
+    The facets of the face avoiding its first vertex (the apex) are the
+    sets {v in face : row i is tight at v} over the rows i not tight at
+    the apex, kept when their affine rank is face_dim - 1.  ``tight``
+    holds each vertex's bitmask of tight rows, by position.
+    """
+    if len(face) == face_dim + 1:
+        yield face
+        return
+    apex = face[0]
+    rows = 0
+    for v in face:
+        rows |= tight[v]
+    rows &= ~tight[apex]
+    seen = set()
+    while rows:
+        bit = rows & -rows
+        rows ^= bit
+        facet = tuple(v for v in face if tight[v] & bit)
+        if facet in seen or affine_rank([vertices[v] for v in facet]) != face_dim - 1:
+            continue
+        seen.add(facet)
+        for simplex in _pulling_simplices(vertices, tight, facet, face_dim - 1):
+            yield (apex, *simplex)
+
+
+def pulling_volume(reg):
+    """n! times the volume of the region's closure, pulled in the vertex table's order.
+
+    Each simplex adds |det| of its integer edge vectors, the final
+    denominator of their fraction-free elimination; a closure of lower
+    dimension has volume zero.
+    """
+    points, scale = reg.vertex_table
+    n = reg.dim
+    vertices, tight = tuple(points), tuple(points.values())
+    if affine_rank(vertices) < n:
+        return Fraction(0)
+    total = 0
+    for simplex in _pulling_simplices(vertices, tight, tuple(range(len(vertices))), n):
+        base = vertices[simplex[0]]
+        edges = [[a - b for a, b in zip(vertices[v], base)] for v in simplex[1:]]
+        total += integer_eliminate(edges, n)[1]
+    return Fraction(total, scale**n)
+
+
+def weighted_volumes(fan, d, weight, volume):
+    """sum_W weight(W) * volume(region of W) over the bounded W that d realizes.
+
+    The realized masks come from ``divisor_vertices`` and
+    ``realized_tables``; every unrealized region is empty, with volume
+    zero.  ``weight`` maps a ray subset to a tuple of integers.
+    """
+    k = len(fan.rays)
+    found, _ = divisor_vertices(fan, d)
+
+    def bounded(mask):
+        return is_bounded_subset(fan, [i for i in range(k) if mask >> i & 1])
+
+    total = None
+    for mask in realized_tables(found, bounded):
+        subset = frozenset(i for i in range(k) if mask >> i & 1)
+        w = weight(subset)
+        amount = volume(region(fan, d, subset)) if any(w) else 0
+        terms = [x * amount for x in w]
+        total = terms if total is None else [a + b for a, b in zip(total, terms)]
+    return tuple(total or ())

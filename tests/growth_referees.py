@@ -2,8 +2,8 @@
 
 The library clears each divisor to integers once per call and builds a
 ``Fraction`` only for an answer (``toricvol.gkz``), and it reads the
-derivatives of ĥ^0 off the polynomial of a kept triangulation
-(``toricvol.regions._volume_partial``).  This module keeps the older
+derivatives of ĥ^0 off the polynomial of the volume table of a type
+cell (``toricvol.regions._h0_partial``).  This module keeps the older
 formulations once, as the old vertex pass became
 ``arrangement_referees``:
 

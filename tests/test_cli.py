@@ -287,15 +287,21 @@ def test_subset_cap_exit_code(tmp_path):
     assert Fraction(results["selfint"]["self_intersection"]) == hhat[0] - hhat[1] + hhat[2]
     assert results["ample"]["agree"] is True
     # At D = 0 every ray is tight at the origin, so a region sum would
-    # visit all 2^21 subsets there: past the cap of 2^20, exit 3.
+    # visit all 2^21 subsets there: past the cap of 2^20, exit 3.  The
+    # volumes run no region sum: they read the volume table of the
+    # raised levels' simple cell.
     zero = write(tmp_path, "zero.json", {"coeffs": [0] * k})
-    for command in ("cohom", "euler", "asym", "selfint"):
+    for command in ("cohom", "euler"):
         code, report = run(tmp_path, command, "--fan", fan, "--divisor", zero)
         assert code == 3, command
         assert report["error"]["kind"] == "precondition"
         assert "region sum needs 2097152 ray subsets; the cap is 2^20" in (
             report["error"]["message"]
         )
+    code, report = run(tmp_path, "asym", "--fan", fan, "--divisor", zero)
+    assert code == 0 and [Fraction(v) for v in report["result"]["hhat"]] == [0, 0, 0]
+    code, report = run(tmp_path, "selfint", "--fan", fan, "--divisor", zero)
+    assert code == 0 and Fraction(report["result"]["self_intersection"]) == 0
     # The cap is fixed: no flag sets it, and an unknown flag is a
     # validation error with a report like any other.
     code, report = run(tmp_path, "asym", "--fan", fan, "--divisor", div, "--cap", "30")

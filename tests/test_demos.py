@@ -4,9 +4,10 @@
 internal cross-checks do not rely on them; a static scan keeps the
 library free of ``assert`` statements altogether, and one more keeps
 its runtime on the standard library.  Another scan keeps the Cech
-referee from reading the sphere-complex rank vectors it checks, one
-keeps floating point off every path: no float literal, no ``float``
-use and no ``math`` function other than the integer ones, one keeps
+referee from reading the sphere-complex rank vectors it checks, and
+one the volume referees from reading the volume tables.  One keeps
+floating point off every path: no float literal, no ``float`` use and
+no ``math`` function other than the integer ones, one keeps
 every private member read on ``self``, and one keeps every object's
 ``__dict__`` out of reach: no ``vars()`` call and no ``__dict__``.
 """
@@ -67,6 +68,29 @@ def test_cech_referee_reads_no_sphere_complex():
     referee = {"cech_oracle", "cech_ranks", "_cech_ranks", "_cech_rank_vector"}
     production = {
         "local_cohomology_ranks", "_local_ranks", "sphere_complex", "_sphere_complex", "reduced_homology_ranks"
+    }
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in referee
+    ]
+    assert {node.name for node in functions} == referee
+    for node in functions:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert not names & production, f"{node.name} mentions {sorted(names & production)}"
+
+
+def test_volume_referees_read_no_volume_table():
+    # The triangulation referees must stay independent of the Lawrence
+    # volume tables they check: they read a region's vertex table only.
+    tree = ast.parse((ROOT / "tests" / "arrangement_referees.py").read_text(encoding="utf-8"))
+    referee = {
+        "affine_rank", "_pulling_simplices", "pulling_volume",
+        "_sorted_apex_simplices", "sorted_apex_volume", "weighted_volumes",
+    }
+    production = {
+        "_lawrence_columns", "_lawrence_sum", "_h0_partial", "_simple_cell", "lawrence", "weights",
+        "ties", "columns", "powers", "level", "den", "normalized_volume", "hhat", "self_intersection",
+        "mixed_partial_h0",
     }
     functions = [
         node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in referee

@@ -713,7 +713,7 @@ def test_chamber_probes_stay_strictly_inside_along_the_probed_rays(monkeypatch):
         for chamber in enumerate_maximal_chambers(fan):
             d = chamber.sample_divisor
             for rays in [*combinations(range(len(fan.rays)), 1), *combinations(range(len(fan.rays)), 2)]:
-                # The derivatives come off the kept triangulation: no rate is summed.
+                # The derivatives come off the volume table: no rate is summed.
                 mixed_partial_h0(fan, d, rays)
                 assert probes == []
     for fan, d in ((bl1_p3(), divisor([3, 3, 3, 3, -1])), (bl2_p2(), divisor([3, 3, 3, 2, 2]))):
@@ -1013,18 +1013,12 @@ def test_mixed_partials_match_the_fraction_grid(monkeypatch, make):
     # Every maximal chamber's sample along every ray tuple of size 1..n;
     # on cube_fan, whose 148 samples make the Fraction grid slow, along
     # one ray and one ray pair per sample, turning with its index.  The
-    # derivative sums no region; the referee's hhat calls do.
-    from toricvol import asymptotics, regions
+    # derivative, like the referee's hhat calls, reads the volume table
+    # and runs no region sum.
+    from toricvol import regions
 
     sums = []
-    original = regions._cleared_sum
-
-    def recorded(*args):
-        sums.append(args)
-        return original(*args)
-
-    for module in (asymptotics, regions):
-        monkeypatch.setattr(module, "_cleared_sum", recorded)
+    counting(monkeypatch, regions, "region_sum", lambda *args: sums.append(args))
     fan = make()
     k = len(fan.rays)
     pairs = list(combinations(range(k), 2))
@@ -1116,18 +1110,19 @@ def test_warm_ampleness_solves_nothing_and_skips_the_section_polytope(monkeypatc
     fan = make()
     d = divisor(ample)
     assert ample_via_asymptotics(fan, d) and is_q_cartier(fan, d) is not None  # warm
-    solves, measured = [], []
+    solves, read = [], []
     counting(monkeypatch, linalg, "solve", lambda *args: solves.append(args))
-    counting(monkeypatch, asymptotics, "_slot_volume", lambda _f, _s, mask, _v: measured.append(mask))
+    counting(monkeypatch, asymptotics, "_lawrence_sum", lambda _f, _s, _w, degrees: read.append(degrees))
     assert is_q_cartier(fan, d) is not None
     assert solves == []
     assert ample_via_asymptotics(fan, d)
     assert solves == []
-    section = (1 << len(fan.rays)) - 1  # the weak mask of the section polytope
-    assert section not in measured
-    # The counters do see a full hhat's section polytope and a non-simplicial cone's solve.
+    # The probes read the volume table's columns of degrees 1..n only,
+    # never degree 0, the section polytope's.
+    assert read == [slice(1, None)] * (2 * len(fan.rays) + 1)
+    # The counters do see a full hhat's degree 0 and a non-simplicial cone's solve.
     hhat(fan, d)
-    assert section in measured
+    assert read[-1] == slice(None)
     assert is_q_cartier(cube_fan(), divisor([1] * 8)) is not None
     assert solves
 

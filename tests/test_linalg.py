@@ -8,9 +8,9 @@ from complex_referees import EVERY_FIXTURE
 from generated_fans import star_fan_data
 from toricvol import cohomology, homology
 from toricvol.fan import is_complete, make_fan
+from arrangement_referees import affine_rank
 from toricvol.linalg import (
     _sparse_rank,
-    affine_rank,
     det,
     dot,
     integer_eliminate,

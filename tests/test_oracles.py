@@ -1,7 +1,7 @@
 """Independent oracles for the geometry kernels.
 
-Volumes come from a recursive facet triangulation; these tests recheck
-them against formulas that share no code with that path (shoelace areas
+Volumes come from Lawrence's vertex formula; these tests recheck them
+against formulas that share no code with that path (shoelace areas
 in the plane, box products in space), recheck the dimension-2 chamber
 candidates against an angular-gap oracle with its own angular order,
 and the dimension-3 chamber search against a hand-built two-chamber

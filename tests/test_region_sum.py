@@ -1,10 +1,13 @@
-"""region_sum against the full subset sweep it replaced, plus its cost and laws.
+"""region_sum and the volume tables against the full subset sweep they replaced, plus cost and laws.
 
 The referee is the sweep ``region_sum`` used to run: every bounded ray
 subset with a nonzero weight is measured, and each region's vertices
-come from its own scan of all rank-n bases against all rows.  The
-production path visits only the regions the divisor realizes, reading
-their vertices off its divisor's type-cell table.
+come from its own scan of all rank-n bases against all rows.  Counts
+are ``lattice_count``, volumes the pulling triangulation of
+``arrangement_referees.pulling_volume``.  The production path counts
+only the regions the divisor realizes, reading their vertices off its
+divisor's type-cell table, and reads every volume sum off the integer
+volume table of the divisor's cell.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ from operator import mul
 
 import pytest
 
+from arrangement_referees import pulling_volume
 from generated_fans import polygon_fan_data, star_fan_data
 from test_regions import box_scan
 from toricvol import asymptotics, cohomology, fixtures, regions
@@ -111,18 +115,14 @@ def scan_integer_vertices(reg):
     return points, common * q
 
 
-# The public measure of a standalone region that each region-sum kernel stands for.
-PUBLIC_MEASURES = {regions._slot_count: lattice_count, regions._slot_volume: normalized_volume}
-
-
 def sweep_region_sum(fan, d, weight, measure, amounts):
     """The sum over every bounded subset, each region measured on its own scan.
 
-    Each region is built on its own and measured by the public measure
-    of the kernel passed.  ``amounts`` caches each region's measure, so
-    one divisor's sweep serves every function compared.
+    Each region is built on its own and measured by ``measure``, a
+    measure of a standalone region.  ``amounts`` caches each region's
+    measure, so one divisor's sweep serves every function compared.
     """
-    public = PUBLIC_MEASURES[measure]
+    public = measure
     total = None
     for subset in bounded_subsets(fan):
         w = weight(subset)
@@ -155,11 +155,14 @@ def compare_with_sweep(monkeypatch, fan, d, functions):
     amounts = {}
     scans = {}
 
-    def sweep(fan_, d_, weight, measure):
-        return sweep_region_sum(fan_, d_, weight, measure, amounts)
+    def sweep(fan_, d_, weight):
+        return sweep_region_sum(fan_, d_, weight, lattice_count, amounts)
 
-    def cleared_sweep(fan_, coefficients, q, weight, measure):
-        return sweep(fan_, tuple(Fraction(c, q) for c in coefficients), weight, measure)
+    def volume_sweep(fan_, slot, weight, degrees):
+        coefficients, q = slot.key
+        d_ = tuple(Fraction(c, q) for c in coefficients)
+        totals = sweep_region_sum(fan_, d_, lambda W: weight(fan_, W)[degrees], pulling_volume, amounts)
+        return tuple(Fraction(x) for x in totals)
 
     def scan(reg):
         if reg.weak not in scans:
@@ -168,8 +171,7 @@ def compare_with_sweep(monkeypatch, fan, d, functions):
 
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "region_sum", sweep)
-        patch.setattr(asymptotics, "region_sum", sweep)
-        patch.setattr(asymptotics, "_cleared_sum", cleared_sweep)
+        patch.setattr(asymptotics, "_lawrence_sum", volume_sweep)
         patch.setattr(regions, "_integer_vertices", scan)
         expected = {f.__name__: outcome(f, fan, d) for f in functions}
     assert actual == expected, d
@@ -238,9 +240,11 @@ def test_warm_h_all_measures_only_realized_regions(monkeypatch):
     fan = poly12()
     d = (1,) * len(fan.rays)
     expected_h = h_all(fan, d)
+    # 2D, of the same cell, takes the slot, which keeps counts by mask.
+    h_all(fan, (2,) * len(fan.rays))
     measured = []
     scans = []
-    count = cohomology._slot_count
+    count = regions._slot_count
     scan = regions._integer_vertices
 
     def recorded_count(fan_, slot, mask, vertices):
@@ -252,7 +256,7 @@ def test_warm_h_all_measures_only_realized_regions(monkeypatch):
         return scan(reg)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "_slot_count", recorded_count)
+        patch.setattr(regions, "_slot_count", recorded_count)
         patch.setattr(regions, "_integer_vertices", recorded_scan)
         assert h_all(fan, d) == expected_h
     assert scans == []
@@ -406,15 +410,9 @@ def test_cech_oracle_ignores_a_corrupt_rank_vector(monkeypatch):
 
 
 def realized_regions(fan, d):
-    """Every (slot, mask, vertices) ``region_sum`` measures for d, captured by a wrapped kernel."""
-    seen = []
-
-    def measure(fan_, slot, mask, vertices):
-        seen.append((slot, mask, vertices))
-        return 1
-
-    regions.region_sum(fan, d, lambda subset: (1,), measure)
-    return seen
+    """Every (slot, mask, vertices) ``region_sum`` counts for d under a weight nonzero everywhere."""
+    slot = regions._divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d))
+    return [(slot, mask, vertices) for mask, _, vertices in regions._realized_masks(fan, slot)]
 
 
 def hazard_divisors(fan, rng):
@@ -435,10 +433,11 @@ def row_bound_fans():
 
 
 def test_row_bounds_count_each_realized_region_like_a_fresh_one():
-    # The kernels measure each realized region off its divisor's slot,
+    # The kernel counts each realized region off its divisor's slot,
     # with the row bounds ceil(-d_i) of one clearing per slot; a fresh
     # region clears its own levels, and the box scan tests each point
-    # against the exact Fraction levels.  Hazard divisors (negative
+    # against the exact Fraction levels.  Each region's Lawrence volume
+    # is its pulling triangulation's.  Hazard divisors (negative
     # non-integer entries), D = 0 and divisors tight at many rows.
     rng = random.Random(2020)
     counted = nonzero = 0
@@ -454,8 +453,7 @@ def test_row_bounds_count_each_realized_region_like_a_fresh_one():
                 points = box_scan(own)
                 assert count == lattice_count(own) == len(points), (fan, d, subset)
                 assert lattice_points(own) == points
-                volume = regions._slot_volume(fan, slot, mask, vertices)
-                assert volume == normalized_volume(own), (fan, d, subset)
+                assert normalized_volume(own) == pulling_volume(own), (fan, d, subset)
                 counted += 1
                 nonzero += count > 0
     assert counted > 2000 and nonzero > 600
@@ -521,13 +519,14 @@ def last_divisor(fan):
 
 @contextlib.contextmanager
 def counted_measuring(monkeypatch):
-    """Record every region built, region measured and 2-D slice counted meanwhile.
+    """Record every region built, region counted and 2-D slice counted meanwhile.
 
-    A region is measured by the integer count or volume core, which
-    both the region-sum kernels and the public measures call.
+    A region is counted by the integer count core, which both the
+    region-sum kernel and ``lattice_count`` call.  Volumes measure no
+    region: they read the volume table.
     """
     built, measured, slices = [], [], []
-    cores = {name: getattr(regions, name) for name in ("_lattice_count", "_volume", "_slice_count")}
+    cores = {name: getattr(regions, name) for name in ("_lattice_count", "_slice_count")}
 
     class Counted(regions.HalfOpenRegion):
         def __init__(self, *args, **fields):
@@ -544,17 +543,16 @@ def counted_measuring(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(regions, "HalfOpenRegion", Counted)
         patch.setattr(regions, "_lattice_count", counted("_lattice_count", measured))
-        patch.setattr(regions, "_volume", counted("_volume", measured))
         patch.setattr(regions, "_slice_count", counted("_slice_count", slices))
         yield built, measured, slices
 
 
 @pytest.mark.parametrize("make", (poly12, fixtures.bl1_p3), ids=lambda make: make.__name__)
 def test_a_repeated_question_measures_no_region(monkeypatch, make):
-    # The second and third question about one divisor read the amounts
-    # the first one measured: the Euler weight and the Cech ranks vanish
-    # wherever the rank vector does, and so does the weight of
-    # self_intersection wherever that of hhat does.
+    # The second and third question about one divisor read the counts
+    # the first one took: the Euler weight and the Cech ranks vanish
+    # wherever the rank vector does.  hhat and self_intersection count
+    # no region at all.
     fan = fresh(make())
     rng = random.Random(21 + len(fan.rays))
     divisors = [(Fraction(1),) * len(fan.rays)] + sample_divisors(fan, rng, 2)[1:]
@@ -570,7 +568,6 @@ def test_a_repeated_question_measures_no_region(monkeypatch, make):
             answers += [cech_oracle(fan, d), euler_char(fan, d)]
             assert (regions_measured, slices) == ([], []), d
             answers.append(hhat(fan, d))
-            regions_measured.clear()
             answers.append(self_intersection(fan, d))
             assert regions_measured == [], d
             assert built == [], d
@@ -580,11 +577,11 @@ def test_a_repeated_question_measures_no_region(monkeypatch, make):
 
 @pytest.mark.parametrize("make", (fixtures.bl2_p2, fixtures.bl1_p3), ids=lambda make: make.__name__)
 def test_warm_questions_build_no_region(monkeypatch, make):
-    # On a warm fan every question measures its divisor's realized
-    # regions straight off the divisor's slot and reads the section
-    # polytope's triangulation off its type cell: no HalfOpenRegion is
-    # built, by the region sums or by the mixed partials and ampleness
-    # probes, and every answer is a fresh fan's.
+    # On a warm fan every question counts its divisor's realized
+    # regions straight off the divisor's slot and reads its volumes off
+    # the volume table of its type cell: no HalfOpenRegion is built, by
+    # the region sums or by the mixed partials and ampleness probes, and
+    # every answer is a fresh fan's.
     fan = fresh(make())
     k = len(fan.rays)
     rng = random.Random(22 + k)
@@ -598,7 +595,8 @@ def test_warm_questions_build_no_region(monkeypatch, make):
         assert built == [], d
         measured += len(regions_measured)
         partials += isinstance(expected[6], Fraction)  # a mixed partial, not an error
-    assert measured > 3 * len(divisors) and partials >= 2
+    # Only h_all, euler_char and cech_oracle count regions now.
+    assert measured > len(divisors) and partials >= 2
 
 
 def table_sequence(fan, rng):
@@ -692,17 +690,24 @@ def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):
     assert len(calls) == 3
     assert h_all(fan, d) == expected
 
+    # A count that raises after one region leaves only that region's
+    # count in the slot, keyed by its mask.
     def partial_measure(fan_, slot, mask, vertices):
         if partial_measure.left == 0:
             raise RuntimeError("measure interrupted")
         partial_measure.left -= 1
-        return regions._slot_count(fan_, slot, mask, vertices) + 1000
+        return count_region(fan_, slot, mask, vertices)
 
+    count_region = regions._slot_count
     partial_measure.left = 1
-    with pytest.raises(RuntimeError, match="measure interrupted"):
-        regions.region_sum(fan, d, lambda subset: (1,), partial_measure)
-    assert h_all(fan, d) == expected
-    assert cech_oracle(fan, d) == expected
+    interrupted = fresh(fan)
+    with monkeypatch.context() as patch:
+        patch.setattr(regions, "_slot_count", partial_measure)
+        with pytest.raises(RuntimeError, match="measure interrupted"):
+            regions.region_sum(interrupted, d, lambda subset: (1,))
+    assert len(last_divisor(interrupted)[1].amounts) == 1
+    assert h_all(interrupted, d) == expected
+    assert cech_oracle(interrupted, d) == expected
 
 
 def test_concurrent_questions_answer_like_serial_ones():

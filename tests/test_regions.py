@@ -134,6 +134,16 @@ def test_region_rejects_mismatched_lengths():
     assert HalfOpenRegion(fan.rays, levels, (True,) * 3, 2).contains((0, 0))
 
 
+def test_contains_rejects_a_point_of_the_wrong_length():
+    # Zipping the point with the normals used to drop or ignore entries:
+    # on the quadrant both points below answered True.
+    quadrant = HalfOpenRegion(((1, 0), (0, 1)), (Fraction(0), Fraction(0)), (True, True), 2)
+    assert quadrant.contains((5, 1))
+    for point in ((5,), (5, 1, -3)):
+        with pytest.raises(ValueError, match="point has 1 coordinates|point has 3 coordinates"):
+            quadrant.contains(point)
+
+
 def test_a_region_runs_its_vertex_pass_once(monkeypatch):
     # The measures of one region object share the vertex table and the
     # row bounds it computes on first use; a new object computes its own.

@@ -2,9 +2,9 @@
 
 A type cell is the set of divisors on which the sign of every
 (n + 1) x (n + 1) minor of [V | d] is fixed; ``regions`` keeps each
-cell's vertex classification, realized regions, region triangulations
-and located chamber per fan, and solves a divisor's own vertices only
-when a region asks.
+cell's vertex classification, realized regions, volume tables and
+located chamber per fan, and solves a divisor's own vertices only when
+a region asks.
 """
 
 import random
@@ -16,19 +16,23 @@ from arrangement_referees import (
     arrangement_vertices,
     divisor_vertices,
     filtered,
+    pulling_volume,
     realized_tables,
     sorted_apex_volume,
+    weighted_volumes,
 )
 from generated_fans import polygon_fan_data, star_fan_data
-from toricvol import fixtures, regions
+from test_dim4 import p1_x_p3, p4
+from toricvol import asymptotics, fixtures, regions
 from toricvol.asymptotics import hhat, self_intersection
-from toricvol.cohomology import h_all
+from toricvol.cohomology import _euler_weight, h_all
 from toricvol.divisor import ray_divisor
-from toricvol.errors import CapExceededError, ToricError
+from toricvol.errors import CapExceededError, NotQCartierError, ToricError
 from toricvol.fan import is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, enumerate_maximal_chambers, locate_chamber
+from toricvol.homology import local_cohomology_ranks
 from toricvol.linalg import to_integers
-from toricvol.regions import HalfOpenRegion, is_bounded_subset, normalized_volume, region, region_sum
+from toricvol.regions import HalfOpenRegion, is_bounded_subset, normalized_volume, region
 
 EVERY_FIXTURE = (
     fixtures.p1, fixtures.p2, fixtures.p1xp1, fixtures.f1, fixtures.weighted_p112,
@@ -225,9 +229,9 @@ def test_a_repeated_ampleness_test_builds_no_cell(monkeypatch):
     built = []
 
     class Counted(regions._TypeCell):
-        def __init__(self, vertices):
+        def __init__(self, key, vertices):
             built.append(vertices)
-            super().__init__(vertices)
+            super().__init__(key, vertices)
 
     monkeypatch.setattr(regions, "_TypeCell", Counted)
     assert ample_via_asymptotics(fan, ample) is True
@@ -239,19 +243,40 @@ def test_a_repeated_ampleness_test_builds_no_cell(monkeypatch):
     assert built
 
 
+def test_ampleness_leaves_the_class_slot_held(monkeypatch):
+    # The probes are keyed without replacing the slot, so a later
+    # question about the class computes no circuit sign.
+    fan = fresh(fixtures.bl2_p2())
+    ample = (Fraction(3, 2),) * len(fan.rays)
+    assert ample_via_asymptotics(fan, ample) is True
+    coefficients, q = to_integers(ample)
+    assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
+    keys = []
+    cell_key_of = regions._cell_key
+    monkeypatch.setattr(regions, "_cell_key", lambda *args: keys.append(args) or cell_key_of(*args))
+    assert hhat(fresh(fan), ample) == hhat(fan, ample)
+    assert len(keys) == 1  # the fresh fan's alone
+    assert ample_via_asymptotics(fan, ample) is True
+    assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
+
+
 def kept_entries(arrangement):
     """The entries of the kept cells, counted from their keys and the cells themselves.
 
-    A kept triangulation counts one entry per simplex, and one when it
-    is empty (a region of lower dimension).
+    A kept volume table counts one entry per row of each column.
     """
     return sum(
         len(key)
         + len(cell.vertices)
         + (sum(len(entry[2]) for entry in cell.masks) if cell.masks else 0)
-        + sum(max(len(simplices), 1) for simplices in cell.simplices.values())
+        + table_entries(cell)
         for key, cell in arrangement.cells.items()
     )
+
+
+def table_entries(cell):
+    """The rows of every volume table column the cell keeps."""
+    return sum(len(column) for columns in cell.columns.values() for column in columns)
 
 
 def test_a_tiny_cell_budget_changes_no_answer(monkeypatch):
@@ -312,8 +337,16 @@ def wall_divisor(fan, rng):
 
 
 def volume_divisors(fan, rng):
-    """``referee_divisors``, a cell-wall divisor, and on 2-D fans and bl1_p3 every chamber sample."""
-    yield from referee_divisors(fan, rng)
+    """Two seeded rational divisors, D = 0, +-sum D_rho, -2 sum D_rho, (2, 0, ..), (-3, 0, ..)
+    and a cell wall; on fans of at most 8 rays each D_rho too, and on 2-D fans and bl1_p3
+    every chamber sample."""
+    k = len(fan.rays)
+    for _ in range(2):
+        yield tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(k))
+    yield from ((0,) * k, (1,) * k, (-1,) * k, (-2,) * k)
+    yield from ((c,) + (0,) * (k - 1) for c in (2, -3))
+    if k <= 8:
+        yield from (ray_divisor(fan, rho) for rho in range(k))
     wall = wall_divisor(fan, rng)
     if wall is not None:
         yield wall
@@ -321,86 +354,110 @@ def volume_divisors(fan, rng):
         yield from (ch.sample_divisor for ch in enumerate_maximal_chambers(fan, allow_dim3=True))
 
 
-def refereed_volumes(fan, d):
-    """Every realized region's volume of d by ``_slot_volume``, against its own region's.
-
-    The kernel's volume must equal ``normalized_volume`` and
-    ``sorted_apex_volume`` of the standalone region of the same subset.
-    Returns (regions measured, regions whose triangulation the cell kept
-    before they were measured).
-    """
-    measured, handed = [], []
-    k = len(fan.rays)
-
-    def measure(fan_, slot, mask, vertices):
-        handed.append(mask in slot.cell.simplices)
-        volume = regions._slot_volume(fan_, slot, mask, vertices)
-        own = region(fan, d, [i for i in range(k) if mask >> i & 1])
-        assert volume == normalized_volume(own) == sorted_apex_volume(own), (fan.rays, d, mask)
-        measured.append(volume)
-        return volume
-
-    region_sum(fan, d, lambda subset: (1,), measure)
-    return len(measured), sum(handed)
+def table_fans():
+    """Every fixture, P^4, P^1 x P^3, star_fan_data(1..6) and four polygon fans, each fresh."""
+    yield from (fresh(make()) for make in EVERY_FIXTURE)
+    yield from (p4(), p1_x_p3())
+    yield from (make_fan(*star_fan_data(s)) for s in range(1, 7))
+    yield from (make_fan(*polygon_fan_data(random.Random(seed))) for seed in range(4))
 
 
-def test_cell_triangulations_match_the_sorted_apex_referee():
-    # Each divisor, then a second divisor of its cell (scaled and
-    # shifted), which reads the triangulations the first one kept.
+def euler_weights(fan):
+    return lambda subset: (_euler_weight(fan, subset),)
+
+
+def built_tables(monkeypatch):
+    """The volume tables the package builds from now on, one entry per build."""
+    builds = []
+    reader = regions._realized_reader
+
+    def counted(fan):
+        builds.append(fan)
+        return reader(fan)
+
+    monkeypatch.setattr(regions, "_realized_reader", counted)
+    return builds
+
+
+def test_cell_triangulations_match_the_sorted_apex_referee(monkeypatch):
+    # hhat and self_intersection against the pulling triangulation of
+    # every realized bounded region, and each such standalone region's
+    # Lawrence volume against both triangulation referees.  Unrealized
+    # bounded regions are empty, with volume zero.  Then a second
+    # divisor of the cell (scaled and shifted) reads the kept tables.
     rng = random.Random(2030)
-    fans = [fresh(make()) for make in EVERY_FIXTURE]
-    fans += [make_fan(*star_fan_data(s)) for s in range(1, 5)]
-    fans += [make_fan(*polygon_fan_data(random.Random(seed))) for seed in range(4)]
-    measured = handed = 0
-    for fan in fans:
-        n = fan.dim
+    regions_checked = cases = reread = 0
+    for fan in table_fans():
+        k, n = len(fan.rays), fan.dim
+
+        def bounded(mask, fan=fan):
+            return is_bounded_subset(fan, [i for i in range(k) if mask >> i & 1])
+
+        def ranks(subset, fan=fan):
+            return local_cohomology_ranks(fan, subset)
+
         for d in volume_divisors(fan, rng):
-            first, _ = refereed_volumes(fan, d)
+            complete = is_complete(fan)
+            if complete:
+                hhat(fan, d)  # holds d's slot, whose cell the standalone regions then read
+            found, _ = divisor_vertices(fan, d)
+            for mask in realized_tables(found, bounded):
+                own = region(fan, d, [i for i in range(k) if mask >> i & 1])
+                volume = normalized_volume(own)
+                assert volume == pulling_volume(own) == sorted_apex_volume(own), (fan.rays, d, mask)
+                regions_checked += 1
+            if not complete:
+                continue
+            expected = weighted_volumes(fan, d, ranks, pulling_volume)
+            selfint = outcome(self_intersection, fan, d)
+            if selfint is not NotQCartierError:
+                assert selfint == weighted_volumes(fan, d, euler_weights(fan), pulling_volume)[0]
+            assert hhat(fan, d) == expected, (fan.rays, d)
             t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             second = shift(fan, tuple(t * c for c in d), [rng.randint(-3, 3) for _ in range(n)])
             assert cell_key(fan, second) == cell_key(fan, d)
-            count, kept = refereed_volumes(fan, second)
-            assert count == first
             cell = slot_of(fan, d).cell
-            if cell.kept:
-                masks = regions._realized_masks(fan, slot_of(fan, d))
-                assert kept == sum(mask in cell.simplices for mask, *_ in masks)
-            measured += first
-            handed += kept
-    assert measured > 2000 and handed > measured // 2
-
-
-def counted_affine_ranks(monkeypatch):
-    """The point lists the package hands to ``linalg.affine_rank`` from now on."""
-    from test_gkz import counting
-    from toricvol import linalg
-
-    ranks = []
-    counting(monkeypatch, linalg, "affine_rank", ranks.append)
-    return ranks
+            # The tables the budget did not keep are built again.
+            weights = [asymptotics._local_ranks]
+            if selfint is not NotQCartierError:
+                weights.append(asymptotics._euler_weights)
+            missing = len([w for w in weights if w not in cell.columns])
+            with monkeypatch.context() as patch:
+                builds = built_tables(patch)
+                assert hhat(fan, second) == tuple(t**n * x for x in expected), (fan.rays, second)
+                if selfint is not NotQCartierError:
+                    assert self_intersection(fan, second) == t**n * selfint
+            assert len(builds) == missing, (fan.rays, d)
+            reread += not missing
+            cases += 1
+    assert regions_checked > 2000 and cases > 150 and reread > cases // 2
 
 
 @pytest.mark.parametrize("make", [fixtures.bl2_p2, fixtures.bl3_p2, fixtures.bl1_p3, fixtures.p1_cubed])
-def test_a_second_divisor_of_a_kept_cell_runs_no_affine_rank(monkeypatch, make):
+def test_a_second_divisor_of_a_kept_cell_builds_no_table_and_solves_no_vertex(monkeypatch, make):
     rng = random.Random(2031)
     fan = fresh(make())
     k, n = len(fan.rays), fan.dim
     d = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(k))
     second = shift(fan, tuple(3 * c for c in d), [rng.randint(-3, 3) for _ in range(n)])
     expected = [f(fresh(fan), x) for x in (d, second) for f in (hhat, self_intersection)]
-    ranks = counted_affine_ranks(monkeypatch)
+    solves = []
+    point = regions._DivisorSlot.point
+    monkeypatch.setattr(regions._DivisorSlot, "point", lambda slot, b: solves.append(b) or point(slot, b))
+    builds = built_tables(monkeypatch)
     assert [f(fan, d) for f in (hhat, self_intersection)] == expected[:2]
-    assert ranks  # the first divisor of the cell triangulates its regions
-    assert slot_of(fan, d).cell.kept and slot_of(fan, d).cell.simplices
-    ranks.clear()
+    assert len(builds) == 2  # the first divisor of the cell builds its rank and Euler tables
+    cell = slot_of(fan, d).cell
+    assert cell.kept and len(cell.columns) == 2 and table_entries(cell)
+    builds.clear()
     assert [f(fan, second) for f in (hhat, self_intersection)] == expected[2:]
-    assert ranks == []
+    assert builds == [] and solves == []
 
 
 def test_a_cell_past_the_budget_gives_the_same_volumes(monkeypatch):
-    # With room for the cell's key, vertices and realized regions but for
-    # only some of its triangulations, and with room for none of them,
-    # every volume is the same and the entries stay counted.
+    # With room for the cell and its rank table but not its Euler
+    # table, and with room for nothing, every volume is the same and the
+    # entries stay counted.
     rng = random.Random(2032)
     fan = fresh(fixtures.bl3_p2())
     k = len(fan.rays)
@@ -409,18 +466,17 @@ def test_a_cell_past_the_budget_gives_the_same_volumes(monkeypatch):
     expected = [f(fan, x) for x in (d, second) for f in (hhat, self_intersection)]
     arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
     (cell,) = arrangement.cells.values()
-    kept = sum(max(len(simplices), 1) for simplices in cell.simplices.values())
-    assert len(cell.simplices) > 2 and kept_entries(arrangement) == arrangement.entries
-    for budget, room in ((arrangement.entries - kept // 2, True), (0, False)):
+    assert len(cell.columns) == 2 and kept_entries(arrangement) == arrangement.entries
+    for budget, room in ((arrangement.entries - 1, True), (0, False)):
         monkeypatch.setattr(regions, "CELL_BUDGET", budget)
         crowded = fresh(fan)
         assert [f(crowded, d) for f in (hhat, self_intersection)] == expected[:2]
         crowded_cell = slot_of(crowded, d).cell
         assert crowded_cell.kept == room
-        assert (0 < len(crowded_cell.simplices) < len(cell.simplices)) == room
-        ranks = counted_affine_ranks(monkeypatch)
+        assert len(crowded_cell.columns) == (1 if room else 0)
+        builds = built_tables(monkeypatch)
         assert [f(crowded, second) for f in (hhat, self_intersection)] == expected[2:]
-        assert ranks  # the second divisor triangulates what its cell could not keep
+        assert len(builds) == (1 if room else 2)  # what the cell could not keep is built again
         crowded_arrangement = regions._arrangement(crowded.rays, crowded.dim, crowded.memo)
         assert kept_entries(crowded_arrangement) == crowded_arrangement.entries <= budget
         monkeypatch.undo()
