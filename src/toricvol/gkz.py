@@ -47,8 +47,10 @@ primitive int tuples, once per fan, and membership, the chamber step
 interior-sample LP read those rows as they are; the chamber search
 takes a ray's side of a facet from a column of a basis inverse.  The
 growth path clears each divisor to integers once per call
-(``linalg.to_integers``) and stays there: ``GKZCone.slacks`` takes the
-cleared divisor, so the ampleness test reads the step for every ray off
+(``linalg.to_integers``) and stays there.  The ampleness test reads an
+ample class of an open type cell off the volume table of its cell, with
+no probe.  Only a class on a cell wall is probed: ``GKZCone.slacks``
+takes the cleared divisor, so the test reads the step for every ray off
 one set of slacks, builds each probe d +- (a / b) e_rho as integers over
 q b in lowest terms, tests it with integer dots and hands it to the
 cleared rates (``asymptotics._cleared_rates``).  A nef
@@ -82,9 +84,10 @@ from .errors import (
 from .fan import (
     Fan, _basis_inverses, _check_rays, _glued_cover_once, is_complete, is_simplicial, make_fan
 )
+from .homology import _local_ranks
 from .linalg import _lowest_terms, dot, nullspace, rank, solve, to_integers
 from .lp import feasible_point, relative_interior_functional
-from .regions import _held_slot, _polytope_table, _vertex_table
+from .regions import _held_slot, _lawrence_columns, _polytope_table, _vertex_table
 
 
 # ---------------------------------------------------------------------------
@@ -848,18 +851,23 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     """Ampleness through neighborhood vanishing of higher growth rates.
 
     True exactly when the located chamber is the ambient fan's own open
-    chamber.  On a positive answer the vanishing is additionally
-    verified at the class itself and at 2k perturbed classes inside the
+    chamber.  On a positive answer the vanishing of ĥ^1..ĥ^n near the
+    class is additionally verified.  The class is cleared to integers
+    once, for its held slot, and its chamber is read off its type cell.
+    When no circuit sign of the cell is zero, the cell is open, so it
+    holds a neighborhood of the class, and on it each ĥ^i is the cell's
+    polynomial sum_B c_{B,i} N_B <g_B, L_B>^n (``regions._lawrence_columns``):
+    empty columns of degrees 1..n prove the vanishing there, with no
+    probe.  A class on a cell wall, or a cell with a higher column, is
+    probed at the class itself and at 2k perturbed classes inside the
     chamber, one step each way along every ray, the step of
-    ``GKZCone.step`` for that ray, so both probes lie strictly inside.
-    After its chamber is located, the class is cleared to integers once:
-    every step is read off its one set of slacks, and each probe is
-    built and tested as integers over q b, and its ĥ^1..ĥ^n read off the
-    volume table of its type cell (``_cleared_rates``), keyed without
-    replacing the class's held slot.  Only the table columns of degrees
-    1..n are read, which an ample cell leaves empty.  A complete
-    simplicial fan makes every divisor Q-Cartier, so no Cartier test
-    runs.
+    ``GKZCone.step`` for that ray, so both probes lie strictly inside:
+    every step is read off the class's one set of slacks, and each probe
+    is built and tested as integers over q b, and its ĥ^1..ĥ^n read off
+    the volume table of its type cell (``_cleared_rates``), keyed
+    without replacing the class's held slot.  Only the table columns of
+    degrees 1..n are read.  A complete simplicial fan makes every
+    divisor Q-Cartier, so no Cartier test runs.
     """
     if not is_complete(fan):
         raise NotCompleteError("ampleness test needs a complete fan")
@@ -869,16 +877,20 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
             "all, where neighborhood vanishing holds with nothing ample; this "
             "test refuses them"
         )
+    slot = _held_slot(fan, d)
     try:
-        location = locate_chamber(fan, d)
+        location = _slot_chamber(fan, slot)
     except EffectiveConeError:
         return False
     if not location.interior:
         return False
     if set(location.sigma.max_cones) != set(fan.max_cones) or location.strict_rays:
         return False
+    if 0 not in slot.cell.key and not any(_lawrence_columns(fan, slot, _local_ranks)[1:]):
+        # An open cell: its polynomials, with no higher term, hold on a neighborhood.
+        return True
 
-    coefficients, q = to_integers(d)
+    coefficients, q = slot.key
     chamber = located_cone(fan, location)
     slacks = chamber.slacks(coefficients)
     higher = slice(1, None)

@@ -123,9 +123,16 @@ CELL_BUDGET = 2**11
 _ZERO = Fraction(0)
 
 
-def _no_cache(key, compute):
-    """Memo stand-in for regions built outside a fan: compute, keep nothing."""
-    return compute()
+def _own_memo():
+    """A memo of one region built outside a fan: each fact computed once, kept in its own dict."""
+    kept: dict = {}
+
+    def memo(key, compute):
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -133,9 +140,11 @@ class HalfOpenRegion:
     """One mixed weak/strict linear system, one constraint per ray.
 
     ``memo`` stores the facts that depend only on the normals (cocircuit
-    patterns, basis inverses, negated normals).  Regions of a fan carry
-    the fan's memo, so those facts are computed once per fan; the
-    default computes them afresh on every call.  The integer data the
+    patterns, basis inverses, negated normals, the type-cell arrangement).
+    Regions of a fan carry the fan's memo, so those facts are computed
+    once per fan; the default is a memo of the region's own, so they are
+    computed once per region object (``dataclasses.replace`` with other
+    normals must pass a new memo).  The integer data the
     lattice measures read, ``vertex_table`` and ``row_bounds``, is
     computed at most once per region object, on first use.
     ``region_sum`` builds no region: it counts off its divisor's slot.
@@ -147,7 +156,7 @@ class HalfOpenRegion:
     levels: tuple[Fraction, ...]
     weak: tuple[bool, ...]
     dim: int
-    memo: Callable = field(default=_no_cache, compare=False, repr=False)
+    memo: Callable = field(default_factory=_own_memo, compare=False, repr=False)
 
     def __post_init__(self):
         k = len(self.normals)

@@ -11,10 +11,12 @@ formulations once, as the old vertex pass became
   from ``Fraction`` cone functionals (``chamber_referees``) and a
   ``Fraction`` shift, with the three postconditions checked on
   ``Fraction`` vertices;
-* ``ample_probes``: the divisors ``ample_via_asymptotics`` measures,
-  the class itself and d +- step e_rho for every ray, each step
-  min(1, slack / (2 |row_rho|)) over ``Fraction`` slacks of the public
-  chamber rows;
+* ``ample_probes``: the divisors ``ample_via_asymptotics`` measures
+  on a cell wall, the class itself and d +- step e_rho for every ray,
+  each step min(1, slack / (2 |row_rho|)) over ``Fraction`` slacks of
+  the public chamber rows;
+* ``circuit_minors``: the (n + 1) x (n + 1) minors of [V | d] whose
+  signs fix the type cell of d, by ``Fraction`` determinants;
 * ``mixed_partial_h0``: the derivative of ĥ^0 from the ``Fraction``
   grid d + sum k_j step e_rho_j, k_j = 0..n, each point's ĥ^0 from
   ``hhat``, with the step min(1, slack / (2 n pull)) over ``Fraction``
@@ -23,7 +25,8 @@ formulations once, as the old vertex pass became
 
 import math
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 import chamber_referees
 import fraction_linalg
@@ -86,6 +89,26 @@ def ample_probes(fan, d):
             probe[rho] += sign * step
             probes.append(tuple(probe))
     return probes
+
+
+def circuit_minors(fan, d):
+    """The minors det [v_i | d_i] over the spanning (n + 1)-subsets of rays, in ``combinations`` order.
+
+    A subset whose rays do not span has a zero minor for every d and is
+    left out, so a class lies on a type-cell wall exactly when one of
+    these is zero (McMullen 1973).
+    """
+    return [
+        fraction_linalg.det([[*fan.rays[i], d[i]] for i in subset])
+        for subset in _spanning_subsets(fan.rays, fan.dim)
+    ]
+
+
+@cache
+def _spanning_subsets(rays, n):
+    """The (n + 1)-subsets of the rays that span, in ``combinations`` order."""
+    subsets = combinations(range(len(rays)), n + 1)
+    return [s for s in subsets if fraction_linalg.rank([rays[i] for i in s]) == n]
 
 
 def derivative_weights(n, step):

@@ -3,7 +3,7 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -706,6 +706,31 @@ def assert_probes_inside(fan, d, probes, rays):
         assert {i for i, (a, b) in enumerate(zip(probe, d)) if a != b} <= set(rays), (d, probe)
 
 
+def star_fan(splits):
+    def make():
+        return make_fan(*star_fan_data(splits))
+
+    make.__name__ = f"star{splits}"
+    return make
+
+
+# An ample class of star_fan_data(5) with one zero circuit sign: it lies on a type-cell wall.
+STAR5_WALL = divisor([20, 41, 37, 15, 16, 21, 59, 26, 44])
+
+
+def assert_no_higher_growth_at_referee_probes(fan, d):
+    """Every divisor of the ``Fraction`` referee's 1 + 2k ampleness probes has ĥ^1..ĥ^n = 0."""
+    probes = growth_referees.ample_probes(fan, d)
+    assert len(probes) == 1 + 2 * len(fan.rays), d
+    for probe in probes:
+        assert not any(hhat(fan, probe)[1:]), (d, probe)
+
+
+def on_cell_wall(fan, d):
+    """Whether some circuit minor of [V | d] is zero (``growth_referees.circuit_minors``)."""
+    return not all(growth_referees.circuit_minors(fan, d))
+
+
 def test_chamber_probes_stay_strictly_inside_along_the_probed_rays(monkeypatch):
     probes = recorded_rates(monkeypatch)
     for make in (bl2_p2, f1):
@@ -717,12 +742,19 @@ def test_chamber_probes_stay_strictly_inside_along_the_probed_rays(monkeypatch):
                 mixed_partial_h0(fan, d, rays)
                 assert probes == []
     for fan, d in ((bl1_p3(), divisor([3, 3, 3, 3, -1])), (bl2_p2(), divisor([3, 3, 3, 2, 2]))):
+        # An open type cell proves the vanishing near d: no probe is taken.
         probes.clear()
         assert ample_via_asymptotics(fan, d)
-        assert len(probes) == 1 + 2 * len(fan.rays)
-        assert_probes_inside(fan, d, probes, range(len(fan.rays)))
-        moved = [{i for i, (a, b) in enumerate(zip(probe, d)) if a != b} for probe in probes[1:]]
-        assert moved == [{rho} for rho in range(len(fan.rays)) for _ in (1, -1)]
+        assert probes == []
+        assert_no_higher_growth_at_referee_probes(fan, d)
+    # A class on a cell wall runs the 1 + 2k probes.
+    fan, d = star_fan(5)(), STAR5_WALL
+    probes.clear()
+    assert ample_via_asymptotics(fan, d)
+    assert len(probes) == 1 + 2 * len(fan.rays)
+    assert_probes_inside(fan, d, probes, range(len(fan.rays)))
+    moved = [{i for i, (a, b) in enumerate(zip(probe, d)) if a != b} for probe in probes[1:]]
+    assert moved == [{rho} for rho in range(len(fan.rays)) for _ in (1, -1)]
 
 
 def test_ample_via_asymptotics_requires_simplicial():
@@ -958,6 +990,70 @@ def test_ample_via_asymptotics_matches_fraction_referee(make):
     assert answers == {True, False}
 
 
+def ample_classes(fan, rng, center, span, count):
+    """Seeded classes center + a / b, |a| <= span and b in {1, 2} per ray, strictly inside the own chamber."""
+    own = gkz_cone(fan, fan.max_cones, frozenset())
+    for _ in range(count):
+        d = tuple(x + Fraction(rng.randint(-span, span), rng.choice((1, 2))) for x in center)
+        if fraction_membership(own, d)[1]:
+            yield d
+
+
+def crossing_walls(fan, classes):
+    """Each class crossed with the first earlier class of another type cell, at a cell wall.
+
+    A minor of [V | d] is linear in d, so the first minor whose sign
+    differs, m_a at a and m_b at b, vanishes at (1 - t) a + t b with
+    t = m_a / (m_a - m_b).  The segment of two ample classes is ample.
+    """
+    seen = []
+    for b in classes:
+        at_b = growth_referees.circuit_minors(fan, b)
+        for a, at_a in seen:
+            differ = [(x, y) for x, y in zip(at_a, at_b) if (x > 0) - (x < 0) != (y > 0) - (y < 0)]
+            if differ:
+                x, y = differ[0]
+                t = x / (x - y)
+                yield tuple((1 - t) * p + t * r for p, r in zip(a, b))
+                break
+        seen.append((b, at_b))
+
+
+@pytest.mark.parametrize(
+    "make", (*COMPLETE_SIMPLICIAL, *map(star_fan, range(1, 6))), ids=lambda f: f.__name__
+)
+def test_ampleness_on_and_off_cell_walls_matches_fraction_referee(monkeypatch, make):
+    # Ample classes of open cells take no probe; one on a cell wall takes
+    # the referee's 1 + 2k.  In the plane every circuit value of an
+    # ample class is nonzero, so the walls come from star_fan_data(5),
+    # around the functional LP's sample and around STAR5_WALL.
+    fan = make()
+    rng = random.Random(29)
+    base = tuple(4 * x for x in projective_sample(fan, fan.max_cones))
+    ample = list(ample_classes(fan, rng, base, 6, 16 if fan.dim < 3 else 12))
+    if make.__name__ == "star5":
+        ample += ample_classes(fan, random.Random(30), STAR5_WALL, 1, 8)
+    walls = list(islice(crossing_walls(fan, ample), 3))
+    if make.__name__ == "star5":
+        walls.append(STAR5_WALL)
+        assert len(walls) >= 3
+    for d in walls:
+        assert on_cell_wall(fan, d) and is_ample(fan, d), d
+    others = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in fan.rays) for _ in range(8)]
+    probes = recorded_rates(monkeypatch)
+    answers = set()
+    for d in (*ample, *walls, *others):
+        probes.clear()
+        answer = ample_via_asymptotics(fan, d)
+        assert answer == is_ample(fan, d) == fraction_ample_referee(fan, d), d
+        if answer and not on_cell_wall(fan, d):
+            assert probes == [], d
+        else:
+            assert probes == growth_referees.ample_probes(fan, d), d
+        answers.add(answer)
+    assert True in answers
+
+
 def counting(monkeypatch, module, name, record):
     """Route every binding of ``module.name`` in the package through ``record``."""
     original = getattr(module, name)
@@ -1095,13 +1191,21 @@ def test_ample_probes_match_fraction_referee(monkeypatch, make):
     answers = set()
     for d in divisors:
         probes.clear()
-        answers.add(ample_via_asymptotics(fan, d))
-        assert probes == growth_referees.ample_probes(fan, d), d
+        answer = ample_via_asymptotics(fan, d)
+        answers.add(answer)
+        if answer and not on_cell_wall(fan, d):
+            # An open cell: no probe is taken, and the referee's probes all vanish.
+            assert probes == [], d
+            assert_no_higher_growth_at_referee_probes(fan, d)
+        else:
+            assert probes == growth_referees.ample_probes(fan, d), d
     assert answers == {True, False}
 
 
 @pytest.mark.parametrize(
-    "make, ample", [(bl2_p2, [3, 3, 3, 2, 2]), (bl1_p3, [3, 3, 3, 3, -1])], ids=["bl2_p2", "bl1_p3"]
+    "make, ample",
+    [(bl2_p2, [3, 3, 3, 2, 2]), (bl1_p3, [3, 3, 3, 3, -1]), (star_fan(5), STAR5_WALL)],
+    ids=["bl2_p2", "bl1_p3", "star5_wall"],
 )
 def test_warm_ampleness_solves_nothing_and_skips_the_section_polytope(monkeypatch, make, ample):
     import toricvol.asymptotics as asymptotics
@@ -1117,9 +1221,13 @@ def test_warm_ampleness_solves_nothing_and_skips_the_section_polytope(monkeypatc
     assert solves == []
     assert ample_via_asymptotics(fan, d)
     assert solves == []
-    # The probes read the volume table's columns of degrees 1..n only,
-    # never degree 0, the section polytope's.
-    assert read == [slice(1, None)] * (2 * len(fan.rays) + 1)
+    if on_cell_wall(fan, d):
+        # The probes read the volume table's columns of degrees 1..n only,
+        # never degree 0, the section polytope's.
+        assert read == [slice(1, None)] * (2 * len(fan.rays) + 1)
+    else:
+        # An open cell's kept table answers: no rate is summed at all.
+        assert read == []
     # The counters do see a full hhat's degree 0 and a non-simplicial cone's solve.
     hhat(fan, d)
     assert read[-1] == slice(None)

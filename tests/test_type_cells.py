@@ -7,7 +7,9 @@ located chamber per fan, and solves a divisor's own vertices only when
 a region asks.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,8 @@ from arrangement_referees import (
 )
 from generated_fans import polygon_fan_data, star_fan_data
 from test_dim4 import p1_x_p3, p4
-from toricvol import asymptotics, fixtures, regions
+from test_gkz import STAR5_WALL
+from toricvol import asymptotics, fixtures, gkz, regions
 from toricvol.asymptotics import hhat, self_intersection
 from toricvol.cohomology import _euler_weight, h_all
 from toricvol.divisor import ray_divisor
@@ -102,7 +105,7 @@ def test_cell_tables_match_the_arrangement_referee():
 def test_regions_off_the_fan_memo_match_the_referee():
     # A region on a subset of the rays with its own memo, as a nef
     # decomposition builds, and a hand-built region with the default memo,
-    # which keeps nothing between calls.
+    # a memo of the region's own.
     rng = random.Random(2026)
     checked = 0
     for make in (fixtures.p1xp1, fixtures.bl2_p2, fixtures.bl3_p2, fixtures.bl1_p3):
@@ -142,6 +145,38 @@ def test_regions_off_the_fan_memo_match_the_referee():
                 assert reg.vertex_table == (filtered(found, mask), scale)
                 checked += 1
     assert checked > 60
+
+
+def test_a_hand_built_region_builds_its_arrangement_once_and_is_freed(monkeypatch):
+    builds = []
+    arrangement = regions._Arrangement
+
+    class Counted(arrangement):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(regions, "_Arrangement", Counted)
+    fan = fixtures.bl2_p2()
+    levels = (Fraction(-3, 2), -1, -2, Fraction(-1, 2), -1)
+    reg = HalfOpenRegion(fan.rays, levels, (True,) * len(fan.rays), fan.dim)
+    volume = normalized_volume(reg)
+    assert normalized_volume(reg) == volume and reg.vertex_table
+    assert len(builds) == 1
+    # Another region object keeps a memo of its own.
+    assert normalized_volume(HalfOpenRegion(fan.rays, levels, reg.weak, fan.dim)) == volume
+    assert len(builds) == 2
+    # Nothing the memo holds points back at the region, so reference
+    # counting alone frees it.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        alive = weakref.ref(reg)
+        del reg
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def shift(fan, d, u):
@@ -241,6 +276,37 @@ def test_a_repeated_ampleness_test_builds_no_cell(monkeypatch):
     # A class the first call never probed builds its cells anew.
     assert ample_via_asymptotics(fresh(fan), ample) is True
     assert built
+
+
+def test_ampleness_work_pins(monkeypatch):
+    # Clock-free counts: a repeated open-cell call keys and builds no
+    # cell, a new class of a kept ample cell keys its cell once, and the
+    # wall class of star_fan_data(5) sums its rates at 1 + 2k classes.
+    keys, built, rates = [], [], []
+    cell_key_of, cleared_rates = regions._cell_key, gkz._cleared_rates
+
+    class Counted(regions._TypeCell):
+        def __init__(self, key, vertices):
+            built.append(key)
+            super().__init__(key, vertices)
+
+    monkeypatch.setattr(regions, "_cell_key", lambda *args: keys.append(args) or cell_key_of(*args))
+    monkeypatch.setattr(regions, "_TypeCell", Counted)
+    monkeypatch.setattr(gkz, "_cleared_rates", lambda *args: rates.append(args) or cleared_rates(*args))
+
+    def counts(fan, d):
+        keys.clear(), built.clear(), rates.clear()
+        assert ample_via_asymptotics(fan, d) is True
+        return len(keys), len(built), len(rates)
+
+    fan = fresh(fixtures.bl2_p2())
+    ample = (3, 3, 3, 2, 2)
+    assert counts(fan, ample) == (1, 1, 0)
+    assert counts(fan, ample) == (0, 0, 0)
+    assert counts(fan, shift(fan, tuple(2 * c for c in ample), (1, -1))) == (1, 0, 0)
+    star = make_fan(*star_fan_data(5))
+    k = len(star.rays)
+    assert counts(star, STAR5_WALL)[::2] == (1 + 2 * k, 1 + 2 * k)
 
 
 def test_ampleness_leaves_the_class_slot_held(monkeypatch):
