@@ -46,12 +46,11 @@ class UnboundedRegionError(PreconditionError):
 
 
 class CapExceededError(PreconditionError):
-    """Work past a fixed cap was requested: a region sum over more than
-    2^``regions.SUBSET_CAP`` ray subsets or a subset sweep of more rays, a
-    lattice count past ``regions.FIBER_BUDGET`` 2-D slices (integer points
-    of the first n - 2 coordinates; never in dimension 2) or a lattice
-    listing past as many fibers (of the first n - 1), or a probe past
-    m = 50."""
+    """Work past a fixed cap was requested: a subset sweep of more than
+    ``regions.SUBSET_CAP`` rays, a lattice count past
+    ``regions.FIBER_BUDGET`` 2-D slices (integer points of the first
+    n - 2 coordinates; never in dimension 2) or a lattice listing past
+    as many fibers (of the first n - 1), or a probe past m = 50."""
 
 
 class ChamberWallError(PreconditionError):

@@ -39,10 +39,14 @@ def to_integers(values: Sequence) -> tuple[list[int], int]:
     """The values times the lcm q of their denominators, as integers, and q.
 
     Raises TypeError on a string: ``Fraction`` would parse it leniently
-    (``divisor.divisor`` is the reader for text).
+    (``divisor.divisor`` is the reader for text).  Raises ValueError on
+    a bool, which is no number here, as ``divisor.divisor`` does.
     """
-    if all(type(v) is int for v in values):
+    kinds = set(map(type, values))
+    if kinds <= {int}:
         return list(values), 1
+    if bool in kinds:
+        raise ValueError("values must be numbers, not bools")
     try:
         scale = math.lcm(*(v.denominator for v in values))
     except AttributeError:  # floats and the like: their exact Fraction values

@@ -37,23 +37,31 @@ linear equivalence and positive scaling.  Each memo keeps the cells it
 meets (``_TypeCell``, at most ``CELL_BUDGET`` entries per memo): one
 vertex per tight set with its basis and masks, classified from the
 signs alone with no point solved, and, filled on first use, the
-realized bounded masks of a region sum, the located chamber of
-``gkz.locate_chamber`` and the volume tables below.  A divisor solves
+realized table of its simple cell (below), the located chamber of
+``gkz.locate_chamber`` and its volume tables.  A divisor solves
 only the vertices of the regions it counts, P_B = A_B . L_B, once
 each: ``_DivisorSlot`` keeps them with the divisor's row bounds, and
 each memo holds the slot of its last divisor.  ``region_sum`` counts a
 realized region's lattice points straight off that slot and the
 region's weak mask, with no region object (``_slot_count``).  A
 standalone ``HalfOpenRegion`` feeds the same integer core from its own
-vertex table and row bounds, each computed at most once per object, on
-first use.
+slot, vertex table and row bounds, each computed at most once per
+object, on first use.
 
-Volumes are Lawrence vertex sums (Lawrence 1991).  Raising the levels
-by theta_i = eps^(i + 1), eps -> 0+, makes every circuit value nonzero
-(simulation of simplicity, Edelsbrunner and Muecke 1990): a zero value
-takes the sign of lam at its least ray index with lam != 0.  On that
-simple cell each basis B is its own vertex, and its 2^n orthant masks
-W = above(P_B) | s+ are the regions around it.  With xi = (1, t, ...,
+Counts and volumes sum over the regions of one simple cell.  Lowering
+the levels by theta_i = eps^(i + 1), eps -> 0+, makes every circuit
+value nonzero (simulation of simplicity, Edelsbrunner and Muecke 1990):
+a zero value takes the sign of -lam at its least ray index with
+lam != 0.  On that simple cell each basis B is its own vertex, and its
+2^n orthant masks W = above(P_B) | s+ are the regions around it; one
+table lists the bounded ones with their vertices (``_realized_masks``).
+At a lattice point every <v_i, m> is an integer, so lowering moves no
+lattice point across a row and the lowered regions hold exactly the
+lattice points of the divisor's own: counts read the table with the
+divisor's row bounds, and a region sum visits at most 2^n candidate
+masks per basis, however many rows meet at one vertex.
+
+Volumes are Lawrence vertex sums (Lawrence 1991).  With xi = (1, t, ...,
 t^(n - 1)) pairing nonzero with every column of every basis inverse,
 g_B = A_B^T xi and N_B = |det A_B| / prod_j (-g_B[j]), the closure of
 a bounded region W has
@@ -61,12 +69,12 @@ a bounded region W has
     nvol(W) = sum over its vertices P_B of (prod_j s_j) N_B <g_B, L_B>^n / (q common)^n,
 
 so a weighted sum over the regions is sum_B c_B N_B <g_B, L_B>^n with
-c_B = sum_s (prod_j s_j) w(above(P_B) | s+) over the bounded orthant
-masks.  The coefficients depend on the cell alone, so each type cell
-keeps the nonzero ones of its simple cell as one integer table per
-weight (``_lawrence_columns``), and a divisor of a known cell pays one
-dot product and one power per basis in the table.  Volumes are continuous
-in the levels, so the table of the raised levels' cell gives the exact
+c_B = sum_s (prod_j s_j) w(above(P_B) | s+) over the table's masks at
+B.  The coefficients depend on the cell alone, so each type cell keeps
+the nonzero ones of its simple cell as one integer table per weight
+(``_lawrence_columns``), and a divisor of a known cell pays one dot
+product and one power per basis in the table.  Volumes are continuous
+in the levels, so the table of the lowered levels' cell gives the exact
 sums at the levels themselves; the same polynomial, differentiated,
 gives the mixed partials of the section polytope's volume
 (``_h0_partial``).  No ``Fraction`` is built inside a volume but its
@@ -105,9 +113,10 @@ from .fan import Fan, _basis_table, _check_rays, is_complete
 from .linalg import _kernel_direction, _point_integers, dot, rank, to_integers
 
 
-# Fixed work caps; past either one, CapExceededError.  A region sum visits
-# at most 2^SUBSET_CAP ray subsets, the sweep ``bounded_subsets`` takes at
-# most SUBSET_CAP rays, and a lattice count or listing visits at most
+# Fixed work caps; past either one, CapExceededError.  The sweep
+# ``bounded_subsets`` takes at most SUBSET_CAP rays (a region sum needs no
+# such cap: it visits at most 2^n masks per basis of the simple cell),
+# and a lattice count or listing visits at most
 # FIBER_BUDGET integer prefixes of the bounding box per region: of the
 # first n - 2 coordinates for a count (its 2-D slices), of the first
 # n - 1 for a listing (its fibers).
@@ -145,7 +154,7 @@ class HalfOpenRegion:
     once per fan; the default is a memo of the region's own, so they are
     computed once per region object (``dataclasses.replace`` with other
     normals must pass a new memo).  The integer data the
-    lattice measures read, ``vertex_table`` and ``row_bounds``, is
+    measures read, ``slot``, ``vertex_table`` and ``row_bounds``, is
     computed at most once per region object, on first use.
     ``region_sum`` builds no region: it counts off its divisor's slot.
     Raises ValueError unless ``normals``, ``levels`` and ``weak`` have
@@ -187,6 +196,16 @@ class HalfOpenRegion:
     def vertex_table(self):
         """The closure's integer vertices ({P: tight}, scale) of ``_integer_vertices``."""
         return _integer_vertices(self)
+
+    @cached_property
+    def slot(self) -> _DivisorSlot:
+        """The ``_DivisorSlot`` of the levels, keyed once per region object.
+
+        It is the memo's held slot when the levels are its divisor's;
+        ``vertex_table`` and ``normalized_volume`` read it.
+        """
+        levels, q = to_integers(self.levels)
+        return _divisor_slot(self.normals, self.dim, self.memo, [-x for x in levels], q)
 
     @cached_property
     def row_bounds(self) -> tuple[int, ...]:
@@ -427,21 +446,20 @@ class _TypeCell:
     ``key`` is the cell's circuit signs.  ``vertices`` has one triple
     (basis, above, tight) per distinct arrangement vertex, the first
     basis in basis order that meets it, with the bitmasks of the rows
-    above it and tight at it.  ``visits`` is the number of candidate
-    weak sets, sum 2^|tight|, that a region sum visits.  Filled later,
-    once: ``masks``, the realized bounded masks of ``_realized_masks``
-    (when ``kept``, only within the budget), and ``chamber``, the
-    located chamber of ``gkz.locate_chamber``.  ``columns`` maps a
-    weight to the cell's volume table (``_lawrence_columns``), only when
-    ``kept`` and within the budget.
+    above it and tight at it; on a simple cell (``_simple_cell``) every
+    basis is a vertex tight on its own rows alone.  Filled later, once:
+    ``masks``, the realized table of ``_realized_masks`` (a simple
+    cell's only, and when ``kept``, only within the budget), and
+    ``chamber``, the located chamber of ``gkz.locate_chamber``.
+    ``columns`` maps a weight to the cell's volume table
+    (``_lawrence_columns``), only when ``kept`` and within the budget.
     """
 
-    __slots__ = ("key", "vertices", "visits", "kept", "masks", "chamber", "columns")
+    __slots__ = ("key", "vertices", "kept", "masks", "chamber", "columns")
 
     def __init__(self, key, vertices):
         self.key = key
         self.vertices = vertices
-        self.visits = sum(1 << tight.bit_count() for _, _, tight in vertices)
         self.kept = False
         self.masks = None
         self.chamber = None
@@ -499,10 +517,10 @@ def _cell_of(arrangement: _Arrangement, key) -> _TypeCell:
 
 
 def _simple_cell(arrangement: _Arrangement, cell: _TypeCell) -> _TypeCell:
-    """The cell of the levels raised by theta_i = eps^(i + 1), eps -> 0+.
+    """The cell of the levels lowered by theta_i = eps^(i + 1), eps -> 0+.
 
     A nonzero circuit value keeps its sign, and a zero one <lam, L_S>
-    becomes sum_i lam_i eps^(i + 1), the sign of lam at its least ray
+    becomes -sum_i lam_i eps^(i + 1), the sign of -lam at its least ray
     index with lam != 0.  So no circuit sign is zero: no n + 1 rows meet
     in a point, and each basis is a vertex tight on its own rows alone.
     A cell with no zero sign is its own simple cell; another is read off
@@ -512,11 +530,11 @@ def _simple_cell(arrangement: _Arrangement, cell: _TypeCell) -> _TypeCell:
     if 0 not in key:
         return cell
     rows = range(arrangement.rows)
-    raised = tuple(
-        x or (1 if min((j, y) for j, y in zip(get(rows), lam) if y)[1] > 0 else -1)
+    lowered = tuple(
+        x or (-1 if min((j, y) for j, y in zip(get(rows), lam) if y)[1] > 0 else 1)
         for x, (get, lam) in zip(key, arrangement.circuits)
     )
-    return _cell_of(arrangement, raised)
+    return _cell_of(arrangement, lowered)
 
 
 def _levels(coefficients, q: int):
@@ -532,8 +550,9 @@ class _DivisorSlot:
 
     ``key`` is (q * d, q), the divisor cleared to integers.  Each vertex
     point P_B = A_B . L_B is solved on first use and kept in ``points``
-    by basis; ``region_sum`` fills its realized masks and its lattice
-    counts by mask, ``_slot_count`` its row bounds, and the volume sums
+    by basis; ``_realized_masks`` fills its realized masks (the table
+    of its cell's simple cell), ``region_sum`` its lattice counts by
+    mask, ``_slot_count`` its row bounds, and the volume sums
     ``powers``, <g_B, L_B>^n by basis, on first use.
     """
 
@@ -572,8 +591,7 @@ def _divisor_slot(normals, dim: int, memo, coefficients, q: int, keep: bool = Fa
 
     Otherwise a new slot, on the type cell of the levels -q * d.  With
     ``keep`` the new slot replaces the held one, in one assignment so
-    that concurrent calls need no lock, unless its cell visits more than
-    2^SUBSET_CAP candidate subsets.
+    that concurrent calls need no lock.
     """
     key = (tuple(coefficients), q)
     last = memo("last_divisor", lambda: [None])
@@ -582,7 +600,7 @@ def _divisor_slot(normals, dim: int, memo, coefficients, q: int, keep: bool = Fa
         return held[1]
     arrangement = _arrangement(normals, dim, memo)
     slot = _DivisorSlot(key, arrangement, _type_cell(arrangement, [-x for x in coefficients]))
-    if keep and slot.cell.visits <= 1 << SUBSET_CAP:
+    if keep:
         last[0] = (key, slot)
     return slot
 
@@ -619,32 +637,33 @@ def _integer_vertices(reg: HalfOpenRegion):
     """The closure's vertices as integer points over one scale, with tight rows.
 
     Returns ({P: bitmask of the rows tight at P}, scale) of
-    ``_unkept_table`` for the region's levels and weak mask.  Runs at
-    most once per region object, through ``HalfOpenRegion.vertex_table``;
+    ``_closure_table`` on the region's slot.  Runs at most once per
+    region object, through ``HalfOpenRegion.vertex_table``;
     ``region_sum`` builds no region, so never runs it.  Raises on
     systems with unbounded closure.
     """
-    levels, q = to_integers(reg.levels)
-    return _unkept_table(reg.normals, reg.dim, reg.memo, [-x for x in levels], q, _weak_mask(reg.weak))
+    return _closure_table(reg.normals, reg.dim, reg.memo, reg.slot, _weak_mask(reg.weak))
 
 
 def _polytope_table(normals, dim: int, memo, coefficients, q: int):
-    """``_unkept_table`` of the polytope <u, v_i> >= -d_i, all rows weak."""
-    return _unkept_table(normals, dim, memo, coefficients, q, (1 << len(normals)) - 1)
-
-
-def _unkept_table(normals, dim: int, memo, coefficients, q: int, weak: int):
-    """``_vertex_table`` of the weak mask's closure for d = coefficients / q.
+    """``_closure_table`` of the polytope <u, v_i> >= -d_i, all rows weak, for d = coefficients / q.
 
     The pair is a divisor cleared as ``linalg.to_integers`` clears it.
-    The table is read off the type cell of its levels in the memo,
-    solving only the vertices kept: off the memo's last divisor's slot
-    when it matches, which is not replaced otherwise.  Raises on an
-    unbounded closure.
+    The table is read off the memo's last divisor's slot when it
+    matches, which is not replaced otherwise.
+    """
+    slot = _divisor_slot(normals, dim, memo, coefficients, q)
+    return _closure_table(normals, dim, memo, slot, (1 << len(normals)) - 1)
+
+
+def _closure_table(normals, dim: int, memo, slot: _DivisorSlot, weak: int):
+    """``_vertex_table`` of the weak mask's closure on the slot, solving only the vertices kept.
+
+    Raises on an unbounded closure.
     """
     if not _is_bounded(normals, dim, memo, weak):
         raise UnboundedRegionError("region closure is unbounded")
-    return _vertex_table(_divisor_slot(normals, dim, memo, coefficients, q), weak)
+    return _vertex_table(slot, weak)
 
 
 def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
@@ -669,23 +688,22 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     region forces its closure onto a strict hyperplane, hence a
     lower-dimensional closure and volume zero either way.  The volume
     is the Lawrence sum over the closure's vertices on the simple cell
-    of its raised levels (``_simple_cell``): the bases B with
+    of its lowered levels (``_simple_cell``): the bases B with
     above(P_B) <= W <= above(P_B) | B, each signed by its rows off W.
-    The cell is read off the memo's held slot when the levels are its
-    divisor's.  Raises on systems with unbounded closure.
+    The cell is read off the region's slot (``HalfOpenRegion.slot``).
+    Raises on systems with unbounded closure.
     """
     weak = _weak_mask(reg.weak)
     if not _is_bounded(reg.normals, reg.dim, reg.memo, weak):
         raise UnboundedRegionError("region closure is unbounded")
-    levels, q = to_integers(reg.levels)
-    slot = _divisor_slot(reg.normals, reg.dim, reg.memo, [-x for x in levels], q)
+    slot = reg.slot
     arrangement = slot.arrangement
     total = 0
     for b, above, basis in _simple_cell(arrangement, slot.cell).vertices:
         if not above & ~weak and not weak & ~(above | basis):
             term = arrangement.weights[b] * slot.level(b) ** reg.dim
             total += -term if (basis & ~weak).bit_count() & 1 else term
-    return Fraction(total, arrangement.den * (q * arrangement.common) ** reg.dim)
+    return Fraction(total, arrangement.den * slot.scale**reg.dim)
 
 
 def _integer_rows(normals, memo, bounds, weak: int):
@@ -936,32 +954,39 @@ def _realized_reader(fan: Fan):
 
 
 def _realized_masks(fan: Fan, slot: _DivisorSlot):
-    """The realized bounded masks of the slot's cell, as (mask, subset, vertices).
+    """The realized bounded masks of the slot's simple cell, as (mask, subset, vertices).
 
-    A vertex P holds the W with above(P) <= W <= above(P) | tight(P),
-    2^|tight(P)| candidates, each kept with the cell's vertex triples
-    of its closure, in the order the vertices meet it, when
-    ``_realized_reader`` finds it bounded.  Computed once per slot,
-    which keeps them, and once per kept cell while its entries fit the
-    budget.
+    On the simple cell of the lowered levels (``_simple_cell``) each
+    basis B is a vertex tight on B alone, and the regions whose closure
+    holds it are the 2^n orthant masks W = above(P_B) | S, S any submask
+    of B.  Each one ``_realized_reader`` finds bounded is kept with the
+    vertex triples (b, above, basis) of its closure, in basis order.
+    Lowering the levels changes no lattice count (``region_sum``) and,
+    by continuity, no volume, so this one table feeds both.  Computed
+    once per slot, which keeps it, and once per kept simple cell while
+    its entries fit the budget.
     """
-    cell = slot.cell
+    masks = slot.masks
+    if masks is not None:
+        return masks
+    arrangement = slot.arrangement
+    cell = _simple_cell(arrangement, slot.cell)
     masks = cell.masks
     if masks is None:
         realized = _realized_reader(fan)
         tables: dict = {}
         for vertex in cell.vertices:
-            _, above, tight = vertex
-            sub = tight
-            while sub >= 0:  # every submask of tight, down to 0
+            _, above, basis = vertex
+            sub = basis
+            while sub >= 0:  # every submask of the basis, down to 0
                 mask = above | sub
                 if mask in tables:
                     tables[mask].append(vertex)
                 elif realized(mask) is not None:
                     tables[mask] = [vertex]
-                sub = (sub - 1) & tight if sub else -1
+                sub = (sub - 1) & basis if sub else -1
         masks = tuple((mask, realized(mask), tuple(vertices)) for mask, vertices in tables.items())
-        if cell.kept and slot.arrangement.admit(sum(len(entry[2]) for entry in masks)):
+        if cell.kept and arrangement.admit(sum(len(entry[2]) for entry in masks)):
             cell.masks = masks
     slot.masks = masks
     return masks
@@ -971,23 +996,27 @@ def region_sum(fan: Fan, d: Divisor, weight) -> tuple:
     """Sum of weight(W) * (lattice points in the region of W) over the bounded subsets W.
 
     ``weight`` maps a ray subset to a tuple of integers, of the same
-    length for every subset.  Only the regions D realizes are visited: a
-    nonempty bounded region's closure has a vertex, which is an
-    arrangement vertex P, and the regions whose closure holds P are
-    exactly the W with above(P) <= W <= above(P) | tight(P).  Each is
-    counted off the divisor's slot by ``_slot_count``.
+    length for every subset.  Only the regions D realizes are visited,
+    read off the table of ``_realized_masks``, at most 2^n per basis.
+    Lowering every level L_i by an infinitesimal theta_i > 0 moves no
+    lattice point across a row: at a lattice point m, <m, v_i> is an
+    integer, so <m, v_i> >= L_i - theta_i exactly when <m, v_i> >= L_i,
+    and the strict rows likewise.  So each region of D holds the lattice
+    points of its lowered region, and on the lowered levels a nonempty
+    bounded region's closure has a vertex P_B, whose regions are the
+    table's orthant masks.  Each is counted off the divisor's slot by
+    ``_slot_count``, with the row bounds of D itself.
 
     The fan keeps the last divisor summed in one slot (``_DivisorSlot``)
     under the ``"last_divisor"`` memo, keyed by the cleared divisor (the
     integers q * d and their q), so 2 and Fraction(4, 2) share it.  The
-    slot reads its realized masks off the divisor's type cell and solves
-    the vertices of the regions it counts, once each.  A new divisor
-    replaces it in one assignment, so concurrent calls need no lock; a
-    divisor whose cell visits more than 2^SUBSET_CAP candidate subsets
-    raises CapExceededError before it is stored, on every call.  The
-    slot also keeps the count of every mask counted so far, so a second
-    question about one divisor (``cech_oracle`` or ``euler_char`` after
-    ``h_all``) counts no region the first one did.
+    slot reads its realized masks off the simple cell of the divisor's
+    type cell and solves the vertices of the regions it counts, once
+    each.  A new divisor replaces it in one assignment, so concurrent
+    calls need no lock.  The slot also keeps the count of every mask
+    counted so far, so a second question about one divisor
+    (``cech_oracle`` or ``euler_char`` after ``h_all``) counts no region
+    the first one did.
 
     Weights are asked per call: realized subsets with an all-zero weight
     are skipped, so a caller that weights by a slice of the rank vectors
@@ -997,12 +1026,7 @@ def region_sum(fan: Fan, d: Divisor, weight) -> tuple:
     """
     _check_length(fan, d)
     slot = _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d), keep=True)
-    visits = slot.cell.visits
-    if visits > 1 << SUBSET_CAP:
-        raise CapExceededError(f"region sum needs {visits} ray subsets; the cap is 2^{SUBSET_CAP}")
-    masks = slot.masks
-    if masks is None:
-        masks = _realized_masks(fan, slot)
+    masks = _realized_masks(fan, slot)
     amounts = slot.amounts
     # The weight length is read off the first realized subset, else the empty one.
     total = [0] * len(weight(masks[0][1] if masks else frozenset()))
@@ -1038,34 +1062,29 @@ def _lawrence_columns(fan: Fan, slot: _DivisorSlot, weight):
     """The volume table of the slot's type cell for a weight: one column per weight entry.
 
     ``weight`` maps (fan, ray subset) to a tuple of integers of one
-    length.  At each basis B of the cell's simple cell (``_simple_cell``)
-    the orthant masks W = above(P_B) | S, S any submask of B, are the
-    2^n regions around P_B, and c_B = sum_S (-1)^|B - S| weight(W) over
-    the bounded ones (``_realized_reader``).  Column i holds the pairs
-    (b, c_B[i] * N_B * den) with c_B[i] != 0, so that the weighted
-    normalized volumes sum to sum_b entry * <g_B, L_B>^n / (den (q
-    common)^n).  Kept on the slot's cell, when it is kept, within the
-    budget, one entry per pair, under the weight object: a degenerate
-    cell keeps its table without its simple cell.
+    length.  Each basis B of the simple cell adds c_B = sum_W
+    (-1)^|B - W| weight(W) over the entries (W, subset, vertices) of the
+    realized table (``_realized_masks``) whose vertices hold B.  Column i
+    holds the pairs (b, c_B[i] * N_B * den) with c_B[i] != 0, in basis
+    order, so that the weighted normalized volumes sum to sum_b entry *
+    <g_B, L_B>^n / (den (q common)^n).  Kept on the slot's own cell, when
+    it is kept, within the budget, one entry per pair, under the weight
+    object, so a later divisor of the cell reads it with no key of its
+    simple cell.
     """
     arrangement, cell = slot.arrangement, slot.cell
     columns = cell.columns.get(weight)
     if columns is not None:
         return columns
-    realized = _realized_reader(fan)
-    n, size = fan.dim, len(weight(fan, frozenset()))
-    rows = []
-    for b, above, basis in _simple_cell(arrangement, cell).vertices:
-        c = [0] * size
-        sub = basis
-        while sub >= 0:  # every submask of the basis, down to 0
-            subset = realized(above | sub)
-            if subset is not None:
-                sign = -1 if (n - sub.bit_count()) & 1 else 1
-                c = [x + sign * y for x, y in zip(c, weight(fan, subset))]
-            sub = (sub - 1) & basis if sub else -1
-        rows.append((arrangement.weights[b], b, c))
-    columns = tuple(tuple((b, m * c[i]) for m, b, c in rows if c[i]) for i in range(size))
+    size, weights = len(weight(fan, frozenset())), arrangement.weights
+    totals = [[0] * size for _ in weights]
+    for mask, subset, vertices in _realized_masks(fan, slot):
+        w = weight(fan, subset)
+        for b, _, basis in vertices:
+            sign = -1 if (basis & ~mask).bit_count() & 1 else 1
+            totals[b] = [c + sign * x for c, x in zip(totals[b], w)]
+    rows = list(enumerate(zip(weights, totals)))
+    columns = tuple(tuple((b, m * c[i]) for b, (m, c) in rows if c[i]) for i in range(size))
     if cell.kept and arrangement.admit(sum(map(len, columns))):
         cell.columns[weight] = columns
     return columns

@@ -6,6 +6,13 @@ cell: every basis's vertex is solved and dotted with every row outside
 the basis.  It shares only the per-fan basis inverses with the
 production path, never a circuit, a sign or a cell.
 
+``lowered_levels`` lowers a divisor's levels by eps^(i + 1) on row i
+at a concrete eps small enough that every vertex of the lowered levels
+lies against every row as it does for eps -> 0+; the vertex pass at
+those levels referees the simple cell that counts and volumes read.  It
+derives its own bound on eps and never reads a circuit, a cell key or
+a volume table.
+
 Two volume referees read a region's integer vertex table and never a
 volume table, a raised level or a Lawrence weight:
 
@@ -67,6 +74,38 @@ def divisor_vertices(fan, d):
     """``arrangement_vertices`` of the divisor's levels -d on the fan's rays."""
     levels, q = to_integers([-c for c in d])
     return arrangement_vertices(fan.rays, fan.dim, fan.memo, levels, q)
+
+
+def lowered_levels(normals, dim, memo, levels, q):
+    """The integer levels L / q with row i lowered by eps^(i + 1), at one concrete eps > 0.
+
+    At the vertex P_B = A_B . L_B of a basis B, row i off B compares
+    <v_i, P_B> with common * L_i.  Lowering L_j by eps^(j + 1) turns the
+    difference into a polynomial in eps with integer coefficients:
+    <v_i, A_B L_B> - common * L_i at eps^0, -(v_i . A_B)_j at
+    eps^(B_j + 1) and common at eps^(i + 1).  With H the largest
+    |coefficient| above eps^0 over every basis and row, each such
+    polynomial has the sign of its lowest nonzero term for any
+    0 < eps < 1 / (H + 1), so eps = 1 / (H + 2) places every vertex
+    against every row as eps -> 0+ does.  Returns the lowered levels as
+    integers over their own denominator, for ``arrangement_vertices``.
+    """
+    common, inverses = _basis_inverses(normals, dim, memo)
+    bound = common
+    for combo, adjugate in inverses.items():
+        for i, normal in enumerate(normals):
+            if i not in combo:
+                bound = max(bound, *(abs(sum(map(mul, normal, column))) for column in zip(*adjugate)))
+    eps = Fraction(1, bound + 2)
+    lowered, p = to_integers([level - eps ** (i + 1) for i, level in enumerate(levels)])
+    return lowered, p * q
+
+
+def lowered_divisor(fan, d):
+    """The divisor whose levels are those of d lowered by ``lowered_levels``, as Fractions."""
+    levels, q = to_integers([-c for c in d])
+    lowered, p = lowered_levels(fan.rays, fan.dim, fan.memo, levels, q)
+    return tuple(Fraction(-x, p) for x in lowered)
 
 
 def filtered(found, weak):

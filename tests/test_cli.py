@@ -23,6 +23,11 @@ P3 = {
     "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
     "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
 }
+BL1_P3 = {
+    "dim": 3,
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
+    "cones": [[0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 4], [1, 2, 3], [1, 2, 4]],
+}
 QUADRANT = {"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -286,18 +291,25 @@ def test_subset_cap_exit_code(tmp_path):
     hhat = [Fraction(v) for v in results["asym"]["hhat"]]
     assert Fraction(results["selfint"]["self_intersection"]) == hhat[0] - hhat[1] + hhat[2]
     assert results["ample"]["agree"] is True
-    # At D = 0 every ray is tight at the origin, so a region sum would
-    # visit all 2^21 subsets there: past the cap of 2^20, exit 3.  The
-    # volumes run no region sum: they read the volume table of the
-    # raised levels' simple cell.
+    # At D = 0 every ray is tight at the origin, where the 2^21 subsets
+    # around it once exited 3.  Counts and volumes read the lowered
+    # levels' simple cell, at most 2^n regions per basis, and answer
+    # like O_X.
     zero = write(tmp_path, "zero.json", {"coeffs": [0] * k})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", zero)
+    assert code == 0 and [int(v) for v in report["result"]["h"]] == [1, 0, 0]
+    code, report = run(tmp_path, "euler", "--fan", fan, "--divisor", zero)
+    assert code == 0 and int(report["result"]["euler_characteristic"]) == 1
+    # A region sum past the lattice budget still exits 3: the h^0
+    # polytope of 10^8 (1, 1, 1, 1, 0) on the blow-up of P^3 at a point
+    # needs 4 * 10^8 + 1 slices.
+    blowup = write(tmp_path, "bl1_p3.json", BL1_P3)
+    huge = write(tmp_path, "huge.json", {"coeffs": [10**8] * 4 + [0]})
     for command in ("cohom", "euler"):
-        code, report = run(tmp_path, command, "--fan", fan, "--divisor", zero)
+        code, report = run(tmp_path, command, "--fan", blowup, "--divisor", huge)
         assert code == 3, command
         assert report["error"]["kind"] == "precondition"
-        assert "region sum needs 2097152 ray subsets; the cap is 2^20" in (
-            report["error"]["message"]
-        )
+        assert "lattice scan needs 400000001 fibers" in report["error"]["message"]
     code, report = run(tmp_path, "asym", "--fan", fan, "--divisor", zero)
     assert code == 0 and [Fraction(v) for v in report["result"]["hhat"]] == [0, 0, 0]
     code, report = run(tmp_path, "selfint", "--fan", fan, "--divisor", zero)

@@ -102,6 +102,27 @@ def test_volume_referees_read_no_volume_table():
         assert not names & production, f"{node.name} mentions {sorted(names & production)}"
 
 
+def test_lowered_level_referee_reads_no_cell():
+    # The referee of the simple cell lowers the levels at a concrete eps
+    # with a bound of its own: it must never read a circuit, a cell key,
+    # the symbolic lowering or a volume table.
+    tree = ast.parse((ROOT / "tests" / "arrangement_referees.py").read_text(encoding="utf-8"))
+    referee = {"lowered_levels", "lowered_divisor"}
+    production = {
+        "_cell_key", "_type_cell", "_cell_of", "_simple_cell", "_arrangement", "_Arrangement",
+        "circuits", "key", "cells", "vertices", "masks", "_realized_masks", "_divisor_slot",
+        "_lawrence_columns", "_lawrence_sum", "lawrence", "weights", "columns", "den",
+    }
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in referee
+    ]
+    assert {node.name for node in functions} == referee
+    for node in functions:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert not names & production, f"{node.name} mentions {sorted(names & production)}"
+
+
 def test_gkz_reads_ray_in_cone_facts_off_the_basis_table():
     # Which rays lie in a cone, and which rays of a tight set are extreme,
     # come from the fan's integer basis inverses: from .lp the chamber

@@ -211,8 +211,8 @@ def test_string_coefficients_are_rejected_outside_divisor():
 
 def malformed_calls():
     """(call on P², message, and the error type when it is not ValueError)."""
-    from toricvol.asymptotics import mixed_partial_h0, self_intersection
-    from toricvol.cohomology import cech_ranks, graded_piece_dim, weak_ray_set
+    from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
+    from toricvol.cohomology import cech_ranks, graded_piece_dim, h_all, weak_ray_set
     from toricvol.errors import PreconditionError
     from toricvol.fan import Cone, cone_multiplicity, subfan
     from toricvol.gkz import (
@@ -231,6 +231,8 @@ def malformed_calls():
     strings = "values must be numbers, not strings"
     warm = ([0, 1, 2], [0, True, 2.0])  # the second call used to hit the first's memo entry
     not_ints = "ray indices \\[True, 2.0\\] are not integers"
+    flag = (True, 0, 0)  # each call below used to read it as (1, 0, 0)
+    bools = "values must be numbers, not bools"
     return (
         (lambda fan: linear_equiv_shift(fan, d, (1,)), "character has 1 entries"),
         (lambda fan: linear_equiv_shift(fan, d, (1, 2, 3)), "character has 3 entries"),
@@ -297,6 +299,14 @@ def malformed_calls():
         (lineality([(1, True)]), "True is not an integer"),
         (lineality([("1e3", 0)]), "'1e3' is not an integer"),
         (lineality([(1,)]), "lineality vector needs 2 entries"),
+        (lambda fan: h_all(fan, flag), bools),
+        (lambda fan: hhat(fan, flag), bools),
+        (lambda fan: locate_chamber(fan, flag), bools),
+        (lambda fan: ample_via_asymptotics(fan, flag), bools),
+        (lambda fan: is_q_cartier(fan, flag), bools),
+        (lambda fan: linear_equiv_shift(fan, flag, (1, 0)), bools),
+        (lambda fan: gkz_cone(fan, fan.max_cones, ()).contains(flag), bools),
+        (lambda fan: h_all(fan, (Fraction(1, 2), False, 0)), bools),
         (lineality([(1, 0, 0)]), "needs 2 entries"),
     )
 

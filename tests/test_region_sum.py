@@ -21,13 +21,13 @@ from operator import mul
 
 import pytest
 
-from arrangement_referees import pulling_volume
+from arrangement_referees import lowered_divisor, pulling_volume
 from generated_fans import polygon_fan_data, star_fan_data
 from test_regions import box_scan
 from toricvol import asymptotics, cohomology, fixtures, regions
 from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
 from toricvol.cohomology import cech_oracle, euler_char, h_all
-from toricvol.errors import CapExceededError, ToricError, UnboundedRegionError
+from toricvol.errors import ToricError, UnboundedRegionError
 from toricvol.fan import _basis_inverses, is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, hhat0_on_chamber, locate_chamber, located_cone
 from toricvol.homology import local_cohomology_ranks
@@ -234,9 +234,11 @@ def test_region_sum_matches_sweep_star4(monkeypatch):
 
 def test_warm_h_all_measures_only_realized_regions(monkeypatch):
     # Anticanonical D on poly12: of 3964 bounded subsets with a nonzero
-    # rank vector, the sweep measured every one; 78 bounded subsets have
-    # a nonempty closure, 39 of them with a nonzero rank vector, and only
-    # those 39 are measured now, with no per-region vertex scan.
+    # rank vector, the sweep measured every one.  At the levels of D, 78
+    # bounded subsets have a nonempty closure, 39 of them with a nonzero
+    # rank vector; at its lowered levels (the simple cell region sums
+    # read) 51 have one, 18 of them with a nonzero rank vector, and only
+    # those 18 are measured now, with no per-region vertex scan.
     fan = poly12()
     d = (1,) * len(fan.rays)
     expected_h = h_all(fan, d)
@@ -260,13 +262,21 @@ def test_warm_h_all_measures_only_realized_regions(monkeypatch):
         patch.setattr(regions, "_integer_vertices", recorded_scan)
         assert h_all(fan, d) == expected_h
     assert scans == []
-    nonempty = {
-        subset
-        for subset in bounded_subsets(fan)
-        if closure_vertices(region(fan, d, subset)).vertices
-    }
-    realized = {subset for subset in nonempty if any(local_cohomology_ranks(fan, subset))}
-    assert (len(nonempty), len(realized)) == (78, 39)
+
+    def nonempty(divisor):
+        return {
+            subset
+            for subset in bounded_subsets(fan)
+            if closure_vertices(region(fan, divisor, subset)).vertices
+        }
+
+    def ranked(subsets):
+        return {subset for subset in subsets if any(local_cohomology_ranks(fan, subset))}
+
+    at_d, lowered = nonempty(d), nonempty(lowered_divisor(fan, d))
+    realized = ranked(lowered)
+    assert (len(at_d), len(ranked(at_d))) == (78, 39)
+    assert (len(lowered), len(realized)) == (51, 18)
     assert len(measured) == len(set(measured))
     assert set(measured) == realized
 
@@ -351,11 +361,16 @@ def test_no_answer_runs_the_subset_sweep(monkeypatch):
 
 
 def realized_subsets(fan, d):
-    """The bounded subsets whose region's closure has a vertex, by the referee scan."""
+    """The bounded subsets whose region's closure at the lowered levels of d has a vertex.
+
+    The levels are lowered as ``arrangement_referees.lowered_divisor``
+    lowers them, and each closure is found by the referee scan.
+    """
+    lowered = lowered_divisor(fan, d)
     return {
         subset
         for subset in bounded_subsets(fan)
-        if scan_integer_vertices(region(fan, d, subset))[0]
+        if scan_integer_vertices(region(fan, lowered, subset))[0]
     }
 
 
@@ -425,10 +440,10 @@ def hazard_divisors(fan, rng):
 
 
 def row_bound_fans():
-    """The complete fixtures, P(1, 2, 3), P(1, 2, 3, 5), star_fan_data(1..4) and four polygon fans."""
+    """The complete fixtures, P(1, 2, 3), P(1, 2, 3, 5), star_fan_data(1..6) and four polygon fans."""
     yield from (make() for make in COMPLETE_FIXTURES)
     yield from (p123(), p1235())
-    yield from (make_fan(*star_fan_data(s)) for s in (1, 2, 3, 4))
+    yield from (make_fan(*star_fan_data(s)) for s in range(1, 7))
     yield from (make_fan(*polygon_fan_data(random.Random(seed))) for seed in range(4))
 
 
@@ -556,13 +571,12 @@ def test_a_repeated_question_measures_no_region(monkeypatch, make):
     fan = fresh(make())
     rng = random.Random(21 + len(fan.rays))
     divisors = [(Fraction(1),) * len(fan.rays)] + sample_divisors(fan, rng, 2)[1:]
-    measured = 0
     for d in divisors:
         reference = fresh(fan)
         expected = [f(reference, d) for f in (h_all, cech_oracle, euler_char, hhat, self_intersection)]
         with counted_measuring(monkeypatch) as (built, regions_measured, slices):
             answers = [h_all(fan, d)]
-            measured += len(regions_measured)
+            assert regions_measured, d  # the first question counts
             regions_measured.clear()
             slices.clear()
             answers += [cech_oracle(fan, d), euler_char(fan, d)]
@@ -572,7 +586,6 @@ def test_a_repeated_question_measures_no_region(monkeypatch, make):
             assert regions_measured == [], d
             assert built == [], d
         assert answers == expected, d
-    assert measured > len(divisors)
 
 
 @pytest.mark.parametrize("make", (fixtures.bl2_p2, fixtures.bl1_p3), ids=lambda make: make.__name__)
@@ -651,23 +664,22 @@ def test_equal_divisors_written_differently_share_the_slot():
         assert last_divisor(fan)[1] is entry
 
 
-def test_divisor_past_the_cap_is_never_stored():
+def test_a_divisor_tight_at_every_ray_is_answered_and_stored():
     from test_cli import TRIPLES_21  # test_cli imports this module
 
-    # At D = 0 all 21 rays are tight at the origin: 2^21 candidates.
+    # At D = 0 all 21 rays are tight at the origin, which had 2^21
+    # candidate subsets; the lowered simple cell answers like O_X.
     k = len(TRIPLES_21)
     fan = make_fan(2, [(a, b) for a, b, _ in TRIPLES_21], [{i, (i + 1) % k} for i in range(k)])
     zero = (0,) * k
     for _ in range(2):
-        with pytest.raises(CapExceededError, match="region sum needs 2097152 ray subsets"):
-            h_all(fan, zero)
-        assert last_divisor(fan) is None
+        assert h_all(fan, zero) == (1, 0, 0) and euler_char(fan, zero) == 1
+        assert last_divisor(fan)[0] == (zero, 1)
     ample = tuple(c for _, _, c in TRIPLES_21)
     h_all(fan, ample)
     assert last_divisor(fan)[0] == (ample, 1)
-    with pytest.raises(CapExceededError):
-        h_all(fan, zero)
-    assert last_divisor(fan)[0] == (ample, 1)
+    assert h_all(fan, zero) == (1, 0, 0)
+    assert last_divisor(fan)[0] == (zero, 1)
 
 
 def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):

@@ -8,9 +8,11 @@ a region asks.
 """
 
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,6 +20,7 @@ from arrangement_referees import (
     arrangement_vertices,
     divisor_vertices,
     filtered,
+    lowered_divisor,
     pulling_volume,
     realized_tables,
     sorted_apex_volume,
@@ -26,16 +29,24 @@ from arrangement_referees import (
 from generated_fans import polygon_fan_data, star_fan_data
 from test_dim4 import p1_x_p3, p4
 from test_gkz import STAR5_WALL
+from test_region_sum import COMPLETE_FIXTURES, compare_with_sweep, poly12
 from toricvol import asymptotics, fixtures, gkz, regions
 from toricvol.asymptotics import hhat, self_intersection
-from toricvol.cohomology import _euler_weight, h_all
+from toricvol.cohomology import _euler_weight, euler_char, h_all
 from toricvol.divisor import ray_divisor
-from toricvol.errors import CapExceededError, NotQCartierError, ToricError
+from toricvol.errors import NotQCartierError, ToricError
 from toricvol.fan import is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, enumerate_maximal_chambers, locate_chamber
 from toricvol.homology import local_cohomology_ranks
 from toricvol.linalg import to_integers
-from toricvol.regions import HalfOpenRegion, is_bounded_subset, normalized_volume, region
+from toricvol.regions import (
+    HalfOpenRegion,
+    closure_vertices,
+    is_bounded_subset,
+    lattice_count,
+    normalized_volume,
+    region,
+)
 
 EVERY_FIXTURE = (
     fixtures.p1, fixtures.p2, fixtures.p1xp1, fixtures.f1, fixtures.weighted_p112,
@@ -47,6 +58,10 @@ EVERY_FIXTURE = (
 def fresh(fan):
     """A new Fan on the same data, so that its per-fan memo starts empty."""
     return make_fan(fan.dim, fan.rays, fan.max_cones)
+
+
+def star_fan(splits):
+    return make_fan(*star_fan_data(splits))
 
 
 def referee_fans():
@@ -90,12 +105,17 @@ def test_cell_tables_match_the_arrangement_referee():
             slot = slot_of(fan, d)
             assert list(solved_cell(slot).items()) == list(found.items()), (fan, d)
             assert slot.scale == scale
-            expected = realized_tables(found, bounded)
+            # The realized table is the lowered levels' simple cell: each
+            # basis a vertex tight on its own rows, classified as the
+            # referee classifies it at a concrete small eps.
+            lowered, _ = divisor_vertices(fan, lowered_divisor(fan, d))
+            simple = regions._simple_cell(slot.arrangement, slot.cell)
+            assert [(above, tight) for _, above, tight in simple.vertices] == list(lowered.values())
+            expected = realized_tables(lowered, bounded)
             masks = regions._realized_masks(fan, slot)
             assert [mask for mask, *_ in masks] == list(expected), (fan, d)
             for mask, subset, vertices in masks:
-                table = {slot.point(b): tight for b, _, tight in vertices}
-                assert list(table.items()) == list(expected[mask].items()), (fan, d, mask)
+                assert [basis for _, _, basis in vertices] == list(expected[mask].values()), (fan, d, mask)
                 assert subset == frozenset(i for i in range(k) if mask >> i & 1)
                 masks_checked += 1
         fans += 1
@@ -177,6 +197,25 @@ def test_a_hand_built_region_builds_its_arrangement_once_and_is_freed(monkeypatc
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_a_standalone_region_keys_its_type_cell_once(monkeypatch):
+    # One slot per region object, read by its vertex table and its
+    # volume: three volumes, a count and the vertices key its cell once,
+    # with the region's own memo or a fan's that holds another divisor.
+    keys = []
+    cell_key_of = regions._cell_key
+    monkeypatch.setattr(regions, "_cell_key", lambda *args: keys.append(args) or cell_key_of(*args))
+    fan = fresh(fixtures.bl2_p2())
+    h_all(fan, (1,) * len(fan.rays))
+    levels = (Fraction(-3, 2), -1, -2, Fraction(-1, 2), -1)
+    weak = (True,) * len(fan.rays)
+    for reg in (HalfOpenRegion(fan.rays, levels, weak, fan.dim), region(fan, [-x for x in levels], range(5))):
+        keys.clear()
+        volume = normalized_volume(reg)
+        assert normalized_volume(reg) == normalized_volume(reg) == volume > 0
+        assert lattice_count(reg) > 0 and closure_vertices(reg).vertices
+        assert len(keys) == 1
 
 
 def shift(fan, d, u):
@@ -364,24 +403,30 @@ def test_a_tiny_cell_budget_changes_no_answer(monkeypatch):
     assert arrangement.cells and unkept > 10
 
 
-def test_every_divisor_of_an_over_cap_cell_raises_and_is_never_stored():
+def test_every_divisor_of_the_21_ray_origin_cell_answers_and_is_stored():
     from test_cli import TRIPLES_21
 
     # D = 0 and the principal divisor of u share a cell: all 21 rays are
-    # tight at one point, 2^21 candidate subsets.
+    # tight at one point, which had 2^21 candidate subsets.  The lowered
+    # simple cell has one vertex per basis and at most 2^n candidates at
+    # each, and both divisors answer like O_X.
     k = len(TRIPLES_21)
     fan = make_fan(2, [(a, b) for a, b, _ in TRIPLES_21], [{i, (i + 1) % k} for i in range(k)])
     zero = (0,) * k
     principal = shift(fan, zero, (1, -2))
     assert cell_key(fan, principal) == cell_key(fan, zero) and any(principal)
     for d in (zero, principal, zero, principal):
-        with pytest.raises(CapExceededError, match="region sum needs 2097152 ray subsets"):
-            h_all(fan, d)
-        assert fan._memo.get("last_divisor", [None])[0] is None
+        assert h_all(fan, d) == (1, 0, 0)
+        coefficients, q = to_integers(d)
+        assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
+    # The origin cell is kept; its simple cell's 1330 circuit signs do
+    # not fit the rest of the budget, so the held slot keeps the table.
     arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
-    assert len(arrangement.cells) == 1
-    (cell,) = arrangement.cells.values()
-    assert cell.masks is None and cell.visits == 1 << k
+    slot = fan._memo["last_divisor"][0][1]
+    simple = regions._simple_cell(arrangement, slot.cell)
+    assert list(arrangement.cells.values()) == [slot.cell] and not simple.kept
+    assert len(slot.cell.vertices) == 1 and len(simple.vertices) == len(arrangement.bases)
+    assert slot.cell.masks is None and 0 < len(slot.masks) <= len(arrangement.bases) * 2**fan.dim
 
 
 def wall_divisor(fan, rng):
@@ -433,15 +478,20 @@ def euler_weights(fan):
 
 
 def built_tables(monkeypatch):
-    """The volume tables the package builds from now on, one entry per build."""
+    """The volume tables the package builds from now on, one entry per build.
+
+    A build is a ``_lawrence_columns`` call whose slot's cell keeps no
+    table for its weight.
+    """
     builds = []
-    reader = regions._realized_reader
+    columns = regions._lawrence_columns
 
-    def counted(fan):
-        builds.append(fan)
-        return reader(fan)
+    def counted(fan, slot, weight):
+        if weight not in slot.cell.columns:
+            builds.append(fan)
+        return columns(fan, slot, weight)
 
-    monkeypatch.setattr(regions, "_realized_reader", counted)
+    monkeypatch.setattr(regions, "_lawrence_columns", counted)
     return builds
 
 
@@ -546,3 +596,63 @@ def test_a_cell_past_the_budget_gives_the_same_volumes(monkeypatch):
         crowded_arrangement = regions._arrangement(crowded.rays, crowded.dim, crowded.memo)
         assert kept_entries(crowded_arrangement) == crowded_arrangement.entries <= budget
         monkeypatch.undo()
+
+
+def degenerate_divisors(fan, rng):
+    """D = 0, +-sum D_rho, -2 sum D_rho, two principal divisors and a cell wall."""
+    k, n = len(fan.rays), fan.dim
+    yield (0,) * k
+    yield from ((c,) * k for c in (1, -1, -2))
+    for _ in range(2):
+        yield shift(fan, (0,) * k, [rng.randint(-3, 3) for _ in range(n)])
+    wall = wall_divisor(fan, rng)
+    if wall is not None:
+        yield wall
+
+
+@pytest.mark.parametrize(
+    "make",
+    COMPLETE_FIXTURES + (poly12,) + tuple(partial(star_fan, s) for s in range(1, 5)),
+    ids=lambda make: getattr(make, "__name__", None) or f"star{make.args[0]}",
+)
+def test_degenerate_divisors_count_like_the_sweep(monkeypatch, make):
+    # Many rows meet at one vertex of these divisors; the counts read the
+    # lowered simple cell, the sweep measures every bounded subset's
+    # region at the divisor itself with the standalone lattice_count.
+    fan = fresh(make())
+    rng = random.Random(2033 + len(fan.rays))
+    walls = 0
+    for d in degenerate_divisors(fan, rng):
+        walls += 0 in cell_key(fan, d)
+        compare_with_sweep(monkeypatch, fan, d, (h_all, euler_char))
+    assert walls >= 4
+
+
+# poly12 with (-2, 1), (-1, -2), (1, -2), (-2, -1), in angular order.
+POLY16_RAYS = (
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+    (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1),
+)
+
+
+def test_a_cold_origin_of_poly16_decides_few_candidates(monkeypatch):
+    # At D = 0 all 16 rays are tight at the origin, where the 2^16
+    # subsets around it cost seconds.  The lowered simple cell has one
+    # vertex per basis, C(16, 2) of them, and 4 candidate masks at each;
+    # each realized region with a nonzero rank vector is counted once.
+    k = len(POLY16_RAYS)
+    fan = make_fan(2, POLY16_RAYS, [{i, (i + 1) % k} for i in range(k)])
+    assert is_complete(fan)
+    # The fan's reader decides each mask once, with ``_realized_subset``.
+    decided, counted = [], []
+    decide, count = regions._realized_subset, regions._lattice_count
+    monkeypatch.setattr(regions, "_realized_subset", lambda *args: decided.append(args[-1]) or decide(*args))
+    monkeypatch.setattr(regions, "_lattice_count", lambda *args: counted.append(args) or count(*args))
+    # O_X has h^0 = 1 and no higher cohomology on a complete toric
+    # variety (Demazure vanishing), so chi = 1.
+    zero = (0,) * k
+    assert h_all(fan, zero) == (1, 0, 0) and euler_char(fan, zero) == 1
+    assert len(decided) == len(set(decided)) <= math.comb(k, 2) * 4
+    # 129 distinct candidate masks; 37 realized regions have a nonzero
+    # rank vector, each counted once for both questions.
+    assert (len(decided), len(counted)) == (129, 37)
