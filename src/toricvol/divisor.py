@@ -62,9 +62,14 @@ def ray_divisor(fan: Fan, i: int, multiple=1) -> Divisor:
 
 
 def scale(d: Divisor, factor) -> Divisor:
-    """The divisor ``factor * d``; the factor is read by ``_coefficient``."""
+    """The divisor ``factor * d``; the factor is read by ``_coefficient``.
+
+    d is read at its exact values by ``to_integers``, which raises
+    ValueError on a bool and TypeError on a string.
+    """
     f = _coefficient(factor)
-    return tuple(f * c for c in d)
+    values, q = to_integers(d)
+    return tuple(f * v / q for v in values)
 
 
 @dataclass(frozen=True)

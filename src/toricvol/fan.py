@@ -4,15 +4,19 @@ A fan is stored as a primitive integer ray list plus the ray-index sets
 of its maximal cones.  All derived structure (face lattice, facet
 pairing, subfans) is computed exactly.  Validation checks strong
 convexity and extreme rays by exact LP only on cones whose generators
-are dependent (independent generators settle both with one rank).  A
-cone list that passes ``_glued_cover_once`` (full-dimensional simplicial
-cones glued facet to facet on opposite sides, covering one generic point
-exactly once) is a complete fan by the proof in that docstring and needs
-no further test, which is how every complete simplicial fan is
-validated with no LP.  Every other cone list solves one
+are dependent (independent generators settle both with one rank).
+Every LP here is one capped-gap LP of ``lp`` (``gap_lp``: a functional
+with some rows at or above a gap t <= 1 and the rest at or above 0),
+solved in one phase from the slack basis.  A cone list that passes
+``_glued_cover_once`` (full-dimensional simplicial cones glued facet
+to facet on opposite sides, covering one generic point exactly once)
+is a complete fan by the proof in that docstring and needs no further
+test, which is how every complete simplicial fan is validated with no
+LP.  Every other cone list solves one
 relative-interior LP per pair of maximal cones to check that they meet
-in a common face; face tests of non-simplicial cones are exact LP
-feasibility too.
+in a common face; a face test of a non-simplicial cone is one LP
+too, the candidate face's rays held at 0 and the others sharing one
+gap.
 
 The integer inverse of every ray basis lives here too
 (``_basis_inverses``, one table per fan), for the region vertices, the

@@ -17,8 +17,9 @@ This module computes, exactly:
 * the full list of maximal chambers in dimension 2 (dimension 3 behind
   an opt-in flag), by one facet-filling search over the ray subsets for
   both dimensions, each candidate fan certified complete by the fan
-  validator's integer test and projective by one LP over its own
-  condition system, whose point is the chamber's sample divisor,
+  validator's integer test and projective by one capped-gap LP over
+  its own condition system (the inequalities sharing one gap, the
+  equalities held at 0), whose point is the chamber's sample divisor,
 * nef decompositions of chamber members, pushforwards, and the chamber
   polynomial of the section growth rate,
 * the ampleness test through neighborhood vanishing of the higher
@@ -86,7 +87,7 @@ from .fan import (
 )
 from .homology import _local_ranks
 from .linalg import _lowest_terms, dot, nullspace, rank, solve, to_integers
-from .lp import feasible_point, relative_interior_functional
+from .lp import gap_lp, relative_interior_functional
 from .regions import _held_slot, _lawrence_columns, _polytope_table, _vertex_table
 
 
@@ -102,6 +103,10 @@ class SupportFunction:
     ray_values: tuple[Fraction, ...]
 
     def __call__(self, vector) -> Fraction:
+        """The minimum of the pairing with ``vector``; ValueError unless it has ``dim`` entries."""
+        dim = len(self.vertices[0])
+        if len(vector) != dim:
+            raise ValueError(f"vector has {len(vector)} entries, the section polytope has dimension {dim}")
         return min(dot(v, vector) for v in self.vertices)
 
 
@@ -564,9 +569,10 @@ def _interior_sample(fan: Fan, cones, strict) -> Divisor | None:
     A complete simplicial candidate is a chamber exactly when a strictly
     convex piecewise linear function lives on it (GKZ 1994, ch. 7), that
     is, when its own condition system has a point with every equality at
-    0 and every inequality positive, at 1 or more after scaling.  One LP
-    over the system's integer rows, handed over as they are, finds that
-    point or proves it absent.
+    0 and every inequality positive, at 1 or more after scaling.  One
+    capped-gap LP over the system's integer rows, handed over as they
+    are, the inequalities sharing one gap and each equality kept at 0
+    from both sides, finds that point or proves it absent.
     The system is built afresh and kept in the per-fan memo of
     ``_gkz_system`` only when the candidate is a chamber, so a rejected
     candidate leaves nothing behind.
@@ -574,12 +580,11 @@ def _interior_sample(fan: Fan, cones, strict) -> Divisor | None:
     cones = _cone_key(cones)
     system = _condition_system(fan, cones, strict)
     *_, equalities, inequalities = system
-    below = [[-v for v in row] for row in inequalities]
-    sample = feasible_point(
-        below, [-1] * len(below), equalities, [0] * len(equalities), nvars=len(fan.rays)
-    )
-    if sample is not None:
-        fan.memo(("gkz_system", cones, strict), lambda: system)
+    rows = [*inequalities, *equalities, *([-v for v in row] for row in equalities)]
+    sample, t = gap_lp(rows, [0] * len(inequalities) + [None] * (2 * len(equalities)), len(fan.rays))
+    if not all(t):
+        return None
+    fan.memo(("gkz_system", cones, strict), lambda: system)
     return sample
 
 

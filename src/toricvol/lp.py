@@ -1,7 +1,11 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming in one homogeneous form.
 
-A small two-phase primal simplex with Bland's rule, so every answer is
-exact and termination is guaranteed.  Problem sizes in this package are
+Every LP of this package asks for a functional w that puts some rows at
+or above a gap t and keeps the others at or above 0, with t capped at 1
+(``gap_lp``).  Every right-hand side is then 0 or 1, so the slack basis
+x = 0 is feasible and one phase of the primal simplex solves it
+(``solve_lp``, maximizing over ``A x <= b, x >= 0`` with ``b >= 0``).
+Bland's rule guarantees termination.  Problem sizes in this package are
 tiny (tens of variables), which makes the dense tableau the right tool.
 
 The tableau is integral: each input row is scaled, with its right-hand
@@ -14,9 +18,6 @@ every division exact.  On integer data this is step for step the pivot
 sequence of the same simplex over ``Fraction`` entries, and a
 ``Fraction`` is built only for the returned point, after the point has
 been checked against every input row in integers.
-
-Variables are free unless ``nonneg=True``; free variables are split
-into positive and negative parts internally.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import ToricError
 from .linalg import dot, integer_pivot, to_integers
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -40,17 +40,18 @@ class LPResult:
     point: tuple[Fraction, ...] | None = None
 
 
-def _run_simplex(tableau, basis, allowed, denom):
-    """Minimize until no allowed column has negative reduced cost.
+def _run_simplex(tableau, basis):
+    """Minimize until no column has negative reduced cost.
 
     The last tableau row holds the reduced costs.  Returns the status
     and the final common denominator.  The ratio test compares
     ``rhs / entry`` by cross-multiplication, ties going to the lowest
     basic index (Bland's rule).
     """
+    denom = 1
     cost = tableau[-1]
     while True:
-        enter = next((j for j in allowed if cost[j] < 0), None)
+        enter = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
         if enter is None:
             return OPTIMAL, denom
         leave = None
@@ -71,152 +72,109 @@ def _run_simplex(tableau, basis, allowed, denom):
         cost = tableau[-1]
 
 
-def solve_lp(
-    objective: Sequence,
-    a_ub: Sequence[Sequence] = (),
-    b_ub: Sequence = (),
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-    *,
-    maximize: bool = False,
-    nonneg: bool = False,
-) -> LPResult:
-    """Optimize ``objective . x`` over ``a_ub x <= b_ub``, ``a_eq x = b_eq``."""
+def solve_lp(objective: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence) -> LPResult:
+    """Maximize ``objective . x`` over ``a_ub x <= b_ub``, ``x >= 0``, from the slack basis.
+
+    Raises ValueError unless every right-hand side is >= 0, which is
+    what makes x = 0 a feasible start.
+    """
     nx = len(objective)
-    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
+    if len(a_ub) != len(b_ub):
         raise ValueError("every constraint row needs one right-hand side")
-    if any(len(row) != nx for row in (*a_ub, *a_eq)):
+    if any(len(row) != nx for row in a_ub):
         raise ValueError(f"every constraint row needs {nx} entries, one per variable")
+    if any(b < 0 for b in b_ub):
+        raise ValueError("every right-hand side must be >= 0, so that x = 0 is feasible")
 
-    # Integer rows, each with its right-hand side last.
-    inputs = [(to_integers([*row, b])[0], "ub") for row, b in zip(a_ub, b_ub)]
-    inputs += [(to_integers([*row, b])[0], "eq") for row, b in zip(a_eq, b_eq)]
-
-    # Structural columns: x itself, or the split x = p - m for free vars.
-    nstruct = nx if nonneg else 2 * nx
-    nslack = sum(1 for _, kind in inputs if kind == "ub")
+    # Integer rows, each with its right-hand side last; the slacks are basic.
+    inputs = [to_integers([*row, b])[0] for row, b in zip(a_ub, b_ub)]
     m = len(inputs)
-    ncols = nstruct + nslack + m  # artificials at the end
     tableau = []
-    si = 0
-    for i, (values, kind) in enumerate(inputs):
-        row = values[:-1]
-        if not nonneg:
-            row += [-v for v in row]
-        row += [0] * (nslack + m) + [values[-1]]
-        if kind == "ub":
-            row[nstruct + si] = 1
-            si += 1
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[nstruct + nslack + i] = 1
-        tableau.append(row)
-    basis = [nstruct + nslack + i for i in range(m)]
-    denom = 1
-
-    # Phase 1: minimize the sum of artificials; the cost row goes last.
-    cost = [0] * (ncols + 1)
-    for j in range(nstruct + nslack, ncols):
-        cost[j] = 1
-    for row in tableau:
-        cost = [a - b for a, b in zip(cost, row)]
-    tableau.append(cost)
-    status, denom = _run_simplex(tableau, basis, range(ncols), denom)
-    if status != OPTIMAL:  # the phase 1 objective is bounded below by 0
-        raise ToricError("internal: phase 1 of the simplex reported an unbounded objective")
-    if tableau[-1][-1] != 0:
-        return LPResult(INFEASIBLE)
-
-    # Drive leftover artificials out of the basis, dropping redundant rows.
-    keep = []
-    for i in range(m):
-        if basis[i] >= nstruct + nslack:
-            col = next(
-                (j for j in range(nstruct + nslack) if tableau[i][j] != 0), None
-            )
-            if col is None:
-                continue  # zero row: redundant constraint
-            denom = integer_pivot(tableau, i, col, denom)
-            basis[i] = col
-        keep.append(i)
-    tableau = [tableau[i] for i in keep]  # the phase 1 cost row goes too
-    basis = [basis[i] for i in keep]
-
-    # Phase 2: the real objective (times a positive integer), artificial
-    # columns frozen out; the reduced costs are D * c - sum c_B_i * row_i.
-    c_int = to_integers(objective)[0]
-    if maximize:
-        c_int = [-v for v in c_int]
-    cfull = (c_int if nonneg else c_int + [-v for v in c_int]) + [0] * (nslack + m + 1)
-    cost = [denom * v for v in cfull]
-    for row, bv in zip(tableau, basis):
-        f = cfull[bv]
-        if f:
-            cost = [a - f * b for a, b in zip(cost, row)]
-    tableau.append(cost)
-    status, denom = _run_simplex(tableau, basis, range(nstruct + nslack), denom)
+    for i, values in enumerate(inputs):
+        slack = [0] * m
+        slack[i] = 1
+        tableau.append(values[:-1] + slack + values[-1:])
+    # Reduced costs of minimizing -objective, cleared to c / q.
+    c, q = to_integers(objective)
+    tableau.append([-v for v in c] + [0] * (m + 1))
+    basis = list(range(nx, nx + m))
+    status, denom = _run_simplex(tableau, basis)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
 
-    full = [0] * ncols
+    full = [0] * (nx + m)
     for row, bv in zip(tableau, basis):
         full[bv] = row[-1]
-    numer = full[:nx] if nonneg else [full[i] - full[nx + i] for i in range(nx)]
-    _check_certificate(inputs, full[:nstruct], numer, denom)
+    numer = full[:nx]
+    _check_certificate(inputs, numer, denom)
     point = tuple(Fraction(v, denom) for v in numer)
-    return LPResult(OPTIMAL, dot(map(Fraction, objective), point), point)
+    return LPResult(OPTIMAL, Fraction(dot(c, numer), q * denom), point)
 
 
-def _check_certificate(inputs, structural, numer, denom):
-    """Check the point numer / denom against every integer input row."""
-    if any(v < 0 for v in structural):
-        raise ToricError("internal: the simplex returned a negative structural variable")
-    for values, kind in inputs:
-        lhs = dot(values[:-1], numer)
-        rhs = values[-1] * denom
-        if lhs > rhs or (kind == "eq" and lhs != rhs):
-            raise ToricError("internal: the simplex point violates an input row")
+def _check_certificate(inputs, numer, denom):
+    """Check the point numer / denom against x >= 0 and every integer input row."""
+    if any(v < 0 for v in numer):
+        raise ToricError("internal: the simplex returned a negative variable")
+    if any(dot(values[:-1], numer) > values[-1] * denom for values in inputs):
+        raise ToricError("internal: the simplex point violates an input row")
 
 
-def feasible_point(
-    a_ub: Sequence[Sequence] = (),
-    b_ub: Sequence = (),
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-    *,
-    nvars: int | None = None,
-    nonneg: bool = False,
-) -> tuple[Fraction, ...] | None:
-    """A point satisfying the constraints, or None."""
-    if nvars is None:
-        for row in list(a_ub) + list(a_eq):
-            nvars = len(row)
-            break
-        else:
-            raise ValueError("cannot infer the number of variables")
-    res = solve_lp([0] * nvars, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
-    return res.point if res.status == OPTIMAL else None
+def gap_lp(rows: Sequence[Sequence], gaps: Sequence, dim: int):
+    """The capped-gap LP: ``(w, t)`` for free w in Q^dim maximizing sum t_g.
+
+    Row i holds ``row_i . w >= t_g`` when ``gaps[i]`` is a gap index g
+    and ``row_i . w >= 0`` when it is None; every gap is capped,
+    ``0 <= t_g <= 1``.  Variables (p, m, t) >= 0 with w = p - m, one LP
+    row per input row and one cap per gap, every right-hand side 0 or 1.
+
+    The LP is homogeneous, so at every optimum t_g is 1 when some w
+    feasible for the rows puts every row of gap g above 0, and 0
+    otherwise: the sum of such points, one per gap, scaled, opens all
+    those gaps at once.  So t reads the same whichever optimal vertex
+    the pivots reach.
+    """
+    ngaps = 1 + max((g for g in gaps if g is not None), default=-1)
+    cols = 2 * dim
+    a_ub = []
+    for row, g in zip(rows, gaps):
+        gap = [0] * ngaps
+        if g is not None:
+            gap[g] = 1
+        a_ub.append([-v for v in row] + list(row) + gap)  # t_g - row.(p - m) <= 0
+    b_ub = [0] * len(a_ub) + [1] * ngaps
+    for g in range(ngaps):
+        cap = [0] * (cols + ngaps)
+        cap[cols + g] = 1
+        a_ub.append(cap)  # t_g <= 1
+    res = solve_lp([0] * cols + [1] * ngaps, a_ub, b_ub)
+    if res.status != OPTIMAL:  # w = 0, t = 0 is feasible and t is capped
+        raise ToricError(f"internal: capped-gap LP ended {res.status}")
+    x = res.point
+    return tuple(a - b for a, b in zip(x[:dim], x[dim:cols])), x[cols:]
 
 
 def cone_contains(generators: Sequence[Sequence], x: Sequence) -> bool:
-    """Whether x lies in the cone positively spanned by the generators."""
-    gens = list(generators)
-    if not gens:
-        return all(v == 0 for v in x)
-    dim = len(gens[0])
-    a_eq = [[g[i] for g in gens] for i in range(dim)]
-    return feasible_point(a_eq=a_eq, b_eq=list(x), nonneg=True) is not None
+    """Whether x lies in the cone positively spanned by the generators.
+
+    By Farkas, x lies outside exactly when some w is >= 0 on every
+    generator and < 0 at x, that is when the gap on the row -x opens.
+    """
+    rows = [*generators, [-v for v in x]]
+    _, (t,) = gap_lp(rows, [None] * (len(rows) - 1) + [0], len(x))
+    return t == 0
 
 
 def is_pointed(generators: Sequence[Sequence]) -> bool:
-    """Whether cone(generators) is strongly convex (contains no line)."""
+    """Whether cone(generators) is strongly convex (contains no line).
+
+    It is when one functional is positive on every nonzero generator:
+    one gap shared by all of them.
+    """
     gens = [g for g in generators if any(v != 0 for v in g)]
     if not gens:
         return True
-    dim = len(gens[0])
-    a_ub = [[-v for v in g] for g in gens]  # <w,g> >= 1
-    b_ub = [-1] * len(gens)
-    return feasible_point(a_ub, b_ub, nvars=dim) is not None
+    _, (t,) = gap_lp(gens, [0] * len(gens), len(gens[0]))
+    return t == 1
 
 
 def is_face_subset(zero_gens: Sequence[Sequence], pos_gens: Sequence[Sequence], dim: int) -> bool:
@@ -224,13 +182,12 @@ def is_face_subset(zero_gens: Sequence[Sequence], pos_gens: Sequence[Sequence], 
 
     True iff some functional w vanishes on all of ``zero_gens`` and is
     strictly positive on all of ``pos_gens``, i.e. cone(zero_gens) is a
-    face of cone(zero_gens + pos_gens).
+    face of cone(zero_gens + pos_gens): the rows of ``zero_gens`` and
+    their negatives carry no gap, those of ``pos_gens`` share one.
     """
-    a_eq = [list(g) for g in zero_gens]
-    b_eq = [0] * len(a_eq)
-    a_ub = [[-v for v in g] for g in pos_gens]
-    b_ub = [-1] * len(a_ub)
-    return feasible_point(a_ub, b_ub, a_eq, b_eq, nvars=dim) is not None
+    rows = [*zero_gens, *([-v for v in g] for g in zero_gens), *pos_gens]
+    _, t = gap_lp(rows, [None] * (2 * len(zero_gens)) + [0] * len(pos_gens), dim)
+    return all(t)
 
 
 def relative_interior_functional(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], list[int]]:
@@ -239,34 +196,12 @@ def relative_interior_functional(rows: Sequence[Sequence]) -> tuple[tuple[Fracti
     Returns ``(w, implicit)`` where ``implicit`` lists the rows that
     vanish on the whole cone; every other row is >= 1 at w.
 
-    One LP on nonnegative variables (p, m, t) with w = p - m: maximize
-    sum t_i under t_i - row_i . w <= 0 and t_i <= 1, so 2k rows.  Since
-    t >= 0, w lies in the cone.  Scaling a relative-interior point puts
-    every row that does not vanish on the cone at >= 1, so the optimum
-    is their number, and at every optimum those rows have t_i = 1 and
-    row . w >= 1 while the implicit ones are 0.  The implicit set is
-    thus the same whichever optimal vertex the pivots reach.
+    One capped-gap LP with a gap of its own per row, so 2k rows: the
+    gaps that stay closed are exactly the implicit rows, whichever
+    optimal vertex the pivots reach.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return (), []
-    dim = len(rows[0])
-    k = len(rows)
-    a_ub = []
-    b_ub = []
-    for i, r in enumerate(rows):
-        t = [0] * k
-        t[i] = 1
-        a_ub.append([-v for v in r] + list(r) + t)  # t_i - row.(p - m) <= 0
-        b_ub.append(0)
-        a_ub.append([0] * (2 * dim) + t)  # t_i <= 1
-        b_ub.append(1)
-    objective = [0] * (2 * dim) + [1] * k
-    res = solve_lp(objective, a_ub, b_ub, maximize=True, nonneg=True)
-    if res.status != OPTIMAL:  # w = 0, t = 0 is feasible and t is capped
-        raise ToricError(f"internal: relative-interior LP ended {res.status}")
-    w = tuple(a - b for a, b in zip(res.point[:dim], res.point[dim : 2 * dim]))
-    scaled = to_integers(w)[0]
-    implicit = [i for i, r in enumerate(rows) if dot(r, scaled) == 0]
-    return w, implicit
-
+    w, t = gap_lp(rows, range(len(rows)), len(rows[0]))
+    return w, [i for i, ti in enumerate(t) if ti == 0]

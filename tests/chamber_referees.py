@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import fraction_linalg
-from toricvol.lp import cone_contains
+from general_lp import cone_contains
 
 
 def gkz_system(fan, cones, strict):

@@ -2,14 +2,16 @@
 
 The library decides region boundedness from cocircuit sign patterns
 (``toricvol.regions``), finds relative-interior functionals with a
-2k-row LP on nonnegative variables (``toricvol.lp``), skips the
+2k-row capped-gap LP (``toricvol.lp``), skips the
 pointedness and extreme-ray LPs on cones with independent generators
 and skips the pair LPs on complete simplicial fans (``toricvol.fan``),
 certifies dimension-3 chamber candidates with the same integer test,
 and decides each candidate's projectivity, and its sample divisor, by
 one LP over the candidate's own chamber condition system
 (``toricvol.gkz``).  This module keeps each older LP formulation once,
-so that tests can check the production answers against it:
+so that tests can check the production answers against it, on the
+general two-phase LP of ``general_lp``, which shares no kernel with the
+library's one-form simplex:
 
 * ``gordan_is_bounded``: one Gordan-alternative LP per weak set;
 * ``relative_interior_3k``: the 3k-row LP on free (w, t);
@@ -30,7 +32,7 @@ from itertools import combinations
 from toricvol.errors import ToricError
 from toricvol.fan import Fan, primitivize
 from toricvol.linalg import det, dot, rank
-from toricvol.lp import OPTIMAL, cone_contains, feasible_point, is_pointed, solve_lp
+from general_lp import OPTIMAL, cone_contains, feasible_point, is_pointed, solve_lp
 
 
 def gordan_is_bounded(normals, weak, dim) -> bool:

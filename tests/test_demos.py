@@ -2,8 +2,9 @@
 
 ``-O`` strips ``assert`` statements, so this checks that the library's
 internal cross-checks do not rely on them; a static scan keeps the
-library free of ``assert`` statements altogether, and one more keeps
-its runtime on the standard library.  Another scan keeps the Cech
+library free of ``assert`` statements altogether, one keeps every LP
+in the one capped-gap form of ``lp.py``, and one more keeps its runtime
+on the standard library.  Another scan keeps the Cech
 referee from reading the sphere-complex rank vectors it checks, and
 one the volume referees from reading the volume tables.  One keeps
 floating point off every path: no float literal, no ``float`` use and
@@ -44,6 +45,32 @@ def test_library_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_library_solves_lps_in_one_form():
+    # Every LP is a capped-gap LP: only lp.py calls the simplex, the
+    # general feasibility LP is gone, and no call asks for a second form.
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{where} imports feasible_point" for a in node.names if a.name == "feasible_point"]
+            elif isinstance(node, ast.Attribute) and node.attr == "feasible_point":
+                found.append(f"{where} reads feasible_point")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "solve_lp" and path.name != "lp.py":
+                    found.append(f"{where} calls solve_lp")
+                found += [
+                    f"{where} passes {kw.arg}"
+                    for kw in node.keywords
+                    if kw.arg in ("maximize", "nonneg", "a_eq", "b_eq")
+                ]
+    assert not found, found
 
 
 def test_library_imports_only_the_standard_library():
@@ -126,7 +153,8 @@ def test_lowered_level_referee_reads_no_cell():
 def test_gkz_reads_ray_in_cone_facts_off_the_basis_table():
     # Which rays lie in a cone, and which rays of a tight set are extreme,
     # come from the fan's integer basis inverses: from .lp the chamber
-    # module takes only the sample LP and the relative-interior LP.
+    # module takes only the capped-gap LP of its samples and the
+    # relative-interior LP.
     tree = ast.parse((ROOT / "src" / "toricvol" / "gkz.py").read_text(encoding="utf-8"))
     imported = {
         alias.name
@@ -134,7 +162,7 @@ def test_gkz_reads_ray_in_cone_facts_off_the_basis_table():
         if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[-1] == "lp"
         for alias in node.names
     }
-    assert imported == {"feasible_point", "relative_interior_functional"}
+    assert imported == {"gap_lp", "relative_interior_functional"}
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}

@@ -61,6 +61,23 @@ def test_scale_and_ray_divisor_examples():
     assert all(type(c) is Fraction for c in ray_divisor(p2(), 1, 5))
 
 
+def test_scale_reads_the_divisor_at_exact_values():
+    # scale((0.1, 1), 2) gave the float 0.2, and scale((True, 0, 0), 3)
+    # gave (3, 0, 0), which h_all answered although it rejects (True, 0, 0).
+    scaled = scale((0.1, 1), 2)
+    assert scaled == (2 * Fraction(0.1), 2)
+    assert all(type(c) is Fraction for c in scaled)
+    assert scale((Fraction(1, 2), 3), "2/3") == (Fraction(1, 3), 2)
+    from toricvol.cohomology import h_all
+
+    with pytest.raises(ValueError, match="bools"):
+        h_all(p2(), (True, 0, 0))
+    with pytest.raises(ValueError, match="bools"):
+        scale((True, 0, 0), 3)
+    with pytest.raises(TypeError, match="strings"):
+        scale(("1", 0), 2)
+
+
 @pytest.mark.parametrize("index", [-1, 3, 7])
 def test_ray_divisor_rejects_other_indices(index):
     # ray_divisor(p2(), -1) used to return D_2.

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from complex_referees import EVERY_FIXTURE, intersection_ray_set
+from general_lp import cone_contains
 from toricvol.asymptotics import hhat, mixed_partial_h0
 from toricvol.cohomology import euler_char, h_all
 from toricvol.divisor import divisor
@@ -39,7 +40,6 @@ from toricvol.gkz import (
     gkz_cone,
     locate_chamber,
 )
-from toricvol.lp import cone_contains
 
 
 def test_validate_p2():

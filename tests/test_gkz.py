@@ -9,6 +9,7 @@ import pytest
 
 import chamber_referees
 import growth_referees
+from general_lp import cone_contains
 from generated_fans import polygon_fan_data, star_fan_data
 from lp_referees import pairwise_lp_fans_on_rays_3d, projective_sample
 from test_cold_path import PENTAGRAM, counting_solve_lp, suspension
@@ -25,7 +26,6 @@ from toricvol.errors import (
     UnsupportedDimensionError,
 )
 from toricvol.fan import _basis_inverses, is_complete, make_fan
-from toricvol.lp import cone_contains
 from toricvol.fixtures import (
     bl1_p3,
     bl2_p2,
@@ -73,6 +73,16 @@ def test_support_function_p2():
     assert xi.ray_values == (Fraction(-1), Fraction(0), Fraction(0))
     assert strict == frozenset()
     assert xi((1, 1)) == -1
+
+
+def test_support_function_rejects_a_vector_of_the_wrong_length():
+    # It zipped the vector with each vertex: on P^2 at D_0, (1,) read -1
+    # and (0, 1, 7) read 0.
+    fan = p2()
+    xi, _ = support_function(fan, ray_divisor(fan, 0))
+    for vector in ((1,), (0, 1, 7), ()):
+        with pytest.raises(ValueError, match="dimension 2"):
+            xi(vector)
 
 
 def test_support_function_zero_divisor():
@@ -276,7 +286,7 @@ def test_enumerated_chambers_and_samples_are_pinned():
     # points) of two fans; a change of the rows' type or order must keep them.
     samples = [ch.sample_divisor for ch in enumerate_maximal_chambers(bl2_p2())]
     assert samples == [
-        (0, 1, 0, 2, 1), (0, 1, 1, 0, 2), (0, 1, 1, 2, 0), (1, 1, 1, 0, 0), (0, 2, 1, 1, 0)
+        (1, 0, 0, 2, 2), (1, 0, 1, 0, 3), (1, 1, 0, 3, 0), (1, 1, 1, 0, 0), (1, 2, 0, 2, 0)
     ]
     chambers = enumerate_maximal_chambers(cube_fan(), allow_dim3=True)
     listed = repr(
@@ -285,7 +295,7 @@ def test_enumerated_chambers_and_samples_are_pinned():
     sampled = repr([tuple(map(str, ch.sample_divisor)) for ch in chambers])
     assert len(chambers) == 148
     assert hashlib.sha256(listed.encode()).hexdigest().startswith("588db0c889f1814a")
-    assert hashlib.sha256(sampled.encode()).hexdigest().startswith("e83610b82611aab1")
+    assert hashlib.sha256(sampled.encode()).hexdigest().startswith("c214090b60be83c2")
 
 
 def test_enumerate_returns_fresh_lists():

@@ -1,25 +1,25 @@
+"""The library's one-form LP, and the general two-phase LP of the referees.
+
+``toricvol.lp`` solves ``max c.x, A x <= b, x >= 0`` with ``b >= 0``
+from the slack basis, and every library LP is a capped-gap LP on top
+of it.  ``general_lp`` is the two-phase simplex with equality rows and
+free variables that the referees run; the general-form cases below
+check it, and the one-form cases check the library against it.
+"""
+
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import general_lp
+from general_lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_certificate, feasible_point, solve_lp
 from lp_referees import max_over_cone_is_zero
+from toricvol import lp
 from toricvol.errors import ToricError
 from toricvol.linalg import det, dot, solve
-from toricvol.lp import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LPResult,
-    _check_certificate,
-    cone_contains,
-    feasible_point,
-    is_face_subset,
-    is_pointed,
-    relative_interior_functional,
-    solve_lp,
-)
+from toricvol.lp import cone_contains, gap_lp, is_face_subset, is_pointed, relative_interior_functional
 
 
 def test_simple_maximum():
@@ -300,3 +300,184 @@ def test_simplex_certificate_check():
         _check_certificate(inputs, [4, 4], [4, 4], 2)  # violates x + y <= 3
     with pytest.raises(ToricError, match="internal"):
         _check_certificate(inputs, [-1, 0], [-1, -1], 1)  # negative variable
+
+
+# ---------------------------------------------------------------------------
+# The library's one form: max c.x over A x <= b, x >= 0, b >= 0, from the
+# slack basis, and the capped-gap LP built on it.
+
+
+def test_one_form_simple_maximum_and_unbounded():
+    # max x + y over x + y <= 3, x, y >= 0; max x over -x <= 0 is unbounded.
+    res = lp.solve_lp([1, 1], [[1, 1]], [3])
+    assert (res.status, res.value) == (OPTIMAL, 3)
+    assert lp.solve_lp([1], [[-1]], [0]).status == UNBOUNDED
+    # No rows: x = 0 is optimal for a nonpositive objective.
+    assert lp.solve_lp([-1, 0], [], []).point == (0, 0)
+
+
+def test_one_form_rejects_negative_rhs_and_malformed_rows():
+    with pytest.raises(ValueError, match=">= 0"):
+        lp.solve_lp([1], [[1], [-1]], [1, -1])
+    with pytest.raises(ValueError, match=">= 0"):
+        lp.solve_lp([1], [[1]], [Fraction(-1, 2)])
+    with pytest.raises(ValueError):
+        lp.solve_lp([1, 1], [[1]], [5])
+    with pytest.raises(ValueError):
+        lp.solve_lp([1], [[1], [-1]], [5])
+
+
+def fraction_slack_lp(objective, a_ub, b_ub):
+    """Referee: the same one-phase Bland simplex from the slack basis over Fraction entries."""
+    nx, m = len(objective), len(a_ub)
+    tableau = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(b)]
+        for i, (row, b) in enumerate(zip(a_ub, b_ub))
+    ]
+    cost = [-Fraction(v) for v in objective] + [Fraction(0)] * (m + 1)
+    basis = list(range(nx, nx + m))
+    if _fraction_simplex(tableau, cost, basis, range(nx + m)) == UNBOUNDED:
+        return LPResult(UNBOUNDED)
+    full = [Fraction(0)] * (nx + m)
+    for i, bv in enumerate(basis):
+        full[bv] = tableau[i][-1]
+    point = tuple(full[:nx])
+    return LPResult(OPTIMAL, dot(map(Fraction, objective), point), point)
+
+
+def _random_one_form_lp(rng, entry, rhs):
+    n = rng.randint(1, 4)
+    a_ub = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 5))]
+    return [entry() for _ in range(n)], a_ub, [rhs() for _ in a_ub]
+
+
+def test_one_form_simplex_matches_fraction_slack_referee(monkeypatch):
+    # Both start on the slack basis and pivot by Bland's rule, so on
+    # integer data status, value and point agree bit for bit.
+    rng = random.Random(34)
+    statuses = set()
+    for _ in range(2000):
+        bound = rng.choice((2, 3, 5))
+        args = _random_one_form_lp(rng, lambda: rng.randint(-bound, bound), lambda: rng.randint(0, bound))
+        expected = fraction_slack_lp(*args)
+        res = lp.solve_lp(*args)
+        assert (res.status, res.value, res.point) == (expected.status, expected.value, expected.point), args
+        statuses.add(res.status)
+    assert statuses == {OPTIMAL, UNBOUNDED}
+    # Rational rows are scaled to integers first, which may change the
+    # pivots but never the status or the optimal value.
+    for _ in range(200):
+        args = _random_one_form_lp(
+            rng,
+            lambda: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 10))),
+            lambda: Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))),
+        )
+        expected = fraction_slack_lp(*args)
+        res = lp.solve_lp(*args)
+        assert (res.status, res.value) == (expected.status, expected.value), args
+    # The capped-gap LPs, as gap_lp hands them over: all but the caps
+    # have right-hand side 0, so nearly every pivot is degenerate and
+    # Bland's tie-break decides which vertex is reached.
+    handed = []
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda *args: handed.append(args) or solve(*args))
+    for _ in range(500):
+        dim = rng.randint(1, 4)
+        rows = _random_rows(rng, dim, rng.randint(1, 6))
+        ngaps = rng.randint(1, 3)
+        gap_lp(rows, [rng.choice((None, *range(ngaps))) for _ in rows], dim)
+    assert len(handed) == 500
+    for args in handed:
+        expected = fraction_slack_lp(*args)
+        res = solve(*args)
+        assert (res.status, res.value, res.point) == (expected.status, expected.value, expected.point), args
+
+
+def test_one_form_certificate_check():
+    # Rows hold an input row of integers with its right-hand side last.
+    inputs = [[1, 1, 3], [1, -1, 0]]
+    lp._check_certificate(inputs, [3, 3], 2)  # x = (3/2, 3/2)
+    with pytest.raises(ToricError, match="internal"):
+        lp._check_certificate(inputs, [4, 3], 2)  # violates x - y <= 0
+    with pytest.raises(ToricError, match="internal"):
+        lp._check_certificate(inputs, [4, 4], 2)  # violates x + y <= 3
+    with pytest.raises(ToricError, match="internal"):
+        lp._check_certificate(inputs, [-1, 0], 1)  # negative variable
+
+
+def _random_rows(rng, dim, count):
+    """Small integer rows, some the negation of an earlier one (lines)."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.3:
+            rows.append(tuple(-v for v in rng.choice(rows)))
+        else:
+            rows.append(tuple(rng.randint(-2, 2) for _ in range(dim)))
+    return rows
+
+
+def test_gap_lp_opens_exactly_the_gaps_the_general_lp_can_open():
+    # Gap g opens (t_g = 1) exactly when some w puts g's rows at >= 1 and
+    # every other row at >= 0, and the point honours every row.
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        rows = _random_rows(rng, dim, rng.randint(1, 6))
+        ngaps = rng.randint(1, 3)
+        gaps = [rng.choice((None, *range(ngaps))) for _ in rows]
+        w, t = gap_lp(rows, gaps, dim)
+        assert len(t) == 1 + max((g for g in gaps if g is not None), default=-1)
+        for g in range(len(t)):
+            a_ub = [[-v for v in row] for row in rows]
+            b_ub = [-1 if h == g else 0 for h in gaps]
+            opens = feasible_point(a_ub, b_ub, nvars=dim) is not None
+            assert t[g] == int(opens), (rows, gaps)
+            seen.add((dim, opens))
+        for row, g in zip(rows, gaps):
+            assert dot(row, w) >= (0 if g is None else t[g]), (rows, gaps)
+    assert seen == {(dim, opens) for dim in range(1, 5) for opens in (True, False)}
+
+
+def test_gap_predicates_match_the_general_lp():
+    rng = random.Random(36)
+    answers = set()
+    for _ in range(500):
+        dim = rng.randint(1, 4)
+        gens = _random_rows(rng, dim, rng.randint(0, 5))
+        if gens and rng.random() < 0.5:  # a point of the cone
+            x = tuple(sum(rng.randint(0, 2) * g[j] for g in gens) for j in range(dim))
+        else:
+            x = tuple(rng.randint(-2, 2) for _ in range(dim))
+        split = rng.randint(0, len(gens))
+        zero, pos = gens[:split], gens[split:]
+        checks = {
+            "contains": (cone_contains(gens, x), general_lp.cone_contains(gens, x)),
+            "pointed": (is_pointed(gens), general_lp.is_pointed(gens)),
+            "face": (is_face_subset(zero, pos, dim), general_lp.is_face_subset(zero, pos, dim)),
+        }
+        for name, (got, expected) in checks.items():
+            assert got == expected, (name, gens, x, split)
+            answers.add((name, got))
+    assert answers == {(name, b) for name in ("contains", "pointed", "face") for b in (True, False)}
+
+
+def test_chamber_gap_lp_matches_the_general_lp():
+    # The interior-sample shape: the inequalities share one gap and each
+    # equality is held at 0 from both sides; the general LP asks for
+    # every inequality at >= 1 and every equality at 0 directly.
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(500):
+        dim = rng.randint(1, 4)
+        below = _random_rows(rng, dim, rng.randint(1, 5))
+        equal = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 2))]
+        rows = [*below, *equal, *([-v for v in row] for row in equal)]
+        w, (t,) = gap_lp(rows, [0] * len(below) + [None] * (2 * len(equal)), dim)
+        point = feasible_point(
+            [[-v for v in row] for row in below], [-1] * len(below), equal, [0] * len(equal), nvars=dim
+        )
+        assert t == int(point is not None), (below, equal)
+        assert all(dot(row, w) >= t for row in below) and all(dot(row, w) == 0 for row in equal)
+        seen.add((dim, t))
+    assert seen == {(dim, t) for dim in range(1, 5) for t in (0, 1)}

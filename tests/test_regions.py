@@ -541,7 +541,7 @@ def test_volume_additivity_and_recession_certificates():
     assert total > 0  # finite sum, no exceptions on the bounded family
     from itertools import combinations
 
-    from toricvol.lp import solve_lp
+    from general_lp import solve_lp
 
     for size in range(len(fan.rays) + 1):
         for combo in combinations(range(len(fan.rays)), size):
