@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import _euler_weight
+from .cohomology import _euler_weights
 from .divisor import Divisor, is_q_cartier
 from .errors import (
     ChamberWallError,
@@ -45,11 +45,6 @@ def _cleared_rates(fan: Fan, coefficients, q: int, degrees: slice) -> Asymptotic
     """``_rates`` of the divisor cleared to integers, keyed without replacing the held slot."""
     slot = _divisor_slot(fan.rays, fan.dim, fan.memo, coefficients, q)
     return _lawrence_sum(fan, slot, _local_ranks, degrees)
-
-
-def _euler_weights(fan: Fan, subset: frozenset[int]) -> tuple[int]:
-    """``_euler_weight`` as a one-entry weight, the key of the Euler column."""
-    return (_euler_weight(fan, subset),)
 
 
 def hhat(fan: Fan, d: Divisor) -> AsymptoticVector:

@@ -63,7 +63,7 @@ def h_all(fan: Fan, d: Divisor) -> CohomologyVector:
         raise NotCompleteError(
             "h_all needs a complete fan; use graded_piece_dim for single pieces"
         )
-    return region_sum(fan, d, lambda subset: _local_ranks(fan, subset))
+    return region_sum(fan, d, _local_ranks)
 
 
 def _euler_weight(fan: Fan, subset: frozenset[int]) -> int:
@@ -88,6 +88,11 @@ def _euler_weight(fan: Fan, subset: frozenset[int]) -> int:
     return fan.memo(("euler", subset), compute)
 
 
+def _euler_weights(fan: Fan, subset: frozenset[int]) -> tuple[int]:
+    """``_euler_weight`` as a one-entry weight, of ``euler_char`` and of the Euler volume column."""
+    return (_euler_weight(fan, subset),)
+
+
 def euler_char(fan: Fan, d: Divisor) -> int:
     """Euler characteristic via alternating cone counts.
 
@@ -96,7 +101,7 @@ def euler_char(fan: Fan, d: Divisor) -> int:
     """
     if not is_complete(fan):
         raise NotCompleteError("euler_char needs a complete fan")
-    (total,) = region_sum(fan, d, lambda W: (_euler_weight(fan, W),))
+    (total,) = region_sum(fan, d, _euler_weights)
     return total
 
 
@@ -198,4 +203,4 @@ def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:
     """
     if not is_complete(fan):
         raise NotCompleteError("cech_oracle needs a complete fan")
-    return region_sum(fan, d, lambda subset: _cech_ranks(fan, subset))
+    return region_sum(fan, d, _cech_ranks)

@@ -36,17 +36,17 @@ divisor's cell key is the tuple of its circuit signs, unchanged under
 linear equivalence and positive scaling.  Each memo keeps the cells it
 meets (``_TypeCell``, at most ``CELL_BUDGET`` entries per memo): one
 vertex per tight set with its basis and masks, classified from the
-signs alone with no point solved, and, filled on first use, the
-realized table of its simple cell (below), the located chamber of
-``gkz.locate_chamber`` and its volume tables.  A divisor solves
-only the vertices of the regions it counts, P_B = A_B . L_B, once
-each: ``_DivisorSlot`` keeps them with the divisor's row bounds, and
-each memo holds the slot of its last divisor.  ``region_sum`` counts a
-realized region's lattice points straight off that slot and the
-region's weak mask, with no region object (``_slot_count``).  A
-standalone ``HalfOpenRegion`` feeds the same integer core from its own
-slot, vertex table and row bounds, each computed at most once per
-object, on first use.
+signs alone with no point solved, and, filled on first use, its simple
+cell (below) with that cell's realized table and count plans, the
+located chamber of ``gkz.locate_chamber`` and its volume tables.
+``_DivisorSlot`` keeps what one divisor adds: its row bounds, its
+lattice counts by mask, the vertices P_B = A_B . L_B its vertex tables
+solve and the powers its volumes take, and each memo holds the slot of
+its last divisor.  ``region_sum`` counts a realized region's lattice
+points straight off that slot and the count plan of the region's weak
+mask, with no region object (``_slot_count``).  A standalone
+``HalfOpenRegion`` feeds the same count core from its own vertex table
+and row bounds, each computed at most once per object, on first use.
 
 Counts and volumes sum over the regions of one simple cell.  Lowering
 the levels by theta_i = eps^(i + 1), eps -> 0+, makes every circuit
@@ -80,21 +80,30 @@ gives the mixed partials of the section polytope's volume
 (``_h0_partial``).  No ``Fraction`` is built inside a volume but its
 answer.
 
-Lattice points are counted one plane at a time.  Above each integer point of
-the bounding box's first n - 2 coordinates, the mixed weak/strict
-system, each row made one weak integer inequality, cuts a 2-D slice;
-its count walks the slice's lower and upper envelopes along the
-second-to-last coordinate and adds each run between envelope changes
+Lattice points are counted one plane at a time, by one core
+(``_lattice_count``) that reads a count plan (``_CountPlan``).  A plan
+holds what does not depend on the divisor: the facet rows of the region,
+each oriented to one weak integer inequality, split once into the lower,
+upper and flat lines of a 2-D slice in the last two coordinates, and the
+box rows of the closure's vertices.  On the simple cell a row tight at
+no vertex of the closure holds strictly on it, so the facet rows alone
+cut out the region (``_cell_plan``); each simple cell keeps the plan of
+every realized mask it counts.  A count then only clears the bounds,
+solves the first n - 1 coordinates of each vertex for the bounding box,
+and walks: above each integer point of the box's first n - 2
+coordinates the facets' bounds are shifted, the flat rows narrow the
+slice, and ``_slice_count`` walks its lower and upper envelopes along
+the second-to-last coordinate, adding each run between envelope changes
 with two floor sums (the lattice points under a segment, by the
 Euclid-like recursion of ``floor_sum``).  A slice costs
-O(k^2 + k log m), independent of its width, so a region of m*D costs
-about m^(n-2) slices, and one of a 2-D fan a bounded number of integer
-steps for every m.  Listing points keeps the fibers of the last
-coordinate: above each integer point of the first n - 1 coordinates the
-system cuts the line to one integer interval, found with integer floor
-divisions.  At most ``FIBER_BUDGET`` slices
-(for a count) or fibers (for a listing) are visited before
-CapExceededError.
+O(k^2 + k log m) for k facets, independent of its width, so a region of
+m*D costs about m^(n-2) slices, and one of a 2-D fan a bounded number of
+integer steps for every m.  Listing points, and counting them in
+dimension 1, keeps the fibers of the last coordinate: above each integer
+point of the first n - 1 coordinates the facets cut the line to one
+integer interval, found with integer floor divisions (``_fibers``).  At
+most ``FIBER_BUDGET`` slices (for a count) or fibers (for a listing) are
+visited before CapExceededError.
 """
 
 from __future__ import annotations
@@ -102,9 +111,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import combinations, count, product
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 from typing import Callable
 
 from .divisor import Divisor, _check_length
@@ -125,8 +134,11 @@ FIBER_BUDGET = 10**7
 # Each normal set's memo keeps at most CELL_BUDGET entries of type cells:
 # one per circuit sign of a kept cell's key and one per vertex, one per
 # (region, vertex) incidence of its realized regions once those are kept
-# too, and one per row of each volume table column it keeps.  Past it, new
-# cells are built and used but not kept, and a kept cell keeps no more.
+# too, one per facet row and one per vertex of each count plan, one per
+# weighted entry of a region sum, and one per row of each volume table
+# column it keeps.  A kept degenerate cell may pin its simple cell without
+# that cell's key, counting its vertices.  Past the budget, new cells are
+# built and used but not kept, and a kept cell keeps no more.
 CELL_BUDGET = 2**11
 # The zero rate, shared by every volume sum that adds up to nothing.
 _ZERO = Fraction(0)
@@ -149,7 +161,7 @@ class HalfOpenRegion:
     """One mixed weak/strict linear system, one constraint per ray.
 
     ``memo`` stores the facts that depend only on the normals (cocircuit
-    patterns, basis inverses, negated normals, the type-cell arrangement).
+    patterns, basis inverses, the type-cell arrangement).
     Regions of a fan carry the fan's memo, so those facts are computed
     once per fan; the default is a memo of the region's own, so they are
     computed once per region object (``dataclasses.replace`` with other
@@ -359,7 +371,7 @@ class _Arrangement:
 
     def __init__(self, normals, dim: int, memo):
         self.common, inverses, self.sizes = _basis_table(normals, dim, memo)
-        self.rows, self.dim = len(normals), dim
+        self.normals, self.rows, self.dim = normals, len(normals), dim
         found: dict = {}
         circuits = []
         self.bases = []
@@ -408,6 +420,20 @@ class _Arrangement:
                 return pairs
 
     @cached_property
+    def corners(self) -> tuple:
+        """One pair (getter, rows) per basis: coordinate j < n - 1 of P_B is <rows[j], getter(q d)>.
+
+        ``getter`` reads the basis's entries of the cleared divisor q d
+        and ``rows`` are the first n - 1 rows of the adjugate, negated,
+        since P_B = A_B . L_B with L = -q d.  Only these coordinates
+        feed a count's bounding box.
+        """
+        return tuple(
+            (itemgetter(*combo), tuple(tuple(-x for x in row) for row in adjugate[:-1]))
+            for combo, adjugate, *_ in self.bases
+        )
+
+    @cached_property
     def den(self) -> int:
         """The least common multiple of the |prod_j g_B[j]|."""
         return math.lcm(*(abs(math.prod(g)) for _, g in self.lawrence))
@@ -440,6 +466,7 @@ def _arrangement(normals, dim: int, memo) -> _Arrangement:
     return memo("arrangement", lambda: _Arrangement(normals, dim, memo))
 
 
+@dataclass(eq=False, slots=True)
 class _TypeCell:
     """What every divisor of one type cell shares: its arrangement combinatorics.
 
@@ -448,22 +475,27 @@ class _TypeCell:
     basis in basis order that meets it, with the bitmasks of the rows
     above it and tight at it; on a simple cell (``_simple_cell``) every
     basis is a vertex tight on its own rows alone.  Filled later, once:
-    ``masks``, the realized table of ``_realized_masks`` (a simple
-    cell's only, and when ``kept``, only within the budget), and
+    ``simple``, the simple cell of a degenerate cell; ``masks``, the
+    realized table of ``_realized_masks`` (a simple cell's only);
+    ``plans``, the count plan of each realized mask counted so far
+    (``_cell_plan``); ``weighted``, the table entries with a nonzero
+    weight per region-sum weight (``_weighted_entries``); and
     ``chamber``, the located chamber of ``gkz.locate_chamber``.
     ``columns`` maps a weight to the cell's volume table
-    (``_lawrence_columns``), only when ``kept`` and within the budget.
+    (``_lawrence_columns``).  A cell that is not ``kept`` keeps no
+    table, plan or weighted entries, and a kept one only within the
+    budget.
     """
 
-    __slots__ = ("key", "vertices", "kept", "masks", "chamber", "columns")
-
-    def __init__(self, key, vertices):
-        self.key = key
-        self.vertices = vertices
-        self.kept = False
-        self.masks = None
-        self.chamber = None
-        self.columns = {}
+    key: tuple
+    vertices: tuple
+    kept: bool = False
+    simple: _TypeCell | None = None
+    masks: tuple | None = None
+    plans: dict = field(default_factory=dict)
+    weighted: dict = field(default_factory=dict)
+    chamber: object = None
+    columns: dict = field(default_factory=dict)
 
 
 def _cell_key(arrangement: _Arrangement, integers) -> tuple[int, ...]:
@@ -524,17 +556,26 @@ def _simple_cell(arrangement: _Arrangement, cell: _TypeCell) -> _TypeCell:
     index with lam != 0.  So no circuit sign is zero: no n + 1 rows meet
     in a point, and each basis is a vertex tight on its own rows alone.
     A cell with no zero sign is its own simple cell; another is read off
-    its key with no new dot product.
+    its key with no new dot product, once: the cell keeps it in
+    ``simple``.  When a kept cell's simple cell is not kept under its
+    own key, the cell pins it without that key, counting its vertices
+    in the budget, so that its table and plans can be kept too; if even
+    the vertices do not fit, the simple cell is built for each divisor.
     """
-    key = cell.key
-    if 0 not in key:
-        return cell
+    if cell.simple is not None or 0 not in cell.key:
+        return cell.simple or cell
     rows = range(arrangement.rows)
     lowered = tuple(
         x or (-1 if min((j, y) for j, y in zip(get(rows), lam) if y)[1] > 0 else 1)
-        for x, (get, lam) in zip(key, arrangement.circuits)
+        for x, (get, lam) in zip(cell.key, arrangement.circuits)
     )
-    return _cell_of(arrangement, lowered)
+    simple = _cell_of(arrangement, lowered)
+    if cell.kept and not simple.kept and arrangement.admit(len(simple.vertices)):
+        # An empty key has no zero sign, so the pinned cell is its own simple cell.
+        simple.key, simple.kept = (), True
+    if simple.kept or not cell.kept:
+        cell.simple = simple
+    return simple
 
 
 def _levels(coefficients, q: int):
@@ -550,8 +591,8 @@ class _DivisorSlot:
 
     ``key`` is (q * d, q), the divisor cleared to integers.  Each vertex
     point P_B = A_B . L_B is solved on first use and kept in ``points``
-    by basis; ``_realized_masks`` fills its realized masks (the table
-    of its cell's simple cell), ``region_sum`` its lattice counts by
+    by basis; ``_realized_masks`` fills its cell's simple cell and
+    that cell's realized masks, ``region_sum`` its lattice counts by
     mask, ``_slot_count`` its row bounds, and the volume sums
     ``powers``, <g_B, L_B>^n by basis, on first use.
     """
@@ -560,6 +601,7 @@ class _DivisorSlot:
     arrangement: _Arrangement
     cell: _TypeCell
     points: dict = field(default_factory=dict)
+    simple: _TypeCell | None = None
     masks: tuple | None = None
     amounts: dict = field(default_factory=dict)
     bounds: tuple | None = None
@@ -608,11 +650,12 @@ def _divisor_slot(normals, dim: int, memo, coefficients, q: int, keep: bool = Fa
 def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
     """The slot of d on a complete fan (``_divisor_slot``), kept as the fan's last divisor.
 
-    Raises NotCompleteError unless the fan is complete, and ValueError
-    unless d has one coefficient per ray.
+    Region sums, support functions and growth rates read it.  Raises
+    NotCompleteError unless the fan is complete, and ValueError unless
+    d has one coefficient per ray.
     """
     if not is_complete(fan):
-        raise NotCompleteError("support functions and growth rates need a complete fan")
+        raise NotCompleteError("region sums, support functions and growth rates need a complete fan")
     _check_length(fan, d)
     return _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d), keep=True)
 
@@ -706,78 +749,114 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     return Fraction(total, arrangement.den * slot.scale**reg.dim)
 
 
-def _integer_rows(normals, memo, bounds, weak: int):
-    """Every row as one weak integer inequality <a, x> >= b, as pairs (a, b).
+@dataclass(frozen=True, slots=True)
+class _CountPlan:
+    """The divisor-free half of a lattice count: its rows, oriented and split once.
 
-    Since <v, x> is an integer at lattice points, a weak row
-    <v, x> >= L is <v, x> >= ceil(L) and a strict row <v, x> < L is
-    <-v, x> >= 1 - ceil(L), with ceil(L) the row's entry of ``bounds``
-    and the row weak when its bit of the ``weak`` mask is set.  The
-    negated normals depend on the normals only and are kept in the
-    memo.
+    ``facets`` holds one triple (i, weak, a) per facet row i, in row
+    order, with a = v_i on a weak row and a = -v_i on a strict one: at
+    a lattice point a weak row <v, x> >= L is <v, x> >= ceil(L) and a
+    strict row <v, x> < L is <-v, x> >= 1 - ceil(L), so every facet is
+    one weak integer inequality <a, x> >= c.  In dimension n >= 2 the
+    facets are split once by their last two entries (alpha, beta): a
+    facet j with beta > 0 is a lower line (j, -alpha, beta) of the
+    slice, t >= (-alpha*s + c_j)/beta, one with beta < 0 an upper line
+    (j, alpha, -beta), t <= (alpha*s - c_j)/-beta, and one with beta = 0
+    a flat row (j, alpha) that narrows s.  ``corners`` holds one pair of
+    ``_Arrangement.corners`` per vertex basis of a cell's plan (none for
+    a standalone region's), whose n - 1 coordinates feed the box.
     """
-    negated = memo(
-        "negated_normals", lambda: tuple(tuple(-x for x in normal) for normal in normals)
+
+    facets: tuple
+    lower: tuple
+    upper: tuple
+    flat: tuple
+    corners: tuple = ()
+
+
+def _count_plan(normals, facets: int, weak: int, corners=()) -> _CountPlan:
+    """The plan of the rows in the ``facets`` mask, weak on the ``weak`` mask (``_CountPlan``)."""
+    rows = tuple(
+        (i, True, normal) if weak >> i & 1 else (i, False, tuple(-x for x in normal))
+        for i, normal in enumerate(normals)
+        if facets >> i & 1
     )
-    return [
-        (normal, bound) if weak >> i & 1 else (minus, 1 - bound)
-        for i, (normal, minus, bound) in enumerate(zip(normals, negated, bounds))
-    ]
+    split = [(j, a[-2], a[-1]) for j, (_, _, a) in enumerate(rows) if len(a) > 1]
+    return _CountPlan(
+        rows,
+        tuple((j, -alpha, beta) for j, alpha, beta in split if beta > 0),
+        tuple((j, alpha, -beta) for j, alpha, beta in split if beta < 0),
+        tuple((j, alpha) for j, alpha, beta in split if not beta),
+        corners,
+    )
 
 
-def _bounding_box(points, scale: int, depth: int):
-    """The integer range of each coordinate over a closure, or None if it is empty.
+def _cell_plan(arrangement: _Arrangement, mask: int, vertices) -> _CountPlan:
+    """The count plan of a realized mask of a simple cell, from its table entry's vertex triples.
 
-    The ranges are floor divisions of the closure's integer vertices
-    ``points`` over ``scale``.  Raises CapExceededError when the first
-    ``depth`` ranges hold more than ``FIBER_BUDGET`` integer prefixes.
+    The facet rows are the union of the vertex bases.  On the simple
+    cell of the lowered levels the closure Q of the mask's region is a
+    nonempty polytope whose vertices are the table's, each tight on its
+    basis alone.  A row tight at no vertex holds strictly at every
+    vertex, so strictly on Q, their convex hull.  Such a row is
+    redundant: if some x satisfied the other rows but not it, the
+    segment from a point of Q to x would meet, inside those rows, a
+    first point where a dropped row is tight, a point of Q.  So the
+    region is cut out by its facet rows alone, weak and strict as they
+    are, and cuts no lattice point with the others; lowering moves no
+    lattice point (``region_sum``), so the plan counts the divisor's own
+    region.  The corners are the vertex bases' box rows.
     """
-    if not points:
-        return None
-    box = [range(-(-min(column) // scale), max(column) // scale + 1) for column in zip(*points)]
-    prefixes = math.prod(map(len, box[:depth]))
+    facets = reduce(or_, (basis for _, _, basis in vertices))
+    corners = tuple(arrangement.corners[b] for b, _, _ in vertices)
+    return _count_plan(arrangement.normals, facets, mask, corners)
+
+
+def _range(values, scale: int) -> range:
+    """The integers between the least and the greatest of ``values`` / ``scale``."""
+    return range(-(-min(values) // scale), max(values) // scale + 1)
+
+
+def _prefixes(box):
+    """The integer points of the box's ranges, in lexicographic order.
+
+    Raises CapExceededError when they are more than ``FIBER_BUDGET``.
+    """
+    prefixes = math.prod(map(len, box))
     if prefixes > FIBER_BUDGET:
         raise CapExceededError(
-            f"lattice scan needs {prefixes} fibers (integer points of the first {depth}"
+            f"lattice scan needs {prefixes} fibers (integer points of the first {len(box)}"
             f" coordinates); it is capped at {FIBER_BUDGET}"
         )
-    return box
+    return product(*box)
 
 
-def _fibers(rows, points, scale: int, n: int):
+def _bounds(plan: _CountPlan, ceilings):
+    """(a, c) per facet: the weak integer row <a, x> >= c of the row bounds ceil(L_i)."""
+    return [(a, ceilings[i] if weak else 1 - ceilings[i]) for i, weak, a in plan.facets]
+
+
+def _fibers(rows, box):
     """Yield (prefix, lo, hi) for each nonempty fiber along the last axis.
 
-    The prefixes are the integer points (x_1..x_{n-1}) of the closure's
-    bounding box, in lexicographic order; above each prefix the region
-    holds exactly the lattice points whose last coordinate is one of
-    the integers lo..hi.  Every row is one weak integer inequality of
-    ``_integer_rows``, so each fiber bound is a floor division of
-    integers.  The closure is given by its integer vertices ``points``
-    over ``scale``.  Raises CapExceededError past ``FIBER_BUDGET``
-    prefixes.
+    ``rows`` are the weak integer rows (a, c) of ``_bounds`` and ``box``
+    the integer ranges of the first n - 1 coordinates; above each of
+    their integer points, in lexicographic order, the region holds
+    exactly the lattice points whose last coordinate is one of the
+    integers lo..hi, each bound a floor division of integers.  A plan's
+    rows cut out a bounded closure, so rows with a positive and with a
+    negative last entry bound every fiber (else e_n or -e_n would
+    recede).  Raises CapExceededError past ``FIBER_BUDGET`` prefixes.
     """
-    box = _bounding_box(points, scale, n - 1)
-    if box is None:
-        return
-    rows = [(normal[:-1], normal[-1], bound) for normal, bound in rows]
-    for prefix in product(*box[:-1]):
-        lo, hi = box[-1].start, box[-1].stop - 1
-        for head, last, bound in rows:
-            # last * x_n >= rest: a ceiling, a floor, or all or nothing.
-            rest = bound - sum(map(mul, head, prefix))
-            if last > 0:
-                rest = -(-rest // last)
-                if rest > lo:
-                    lo = rest
-            elif last < 0:
-                rest //= last
-                if rest < hi:
-                    hi = rest
-            elif rest > 0:
-                break
-        else:
-            if lo <= hi:
-                yield prefix, lo, hi
+    for prefix in _prefixes(box):
+        # Each row is last * x_n >= rest: a ceiling, a floor, or all or nothing.
+        rests = [(a[-1], c - sum(map(mul, a, prefix))) for a, c in rows]
+        if any(rest > 0 for last, rest in rests if not last):
+            continue
+        lo = max(-(-rest // last) for last, rest in rests if last > 0)
+        hi = min(rest // last for last, rest in rests if last < 0)
+        if lo <= hi:
+            yield prefix, lo, hi
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -830,35 +909,21 @@ def _run_end(lines, active, sign, end):
     return end
 
 
-def _slice_count(rows, s_range) -> int:
-    """The lattice points (s, t) with s in ``s_range`` and alpha*s + beta*t >= c on every row.
+def _slice_count(lower, upper, lo: int, hi: int) -> int:
+    """The lattice points (s, t) with lo <= s <= hi between the lower and the upper lines.
 
-    A row (alpha, beta, c) with beta > 0 bounds t from below by the line
-    (c - alpha*s)/beta, one with beta < 0 bounds it from above, and one
-    with beta = 0 narrows the range of s; a line is kept as (p, q, r),
-    value (p*s + q)/r with r > 0.  Above s lie U(s) - L(s) + 1 points,
-    U the floor of the upper envelope and L the ceiling of the lower,
-    when the real gap between the envelopes is nonnegative, and none
-    otherwise.  The walk jumps from s past the last integer before an
-    envelope changes row or the real gap changes sign, and adds each run
-    with two ``floor_sum`` calls.  The gap at the first s of a run is
-    evaluated directly, so a slice that is a segment or a point is
-    counted exactly.  The real gap is concave, so once it is negative
-    and not growing no point lies further right.
+    A line (p, q, r), r > 0, has value (p*s + q)/r; ``lower`` bounds t
+    from below and ``upper`` from above, and both are nonempty.  Above
+    s lie U(s) - L(s) + 1 points, U the floor of the upper envelope and
+    L the ceiling of the lower, when the real gap between the envelopes
+    is nonnegative, and none otherwise.  The walk jumps from s past the
+    last integer before an envelope changes line or the real gap changes
+    sign, and adds each run with two ``floor_sum`` calls.  The gap at
+    the first s of a run is evaluated directly, so a slice that is a
+    segment or a point is counted exactly.  The real gap is concave, so
+    once it is negative and not growing no point lies further right.
+    This is the one walk of every lattice count.
     """
-    lower, upper = [], []
-    lo, hi = s_range.start, s_range.stop - 1
-    for alpha, beta, c in rows:
-        if beta > 0:
-            lower.append((-alpha, c, beta))
-        elif beta < 0:
-            upper.append((alpha, -c, -beta))
-        elif alpha > 0:
-            lo = max(lo, -(-c // alpha))
-        elif alpha < 0:
-            hi = min(hi, c // alpha)
-        elif c > 0:
-            return 0
     total = 0
     s = lo
     while s <= hi:
@@ -880,56 +945,85 @@ def _slice_count(rows, s_range) -> int:
     return total
 
 
+def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
+    """The number of lattice points of a plan's region: the one count core.
+
+    ``ceilings`` are the rows' bounds ceil(L_i) and ``box`` the integer
+    ranges of the first n - 1 coordinates of the closure.  Above each
+    integer point of the first n - 2 ranges, each facet's bound is
+    shifted by its head, <a, prefix>, and the plan's lower and upper
+    lines cut one 2-D slice, counted by ``_slice_count``; its flat rows
+    narrow the slice's range of s, the last range of the box, or empty
+    it.  Both envelopes are nonempty, as the fibers of ``_fibers`` are
+    bounded.  A slice with k facets costs O(k) envelope steps of O(k)
+    work each plus O(log m) per floor sum, independent of its width, so
+    a region of m*D costs about m^(n-2) slices.  At most
+    ``FIBER_BUDGET`` slices are counted before CapExceededError.  In
+    dimension 1, where the box has no coordinate, the count sums the
+    region's one fiber.
+    """
+    rows = _bounds(plan, ceilings)
+    if not box:
+        return sum(hi - lo + 1 for _, lo, hi in _fibers(rows, box))
+    total = 0
+    for prefix in _prefixes(box[:-1]):
+        # Each facet's bound, shifted by its head: <a, x> = <a, prefix> + alpha*s + beta*t.
+        c = [bound - sum(map(mul, a, prefix)) for a, bound in rows]
+        lo, hi = box[-1].start, box[-1].stop - 1
+        for j, alpha in plan.flat:
+            if alpha > 0:
+                lo = max(lo, -(-c[j] // alpha))
+            elif alpha < 0:
+                hi = min(hi, c[j] // alpha)
+            elif c[j] > 0:
+                break
+        else:
+            lower = [(p, c[j], r) for j, p, r in plan.lower]
+            total += _slice_count(lower, [(p, -c[j], r) for j, p, r in plan.upper], lo, hi)
+    return total
+
+
+def _own_plan(reg: HalfOpenRegion):
+    """(plan, box) of a standalone region's count, or None when its closure is empty.
+
+    The facets are the rows tight at some vertex of ``vertex_table``:
+    the argument of ``_cell_plan`` holds at the region's own levels,
+    with the closure's vertices and their tight masks.  The box ranges
+    are read off the vertices' first n - 1 coordinates.
+    """
+    points, scale = reg.vertex_table
+    if not points:
+        return None
+    plan = _count_plan(reg.normals, reduce(or_, points.values()), _weak_mask(reg.weak))
+    columns = list(zip(*points))[: reg.dim - 1]
+    return plan, [_range(column, scale) for column in columns]
+
+
 def lattice_count(reg: HalfOpenRegion) -> int:
     """The number of integer points of the half-open region.
 
-    In dimension n >= 2 the region is cut into 2-D slices, one per
-    integer point of the bounding box's first n - 2 coordinates, each
-    cut out by the rows of ``_integer_rows``, and each slice is counted
-    by ``_slice_count`` with no point listed.  Both envelopes of a
-    slice are nonempty: a bounded closure has rows with a positive and
-    with a negative last coefficient, else e_n or -e_n would recede.
-    A slice with k rows costs O(k) envelope steps of O(k) work each
-    plus O(log m) per floor sum, independent of its width, so a region
-    of m*D costs about m^(n-2) slices.  At most ``FIBER_BUDGET`` slices
-    are counted before CapExceededError.  In dimension 1 the count sums
-    the fibers of ``_fibers``.  It runs ``_lattice_count`` on the
-    region's own ``vertex_table`` and ``row_bounds``.
+    ``_lattice_count``, the core of every count, on the plan of the
+    rows tight at the closure's vertices (``_own_plan``) and the
+    region's own ``row_bounds``: 2-D slices counted with no point
+    listed, or in dimension 1 the one fiber.  Raises on systems with
+    unbounded closure and CapExceededError past ``FIBER_BUDGET`` slices.
     """
-    points, scale = reg.vertex_table
-    rows = _integer_rows(reg.normals, reg.memo, reg.row_bounds, _weak_mask(reg.weak))
-    return _lattice_count(rows, points, scale, reg.dim)
-
-
-def _lattice_count(rows, points, scale: int, n: int) -> int:
-    """The number of lattice points on the integer ``rows`` of ``_integer_rows``.
-
-    The closure is given by its integer vertices ``points`` over
-    ``scale``; the count cuts it into 2-D slices as ``lattice_count``
-    describes.
-    """
-    if n == 1:
-        return sum(hi - lo + 1 for _, lo, hi in _fibers(rows, points, scale, n))
-    box = _bounding_box(points, scale, n - 2)
-    if box is None:
-        return 0
-    rows = [(normal[:-2], normal[-2], normal[-1], bound) for normal, bound in rows]
-    total = 0
-    for prefix in product(*box[:-2]):
-        shifted = [(a, b, bound - sum(map(mul, head, prefix))) for head, a, b, bound in rows]
-        total += _slice_count(shifted, box[-2])
-    return total
+    found = _own_plan(reg)
+    return 0 if found is None else _lattice_count(found[0], reg.row_bounds, found[1])
 
 
 def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
     """All integer points of the half-open region, in lexicographic order.
 
     Membership honors the mixed weak/strict system exactly; the points
-    are the fibers of ``_fibers`` expanded one by one.
+    are the fibers of ``_fibers`` on the rows of ``_own_plan``, expanded
+    one by one.
     """
-    points, scale = reg.vertex_table
-    rows = _integer_rows(reg.normals, reg.memo, reg.row_bounds, _weak_mask(reg.weak))
-    fibers = _fibers(rows, points, scale, reg.dim)
+    found = _own_plan(reg)
+    if found is None:
+        return []
+    plan, box = found
+    fibers = _fibers(_bounds(plan, reg.row_bounds), box)
     return [prefix + (x,) for prefix, lo, hi in fibers for x in range(lo, hi + 1)]
 
 
@@ -953,6 +1047,13 @@ def _realized_reader(fan: Fan):
     )
 
 
+def _slot_simple(slot: _DivisorSlot) -> _TypeCell:
+    """The simple cell of the slot's cell (``_simple_cell``), kept on the slot."""
+    if slot.simple is None:
+        slot.simple = _simple_cell(slot.arrangement, slot.cell)
+    return slot.simple
+
+
 def _realized_masks(fan: Fan, slot: _DivisorSlot):
     """The realized bounded masks of the slot's simple cell, as (mask, subset, vertices).
 
@@ -963,14 +1064,14 @@ def _realized_masks(fan: Fan, slot: _DivisorSlot):
     vertex triples (b, above, basis) of its closure, in basis order.
     Lowering the levels changes no lattice count (``region_sum``) and,
     by continuity, no volume, so this one table feeds both.  Computed
-    once per slot, which keeps it, and once per kept simple cell while
-    its entries fit the budget.
+    once per slot, which keeps it with its simple cell, and once per
+    kept simple cell while its entries fit the budget.
     """
     masks = slot.masks
     if masks is not None:
         return masks
     arrangement = slot.arrangement
-    cell = _simple_cell(arrangement, slot.cell)
+    cell = _slot_simple(slot)
     masks = cell.masks
     if masks is None:
         realized = _realized_reader(fan)
@@ -993,69 +1094,96 @@ def _realized_masks(fan: Fan, slot: _DivisorSlot):
 
 
 def region_sum(fan: Fan, d: Divisor, weight) -> tuple:
-    """Sum of weight(W) * (lattice points in the region of W) over the bounded subsets W.
+    """Sum of weight(fan, W) * (lattice points in the region of W) over the bounded subsets W.
 
-    ``weight`` maps a ray subset to a tuple of integers, of the same
-    length for every subset.  Only the regions D realizes are visited,
-    read off the table of ``_realized_masks``, at most 2^n per basis.
-    Lowering every level L_i by an infinitesimal theta_i > 0 moves no
-    lattice point across a row: at a lattice point m, <m, v_i> is an
-    integer, so <m, v_i> >= L_i - theta_i exactly when <m, v_i> >= L_i,
-    and the strict rows likewise.  So each region of D holds the lattice
-    points of its lowered region, and on the lowered levels a nonempty
-    bounded region's closure has a vertex P_B, whose regions are the
-    table's orthant masks.  Each is counted off the divisor's slot by
-    ``_slot_count``, with the row bounds of D itself.
+    ``weight`` maps (fan, ray subset) to a tuple of integers, of the
+    same length for every subset, as the weights of the volume tables
+    do (``_lawrence_columns``).  Only the regions D realizes are
+    visited, read off the table of ``_realized_masks``, at most 2^n per
+    basis.  Lowering every level L_i by an infinitesimal theta_i > 0
+    moves no lattice point across a row: at a lattice point m, <m, v_i>
+    is an integer, so <m, v_i> >= L_i - theta_i exactly when <m, v_i> >=
+    L_i, and the strict rows likewise.  So each region of D holds the
+    lattice points of its lowered region, and on the lowered levels a
+    nonempty bounded region's closure has a vertex P_B, whose regions
+    are the table's orthant masks.  Each is counted off the divisor's
+    slot by ``_slot_count``, with the row bounds of D itself.
 
     The fan keeps the last divisor summed in one slot (``_DivisorSlot``)
     under the ``"last_divisor"`` memo, keyed by the cleared divisor (the
     integers q * d and their q), so 2 and Fraction(4, 2) share it.  The
     slot reads its realized masks off the simple cell of the divisor's
-    type cell and solves the vertices of the regions it counts, once
-    each.  A new divisor replaces it in one assignment, so concurrent
-    calls need no lock.  The slot also keeps the count of every mask
-    counted so far, so a second question about one divisor
+    type cell.  A new divisor replaces it in one assignment, so
+    concurrent calls need no lock.  The slot also keeps the count of
+    every mask counted so far, so a second question about one divisor
     (``cech_oracle`` or ``euler_char`` after ``h_all``) counts no region
     the first one did.
 
-    Weights are asked per call: realized subsets with an all-zero weight
-    are skipped, so a caller that weights by a slice of the rank vectors
-    counts only the regions that slice reads, and only the nonzero
-    entries of a weight are added.  A region is counted only when its
-    count is missing, and no region object is built.
+    Only the table entries with a nonzero weight are visited
+    (``_weighted_entries``, kept per weight on a kept simple cell), so a
+    caller that weights by a slice of the rank vectors counts only the
+    regions that slice reads, and only the nonzero entries of a weight
+    are added.  A region is counted only when its count is missing, and
+    no region object is built.
     """
-    _check_length(fan, d)
-    slot = _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d), keep=True)
-    masks = _realized_masks(fan, slot)
+    slot = _held_slot(fan, d)
+    size, entries = _weighted_entries(fan, slot, weight)
     amounts = slot.amounts
-    # The weight length is read off the first realized subset, else the empty one.
-    total = [0] * len(weight(masks[0][1] if masks else frozenset()))
-    for mask, subset, vertices in masks:
-        w = weight(subset)
-        if not any(w):
-            continue
+    total = [0] * size
+    for mask, nonzero, vertices in entries:
         amount = amounts.get(mask)
         if amount is None:
-            amount = amounts[mask] = _slot_count(fan, slot, mask, vertices)
+            amount = amounts[mask] = _slot_count(slot, mask, vertices)
         if amount:
-            for i, x in enumerate(w):
-                if x:
-                    total[i] += x * amount
+            for i, x in nonzero:
+                total[i] += x * amount
     return tuple(total)
 
 
-def _slot_count(fan: Fan, slot: _DivisorSlot, mask: int, vertices) -> int:
-    """The lattice count of the weak mask's region, read off the divisor slot.
+def _weighted_entries(fan: Fan, slot: _DivisorSlot, weight):
+    """(size, entries): the weight's length and the realized table entries it weights.
 
-    The rows' bounds ceil(-d_i) are cleared once per slot, and the
-    closure's vertices are the slot's solved points of ``vertices``, the
-    mask's vertex triples; ``_lattice_count`` counts.
+    One entry (mask, nonzero, vertices) per entry of ``_realized_masks``
+    whose weight is not all zero, with ``nonzero`` the pairs (i, w_i)
+    with w_i != 0.  The length is read off the first realized subset,
+    else the empty one.  Kept on the slot's simple cell under the weight
+    object, when it is kept, within the budget, one entry per entry.
     """
+    simple = _slot_simple(slot)
+    found = simple.weighted.get(weight)
+    if found is None:
+        table = [(mask, weight(fan, rays), vertices) for mask, rays, vertices in _realized_masks(fan, slot)]
+        entries = tuple(
+            (mask, tuple((i, x) for i, x in enumerate(w) if x), vertices)
+            for mask, w, vertices in table
+            if any(w)
+        )
+        found = len(table[0][1] if table else weight(fan, frozenset())), entries
+        if simple.kept and slot.arrangement.admit(len(entries)):
+            simple.weighted[weight] = found
+    return found
+
+
+def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:
+    """The lattice count of a realized mask's region, read off the divisor slot.
+
+    The mask's count plan (``_cell_plan``, from its vertex triples
+    ``vertices``) is built on its first count and kept on the slot's
+    simple cell, when it is kept, within the budget.  The rows' bounds
+    ceil(-d_i) are cleared once per slot, and the box solves only the
+    first n - 1 coordinates of each vertex; ``_lattice_count`` counts.
+    """
+    arrangement, simple = slot.arrangement, _slot_simple(slot)
+    plan = simple.plans.get(mask)
+    if plan is None:
+        plan = _cell_plan(arrangement, mask, vertices)
+        if simple.kept and arrangement.admit(len(plan.facets) + len(plan.corners)):
+            simple.plans[mask] = plan
+    coefficients, q = slot.key
     if slot.bounds is None:
-        coefficients, q = slot.key
         slot.bounds = _ceilings([-x for x in coefficients], q)
-    rows = _integer_rows(fan.rays, fan.memo, slot.bounds, mask)
-    return _lattice_count(rows, [slot.point(b) for b, _, _ in vertices], slot.scale, fan.dim)
+    points = zip(*([sum(map(mul, row, get(coefficients))) for row in rows] for get, rows in plan.corners))
+    return _lattice_count(plan, slot.bounds, [_range(column, slot.scale) for column in points])
 
 
 def _lawrence_columns(fan: Fan, slot: _DivisorSlot, weight):

@@ -3,8 +3,9 @@
 ``-O`` strips ``assert`` statements, so this checks that the library's
 internal cross-checks do not rely on them; a static scan keeps the
 library free of ``assert`` statements altogether, one keeps every LP
-in the one capped-gap form of ``lp.py``, and one more keeps its runtime
-on the standard library.  Another scan keeps the Cech
+in the one capped-gap form of ``lp.py``, one keeps every lattice count
+on the one slice walk, and one more keeps its runtime on the standard
+library.  Another scan keeps the Cech
 referee from reading the sphere-complex rank vectors it checks, and
 one the volume referees from reading the volume tables.  One keeps
 floating point off every path: no float literal, no ``float`` use and
@@ -71,6 +72,30 @@ def test_library_solves_lps_in_one_form():
                     if kw.arg in ("maximize", "nonneg", "a_eq", "b_eq")
                 ]
     assert not found, found
+
+
+def test_library_walks_slices_in_one_function():
+    # Every lattice count runs the one count core: only the slice walk
+    # reads floor_sum, so a second count path cannot creep back.
+    assert SOURCES
+    readers = set()
+
+    def visit(node, owner, path):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Lambda):
+                inner = "<lambda>"
+            elif isinstance(child, ast.alias) and child.name == "floor_sum":
+                readers.add(f"{path.name}:{owner} imports it")
+            elif getattr(child, "id", None) == "floor_sum" or getattr(child, "attr", None) == "floor_sum":
+                readers.add(f"{path.name}:{owner}")
+            visit(child, inner, path)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "<module>", path)
+    assert readers == {"regions.py:_slice_count"}, readers
 
 
 def test_library_imports_only_the_standard_library():

@@ -118,14 +118,16 @@ def scan_integer_vertices(reg):
 def sweep_region_sum(fan, d, weight, measure, amounts):
     """The sum over every bounded subset, each region measured on its own scan.
 
-    Each region is built on its own and measured by ``measure``, a
-    measure of a standalone region.  ``amounts`` caches each region's
-    measure, so one divisor's sweep serves every function compared.
+    ``weight`` maps (fan, ray subset) to a tuple, as the weights of
+    ``regions.region_sum`` do.  Each region is built on its own and
+    measured by ``measure``, a measure of a standalone region.
+    ``amounts`` caches each region's measure, so one divisor's sweep
+    serves every function compared.
     """
     public = measure
     total = None
     for subset in bounded_subsets(fan):
-        w = weight(subset)
+        w = weight(fan, subset)
         if total is None:
             total = [0] * len(w)
         if not any(w):
@@ -161,7 +163,7 @@ def compare_with_sweep(monkeypatch, fan, d, functions):
     def volume_sweep(fan_, slot, weight, degrees):
         coefficients, q = slot.key
         d_ = tuple(Fraction(c, q) for c in coefficients)
-        totals = sweep_region_sum(fan_, d_, lambda W: weight(fan_, W)[degrees], pulling_volume, amounts)
+        totals = sweep_region_sum(fan_, d_, lambda fan, W: weight(fan, W)[degrees], pulling_volume, amounts)
         return tuple(Fraction(x) for x in totals)
 
     def scan(reg):
@@ -249,9 +251,9 @@ def test_warm_h_all_measures_only_realized_regions(monkeypatch):
     count = regions._slot_count
     scan = regions._integer_vertices
 
-    def recorded_count(fan_, slot, mask, vertices):
-        measured.append(frozenset(i for i in range(len(fan_.rays)) if mask >> i & 1))
-        return count(fan_, slot, mask, vertices)
+    def recorded_count(slot, mask, vertices):
+        measured.append(frozenset(i for i in range(len(fan.rays)) if mask >> i & 1))
+        return count(slot, mask, vertices)
 
     def recorded_scan(reg):
         scans.append(reg)
@@ -464,7 +466,7 @@ def test_row_bounds_count_each_realized_region_like_a_fresh_one():
             for slot, mask, vertices in realized_regions(fan, d):
                 subset = [i for i in range(k) if mask >> i & 1]
                 own = region(fan, d, subset)
-                count = regions._slot_count(fan, slot, mask, vertices)
+                count = regions._slot_count(slot, mask, vertices)
                 points = box_scan(own)
                 assert count == lattice_count(own) == len(points), (fan, d, subset)
                 assert lattice_points(own) == points
@@ -689,11 +691,11 @@ def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):
     count = regions._slice_count
     calls = []
 
-    def failing(rows, s_range):
-        calls.append(s_range)
+    def failing(*args):
+        calls.append(args)
         if len(calls) == 3:
             raise RuntimeError("slice count interrupted")
-        return count(rows, s_range)
+        return count(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(regions, "_slice_count", failing)
@@ -704,11 +706,11 @@ def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):
 
     # A count that raises after one region leaves only that region's
     # count in the slot, keyed by its mask.
-    def partial_measure(fan_, slot, mask, vertices):
+    def partial_measure(slot, mask, vertices):
         if partial_measure.left == 0:
             raise RuntimeError("measure interrupted")
         partial_measure.left -= 1
-        return count_region(fan_, slot, mask, vertices)
+        return count_region(slot, mask, vertices)
 
     count_region = regions._slot_count
     partial_measure.left = 1
@@ -716,7 +718,7 @@ def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(regions, "_slot_count", partial_measure)
         with pytest.raises(RuntimeError, match="measure interrupted"):
-            regions.region_sum(interrupted, d, lambda subset: (1,))
+            regions.region_sum(interrupted, d, lambda fan, subset: (1,))
     assert len(last_divisor(interrupted)[1].amounts) == 1
     assert h_all(interrupted, d) == expected
     assert cech_oracle(interrupted, d) == expected

@@ -368,14 +368,23 @@ def test_ampleness_leaves_the_class_slot_held(monkeypatch):
 def kept_entries(arrangement):
     """The entries of the kept cells, counted from their keys and the cells themselves.
 
-    A kept volume table counts one entry per row of each column.
+    A kept volume table counts one entry per row of each column, a kept
+    count plan one per facet row and one per vertex, and a kept weighted
+    table one per entry.  A simple cell that a kept cell pins without
+    its key counts its vertices and what it keeps.
     """
+    cells = list(arrangement.cells.values())
+    pinned = {id(cell.simple): cell.simple for cell in cells if cell.simple is not None}
+    for cell in cells:
+        pinned.pop(id(cell), None)
     return sum(
-        len(key)
+        len(cell.key)
         + len(cell.vertices)
         + (sum(len(entry[2]) for entry in cell.masks) if cell.masks else 0)
+        + sum(len(plan.facets) + len(plan.corners) for plan in cell.plans.values())
+        + sum(len(entries) for _, entries in cell.weighted.values())
         + table_entries(cell)
-        for key, cell in arrangement.cells.items()
+        for cell in cells + list(pinned.values())
     )
 
 
@@ -420,13 +429,42 @@ def test_every_divisor_of_the_21_ray_origin_cell_answers_and_is_stored():
         coefficients, q = to_integers(d)
         assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
     # The origin cell is kept; its simple cell's 1330 circuit signs do
-    # not fit the rest of the budget, so the held slot keeps the table.
+    # not fit the rest of the budget, so the origin cell pins the simple
+    # cell without its key, and the simple cell keeps what fits.
     arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
     slot = fan._memo["last_divisor"][0][1]
     simple = regions._simple_cell(arrangement, slot.cell)
-    assert list(arrangement.cells.values()) == [slot.cell] and not simple.kept
+    assert list(arrangement.cells.values()) == [slot.cell]
+    assert simple is slot.cell.simple and simple.kept and simple.key == ()
     assert len(slot.cell.vertices) == 1 and len(simple.vertices) == len(arrangement.bases)
-    assert slot.cell.masks is None and 0 < len(slot.masks) <= len(arrangement.bases) * 2**fan.dim
+    masks = regions._realized_masks(fan, slot)
+    assert slot.cell.masks is None and 0 < len(masks) <= len(arrangement.bases) * 2**fan.dim
+    assert kept_entries(arrangement) == arrangement.entries <= regions.CELL_BUDGET
+
+
+def test_a_second_principal_divisor_of_the_21_ray_origin_builds_no_cell(monkeypatch):
+    from test_cli import TRIPLES_21
+
+    # The kept origin cell pins its simple cell, so a new principal
+    # divisor neither lowers the key again nor classifies a cell.
+    k = len(TRIPLES_21)
+    fan = make_fan(2, [(a, b) for a, b, _ in TRIPLES_21], [{i, (i + 1) % k} for i in range(k)])
+    zero = (0,) * k
+    assert h_all(fan, shift(fan, zero, (1, -2))) == (1, 0, 0)
+    built = []
+    cell_type = regions._TypeCell
+
+    class Counted(cell_type):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(regions, "_TypeCell", Counted)
+    for u in ((2, 3), (-1, 4)):
+        assert h_all(fan, shift(fan, zero, u)) == (1, 0, 0) and euler_char(fan, shift(fan, zero, u)) == 1
+    assert built == []
 
 
 def wall_divisor(fan, rng):
