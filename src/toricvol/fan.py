@@ -99,10 +99,11 @@ class Fan:
         """Write-once cache; concurrent duplicate computes are benign.
 
         Every key is written once, but a few values are containers filled
-        later: the one-divisor slot of ``regions.region_sum`` under
-        ``"last_divisor"``, replaced whole in one assignment, the type
-        cells under ``"arrangement"``, and per-fan caches of values that
-        never change once made.
+        later: the held divisor of ``regions._held_slot`` under
+        ``"last_divisor"``, a triple (key, slot, entries) replaced whole
+        in one assignment, ``entries`` a tuple copy of the divisor, the
+        type cells under ``"arrangement"``, and per-fan caches of values
+        that never change once made.
         """
         if key not in self._memo:
             self._memo[key] = compute()

@@ -29,13 +29,13 @@ Chamber facts depend on the ray configuration alone (Gelfand, Kapranov
 and Zelevinsky), so they live in the per-fan memo and are computed once
 per fan: the inside mask of each ray basis (the rays in its cone), the
 rays inside each cone, the extreme subset of each tight ray set, the
-condition system of each chamber cone, the list of maximal chambers and
-the standalone fan of each chamber that ``hhat0_on_chamber`` evaluates
-on.  The inside masks, and with them every ray-in-cone fact of the
-chamber search, the condition systems and the normal fans, are read off
-the fan's one table of integer basis inverses (``fan._basis_inverses``).
-So are the condition systems and the cone functionals of nef
-decompositions, and the region vertices and the Cartier data of
+condition system of each chamber cone and the plan of its nef splits,
+the list of maximal chambers and the standalone fan of each chamber
+that ``hhat0_on_chamber`` evaluates on.  The inside masks, and with
+them every ray-in-cone fact of the chamber search, the condition
+systems and the normal fans, are read off the fan's one table of
+integer basis inverses (``fan._basis_inverses``).  So are the owner
+rows of the nef plans, and the region vertices and the Cartier data of
 ``divisor`` read the table too, so none of them runs an elimination or
 an LP of its own.  The located chamber of a divisor is constant on its
 type cell (``regions``: the divisors with the same circuit signs), so it
@@ -47,21 +47,25 @@ primitive int tuples, once per fan, and membership, the chamber step
 (``GKZCone.step``, the step rule of the ampleness probes) and the
 interior-sample LP read those rows as they are; the chamber search
 takes a ray's side of a facet from a column of a basis inverse.  The
-growth path clears each divisor to integers once per call
-(``linalg.to_integers``) and stays there.  The ampleness test reads an
-ample class of an open type cell off the volume table of its cell, with
-no probe.  Only a class on a cell wall is probed: ``GKZCone.slacks``
-takes the cleared divisor, so the test reads the step for every ray off
-one set of slacks, builds each probe d +- (a / b) e_rho as integers over
-q b in lowest terms, tests it with integer dots and hands it to the
-cleared rates (``asymptotics._cleared_rates``).  A nef
-decomposition computes its cone functionals, its parts and its two
-vertex tables as integers over one scale.  A ``Fraction`` is built only
-for an answer: support function values, sample divisors, nef parts,
-shifts and growth rates.  The memo holds none of them as a ``GKZCone``
-or as anything else that references the ambient fan (a chamber's fan is
-built on copies of its rays); every call builds fresh ``GKZCone``
-objects around the memoized data.
+growth path clears each divisor to integers at most once per call
+(``linalg.to_integers``) and stays there; on a complete fan the cleared
+divisor is the key of its held slot (``regions._held_slot``), so the
+calls of a chamber step on one divisor object clear it once in all.
+The ampleness test reads an ample class of an open type cell off the
+volume table of its cell, with no probe.  Only a class on a cell wall
+is probed: ``GKZCone.slacks`` takes the cleared divisor, so the test
+reads the step for every ray off one set of slacks, builds each probe
+d +- (a / b) e_rho as integers over q b in lowest terms, tests it with
+integer dots and hands it to the cleared rates
+(``asymptotics._cleared_rates``).  A nef decomposition reads its ray
+values off a plan kept once per fan and chamber (``_NefPlan``) and
+computes its parts and its two vertex tables as integers over one
+scale.  A ``Fraction`` is built only for an answer: support function
+values, sample divisors, nef parts, shifts and growth rates.  The memo
+holds none of them as a ``GKZCone`` or as anything else that
+references the ambient fan (a chamber's fan is built on copies of its
+rays); every call builds fresh ``GKZCone`` objects around the memoized
+data.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ from .fan import (
 from .homology import _local_ranks
 from .linalg import _lowest_terms, dot, nullspace, rank, solve, to_integers
 from .lp import gap_lp, relative_interior_functional
-from .regions import _held_slot, _lawrence_columns, _polytope_table, _vertex_table
+from .regions import _cleared, _held_slot, _lawrence_columns, _polytope_table, _vertex_table
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +542,15 @@ def _check_fan(fan: Fan, cone: GKZCone) -> None:
 
 
 def gkz_membership(fan: Fan, cone: GKZCone, d: Divisor) -> bool:
-    """Whether the divisor class lies in the (closed) chamber cone."""
+    """Whether the divisor class lies in the (closed) chamber cone.
+
+    The slacks are read off d cleared at most once (``regions._cleared``):
+    the key of its held slot when d is the fan's held divisor, with no
+    clearing.  The test holds no divisor, so it keys no type cell and
+    leaves the held slot to the questions that read it.
+    """
     _check_fan(fan, cone)
-    return cone.contains(d)
+    return _in_closed(cone.slacks(_cleared(fan, d)[0]))
 
 
 def located_cone(fan: Fan, location: LocatedChamber) -> GKZCone:
@@ -753,70 +763,131 @@ class NefDecomposition:
     remainder: Divisor
 
 
+@dataclass(frozen=True, slots=True)
+class _NefPlan:
+    """The divisor-free half of a chamber's nef splits, kept once per fan and chamber.
+
+    ``rows`` holds one sparse integer row per ray, pairs (b, m) with
+    xi_rho = sum m * (q d)_b: the value on v_rho of the functional of the
+    ray's owner cone, U = A_B . (-q d_B) over its recorded basis B, as
+    ``divisor._basis_functional`` computes it.  ``support`` lists the
+    rays of the cones and ``normals`` their rays; ``full`` says whether
+    every ray generates one of the cones, so that the nef region is a
+    region of the fan itself, on its memo (a flag, as a memo function
+    kept here would point back at the fan).  ``zero`` is the shared
+    zero shift.
+    """
+
+    rows: tuple
+    support: tuple[int, ...]
+    normals: tuple
+    full: bool
+    zero: tuple[Fraction, ...]
+
+
+def _nef_plan(fan: Fan, cones, strict) -> _NefPlan | None:
+    """The ``_NefPlan`` of a chamber, or None when a ray lies in none of its cones; once per fan.
+
+    Kept beside ``_gkz_system`` under the same cones and strict rays.
+    """
+
+    def compute():
+        _, bases, owners, *_ = _gkz_system(fan, cones, strict)
+        if None in owners:
+            return None
+        _, inverses = _basis_inverses(fan.rays, fan.dim, fan.memo)
+        rows = []
+        for owner, ray in zip(owners, fan.rays):
+            basis = bases[owner]
+            values = (sum(map(mul, column, ray)) for column in zip(*inverses[basis]))
+            rows.append(tuple((b, -x) for b, x in zip(basis, values) if x))
+        support = tuple(sorted(frozenset().union(*cones)))
+        return _NefPlan(
+            tuple(rows),
+            support,
+            tuple(fan.rays[rho] for rho in support),
+            len(support) == len(fan.rays),
+            (Fraction(0),) * fan.dim,
+        )
+
+    return fan.memo(("nef_plan", cones, strict), compute)
+
+
 def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     """Split a chamber member into a nef part plus a remainder on strict rays.
 
-    With d cleared once to coefficients / q, the functional of each cone
-    is U / (common q), agreeing with -d on the cone's recorded basis B:
+    With d cleared once to coefficients / q (on a complete fan the key
+    of its held slot, ``regions._held_slot``), the functional of each
+    cone is U / (common q), agreeing with -d on the cone's recorded basis B:
     U = A_B . (-q d_B) for B's integer inverse A_B / common in the fan's
-    table (``divisor._basis_functional``).  With each ray's value on its
-    owner cone, xi = <U, v> / (common q), the shift T / t (0 / 1 unless
-    the chamber has a lineality space) and its values <T, v> / t, every
-    part is an integer vector over the one scale M = common * q * t:
-    remainder = xi + d, shifted = d + <shift, v> and nef = <shift, v> -
-    xi.  A ``Fraction`` is built only for these answers.
+    table.  Each ray's value on its owner cone, xi = <U, v> / (common q),
+    is one sparse integer row of the chamber's ``_NefPlan`` dotted with
+    q d.  With the shift T / t (the plan's zero unless the chamber has a
+    lineality space, which solves for it from the first cone's
+    functional, ``divisor._basis_functional``) and its values
+    <T, v> / t, every part is an integer vector over the one scale
+    M = common * q * t: remainder = xi + d, shifted = d + <shift, v> and
+    nef = <shift, v> - xi.  A ``Fraction`` is built only for these
+    answers.
 
     All three postconditions are recomputed and enforced: the remainder
     is nonnegative and supported on the strict rays, and the shifted
     divisor has exactly the nef part's section polytope.  The polytopes
     are compared on their integer vertex tables, the shifted one read
-    off its divisor slot in the fan's memo and the nef one off the nef
-    region's memo: with points P / s and Q / r, the vertex sets agree
-    exactly when {r P} = {s Q}.  Raises ValueError unless the cone was
-    built on ``fan`` and its cones hold every ray.
+    off its divisor slot in the fan's memo (the held slot of d when the
+    shift is zero) and the nef one off the fan's memo too when every ray
+    generates one of the cones, else off the nef region's own memo:
+    with points P / s and Q / r, the vertex sets agree exactly when
+    {r P} = {s Q}, the points themselves when r = s.  Raises
+    ValueError unless the cone was built on ``fan`` and its cones hold
+    every ray.
     """
     _check_fan(fan, cone)
-    coefficients, q = to_integers(d)
+    coefficients, q = _held_slot(fan, d).key if is_complete(fan) else _cleared(fan, d)
     if not _in_closed(cone.slacks(coefficients)):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
-    owners = _gkz_system(fan, cone.sigma_cones, cone.strict_rays)[2]
-    if None in owners:
+    plan = _nef_plan(fan, cone.sigma_cones, cone.strict_rays)
+    if plan is None:
         raise ValueError("the chamber's cones must hold every ray")
     n = fan.dim
     common, _ = _basis_inverses(fan.rays, n, fan.memo)
-    functionals = [_basis_functional(fan, basis, coefficients) for basis in cone.bases]
-    xi = [sum(map(mul, functionals[owner], ray)) for owner, ray in zip(owners, fan.rays)]
+    xi = [sum([m * coefficients[b] for b, m in row]) for row in plan.rows]
     if cone.lineality_basis:
-        base = functionals[0]
+        base = _basis_functional(fan, cone.bases[0], coefficients)
         rhs = [Fraction(sum(map(mul, base, b)), common * q) for b in cone.lineality_basis]
         shift = solve([list(b) for b in cone.lineality_basis], rhs)
         if shift is None:
             raise ToricError("internal: no shift matches the chamber's lineality space")
         moved, t = to_integers(shift)
+        lifts = [common * q * sum(map(mul, moved, ray)) for ray in fan.rays]
     else:
-        shift = tuple(Fraction(0) for _ in range(n))
-        moved, t = [0] * n, 1
+        shift, t, lifts = plan.zero, 1, [0] * len(coefficients)
     scale = common * q * t
-    lifts = [common * q * sum(map(mul, moved, ray)) for ray in fan.rays]
     remainder = [t * (x + common * c) for x, c in zip(xi, coefficients)]
     if any(e < 0 for e in remainder):
         raise ToricError("internal: remainder picked up a negative coefficient")
     if any(e > 0 and rho not in cone.strict_rays for rho, e in enumerate(remainder)):
         raise ToricError("internal: remainder escaped the strict-ray support")
     shifted = [common * t * c + lift for c, lift in zip(coefficients, lifts)]
-    support_rays = frozenset().union(*cone.sigma_cones)
-    support = sorted(support_rays)
+    support = plan.support
     nef = [lifts[rho] - t * xi[rho] for rho in support]
     shifted_table, s = _polytope_table(fan.rays, n, fan.memo, *_lowest_terms(shifted, scale))
+    if plan.full:
+        memo = fan.memo
+    else:
+        key = frozenset(support)
 
-    def nef_memo(key, compute):
-        # The nef region's normals are the support rays, not all rays.
-        return fan.memo(("nef_region", support_rays, key), compute)
+        def memo(entry, compute):
+            # The nef region's normals are the support rays, not all rays.
+            return fan.memo(("nef_region", key, entry), compute)
 
-    normals = tuple(fan.rays[rho] for rho in support)
-    nef_table, r = _polytope_table(normals, n, nef_memo, *_lowest_terms(nef, scale))
-    shifted_points = {tuple(r * x for x in p) for p in shifted_table}
-    if shifted_points != {tuple(s * x for x in p) for p in nef_table}:
+    nef_table, r = _polytope_table(plan.normals, n, memo, *_lowest_terms(nef, scale))
+    if r == s:
+        same = shifted_table.keys() == nef_table.keys()
+    else:
+        shifted_points = {tuple(r * x for x in p) for p in shifted_table}
+        same = shifted_points == {tuple(s * x for x in p) for p in nef_table}
+    if not same:
         raise ToricError("internal: nef part's polytope differs from the shifted one")
     return NefDecomposition(
         tuple(Fraction(x, scale) for x in shifted),
@@ -833,10 +904,13 @@ def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
     pushforward on the chamber's own fan and cross-check against the
     direct volume computation; degenerate chambers are identically zero.
     The chamber's fan is built once per ambient fan and kept in its
-    memo, so its own memo stays warm across calls.  Raises ValueError
-    unless the cone was built on ``fan``.
+    memo, so its own memo stays warm across calls.  The divisor is
+    cleared once, for its held slot, whose key the membership test and
+    whose volume table the direct volume read.  Raises ValueError unless
+    the cone was built on ``fan``.
     """
-    if not gkz_membership(fan, cone, d):
+    _check_fan(fan, cone)
+    if not _in_closed(cone.slacks(_held_slot(fan, d).key[0])):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
     direct = _rates(fan, d, slice(1))[0]
     if cone.lineality_basis:

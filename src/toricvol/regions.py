@@ -41,11 +41,12 @@ cell (below) with that cell's realized table and count plans, the
 located chamber of ``gkz.locate_chamber`` and its volume tables.
 ``_DivisorSlot`` keeps what one divisor adds: its row bounds, its
 lattice counts by mask, the vertices P_B = A_B . L_B its vertex tables
-solve and the powers its volumes take, and each memo holds the slot of
-its last divisor.  ``region_sum`` counts a realized region's lattice
-points straight off that slot and the count plan of the region's weak
-mask, with no region object (``_slot_count``).  A standalone
-``HalfOpenRegion`` feeds the same count core from its own vertex table
+solve and the powers its volumes take, and each fan's memo holds the
+slot of its last divisor, found again by the identity of its entries
+with no clearing (``_held_slot``).  ``region_sum`` counts a realized
+region's lattice points straight off that slot and the count plan of
+the region's weak mask, with no region object (``_slot_count``).  A
+standalone ``HalfOpenRegion`` feeds the same count core from its own vertex table
 and row bounds, each computed at most once per object, on first use.
 
 Counts and volumes sum over the regions of one simple cell.  Lowering
@@ -91,7 +92,8 @@ cut out the region (``_cell_plan``); each simple cell keeps the plan of
 every realized mask it counts.  A count then only clears the bounds,
 solves the first n - 1 coordinates of each vertex for the bounding box,
 and walks: above each integer point of the box's first n - 2
-coordinates the facets' bounds are shifted, the flat rows narrow the
+coordinates the facets' bounds are shifted (moved along the last of
+those coordinates by one subtraction per facet), the flat rows narrow the
 slice, and ``_slice_count`` walks its lower and upper envelopes along
 the second-to-last coordinate, adding each run between envelope changes
 with two floor sums (the lattice points under a segment, by the
@@ -113,7 +115,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
 from itertools import combinations, count, product
-from operator import itemgetter, mul, or_
+from operator import is_, itemgetter, mul, or_
 from typing import Callable
 
 from .divisor import Divisor, _check_length
@@ -628,36 +630,59 @@ class _DivisorSlot:
         return -sum(x * coefficients[i] for x, i in zip(g, combo))
 
 
-def _divisor_slot(normals, dim: int, memo, coefficients, q: int, keep: bool = False) -> _DivisorSlot:
-    """The slot of the cleared divisor q * d = ``coefficients``: the memo's last one if it matches.
+def _divisor_slot(normals, dim: int, memo, coefficients, q: int) -> _DivisorSlot:
+    """The slot of the cleared divisor q * d = ``coefficients``: the memo's held one if it matches.
 
-    Otherwise a new slot, on the type cell of the levels -q * d.  With
-    ``keep`` the new slot replaces the held one, in one assignment so
-    that concurrent calls need no lock.
+    Otherwise a new slot, on the type cell of the levels -q * d, which
+    does not replace the held one (``_held_slot`` does that).
     """
     key = (tuple(coefficients), q)
-    last = memo("last_divisor", lambda: [None])
-    held = last[0]
+    held = memo("last_divisor", lambda: [None])[0]
     if held is not None and held[0] == key:
         return held[1]
     arrangement = _arrangement(normals, dim, memo)
-    slot = _DivisorSlot(key, arrangement, _type_cell(arrangement, [-x for x in coefficients]))
-    if keep:
-        last[0] = (key, slot)
-    return slot
+    return _DivisorSlot(key, arrangement, _type_cell(arrangement, [-x for x in coefficients]))
 
 
 def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
-    """The slot of d on a complete fan (``_divisor_slot``), kept as the fan's last divisor.
+    """The slot of d on a complete fan (``_divisor_slot``), held as the fan's last divisor.
 
-    Region sums, support functions and growth rates read it.  Raises
-    NotCompleteError unless the fan is complete, and ValueError unless
-    d has one coefficient per ray.
+    The ``"last_divisor"`` memo holds (key, slot, entries), ``entries``
+    a tuple copy of the divisor held.  A divisor whose entries are the
+    same objects is that divisor: its slot is returned with no clearing
+    and no key.  Identity, not ``==``, so True never stands for 1
+    (``linalg.to_integers`` rejects bools) and a list mutated in place
+    is cleared again.  Any other divisor is cleared (``to_integers``)
+    and its key compared with the held one; either way it becomes the
+    held divisor, in one assignment, so that concurrent calls need no
+    lock.  Region sums, support functions, chamber steps and growth
+    rates read it.  Raises NotCompleteError unless the fan is complete,
+    and ValueError unless d has one coefficient per ray.
     """
     if not is_complete(fan):
         raise NotCompleteError("region sums, support functions and growth rates need a complete fan")
     _check_length(fan, d)
-    return _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d), keep=True)
+    last = fan.memo("last_divisor", lambda: [None])
+    held = last[0]
+    if held is not None and all(map(is_, d, held[2])):
+        return held[1]
+    entries = tuple(d)
+    slot = _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(entries))
+    last[0] = (slot.key, slot, entries)
+    return slot
+
+
+def _cleared(fan: Fan, d: Divisor) -> tuple:
+    """(q * d, q) of d: the held key when d is the held divisor (``_held_slot``), else one ``to_integers``.
+
+    Holds nothing, so the held slot stays.  Raises ValueError unless d
+    has one coefficient per ray.
+    """
+    _check_length(fan, d)
+    held = fan.memo("last_divisor", lambda: [None])[0]
+    if held is not None and all(map(is_, d, held[2])):
+        return held[0]
+    return to_integers(d)
 
 
 def _vertex_table(slot: _DivisorSlot, weak: int):
@@ -954,10 +979,13 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
     shifted by its head, <a, prefix>, and the plan's lower and upper
     lines cut one 2-D slice, counted by ``_slice_count``; its flat rows
     narrow the slice's range of s, the last range of the box, or empty
-    it.  Both envelopes are nonempty, as the fibers of ``_fibers`` are
-    bounded.  A slice with k facets costs O(k) envelope steps of O(k)
-    work each plus O(log m) per floor sum, independent of its width, so
-    a region of m*D costs about m^(n-2) slices.  At most
+    it.  The shifts are computed once per point of the first n - 3
+    ranges and then moved along the last prefix coordinate, one
+    subtraction per facet and step.  Both envelopes are nonempty, as
+    the fibers of ``_fibers`` are bounded.  A slice with k facets costs
+    O(k) envelope steps of O(k) work each plus O(log m) per floor sum,
+    independent of its width, so a region of m*D costs about m^(n-2)
+    slices.  At most
     ``FIBER_BUDGET`` slices are counted before CapExceededError.  In
     dimension 1, where the box has no coordinate, the count sums the
     region's one fiber.
@@ -965,11 +993,18 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
     rows = _bounds(plan, ceilings)
     if not box:
         return sum(hi - lo + 1 for _, lo, hi in _fibers(rows, box))
+    heads = box[:-1]
+    first = heads[-1].start if heads else None
+    lo0, hi0 = box[-1].start, box[-1].stop - 1
     total = 0
-    for prefix in _prefixes(box[:-1]):
-        # Each facet's bound, shifted by its head: <a, x> = <a, prefix> + alpha*s + beta*t.
-        c = [bound - sum(map(mul, a, prefix)) for a, bound in rows]
-        lo, hi = box[-1].start, box[-1].stop - 1
+    for prefix in _prefixes(heads):
+        if not prefix or prefix[-1] == first:
+            # Each facet's bound, shifted by its head: <a, x> = <a, prefix> + alpha*s + beta*t.
+            c = [bound - sum(map(mul, a, prefix)) for a, bound in rows]
+        else:
+            # One step along the last prefix coordinate moves each bound by -a[-3].
+            c = [x - a[-3] for x, (a, _) in zip(c, rows)]
+        lo, hi = lo0, hi0
         for j, alpha in plan.flat:
             if alpha > 0:
                 lo = max(lo, -(-c[j] // alpha))
@@ -1109,15 +1144,17 @@ def region_sum(fan: Fan, d: Divisor, weight) -> tuple:
     are the table's orthant masks.  Each is counted off the divisor's
     slot by ``_slot_count``, with the row bounds of D itself.
 
-    The fan keeps the last divisor summed in one slot (``_DivisorSlot``)
-    under the ``"last_divisor"`` memo, keyed by the cleared divisor (the
-    integers q * d and their q), so 2 and Fraction(4, 2) share it.  The
-    slot reads its realized masks off the simple cell of the divisor's
-    type cell.  A new divisor replaces it in one assignment, so
-    concurrent calls need no lock.  The slot also keeps the count of
-    every mask counted so far, so a second question about one divisor
-    (``cech_oracle`` or ``euler_char`` after ``h_all``) counts no region
-    the first one did.
+    The fan holds the last divisor asked about in one slot
+    (``_DivisorSlot``) under the ``"last_divisor"`` memo
+    (``_held_slot``): the same divisor object finds it by the identity
+    of its entries, with no clearing, and any other divisor is cleared
+    and compared by its key, the integers q * d and their q, so 2 and
+    Fraction(4, 2) share it.  The slot reads its realized masks off the
+    simple cell of the divisor's type cell.  A new divisor replaces it
+    in one assignment, so concurrent calls need no lock.  The slot also
+    keeps the count of every mask counted so far, so a second question
+    about one divisor (``cech_oracle`` or ``euler_char`` after
+    ``h_all``) counts no region the first one did.
 
     Only the table entries with a nonzero weight are visited
     (``_weighted_entries``, kept per weight on a kept simple cell), so a

@@ -14,7 +14,7 @@ from generated_fans import polygon_fan_data, star_fan_data
 from lp_referees import pairwise_lp_fans_on_rays_3d, projective_sample
 from test_cold_path import PENTAGRAM, counting_solve_lp, suspension
 from toricvol import gkz
-from toricvol.asymptotics import _rates, hhat, mixed_partial_h0
+from toricvol.asymptotics import _rates, hhat, mixed_partial_h0, self_intersection
 from toricvol.divisor import (
     _basis_functional, divisor, is_ample, is_q_cartier, linear_equiv_shift, ray_divisor, scale
 )
@@ -53,7 +53,7 @@ from toricvol.gkz import (
     support_function,
 )
 from toricvol.linalg import dot, nullspace, rank, to_integers
-from toricvol.regions import closure_vertices, region
+from toricvol.regions import _held_slot, closure_vertices, region
 
 
 def effective(fan, rng, span=4):
@@ -1080,7 +1080,8 @@ def counting(monkeypatch, module, name, record):
 def test_warm_ampleness_clears_the_divisor_at_most_three_times(monkeypatch):
     # The class is cleared to integers for its chamber and once more for
     # its slacks, rates and probes; each probe is built cleared.  A
-    # Fraction probe path clears 5k + 2 = 27 times here.
+    # Fraction probe path clears 5k + 2 = 27 times here.  The same
+    # divisor object asked again is its held slot's, cleared no time.
     import toricvol.linalg as linalg
 
     fan = bl2_p2()
@@ -1089,6 +1090,8 @@ def test_warm_ampleness_clears_the_divisor_at_most_three_times(monkeypatch):
     cleared = []
     counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
     assert ample_via_asymptotics(fan, d)
+    assert cleared == []
+    assert ample_via_asymptotics(fan, divisor([3, 3, 3, 2, 2]))  # equal, other objects
     assert 1 <= len(cleared) <= 3, cleared
 
 
@@ -1109,7 +1112,97 @@ def test_warm_mixed_partial_clears_the_divisor_once(monkeypatch, make, ample, ra
     cleared = []
     counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
     assert mixed_partial_h0(fan, d, rays) == expected
+    assert cleared == []  # the held divisor itself: no clearing at all
+    copy = divisor(ample)
+    assert copy == d and copy[0] is not d[0]
+    assert mixed_partial_h0(fan, copy, rays) == expected
     assert cleared == [tuple(d)]
+
+
+def test_membership_and_hhat0_on_chamber_clear_the_divisor_at_most_once(monkeypatch):
+    # hhat0_on_chamber clears d once, for its held slot, whose key the
+    # membership test reads (its chamber fan then clears the pushforward,
+    # another divisor); gkz_membership reads the held key of the held
+    # divisor and clears any other once, holding nothing.
+    import toricvol.linalg as linalg
+    from toricvol import regions
+
+    fan = fresh(f1())
+    coarse = next(ch for ch in enumerate_maximal_chambers(fan) if ch.strict_rays)
+    hhat0_on_chamber(fan, coarse, coarse.sample_divisor)  # warm
+    cleared, keys = [], []
+    counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
+    counting(monkeypatch, regions, "_cell_key", lambda arrangement, _: keys.append(arrangement))
+    arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
+    d = divisor([2, 0, 0, 3])
+    assert hhat0_on_chamber(fan, coarse, d) == 4
+    assert [x for x in cleared if len(x) == 4] == [d]
+    assert [a for a in keys if a is arrangement] == [arrangement]
+    cleared.clear(), keys.clear()
+    assert gkz_membership(fan, coarse, d) and cleared == []
+    other = divisor([1, 1, 1, 1])
+    assert not gkz_membership(fan, coarse, other)
+    assert cleared == [other] and keys == []
+    assert gkz_membership(fan, coarse, d) and cleared == [other]  # d stays held
+
+
+@pytest.mark.parametrize("make", (bl2_p2, bl1_p3), ids=lambda f: f.__name__)
+def test_a_chamber_step_clears_its_divisor_once_and_keys_one_cell(monkeypatch, make):
+    # locate_chamber, nef_decomposition, hhat, self_intersection and
+    # mixed_partial_h0 on one divisor object: the first call clears it
+    # and keys its type cell, the others read its held slot.  The nef
+    # part of a chamber with strict rays keys one more cell, on its own
+    # normals; on the fan's own chamber it is the held divisor.
+    import toricvol.linalg as linalg
+    from toricvol import regions
+
+    fan = fresh(make())
+    own = gkz_cone(fan, fan.max_cones, frozenset())
+    chambers = [own, *(enumerate_maximal_chambers(fan) if fan.dim == 2 else [])]
+    ample = divisor([3, 3, 3, 2, 2] if fan.dim == 2 else [3, 3, 3, 3, -1])
+
+    def step(chamber, d):
+        location = locate_chamber(fan, d)
+        nef_decomposition(fan, chamber, d)
+        hhat(fan, d)
+        self_intersection(fan, d)
+        mixed_partial_h0(fan, d, [len(fan.rays) - 1])
+        return location
+
+    for chamber in chambers:  # warm: the chamber systems, plans and cells
+        step(chamber, ample if chamber is own else chamber.sample_divisor)
+    cleared, keys = [], []
+    counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
+    counting(monkeypatch, regions, "_cell_key", lambda arrangement, _: keys.append(arrangement))
+    arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
+    for chamber in chambers:
+        base = ample if chamber is own else chamber.sample_divisor
+        d = scale(base, Fraction(7, 3))
+        cleared.clear(), keys.clear()
+        assert step(chamber, d).interior
+        assert cleared == [d]
+        assert [a for a in keys if a is arrangement] == [arrangement]
+        assert len(keys) == (2 if chamber.strict_rays else 1), chamber.strict_rays
+
+
+def test_a_nef_split_on_cones_holding_every_ray_builds_no_nef_region():
+    # When every ray generates one of the cones, the nef region is a
+    # region of the fan itself, read on the fan's memo; only a chamber
+    # with strict rays builds the arrangement of its own normals.
+    fan = fresh(bl2_p2())
+    own = gkz_cone(fan, fan.max_cones, frozenset())
+
+    def nef_keys():
+        return [key for key in fan._memo if isinstance(key, tuple) and key[0] == "nef_region"]
+
+    nef_decomposition(fan, own, divisor([3, 3, 3, 2, 2]))
+    full = [ch for ch in enumerate_maximal_chambers(fan) if not ch.strict_rays]
+    for chamber in full:
+        nef_decomposition(fan, chamber, chamber.sample_divisor)
+    assert full and nef_keys() == []
+    coarse = next(ch for ch in enumerate_maximal_chambers(fan) if ch.strict_rays)
+    nef_decomposition(fan, coarse, coarse.sample_divisor)
+    assert any(key[2] == "arrangement" for key in nef_keys())
 
 
 @pytest.mark.parametrize(
@@ -1187,7 +1280,40 @@ def test_nef_decomposition_matches_fraction_referee(make):
         assert answer == growth_referees.nef_decomposition(fan, cone, d), (cone.sigma_cones, d)
         fields = (*answer.shifted, *answer.shift, *answer.nef_coeffs.values(), *answer.remainder)
         assert all(type(x) is Fraction for x in fields)
+        # Once with d held, once after another divisor was held.
+        for held in (d, tuple(c + 1 for c in d)):
+            _held_slot(fan, held)
+            assert nef_decomposition(fan, cone, d) == answer, (cone.sigma_cones, d, held)
     assert any(cone.lineality_basis for cone, _ in cases)
+
+
+@pytest.mark.parametrize("make", (f1, bl2_p2, bl1_p3), ids=lambda f: f.__name__)
+def test_a_corrupted_nef_plan_row_trips_a_postcondition(make):
+    # The checks bite on the shared-slot path: with d held, one owner row
+    # of the per-chamber plan moved by one unit of a nonzero coefficient
+    # raises ToricError on every ray the chamber's cones hold.
+    fan = make()
+    tried = 0
+    for cone, d in nef_cases(fan, random.Random(37)):
+        if not any(d):
+            continue
+        locate_chamber(fan, d)  # holds d
+        expected = nef_decomposition(fan, cone, d)
+        key = ("nef_plan", cone.sigma_cones, cone.strict_rays)
+        plan = fan._memo[key]
+        b = next(i for i, c in enumerate(d) if c)
+        for rho in sorted(plan.support):
+            rows = list(plan.rows)
+            rows[rho] += ((b, 1),)
+            fan._memo[key] = dataclasses.replace(plan, rows=tuple(rows))
+            try:
+                with pytest.raises(ToricError, match="internal"):
+                    nef_decomposition(fan, cone, d)
+            finally:
+                fan._memo[key] = plan
+            tried += 1
+        assert nef_decomposition(fan, cone, d) == expected
+    assert tried >= 2 * len(fan.rays)
 
 
 @pytest.mark.parametrize("make", COMPLETE_SIMPLICIAL, ids=lambda f: f.__name__)

@@ -666,6 +666,56 @@ def test_equal_divisors_written_differently_share_the_slot():
         assert last_divisor(fan)[1] is entry
 
 
+def test_true_after_one_in_the_same_place_is_still_rejected():
+    # The held divisor is recognized by the identity of its entries, not
+    # by ==, so True never reads as the held 1 and bools stay rejected.
+    fan = fresh(fixtures.p2())
+    assert h_all(fan, (1, 0, 0)) == h_all(fresh(fan), (1, 0, 0))
+    with pytest.raises(ValueError, match="bools"):
+        h_all(fan, (True, 0, 0))
+    with pytest.raises(ValueError, match="bools"):
+        hhat(fan, (True, 0, 0))
+
+
+def test_a_list_divisor_mutated_in_place_gets_its_new_answer():
+    fan = fresh(fixtures.bl3_p2())
+    d = [Fraction(1, 2), 1, 0, -1, 1, 0]
+    first = (h_all(fan, d), hhat(fan, d))
+    d[0] = Fraction(5, 2)
+    assert (h_all(fan, d), hhat(fan, d)) == (h_all(fresh(fan), d), hhat(fresh(fan), d)) != first
+    assert last_divisor(fan)[0] == to_integers_key(d)
+    d[3] = 2
+    assert euler_char(fan, d) == euler_char(fresh(fan), d)
+
+
+def to_integers_key(d):
+    coefficients, q = to_integers(d)
+    return tuple(coefficients), q
+
+
+def test_equal_entries_reuse_the_held_slot_through_the_key(monkeypatch):
+    # An equal tuple of other objects, and floats at their exact values,
+    # are cleared once each and then find the held slot by its key; the
+    # held divisor itself is not cleared at all.
+    fan = fresh(fixtures.bl3_p2())
+    d = (Fraction(1, 2), Fraction(7, 4), 0, -1, Fraction(3, 2), 0)
+    expected = h_all(fan, d)
+    slot = last_divisor(fan)[1]
+    cleared = []
+    clear = regions.to_integers
+    monkeypatch.setattr(regions, "to_integers", lambda values: cleared.append(values) or clear(values))
+    assert regions._held_slot(fan, d) is slot and cleared == []
+    floats = (0.5, 1.75, 0, -1, 1.5, 0.0)
+    for same in (tuple(Fraction(c) for c in d), floats):
+        assert same == d and same[0] is not d[0]
+        assert regions._held_slot(fan, same) is slot
+        assert regions._held_slot(fan, same) is slot
+    assert len(cleared) == 2
+    # The float tuple is held now: its answers read the slot d filled.
+    assert h_all(fan, floats) == expected and len(cleared) == 2
+    assert last_divisor(fan)[1] is slot and last_divisor(fan)[2] == floats
+
+
 def test_a_divisor_tight_at_every_ray_is_answered_and_stored():
     from test_cli import TRIPLES_21  # test_cli imports this module
 
