@@ -92,7 +92,7 @@ from .fan import (
 from .homology import _local_ranks
 from .linalg import _lowest_terms, dot, nullspace, rank, solve, to_integers
 from .lp import gap_lp, relative_interior_functional
-from .regions import _cleared, _held_slot, _lawrence_columns, _polytope_table, _vertex_table
+from .regions import _held_slot, _lawrence_columns, _polytope_table, _vertex_table
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +542,9 @@ def _check_fan(fan: Fan, cone: GKZCone) -> None:
 
 
 def gkz_membership(fan: Fan, cone: GKZCone, d: Divisor) -> bool:
-    """Whether the divisor class lies in the (closed) chamber cone.
-
-    The slacks are read off d cleared at most once (``regions._cleared``):
-    the key of its held slot when d is the fan's held divisor, with no
-    clearing.  The test holds no divisor, so it keys no type cell and
-    leaves the held slot to the questions that read it.
-    """
+    """Whether the divisor class lies in the (closed) chamber cone."""
     _check_fan(fan, cone)
-    return _in_closed(cone.slacks(_cleared(fan, d)[0]))
+    return cone.contains(d)
 
 
 def located_cone(fan: Fan, location: LocatedChamber) -> GKZCone:
@@ -774,15 +768,13 @@ class _NefPlan:
     rays of the cones and ``normals`` their rays; ``full`` says whether
     every ray generates one of the cones, so that the nef region is a
     region of the fan itself, on its memo (a flag, as a memo function
-    kept here would point back at the fan).  ``zero`` is the shared
-    zero shift.
+    kept here would point back at the fan).
     """
 
     rows: tuple
     support: tuple[int, ...]
     normals: tuple
     full: bool
-    zero: tuple[Fraction, ...]
 
 
 def _nef_plan(fan: Fan, cones, strict) -> _NefPlan | None:
@@ -807,7 +799,6 @@ def _nef_plan(fan: Fan, cones, strict) -> _NefPlan | None:
             support,
             tuple(fan.rays[rho] for rho in support),
             len(support) == len(fan.rays),
-            (Fraction(0),) * fan.dim,
         )
 
     return fan.memo(("nef_plan", cones, strict), compute)
@@ -822,7 +813,7 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     U = A_B . (-q d_B) for B's integer inverse A_B / common in the fan's
     table.  Each ray's value on its owner cone, xi = <U, v> / (common q),
     is one sparse integer row of the chamber's ``_NefPlan`` dotted with
-    q d.  With the shift T / t (the plan's zero unless the chamber has a
+    q d.  With the shift T / t (zero unless the chamber has a
     lineality space, which solves for it from the first cone's
     functional, ``divisor._basis_functional``) and its values
     <T, v> / t, every part is an integer vector over the one scale
@@ -838,12 +829,11 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     shift is zero) and the nef one off the fan's memo too when every ray
     generates one of the cones, else off the nef region's own memo:
     with points P / s and Q / r, the vertex sets agree exactly when
-    {r P} = {s Q}, the points themselves when r = s.  Raises
-    ValueError unless the cone was built on ``fan`` and its cones hold
-    every ray.
+    {r P} = {s Q}.  Raises ValueError unless the cone was built on
+    ``fan`` and its cones hold every ray.
     """
     _check_fan(fan, cone)
-    coefficients, q = _held_slot(fan, d).key if is_complete(fan) else _cleared(fan, d)
+    coefficients, q = _held_slot(fan, d).key if is_complete(fan) else to_integers(d)
     if not _in_closed(cone.slacks(coefficients)):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
     plan = _nef_plan(fan, cone.sigma_cones, cone.strict_rays)
@@ -861,7 +851,7 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
         moved, t = to_integers(shift)
         lifts = [common * q * sum(map(mul, moved, ray)) for ray in fan.rays]
     else:
-        shift, t, lifts = plan.zero, 1, [0] * len(coefficients)
+        shift, t, lifts = (Fraction(0),) * n, 1, [0] * len(coefficients)
     scale = common * q * t
     remainder = [t * (x + common * c) for x, c in zip(xi, coefficients)]
     if any(e < 0 for e in remainder):
@@ -882,12 +872,8 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
             return fan.memo(("nef_region", key, entry), compute)
 
     nef_table, r = _polytope_table(plan.normals, n, memo, *_lowest_terms(nef, scale))
-    if r == s:
-        same = shifted_table.keys() == nef_table.keys()
-    else:
-        shifted_points = {tuple(r * x for x in p) for p in shifted_table}
-        same = shifted_points == {tuple(s * x for x in p) for p in nef_table}
-    if not same:
+    shifted_points = {tuple(r * x for x in p) for p in shifted_table}
+    if shifted_points != {tuple(s * x for x in p) for p in nef_table}:
         raise ToricError("internal: nef part's polytope differs from the shifted one")
     return NefDecomposition(
         tuple(Fraction(x, scale) for x in shifted),
@@ -904,13 +890,10 @@ def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
     pushforward on the chamber's own fan and cross-check against the
     direct volume computation; degenerate chambers are identically zero.
     The chamber's fan is built once per ambient fan and kept in its
-    memo, so its own memo stays warm across calls.  The divisor is
-    cleared once, for its held slot, whose key the membership test and
-    whose volume table the direct volume read.  Raises ValueError unless
-    the cone was built on ``fan``.
+    memo, so its own memo stays warm across calls.  Raises ValueError
+    unless the cone was built on ``fan``.
     """
-    _check_fan(fan, cone)
-    if not _in_closed(cone.slacks(_held_slot(fan, d).key[0])):
+    if not gkz_membership(fan, cone, d):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
     direct = _rates(fan, d, slice(1))[0]
     if cone.lineality_basis:

@@ -672,19 +672,6 @@ def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
     return slot
 
 
-def _cleared(fan: Fan, d: Divisor) -> tuple:
-    """(q * d, q) of d: the held key when d is the held divisor (``_held_slot``), else one ``to_integers``.
-
-    Holds nothing, so the held slot stays.  Raises ValueError unless d
-    has one coefficient per ray.
-    """
-    _check_length(fan, d)
-    held = fan.memo("last_divisor", lambda: [None])[0]
-    if held is not None and all(map(is_, d, held[2])):
-        return held[0]
-    return to_integers(d)
-
-
 def _vertex_table(slot: _DivisorSlot, weak: int):
     """({P: tight}, scale) for the vertices of the weak mask's closure, in basis order.
 

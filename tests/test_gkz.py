@@ -21,6 +21,7 @@ from toricvol.divisor import (
 from toricvol.errors import (
     ChamberMembershipError,
     EffectiveConeError,
+    NotCompleteError,
     NotSimplicialError,
     ToricError,
     UnsupportedDimensionError,
@@ -1119,31 +1120,29 @@ def test_warm_mixed_partial_clears_the_divisor_once(monkeypatch, make, ample, ra
     assert cleared == [tuple(d)]
 
 
-def test_membership_and_hhat0_on_chamber_clear_the_divisor_at_most_once(monkeypatch):
-    # hhat0_on_chamber clears d once, for its held slot, whose key the
-    # membership test reads (its chamber fan then clears the pushforward,
-    # another divisor); gkz_membership reads the held key of the held
-    # divisor and clears any other once, holding nothing.
-    import toricvol.linalg as linalg
+def test_a_divisor_outside_the_chamber_is_refused_before_it_is_held(monkeypatch):
+    # hhat0_on_chamber tests membership before it holds d, so a divisor
+    # outside the chamber keys no type cell and leaves the held slot, and
+    # on a fan that is not complete it is refused as outside the chamber.
     from toricvol import regions
 
     fan = fresh(f1())
     coarse = next(ch for ch in enumerate_maximal_chambers(fan) if ch.strict_rays)
-    hhat0_on_chamber(fan, coarse, coarse.sample_divisor)  # warm
-    cleared, keys = [], []
-    counting(monkeypatch, linalg, "to_integers", lambda values: cleared.append(tuple(values)))
+    assert hhat0_on_chamber(fan, coarse, divisor([2, 0, 0, 3])) == 4
+    held = fan._memo["last_divisor"][0]
+    keys = []
     counting(monkeypatch, regions, "_cell_key", lambda arrangement, _: keys.append(arrangement))
-    arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
-    d = divisor([2, 0, 0, 3])
-    assert hhat0_on_chamber(fan, coarse, d) == 4
-    assert [x for x in cleared if len(x) == 4] == [d]
-    assert [a for a in keys if a is arrangement] == [arrangement]
-    cleared.clear(), keys.clear()
-    assert gkz_membership(fan, coarse, d) and cleared == []
     other = divisor([1, 1, 1, 1])
+    with pytest.raises(ChamberMembershipError):
+        hhat0_on_chamber(fan, coarse, other)
     assert not gkz_membership(fan, coarse, other)
-    assert cleared == [other] and keys == []
-    assert gkz_membership(fan, coarse, d) and cleared == [other]  # d stays held
+    assert keys == [] and fan._memo["last_divisor"][0] is held
+    blowup = make_fan(2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
+    own = gkz_cone(blowup, blowup.max_cones, frozenset())
+    with pytest.raises(ChamberMembershipError):
+        hhat0_on_chamber(blowup, own, divisor([0, 1, 0]))
+    with pytest.raises(NotCompleteError):
+        hhat0_on_chamber(blowup, own, divisor([1, 0, 1]))
 
 
 @pytest.mark.parametrize("make", (bl2_p2, bl1_p3), ids=lambda f: f.__name__)
