@@ -309,6 +309,7 @@ def _slot_chamber(fan: Fan, slot) -> LocatedChamber:
     cell = slot.cell
     if cell.chamber is None:
         cell.chamber = _located_chamber(fan, slot)
+        slot.arrangement.grow(cell, 1)
     if cell.chamber is _NOT_EFFECTIVE:
         raise EffectiveConeError(_NOT_EFFECTIVE)
     return cell.chamber
@@ -821,9 +822,12 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     nef = <shift, v> - xi.  A ``Fraction`` is built only for these
     answers.
 
-    All three postconditions are recomputed and enforced: the remainder
-    is nonnegative and supported on the strict rays, and the shifted
-    divisor has exactly the nef part's section polytope.  The polytopes
+    All four postconditions are recomputed and enforced: the remainder
+    is nonnegative and supported on the strict rays, the shifted divisor
+    has exactly the nef part's section polytope, and on each strict ray
+    the remainder is what that polytope leaves there, shifted_rho +
+    min_P <P, v_rho> over its vertices (in integers, for vertices P / s,
+    s * remainder_rho = s * shifted_rho + M * min <P, v_rho>).  The polytopes
     are compared on their integer vertex tables, the shifted one read
     off its divisor slot in the fan's memo (the held slot of d when the
     shift is zero) and the nef one off the fan's memo too when every ray
@@ -875,6 +879,11 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     shifted_points = {tuple(r * x for x in p) for p in shifted_table}
     if shifted_points != {tuple(s * x for x in p) for p in nef_table}:
         raise ToricError("internal: nef part's polytope differs from the shifted one")
+    for rho in cone.strict_rays:
+        # The remainder is what the section polytope leaves on the ray: shifted_rho + min_P <P, v_rho>.
+        low = min(sum(map(mul, point, fan.rays[rho])) for point in shifted_table)
+        if s * remainder[rho] != s * shifted[rho] + scale * low:
+            raise ToricError("internal: remainder on a strict ray differs from the section polytope's")
     return NefDecomposition(
         tuple(Fraction(x, scale) for x in shifted),
         shift,

@@ -34,11 +34,14 @@ read off a basis inverse, and the sign of the circuit value <lam, L_S>
 at the levels places row i against the vertex of the basis S - {i}.  A
 divisor's cell key is the tuple of its circuit signs, unchanged under
 linear equivalence and positive scaling.  Each memo keeps the cells it
-meets (``_TypeCell``, at most ``CELL_BUDGET`` entries per memo): one
-vertex per tight set with its basis and masks, classified from the
-signs alone with no point solved, and, filled on first use, its simple
-cell (below) with that cell's realized table and count plans, the
-located chamber of ``gkz.locate_chamber`` and its volume tables.
+meets (``_TypeCell``) under one least-recently-used bound of
+``CELL_BUDGET`` entries over whole cells: every lookup marks its cell,
+and past the bound the cells used longest ago are dropped with all they
+hold.  A cell holds, each filled on first use, one vertex per tight set
+with its basis and masks, classified from the signs alone with no point
+solved; a simple cell (below), found under its own key, with its
+realized table and count plans; the located chamber of
+``gkz.locate_chamber``; and its volume tables.
 ``_DivisorSlot`` keeps what one divisor adds: its row bounds, its
 lattice counts by mask, the vertices P_B = A_B . L_B its vertex tables
 solve and the powers its volumes take, and each fan's memo holds the
@@ -111,11 +114,13 @@ visited before CapExceededError.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
 from itertools import combinations, count, product
 from operator import is_, itemgetter, mul, or_
+from threading import Lock
 from typing import Callable
 
 from .divisor import Divisor, _check_length
@@ -133,15 +138,22 @@ from .linalg import _kernel_direction, _point_integers, dot, rank, to_integers
 # n - 1 for a listing (its fibers).
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
-# Each normal set's memo keeps at most CELL_BUDGET entries of type cells:
-# one per circuit sign of a kept cell's key and one per vertex, one per
-# (region, vertex) incidence of its realized regions once those are kept
-# too, one per facet row and one per vertex of each count plan, one per
-# weighted entry of a region sum, and one per row of each volume table
-# column it keeps.  A kept degenerate cell may pin its simple cell without
-# that cell's key, counting its vertices.  Past the budget, new cells are
-# built and used but not kept, and a kept cell keeps no more.
-CELL_BUDGET = 2**11
+# The type cells of each normal set share one bound of CELL_BUDGET entries
+# (``_Arrangement.cell``): one per circuit sign of a cell's key, one per
+# vertex it classifies, one per (region, vertex) incidence of its realized
+# table, one per facet row and one per vertex of each count plan, one per
+# weighted entry of a region sum, one per row of each volume table column
+# and one for a located chamber.  Each lookup marks its cell the most
+# recently used; past the bound the least recently used cells are dropped
+# whole, and a cell larger than the bound is used but not kept.  Sized
+# from measured traffic: h_all, cech_oracle and euler_char on divisors of
+# bl3_p2 (6 rays, 20 circuits) drawn from [-4, 4]^6, as the sections
+# benchmark draws them, met 478 cells holding 23 220 entries after 800
+# draws (154 simple cells; 358 of their 762 count plans distinct) and
+# 691 cells, 27 932 entries, after 3000, so 2^15 keeps every cell such a
+# run meets; the other fixtures' cells stay under 2 000 entries.  Those
+# 800 draws' kept cells hold ~1.0 MB (tracemalloc).
+CELL_BUDGET = 2**15
 # The zero rate, shared by every volume sum that adds up to nothing.
 _ZERO = Fraction(0)
 
@@ -364,18 +376,22 @@ class _Arrangement:
     since the dependency that B gives is a multiple of lam with a
     negative entry at i.  So a row's code is 2c for circuit c when
     lam_i < 0 and 2c + 1 otherwise, entry 2c + 1 of a cell's sign list
-    being the negated sign.  ``cells`` holds the type cells met so far
-    by their keys, and ``entries`` the entries they keep, at most
-    ``CELL_BUDGET``.  The data of the volumes, ``lawrence``, ``den`` and
-    ``weights``, is computed on first use, so that a normal set whose
-    regions are only counted never pays for it.
+    being the negated sign.  ``ties`` holds per circuit the sign a zero
+    value takes on the lowered levels (``_simple_cell``).  ``cells``
+    holds the type cells kept, least recently used first, and
+    ``entries`` the entries they hold, at most ``CELL_BUDGET``: one
+    bound over whole cells (``cell``, ``grow``).  Cells are added,
+    counted and evicted only under ``lock``, so threads sharing a memo
+    never pop a cell twice nor lose a count.  The data of the volumes,
+    ``lawrence``, ``den`` and ``weights``, is computed on first use, so
+    that a normal set whose regions are only counted never pays for it.
     """
 
     def __init__(self, normals, dim: int, memo):
         self.common, inverses, self.sizes = _basis_table(normals, dim, memo)
-        self.normals, self.rows, self.dim = normals, len(normals), dim
+        self.normals, self.dim = normals, dim
         found: dict = {}
-        circuits = []
+        circuits, ties = [], []
         self.bases = []
         for combo, adjugate in inverses.items():
             basis = sum(1 << i for i in combo)
@@ -396,13 +412,19 @@ class _Arrangement:
                             negative |= 1 << j
                     circuit = found[basis | bit] = (2 * len(circuits), negative)
                     circuits.append((itemgetter(*indices), lam))
+                    # A zero value takes the sign of -lam at its least ray index with lam != 0.
+                    ties.append(-1 if min((j, x) for j, x in zip(indices, lam) if x)[1] > 0 else 1)
                 code, negative = circuit
                 bits.append(bit)
                 codes.append(code if negative & bit else code + 1)
             self.bases.append((combo, adjugate, basis, tuple(bits), tuple(codes)))
-        self.circuits = tuple(circuits)
-        self.cells: dict = {}
+        self.circuits, self.ties = tuple(circuits), tuple(ties)
+        # Per row i the facet triples (i, False, -v_i) and (i, True, v_i) of ``_CountPlan``.
+        self.oriented = tuple(((i, False, tuple(-x for x in v)), (i, True, v)) for i, v in enumerate(normals))
+        self.cells: OrderedDict = OrderedDict()
         self.entries = 0
+        self.lock = Lock()
+        self.shared: dict = {}
 
     @cached_property
     def lawrence(self) -> tuple:
@@ -452,16 +474,59 @@ class _Arrangement:
             for combo, g in self.lawrence
         )
 
-    def admit(self, size: int) -> bool:
-        """Whether ``size`` more entries fit in ``CELL_BUDGET``; if so they are counted.
+    def share(self, value: tuple) -> tuple:
+        """The one object held for this value, in ``shared``.
 
-        Not atomic: callers admitting at the same moment in other threads
-        may each pass, so the budget holds up to their concurrent cells.
+        The slice lines of ``_count_plan`` (O(k^2) values for k rows) and
+        the weight pairs of ``_weighted_entries`` (one per distinct
+        weight) repeat across cells and plans; each value is held once.
         """
-        if self.entries + size > CELL_BUDGET:
-            return False
+        return self.shared.setdefault(value, value)
+
+    def cell(self, key) -> _TypeCell:
+        """The type cell of the circuit signs ``key``, marked the most recently used.
+
+        A key met for the first time gets a new cell, with nothing
+        classified yet, counted by its key.  A cell found is moved with
+        no lock: if another thread evicts it meanwhile, it serves this
+        divisor unkept.
+        """
+        cell = self.cells.get(key)
+        if cell is not None:
+            try:
+                self.cells.move_to_end(key)
+            except KeyError:
+                pass
+            return cell
+        with self.lock:
+            cell = self.cells.get(key)
+            if cell is None:
+                cell = self.cells[key] = _TypeCell(key)
+                self._count(cell, len(key))
+            return cell
+
+    def grow(self, cell: _TypeCell, size: int) -> None:
+        """Count ``size`` more entries held by the cell, unless it was dropped."""
+        with self.lock:
+            if cell.size is not None:
+                self._count(cell, size)
+
+    def _count(self, cell: _TypeCell, size: int) -> None:
+        """Add the entries to the kept cell, then evict within ``CELL_BUDGET``; under ``lock``.
+
+        The least recently used cells go first, each with everything it
+        holds; a cell larger than the whole bound goes first, alone.  A
+        dropped cell's size becomes None, so it is never counted again
+        and ``grow`` hashes no key.
+        """
+        cell.size += size
         self.entries += size
-        return True
+        if cell.size > CELL_BUDGET:
+            self.cells.move_to_end(cell.key, last=False)
+        while self.entries > CELL_BUDGET:
+            dropped = self.cells.popitem(last=False)[1]
+            self.entries -= dropped.size
+            dropped.size = None
 
 
 def _arrangement(normals, dim: int, memo) -> _Arrangement:
@@ -472,27 +537,25 @@ def _arrangement(normals, dim: int, memo) -> _Arrangement:
 class _TypeCell:
     """What every divisor of one type cell shares: its arrangement combinatorics.
 
-    ``key`` is the cell's circuit signs.  ``vertices`` has one triple
-    (basis, above, tight) per distinct arrangement vertex, the first
-    basis in basis order that meets it, with the bitmasks of the rows
-    above it and tight at it; on a simple cell (``_simple_cell``) every
-    basis is a vertex tight on its own rows alone.  Filled later, once:
-    ``simple``, the simple cell of a degenerate cell; ``masks``, the
-    realized table of ``_realized_masks`` (a simple cell's only);
-    ``plans``, the count plan of each realized mask counted so far
-    (``_cell_plan``); ``weighted``, the table entries with a nonzero
-    weight per region-sum weight (``_weighted_entries``); and
-    ``chamber``, the located chamber of ``gkz.locate_chamber``.
-    ``columns`` maps a weight to the cell's volume table
-    (``_lawrence_columns``).  A cell that is not ``kept`` keeps no
-    table, plan or weighted entries, and a kept one only within the
-    budget.
+    ``key`` is the cell's circuit signs and ``size`` the entries it
+    holds while kept, None once dropped (``_Arrangement.cell``).  Filled on first use, once:
+    ``vertices``, one triple (basis, above, tight) per distinct
+    arrangement vertex, the first basis in basis order that meets it,
+    with the bitmasks of the rows above it and tight at it
+    (``_cell_vertices``; on a simple cell, ``_simple_cell``, every basis
+    is a vertex tight on its own rows alone); ``masks``, the realized
+    table of ``_realized_masks`` (a simple cell's only); ``plans``, the
+    count plan of each realized mask counted so far (``_cell_plan``);
+    ``weighted``, the table entries with a nonzero weight per
+    region-sum weight (``_weighted_entries``); ``chamber``, the located
+    chamber of ``gkz.locate_chamber``; and ``columns``, the cell's volume
+    table per weight (``_lawrence_columns``).  A cell no longer kept
+    still serves the divisors that hold it.
     """
 
     key: tuple
-    vertices: tuple
-    kept: bool = False
-    simple: _TypeCell | None = None
+    size: int | None = 0
+    vertices: tuple | None = None
     masks: tuple | None = None
     plans: dict = field(default_factory=dict)
     weighted: dict = field(default_factory=dict)
@@ -510,22 +573,18 @@ def _cell_key(arrangement: _Arrangement, integers) -> tuple[int, ...]:
     return tuple((value > 0) - (value < 0) for value in values)
 
 
-def _type_cell(arrangement: _Arrangement, integers) -> _TypeCell:
-    """The type cell of the integer levels L (``_cell_of``)."""
-    return _cell_of(arrangement, _cell_key(arrangement, integers))
+def _cell_vertices(arrangement: _Arrangement, cell: _TypeCell) -> tuple:
+    """The cell's vertex triples (``_TypeCell``), classified from its key on first use.
 
-
-def _cell_of(arrangement: _Arrangement, key) -> _TypeCell:
-    """The type cell of the circuit signs ``key``, built from them on a miss.
-
-    A new cell classifies every basis's vertex from the signs alone, with
-    no point solved, and keeps one vertex per tight set: a tight set
-    holds a basis, so it fixes its point.  It is kept while the budget
-    lasts.
+    Every basis's vertex is placed from the signs alone, with no point
+    solved, and one vertex is kept per tight set: a tight set holds a
+    basis, so it fixes its point.  A degenerate cell classifies only
+    when a closure table or a chamber asks; region sums and volumes read
+    its simple cell.
     """
-    cell = arrangement.cells.get(key)
-    if cell is not None:
-        return cell
+    if cell.vertices is not None:
+        return cell.vertices
+    key = cell.key
     # Entry 2c is the sign of circuit c, entry 2c + 1 its negative.
     signs = [0] * (2 * len(key))
     signs[::2] = key
@@ -543,11 +602,9 @@ def _cell_of(arrangement: _Arrangement, key) -> _TypeCell:
         if tight not in seen:
             seen.add(tight)
             vertices.append((b, above, tight))
-    cell = _TypeCell(key, tuple(vertices))
-    if arrangement.admit(len(key) + len(vertices)):
-        cell.kept = True
-        arrangement.cells[key] = cell
-    return cell
+    cell.vertices = tuple(vertices)
+    arrangement.grow(cell, len(vertices))
+    return cell.vertices
 
 
 def _simple_cell(arrangement: _Arrangement, cell: _TypeCell) -> _TypeCell:
@@ -555,29 +612,16 @@ def _simple_cell(arrangement: _Arrangement, cell: _TypeCell) -> _TypeCell:
 
     A nonzero circuit value keeps its sign, and a zero one <lam, L_S>
     becomes -sum_i lam_i eps^(i + 1), the sign of -lam at its least ray
-    index with lam != 0.  So no circuit sign is zero: no n + 1 rows meet
-    in a point, and each basis is a vertex tight on its own rows alone.
-    A cell with no zero sign is its own simple cell; another is read off
-    its key with no new dot product, once: the cell keeps it in
-    ``simple``.  When a kept cell's simple cell is not kept under its
-    own key, the cell pins it without that key, counting its vertices
-    in the budget, so that its table and plans can be kept too; if even
-    the vertices do not fit, the simple cell is built for each divisor.
+    index with lam != 0, the circuit's tie sign (``_Arrangement``).  So
+    no circuit sign is zero: no n + 1 rows meet in a point, and each
+    basis is a vertex tight on its own rows alone.  A cell with no zero
+    sign is its own simple cell; another finds it under its lowered key,
+    read off its own key with no new dot product.
     """
-    if cell.simple is not None or 0 not in cell.key:
-        return cell.simple or cell
-    rows = range(arrangement.rows)
-    lowered = tuple(
-        x or (-1 if min((j, y) for j, y in zip(get(rows), lam) if y)[1] > 0 else 1)
-        for x, (get, lam) in zip(cell.key, arrangement.circuits)
-    )
-    simple = _cell_of(arrangement, lowered)
-    if cell.kept and not simple.kept and arrangement.admit(len(simple.vertices)):
-        # An empty key has no zero sign, so the pinned cell is its own simple cell.
-        simple.key, simple.kept = (), True
-    if simple.kept or not cell.kept:
-        cell.simple = simple
-    return simple
+    key = cell.key
+    if 0 not in key:
+        return cell
+    return arrangement.cell(tuple([x or tie for x, tie in zip(key, arrangement.ties)]))
 
 
 def _levels(coefficients, q: int):
@@ -593,10 +637,10 @@ class _DivisorSlot:
 
     ``key`` is (q * d, q), the divisor cleared to integers.  Each vertex
     point P_B = A_B . L_B is solved on first use and kept in ``points``
-    by basis; ``_realized_masks`` fills its cell's simple cell and
-    that cell's realized masks, ``region_sum`` its lattice counts by
-    mask, ``_slot_count`` its row bounds, and the volume sums
-    ``powers``, <g_B, L_B>^n by basis, on first use.
+    by basis; ``_slot_simple`` fills its cell's simple cell,
+    ``region_sum`` its lattice counts by mask, ``_slot_count`` its row
+    bounds, and the volume sums ``powers``, <g_B, L_B>^n by basis, on
+    first use.  The slot holds its cells, kept or not.
     """
 
     key: tuple
@@ -604,7 +648,6 @@ class _DivisorSlot:
     cell: _TypeCell
     points: dict = field(default_factory=dict)
     simple: _TypeCell | None = None
-    masks: tuple | None = None
     amounts: dict = field(default_factory=dict)
     bounds: tuple | None = None
     powers: dict = field(default_factory=dict)
@@ -641,7 +684,8 @@ def _divisor_slot(normals, dim: int, memo, coefficients, q: int) -> _DivisorSlot
     if held is not None and held[0] == key:
         return held[1]
     arrangement = _arrangement(normals, dim, memo)
-    return _DivisorSlot(key, arrangement, _type_cell(arrangement, [-x for x in coefficients]))
+    cell = arrangement.cell(_cell_key(arrangement, [-x for x in coefficients]))
+    return _DivisorSlot(key, arrangement, cell)
 
 
 def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
@@ -682,7 +726,7 @@ def _vertex_table(slot: _DivisorSlot, weak: int):
     point = slot.point
     table = {
         point(b): tight
-        for b, above, tight in slot.cell.vertices
+        for b, above, tight in _cell_vertices(slot.arrangement, slot.cell)
         if not above & ~weak and not weak & ~(above | tight)
     }
     return table, slot.scale
@@ -743,7 +787,7 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     region forces its closure onto a strict hyperplane, hence a
     lower-dimensional closure and volume zero either way.  The volume
     is the Lawrence sum over the closure's vertices on the simple cell
-    of its lowered levels (``_simple_cell``): the bases B with
+    of its lowered levels (``_slot_simple``): the bases B with
     above(P_B) <= W <= above(P_B) | B, each signed by its rows off W.
     The cell is read off the region's slot (``HalfOpenRegion.slot``).
     Raises on systems with unbounded closure.
@@ -754,7 +798,7 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     slot = reg.slot
     arrangement = slot.arrangement
     total = 0
-    for b, above, basis in _simple_cell(arrangement, slot.cell).vertices:
+    for b, above, basis in _cell_vertices(arrangement, _slot_simple(slot)):
         if not above & ~weak and not weak & ~(above | basis):
             term = arrangement.weights[b] * slot.level(b) ** reg.dim
             total += -term if (basis & ~weak).bit_count() & 1 else term
@@ -786,19 +830,20 @@ class _CountPlan:
     corners: tuple = ()
 
 
-def _count_plan(normals, facets: int, weak: int, corners=()) -> _CountPlan:
-    """The plan of the rows in the ``facets`` mask, weak on the ``weak`` mask (``_CountPlan``)."""
-    rows = tuple(
-        (i, True, normal) if weak >> i & 1 else (i, False, tuple(-x for x in normal))
-        for i, normal in enumerate(normals)
-        if facets >> i & 1
-    )
+def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners=()) -> _CountPlan:
+    """The plan of the rows in the ``facets`` mask, weak on the ``weak`` mask (``_CountPlan``).
+
+    Its facet triples are the arrangement's ``oriented`` rows and its
+    lines one object per value (``_Arrangement.share``).
+    """
+    rows = tuple(pair[weak >> i & 1] for i, pair in enumerate(arrangement.oriented) if facets >> i & 1)
     split = [(j, a[-2], a[-1]) for j, (_, _, a) in enumerate(rows) if len(a) > 1]
+    share = arrangement.share
     return _CountPlan(
         rows,
-        tuple((j, -alpha, beta) for j, alpha, beta in split if beta > 0),
-        tuple((j, alpha, -beta) for j, alpha, beta in split if beta < 0),
-        tuple((j, alpha) for j, alpha, beta in split if not beta),
+        tuple(share((j, -alpha, beta)) for j, alpha, beta in split if beta > 0),
+        tuple(share((j, alpha, -beta)) for j, alpha, beta in split if beta < 0),
+        tuple(share((j, alpha)) for j, alpha, beta in split if not beta),
         corners,
     )
 
@@ -821,7 +866,7 @@ def _cell_plan(arrangement: _Arrangement, mask: int, vertices) -> _CountPlan:
     """
     facets = reduce(or_, (basis for _, _, basis in vertices))
     corners = tuple(arrangement.corners[b] for b, _, _ in vertices)
-    return _count_plan(arrangement.normals, facets, mask, corners)
+    return _count_plan(arrangement, facets, mask, corners)
 
 
 def _range(values, scale: int) -> range:
@@ -1016,7 +1061,8 @@ def _own_plan(reg: HalfOpenRegion):
     points, scale = reg.vertex_table
     if not points:
         return None
-    plan = _count_plan(reg.normals, reduce(or_, points.values()), _weak_mask(reg.weak))
+    arrangement = _arrangement(reg.normals, reg.dim, reg.memo)
+    plan = _count_plan(arrangement, reduce(or_, points.values()), _weak_mask(reg.weak))
     columns = list(zip(*points))[: reg.dim - 1]
     return plan, [_range(column, scale) for column in columns]
 
@@ -1085,34 +1131,32 @@ def _realized_masks(fan: Fan, slot: _DivisorSlot):
     of B.  Each one ``_realized_reader`` finds bounded is kept with the
     vertex triples (b, above, basis) of its closure, in basis order.
     Lowering the levels changes no lattice count (``region_sum``) and,
-    by continuity, no volume, so this one table feeds both.  Computed
-    once per slot, which keeps it with its simple cell, and once per
-    kept simple cell while its entries fit the budget.
+    by continuity, no volume, so this one table feeds both.  Built once
+    per simple cell (``_realized_table``) and kept on it.
     """
-    masks = slot.masks
-    if masks is not None:
-        return masks
-    arrangement = slot.arrangement
     cell = _slot_simple(slot)
-    masks = cell.masks
-    if masks is None:
-        realized = _realized_reader(fan)
-        tables: dict = {}
-        for vertex in cell.vertices:
-            _, above, basis = vertex
-            sub = basis
-            while sub >= 0:  # every submask of the basis, down to 0
-                mask = above | sub
-                if mask in tables:
-                    tables[mask].append(vertex)
-                elif realized(mask) is not None:
-                    tables[mask] = [vertex]
-                sub = (sub - 1) & basis if sub else -1
-        masks = tuple((mask, realized(mask), tuple(vertices)) for mask, vertices in tables.items())
-        if cell.kept and arrangement.admit(sum(len(entry[2]) for entry in masks)):
-            cell.masks = masks
-    slot.masks = masks
-    return masks
+    if cell.masks is None:
+        arrangement = slot.arrangement
+        cell.masks = _realized_table(fan, _cell_vertices(arrangement, cell))
+        arrangement.grow(cell, sum(len(entry[2]) for entry in cell.masks))
+    return cell.masks
+
+
+def _realized_table(fan: Fan, vertices):
+    """The table of ``_realized_masks`` from a simple cell's vertex triples."""
+    realized = _realized_reader(fan)
+    tables: dict = {}
+    for vertex in vertices:
+        _, above, basis = vertex
+        sub = basis
+        while sub >= 0:  # every submask of the basis, down to 0
+            mask = above | sub
+            if mask in tables:
+                tables[mask].append(vertex)
+            elif realized(mask) is not None:
+                tables[mask] = [vertex]
+            sub = (sub - 1) & basis if sub else -1
+    return tuple((mask, realized(mask), tuple(vertices)) for mask, vertices in tables.items())
 
 
 def region_sum(fan: Fan, d: Divisor, weight) -> tuple:
@@ -1144,7 +1188,7 @@ def region_sum(fan: Fan, d: Divisor, weight) -> tuple:
     ``h_all``) counts no region the first one did.
 
     Only the table entries with a nonzero weight are visited
-    (``_weighted_entries``, kept per weight on a kept simple cell), so a
+    (``_weighted_entries``, kept per weight on the simple cell), so a
     caller that weights by a slice of the rank vectors counts only the
     regions that slice reads, and only the nonzero entries of a weight
     are added.  A region is counted only when its count is missing, and
@@ -1169,22 +1213,23 @@ def _weighted_entries(fan: Fan, slot: _DivisorSlot, weight):
 
     One entry (mask, nonzero, vertices) per entry of ``_realized_masks``
     whose weight is not all zero, with ``nonzero`` the pairs (i, w_i)
-    with w_i != 0.  The length is read off the first realized subset,
-    else the empty one.  Kept on the slot's simple cell under the weight
-    object, when it is kept, within the budget, one entry per entry.
+    with w_i != 0, one object per value (``_Arrangement.share``).  The
+    length is read off the first realized subset, else the empty one.
+    Kept on the slot's simple cell under the weight object, one entry
+    per entry.
     """
     simple = _slot_simple(slot)
     found = simple.weighted.get(weight)
     if found is None:
+        arrangement = slot.arrangement
         table = [(mask, weight(fan, rays), vertices) for mask, rays, vertices in _realized_masks(fan, slot)]
         entries = tuple(
-            (mask, tuple((i, x) for i, x in enumerate(w) if x), vertices)
+            (mask, arrangement.share(tuple((i, x) for i, x in enumerate(w) if x)), vertices)
             for mask, w, vertices in table
             if any(w)
         )
-        found = len(table[0][1] if table else weight(fan, frozenset())), entries
-        if simple.kept and slot.arrangement.admit(len(entries)):
-            simple.weighted[weight] = found
+        found = simple.weighted[weight] = len(table[0][1] if table else weight(fan, frozenset())), entries
+        arrangement.grow(simple, len(entries))
     return found
 
 
@@ -1193,16 +1238,15 @@ def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:
 
     The mask's count plan (``_cell_plan``, from its vertex triples
     ``vertices``) is built on its first count and kept on the slot's
-    simple cell, when it is kept, within the budget.  The rows' bounds
-    ceil(-d_i) are cleared once per slot, and the box solves only the
-    first n - 1 coordinates of each vertex; ``_lattice_count`` counts.
+    simple cell.  The rows' bounds ceil(-d_i) are cleared once per slot,
+    and the box solves only the first n - 1 coordinates of each vertex;
+    ``_lattice_count`` counts.
     """
     arrangement, simple = slot.arrangement, _slot_simple(slot)
     plan = simple.plans.get(mask)
     if plan is None:
-        plan = _cell_plan(arrangement, mask, vertices)
-        if simple.kept and arrangement.admit(len(plan.facets) + len(plan.corners)):
-            simple.plans[mask] = plan
+        plan = simple.plans[mask] = _cell_plan(arrangement, mask, vertices)
+        arrangement.grow(simple, len(plan.facets) + len(plan.corners))
     coefficients, q = slot.key
     if slot.bounds is None:
         slot.bounds = _ceilings([-x for x in coefficients], q)
@@ -1219,10 +1263,9 @@ def _lawrence_columns(fan: Fan, slot: _DivisorSlot, weight):
     realized table (``_realized_masks``) whose vertices hold B.  Column i
     holds the pairs (b, c_B[i] * N_B * den) with c_B[i] != 0, in basis
     order, so that the weighted normalized volumes sum to sum_b entry *
-    <g_B, L_B>^n / (den (q common)^n).  Kept on the slot's own cell, when
-    it is kept, within the budget, one entry per pair, under the weight
-    object, so a later divisor of the cell reads it with no key of its
-    simple cell.
+    <g_B, L_B>^n / (den (q common)^n).  Kept on the slot's own cell, one
+    entry per pair, under the weight object, so a later divisor of the
+    cell reads it with no key of its simple cell.
     """
     arrangement, cell = slot.arrangement, slot.cell
     columns = cell.columns.get(weight)
@@ -1236,9 +1279,10 @@ def _lawrence_columns(fan: Fan, slot: _DivisorSlot, weight):
             sign = -1 if (basis & ~mask).bit_count() & 1 else 1
             totals[b] = [c + sign * x for c, x in zip(totals[b], w)]
     rows = list(enumerate(zip(weights, totals)))
-    columns = tuple(tuple((b, m * c[i]) for b, (m, c) in rows if c[i]) for i in range(size))
-    if cell.kept and arrangement.admit(sum(map(len, columns))):
-        cell.columns[weight] = columns
+    columns = cell.columns[weight] = tuple(
+        tuple((b, m * c[i]) for b, (m, c) in rows if c[i]) for i in range(size)
+    )
+    arrangement.grow(cell, sum(map(len, columns)))
     return columns
 
 

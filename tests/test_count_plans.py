@@ -163,3 +163,30 @@ def test_h_all_of_a_dilated_bl1_p3_walks_a_pinned_number_of_slices(monkeypatch):
     slices = counting(monkeypatch, "_slice_count")
     assert h_all(fan, (0, 0, 0, 10, 10)) == (286, 0, 120, 0)
     assert len(slices) == 21
+
+
+def test_a_second_pass_over_sections_draws_builds_no_cell_table_or_plan(monkeypatch):
+    # Divisors drawn as the sections benchmark draws them: at the default
+    # bound every cell that 300 of them meet on bl3_p2 stays, so a second
+    # pass builds no type cell, no realized table and no count plan.
+    fan = fresh(fixtures.bl3_p2())
+    rng = random.Random(2037)
+    divisors = [tuple(Fraction(rng.randint(-4, 4)) for _ in fan.rays) for _ in range(300)]
+    cells = []
+
+    class Counted(regions._TypeCell):
+        def __init__(self, key):
+            cells.append(key)
+            super().__init__(key)
+
+    monkeypatch.setattr(regions, "_TypeCell", Counted)
+    tables, plans = counting(monkeypatch, "_realized_table"), counting(monkeypatch, "_cell_plan")
+
+    def answers():
+        return [(h_all(fan, d), cech_oracle(fan, d), euler_char(fan, d)) for d in divisors]
+
+    first = answers()
+    assert len(cells) > 100 and len(tables) > 50 and len(plans) > 200
+    cells.clear(), tables.clear(), plans.clear()
+    assert answers() == first
+    assert (cells, tables, plans) == ([], [], [])

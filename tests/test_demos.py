@@ -74,11 +74,10 @@ def test_library_solves_lps_in_one_form():
     assert not found, found
 
 
-def test_library_walks_slices_in_one_function():
-    # Every lattice count runs the one count core: only the slice walk
-    # reads floor_sum, so a second count path cannot creep back.
+def readers(name):
+    """Every "module:function" of the library that reads ``name``, or imports it."""
     assert SOURCES
-    readers = set()
+    found = set()
 
     def visit(node, owner, path):
         for child in ast.iter_child_nodes(node):
@@ -87,15 +86,39 @@ def test_library_walks_slices_in_one_function():
                 inner = child.name
             elif isinstance(child, ast.Lambda):
                 inner = "<lambda>"
-            elif isinstance(child, ast.alias) and child.name == "floor_sum":
-                readers.add(f"{path.name}:{owner} imports it")
-            elif getattr(child, "id", None) == "floor_sum" or getattr(child, "attr", None) == "floor_sum":
-                readers.add(f"{path.name}:{owner}")
+            elif isinstance(child, ast.alias) and child.name == name:
+                found.add(f"{path.name}:{owner} imports it")
+            elif getattr(child, "attr", None) == name or (
+                getattr(child, "id", None) == name and not isinstance(child.ctx, ast.Store)
+            ):
+                found.add(f"{path.name}:{owner}")
             visit(child, inner, path)
 
     for path in SOURCES:
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "<module>", path)
-    assert readers == {"regions.py:_slice_count"}, readers
+    return found
+
+
+def test_library_walks_slices_in_one_function():
+    # Every lattice count runs the one count core: only the slice walk
+    # reads floor_sum, so a second count path cannot creep back.
+    found = readers("floor_sum")
+    assert found == {"regions.py:_slice_count"}, found
+
+
+def test_library_bounds_type_cells_in_one_function():
+    # One least-recently-used bound holds the type cells: only the
+    # arrangement's count reads CELL_BUDGET, so a second admission rule
+    # cannot creep back, and nothing admits a cell or flags it kept.
+    found = readers("CELL_BUDGET")
+    assert found == {"regions.py:_count"}, found
+    mentions = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            names = {getattr(node, "id", None), getattr(node, "name", None), getattr(node, "attr", None)}
+            if "admit" in names or isinstance(node, ast.Attribute) and node.attr == "kept":
+                mentions.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not mentions, mentions
 
 
 def test_library_imports_only_the_standard_library():
@@ -161,7 +184,7 @@ def test_lowered_level_referee_reads_no_cell():
     tree = ast.parse((ROOT / "tests" / "arrangement_referees.py").read_text(encoding="utf-8"))
     referee = {"lowered_levels", "lowered_divisor"}
     production = {
-        "_cell_key", "_type_cell", "_cell_of", "_simple_cell", "_arrangement", "_Arrangement",
+        "_cell_key", "_cell_vertices", "_simple_cell", "ties", "_arrangement", "_Arrangement",
         "circuits", "key", "cells", "vertices", "masks", "_realized_masks", "_divisor_slot",
         "_lawrence_columns", "_lawrence_sum", "lawrence", "weights", "columns", "den",
     }

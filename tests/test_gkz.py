@@ -574,6 +574,29 @@ def test_nef_decomposition_rejects_a_wrong_shift(monkeypatch):
         nef_decomposition(fan, chamber, d)
 
 
+def test_nef_decomposition_rejects_a_moved_owner_row_on_a_strict_ray(monkeypatch):
+    # Moving a strict ray's owner row by one unit moves that ray's
+    # remainder 1 -> 2: still nonnegative, still on the strict rays, and
+    # neither polytope changes, since the nef part leaves the strict rays
+    # out.  Only the check against the section polytope's minimum on the
+    # ray sees it.
+    fan = bl2_p2()
+    chamber = next(ch for ch in enumerate_maximal_chambers(fan) if ch.strict_rays)
+    d = chamber.sample_divisor
+    rho = min(chamber.strict_rays)
+    assert nef_decomposition(fan, chamber, d).remainder[rho] == 1
+    plan = gkz._nef_plan(fan, chamber.sigma_cones, chamber.strict_rays)
+    (b, m), *rest = plan.rows[rho]
+    assert d[b] == 1
+    common, _ = _basis_inverses(fan.rays, fan.dim, fan.memo)
+    rows = list(plan.rows)
+    rows[rho] = ((b, m + common), *rest)
+    moved = dataclasses.replace(plan, rows=tuple(rows))
+    monkeypatch.setattr(gkz, "_nef_plan", lambda *args: moved)
+    with pytest.raises(ToricError, match="strict ray"):
+        nef_decomposition(fan, chamber, d)
+
+
 def test_nef_decomposition_ample_is_trivial():
     fan = f1()
     full = next(ch for ch in enumerate_maximal_chambers(fan) if not ch.strict_rays)

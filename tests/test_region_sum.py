@@ -523,7 +523,8 @@ def test_bitmask_vertex_pass_matches_a_scan_of_every_row():
         for d in tight_divisors(fan, rng):
             expected = scan_arrangement_vertices(fan, d)
             slot = regions._divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d))
-            table = {slot.point(b): (above, tight) for b, above, tight in slot.cell.vertices}
+            vertices = regions._cell_vertices(slot.arrangement, slot.cell)
+            table = {slot.point(b): (above, tight) for b, above, tight in vertices}
             assert (table, slot.scale) == expected
             many_tight += any(tight.bit_count() > fan.dim for _, tight in expected[0].values())
     assert many_tight > 2 * len(fans)
@@ -774,29 +775,38 @@ def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):
     assert cech_oracle(interrupted, d) == expected
 
 
-def test_concurrent_questions_answer_like_serial_ones():
+def test_concurrent_questions_answer_like_serial_ones(monkeypatch):
     # 4 threads share one fan and ask mixed questions of many divisors,
     # so the slot is replaced while other threads still sum on the entry
     # they read; a short switch interval makes the threads interleave.
-    fan = fresh(fixtures.bl3_p2())
+    # Then again under a tiny cell bound, so that cells are evicted while
+    # other threads look them up and fill them: the kept entries must
+    # still add up, within the bound.
+    reference = fresh(fixtures.bl3_p2())
     rng = random.Random(404)
-    k = len(fan.rays)
+    k = len(reference.rays)
     divisors = [
         tuple(Fraction(rng.randint(-4, 8), rng.choice((1, 2, 3))) for _ in range(k))
         for _ in range(60)
     ]
     functions = (h_all, cech_oracle, hhat)
-    reference = fresh(fan)
     expected = {(f.__name__, d): f(reference, d) for f in functions for d in divisors}
     jobs = [(f, d) for d in divisors for f in functions]
     rng.shuffle(jobs)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            answers = list(pool.map(lambda job: job[0](fan, job[1]), jobs, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(answers) == len(jobs)
-    for (f, d), answer in zip(jobs, answers):
-        assert answer == expected[f.__name__, d], (f.__name__, d)
+    met = len(regions._arrangement(reference.rays, reference.dim, reference.memo).cells)
+    for budget in (regions.CELL_BUDGET, 120):
+        monkeypatch.setattr(regions, "CELL_BUDGET", budget)
+        fan = fresh(reference)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(lambda job: job[0](fan, job[1]), jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == len(jobs)
+        for (f, d), answer in zip(jobs, answers):
+            assert answer == expected[f.__name__, d], (f.__name__, budget, d)
+        arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
+        assert arrangement.entries == sum(cell.size for cell in arrangement.cells.values()) <= budget
+    assert len(arrangement.cells) < met

@@ -88,7 +88,8 @@ def slot_of(fan, d):
 
 def solved_cell(slot):
     """The slot's cell with every vertex solved from its basis: {P: (above, tight)} in order."""
-    return {slot.point(b): (above, tight) for b, above, tight in slot.cell.vertices}
+    vertices = regions._cell_vertices(slot.arrangement, slot.cell)
+    return {slot.point(b): (above, tight) for b, above, tight in vertices}
 
 
 def test_cell_tables_match_the_arrangement_referee():
@@ -110,7 +111,8 @@ def test_cell_tables_match_the_arrangement_referee():
             # referee classifies it at a concrete small eps.
             lowered, _ = divisor_vertices(fan, lowered_divisor(fan, d))
             simple = regions._simple_cell(slot.arrangement, slot.cell)
-            assert [(above, tight) for _, above, tight in simple.vertices] == list(lowered.values())
+            vertices = regions._cell_vertices(slot.arrangement, simple)
+            assert [(above, tight) for _, above, tight in vertices] == list(lowered.values())
             expected = realized_tables(lowered, bounded)
             masks = regions._realized_masks(fan, slot)
             assert [mask for mask, *_ in masks] == list(expected), (fan, d)
@@ -303,9 +305,9 @@ def test_a_repeated_ampleness_test_builds_no_cell(monkeypatch):
     built = []
 
     class Counted(regions._TypeCell):
-        def __init__(self, key, vertices):
-            built.append(vertices)
-            super().__init__(key, vertices)
+        def __init__(self, key):
+            built.append(key)
+            super().__init__(key)
 
     monkeypatch.setattr(regions, "_TypeCell", Counted)
     assert ample_via_asymptotics(fan, ample) is True
@@ -325,9 +327,9 @@ def test_ampleness_work_pins(monkeypatch):
     cell_key_of, cleared_rates = regions._cell_key, gkz._cleared_rates
 
     class Counted(regions._TypeCell):
-        def __init__(self, key, vertices):
+        def __init__(self, key):
             built.append(key)
-            super().__init__(key, vertices)
+            super().__init__(key)
 
     monkeypatch.setattr(regions, "_cell_key", lambda *args: keys.append(args) or cell_key_of(*args))
     monkeypatch.setattr(regions, "_TypeCell", Counted)
@@ -365,27 +367,33 @@ def test_ampleness_leaves_the_class_slot_held(monkeypatch):
     assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
 
 
-def kept_entries(arrangement):
-    """The entries of the kept cells, counted from their keys and the cells themselves.
+def cell_entries(cell):
+    """The entries a cell holds, counted from the cell itself.
 
-    A kept volume table counts one entry per row of each column, a kept
-    count plan one per facet row and one per vertex, and a kept weighted
-    table one per entry.  A simple cell that a kept cell pins without
-    its key counts its vertices and what it keeps.
+    One per circuit sign of its key, one per vertex it has classified,
+    one per (region, vertex) incidence of its realized table, one per
+    facet row and one per vertex of each count plan, one per weighted
+    entry, one per row of each volume table column and one for a
+    located chamber.
     """
-    cells = list(arrangement.cells.values())
-    pinned = {id(cell.simple): cell.simple for cell in cells if cell.simple is not None}
-    for cell in cells:
-        pinned.pop(id(cell), None)
-    return sum(
+    return (
         len(cell.key)
-        + len(cell.vertices)
+        + len(cell.vertices or ())
         + (sum(len(entry[2]) for entry in cell.masks) if cell.masks else 0)
         + sum(len(plan.facets) + len(plan.corners) for plan in cell.plans.values())
         + sum(len(entries) for _, entries in cell.weighted.values())
         + table_entries(cell)
-        for cell in cells + list(pinned.values())
+        + (cell.chamber is not None)
     )
+
+
+def kept_entries(arrangement):
+    """The entries of the kept cells, each cell counted whole (``cell_entries``)."""
+    return sum(map(cell_entries, arrangement.cells.values()))
+
+
+def is_kept(arrangement, cell):
+    return arrangement.cells.get(cell.key) is cell
 
 
 def table_entries(cell):
@@ -394,7 +402,7 @@ def table_entries(cell):
 
 
 def test_a_tiny_cell_budget_changes_no_answer(monkeypatch):
-    budget = 80
+    budget = 120
     monkeypatch.setattr(regions, "CELL_BUDGET", budget)
     fan = fresh(fixtures.bl3_p2())
     arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
@@ -402,14 +410,27 @@ def test_a_tiny_cell_budget_changes_no_answer(monkeypatch):
     k = len(fan.rays)
     divisors = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(30)]
     divisors += [tuple(Fraction(rng.randint(-7, 7), 2) for _ in range(k)) for _ in range(10)]
-    divisors += divisors[:10]  # cells met before, kept or not
-    unkept = 0
+    divisors += divisors[:10]  # cells met before, kept or evicted since
+    functions = (h_all, hhat, locate_chamber)
+    unkept = remet = 0
+    first = {}
     for d in divisors:
-        expected = [outcome(f, fresh(fan), d) for f in (h_all, hhat, locate_chamber)]
-        assert [outcome(f, fan, d) for f in (h_all, hhat, locate_chamber)] == expected, d
+        expected = [outcome(f, fresh(fan), d) for f in functions]
+        answers = [outcome(f, fan, d) for f in functions]
+        assert answers == expected, d
         assert kept_entries(arrangement) == arrangement.entries <= budget
-        unkept += not slot_of(fan, d).cell.kept
-    assert arrangement.cells and unkept > 10
+        assert all(cell.size == cell_entries(cell) for cell in arrangement.cells.values())
+        cell = slot_of(fan, d).cell
+        unkept += not is_kept(arrangement, cell)
+        if d in first:
+            # A cell evicted since its first divisor is built again and answers the same.
+            first_answers, first_cell = first[d]
+            if cell is not first_cell:
+                remet += 1
+                assert answers == first_answers, d
+        else:
+            first[d] = answers, cell
+    assert arrangement.cells and unkept > 10 and remet > 5
 
 
 def test_every_divisor_of_the_21_ray_origin_cell_answers_and_is_stored():
@@ -428,25 +449,28 @@ def test_every_divisor_of_the_21_ray_origin_cell_answers_and_is_stored():
         assert h_all(fan, d) == (1, 0, 0)
         coefficients, q = to_integers(d)
         assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
-    # The origin cell is kept; its simple cell's 1330 circuit signs do
-    # not fit the rest of the budget, so the origin cell pins the simple
-    # cell without its key, and the simple cell keeps what fits.
+    # The origin cell and its simple cell, 1330 circuit signs each, are
+    # both kept, each under its own key: the simple cell holds the table.
     arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
     slot = fan._memo["last_divisor"][0][1]
     simple = regions._simple_cell(arrangement, slot.cell)
-    assert list(arrangement.cells.values()) == [slot.cell]
-    assert simple is slot.cell.simple and simple.kept and simple.key == ()
-    assert len(slot.cell.vertices) == 1 and len(simple.vertices) == len(arrangement.bases)
+    assert list(arrangement.cells.values()) == [slot.cell, simple]
+    assert 0 in slot.cell.key and 0 not in simple.key and is_kept(arrangement, simple)
+    # Region sums classify only the simple cell; the origin cell's one
+    # vertex is classified when a closure table asks.
+    assert slot.cell.vertices is None and len(simple.vertices) == len(arrangement.bases)
+    assert len(regions._cell_vertices(arrangement, slot.cell)) == 1
     masks = regions._realized_masks(fan, slot)
-    assert slot.cell.masks is None and 0 < len(masks) <= len(arrangement.bases) * 2**fan.dim
+    assert slot.cell.masks is None and simple.masks is masks
+    assert 0 < len(masks) <= len(arrangement.bases) * 2**fan.dim
     assert kept_entries(arrangement) == arrangement.entries <= regions.CELL_BUDGET
 
 
 def test_a_second_principal_divisor_of_the_21_ray_origin_builds_no_cell(monkeypatch):
     from test_cli import TRIPLES_21
 
-    # The kept origin cell pins its simple cell, so a new principal
-    # divisor neither lowers the key again nor classifies a cell.
+    # The origin cell and its simple cell are kept under their own keys,
+    # so a new principal divisor builds no cell.
     k = len(TRIPLES_21)
     fan = make_fan(2, [(a, b) for a, b, _ in TRIPLES_21], [{i, (i + 1) % k} for i in range(k)])
     zero = (0,) * k
@@ -602,16 +626,20 @@ def test_a_second_divisor_of_a_kept_cell_builds_no_table_and_solves_no_vertex(mo
     assert [f(fan, d) for f in (hhat, self_intersection)] == expected[:2]
     assert len(builds) == 2  # the first divisor of the cell builds its rank and Euler tables
     cell = slot_of(fan, d).cell
-    assert cell.kept and len(cell.columns) == 2 and table_entries(cell)
+    assert is_kept(regions._arrangement(fan.rays, fan.dim, fan.memo), cell)
+    assert len(cell.columns) == 2 and table_entries(cell)
     builds.clear()
     assert [f(fan, second) for f in (hhat, self_intersection)] == expected[2:]
     assert builds == [] and solves == []
 
 
 def test_a_cell_past_the_budget_gives_the_same_volumes(monkeypatch):
-    # With room for the cell and its rank table but not its Euler
-    # table, and with room for nothing, every volume is the same and the
-    # entries stay counted.
+    # A bound that holds the cell with both its tables keeps it, and a
+    # second divisor of the cell builds nothing.  One entry less, and
+    # the cell outgrows the whole bound with its Euler table: it serves
+    # its divisor but is not kept, so the second divisor builds both
+    # tables again.  A bound of 0 keeps nothing.  Every volume is the
+    # same and the kept entries stay counted.
     rng = random.Random(2032)
     fan = fresh(fixtures.bl3_p2())
     k = len(fan.rays)
@@ -620,18 +648,19 @@ def test_a_cell_past_the_budget_gives_the_same_volumes(monkeypatch):
     expected = [f(fan, x) for x in (d, second) for f in (hhat, self_intersection)]
     arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
     (cell,) = arrangement.cells.values()
-    assert len(cell.columns) == 2 and kept_entries(arrangement) == arrangement.entries
-    for budget, room in ((arrangement.entries - 1, True), (0, False)):
+    entries = arrangement.entries
+    assert len(cell.columns) == 2 and kept_entries(arrangement) == entries == cell.size
+    for budget, kept in ((entries, True), (entries - 1, False), (0, False)):
         monkeypatch.setattr(regions, "CELL_BUDGET", budget)
         crowded = fresh(fan)
+        crowded_arrangement = regions._arrangement(crowded.rays, crowded.dim, crowded.memo)
         assert [f(crowded, d) for f in (hhat, self_intersection)] == expected[:2]
         crowded_cell = slot_of(crowded, d).cell
-        assert crowded_cell.kept == room
-        assert len(crowded_cell.columns) == (1 if room else 0)
+        assert is_kept(crowded_arrangement, crowded_cell) == kept
+        assert len(crowded_cell.columns) == 2
         builds = built_tables(monkeypatch)
         assert [f(crowded, second) for f in (hhat, self_intersection)] == expected[2:]
-        assert len(builds) == (1 if room else 2)  # what the cell could not keep is built again
-        crowded_arrangement = regions._arrangement(crowded.rays, crowded.dim, crowded.memo)
+        assert len(builds) == (0 if kept else 2)  # a cell not kept is built again, tables and all
         assert kept_entries(crowded_arrangement) == crowded_arrangement.entries <= budget
         monkeypatch.undo()
 
