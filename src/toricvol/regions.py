@@ -39,9 +39,9 @@ meets (``_TypeCell``) under one least-recently-used bound of
 and past the bound the cells used longest ago are dropped with all they
 hold.  A cell holds, each filled on first use, one vertex per tight set
 with its basis and masks, classified from the signs alone with no point
-solved; a simple cell (below), found under its own key, with its
-realized table and count plans; the located chamber of
-``gkz.locate_chamber``; and its volume tables.
+solved, the located chamber of ``gkz.locate_chamber`` and its volume
+tables; a simple cell (below), which a degenerate cell finds under its
+own lowered key, also holds its realized table and count plans.
 ``_DivisorSlot`` keeps what one divisor adds: its row bounds, its
 lattice counts by mask, the vertices P_B = A_B . L_B its vertex tables
 solve and the powers its volumes take, and each fan's memo holds the
