@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fan import Fan, _is_int, is_complete, is_simplicial
 from .homology import _local_ranks
-from .regions import _divisor_slot, _h0_partial, _held_slot, _lawrence_sum
+from .regions import _arrangement, _divisor_slot, _h0_partial, _held_slot, _lawrence_sum
 
 AsymptoticVector = tuple[Fraction, ...]
 
@@ -43,7 +43,7 @@ def _rates(fan: Fan, d: Divisor, degrees: slice) -> AsymptoticVector:
 
 def _cleared_rates(fan: Fan, coefficients, q: int, degrees: slice) -> AsymptoticVector:
     """``_rates`` of the divisor cleared to integers, keyed without replacing the held slot."""
-    slot = _divisor_slot(fan.rays, fan.dim, fan.memo, coefficients, q)
+    slot = _divisor_slot(_arrangement(fan.rays, fan.dim, fan.memo), coefficients, q)
     return _lawrence_sum(fan, slot, _local_ranks, degrees)
 
 

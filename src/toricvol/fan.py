@@ -99,11 +99,10 @@ class Fan:
         """Write-once cache; concurrent duplicate computes are benign.
 
         Every key is written once, but a few values are containers filled
-        later: the held divisor of ``regions._held_slot`` under
-        ``"last_divisor"``, a triple (key, slot, entries) replaced whole
-        in one assignment, ``entries`` a tuple copy of the divisor, the
-        type cells under ``"arrangement"``, and per-fan caches of values
-        that never change once made.
+        later: the ``regions._Arrangement`` of the rays under
+        ``"arrangement"``, which keeps the type cells, each weak mask's
+        boundedness and the held divisor of ``regions._held_slot``, and
+        per-fan caches of values that never change once made.
         """
         if key not in self._memo:
             self._memo[key] = compute()

@@ -58,10 +58,11 @@ reads the step for every ray off one set of slacks, builds each probe
 d +- (a / b) e_rho as integers over q b in lowest terms, tests it with
 integer dots and hands it to the cleared rates
 (``asymptotics._cleared_rates``).  A nef decomposition reads its ray
-values off a plan kept once per fan and chamber (``_NefPlan``) and
-computes its parts and its two vertex tables as integers over one
-scale.  A ``Fraction`` is built only for an answer: support function
-values, sample divisors, nef parts, shifts and growth rates.  The memo
+values off a plan kept once per fan and chamber (``_NefPlan``, which
+also holds the nef region's arrangement) and computes its parts and its
+two vertex tables as integers over one scale.  A ``Fraction`` is built
+only for an answer: support function values, sample divisors, nef
+parts, shifts and growth rates.  The memo
 holds none of them as a ``GKZCone`` or as anything else that
 references the ambient fan (a chamber's fan is built on copies of its
 rays); every call builds fresh ``GKZCone`` objects around the memoized
@@ -92,7 +93,8 @@ from .fan import (
 from .homology import _local_ranks
 from .linalg import _lowest_terms, dot, nullspace, rank, solve, to_integers
 from .lp import gap_lp, relative_interior_functional
-from .regions import _held_slot, _lawrence_columns, _polytope_table, _vertex_table
+from .regions import _Arrangement, _arrangement, _held_slot, _lawrence_columns, _own_memo
+from .regions import _polytope_table, _vertex_table
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +244,10 @@ def _extreme_subset(fan: Fan, rays: frozenset[int]) -> frozenset[int]:
 
     def compute():
         mask = _inside_masks(fan)
-        held = 0
+        covered = 0
         for basis in combinations(sorted(rays), fan.dim):
-            held |= mask(basis) & ~sum(1 << b for b in basis)
-        return frozenset(i for i in rays if not held >> i & 1)
+            covered |= mask(basis) & ~sum(1 << b for b in basis)
+        return frozenset(i for i in rays if not covered >> i & 1)
 
     return fan.memo(("extreme_subset", rays), compute)
 
@@ -766,16 +768,16 @@ class _NefPlan:
     xi_rho = sum m * (q d)_b: the value on v_rho of the functional of the
     ray's owner cone, U = A_B . (-q d_B) over its recorded basis B, as
     ``divisor._basis_functional`` computes it.  ``support`` lists the
-    rays of the cones and ``normals`` their rays; ``full`` says whether
-    every ray generates one of the cones, so that the nef region is a
-    region of the fan itself, on its memo (a flag, as a memo function
-    kept here would point back at the fan).
+    rays of the cones and ``arrangement`` is the nef region's
+    (``regions._Arrangement``), on the rays of ``support``: the fan's
+    own when every ray generates one of the cones, else one built on
+    the support rays with a memo of its own, so a second split on the
+    chamber builds none.  Neither points back at the fan.
     """
 
     rows: tuple
     support: tuple[int, ...]
-    normals: tuple
-    full: bool
+    arrangement: _Arrangement
 
 
 def _nef_plan(fan: Fan, cones, strict) -> _NefPlan | None:
@@ -795,12 +797,11 @@ def _nef_plan(fan: Fan, cones, strict) -> _NefPlan | None:
             values = (sum(map(mul, column, ray)) for column in zip(*inverses[basis]))
             rows.append(tuple((b, -x) for b, x in zip(basis, values) if x))
         support = tuple(sorted(frozenset().union(*cones)))
-        return _NefPlan(
-            tuple(rows),
-            support,
-            tuple(fan.rays[rho] for rho in support),
-            len(support) == len(fan.rays),
-        )
+        if len(support) == len(fan.rays):
+            arrangement = _arrangement(fan.rays, fan.dim, fan.memo)
+        else:
+            arrangement = _arrangement(tuple(fan.rays[rho] for rho in support), fan.dim, _own_memo())
+        return _NefPlan(tuple(rows), support, arrangement)
 
     return fan.memo(("nef_plan", cones, strict), compute)
 
@@ -829,9 +830,8 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     min_P <P, v_rho> over its vertices (in integers, for vertices P / s,
     s * remainder_rho = s * shifted_rho + M * min <P, v_rho>).  The polytopes
     are compared on their integer vertex tables, the shifted one read
-    off its divisor slot in the fan's memo (the held slot of d when the
-    shift is zero) and the nef one off the fan's memo too when every ray
-    generates one of the cones, else off the nef region's own memo:
+    off its divisor slot on the fan's arrangement (the held slot of d
+    when the shift is zero) and the nef one off the plan's arrangement:
     with points P / s and Q / r, the vertex sets agree exactly when
     {r P} = {s Q}.  Raises ValueError unless the cone was built on
     ``fan`` and its cones hold every ray.
@@ -865,17 +865,8 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     shifted = [common * t * c + lift for c, lift in zip(coefficients, lifts)]
     support = plan.support
     nef = [lifts[rho] - t * xi[rho] for rho in support]
-    shifted_table, s = _polytope_table(fan.rays, n, fan.memo, *_lowest_terms(shifted, scale))
-    if plan.full:
-        memo = fan.memo
-    else:
-        key = frozenset(support)
-
-        def memo(entry, compute):
-            # The nef region's normals are the support rays, not all rays.
-            return fan.memo(("nef_region", key, entry), compute)
-
-    nef_table, r = _polytope_table(plan.normals, n, memo, *_lowest_terms(nef, scale))
+    shifted_table, s = _polytope_table(_arrangement(fan.rays, n, fan.memo), *_lowest_terms(shifted, scale))
+    nef_table, r = _polytope_table(plan.arrangement, *_lowest_terms(nef, scale))
     shifted_points = {tuple(r * x for x in p) for p in shifted_table}
     if shifted_points != {tuple(s * x for x in p) for p in nef_table}:
         raise ToricError("internal: nef part's polytope differs from the shifted one")

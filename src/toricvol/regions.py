@@ -13,7 +13,15 @@ region of W is unbounded exactly when the normals do not span the space
 or some cocircuit, with either sign, is positive only on W and negative
 only off W.  The patterns come once per normal set from the kernels of
 its (n - 1)-subsets in integers; a region sum tests only the weak sets
-its divisor realizes, never all 2^k.
+its divisor realizes, never all 2^k, and each of them once per normal
+set.
+
+Everything that depends on the normals alone lives in one object per
+normal set, its ``_Arrangement``, kept in the memo beside the basis
+inverses and the cocircuit patterns it reads: the patterns, each weak
+mask's boundedness, the type cells below and the held divisor.  Region
+code takes that arrangement, or a slot on it, never the normals, their
+dimension and a memo as three arguments.
 
 Everything here is exact.  Vertex enumeration runs in integers: it
 reads the integer inverse of every rank-n basis of normals over one
@@ -33,7 +41,7 @@ integer dependency lam of every spanning (n + 1)-subset S of normals,
 read off a basis inverse, and the sign of the circuit value <lam, L_S>
 at the levels places row i against the vertex of the basis S - {i}.  A
 divisor's cell key is the tuple of its circuit signs, unchanged under
-linear equivalence and positive scaling.  Each memo keeps the cells it
+linear equivalence and positive scaling.  Each arrangement keeps the cells it
 meets (``_TypeCell``) under one least-recently-used bound of
 ``CELL_BUDGET`` entries over whole cells: every lookup marks its cell,
 and past the bound the cells used longest ago are dropped with all they
@@ -44,13 +52,14 @@ tables; a simple cell (below), which a degenerate cell finds under its
 own lowered key, also holds its realized table and count plans.
 ``_DivisorSlot`` keeps what one divisor adds: its row bounds, its
 lattice counts by mask, the vertices P_B = A_B . L_B its vertex tables
-solve and the powers its volumes take, and each fan's memo holds the
-slot of its last divisor, found again by the identity of its entries
+solve and the powers its volumes take, and each fan's arrangement holds
+the slot of its last divisor, found again by the identity of its entries
 with no clearing (``_held_slot``).  ``region_sum`` counts a realized
 region's lattice points straight off that slot and the count plan of
 the region's weak mask, with no region object (``_slot_count``).  A
-standalone ``HalfOpenRegion`` feeds the same count core from its own vertex table
-and row bounds, each computed at most once per object, on first use.
+standalone ``HalfOpenRegion`` feeds the same count core from its own
+vertex table and the row bounds of its own slot, each computed at most
+once per object, on first use.
 
 Counts and volumes sum over the regions of one simple cell.  Lowering
 the levels by theta_i = eps^(i + 1), eps -> 0+, makes every circuit
@@ -114,10 +123,11 @@ visited before CapExceededError.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import combinations, count, product
 from operator import is_, itemgetter, mul, or_
 from threading import Lock
@@ -125,7 +135,7 @@ from typing import Callable
 
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, NotCompleteError, UnboundedRegionError
-from .fan import Fan, _basis_table, _check_rays, is_complete
+from .fan import Fan, _basis_table, _check_rays, _is_int, is_complete
 from .linalg import _kernel_direction, _point_integers, dot, rank, to_integers
 
 
@@ -159,7 +169,11 @@ _ZERO = Fraction(0)
 
 
 def _own_memo():
-    """A memo of one region built outside a fan: each fact computed once, kept in its own dict."""
+    """A memo of one normal set outside a fan: each fact computed once, kept in its own dict.
+
+    A standalone region's default memo, and the memo a nef region's
+    arrangement is built on (``gkz._NefPlan``).
+    """
     kept: dict = {}
 
     def memo(key, compute):
@@ -174,17 +188,21 @@ def _own_memo():
 class HalfOpenRegion:
     """One mixed weak/strict linear system, one constraint per ray.
 
-    ``memo`` stores the facts that depend only on the normals (cocircuit
-    patterns, basis inverses, the type-cell arrangement).
-    Regions of a fan carry the fan's memo, so those facts are computed
-    once per fan; the default is a memo of the region's own, so they are
-    computed once per region object (``dataclasses.replace`` with other
-    normals must pass a new memo).  The integer data the
-    measures read, ``slot``, ``vertex_table`` and ``row_bounds``, is
-    computed at most once per region object, on first use.
-    ``region_sum`` builds no region: it counts off its divisor's slot.
-    Raises ValueError unless ``normals``, ``levels`` and ``weak`` have
-    one entry per row and every normal has ``dim`` entries.
+    ``memo`` stores the facts that depend only on the normals: the
+    basis inverses, the cocircuit patterns and the one ``_Arrangement``
+    that reads them.  Regions of a fan carry the fan's memo, so those
+    facts are computed once per fan; the default is a memo of the
+    region's own, so they are computed once per region object.  A memo
+    whose arrangement was built on other normals is refused with
+    ValueError when the region's ``slot`` is first read, so a region
+    made by ``dataclasses.replace`` with other normals needs a memo of
+    its own.  The integer data the measures read, ``slot`` (with its
+    row bounds) and ``vertex_table``, is computed at most once per
+    region object, on first use.  ``region_sum`` builds no region: it
+    counts off its divisor's slot.  Raises ValueError unless ``dim`` is
+    an int of at least 1, every normal entry an int (``fan._is_int``,
+    so no bool), ``normals``, ``levels`` and ``weak`` have one entry
+    per row and every normal has ``dim`` entries.
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -194,6 +212,10 @@ class HalfOpenRegion:
     memo: Callable = field(default_factory=_own_memo, compare=False, repr=False)
 
     def __post_init__(self):
+        if not _is_int(self.dim) or self.dim < 1 or not all(_is_int(x) for v in self.normals for x in v):
+            raise ValueError(
+                f"a region needs an int dim >= 1 and int normals, got {self.dim!r} and {self.normals!r}"
+            )
         k = len(self.normals)
         if len(self.levels) != k or len(self.weak) != k or set(map(len, self.normals)) - {self.dim}:
             raise ValueError(
@@ -227,16 +249,15 @@ class HalfOpenRegion:
     def slot(self) -> _DivisorSlot:
         """The ``_DivisorSlot`` of the levels, keyed once per region object.
 
-        It is the memo's held slot when the levels are its divisor's;
-        ``vertex_table`` and ``normalized_volume`` read it.
+        It is the held slot of the memo's arrangement when the levels
+        are its divisor's; every measure reads it.  Raises ValueError
+        when the memo's arrangement was built on other normals.
         """
+        arrangement = _arrangement(self.normals, self.dim, self.memo)
+        if (arrangement.normals, arrangement.dim) != (self.normals, self.dim):
+            raise ValueError("the region's memo holds the facts of other normals; pass a memo of its own")
         levels, q = to_integers(self.levels)
-        return _divisor_slot(self.normals, self.dim, self.memo, [-x for x in levels], q)
-
-    @cached_property
-    def row_bounds(self) -> tuple[int, ...]:
-        """Each row's integer bound ceil(level), from one clearing of the levels."""
-        return _ceilings(*to_integers(self.levels))
+        return _divisor_slot(arrangement, [-x for x in levels], q)
 
 
 def _ceilings(levels, q: int):
@@ -283,7 +304,8 @@ def _unbounded_patterns(normals, dim: int, memo):
     the normals do not span the space, the single pattern (0, 0) of a u
     orthogonal to all of them stands for every pattern.  Depends on the
     normals only, so it is kept once in the given memo (a fan's, or a
-    region's own).
+    region's own), where ``bounded_subsets`` and the normals'
+    ``_Arrangement`` read it.
     """
 
     def compute():
@@ -313,8 +335,8 @@ def _bounded_mask(patterns, weak: int) -> bool:
     return all(pos & ~weak or neg & weak for pos, neg in patterns)
 
 
-def _is_bounded(normals, dim: int, memo, weak: int) -> bool:
-    """Whether the closure of the weak mask's region of these normals is bounded.
+def _is_bounded(arrangement: _Arrangement, weak: int) -> bool:
+    """Whether the closure of the weak mask's region of the arrangement's normals is bounded.
 
     The recession cone is {u : <u, r> >= 0} over the rows r = v on weak
     rays and r = -v off them.  If the normals do not span the space it
@@ -322,9 +344,10 @@ def _is_bounded(normals, dim: int, memo, weak: int) -> bool:
     an extreme ray, which lies on n - 1 independent tight rows: a
     cocircuit direction u with <u, v> >= 0 on W and <= 0 off W, i.e.
     pos(u) inside W and neg(u) outside.  One mask test per pattern of
-    ``_unbounded_patterns`` decides it, with no LP.
+    ``_unbounded_patterns``, held by the arrangement, decides it, with
+    no LP.
     """
-    return _bounded_mask(_unbounded_patterns(normals, dim, memo), weak)
+    return _bounded_mask(arrangement.patterns, weak)
 
 
 def is_bounded_subset(fan: Fan, weak_rays) -> bool:
@@ -334,7 +357,7 @@ def is_bounded_subset(fan: Fan, weak_rays) -> bool:
     ValueError unless every entry of the subset is a ray index.
     """
     subset = _check_rays(fan, weak_rays)
-    return _is_bounded(fan.rays, fan.dim, fan.memo, sum(1 << i for i in subset))
+    return _bounded_mask(_unbounded_patterns(fan.rays, fan.dim, fan.memo), sum(1 << i for i in subset))
 
 
 def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
@@ -358,7 +381,18 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
 
 
 class _Arrangement:
-    """The type-cell machinery of one normal set, built once per memo.
+    """Everything one normal set knows without a divisor, built once per memo.
+
+    It is the one holder of that state: region code takes an
+    arrangement, or a slot on one, never the normals, dimension and memo
+    apart.  ``normals`` and ``dim`` are the set it was built on, and
+    ``patterns`` its cocircuit patterns (``_unbounded_patterns``), read
+    by ``_is_bounded`` and by ``subset``, which decides each weak mask
+    of a realized table once and keeps the answer in ``subsets``.
+    ``held`` is the slot of the last divisor a complete fan was asked
+    about, a triple (key, slot, entries) replaced whole in one
+    assignment (``_held_slot``); None until then, and always on the
+    arrangement of a standalone region or of a nef region.
 
     ``bases`` has one entry (combo, adjugate, basis, bits, codes) per
     invertible n-subset of the normals, in the order of
@@ -390,6 +424,9 @@ class _Arrangement:
     def __init__(self, normals, dim: int, memo):
         self.common, inverses, self.sizes = _basis_table(normals, dim, memo)
         self.normals, self.dim = normals, dim
+        self.patterns = _unbounded_patterns(normals, dim, memo)
+        self.subsets: dict = {}
+        self.held = None
         found: dict = {}
         circuits, ties = [], []
         self.bases = []
@@ -474,6 +511,13 @@ class _Arrangement:
             for combo, g in self.lawrence
         )
 
+    def subset(self, mask: int) -> frozenset[int] | None:
+        """The ray subset of a weak mask, or None if its region is unbounded; decided once per mask."""
+        if mask not in self.subsets:
+            rays = frozenset(i for i in range(len(self.normals)) if mask >> i & 1)
+            self.subsets[mask] = rays if _bounded_mask(self.patterns, mask) else None
+        return self.subsets[mask]
+
     def share(self, value: tuple) -> tuple:
         """The one object held for this value, in ``shared``.
 
@@ -530,6 +574,7 @@ class _Arrangement:
 
 
 def _arrangement(normals, dim: int, memo) -> _Arrangement:
+    """The ``_Arrangement`` of the normals, kept once in the memo."""
     return memo("arrangement", lambda: _Arrangement(normals, dim, memo))
 
 
@@ -638,7 +683,7 @@ class _DivisorSlot:
     ``key`` is (q * d, q), the divisor cleared to integers.  Each vertex
     point P_B = A_B . L_B is solved on first use and kept in ``points``
     by basis; ``_slot_simple`` fills its cell's simple cell,
-    ``region_sum`` its lattice counts by mask, ``_slot_count`` its row
+    ``region_sum`` its lattice counts by mask, ``_slot_bounds`` its row
     bounds, and the volume sums ``powers``, <g_B, L_B>^n by basis, on
     first use.  The slot holds its cells, kept or not.
     """
@@ -673,17 +718,16 @@ class _DivisorSlot:
         return -sum(x * coefficients[i] for x, i in zip(g, combo))
 
 
-def _divisor_slot(normals, dim: int, memo, coefficients, q: int) -> _DivisorSlot:
-    """The slot of the cleared divisor q * d = ``coefficients``: the memo's held one if it matches.
+def _divisor_slot(arrangement: _Arrangement, coefficients, q: int) -> _DivisorSlot:
+    """The slot of the cleared divisor q * d = ``coefficients``: the arrangement's held one if it matches.
 
     Otherwise a new slot, on the type cell of the levels -q * d, which
     does not replace the held one (``_held_slot`` does that).
     """
     key = (tuple(coefficients), q)
-    held = memo("last_divisor", lambda: [None])[0]
+    held = arrangement.held
     if held is not None and held[0] == key:
         return held[1]
-    arrangement = _arrangement(normals, dim, memo)
     cell = arrangement.cell(_cell_key(arrangement, [-x for x in coefficients]))
     return _DivisorSlot(key, arrangement, cell)
 
@@ -691,28 +735,35 @@ def _divisor_slot(normals, dim: int, memo, coefficients, q: int) -> _DivisorSlot
 def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
     """The slot of d on a complete fan (``_divisor_slot``), held as the fan's last divisor.
 
-    The ``"last_divisor"`` memo holds (key, slot, entries), ``entries``
-    a tuple copy of the divisor held.  A divisor whose entries are the
-    same objects is that divisor: its slot is returned with no clearing
-    and no key.  Identity, not ``==``, so True never stands for 1
+    The fan's arrangement holds (key, slot, entries) as ``held``,
+    ``entries`` a tuple copy of the divisor held.  A divisor whose
+    entries are the same objects is that divisor: its slot is returned
+    with no clearing and no key.  Identity, not ``==``, so True never stands for 1
     (``linalg.to_integers`` rejects bools) and a list mutated in place
     is cleared again.  Any other divisor is cleared (``to_integers``)
     and its key compared with the held one; either way it becomes the
     held divisor, in one assignment, so that concurrent calls need no
-    lock.  Region sums, support functions, chamber steps and growth
-    rates read it.  Raises NotCompleteError unless the fan is complete,
-    and ValueError unless d has one coefficient per ray.
+    lock.  The held slot points back at the arrangement, so the first
+    one held registers a finalizer that drops it with the fan: reference
+    counting alone then frees the fan's memo, arrangement and all.
+    Region sums, support functions, chamber steps and growth rates read
+    it.  Raises NotCompleteError unless the fan is complete, and
+    ValueError unless d has one coefficient per ray.
     """
     if not is_complete(fan):
         raise NotCompleteError("region sums, support functions and growth rates need a complete fan")
     _check_length(fan, d)
-    last = fan.memo("last_divisor", lambda: [None])
-    held = last[0]
+    # ``_arrangement`` inlined, and ``fan`` bound as a default rather than a closure cell: the
+    # held divisor's hit takes one memo lookup and no extra call.
+    arrangement = fan.memo("arrangement", lambda fan=fan: _Arrangement(fan.rays, fan.dim, fan.memo))
+    held = arrangement.held
     if held is not None and all(map(is_, d, held[2])):
         return held[1]
     entries = tuple(d)
-    slot = _divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(entries))
-    last[0] = (slot.key, slot, entries)
+    slot = _divisor_slot(arrangement, *to_integers(entries))
+    if held is None:
+        weakref.finalize(fan, setattr, arrangement, "held", None)
+    arrangement.held = (slot.key, slot, entries)
     return slot
 
 
@@ -741,26 +792,26 @@ def _integer_vertices(reg: HalfOpenRegion):
     ``region_sum`` builds no region, so never runs it.  Raises on
     systems with unbounded closure.
     """
-    return _closure_table(reg.normals, reg.dim, reg.memo, reg.slot, _weak_mask(reg.weak))
+    return _closure_table(reg.slot, _weak_mask(reg.weak))
 
 
-def _polytope_table(normals, dim: int, memo, coefficients, q: int):
+def _polytope_table(arrangement: _Arrangement, coefficients, q: int):
     """``_closure_table`` of the polytope <u, v_i> >= -d_i, all rows weak, for d = coefficients / q.
 
     The pair is a divisor cleared as ``linalg.to_integers`` clears it.
-    The table is read off the memo's last divisor's slot when it
-    matches, which is not replaced otherwise.
+    The table is read off the arrangement's held slot when it matches,
+    which is not replaced otherwise.
     """
-    slot = _divisor_slot(normals, dim, memo, coefficients, q)
-    return _closure_table(normals, dim, memo, slot, (1 << len(normals)) - 1)
+    slot = _divisor_slot(arrangement, coefficients, q)
+    return _closure_table(slot, (1 << len(arrangement.normals)) - 1)
 
 
-def _closure_table(normals, dim: int, memo, slot: _DivisorSlot, weak: int):
+def _closure_table(slot: _DivisorSlot, weak: int):
     """``_vertex_table`` of the weak mask's closure on the slot, solving only the vertices kept.
 
     Raises on an unbounded closure.
     """
-    if not _is_bounded(normals, dim, memo, weak):
+    if not _is_bounded(slot.arrangement, weak):
         raise UnboundedRegionError("region closure is unbounded")
     return _vertex_table(slot, weak)
 
@@ -793,10 +844,10 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     Raises on systems with unbounded closure.
     """
     weak = _weak_mask(reg.weak)
-    if not _is_bounded(reg.normals, reg.dim, reg.memo, weak):
-        raise UnboundedRegionError("region closure is unbounded")
     slot = reg.slot
     arrangement = slot.arrangement
+    if not _is_bounded(arrangement, weak):
+        raise UnboundedRegionError("region closure is unbounded")
     total = 0
     for b, above, basis in _cell_vertices(arrangement, _slot_simple(slot)):
         if not above & ~weak and not weak & ~(above | basis):
@@ -1061,8 +1112,7 @@ def _own_plan(reg: HalfOpenRegion):
     points, scale = reg.vertex_table
     if not points:
         return None
-    arrangement = _arrangement(reg.normals, reg.dim, reg.memo)
-    plan = _count_plan(arrangement, reduce(or_, points.values()), _weak_mask(reg.weak))
+    plan = _count_plan(reg.slot.arrangement, reduce(or_, points.values()), _weak_mask(reg.weak))
     columns = list(zip(*points))[: reg.dim - 1]
     return plan, [_range(column, scale) for column in columns]
 
@@ -1071,48 +1121,28 @@ def lattice_count(reg: HalfOpenRegion) -> int:
     """The number of integer points of the half-open region.
 
     ``_lattice_count``, the core of every count, on the plan of the
-    rows tight at the closure's vertices (``_own_plan``) and the
-    region's own ``row_bounds``: 2-D slices counted with no point
+    rows tight at the closure's vertices (``_own_plan``) and the row
+    bounds of the region's slot (``_slot_bounds``): 2-D slices counted with no point
     listed, or in dimension 1 the one fiber.  Raises on systems with
     unbounded closure and CapExceededError past ``FIBER_BUDGET`` slices.
     """
     found = _own_plan(reg)
-    return 0 if found is None else _lattice_count(found[0], reg.row_bounds, found[1])
+    return 0 if found is None else _lattice_count(found[0], _slot_bounds(reg.slot), found[1])
 
 
 def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
     """All integer points of the half-open region, in lexicographic order.
 
     Membership honors the mixed weak/strict system exactly; the points
-    are the fibers of ``_fibers`` on the rows of ``_own_plan``, expanded
-    one by one.
+    are the fibers of ``_fibers`` on the rows of ``_own_plan`` and the
+    row bounds of the region's slot, expanded one by one.
     """
     found = _own_plan(reg)
     if found is None:
         return []
     plan, box = found
-    fibers = _fibers(_bounds(plan, reg.row_bounds), box)
+    fibers = _fibers(_bounds(plan, _slot_bounds(reg.slot)), box)
     return [prefix + (x,) for prefix, lo, hi in fibers for x in range(lo, hi + 1)]
-
-
-def _realized_subset(patterns, k: int, mask: int):
-    """The ray subset of a weak mask, or None if its region is unbounded."""
-    if _bounded_mask(patterns, mask):
-        return frozenset(i for i in range(k) if mask >> i & 1)
-    return None
-
-
-def _realized_reader(fan: Fan):
-    """The per-fan ``"bounded_masks"`` cache: a mask's ray subset, or None if unbounded.
-
-    Each mask met is decided once per fan with ``_bounded_mask``.
-    """
-    return fan.memo(
-        "bounded_masks",
-        lambda: cache(
-            partial(_realized_subset, _unbounded_patterns(fan.rays, fan.dim, fan.memo), len(fan.rays))
-        ),
-    )
 
 
 def _slot_simple(slot: _DivisorSlot) -> _TypeCell:
@@ -1122,13 +1152,21 @@ def _slot_simple(slot: _DivisorSlot) -> _TypeCell:
     return slot.simple
 
 
-def _realized_masks(fan: Fan, slot: _DivisorSlot):
+def _slot_bounds(slot: _DivisorSlot) -> tuple[int, ...]:
+    """The row bounds ceil(-d_i) of the slot's divisor (``_ceilings``), cleared once per slot."""
+    if slot.bounds is None:
+        coefficients, q = slot.key
+        slot.bounds = _ceilings([-x for x in coefficients], q)
+    return slot.bounds
+
+
+def _realized_masks(slot: _DivisorSlot):
     """The realized bounded masks of the slot's simple cell, as (mask, subset, vertices).
 
     On the simple cell of the lowered levels (``_simple_cell``) each
     basis B is a vertex tight on B alone, and the regions whose closure
     holds it are the 2^n orthant masks W = above(P_B) | S, S any submask
-    of B.  Each one ``_realized_reader`` finds bounded is kept with the
+    of B.  Each one the arrangement finds bounded (``_Arrangement.subset``) is kept with the
     vertex triples (b, above, basis) of its closure, in basis order.
     Lowering the levels changes no lattice count (``region_sum``) and,
     by continuity, no volume, so this one table feeds both.  Built once
@@ -1137,14 +1175,14 @@ def _realized_masks(fan: Fan, slot: _DivisorSlot):
     cell = _slot_simple(slot)
     if cell.masks is None:
         arrangement = slot.arrangement
-        cell.masks = _realized_table(fan, _cell_vertices(arrangement, cell))
+        cell.masks = _realized_table(arrangement, _cell_vertices(arrangement, cell))
         arrangement.grow(cell, sum(len(entry[2]) for entry in cell.masks))
     return cell.masks
 
 
-def _realized_table(fan: Fan, vertices):
+def _realized_table(arrangement: _Arrangement, vertices):
     """The table of ``_realized_masks`` from a simple cell's vertex triples."""
-    realized = _realized_reader(fan)
+    realized = arrangement.subset
     tables: dict = {}
     for vertex in vertices:
         _, above, basis = vertex
@@ -1175,9 +1213,9 @@ def region_sum(fan: Fan, d: Divisor, weight) -> tuple:
     are the table's orthant masks.  Each is counted off the divisor's
     slot by ``_slot_count``, with the row bounds of D itself.
 
-    The fan holds the last divisor asked about in one slot
-    (``_DivisorSlot``) under the ``"last_divisor"`` memo
-    (``_held_slot``): the same divisor object finds it by the identity
+    The fan's arrangement holds the last divisor asked about in one slot
+    (``_DivisorSlot``) as ``held`` (``_held_slot``): the same divisor
+    object finds it by the identity
     of its entries, with no clearing, and any other divisor is cleared
     and compared by its key, the integers q * d and their q, so 2 and
     Fraction(4, 2) share it.  The slot reads its realized masks off the
@@ -1222,7 +1260,7 @@ def _weighted_entries(fan: Fan, slot: _DivisorSlot, weight):
     found = simple.weighted.get(weight)
     if found is None:
         arrangement = slot.arrangement
-        table = [(mask, weight(fan, rays), vertices) for mask, rays, vertices in _realized_masks(fan, slot)]
+        table = [(mask, weight(fan, rays), vertices) for mask, rays, vertices in _realized_masks(slot)]
         entries = tuple(
             (mask, arrangement.share(tuple((i, x) for i, x in enumerate(w) if x)), vertices)
             for mask, w, vertices in table
@@ -1238,20 +1276,18 @@ def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:
 
     The mask's count plan (``_cell_plan``, from its vertex triples
     ``vertices``) is built on its first count and kept on the slot's
-    simple cell.  The rows' bounds ceil(-d_i) are cleared once per slot,
-    and the box solves only the first n - 1 coordinates of each vertex;
-    ``_lattice_count`` counts.
+    simple cell.  The rows' bounds ceil(-d_i) are cleared once per slot
+    (``_slot_bounds``), and the box solves only the first n - 1
+    coordinates of each vertex; ``_lattice_count`` counts.
     """
     arrangement, simple = slot.arrangement, _slot_simple(slot)
     plan = simple.plans.get(mask)
     if plan is None:
         plan = simple.plans[mask] = _cell_plan(arrangement, mask, vertices)
         arrangement.grow(simple, len(plan.facets) + len(plan.corners))
-    coefficients, q = slot.key
-    if slot.bounds is None:
-        slot.bounds = _ceilings([-x for x in coefficients], q)
+    coefficients = slot.key[0]
     points = zip(*([sum(map(mul, row, get(coefficients))) for row in rows] for get, rows in plan.corners))
-    return _lattice_count(plan, slot.bounds, [_range(column, slot.scale) for column in points])
+    return _lattice_count(plan, _slot_bounds(slot), [_range(column, slot.scale) for column in points])
 
 
 def _lawrence_columns(fan: Fan, slot: _DivisorSlot, weight):
@@ -1273,7 +1309,7 @@ def _lawrence_columns(fan: Fan, slot: _DivisorSlot, weight):
         return columns
     size, weights = len(weight(fan, frozenset())), arrangement.weights
     totals = [[0] * size for _ in weights]
-    for mask, subset, vertices in _realized_masks(fan, slot):
+    for mask, subset, vertices in _realized_masks(slot):
         w = weight(fan, subset)
         for b, _, basis in vertices:
             sign = -1 if (basis & ~mask).bit_count() & 1 else 1

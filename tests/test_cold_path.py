@@ -111,7 +111,8 @@ def test_boundedness_matches_gordan_on_random_normals():
             reg = HalfOpenRegion(normals, (0,) * k, tuple(weak), n, memo)
             expected = gordan_is_bounded(normals, weak, n)
             mask = regions._weak_mask(reg.weak)
-            assert regions._is_bounded(reg.normals, reg.dim, reg.memo, mask) == expected, (normals, weak)
+            arrangement = regions._arrangement(reg.normals, reg.dim, reg.memo)
+            assert regions._is_bounded(arrangement, mask) == expected, (normals, weak)
             bounded_seen += expected
     assert min(spans.values()) > 300
     assert bounded_seen > 300
@@ -122,10 +123,11 @@ def test_nef_region_boundedness_matches_gordan(monkeypatch):
     seen = []
     original = regions._is_bounded
 
-    def recorded(normals, dim, memo, weak):
-        answer = original(normals, dim, memo, weak)
+    def recorded(arrangement, weak):
+        answer = original(arrangement, weak)
+        normals = arrangement.normals
         flags = tuple(bool(weak >> i & 1) for i in range(len(normals)))
-        seen.append((normals, flags, dim, answer))
+        seen.append((normals, flags, arrangement.dim, answer))
         return answer
 
     monkeypatch.setattr(regions, "_is_bounded", recorded)

@@ -92,8 +92,8 @@ def test_the_count_core_matches_a_plain_point_scan():
         assert len(divisors) == 7
         for d in divisors:
             found, scale = divisor_vertices(fan, d)
-            slot = regions._divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d))
-            table = regions._realized_masks(fan, slot)
+            slot = regions._divisor_slot(regions._arrangement(fan.rays, fan.dim, fan.memo), *to_integers(d))
+            table = regions._realized_masks(slot)
             assert table, (fan.rays, d)
             for mask, _, vertices in table:
                 closure = filtered(found, mask)

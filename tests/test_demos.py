@@ -4,9 +4,9 @@
 internal cross-checks do not rely on them; a static scan keeps the
 library free of ``assert`` statements altogether, one keeps every LP
 in the one capped-gap form of ``lp.py``, one keeps every lattice count
-on the one slice walk, and one more keeps its runtime on the standard
-library.  Another scan keeps the Cech
-referee from reading the sphere-complex rank vectors it checks, and
+on the one slice walk, one keeps its runtime on the standard library,
+and one more keeps a normal set's divisor-free state on its one
+arrangement.  Another scan keeps the Cech referee from reading the sphere-complex rank vectors it checks, and
 one the volume referees from reading the volume tables.  One keeps
 floating point off every path: no float literal, no ``float`` use and
 no ``math`` function other than the integer ones, one keeps
@@ -119,6 +119,20 @@ def test_library_bounds_type_cells_in_one_function():
             if "admit" in names or isinstance(node, ast.Attribute) and node.attr == "kept":
                 mentions.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not mentions, mentions
+
+
+def test_library_holds_divisor_free_state_on_the_arrangement():
+    # A normal set's divisor-free facts live on its one ``_Arrangement``:
+    # no memo kind of the held divisor, of mask decisions or of nef
+    # regions comes back, and only the held-slot pair and the
+    # arrangement's constructor (``__init__``) read ``held``, so a second
+    # holder of the last divisor cannot creep back.
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        for kind in ("last_divisor", "bounded_masks", "nef_region"):
+            assert kind not in text, f"{path.name} mentions {kind!r}"
+    found = readers("held")
+    assert found == {"regions.py:_held_slot", "regions.py:_divisor_slot", "regions.py:__init__"}, found
 
 
 def test_library_imports_only_the_standard_library():

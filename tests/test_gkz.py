@@ -555,19 +555,22 @@ def test_nef_decomposition_on_coarse_chamber():
 def test_nef_decomposition_rejects_a_wrong_shift(monkeypatch):
     # The polytope postcondition compares the two integer vertex tables: a
     # shift that moves one coefficient by 1/3 must trip it.  The shifted
-    # divisor's table is the one read on the fan's own memo.
+    # divisor's table is the one read on the fan's own arrangement.
+    from toricvol import regions
+
     fan = bl2_p2()
     chamber = enumerate_maximal_chambers(fan)[0]
     d = scale(chamber.sample_divisor, Fraction(3, 2))
     assert nef_decomposition(fan, chamber, d).shifted == d
     original = gkz._polytope_table
+    own = regions._arrangement(fan.rays, fan.dim, fan.memo)
 
-    def skewed(normals, dim, memo, coefficients, q):
-        if memo == fan.memo:
+    def skewed(arrangement, coefficients, q):
+        if arrangement is own:
             values = [Fraction(c, q) for c in coefficients]
             values[0] += Fraction(1, 3)
             coefficients, q = to_integers(values)
-        return original(normals, dim, memo, coefficients, q)
+        return original(arrangement, coefficients, q)
 
     monkeypatch.setattr(gkz, "_polytope_table", skewed)
     with pytest.raises(ToricError, match="polytope differs"):
@@ -1152,14 +1155,15 @@ def test_a_divisor_outside_the_chamber_is_refused_before_it_is_held(monkeypatch)
     fan = fresh(f1())
     coarse = next(ch for ch in enumerate_maximal_chambers(fan) if ch.strict_rays)
     assert hhat0_on_chamber(fan, coarse, divisor([2, 0, 0, 3])) == 4
-    held = fan._memo["last_divisor"][0]
+    arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
+    held = arrangement.held
     keys = []
     counting(monkeypatch, regions, "_cell_key", lambda arrangement, _: keys.append(arrangement))
     other = divisor([1, 1, 1, 1])
     with pytest.raises(ChamberMembershipError):
         hhat0_on_chamber(fan, coarse, other)
     assert not gkz_membership(fan, coarse, other)
-    assert keys == [] and fan._memo["last_divisor"][0] is held
+    assert keys == [] and arrangement.held is held
     blowup = make_fan(2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
     own = gkz_cone(blowup, blowup.max_cones, frozenset())
     with pytest.raises(ChamberMembershipError):
@@ -1207,24 +1211,34 @@ def test_a_chamber_step_clears_its_divisor_once_and_keys_one_cell(monkeypatch, m
         assert len(keys) == (2 if chamber.strict_rays else 1), chamber.strict_rays
 
 
-def test_a_nef_split_on_cones_holding_every_ray_builds_no_nef_region():
+def test_a_nef_split_on_cones_holding_every_ray_builds_no_nef_region(monkeypatch):
     # When every ray generates one of the cones, the nef region is a
-    # region of the fan itself, read on the fan's memo; only a chamber
-    # with strict rays builds the arrangement of its own normals.
+    # region of the fan itself, on the fan's arrangement; only a chamber
+    # with strict rays builds the arrangement of its own normals, and a
+    # second split on that chamber builds none.
+    from toricvol import regions
+
     fan = fresh(bl2_p2())
     own = gkz_cone(fan, fan.max_cones, frozenset())
+    fan_arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
 
-    def nef_keys():
-        return [key for key in fan._memo if isinstance(key, tuple) and key[0] == "nef_region"]
+    def plan(chamber):
+        return gkz._nef_plan(fan, chamber.sigma_cones, chamber.strict_rays)
 
     nef_decomposition(fan, own, divisor([3, 3, 3, 2, 2]))
     full = [ch for ch in enumerate_maximal_chambers(fan) if not ch.strict_rays]
     for chamber in full:
         nef_decomposition(fan, chamber, chamber.sample_divisor)
-    assert full and nef_keys() == []
+    assert full and all(plan(ch).arrangement is fan_arrangement for ch in (own, *full))
     coarse = next(ch for ch in enumerate_maximal_chambers(fan) if ch.strict_rays)
     nef_decomposition(fan, coarse, coarse.sample_divisor)
-    assert any(key[2] == "arrangement" for key in nef_keys())
+    nef = plan(coarse).arrangement
+    assert nef is not fan_arrangement
+    assert nef.normals == tuple(fan.rays[rho] for rho in plan(coarse).support) != fan.rays
+    builds = []
+    counting(monkeypatch, regions, "_Arrangement", lambda *args: builds.append(args))
+    nef_decomposition(fan, coarse, scale(coarse.sample_divisor, 2))
+    assert builds == [] and plan(coarse).arrangement is nef
 
 
 @pytest.mark.parametrize(

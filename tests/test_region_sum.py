@@ -12,9 +12,11 @@ volume table of the divisor's cell.
 
 import contextlib
 import functools
+import gc
 import hashlib
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import mul
@@ -89,7 +91,8 @@ def scan_integer_vertices(reg):
     rows tight at P are returned as a bitmask, the format of
     ``regions._integer_vertices``.
     """
-    if not regions._is_bounded(reg.normals, reg.dim, reg.memo, regions._weak_mask(reg.weak)):
+    arrangement = regions._arrangement(reg.normals, reg.dim, reg.memo)
+    if not regions._is_bounded(arrangement, regions._weak_mask(reg.weak)):
         raise UnboundedRegionError("region closure is unbounded")
     common, bases = _basis_inverses(reg.normals, reg.dim, reg.memo)
     levels, q = to_integers(reg.levels)
@@ -428,8 +431,8 @@ def test_cech_oracle_ignores_a_corrupt_rank_vector(monkeypatch):
 
 def realized_regions(fan, d):
     """Every (slot, mask, vertices) ``region_sum`` counts for d under a weight nonzero everywhere."""
-    slot = regions._divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d))
-    return [(slot, mask, vertices) for mask, _, vertices in regions._realized_masks(fan, slot)]
+    slot = regions._divisor_slot(regions._arrangement(fan.rays, fan.dim, fan.memo), *to_integers(d))
+    return [(slot, mask, vertices) for mask, _, vertices in regions._realized_masks(slot)]
 
 
 def hazard_divisors(fan, rng):
@@ -522,7 +525,7 @@ def test_bitmask_vertex_pass_matches_a_scan_of_every_row():
     for fan in fans:
         for d in tight_divisors(fan, rng):
             expected = scan_arrangement_vertices(fan, d)
-            slot = regions._divisor_slot(fan.rays, fan.dim, fan.memo, *to_integers(d))
+            slot = regions._divisor_slot(regions._arrangement(fan.rays, fan.dim, fan.memo), *to_integers(d))
             vertices = regions._cell_vertices(slot.arrangement, slot.cell)
             table = {slot.point(b): (above, tight) for b, above, tight in vertices}
             assert (table, slot.scale) == expected
@@ -531,8 +534,8 @@ def test_bitmask_vertex_pass_matches_a_scan_of_every_row():
 
 
 def last_divisor(fan):
-    """The (cleared divisor, entry) pair in the fan's ``region_sum`` slot, or None."""
-    return fan._memo.get("last_divisor", [None])[0]
+    """The held (key, slot, entries) of the fan's arrangement (``regions._held_slot``), or None."""
+    return regions._arrangement(fan.rays, fan.dim, fan.memo).held
 
 
 @contextlib.contextmanager
@@ -733,6 +736,25 @@ def test_a_divisor_tight_at_every_ray_is_answered_and_stored():
     assert last_divisor(fan)[0] == (ample, 1)
     assert h_all(fan, zero) == (1, 0, 0)
     assert last_divisor(fan)[0] == (zero, 1)
+
+
+def test_a_fan_frees_its_held_slot_and_arrangement_without_cycle_collection():
+    # The held slot points back at the arrangement that holds it; the
+    # finalizer registered with the first held slot drops it with the
+    # fan, so reference counting alone frees the arrangement too.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fan = fresh(fixtures.bl2_p2())
+        d = (Fraction(3, 2), 1, 0, -1, 2)
+        h_all(fan, d), hhat(fan, d)
+        assert last_divisor(fan)[1].arrangement is regions._arrangement(fan.rays, fan.dim, fan.memo)
+        arrangement = weakref.ref(regions._arrangement(fan.rays, fan.dim, fan.memo))
+        del fan
+        assert arrangement() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_a_measure_that_raises_leaves_no_wrong_amount(monkeypatch):

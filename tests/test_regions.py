@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -132,6 +133,61 @@ def test_region_rejects_mismatched_lengths():
         with pytest.raises(ValueError, match="one level and one weak flag per normal"):
             HalfOpenRegion(normals=normals, levels=lv, weak=weak, dim=dim)
     assert HalfOpenRegion(fan.rays, levels, (True,) * 3, 2).contains((0, 0))
+
+
+@pytest.mark.parametrize(
+    "normals, dim",
+    [
+        # The triangle 3/2 x >= -1, y >= -1, x + y <= 1 has the vertices
+        # (-2/3, -1), (-2/3, 5/3) and (2, -1) and 6 lattice points; this
+        # region gave two vertices, (-1/2, 1) and (0, -1), a count of 3,
+        # and a volume that did not return.
+        (((Fraction(3, 2), 0), (0, 1), (-1, -1)), 2),
+        # A float entry raised a bare TypeError from the elimination.
+        (((1.0, 0), (0, 1), (-1, -1)), 2),
+        (((True, 0), (0, 1), (-1, -1)), 2),
+        (((1, 0), (0, 1), (-1, -1)), 0),
+        (((1, 0), (0, 1), (-1, -1)), True),
+        (((1, 0), (0, 1), (-1, -1)), 2.0),
+        ((), 0),
+    ],
+    ids=["fraction", "float", "bool", "dim0", "dim_true", "dim_float", "empty_dim0"],
+)
+def test_region_rejects_a_dimension_or_normal_entry_that_is_no_int(normals, dim):
+    k = len(normals)
+    with pytest.raises(ValueError, match="int dim >= 1 and int normals"):
+        HalfOpenRegion(normals, (Fraction(-1),) * k, (True,) * k, dim)
+    # The same triangle with integer normals: 3x >= -2, y >= -1, -2x - 2y >= -2.
+    triangle = HalfOpenRegion(((3, 0), (0, 1), (-2, -2)), (-2, -1, -2), (True,) * 3, 2)
+    thirds = ((Fraction(-2, 3), -1), (Fraction(-2, 3), Fraction(5, 3)), (2, -1))
+    assert closure_vertices(triangle).vertices == thirds and lattice_count(triangle) == 6
+
+
+def test_a_memo_of_other_normals_is_refused():
+    # dataclasses.replace keeps the memo: the new normals used to answer
+    # with the old triangle, a count of 10 and a volume of 9, where the
+    # right answers are 9 and 8.
+    triangle = HalfOpenRegion(((1, 0), (0, 1), (-1, -1)), (-1, -1, -1), (True,) * 3, 2)
+    assert (lattice_count(triangle), normalized_volume(triangle)) == (10, 9)
+    moved = dataclasses.replace(triangle, normals=((1, 0), (0, 1), (-1, -2)))
+    for measure in (closure_vertices, normalized_volume, lattice_count, lattice_points):
+        with pytest.raises(ValueError, match="other normals"):
+            measure(moved)
+    own = HalfOpenRegion(moved.normals, moved.levels, moved.weak, moved.dim)
+    assert (lattice_count(own), normalized_volume(own)) == (9, 8)
+
+
+def test_one_memo_serves_the_normals_it_was_first_used_on():
+    memo = regions._own_memo()
+    levels, weak = (-1, -1, -1), (True,) * 3
+    first = HalfOpenRegion(((1, 0), (0, 1), (-1, -1)), levels, weak, 2, memo)
+    second = HalfOpenRegion(((1, 0), (0, 1), (-1, -2)), levels, weak, 2, memo)
+    assert normalized_volume(first) == 9
+    for measure in (closure_vertices, normalized_volume, lattice_count, lattice_points):
+        with pytest.raises(ValueError, match="other normals"):
+            measure(second)
+    again = HalfOpenRegion(first.normals, levels, weak, 2, memo)
+    assert lattice_count(again) == 10 and again.slot.arrangement is first.slot.arrangement
 
 
 def test_contains_rejects_a_point_of_the_wrong_length():

@@ -81,9 +81,14 @@ def referee_divisors(fan, rng):
         yield tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(k))
 
 
+def held(fan):
+    """The held (key, slot, entries) of the fan's arrangement (``regions._held_slot``), or None."""
+    return regions._arrangement(fan.rays, fan.dim, fan.memo).held
+
+
 def slot_of(fan, d):
     coefficients, q = to_integers(d)
-    return regions._divisor_slot(fan.rays, fan.dim, fan.memo, coefficients, q)
+    return regions._divisor_slot(regions._arrangement(fan.rays, fan.dim, fan.memo), coefficients, q)
 
 
 def solved_cell(slot):
@@ -114,7 +119,7 @@ def test_cell_tables_match_the_arrangement_referee():
             vertices = regions._cell_vertices(slot.arrangement, simple)
             assert [(above, tight) for _, above, tight in vertices] == list(lowered.values())
             expected = realized_tables(lowered, bounded)
-            masks = regions._realized_masks(fan, slot)
+            masks = regions._realized_masks(slot)
             assert [mask for mask, *_ in masks] == list(expected), (fan, d)
             for mask, subset, vertices in masks:
                 assert [basis for _, _, basis in vertices] == list(expected[mask].values()), (fan, d, mask)
@@ -149,7 +154,7 @@ def test_regions_off_the_fan_memo_match_the_referee():
                     HalfOpenRegion(normals, levels, weak, fan.dim, memo),
                     HalfOpenRegion(normals, levels, weak, fan.dim),
                 ):
-                    if not regions._is_bounded(reg.normals, reg.dim, reg.memo, (1 << (k - 1)) - 1):
+                    if not regions._is_bounded(reg.slot.arrangement, (1 << (k - 1)) - 1):
                         continue
                     found, scale = arrangement_vertices(normals, fan.dim, memo, *to_integers(levels))
                     table = reg.vertex_table
@@ -163,7 +168,7 @@ def test_regions_off_the_fan_memo_match_the_referee():
         for mask in range(1 << k):
             weak = tuple(bool(mask >> i & 1) for i in range(k))
             reg = HalfOpenRegion(fan.rays, levels, weak, fan.dim)
-            if regions._is_bounded(reg.normals, reg.dim, reg.memo, mask):
+            if regions._is_bounded(reg.slot.arrangement, mask):
                 assert reg.vertex_table == (filtered(found, mask), scale)
                 checked += 1
     assert checked > 60
@@ -357,14 +362,14 @@ def test_ampleness_leaves_the_class_slot_held(monkeypatch):
     ample = (Fraction(3, 2),) * len(fan.rays)
     assert ample_via_asymptotics(fan, ample) is True
     coefficients, q = to_integers(ample)
-    assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
+    assert held(fan)[0] == (tuple(coefficients), q)
     keys = []
     cell_key_of = regions._cell_key
     monkeypatch.setattr(regions, "_cell_key", lambda *args: keys.append(args) or cell_key_of(*args))
     assert hhat(fresh(fan), ample) == hhat(fan, ample)
     assert len(keys) == 1  # the fresh fan's alone
     assert ample_via_asymptotics(fan, ample) is True
-    assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
+    assert held(fan)[0] == (tuple(coefficients), q)
 
 
 def cell_entries(cell):
@@ -448,11 +453,11 @@ def test_every_divisor_of_the_21_ray_origin_cell_answers_and_is_stored():
     for d in (zero, principal, zero, principal):
         assert h_all(fan, d) == (1, 0, 0)
         coefficients, q = to_integers(d)
-        assert fan._memo["last_divisor"][0][0] == (tuple(coefficients), q)
+        assert held(fan)[0] == (tuple(coefficients), q)
     # The origin cell and its simple cell, 1330 circuit signs each, are
     # both kept, each under its own key: the simple cell holds the table.
     arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
-    slot = fan._memo["last_divisor"][0][1]
+    slot = held(fan)[1]
     simple = regions._simple_cell(arrangement, slot.cell)
     assert list(arrangement.cells.values()) == [slot.cell, simple]
     assert 0 in slot.cell.key and 0 not in simple.key and is_kept(arrangement, simple)
@@ -460,7 +465,7 @@ def test_every_divisor_of_the_21_ray_origin_cell_answers_and_is_stored():
     # vertex is classified when a closure table asks.
     assert slot.cell.vertices is None and len(simple.vertices) == len(arrangement.bases)
     assert len(regions._cell_vertices(arrangement, slot.cell)) == 1
-    masks = regions._realized_masks(fan, slot)
+    masks = regions._realized_masks(slot)
     assert slot.cell.masks is None and simple.masks is masks
     assert 0 < len(masks) <= len(arrangement.bases) * 2**fan.dim
     assert kept_entries(arrangement) == arrangement.entries <= regions.CELL_BUDGET
@@ -710,10 +715,10 @@ def test_a_cold_origin_of_poly16_decides_few_candidates(monkeypatch):
     k = len(POLY16_RAYS)
     fan = make_fan(2, POLY16_RAYS, [{i, (i + 1) % k} for i in range(k)])
     assert is_complete(fan)
-    # The fan's reader decides each mask once, with ``_realized_subset``.
+    # The fan's arrangement decides each mask once, with ``_bounded_mask``.
     decided, counted = [], []
-    decide, count = regions._realized_subset, regions._lattice_count
-    monkeypatch.setattr(regions, "_realized_subset", lambda *args: decided.append(args[-1]) or decide(*args))
+    decide, count = regions._bounded_mask, regions._lattice_count
+    monkeypatch.setattr(regions, "_bounded_mask", lambda *args: decided.append(args[-1]) or decide(*args))
     monkeypatch.setattr(regions, "_lattice_count", lambda *args: counted.append(args) or count(*args))
     # O_X has h^0 = 1 and no higher cohomology on a complete toric
     # variety (Demazure vanishing), so chi = 1.
