@@ -90,7 +90,8 @@ class Fan:
         self.max_cones: tuple[frozenset[int], ...] = tuple(
             sorted((frozenset(c) for c in max_cones), key=sorted)
         )
-        self._memo: dict = {}
+        # Bound to its rays from the start (``_bind_memo``), so no other normal set builds in it.
+        self._memo: dict = {"normals": (self.rays, dim)}
 
     def __repr__(self):
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
@@ -102,11 +103,26 @@ class Fan:
         later: the ``regions._Arrangement`` of the rays under
         ``"arrangement"``, which keeps the type cells, each weak mask's
         boundedness and the held divisor of ``regions._held_slot``, and
-        per-fan caches of values that never change once made.
+        per-fan caches of values that never change once made.  The
+        ``"normals"`` entry, the rays and dimension, is there from the
+        start: it binds the memo to them (``_bind_memo``).
         """
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+
+def _bind_memo(vectors, dim: int, memo) -> None:
+    """Bind the memo to the vectors and dimension on first use; ValueError if it serves others.
+
+    The facts of a normal set (its basis inverses, cocircuit patterns and
+    ``regions._Arrangement``) are kept under their kind alone, so one
+    memo serves one normal set.  Every reader of those kinds binds first.
+    A fan's memo starts bound to its rays, so a region given it with
+    other normals is refused before anything is built on them.
+    """
+    if memo("normals", lambda: (vectors, dim)) != (vectors, dim):
+        raise ValueError("the memo holds the facts of other normals; pass a memo of its own")
 
 
 def _basis_inverses(vectors, dim: int, memo):
@@ -129,6 +145,7 @@ def _basis_table(vectors, dim: int, memo):
     """
 
     def compute():
+        _bind_memo(vectors, dim, memo)
         found = {}
         for combo in combinations(range(len(vectors)), dim):
             inverse = _adjugate([vectors[i] for i in combo])

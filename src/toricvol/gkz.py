@@ -833,7 +833,10 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     off its divisor slot on the fan's arrangement (the held slot of d
     when the shift is zero) and the nef one off the plan's arrangement:
     with points P / s and Q / r, the vertex sets agree exactly when
-    {r P} = {s Q}.  Raises ValueError unless the cone was built on
+    {r P} = {s Q}.  When the plan's arrangement is the fan's and the nef
+    vector equals the shifted one (a zero remainder on a chamber whose
+    cones hold every ray), both tables are one table: it is read once
+    and the comparison, which could not fail, is skipped.  Raises ValueError unless the cone was built on
     ``fan`` and its cones hold every ray.
     """
     _check_fan(fan, cone)
@@ -865,11 +868,15 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     shifted = [common * t * c + lift for c, lift in zip(coefficients, lifts)]
     support = plan.support
     nef = [lifts[rho] - t * xi[rho] for rho in support]
-    shifted_table, s = _polytope_table(_arrangement(fan.rays, n, fan.memo), *_lowest_terms(shifted, scale))
-    nef_table, r = _polytope_table(plan.arrangement, *_lowest_terms(nef, scale))
-    shifted_points = {tuple(r * x for x in p) for p in shifted_table}
-    if shifted_points != {tuple(s * x for x in p) for p in nef_table}:
-        raise ToricError("internal: nef part's polytope differs from the shifted one")
+    own = _arrangement(fan.rays, n, fan.memo)
+    shifted_table, s = _polytope_table(own, *_lowest_terms(shifted, scale))
+    # On the fan's own arrangement a nef vector equal to the shifted one has its very table:
+    # nothing to compare.
+    if plan.arrangement is not own or nef != shifted:
+        nef_table, r = _polytope_table(plan.arrangement, *_lowest_terms(nef, scale))
+        shifted_points = {tuple(r * x for x in p) for p in shifted_table}
+        if shifted_points != {tuple(s * x for x in p) for p in nef_table}:
+            raise ToricError("internal: nef part's polytope differs from the shifted one")
     for rho in cone.strict_rays:
         # The remainder is what the section polytope leaves on the ray: shifted_rho + min_P <P, v_rho>.
         low = min(sum(map(mul, point, fan.rays[rho])) for point in shifted_table)

@@ -103,21 +103,27 @@ no vertex of the closure holds strictly on it, so the facet rows alone
 cut out the region (``_cell_plan``); each simple cell keeps the plan of
 every realized mask it counts.  A count then only clears the bounds,
 solves the first n - 1 coordinates of each vertex for the bounding box,
-and walks: above each integer point of the box's first n - 2
-coordinates the facets' bounds are shifted (moved along the last of
-those coordinates by one subtraction per facet), the flat rows narrow the
+and walks: above each integer point of the box's first n - 2 coordinates
+the facets' bounds are shifted (moved along the last of those
+coordinates by one subtraction per facet), the flat rows narrow the
 slice, and ``_slice_count`` walks its lower and upper envelopes along
 the second-to-last coordinate, adding each run between envelope changes
 with two floor sums (the lattice points under a segment, by the
-Euclid-like recursion of ``floor_sum``).  A slice costs
-O(k^2 + k log m) for k facets, independent of its width, so a region of
-m*D costs about m^(n-2) slices, and one of a 2-D fan a bounded number of
-integer steps for every m.  Listing points, and counting them in
-dimension 1, keeps the fibers of the last coordinate: above each integer
-point of the first n - 1 coordinates the facets cut the line to one
-integer interval, found with integer floor divisions (``_fibers``).  At
-most ``FIBER_BUDGET`` slices (for a count) or fibers (for a listing) are
-visited before CapExceededError.
+Euclid-like recursion of ``floor_sum``).  A slice costs O(k^2 + k log m)
+for k facets, independent of its width.  In dimension 3 the slice counts
+are summed slab by slab where that evaluates fewer slices
+(``_slab_count``): between the points where three facet planes meet,
+each residue class of the first coordinate modulo the plan's period has
+a slice count quadratic in it, read off three slices and checked on a
+fourth.  So a region of m*D costs a number of slices bounded by its plan
+in dimension 3 (about m^(n-2) in dimension n >= 4), and one of a 2-D fan
+a bounded number of integer steps for every m.  Listing points, and
+counting them in dimension 1, keeps the fibers of the last coordinate:
+above each integer point of the first n - 1 coordinates the facets cut
+the line to one integer interval, found with integer floor divisions
+(``_fibers``).  A box of more than ``FIBER_BUDGET`` prefixes, the integer
+points of its first n - 2 coordinates (for a count) or n - 1 (for a
+listing), raises CapExceededError before any is visited.
 """
 
 from __future__ import annotations
@@ -127,31 +133,32 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import combinations, count, product
 from operator import is_, itemgetter, mul, or_
 from threading import Lock
 from typing import Callable
 
 from .divisor import Divisor, _check_length
-from .errors import CapExceededError, NotCompleteError, UnboundedRegionError
-from .fan import Fan, _basis_table, _check_rays, _is_int, is_complete
+from .errors import CapExceededError, NotCompleteError, ToricError, UnboundedRegionError
+from .fan import Fan, _basis_table, _bind_memo, _check_rays, _is_int, is_complete
 from .linalg import _kernel_direction, _point_integers, dot, rank, to_integers
 
 
 # Fixed work caps; past either one, CapExceededError.  The sweep
 # ``bounded_subsets`` takes at most SUBSET_CAP rays (a region sum needs no
 # such cap: it visits at most 2^n masks per basis of the simple cell),
-# and a lattice count or listing visits at most
-# FIBER_BUDGET integer prefixes of the bounding box per region: of the
-# first n - 2 coordinates for a count (its 2-D slices), of the first
-# n - 1 for a listing (its fibers).
+# and a region's bounding box may hold at most FIBER_BUDGET integer
+# prefixes, counted before any is visited: of the first n - 2
+# coordinates for a count (its 2-D slices), of the first n - 1 for a
+# listing (its fibers).  A walk visits every prefix; slab interpolation
+# (``_slab_count``) evaluates fewer slices, but the cap is the box's.
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
 # The type cells of each normal set share one bound of CELL_BUDGET entries
 # (``_Arrangement.cell``): one per circuit sign of a cell's key, one per
 # vertex it classifies, one per (region, vertex) incidence of its realized
-# table, one per facet row and one per vertex of each count plan, one per
+# table, one per facet row, vertex and breakpoint of each count plan, one per
 # weighted entry of a region sum, one per row of each volume table column
 # and one for a located chamber.  Each lookup marks its cell the most
 # recently used; past the bound the least recently used cells are dropped
@@ -193,10 +200,12 @@ class HalfOpenRegion:
     that reads them.  Regions of a fan carry the fan's memo, so those
     facts are computed once per fan; the default is a memo of the
     region's own, so they are computed once per region object.  A memo
-    whose arrangement was built on other normals is refused with
-    ValueError when the region's ``slot`` is first read, so a region
-    made by ``dataclasses.replace`` with other normals needs a memo of
-    its own.  The integer data the measures read, ``slot`` (with its
+    serves the one normal set it is bound to (``fan._bind_memo``; a
+    fan's memo from the start, any other on first use) and is refused
+    for others with ValueError when the region's ``slot`` is first
+    read, so a region made by ``dataclasses.replace`` with other normals
+    needs a memo of its own, and so does a region whose normals are not
+    its fan's rays.  The integer data the measures read, ``slot`` (with its
     row bounds) and ``vertex_table``, is computed at most once per
     region object, on first use.  ``region_sum`` builds no region: it
     counts off its divisor's slot.  Raises ValueError unless ``dim`` is
@@ -251,13 +260,10 @@ class HalfOpenRegion:
 
         It is the held slot of the memo's arrangement when the levels
         are its divisor's; every measure reads it.  Raises ValueError
-        when the memo's arrangement was built on other normals.
+        when the memo is bound to other normals (``fan._bind_memo``).
         """
-        arrangement = _arrangement(self.normals, self.dim, self.memo)
-        if (arrangement.normals, arrangement.dim) != (self.normals, self.dim):
-            raise ValueError("the region's memo holds the facts of other normals; pass a memo of its own")
         levels, q = to_integers(self.levels)
-        return _divisor_slot(arrangement, [-x for x in levels], q)
+        return _divisor_slot(_arrangement(self.normals, self.dim, self.memo), [-x for x in levels], q)
 
 
 def _ceilings(levels, q: int):
@@ -309,6 +315,7 @@ def _unbounded_patterns(normals, dim: int, memo):
     """
 
     def compute():
+        _bind_memo(normals, dim, memo)
         if rank(normals) < dim:
             return ((0, 0),)
         patterns = set()
@@ -574,7 +581,11 @@ class _Arrangement:
 
 
 def _arrangement(normals, dim: int, memo) -> _Arrangement:
-    """The ``_Arrangement`` of the normals, kept once in the memo."""
+    """The ``_Arrangement`` of the normals, kept once in the memo.
+
+    Raises ValueError when the memo is bound to other normals (``fan._bind_memo``).
+    """
+    _bind_memo(normals, dim, memo)
     return memo("arrangement", lambda: _Arrangement(normals, dim, memo))
 
 
@@ -872,6 +883,18 @@ class _CountPlan:
     a flat row (j, alpha) that narrows s.  ``corners`` holds one pair of
     ``_Arrangement.corners`` per vertex basis of a cell's plan (none for
     a standalone region's), whose n - 1 coordinates feed the box.
+
+    In dimension 3 the plan also keeps what slab interpolation
+    (``_slab_count``) needs of the rows alone.  ``period`` is the lcm p
+    of the nonzero 2 x 2 minors of the facets' last two entries: every
+    vertex of a slice x_1 = x solves two facets, so it moves by an
+    integer vector when x moves by p.  ``breaks`` holds, per facet
+    triple with a nonzero 3 x 3 determinant, the first coordinate where
+    the three planes meet, x_1 = <form, c> / D for the rows' bounds c
+    (Cramer's rule: ``form`` the cofactors of the first column, D > 0
+    the determinant, all divided by their gcd), as one tuple (j, m_j,
+    k, m_k, l, m_l, D) of facet indices and cofactors, padded with
+    zero terms; a form met by several triples is kept once.
     """
 
     facets: tuple
@@ -879,6 +902,8 @@ class _CountPlan:
     upper: tuple
     flat: tuple
     corners: tuple = ()
+    period: int = 1
+    breaks: tuple = ()
 
 
 def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners=()) -> _CountPlan:
@@ -896,7 +921,26 @@ def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners=()) -
         tuple(share((j, alpha, -beta)) for j, alpha, beta in split if beta < 0),
         tuple(share((j, alpha)) for j, alpha, beta in split if not beta),
         corners,
+        *(_slab_data(rows, share) if arrangement.dim == 3 else ()),
     )
+
+
+def _slab_data(rows, share):
+    """(period, breaks) of a 3-D plan's facet triples (i, weak, a), as ``_CountPlan`` keeps them."""
+    normals = [a for _, _, a in rows]
+    minors = {abs(a[1] * b[2] - a[2] * b[1]) for a, b in combinations(normals, 2)}
+    breaks = set()
+    for (i, a), (j, b), (k, c) in combinations(enumerate(normals), 3):
+        cofactors = (b[1] * c[2] - b[2] * c[1], c[1] * a[2] - c[2] * a[1], a[1] * b[2] - a[2] * b[1])
+        det = a[0] * cofactors[0] + b[0] * cofactors[1] + c[0] * cofactors[2]
+        if det:
+            g = math.gcd(det, *cofactors) * (1 if det > 0 else -1)
+            # Zero cofactors are dropped before triples are compared, so equal forms are kept once.
+            form = tuple(sorted((index, x // g) for index, x in zip((i, j, k), cofactors) if x))
+            breaks.add((form, det // g))
+    # Each break padded to three terms, (j, m_j, k, m_k, l, m_l, D), for one fixed-shape dot product.
+    padded = (sum(form + ((0, 0),) * (3 - len(form)), ()) + (den,) for form, den in sorted(breaks))
+    return math.lcm(*minors - {0}), share(tuple(padded))
 
 
 def _cell_plan(arrangement: _Arrangement, mask: int, vertices) -> _CountPlan:
@@ -925,10 +969,10 @@ def _range(values, scale: int) -> range:
     return range(-(-min(values) // scale), max(values) // scale + 1)
 
 
-def _prefixes(box):
-    """The integer points of the box's ranges, in lexicographic order.
+def _check_prefixes(box) -> None:
+    """Raise CapExceededError when the box's ranges hold more than ``FIBER_BUDGET`` integer points.
 
-    Raises CapExceededError when they are more than ``FIBER_BUDGET``.
+    The points are counted (``math.prod``), never listed.
     """
     prefixes = math.prod(map(len, box))
     if prefixes > FIBER_BUDGET:
@@ -936,7 +980,6 @@ def _prefixes(box):
             f"lattice scan needs {prefixes} fibers (integer points of the first {len(box)}"
             f" coordinates); it is capped at {FIBER_BUDGET}"
         )
-    return product(*box)
 
 
 def _bounds(plan: _CountPlan, ceilings):
@@ -956,7 +999,8 @@ def _fibers(rows, box):
     negative last entry bound every fiber (else e_n or -e_n would
     recede).  Raises CapExceededError past ``FIBER_BUDGET`` prefixes.
     """
-    for prefix in _prefixes(box):
+    _check_prefixes(box)
+    for prefix in product(*box):
         # Each row is last * x_n >= rest: a ceiling, a floor, or all or nothing.
         rests = [(a[-1], c - sum(map(mul, a, prefix))) for a, c in rows]
         if any(rest > 0 for last, rest in rests if not last):
@@ -1067,20 +1111,28 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
     subtraction per facet and step.  Both envelopes are nonempty, as
     the fibers of ``_fibers`` are bounded.  A slice with k facets costs
     O(k) envelope steps of O(k) work each plus O(log m) per floor sum,
-    independent of its width, so a region of m*D costs about m^(n-2)
-    slices.  At most
-    ``FIBER_BUDGET`` slices are counted before CapExceededError.  In
-    dimension 1, where the box has no coordinate, the count sums the
-    region's one fiber.
+    independent of its width.  In dimension 3 the slices are not all
+    walked when slab interpolation (``_slab_count``) evaluates fewer of
+    them: then a region of m*D costs a number of slices bounded by its
+    plan alone, where the walk costs about m; in dimension n >= 4 a
+    region of m*D costs about m^(n-2) slices.  A box of more than
+    ``FIBER_BUDGET`` integer points of the first n - 2 ranges raises
+    CapExceededError before any count.  In dimension 1, where the box
+    has no coordinate, the count sums the region's one fiber.
     """
     rows = _bounds(plan, ceilings)
     if not box:
         return sum(hi - lo + 1 for _, lo, hi in _fibers(rows, box))
     heads = box[:-1]
-    first = heads[-1].start if heads else None
+    _check_prefixes(heads)
     lo0, hi0 = box[-1].start, box[-1].stop - 1
+    if plan.breaks and len(heads[0]) > 4 * plan.period:
+        total = _slab_count(plan, rows, heads[0], lo0, hi0)
+        if total is not None:
+            return total
+    first = heads[-1].start if heads else None
     total = 0
-    for prefix in _prefixes(heads):
+    for prefix in product(*heads):
         if not prefix or prefix[-1] == first:
             # Each facet's bound, shifted by its head: <a, x> = <a, prefix> + alpha*s + beta*t.
             c = [bound - sum(map(mul, a, prefix)) for a, bound in rows]
@@ -1098,6 +1150,82 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
         else:
             lower = [(p, c[j], r) for j, p, r in plan.lower]
             total += _slice_count(lower, [(p, -c[j], r) for j, p, r in plan.upper], lo, hi)
+    return total
+
+
+def _plan_slice(plan: _CountPlan, rows, lo: int, hi: int, x: int) -> int:
+    """The slice of ``_lattice_count`` at first coordinate x, for a 3-D plan's rows (a, c).
+
+    Each bound is shifted by a[0] * x, the flat rows narrow lo..hi or
+    empty it, and ``_slice_count`` walks the rest: the steps the walk of
+    ``_lattice_count`` runs inline, for the slices that slab
+    interpolation picks.
+    """
+    c = [bound - a[0] * x for a, bound in rows]
+    for j, alpha in plan.flat:
+        if alpha > 0:
+            lo = max(lo, -(-c[j] // alpha))
+        elif alpha < 0:
+            hi = min(hi, c[j] // alpha)
+        elif c[j] > 0:
+            return 0
+    return _slice_count([(p, c[j], r) for j, p, r in plan.lower], [(p, -c[j], r) for j, p, r in plan.upper], lo, hi)
+
+
+def _slab_count(plan: _CountPlan, rows, xs: range, lo: int, hi: int) -> int | None:
+    """The slices of a 3-D count over the first coordinate's range ``xs``, summed by slab; or None.
+
+    ``rows`` are the plan's weak integer rows (a, c) and lo..hi the range
+    of s.  The slice count f(x) changes its form only where three facet
+    planes meet: between two consecutive breakpoints x_1 = <form, c> / D
+    of ``_CountPlan.breaks`` every slice polygon has one combinatorial
+    type, its vertices affine in x, and moving x by the plan's period p
+    moves each vertex by an integer vector.  So on each open slab and
+    each residue class x0 + k p the slices are P + kZ for one lattice
+    polygon Z, and f is a polynomial of degree <= 2 in k (McMullen 1978;
+    the parametric Ehrhart theorem of Clauss and Loechner 1998).  An
+    integer breakpoint is counted directly.  On an open slab of more
+    than 4p integers each class of N integers is evaluated at k = 0, 1,
+    2, which fixes f = f0 + D1 k + D2 C(k, 2), and adds N f0 + D1 C(N, 2)
+    + D2 C(N, 3); its last integer is evaluated too and must agree, or
+    ToricError.  A shorter slab is evaluated slice by slice.  Returns
+    None, with no slice evaluated, unless this evaluates fewer slices
+    than ``xs`` holds, since then the walk costs less.
+    """
+    p = plan.period
+    start, stop = xs.start, xs.stop
+    # Position 2x stands for the integer x and 2x + 1 for the open interval (x, x + 1).
+    walls = []
+    for j, mj, k, mk, l, ml, den in plan.breaks:
+        x, rest = divmod(mj * rows[j][1] + mk * rows[k][1] + ml * rows[l][1], den)
+        if start <= x < stop:
+            walls.append(2 * x + (rest > 0))
+    walls.sort()
+    walls.append(2 * stop - 1)
+    # Each slab of w > 4p integers, strictly between two walls, saves w - 4p slices.
+    saving, u = 0, 2 * start - 1
+    for v in walls:
+        saving += max((v - 1) // 2 - u // 2 - 4 * p, 0)
+        u = v
+    if not saving:
+        return None
+    f = partial(_plan_slice, plan, rows, lo, hi)
+    total, u = 0, 2 * start - 1
+    for v in walls:
+        first, last = u // 2 + 1, (v - 1) // 2
+        if last - first < 4 * p:
+            total += sum(map(f, range(first, last + 1)))
+        else:
+            for x0 in range(first, first + p):
+                n = (last - x0) // p + 1
+                f0, f1, f2 = f(x0), f(x0 + p), f(x0 + 2 * p)
+                d1, d2 = f1 - f0, f2 - 2 * f1 + f0
+                if f(x0 + (n - 1) * p) != f0 + d1 * (n - 1) + d2 * math.comb(n - 1, 2):
+                    raise ToricError(f"internal: slice counts on the slab {first}..{last} are not quadratic")
+                total += n * f0 + d1 * math.comb(n, 2) + d2 * math.comb(n, 3)
+        if v != u and not v & 1:
+            total += f(v // 2)
+        u = v
     return total
 
 
@@ -1284,7 +1412,7 @@ def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:
     plan = simple.plans.get(mask)
     if plan is None:
         plan = simple.plans[mask] = _cell_plan(arrangement, mask, vertices)
-        arrangement.grow(simple, len(plan.facets) + len(plan.corners))
+        arrangement.grow(simple, len(plan.facets) + len(plan.corners) + len(plan.breaks))
     coefficients = slot.key[0]
     points = zip(*([sum(map(mul, row, get(coefficients))) for row in rows] for get, rows in plan.corners))
     return _lattice_count(plan, _slot_bounds(slot), [_range(column, slot.scale) for column in points])

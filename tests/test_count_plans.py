@@ -156,13 +156,15 @@ def test_cech_oracle_and_euler_char_after_h_all_count_no_region(monkeypatch):
 
 
 def test_h_all_of_a_dilated_bl1_p3_walks_a_pinned_number_of_slices(monkeypatch):
-    # 10 (D_3 + D_4), a divisor of the dilation benchmark: one slice per
-    # integer first coordinate of the box of each region with a nonzero
-    # rank vector, unless a flat row empties its range of s.
+    # 10 (D_3 + D_4), a divisor of the dilation benchmark.  A walk takes
+    # one slice per integer first coordinate of the box of each region
+    # with a nonzero rank vector, unless a flat row empties its range of
+    # s: 21 slices.  Slab sums take 14: each breakpoint slice, and four
+    # slices (three nodes and a check) per slab of more than four.
     fan = fresh(fixtures.bl1_p3())
     slices = counting(monkeypatch, "_slice_count")
     assert h_all(fan, (0, 0, 0, 10, 10)) == (286, 0, 120, 0)
-    assert len(slices) == 21
+    assert len(slices) == 14
 
 
 def test_a_second_pass_over_sections_draws_builds_no_cell_table_or_plan(monkeypatch):

@@ -101,9 +101,17 @@ def readers(name):
 
 def test_library_walks_slices_in_one_function():
     # Every lattice count runs the one count core: only the slice walk
-    # reads floor_sum, so a second count path cannot creep back.
+    # reads floor_sum, so a second count path cannot creep back.  Slab
+    # interpolation evaluates its slices only through ``_plan_slice``,
+    # which walks each with ``_slice_count``, as the core's own walk does.
     found = readers("floor_sum")
     assert found == {"regions.py:_slice_count"}, found
+    found = readers("_slice_count")
+    assert found == {"regions.py:_lattice_count", "regions.py:_plan_slice"}, found
+    found = readers("_plan_slice")
+    assert found == {"regions.py:_slab_count"}, found
+    found = readers("_slab_count")
+    assert found == {"regions.py:_lattice_count"}, found
 
 
 def test_library_bounds_type_cells_in_one_function():

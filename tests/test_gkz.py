@@ -577,6 +577,26 @@ def test_nef_decomposition_rejects_a_wrong_shift(monkeypatch):
         nef_decomposition(fan, chamber, d)
 
 
+def test_a_zero_remainder_split_on_every_ray_reads_one_table(monkeypatch):
+    # On the fan's own chamber a zero remainder makes the nef vector the
+    # shifted one on the fan's own arrangement: one table, read once, and
+    # no comparison of it with itself.  A chamber with a strict ray still
+    # reads and compares two.
+    fan = bl2_p2()
+    chambers = enumerate_maximal_chambers(fan)
+    own = next(ch for ch in chambers if set(ch.sigma_cones) == set(fan.max_cones))
+    coarse = next(ch for ch in chambers if ch.strict_rays)
+    tables = []
+    original = gkz._polytope_table
+    monkeypatch.setattr(gkz, "_polytope_table", lambda *args: tables.append(args) or original(*args))
+    for chamber, reads in ((own, 1), (coarse, 2)):
+        d = scale(chamber.sample_divisor, Fraction(3, 2))
+        tables.clear()
+        split = nef_decomposition(fan, chamber, d)
+        assert split.shifted == d and len(tables) == reads
+        assert any(split.remainder) == (reads == 2)
+
+
 def test_nef_decomposition_rejects_a_moved_owner_row_on_a_strict_ray(monkeypatch):
     # Moving a strict ray's owner row by one unit moves that ray's
     # remainder 1 -> 2: still nonnegative, still on the strict rays, and

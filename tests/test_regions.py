@@ -190,6 +190,24 @@ def test_one_memo_serves_the_normals_it_was_first_used_on():
     assert lattice_count(again) == 10 and again.slot.arrangement is first.slot.arrangement
 
 
+def test_a_fan_memo_refuses_a_region_of_other_normals_before_building():
+    # A fan's memo is bound to its rays from the start.  Handed to a
+    # region of other normals before the fan had built its own facts, it
+    # used to build them on the region's normals, and the fan then
+    # answered with them: h_all gave (2, 0, 0) on P^2.
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+    other = HalfOpenRegion(((1, 0), (0, 1), (-1, -2)), (-1,) * 3, (True,) * 3, 2, fan.memo)
+    with pytest.raises(ValueError, match="other normals"):
+        normalized_volume(other)
+    for build in (regions._arrangement, regions._basis_table, regions._unbounded_patterns):
+        with pytest.raises(ValueError, match="other normals"):
+            build(other.normals, 2, fan.memo)
+    assert h_all(fan, (1, 0, 0)) == (3, 0, 0)
+    with pytest.raises(ValueError, match="other normals"):
+        lattice_count(other)
+    assert normalized_volume(HalfOpenRegion(fan.rays, (-1,) * 3, (True,) * 3, 2, fan.memo)) == 9
+
+
 def test_contains_rejects_a_point_of_the_wrong_length():
     # Zipping the point with the normals used to drop or ignore entries:
     # on the quadrant both points below answered True.
