@@ -117,9 +117,10 @@ def _bind_memo(vectors, dim: int, memo) -> None:
 
     The facts of a normal set (its basis inverses, cocircuit patterns and
     ``regions._Arrangement``) are kept under their kind alone, so one
-    memo serves one normal set.  Every reader of those kinds binds first.
-    A fan's memo starts bound to its rays, so a region given it with
-    other normals is refused before anything is built on them.
+    memo serves one normal set.  Each of them binds before it is built,
+    and ``regions._arrangement`` on every call.  A fan's memo starts
+    bound to its rays, so a region given it with other normals is
+    refused before anything is built on them.
     """
     if memo("normals", lambda: (vectors, dim)) != (vectors, dim):
         raise ValueError("the memo holds the facts of other normals; pass a memo of its own")

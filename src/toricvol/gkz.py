@@ -836,8 +836,9 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     {r P} = {s Q}.  When the plan's arrangement is the fan's and the nef
     vector equals the shifted one (a zero remainder on a chamber whose
     cones hold every ray), both tables are one table: it is read once
-    and the comparison, which could not fail, is skipped.  Raises ValueError unless the cone was built on
-    ``fan`` and its cones hold every ray.
+    and the comparison, which could not fail, is skipped.  Raises
+    ValueError unless the cone was built on ``fan`` and its cones hold
+    every ray.
     """
     _check_fan(fan, cone)
     coefficients, q = _held_slot(fan, d).key if is_complete(fan) else to_integers(d)
@@ -870,8 +871,7 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     nef = [lifts[rho] - t * xi[rho] for rho in support]
     own = _arrangement(fan.rays, n, fan.memo)
     shifted_table, s = _polytope_table(own, *_lowest_terms(shifted, scale))
-    # On the fan's own arrangement a nef vector equal to the shifted one has its very table:
-    # nothing to compare.
+    # An equal vector on the same arrangement reads the same table: nothing to compare.
     if plan.arrangement is not own or nef != shifted:
         nef_table, r = _polytope_table(plan.arrangement, *_lowest_terms(nef, scale))
         shifted_points = {tuple(r * x for x in p) for p in shifted_table}

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
-from generated_fans import star_fan_data
+from test_count_plans import star_fan
 from test_region_sum import fresh
 from toricvol import fixtures, regions
 from toricvol.cohomology import h_all
@@ -27,7 +27,7 @@ WIDE_FANS = (
     fixtures.bl1_p3,
     fixtures.p1_cubed,
     fixtures.cube_fan,
-    *(partial(lambda s: make_fan(*star_fan_data(s)), s) for s in (3, 6, 10)),
+    *(partial(star_fan, s) for s in (3, 6, 10)),
 )
 
 
@@ -92,7 +92,7 @@ def test_slab_counts_match_the_per_prefix_walk_on_wide_boxes(monkeypatch):
     for plan, ceilings, box, total in counts:
         assert total == walked_count(plan, ceilings, box), (plan.facets, ceilings, box)
     wide = sum(len(box[0]) > 20 for _, _, box, _ in counts)
-    assert wide > 300 and sum(slabs) > 300, (wide, sum(slabs))
+    assert wide > 1000 and sum(slabs) > 700, (wide, sum(slabs))
 
 
 def degree_one_slab_count():
@@ -112,7 +112,7 @@ def test_a_degree_one_fit_fails_the_walk_referee(monkeypatch):
     monkeypatch.setattr(regions, "_slab_count", degree_one_slab_count())
     counts, _ = recorded_counts(monkeypatch, WIDE_FANS[:1], 2039)
     wrong = sum(total != walked_count(plan, ceilings, box) for plan, ceilings, box, total in counts)
-    assert wrong > 10, wrong
+    assert wrong > 30, wrong
 
 
 def test_a_wrong_node_slice_raises():
