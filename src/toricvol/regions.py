@@ -103,27 +103,29 @@ no vertex of the closure holds strictly on it, so the facet rows alone
 cut out the region (``_cell_plan``); each simple cell keeps the plan of
 every realized mask it counts.  A count then only clears the bounds,
 solves the first n - 1 coordinates of each vertex for the bounding box,
-and walks: above each integer point of the box's first n - 2 coordinates
-the facets' bounds are shifted (moved along the last of those
-coordinates by one subtraction per facet), the flat rows narrow the
-slice, and ``_slice_count`` walks its lower and upper envelopes along
-the second-to-last coordinate, adding each run between envelope changes
-with two floor sums (the lattice points under a segment, by the
-Euclid-like recursion of ``floor_sum``).  A slice costs O(k^2 + k log m)
-for k facets, independent of its width.  In dimension 3 the slice counts
-are summed slab by slab where that evaluates fewer slices
+and sums slices: one function builds each (``_plan_slice``) from the
+facets' bounds shifted to its integer point of the box's first n - 2
+coordinates, the flat rows narrow it, and ``_slice_count`` walks its
+lower and upper envelopes along the second-to-last coordinate, adding
+each run between envelope changes with two floor sums (the lattice
+points under a segment, by the Euclid-like recursion of
+``floor_sum``).  A slice costs O(k^2 + k log m) for k facets,
+independent of its width.  Dimension 2 is one slice; dimension n >= 4
+one slice per point of the first n - 2 ranges, about m^(n-2) for m*D;
+and in dimension 3 the slice counts are summed slab by slab
 (``_slab_count``): between the points where three facet planes meet,
 each residue class of the first coordinate modulo the plan's period has
 a slice count quadratic in it, read off three slices and checked on a
-fourth.  So a region of m*D costs a number of slices bounded by its plan
-in dimension 3 (about m^(n-2) in dimension n >= 4), and one of a 2-D fan
-a bounded number of integer steps for every m.  Listing points, and
-counting them in dimension 1, keeps the fibers of the last coordinate:
-above each integer point of the first n - 1 coordinates the facets cut
-the line to one integer interval, found with integer floor divisions
-(``_fibers``).  A box of more than ``FIBER_BUDGET`` prefixes, the integer
-points of its first n - 2 coordinates (for a count) or n - 1 (for a
-listing), raises CapExceededError before any is visited.
+fourth, and short ranges and slabs are summed slice by slice.  So a
+region of m*D costs a number of slices bounded by its plan in dimension
+3, and one of a 2-D fan a bounded number of integer steps for every m.
+Listing points, and counting them in dimension 1, keeps the fibers of
+the last coordinate: above each integer point of the first n - 1
+coordinates the facets cut the line to one integer interval, found with
+integer floor divisions (``_fibers``).  A box of more than
+``FIBER_BUDGET`` prefixes, the integer points of its first n - 2
+coordinates (for a count) or n - 1 (for a listing), raises
+CapExceededError before any is visited.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import combinations, count, product
 from operator import is_, itemgetter, mul, or_
 from threading import Lock
@@ -151,8 +153,8 @@ from .linalg import _kernel_direction, _point_integers, dot, rank, to_integers
 # and a region's bounding box may hold at most FIBER_BUDGET integer
 # prefixes, counted before any is visited: of the first n - 2
 # coordinates for a count (its 2-D slices), of the first n - 1 for a
-# listing (its fibers).  A walk visits every prefix; slab interpolation
-# (``_slab_count``) evaluates fewer slices, but the cap is the box's.
+# listing (its fibers).  Slab interpolation (``_slab_count``) may
+# evaluate fewer slices than a box's prefixes, but the cap is the box's.
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
 # The type cells of each normal set share one bound of CELL_BUDGET entries
@@ -1101,67 +1103,45 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
     """The number of lattice points of a plan's region: the one count core.
 
     ``ceilings`` are the rows' bounds ceil(L_i) and ``box`` the integer
-    ranges of the first n - 1 coordinates of the closure.  Above each
-    integer point of the first n - 2 ranges, each facet's bound is
-    shifted by its head, <a, prefix>, and the plan's lower and upper
-    lines cut one 2-D slice, counted by ``_slice_count``; its flat rows
-    narrow the slice's range of s, the last range of the box, or empty
-    it.  The shifts are computed once per point of the first n - 3
-    ranges and then moved along the last prefix coordinate, one
-    subtraction per facet and step.  Both envelopes are nonempty, as
-    the fibers of ``_fibers`` are bounded.  A slice with k facets costs
-    O(k) envelope steps of O(k) work each plus O(log m) per floor sum,
-    independent of its width.  In dimension 3 the slices are not all
-    walked when slab interpolation (``_slab_count``) evaluates fewer of
-    them: then a region of m*D costs a number of slices bounded by its
-    plan alone, where the walk costs about m; in dimension n >= 4 a
-    region of m*D costs about m^(n-2) slices.  A box of more than
-    ``FIBER_BUDGET`` integer points of the first n - 2 ranges raises
-    CapExceededError before any count.  In dimension 1, where the box
-    has no coordinate, the count sums the region's one fiber.
+    ranges of the first n - 1 coordinates of the closure, the last of
+    them the range of s.  One rule per dimension: in dimension 1, where
+    the box has no coordinate, the count sums the region's one fiber; in
+    dimension 2 it is one slice (``_plan_slice``) on the facets' bounds;
+    in dimension 3 the slices of the first range are summed slab by slab
+    (``_slab_count``), a number of slices bounded by the plan for every
+    m*D; in dimension n >= 4 it is one slice per integer point of the
+    first n - 2 ranges, each facet's bound shifted by its head <a,
+    prefix>, so about m^(n-2) slices for m*D.  A slice with k facets
+    costs O(k) envelope steps of O(k) work each plus O(log m) per floor
+    sum, independent of its width.  A box of more than ``FIBER_BUDGET``
+    integer points of the first n - 2 ranges raises CapExceededError
+    before any count.
     """
     rows = _bounds(plan, ceilings)
     if not box:
         return sum(hi - lo + 1 for _, lo, hi in _fibers(rows, box))
     heads = box[:-1]
     _check_prefixes(heads)
-    lo0, hi0 = box[-1].start, box[-1].stop - 1
-    if plan.breaks and len(heads[0]) > 4 * plan.period:
-        total = _slab_count(plan, rows, heads[0], lo0, hi0)
-        if total is not None:
-            return total
-    first = heads[-1].start if heads else None
-    total = 0
-    for prefix in product(*heads):
-        if not prefix or prefix[-1] == first:
-            # Each facet's bound, shifted by its head: <a, x> = <a, prefix> + alpha*s + beta*t.
-            c = [bound - sum(map(mul, a, prefix)) for a, bound in rows]
-        else:
-            # One step along the last prefix coordinate moves each bound by -a[-3].
-            c = [x - a[-3] for x, (a, _) in zip(c, rows)]
-        lo, hi = lo0, hi0
-        for j, alpha in plan.flat:
-            if alpha > 0:
-                lo = max(lo, -(-c[j] // alpha))
-            elif alpha < 0:
-                hi = min(hi, c[j] // alpha)
-            elif c[j] > 0:
-                break
-        else:
-            lower = [(p, c[j], r) for j, p, r in plan.lower]
-            total += _slice_count(lower, [(p, -c[j], r) for j, p, r in plan.upper], lo, hi)
-    return total
+    lo, hi = box[-1].start, box[-1].stop - 1
+    if not heads:
+        return _plan_slice(plan, [bound for _, bound in rows], lo, hi)
+    if len(heads) == 1:
+        return _slab_count(plan, rows, heads[0], lo, hi)
+    return sum(
+        _plan_slice(plan, [bound - sum(map(mul, a, prefix)) for a, bound in rows], lo, hi)
+        for prefix in product(*heads)
+    )
 
 
-def _plan_slice(plan: _CountPlan, rows, lo: int, hi: int, x: int) -> int:
-    """The slice of ``_lattice_count`` at first coordinate x, for a 3-D plan's rows (a, c).
+def _plan_slice(plan: _CountPlan, c, lo: int, hi: int) -> int:
+    """The lattice count of one 2-D slice of a plan, on which facet j reads alpha*s + beta*t >= c[j].
 
-    Each bound is shifted by a[0] * x, the flat rows narrow lo..hi or
-    empty it, and ``_slice_count`` walks the rest: the steps the walk of
-    ``_lattice_count`` runs inline, for the slices that slab
-    interpolation picks.
+    Every slice of every count is built here, from the facets' bounds c
+    shifted to the slice's head.  The flat rows narrow the range lo..hi
+    of s or empty it, and the plan's lower and upper lines, with the
+    bounds c, are walked by ``_slice_count``.  Both envelopes are
+    nonempty, as the fibers of ``_fibers`` are bounded.
     """
-    c = [bound - a[0] * x for a, bound in rows]
     for j, alpha in plan.flat:
         if alpha > 0:
             lo = max(lo, -(-c[j] // alpha))
@@ -1172,59 +1152,61 @@ def _plan_slice(plan: _CountPlan, rows, lo: int, hi: int, x: int) -> int:
     return _slice_count([(p, c[j], r) for j, p, r in plan.lower], [(p, -c[j], r) for j, p, r in plan.upper], lo, hi)
 
 
-def _slab_count(plan: _CountPlan, rows, xs: range, lo: int, hi: int) -> int | None:
-    """The slices of a 3-D count over the first coordinate's range ``xs``, summed by slab; or None.
+def _slab_count(plan: _CountPlan, rows, xs: range, lo: int, hi: int) -> int:
+    """The slices of a 3-D count over the first coordinate's range ``xs``, summed by slab.
 
     ``rows`` are the plan's weak integer rows (a, c) and lo..hi the range
-    of s.  The slice count f(x) changes its form only where three facet
-    planes meet: between two consecutive breakpoints x_1 = <form, c> / D
-    of ``_CountPlan.breaks`` every slice polygon has one combinatorial
+    of s; the slice at x has the bounds c - a[0] * x.  The slice count
+    f(x) changes its form only where three facet planes meet: between
+    two consecutive breakpoints x_1 = <form, c> / D of
+    ``_CountPlan.breaks`` every slice polygon has one combinatorial
     type, its vertices affine in x, and moving x by the plan's period p
     moves each vertex by an integer vector.  So on each open slab and
     each residue class x0 + k p the slices are P + kZ for one lattice
     polygon Z, and f is a polynomial of degree <= 2 in k (McMullen 1978;
-    the parametric Ehrhart theorem of Clauss and Loechner 1998).  An
-    integer breakpoint is counted directly.  On an open slab of more
-    than 4p integers each class of N integers is evaluated at k = 0, 1,
-    2, which fixes f = f0 + D1 k + D2 C(k, 2), and adds N f0 + D1 C(N, 2)
-    + D2 C(N, 3); its last integer is evaluated too and must agree, or
-    ToricError.  A shorter slab is evaluated slice by slice.  Returns
-    None, with no slice evaluated, unless this evaluates fewer slices
-    than ``xs`` holds, since then the walk costs less.
+    the parametric Ehrhart theorem of Clauss and Loechner 1998).  A
+    range of at most 4p integers is summed slice by slice, with no
+    breakpoint read.  Otherwise an integer breakpoint is counted
+    directly, and so is every integer of a slab of at most 4p.  On a
+    longer slab each class of N integers is evaluated at k = 0, 1, 2,
+    which fixes f = f0 + D1 k + D2 C(k, 2), and adds N f0 + D1 C(N, 2) +
+    D2 C(N, 3); its last integer is evaluated too and must agree, or
+    ToricError.  Such a slab takes 4p slices for more than 4p integers,
+    so no count evaluates more slices than ``xs`` holds.
     """
     p = plan.period
     start, stop = xs.start, xs.stop
     # Position 2x stands for the integer x and 2x + 1 for the open interval (x, x + 1).
     walls = []
-    for j, mj, k, mk, l, ml, den in plan.breaks:
-        x, rest = divmod(mj * rows[j][1] + mk * rows[k][1] + ml * rows[l][1], den)
-        if start <= x < stop:
-            walls.append(2 * x + (rest > 0))
-    walls.sort()
+    if len(xs) > 4 * p:
+        for j, mj, k, mk, l, ml, den in plan.breaks:
+            x, rest = divmod(mj * rows[j][1] + mk * rows[k][1] + ml * rows[l][1], den)
+            if start <= x < stop:
+                walls.append(2 * x + (rest > 0))
+        walls.sort()
     walls.append(2 * stop - 1)
-    # Each slab of w > 4p integers, strictly between two walls, saves w - 4p slices.
-    saving, u = 0, 2 * start - 1
-    for v in walls:
-        saving += max((v - 1) // 2 - u // 2 - 4 * p, 0)
-        u = v
-    if not saving:
-        return None
-    f = partial(_plan_slice, plan, rows, lo, hi)
     total, u = 0, 2 * start - 1
     for v in walls:
         first, last = u // 2 + 1, (v - 1) // 2
-        if last - first < 4 * p:
-            total += sum(map(f, range(first, last + 1)))
+        wide = last - first >= 4 * p
+        # Every slice of the slab or, on a wide one, k = 0, 1, 2 and the last k of each class x0 + k p;
+        # then an integer wall's.
+        if wide:
+            nodes = [x0 + k * p for x0 in range(first, first + p) for k in (0, 1, 2, (last - x0) // p)]
         else:
-            for x0 in range(first, first + p):
+            nodes = list(range(first, last + 1))
+        if v != u and not v & 1:
+            nodes.append(v // 2)
+        f = [_plan_slice(plan, [bound - a[0] * x for a, bound in rows], lo, hi) for x in nodes]
+        if wide:
+            for i, x0 in enumerate(range(first, first + p)):
+                f0, f1, f2, f3 = f[4 * i : 4 * i + 4]
                 n = (last - x0) // p + 1
-                f0, f1, f2 = f(x0), f(x0 + p), f(x0 + 2 * p)
                 d1, d2 = f1 - f0, f2 - 2 * f1 + f0
-                if f(x0 + (n - 1) * p) != f0 + d1 * (n - 1) + d2 * math.comb(n - 1, 2):
+                if f3 != f0 + d1 * (n - 1) + d2 * math.comb(n - 1, 2):
                     raise ToricError(f"internal: slice counts on the slab {first}..{last} are not quadratic")
                 total += n * f0 + d1 * math.comb(n, 2) + d2 * math.comb(n, 3)
-        if v != u and not v & 1:
-            total += f(v // 2)
+        total += sum(f[4 * p :] if wide else f)
         u = v
     return total
 

@@ -101,15 +101,16 @@ def readers(name):
 
 def test_library_walks_slices_in_one_function():
     # Every lattice count runs the one count core: only the slice walk
-    # reads floor_sum, so a second count path cannot creep back.  Slab
-    # interpolation evaluates its slices only through ``_plan_slice``,
-    # which walks each with ``_slice_count``, as the core's own walk does.
+    # reads floor_sum, so a second count path cannot creep back.  One
+    # function builds every slice, ``_plan_slice``, and only it walks one
+    # with ``_slice_count``; the core and its 3-D slab sums call it, so
+    # the core keeps no slice loop of its own.
     found = readers("floor_sum")
     assert found == {"regions.py:_slice_count"}, found
     found = readers("_slice_count")
-    assert found == {"regions.py:_lattice_count", "regions.py:_plan_slice"}, found
+    assert found == {"regions.py:_plan_slice"}, found
     found = readers("_plan_slice")
-    assert found == {"regions.py:_slab_count"}, found
+    assert found == {"regions.py:_lattice_count", "regions.py:_slab_count"}, found
     found = readers("_slab_count")
     assert found == {"regions.py:_lattice_count"}, found
 

@@ -1,17 +1,23 @@
 """Slab interpolation of 3-D lattice counts against the per-prefix walk it shortens.
 
-``regions._lattice_count`` sums the slices of a 3-D count slab by slab
-where that evaluates fewer slices (``regions._slab_count``).  The
-referee here is the walk every 3-D count ran before: one slice per
-integer of the box's first range, cut by the plan's rows and counted by
-``regions._slice_count``, which the plain point scan of
-``test_count_plans`` referees on its own.  The work pins are counts of
-slices, with no clock.
+``regions._lattice_count`` sums the slices of every 3-D count slab by
+slab (``regions._slab_count``): a first range of at most 4p integers, p
+the plan's period, is summed slice by slice, and on a wider one each
+slab of more than 4p integers between two breakpoints is read off four
+slices per residue class.  The referee here is the walk every 3-D count
+ran before: one slice per integer of the box's first range, cut by the
+plan's rows and counted by ``regions._slice_count``, which the plain
+point scan of ``test_count_plans`` referees on its own.  The work pins
+are counts of slices, with no clock: every 3-D count evaluates exactly
+the slices that its breakpoints, found here with ``Fraction`` by
+Cramer's rule, leave to it, never more than the walk.
 """
 
 import inspect
+import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 
@@ -62,37 +68,81 @@ def wide_divisors(fan, rng, rounds):
 
 
 def recorded_counts(monkeypatch, makes, seed):
-    """(plan, ceilings, box, count) of every 3-D count of h_all on the wide divisors, and the slab counts."""
-    counts, slabs = [], []
-    core, slab = regions._lattice_count, regions._slab_count
+    """(plan, ceilings, box, count, slices) of every 3-D count of h_all on the wide divisors.
+
+    ``slices`` is the number of slices the count evaluated, every one of
+    them built by ``regions._plan_slice``.
+    """
+    counts, evaluated = [], []
+    core, build = regions._lattice_count, regions._plan_slice
 
     def count(plan, ceilings, box):
+        before = len(evaluated)
         total = core(plan, ceilings, box)
-        counts.append((plan, ceilings, box, total))
+        counts.append((plan, ceilings, box, total, len(evaluated) - before))
         return total
 
-    def sliced(*args):
-        total = slab(*args)
-        slabs.append(total is not None)
-        return total
+    def built(*args):
+        evaluated.append(args)
+        return build(*args)
 
     monkeypatch.setattr(regions, "_lattice_count", count)
-    monkeypatch.setattr(regions, "_slab_count", sliced)
+    monkeypatch.setattr(regions, "_plan_slice", built)
     for make in makes:
         fan = fresh(make())
         rng = random.Random(seed + len(fan.rays))
         for d in wide_divisors(fan, rng, 3 if len(fan.rays) > 10 else 10):
             h_all(fan, d)
     monkeypatch.undo()
-    return counts, slabs
+    return counts
+
+
+def det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def expected_slices(plan, ceilings, xs):
+    """The slices a slab sum over ``xs`` evaluates: all of them, less 4p fewer per slab of w > 4p integers.
+
+    p is the lcm of the nonzero 2 x 2 minors of the facets' last two
+    entries, and the breakpoints are the first coordinates where three
+    facet planes <a, x> = c meet, solved here by Cramer's rule.  A slab
+    is a run of consecutive integers of ``xs`` with no breakpoint on or
+    between them.
+    """
+    rows = [(a, ceilings[i] if weak else 1 - ceilings[i]) for i, weak, a in plan.facets]
+    p = math.lcm(*{abs(a[1] * b[2] - a[2] * b[1]) for (a, _), (b, _) in itertools.combinations(rows, 2)} - {0})
+    if len(xs) <= 4 * p:
+        return len(xs)
+    points = set()
+    for triple in itertools.combinations(rows, 3):
+        det = det3([a for a, _ in triple])
+        if det:
+            points.add(Fraction(det3([(c, a[1], a[2]) for a, c in triple]), det))
+    points = sorted(points)
+    slabs, width = [], 0
+    for x in xs:
+        if x in points:
+            slabs.append(width)
+            width = 0
+            continue
+        width += 1
+        if x + 1 in points or bisect_right(points, x) != bisect_left(points, x + 1):
+            slabs.append(width)
+            width = 0
+    slabs.append(width)
+    return len(xs) - sum(max(w - 4 * p, 0) for w in slabs)
 
 
 def test_slab_counts_match_the_per_prefix_walk_on_wide_boxes(monkeypatch):
-    counts, slabs = recorded_counts(monkeypatch, WIDE_FANS, 2039)
-    for plan, ceilings, box, total in counts:
+    counts = recorded_counts(monkeypatch, WIDE_FANS, 2039)
+    for plan, ceilings, box, total, slices in counts:
         assert total == walked_count(plan, ceilings, box), (plan.facets, ceilings, box)
-    wide = sum(len(box[0]) > 20 for _, _, box, _ in counts)
-    assert wide > 1000 and sum(slabs) > 700, (wide, sum(slabs))
+        assert slices == expected_slices(plan, ceilings, box[0]) <= len(box[0]), (plan.facets, ceilings, box)
+    wide = sum(len(box[0]) > 20 for _, _, box, _, _ in counts)
+    shortened = sum(slices < len(box[0]) for _, _, box, _, slices in counts)
+    assert wide > 1000 and shortened > 700, (wide, shortened)
 
 
 def degree_one_slab_count():
@@ -110,8 +160,8 @@ def test_a_degree_one_fit_fails_the_walk_referee(monkeypatch):
     # The referee sees the quadratic term: a slab sum fitted by lines,
     # with its check slice ignored, miscounts wide boxes it walks right.
     monkeypatch.setattr(regions, "_slab_count", degree_one_slab_count())
-    counts, _ = recorded_counts(monkeypatch, WIDE_FANS[:1], 2039)
-    wrong = sum(total != walked_count(plan, ceilings, box) for plan, ceilings, box, total in counts)
+    counts = recorded_counts(monkeypatch, WIDE_FANS[:1], 2039)
+    wrong = sum(total != walked_count(plan, ceilings, box) for plan, ceilings, box, total, _ in counts)
     assert wrong > 30, wrong
 
 

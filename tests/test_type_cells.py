@@ -377,15 +377,15 @@ def cell_entries(cell):
 
     One per circuit sign of its key, one per vertex it has classified,
     one per (region, vertex) incidence of its realized table, one per
-    facet row and one per vertex of each count plan, one per weighted
-    entry, one per row of each volume table column and one for a
-    located chamber.
+    facet row, one per vertex and one per breakpoint of each count plan,
+    one per weighted entry, one per row of each volume table column and
+    one for a located chamber.
     """
     return (
         len(cell.key)
         + len(cell.vertices or ())
         + (sum(len(entry[2]) for entry in cell.masks) if cell.masks else 0)
-        + sum(len(plan.facets) + len(plan.corners) for plan in cell.plans.values())
+        + sum(len(plan.facets) + len(plan.corners) + len(plan.breaks) for plan in cell.plans.values())
         + sum(len(entries) for _, entries in cell.weighted.values())
         + table_entries(cell)
         + (cell.chamber is not None)
@@ -406,18 +406,17 @@ def table_entries(cell):
     return sum(len(column) for columns in cell.columns.values() for column in columns)
 
 
-def test_a_tiny_cell_budget_changes_no_answer(monkeypatch):
-    budget = 120
-    monkeypatch.setattr(regions, "CELL_BUDGET", budget)
-    fan = fresh(fixtures.bl3_p2())
+def tiny_budget_run(fan, budget, divisors):
+    """Answer every divisor under ``budget`` against a fresh fan, checking the bound after each.
+
+    Returns (unkept, remet, breaks): the divisors whose cell was not kept
+    after their question, the repeated divisors whose cell had been
+    evicted and built again, and whether a kept plan had breakpoints.
+    """
     arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
-    rng = random.Random(2029)
-    k = len(fan.rays)
-    divisors = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(30)]
-    divisors += [tuple(Fraction(rng.randint(-7, 7), 2) for _ in range(k)) for _ in range(10)]
-    divisors += divisors[:10]  # cells met before, kept or evicted since
     functions = (h_all, hhat, locate_chamber)
     unkept = remet = 0
+    breaks = False
     first = {}
     for d in divisors:
         expected = [outcome(f, fresh(fan), d) for f in functions]
@@ -425,6 +424,7 @@ def test_a_tiny_cell_budget_changes_no_answer(monkeypatch):
         assert answers == expected, d
         assert kept_entries(arrangement) == arrangement.entries <= budget
         assert all(cell.size == cell_entries(cell) for cell in arrangement.cells.values())
+        breaks |= any(plan.breaks for cell in arrangement.cells.values() for plan in cell.plans.values())
         cell = slot_of(fan, d).cell
         unkept += not is_kept(arrangement, cell)
         if d in first:
@@ -435,7 +435,33 @@ def test_a_tiny_cell_budget_changes_no_answer(monkeypatch):
                 assert answers == first_answers, d
         else:
             first[d] = answers, cell
-    assert arrangement.cells and unkept > 10 and remet > 5
+    assert arrangement.cells
+    return unkept, remet, breaks
+
+
+def test_a_tiny_cell_budget_changes_no_answer(monkeypatch):
+    budget = 120
+    monkeypatch.setattr(regions, "CELL_BUDGET", budget)
+    fan = fresh(fixtures.bl3_p2())
+    rng = random.Random(2029)
+    k = len(fan.rays)
+    divisors = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(30)]
+    divisors += [tuple(Fraction(rng.randint(-7, 7), 2) for _ in range(k)) for _ in range(10)]
+    divisors += divisors[:10]  # cells met before, kept or evicted since
+    unkept, remet, _ = tiny_budget_run(fan, budget, divisors)
+    assert unkept > 10 and remet > 5
+    # A 3-D fan, whose count plans keep breakpoints, under a bound that
+    # some of its cells outgrow: wide divisors take the slab path.
+    budget = 48
+    monkeypatch.setattr(regions, "CELL_BUDGET", budget)
+    fan = fresh(fixtures.bl1_p3())
+    k = len(fan.rays)
+    divisors = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(20)]
+    divisors += [tuple(rng.randint(-40, 40) for _ in range(k)) for _ in range(10)]
+    divisors += [(rng.randint(20, 60),) * k for _ in range(5)]
+    divisors += divisors[:10] + divisors[20:30]
+    unkept, remet, breaks = tiny_budget_run(fan, budget, divisors)
+    assert breaks and unkept > 5 and remet > 5, (unkept, remet)
 
 
 def test_every_divisor_of_the_21_ray_origin_cell_answers_and_is_stored():
