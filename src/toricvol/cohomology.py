@@ -5,7 +5,7 @@ they fall in and multiplies counts with precomputed local cohomology
 rank vectors.  An independent cross-check builds, per graded piece, the
 alternating Cech complex on the cover by maximal cones and takes exact
 ranks of its coboundaries, built as sparse integer rows for
-``linalg._sparse_rank``; agreement of the two is sheaf theory made
+``linalg._chain_ranks``; agreement of the two is sheaf theory made
 executable.
 """
 
@@ -17,7 +17,7 @@ from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
 from .fan import Fan, _check_rays, _is_int, _subfan, chi_of_fan, is_complete
 from .homology import _local_ranks, local_cohomology_ranks
-from .linalg import _point_integers, _sparse_rank, dot, to_integers
+from .linalg import _chain_ranks, _point_integers, dot, to_integers
 from .regions import region_sum
 
 CohomologyVector = tuple[int, ...]
@@ -115,6 +115,11 @@ def _cech_rank_vector(fan: Fan, subset: frozenset[int], tuples) -> CohomologyVec
     its face tau.  tau is again a cone of the fan, so the argument runs
     along the whole tuple.  Each tuple's shared rays are kept per fan,
     so a new weak set only compares them.
+
+    The kept tuples are closed under supersets, so they span a
+    subcomplex of the cochain complex and the transposed coboundaries
+    form a chain complex; ``_chain_ranks`` ranks them from delta^n
+    down, clearing as on a boundary.
     """
     n = fan.dim
     cones = fan.max_cones
@@ -129,28 +134,23 @@ def _cech_rank_vector(fan: Fan, subset: frozenset[int], tuples) -> CohomologyVec
             if meet <= subset:
                 layer.append(t)
         layers.append(layer)
-    ranks_of_d = [0] * (n + 2)  # rank of delta^i : C^i -> C^(i+1)
-    for i in range(n + 1):
-        if layers[i] and layers[i + 1]:
-            ranks_of_d[i] = _sparse_rank(_coboundary_rows(layers[i], layers[i + 1]))
-    return tuple(
-        len(layers[i]) - ranks_of_d[i] - (ranks_of_d[i - 1] if i else 0)
-        for i in range(n + 1)
-    )
+    top_down = _chain_ranks((layers[i + 1], _coboundary_row(layers[i])) for i in range(n, -1, -1))
+    ranks_of_d = [0, *reversed(top_down)]  # rank of delta^(i-1) : C^(i-1) -> C^i at i = 0..n+1
+    return tuple(len(layers[i]) - ranks_of_d[i] - ranks_of_d[i + 1] for i in range(n + 1))
 
 
-def _coboundary_rows(small: list[tuple[int, ...]], large: list[tuple[int, ...]]):
-    """The Cech coboundary from tuples ``small`` to ``large``, as sparse rows.
+def _coboundary_row(small: list[tuple[int, ...]]):
+    """The Cech coboundary from the tuples ``small``, one sparse row per larger tuple.
 
-    One ``{column: entry}`` row per tuple of ``large``, the face that
-    drops position j entering with (-1)^j; ``combinations`` lists the
-    faces from the last position dropped to the first.  With repeated
-    cones two deletions can give one face: their entries are summed and
-    zeros dropped.
+    The function returned maps a tuple to its ``{column: entry}`` row,
+    the face that drops position j entering with (-1)^j; ``combinations``
+    lists the faces from the last position dropped to the first.  With
+    repeated cones two deletions can give one face: their entries are
+    summed and zeros dropped.
     """
     index = {t: k for k, t in enumerate(small)}
-    rows = []
-    for big in large:
+
+    def row_of(big):
         m = len(big) - 1
         sign = -1 if m & 1 else 1
         row: dict[int, int] = {}
@@ -164,8 +164,9 @@ def _coboundary_rows(small: list[tuple[int, ...]], large: list[tuple[int, ...]])
                 else:
                     row[col] = sign
             sign = -sign
-        rows.append(row)
-    return rows
+        return row
+
+    return row_of
 
 
 def _cech_ranks(fan: Fan, subset: frozenset[int]) -> CohomologyVector:

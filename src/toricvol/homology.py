@@ -15,9 +15,19 @@ carrier, the rays of the least fan cone containing it; it lies in the
 subfan on W exactly when its carrier lies in W, so the complex of each
 W is a filter of the one triangulation.
 
-The boundary maps are built as sparse integer rows and ranked by
-``linalg._sparse_rank``, which keeps the {0, +-1} matrices sparse
-instead of filling them in.
+The boundary maps are built as sparse integer rows and ranked together
+by ``linalg._chain_ranks``, which keeps the {0, +-1} matrices sparse
+instead of filling them in and skips the rows that the map above has
+already proved dependent.
+
+A complete simplicial fan of dimension n <= 3 needs no matrix
+(``_component_ranks``): its triangulation is the fan itself, the
+boundary of a simplicial (n-1)-sphere with the rays as vertices, and the
+complex of W is the subcomplex induced on W.  Its reduced homology is
+read off connected components of the graph of the fan's 2-cones, in
+degree 1 by Alexander duality (Hatcher, Algebraic Topology, Thm 3.44).
+Every other fan, and every call of ``reduced_homology_ranks``, takes the
+sphere complex.
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fan import Cone, Fan, _check_rays, all_cones
-from .linalg import _sparse_rank
+from .fan import Cone, Fan, _check_rays, all_cones, is_complete, is_simplicial
+from .linalg import _chain_ranks
 
 
 @dataclass(frozen=True)
@@ -107,49 +117,96 @@ def _sphere_complex(fan: Fan, subset: frozenset[int]) -> SphereComplex:
     )
 
 
-def _boundary_rows(smaller: list[tuple[int, ...]], larger: list[tuple[int, ...]]):
-    """The boundary map from simplices of size s to size s-1 (s >= 1), as sparse rows.
+def _boundary_row(smaller: list[tuple[int, ...]]):
+    """The boundary map into the simplices ``smaller`` of size s-1 (s >= 1), row by row.
 
-    One ``{face index: +-1}`` row per simplex of ``larger``: the
-    transpose of the boundary matrix, which has the same rank.
+    The function returned maps a simplex of size s to its row
+    ``{face index: +-1}``: the rows of the transpose of the boundary
+    matrix, which has the same rank.
     """
     index = {simplex: i for i, simplex in enumerate(smaller)}
-    return [
-        {index[simplex[:i] + simplex[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(simplex))}
-        for simplex in larger
-    ]
+    return lambda simplex: {
+        index[simplex[:i] + simplex[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(simplex))
+    }
 
 
 def reduced_homology_ranks(complex_: SphereComplex) -> tuple[int, ...]:
     """Reduced rational homology ranks, degrees -1 through n-1.
 
-    Computed from exact ranks of the augmented chain complex; the empty
-    complex reports rank 1 in degree -1 and nothing else.
+    Computed from exact ranks of the augmented chain complex, its
+    boundary maps ranked from the top size down (``_chain_ranks``); the
+    empty complex reports rank 1 in degree -1 and nothing else.
     """
     n = complex_.ambient_dim
     by_size = [complex_.by_size(s) for s in range(n + 1)]
-    dims = [len(b) for b in by_size]
-    boundary_ranks = [0] * (n + 1)  # rank of d_s : C_s -> C_(s-1), sizes
-    for s in range(1, n + 1):
-        if dims[s] and dims[s - 1]:
-            boundary_ranks[s] = _sparse_rank(_boundary_rows(by_size[s - 1], by_size[s]))
-    ranks = []
-    for s in range(n + 1):  # chain degree s-1
-        incoming = boundary_ranks[s + 1] if s + 1 <= n else 0
-        ranks.append(dims[s] - boundary_ranks[s] - incoming)
+    top_down = _chain_ranks((by_size[s], _boundary_row(by_size[s - 1])) for s in range(n, 0, -1))
+    boundary_ranks = [0, *reversed(top_down), 0]  # rank of d_s : C_s -> C_(s-1), sizes 0..n+1
+    # Size s is chain degree s-1.
+    return tuple(len(by_size[s]) - boundary_ranks[s] - boundary_ranks[s + 1] for s in range(n + 1))
+
+
+def _components(edges, subset) -> int:
+    """The number of components of the graph on ``subset`` with the given edges, by union-find."""
+    parent = {v: v for v in subset}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    count = len(parent)
+    for a, b in edges:
+        if a in parent and b in parent:
+            a, b = find(a), find(b)
+            if a != b:
+                parent[a] = b
+                count -= 1
+    return count
+
+
+def _component_ranks(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
+    """The rank vector of a complete simplicial fan with n <= 3, by counting components; no check.
+
+    The complex of W is the subcomplex induced on W of a simplicial
+    (n-1)-sphere K on the rays V.  Its reduced homology is 1 in degree
+    -1 for W empty, 1 in degree n - 1 for W = V, and otherwise c(W) - 1
+    in degree 0 and, for n = 3, c(V - W) - 1 in degree 1, where c counts
+    the components of the graph of the fan's 2-cones: the complement of
+    an induced subcomplex of K retracts onto the subcomplex induced on
+    the other rays, so Alexander duality gives H_1(K_W) = H^0(K_(V-W)).
+    No Euler characteristic enters, so the check of
+    ``cohomology._euler_weight`` stays independent.  r_i is the rank in
+    degree n - 1 - i.
+    """
+    n, rays = fan.dim, range(len(fan.rays))
+    ranks = [0] * (n + 1)
+    if not subset:
+        ranks[n] = 1
+    elif len(subset) == len(rays):
+        ranks[0] = 1
+    else:
+        edges = [tuple(cone.ray_indices) for cone in all_cones(fan)[2]] if n > 1 else ()
+        ranks[n - 1] = _components(edges, subset) - 1
+        if n == 3:
+            ranks[1] = _components(edges, [v for v in rays if v not in subset]) - 1
     return tuple(ranks)
 
 
 def _local_ranks(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
     """The rank vector of a frozenset of ray indices, memoized per fan; no check.
 
-    The region sum weighs its subsets here: it builds them from ray
-    bitmasks, so every entry is a ray index of the fan.
+    A complete simplicial fan of dimension at most 3 counts components
+    (``_component_ranks``); every other fan ranks the boundary maps of
+    its sphere complex (``reduced_homology_ranks``).  The region sum
+    weighs its subsets here: it builds them from ray bitmasks, so every
+    entry is a ray index of the fan.
     """
 
     def compute():
-        tilde = reduced_homology_ranks(_sphere_complex(fan, subset))
         n = fan.dim
+        if n <= 3 and is_complete(fan) and is_simplicial(fan):
+            return _component_ranks(fan, subset)
+        tilde = reduced_homology_ranks(_sphere_complex(fan, subset))
         # tilde[s] is reduced degree s-1, so degree j sits at tilde[j+1].
         return tuple(tilde[n - i] for i in range(n + 1))
 

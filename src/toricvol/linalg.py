@@ -17,13 +17,15 @@ integers with ``to_integers``.  Since the reduced row echelon form is
 unique, their answers are exactly those of Gaussian elimination over
 ``Fraction``.
 
-``_sparse_rank`` is the only rank loop: a fraction-free row echelon on
-sparse integer rows, each row's pivot its largest column, as in the
+``_sparse_pivots`` is the only rank loop: a fraction-free row echelon
+on sparse integer rows, each row's pivot its largest column, as in the
 column reduction of persistent homology (Zomorodian and Carlsson 2005).
-``rank`` clears rows to integers and calls it; the
-boundary and coboundary matrices of ``homology`` and ``cohomology``,
-whose {0, +-1} entries fill in under Gauss-Jordan, are built as sparse
-rows for it directly.
+``rank`` clears rows to integers and counts its pivots
+(``_sparse_rank``).  The boundary and coboundary matrices of
+``homology`` and ``cohomology``, whose {0, +-1} entries fill in under
+Gauss-Jordan, are built as sparse rows and ranked together by
+``_chain_ranks``, which skips the rows that the pivots of the map above
+already prove dependent (clearing).
 """
 
 from __future__ import annotations
@@ -190,8 +192,8 @@ def _reduce(matrix: Sequence[Sequence], ncols: int | None = None):
     return rows, pivots, denom, sign, scale
 
 
-def _sparse_rank(rows) -> int:
-    """Rank of integer rows given as ``{column: nonzero int}`` dicts.
+def _sparse_pivots(rows):
+    """The pivot columns of integer rows given as ``{column: nonzero int}`` dicts.
 
     Each row is reduced against the stored pivot row of its largest
     column until that column holds no pivot yet, where it is stored, or
@@ -200,8 +202,10 @@ def _sparse_rank(rows) -> int:
     pivot_row; when a = 1 (a pivot of +-1 above all) that is a
     subtraction in place, otherwise the result is divided by its
     content.  Every step scales the row by a nonzero rational and
-    subtracts a multiple of an earlier row, so the rank, the number of
-    stored pivots, is exact.  The dicts are reduced in place.
+    subtracts a multiple of an earlier row, so every stored row lies in
+    the row space, its pivot column is the largest column of its
+    nonzero entries, and the rank is exactly the number of stored
+    pivots.  The dicts are reduced in place.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -226,7 +230,35 @@ def _sparse_rank(rows) -> int:
                 content = math.gcd(*row.values())
                 if content > 1:
                     row = {c: v // content for c, v in row.items()}
-    return len(pivots)
+    return pivots.keys()
+
+
+def _sparse_rank(rows) -> int:
+    """Rank of integer rows given as ``{column: nonzero int}`` dicts (``_sparse_pivots``)."""
+    return len(_sparse_pivots(rows))
+
+
+def _chain_ranks(maps) -> list[int]:
+    """Ranks of the consecutive maps of a chain complex, top degree first, with clearing.
+
+    Each map is a pair (cells, row): the cells of its source in order,
+    and a function giving a cell's sparse row for ``_sparse_pivots``,
+    whose columns index the cells of the target in the order of the
+    next map's cells.  A cell of the next map whose index was a pivot
+    column c of this one is skipped, its row never built (the clearing
+    of Bauer, Kerber and Reininghaus 2014): a stored pivot row is the
+    boundary of some chain z with largest face c, so d(d z) = 0 makes
+    the row of c a combination of rows of lower index, and by induction
+    on the index every skipped row lies in the span of the rows kept.
+    So every rank is exact.  The same holds for the transpose of a
+    coboundary on tuples closed under supersets, a quotient complex.
+    """
+    ranks, cleared = [], ()
+    for cells, row in maps:
+        pivots = _sparse_pivots(row(cell) for i, cell in enumerate(cells) if i not in cleared)
+        ranks.append(len(pivots))
+        cleared = pivots
+    return ranks
 
 
 def rank(matrix: Sequence[Sequence]) -> int:

@@ -869,7 +869,7 @@ def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     return Fraction(total, arrangement.den * slot.scale**reg.dim)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _CountPlan:
     """The divisor-free half of a lattice count: its rows, oriented and split once.
 
@@ -890,13 +890,15 @@ class _CountPlan:
     (``_slab_count``) needs of the rows alone.  ``period`` is the lcm p
     of the nonzero 2 x 2 minors of the facets' last two entries: every
     vertex of a slice x_1 = x solves two facets, so it moves by an
-    integer vector when x moves by p.  ``breaks`` holds, per facet
-    triple with a nonzero 3 x 3 determinant, the first coordinate where
-    the three planes meet, x_1 = <form, c> / D for the rows' bounds c
-    (Cramer's rule: ``form`` the cofactors of the first column, D > 0
-    the determinant, all divided by their gcd), as one tuple (j, m_j,
-    k, m_k, l, m_l, D) of facet indices and cofactors, padded with
-    zero terms; a form met by several triples is kept once.
+    integer vector when x moves by p.  ``breaks`` is None until a count
+    first reads it (``_plan_breaks``), on a first range of more than 4p
+    integers; then it holds, per facet triple with a nonzero 3 x 3
+    determinant, the first coordinate where the three planes meet, x_1
+    = <form, c> / D for the rows' bounds c (Cramer's rule: ``form`` the
+    cofactors of the first column, D > 0 the determinant, all divided
+    by their gcd), as one tuple (j, m_j, k, m_k, l, m_l, D) of facet
+    indices and cofactors, padded with zero terms; a form met by several
+    triples is kept once.
     """
 
     facets: tuple
@@ -905,7 +907,7 @@ class _CountPlan:
     flat: tuple
     corners: tuple = ()
     period: int = 1
-    breaks: tuple = ()
+    breaks: tuple | None = None
 
 
 def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners=()) -> _CountPlan:
@@ -923,14 +925,21 @@ def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners=()) -
         tuple(share((j, alpha, -beta)) for j, alpha, beta in split if beta < 0),
         tuple(share((j, alpha)) for j, alpha, beta in split if not beta),
         corners,
-        *(_slab_data(rows, share) if arrangement.dim == 3 else ()),
+        *((_period(rows),) if arrangement.dim == 3 else ()),
     )
 
 
-def _slab_data(rows, share):
-    """(period, breaks) of a 3-D plan's facet triples (i, weak, a), as ``_CountPlan`` keeps them."""
-    normals = [a for _, _, a in rows]
-    minors = {abs(a[1] * b[2] - a[2] * b[1]) for a, b in combinations(normals, 2)}
+def _period(rows) -> int:
+    """The period of a 3-D plan's facet triples (i, weak, a), as ``_CountPlan`` keeps it."""
+    minors = {abs(a[1] * b[2] - a[2] * b[1]) for (_, _, a), (_, _, b) in combinations(rows, 2)}
+    return math.lcm(*minors - {0})
+
+
+def _plan_breaks(plan: _CountPlan) -> tuple:
+    """The breakpoint forms of a 3-D plan (``_CountPlan.breaks``), built on the first read and kept."""
+    if plan.breaks is not None:
+        return plan.breaks
+    normals = [a for _, _, a in plan.facets]
     breaks = set()
     for (i, a), (j, b), (k, c) in combinations(enumerate(normals), 3):
         cofactors = (b[1] * c[2] - b[2] * c[1], c[1] * a[2] - c[2] * a[1], a[1] * b[2] - a[2] * b[1])
@@ -941,8 +950,8 @@ def _slab_data(rows, share):
             form = tuple(sorted((index, x // g) for index, x in zip((i, j, k), cofactors) if x))
             breaks.add((form, det // g))
     # Each break padded to three terms, (j, m_j, k, m_k, l, m_l, D), for one fixed-shape dot product.
-    padded = (sum(form + ((0, 0),) * (3 - len(form)), ()) + (den,) for form, den in sorted(breaks))
-    return math.lcm(*minors - {0}), share(tuple(padded))
+    plan.breaks = tuple(sum(form + ((0, 0),) * (3 - len(form)), ()) + (den,) for form, den in sorted(breaks))
+    return plan.breaks
 
 
 def _cell_plan(arrangement: _Arrangement, mask: int, vertices) -> _CountPlan:
@@ -1179,7 +1188,7 @@ def _slab_count(plan: _CountPlan, rows, xs: range, lo: int, hi: int) -> int:
     # Position 2x stands for the integer x and 2x + 1 for the open interval (x, x + 1).
     walls = []
     if len(xs) > 4 * p:
-        for j, mj, k, mk, l, ml, den in plan.breaks:
+        for j, mj, k, mk, l, ml, den in _plan_breaks(plan):
             x, rest = divmod(mj * rows[j][1] + mk * rows[k][1] + ml * rows[l][1], den)
             if start <= x < stop:
                 walls.append(2 * x + (rest > 0))
@@ -1394,10 +1403,14 @@ def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:
     plan = simple.plans.get(mask)
     if plan is None:
         plan = simple.plans[mask] = _cell_plan(arrangement, mask, vertices)
-        arrangement.grow(simple, len(plan.facets) + len(plan.corners) + len(plan.breaks))
+        arrangement.grow(simple, len(plan.facets) + len(plan.corners))
     coefficients = slot.key[0]
     points = zip(*([sum(map(mul, row, get(coefficients))) for row in rows] for get, rows in plan.corners))
-    return _lattice_count(plan, _slot_bounds(slot), [_range(column, slot.scale) for column in points])
+    breaks = plan.breaks
+    count = _lattice_count(plan, _slot_bounds(slot), [_range(column, slot.scale) for column in points])
+    if plan.breaks is not breaks:  # this count built the plan's breakpoints (``_plan_breaks``)
+        arrangement.grow(simple, len(plan.breaks))
+    return count
 
 
 def _lawrence_columns(fan: Fan, slot: _DivisorSlot, weight):

@@ -10,12 +10,20 @@ once, so that tests can check the production answers against them:
   an all-pairs scan, a pulling triangulation of each from a chosen ray
   order, and the face closure of the result;
 * ``intersection_ray_set``: the ray set of an intersection of fan cones
-  as the largest cone of the fan whose rays lie in all of them.
+  as the largest cone of the fan whose rays lie in all of them;
+* ``uncleared_homology_ranks`` and ``uncleared_cech_ranks``: the chain
+  complex ranks with each map ranked on its own, every row kept, where
+  the library clears the rows that the map above proves dependent
+  (``toricvol.linalg._chain_ranks``).
 """
 
+from itertools import combinations
+
 from toricvol import fixtures
+from toricvol.cohomology import _coboundary_row
 from toricvol.fan import all_cones, subfan
-from toricvol.homology import SphereComplex
+from toricvol.homology import SphereComplex, _boundary_row
+from toricvol.linalg import _sparse_rank
 
 # Every fixture fan, the incomplete and non-simplicial ones included.
 EVERY_FIXTURE = (
@@ -79,3 +87,30 @@ def intersection_ray_set(fan, ray_sets) -> frozenset:
             if cone.ray_indices <= common and len(cone.ray_indices) > len(best):
                 best = cone.ray_indices
     return best
+
+
+def uncleared_homology_ranks(complex_) -> tuple:
+    """``reduced_homology_ranks`` with every boundary map ranked in full."""
+    n = complex_.ambient_dim
+    by_size = [complex_.by_size(s) for s in range(n + 1)]
+    dims = [len(b) for b in by_size]
+    boundary_ranks = [0] * (n + 2)  # rank of d_s : C_s -> C_(s-1), sizes
+    for s in range(1, n + 1):
+        if dims[s] and dims[s - 1]:
+            boundary_ranks[s] = _sparse_rank(map(_boundary_row(by_size[s - 1]), by_size[s]))
+    return tuple(dims[s] - boundary_ranks[s] - boundary_ranks[s + 1] for s in range(n + 1))
+
+
+def uncleared_cech_ranks(fan, weak_rays) -> tuple:
+    """``cech_ranks`` with every coboundary ranked in full, its tuples listed afresh."""
+    n, weak = fan.dim, frozenset(weak_rays)
+    cones = fan.max_cones
+    layers = [
+        [t for t in combinations(range(len(cones)), size) if frozenset.intersection(*(cones[j] for j in t)) <= weak]
+        for size in range(1, n + 3)
+    ]
+    ranks_of_d = [0] * (n + 2)  # rank of delta^i : C^i -> C^(i+1); delta^(-1) = 0 at the end
+    for i in range(n + 1):
+        if layers[i] and layers[i + 1]:
+            ranks_of_d[i] = _sparse_rank(map(_coboundary_row(layers[i]), layers[i + 1]))
+    return tuple(len(layers[i]) - ranks_of_d[i] - ranks_of_d[i - 1] for i in range(n + 1))

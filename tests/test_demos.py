@@ -165,7 +165,8 @@ def test_cech_referee_reads_no_sphere_complex():
     tree = ast.parse((ROOT / "src" / "toricvol" / "cohomology.py").read_text(encoding="utf-8"))
     referee = {"cech_oracle", "cech_ranks", "_cech_ranks", "_cech_rank_vector"}
     production = {
-        "local_cohomology_ranks", "_local_ranks", "sphere_complex", "_sphere_complex", "reduced_homology_ranks"
+        "local_cohomology_ranks", "_local_ranks", "sphere_complex", "_sphere_complex", "reduced_homology_ranks",
+        "_component_ranks", "_components",
     }
     functions = [
         node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in referee

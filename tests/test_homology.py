@@ -3,8 +3,9 @@ from itertools import combinations
 import pytest
 
 from complex_referees import EVERY_FIXTURE, per_subset_sphere_complex
+from generated_fans import star_fan_data
 from toricvol import homology
-from toricvol.fan import chi_of_fan, make_fan, subfan
+from toricvol.fan import chi_of_fan, is_complete, is_simplicial, make_fan, subfan
 from toricvol.fixtures import bl1_p3, cube_fan, f1, p1, p1_cubed, p1xp1, p2, square_cone_fan
 from toricvol.homology import (
     local_cohomology_ranks,
@@ -161,3 +162,51 @@ def test_unbounded_subsets_have_zero_profiles():
         for subset in all_subsets(fan):
             if not is_bounded_subset(fan, subset):
                 assert local_cohomology_ranks(fan, subset) == (0,) * (fan.dim + 1)
+
+
+def complete_simplicial_fans():
+    """Every complete simplicial fixture (p1 among them), star1..star6 and poly12, each fresh."""
+    from test_region_sum import POLY12_RAYS
+
+    k = len(POLY12_RAYS)
+    fans = [make_fan(f().dim, f().rays, f().max_cones) for f in EVERY_FIXTURE if is_complete(f()) and is_simplicial(f())]
+    fans += [make_fan(*star_fan_data(splits)) for splits in range(1, 7)]
+    return fans + [make_fan(2, POLY12_RAYS, [{i, (i + 1) % k} for i in range(k)])]
+
+
+def test_component_ranks_match_the_sphere_complex_on_every_subset():
+    # Counting components (with Alexander duality for n = 3) against the
+    # boundary ranks of the sphere complex, on every ray subset.
+    fans = complete_simplicial_fans()
+    assert {fan.dim for fan in fans} == {1, 2, 3}
+    for fan in fans:
+        for subset in all_subsets(fan):
+            tilde = reduced_homology_ranks(sphere_complex(fan, subset))
+            assert local_cohomology_ranks(fan, subset) == tilde[::-1], (fan.rays, sorted(subset))
+
+
+def test_only_non_simplicial_or_4d_fans_rank_sphere_complexes(monkeypatch):
+    # The rule is read off the fan alone: cube_fan (not simplicial) and
+    # P^4 (n = 4) rank the matrices of their sphere complexes, and a
+    # complete simplicial fan of dimension <= 3 never does.
+    from test_dim4 import p4
+
+    calls = []
+    ranks = homology.reduced_homology_ranks
+
+    def counted(complex_):
+        calls.append(complex_)
+        return ranks(complex_)
+
+    monkeypatch.setattr(homology, "reduced_homology_ranks", counted)
+    for fixture in (cube_fan, p4):
+        fan = make_fan(fixture().dim, fixture().rays, fixture().max_cones)  # nothing memoized yet
+        calls.clear()
+        for subset in all_subsets(fan):
+            local_cohomology_ranks(fan, subset)
+        assert len(calls) == 2 ** len(fan.rays), fixture.__name__
+    calls.clear()
+    for fan in complete_simplicial_fans():
+        for subset in all_subsets(fan):
+            local_cohomology_ranks(fan, subset)
+    assert not calls

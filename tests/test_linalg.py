@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import fraction_linalg as referee
-from complex_referees import EVERY_FIXTURE
+from complex_referees import EVERY_FIXTURE, uncleared_cech_ranks, uncleared_homology_ranks
 from generated_fans import star_fan_data
-from toricvol import cohomology, homology
+from test_dim4 import p1_x_p3, p4
+from toricvol import cohomology, homology, linalg
 from toricvol.fan import is_complete, make_fan
 from arrangement_referees import affine_rank
 from toricvol.linalg import (
@@ -238,27 +240,68 @@ REFEREE_ENTRIES = 4000
 )
 def test_sparse_rank_matches_fraction_referee_on_chain_complexes(monkeypatch, data):
     # Every boundary matrix of a sphere complex and every Cech coboundary
-    # matrix of every bounded subset, as the library hands them to
-    # _sparse_rank.  Every weak set W is realized at u = 0 by D = -1 off
-    # W and 0 on it, so the Cech ranks equal the local cohomology ranks;
-    # that checks the matrices too large for the Fraction referee.
+    # matrix of every bounded subset, as the clearing loop hands its kept
+    # rows to _sparse_pivots.  Simplicial fans of dimension <= 3 count
+    # components instead of ranking matrices, so every sphere complex is
+    # ranked here directly too.  Every weak set W is realized at u = 0 by
+    # D = -1 off W and 0 on it, so the Cech ranks equal the local
+    # cohomology ranks; that checks the matrices too large for the
+    # Fraction referee.
     fan = make_fan(*data)  # a fresh fan: nothing memoized yet
     ranks = {}
+    pivots_of = linalg._sparse_pivots
 
     def recorded(rows):
         rows = list(rows)
         key = tuple(tuple(sorted(row.items())) for row in rows)
-        ranks[key] = _sparse_rank(rows)
-        return ranks[key]
+        pivots = pivots_of(rows)
+        ranks[key] = len(pivots)
+        return pivots
 
-    monkeypatch.setattr(homology, "_sparse_rank", recorded)
-    monkeypatch.setattr(cohomology, "_sparse_rank", recorded)
+    monkeypatch.setattr(linalg, "_sparse_pivots", recorded)
     for subset in bounded_subsets(fan):
-        assert cohomology.cech_ranks(fan, subset) == homology.local_cohomology_ranks(fan, subset)
+        expected = homology.local_cohomology_ranks(fan, subset)
+        assert cohomology.cech_ranks(fan, subset) == expected
+        tilde = homology.reduced_homology_ranks(homology.sphere_complex(fan, subset))
+        assert tilde[::-1] == expected
     compared = 0
     for key, found in ranks.items():
         ncols = 1 + max((row[-1][0] for row in key if row), default=-1)
         if len(key) * ncols <= REFEREE_ENTRIES:
             assert found == referee.rank(dense([dict(row) for row in key])), key
             compared += 1
-    assert compared >= min(len(ranks), 15)
+    # A floor that reads nothing recorded: 15 matrices, or 2^k on the
+    # fans of k < 4 rays, whose complexes hold fewer distinct matrices
+    # (p1 has 7), so a recorder that sees no call fails here.
+    assert compared >= min(15, 2 ** len(fan.rays)), compared
+
+
+@pytest.mark.parametrize(
+    "data",
+    [(f().dim, f().rays, f().max_cones) for f in EVERY_FIXTURE + (p4, p1_x_p3)]
+    + [star_fan_data(splits) for splits in (1, 2, 3)],
+    ids=[f.__name__ for f in EVERY_FIXTURE + (p4, p1_x_p3)] + [f"star{splits}" for splits in (1, 2, 3)],
+)
+def test_clearing_keeps_every_chain_complex_rank(data):
+    # The cleared ranks of sphere complexes and Cech complexes against the
+    # same maps ranked in full, on every ray subset: the bounded ones and
+    # the rest, cube_fan's non-simplicial sphere complexes, the
+    # incomplete fixtures and two 4-D fans included.
+    fan = make_fan(*data)
+    k = len(fan.rays)
+    for size in range(k + 1):
+        for subset in combinations(range(k), size):
+            complex_ = homology.sphere_complex(fan, subset)
+            assert homology.reduced_homology_ranks(complex_) == uncleared_homology_ranks(complex_), subset
+            assert cohomology.cech_ranks(fan, subset) == uncleared_cech_ranks(fan, subset), subset
+
+
+def test_clearing_reads_the_pivots_of_the_map_just_above():
+    # A solid tetrahedron with a pendant edge (0, 4) in a 4-D ambient, a
+    # contractible complex.  The top map's pivot is the triangle (1, 2, 3),
+    # index 3 among triangles; edge 3 is (0, 4), the only edge at vertex 4.
+    # Clearing the edges by that pivot, two maps below, would cut vertex 4
+    # off; the edges may be cleared only by the pivots of the triangles.
+    faces = {frozenset(f) for size in range(5) for f in combinations(range(4), size)}
+    complex_ = homology.SphereComplex(frozenset(faces | {frozenset({4}), frozenset({0, 4})}), 4)
+    assert homology.reduced_homology_ranks(complex_) == uncleared_homology_ranks(complex_) == (0,) * 5
