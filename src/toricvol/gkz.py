@@ -91,10 +91,10 @@ from .fan import (
     Fan, _basis_inverses, _check_rays, _glued_cover_once, is_complete, is_simplicial, make_fan
 )
 from .homology import _local_ranks
-from .linalg import _lowest_terms, dot, nullspace, rank, solve, to_integers
+from .linalg import _lowest_terms, _point_integers, dot, nullspace, rank, solve, to_integers
 from .lp import gap_lp, relative_interior_functional
-from .regions import _Arrangement, _arrangement, _held_slot, _lawrence_columns, _own_memo
-from .regions import _polytope_table, _vertex_table
+from .regions import _Arrangement, _arrangement, _closure_table, _divisor_slot, _held_slot
+from .regions import _lawrence_columns, _own_memo
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +109,16 @@ class SupportFunction:
     ray_values: tuple[Fraction, ...]
 
     def __call__(self, vector) -> Fraction:
-        """The minimum of the pairing with ``vector``; ValueError unless it has ``dim`` entries."""
+        """The minimum of the pairing with ``vector``, read at its exact value (``linalg._point_integers``).
+
+        Raises ValueError unless it has ``dim`` entries, and on a bool
+        entry; TypeError on a string.
+        """
         dim = len(self.vertices[0])
         if len(vector) != dim:
             raise ValueError(f"vector has {len(vector)} entries, the section polytope has dimension {dim}")
-        return min(dot(v, vector) for v in self.vertices)
+        coordinates, p = _point_integers(vector)
+        return min(dot(v, coordinates) for v in self.vertices) / p
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def _section_vertices(fan: Fan, slot):
     The lists are empty when the polytope is.
     """
     k = len(fan.rays)
-    table, scale = _vertex_table(slot, (1 << k) - 1)
+    table, scale = _closure_table(slot, (1 << k) - 1)
     points = sorted(table)
     return points, scale, [frozenset(i for i in range(k) if table[point] >> i & 1) for point in points]
 
@@ -870,10 +875,11 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     support = plan.support
     nef = [lifts[rho] - t * xi[rho] for rho in support]
     own = _arrangement(fan.rays, n, fan.memo)
-    shifted_table, s = _polytope_table(own, *_lowest_terms(shifted, scale))
+    shifted_table, s = _closure_table(_divisor_slot(own, *_lowest_terms(shifted, scale)), (1 << len(shifted)) - 1)
     # An equal vector on the same arrangement reads the same table: nothing to compare.
     if plan.arrangement is not own or nef != shifted:
-        nef_table, r = _polytope_table(plan.arrangement, *_lowest_terms(nef, scale))
+        nef_slot = _divisor_slot(plan.arrangement, *_lowest_terms(nef, scale))
+        nef_table, r = _closure_table(nef_slot, (1 << len(nef)) - 1)
         shifted_points = {tuple(r * x for x in p) for p in shifted_table}
         if shifted_points != {tuple(s * x for x in p) for p in nef_table}:
             raise ToricError("internal: nef part's polytope differs from the shifted one")

@@ -57,9 +57,11 @@ the slot of its last divisor, found again by the identity of its entries
 with no clearing (``_held_slot``).  ``region_sum`` counts a realized
 region's lattice points straight off that slot and the count plan of
 the region's weak mask, with no region object (``_slot_count``).  A
-standalone ``HalfOpenRegion`` feeds the same count core from its own
-vertex table and the row bounds of its own slot, each computed at most
-once per object, on first use.
+standalone ``HalfOpenRegion`` takes the same path: its count, listing
+and volume read its weak mask's entry in the realized table of its
+slot's simple cell (below), with the entry's kept plan and corner box,
+and every closure-vertex table, a region's or a polytope's, is read by
+one function (``_closure_table``).
 
 Counts and volumes sum over the regions of one simple cell.  Lowering
 the levels by theta_i = eps^(i + 1), eps -> 0+, makes every circuit
@@ -237,13 +239,18 @@ class HalfOpenRegion:
     def contains(self, point) -> bool:
         """Whether the point, read at its exact value (``linalg._point_integers``), lies inside.
 
-        Raises ValueError unless the point has ``dim`` coordinates.
+        With x = c / p and the levels L / q cleared once (``_cleared``),
+        each row compares q <v, c> with p L_i in integers.  Raises
+        ValueError unless the point has ``dim`` coordinates, and as the
+        measures do, ValueError on a bool and TypeError on a string,
+        in the point or in the levels.
         """
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coordinates, region has dimension {self.dim}")
         coordinates, p = _point_integers(point)
-        for normal, level, is_weak in zip(self.normals, self.levels, self.weak):
-            value = dot(normal, coordinates)
+        levels, q = self._cleared
+        for normal, level, is_weak in zip(self.normals, levels, self.weak):
+            value = q * dot(normal, coordinates)
             if is_weak:
                 if value < p * level:
                     return False
@@ -252,9 +259,14 @@ class HalfOpenRegion:
         return True
 
     @cached_property
+    def _cleared(self) -> tuple[list[int], int]:
+        """The levels cleared to integers L over their lcm q (``linalg.to_integers``), once per object."""
+        return to_integers(self.levels)
+
+    @cached_property
     def vertex_table(self):
-        """The closure's integer vertices ({P: tight}, scale) of ``_integer_vertices``."""
-        return _integer_vertices(self)
+        """The closure's integer vertices ({P: tight}, scale) of ``_closure_table`` on the region's slot."""
+        return _closure_table(self.slot, _weak_mask(self.weak))
 
     @cached_property
     def slot(self) -> _DivisorSlot:
@@ -264,7 +276,7 @@ class HalfOpenRegion:
         are its divisor's; every measure reads it.  Raises ValueError
         when the memo is bound to other normals (``fan._bind_memo``).
         """
-        levels, q = to_integers(self.levels)
+        levels, q = self._cleared
         return _divisor_slot(_arrangement(self.normals, self.dim, self.memo), [-x for x in levels], q)
 
 
@@ -780,53 +792,26 @@ def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
     return slot
 
 
-def _vertex_table(slot: _DivisorSlot, weak: int):
-    """({P: tight}, scale) for the vertices of the weak mask's closure, in basis order.
+def _closure_table(slot: _DivisorSlot, weak: int):
+    """({P: tight}, scale) for the vertices of the weak mask's closure on the slot, in the cell's order.
 
     Those are the vertices P with above(P) <= W <= above(P) | tight(P):
-    every row above is weak and every row below strict, in the order of
-    the cell's vertices.
+    every row above is weak and every row below strict.  Only the
+    vertices kept are solved.  This is the one reader of closure
+    tables: a region's ``vertex_table``, the section polytope of
+    ``gkz`` (all rows weak) and the two polytopes of its nef splits.
+    Raises on an unbounded closure.
     """
+    arrangement = slot.arrangement
+    if not _is_bounded(arrangement, weak):
+        raise UnboundedRegionError("region closure is unbounded")
     point = slot.point
     table = {
         point(b): tight
-        for b, above, tight in _cell_vertices(slot.arrangement, slot.cell)
+        for b, above, tight in _cell_vertices(arrangement, slot.cell)
         if not above & ~weak and not weak & ~(above | tight)
     }
     return table, slot.scale
-
-
-def _integer_vertices(reg: HalfOpenRegion):
-    """The closure's vertices as integer points over one scale, with tight rows.
-
-    Returns ({P: bitmask of the rows tight at P}, scale) of
-    ``_closure_table`` on the region's slot.  Runs at most once per
-    region object, through ``HalfOpenRegion.vertex_table``;
-    ``region_sum`` builds no region, so never runs it.  Raises on
-    systems with unbounded closure.
-    """
-    return _closure_table(reg.slot, _weak_mask(reg.weak))
-
-
-def _polytope_table(arrangement: _Arrangement, coefficients, q: int):
-    """``_closure_table`` of the polytope <u, v_i> >= -d_i, all rows weak, for d = coefficients / q.
-
-    The pair is a divisor cleared as ``linalg.to_integers`` clears it.
-    The table is read off the arrangement's held slot when it matches,
-    which is not replaced otherwise.
-    """
-    slot = _divisor_slot(arrangement, coefficients, q)
-    return _closure_table(slot, (1 << len(arrangement.normals)) - 1)
-
-
-def _closure_table(slot: _DivisorSlot, weak: int):
-    """``_vertex_table`` of the weak mask's closure on the slot, solving only the vertices kept.
-
-    Raises on an unbounded closure.
-    """
-    if not _is_bounded(slot.arrangement, weak):
-        raise UnboundedRegionError("region closure is unbounded")
-    return _vertex_table(slot, weak)
 
 
 def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
@@ -844,28 +829,41 @@ def closure_vertices(reg: HalfOpenRegion) -> RationalPolytope:
     return RationalPolytope(vertices=tuple(sorted(vertices)))
 
 
+def _region_entry(reg: HalfOpenRegion):
+    """(slot, weak, vertices): the region's slot and weak mask, and the mask's realized table entry.
+
+    ``vertices`` are the vertex triples of the mask's entry in the table
+    of the slot's simple cell (``_realized_masks``), the table every
+    region sum reads, or None when the mask has none.  Lowering moves no
+    lattice point across a row (``region_sum``), so a bounded mask with
+    no entry holds no lattice point, and volumes are continuous in the
+    levels, so its closure has volume zero.  Raises on systems with
+    unbounded closure.
+    """
+    weak = _weak_mask(reg.weak)
+    slot = reg.slot
+    if not _is_bounded(slot.arrangement, weak):
+        raise UnboundedRegionError("region closure is unbounded")
+    return slot, weak, next((vertices for mask, _, vertices in _realized_masks(slot) if mask == weak), None)
+
+
 def normalized_volume(reg: HalfOpenRegion) -> Fraction:
     """n! times the Euclidean volume of the region's weak closure.
 
     The strict boundary parts have measure zero, and an empty half-open
     region forces its closure onto a strict hyperplane, hence a
     lower-dimensional closure and volume zero either way.  The volume
-    is the Lawrence sum over the closure's vertices on the simple cell
-    of its lowered levels (``_slot_simple``): the bases B with
-    above(P_B) <= W <= above(P_B) | B, each signed by its rows off W.
-    The cell is read off the region's slot (``HalfOpenRegion.slot``).
-    Raises on systems with unbounded closure.
+    is the signed Lawrence sum over the vertices P_B of the mask's entry
+    in its simple cell's table (``_region_entry``), each basis B signed
+    by its rows off W, as ``_lawrence_columns`` sums them for every
+    region at once.  Raises on systems with unbounded closure.
     """
-    weak = _weak_mask(reg.weak)
-    slot = reg.slot
+    slot, weak, vertices = _region_entry(reg)
     arrangement = slot.arrangement
-    if not _is_bounded(arrangement, weak):
-        raise UnboundedRegionError("region closure is unbounded")
     total = 0
-    for b, above, basis in _cell_vertices(arrangement, _slot_simple(slot)):
-        if not above & ~weak and not weak & ~(above | basis):
-            term = arrangement.weights[b] * slot.level(b) ** reg.dim
-            total += -term if (basis & ~weak).bit_count() & 1 else term
+    for b, _, basis in vertices or ():
+        term = arrangement.weights[b] * slot.level(b) ** reg.dim
+        total += -term if (basis & ~weak).bit_count() & 1 else term
     return Fraction(total, arrangement.den * slot.scale**reg.dim)
 
 
@@ -883,8 +881,8 @@ class _CountPlan:
     slice, t >= (-alpha*s + c_j)/beta, one with beta < 0 an upper line
     (j, alpha, -beta), t <= (alpha*s - c_j)/-beta, and one with beta = 0
     a flat row (j, alpha) that narrows s.  ``corners`` holds one pair of
-    ``_Arrangement.corners`` per vertex basis of a cell's plan (none for
-    a standalone region's), whose n - 1 coordinates feed the box.
+    ``_Arrangement.corners`` per vertex basis of the plan's table entry,
+    whose n - 1 coordinates feed the box.
 
     In dimension 3 the plan also keeps what slab interpolation
     (``_slab_count``) needs of the rows alone.  ``period`` is the lcm p
@@ -905,13 +903,13 @@ class _CountPlan:
     lower: tuple
     upper: tuple
     flat: tuple
-    corners: tuple = ()
+    corners: tuple
     period: int = 1
     breaks: tuple | None = None
 
 
-def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners=()) -> _CountPlan:
-    """The plan of the rows in the ``facets`` mask, weak on the ``weak`` mask (``_CountPlan``).
+def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners) -> _CountPlan:
+    """The plan of the rows in the ``facets`` mask, weak on the ``weak`` mask, with its ``corners`` (``_CountPlan``).
 
     Its facet triples are the arrangement's ``oriented`` rows and its
     lines one object per value (``_Arrangement.share``).
@@ -1220,47 +1218,34 @@ def _slab_count(plan: _CountPlan, rows, xs: range, lo: int, hi: int) -> int:
     return total
 
 
-def _own_plan(reg: HalfOpenRegion):
-    """(plan, box) of a standalone region's count, or None when its closure is empty.
-
-    The facets are the rows tight at some vertex of ``vertex_table``:
-    the argument of ``_cell_plan`` holds at the region's own levels,
-    with the closure's vertices and their tight masks.  The box ranges
-    are read off the vertices' first n - 1 coordinates.
-    """
-    points, scale = reg.vertex_table
-    if not points:
-        return None
-    plan = _count_plan(reg.slot.arrangement, reduce(or_, points.values()), _weak_mask(reg.weak))
-    columns = list(zip(*points))[: reg.dim - 1]
-    return plan, [_range(column, scale) for column in columns]
-
-
 def lattice_count(reg: HalfOpenRegion) -> int:
     """The number of integer points of the half-open region.
 
-    ``_lattice_count``, the core of every count, on the plan of the
-    rows tight at the closure's vertices (``_own_plan``) and the row
-    bounds of the region's slot (``_slot_bounds``): 2-D slices counted with no point
-    listed, or in dimension 1 the one fiber.  Raises on systems with
-    unbounded closure and CapExceededError past ``FIBER_BUDGET`` slices.
+    The mask's entry in its simple cell's table (``_region_entry``) is
+    counted as ``region_sum`` counts it (``_slot_count``), on the
+    entry's kept plan, its corner box and the row bounds of the
+    region's slot: 2-D slices counted with no point listed, or in
+    dimension 1 the one fiber; a mask with no entry holds no point.
+    Raises on systems with unbounded closure and CapExceededError past
+    ``FIBER_BUDGET`` slices.
     """
-    found = _own_plan(reg)
-    return 0 if found is None else _lattice_count(found[0], _slot_bounds(reg.slot), found[1])
+    slot, weak, vertices = _region_entry(reg)
+    return 0 if vertices is None else _slot_count(slot, weak, vertices)
 
 
 def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
     """All integer points of the half-open region, in lexicographic order.
 
     Membership honors the mixed weak/strict system exactly; the points
-    are the fibers of ``_fibers`` on the rows of ``_own_plan`` and the
-    row bounds of the region's slot, expanded one by one.
+    are the fibers of ``_fibers`` on the plan and corner box of the
+    mask's table entry (``_slot_plan``) and the row bounds of the
+    region's slot, expanded one by one.
     """
-    found = _own_plan(reg)
-    if found is None:
+    slot, weak, vertices = _region_entry(reg)
+    if vertices is None:
         return []
-    plan, box = found
-    fibers = _fibers(_bounds(plan, _slot_bounds(reg.slot)), box)
+    plan, box = _slot_plan(slot, weak, vertices)
+    fibers = _fibers(_bounds(plan, _slot_bounds(slot)), box)
     return [prefix + (x,) for prefix, lo, hi in fibers for x in range(lo, hi + 1)]
 
 
@@ -1390,14 +1375,14 @@ def _weighted_entries(fan: Fan, slot: _DivisorSlot, weight):
     return found
 
 
-def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:
-    """The lattice count of a realized mask's region, read off the divisor slot.
+def _slot_plan(slot: _DivisorSlot, mask: int, vertices):
+    """(plan, box) of a realized mask's region on the divisor slot.
 
     The mask's count plan (``_cell_plan``, from its vertex triples
-    ``vertices``) is built on its first count and kept on the slot's
-    simple cell.  The rows' bounds ceil(-d_i) are cleared once per slot
-    (``_slot_bounds``), and the box solves only the first n - 1
-    coordinates of each vertex; ``_lattice_count`` counts.
+    ``vertices``) is built on its first use and kept on the slot's
+    simple cell.  The box holds the integer ranges of the first n - 1
+    coordinates of the vertices, the only coordinates solved, each off
+    the plan's corners.
     """
     arrangement, simple = slot.arrangement, _slot_simple(slot)
     plan = simple.plans.get(mask)
@@ -1406,10 +1391,20 @@ def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:
         arrangement.grow(simple, len(plan.facets) + len(plan.corners))
     coefficients = slot.key[0]
     points = zip(*([sum(map(mul, row, get(coefficients))) for row in rows] for get, rows in plan.corners))
+    return plan, [_range(column, slot.scale) for column in points]
+
+
+def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:
+    """The lattice count of a realized mask's region, read off the divisor slot.
+
+    The plan and box of ``_slot_plan`` and the rows' bounds ceil(-d_i),
+    cleared once per slot (``_slot_bounds``); ``_lattice_count`` counts.
+    """
+    plan, box = _slot_plan(slot, mask, vertices)
     breaks = plan.breaks
-    count = _lattice_count(plan, _slot_bounds(slot), [_range(column, slot.scale) for column in points])
+    count = _lattice_count(plan, _slot_bounds(slot), box)
     if plan.breaks is not breaks:  # this count built the plan's breakpoints (``_plan_breaks``)
-        arrangement.grow(simple, len(plan.breaks))
+        slot.arrangement.grow(slot.simple, len(plan.breaks))
     return count
 
 

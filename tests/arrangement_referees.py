@@ -29,12 +29,20 @@ volume table, a raised level or a Lawrence weight:
 ``weighted_volumes`` sums either over the bounded regions a divisor
 realizes, found by this module's own vertex pass, as ``hhat`` and
 ``self_intersection`` sum over every bounded region.
+
+``own_plan_count`` is the count a standalone region took before it read
+its divisor's realized table: the count core on a plan of the rows
+tight at the vertices of the region's own vertex table, in a box of
+those vertices.  Given a scanned vertex table, it counts with no type
+cell, realized table or kept plan.
 """
 
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 
 import fraction_linalg
+from toricvol import regions
 from toricvol.fan import _basis_inverses
 from toricvol.linalg import integer_eliminate, rank, to_integers
 from toricvol.regions import is_bounded_subset, region
@@ -249,3 +257,26 @@ def weighted_volumes(fan, d, weight, volume):
         terms = [x * amount for x in w]
         total = terms if total is None else [a + b for a, b in zip(total, terms)]
     return tuple(total or ())
+
+
+def own_plan_count(reg):
+    """The region's lattice count on the rows tight at its closure's vertices, in their box.
+
+    The closure's vertices come from ``reg.vertex_table`` with their
+    tight masks.  On the closure a row tight at no vertex holds strictly,
+    so the tight rows cut out the region; they are oriented and split by
+    ``regions._count_plan`` and counted by the core ``regions._lattice_count``
+    in the integer ranges of the vertices' first n - 1 coordinates, with
+    the row bounds ceil(L_i / q) of the region's own levels.
+    """
+    points, scale = reg.vertex_table
+    if not points:
+        return 0
+    arrangement = regions._arrangement(reg.normals, reg.dim, reg.memo)
+    weak = sum(1 << i for i, is_weak in enumerate(reg.weak) if is_weak)
+    plan = regions._count_plan(arrangement, reduce(or_, points.values()), weak, ())
+    box = [
+        range(-(-min(column) // scale), max(column) // scale + 1) for column in list(zip(*points))[: reg.dim - 1]
+    ]
+    levels, q = to_integers(reg.levels)
+    return regions._lattice_count(plan, [-(-x // q) for x in levels], box)

@@ -3,8 +3,9 @@
 Raw data, not a Fan, so that a test can validate it, perturb it first or
 hand it to a referee.
 
-* ``star_fan_data(splits, seed)``: the ``starS`` fans, P^3 split
-  ``splits`` times at the primitive ray sum of a random maximal cone;
+* ``star_fan_data(splits, seed, dim)``: the ``starS`` fans, P^3 split
+  ``splits`` times at the primitive ray sum of a random maximal cone,
+  and with ``dim=4`` the ``star4d_S`` fans, the same splits of P^4;
 * ``polygon_fan_data(rng)``: the inner normal fan of a random lattice
   polygon.
 """
@@ -14,23 +15,24 @@ import random
 from itertools import combinations
 
 
-def star_fan_data(splits, seed=1):
-    """P^3 with ``splits`` star splits, each of a cone picked by ``random.Random(seed)``.
+def star_fan_data(splits, seed=1, dim=3):
+    """P^dim with ``splits`` star splits, each of a cone picked by ``random.Random(seed)``.
 
-    A split adds the primitive sum of the cone's three rays and replaces
-    the cone by the three cones on that ray and two of the old ones.
+    A split adds the primitive sum of the cone's ``dim`` rays and
+    replaces the cone by the ``dim`` cones on that ray and dim - 1 of
+    the old ones.
     """
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    cones = [frozenset(c) for c in combinations(range(4), 3)]
+    rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)] + [(-1,) * dim]
+    cones = [frozenset(c) for c in combinations(range(dim + 1), dim)]
     rng = random.Random(seed)
     for _ in range(splits):
         cone = rng.choice(cones)
-        total = [sum(rays[i][j] for i in cone) for j in range(3)]
+        total = [sum(rays[i][j] for i in cone) for j in range(dim)]
         g = math.gcd(*total)
         rays.append(tuple(x // g for x in total))
         cones.remove(cone)
         cones += [cone - {i} | {len(rays) - 1} for i in sorted(cone)]
-    return 3, rays, cones
+    return dim, rays, cones
 
 
 def _cross(o, a, b):

@@ -1,0 +1,193 @@
+"""Seeded mutants of the count and region code, each with the tests that must kill it.
+
+A mutant names a module of ``toricvol``, a function in it (a dotted
+name for a method), a text that occurs exactly once in that function's
+source, the text that replaces it, and the test ids that must fail on
+the mutated code.  ``tests/test_demos.py`` checks, in the tier-1 suite,
+that every old text still occurs exactly once in its function and that
+every test id names a test.  Running
+
+    python tests/mutants.py [name ...]
+
+copies the repository's ``src`` and ``tests`` into a fresh temporary
+directory per mutant, applies the edit there, runs the mutant's tests
+and reports each mutant as killed (every listed test failed) or
+survived, with its time.  The exit status is 1 when a mutant survived.
+The working tree is never edited.
+"""
+
+import ast
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    function: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+WIDE_BOXES = "tests/test_slab_counts.py::test_slab_counts_match_the_per_prefix_walk_on_wide_boxes"
+CELL_WALLS = "tests/test_count_plans.py::test_standalone_measures_on_cell_walls_match_the_plain_scan"
+
+MUTANTS = (
+    Mutant(
+        "degree-one slab fit",
+        "regions",
+        "_slab_count",
+        "                d1, d2 = f1 - f0, f2 - 2 * f1 + f0\n"
+        "                if f3 != f0 + d1 * (n - 1) + d2 * math.comb(n - 1, 2):\n"
+        '                    raise ToricError(f"internal: slice counts on the slab {first}..{last} are not quadratic")\n',
+        "                d1, d2 = f1 - f0, 0\n",
+        (WIDE_BOXES,),
+    ),
+    Mutant(
+        "wide slabs from 5p",
+        "regions",
+        "_slab_count",
+        "wide = last - first >= 4 * p",
+        "wide = last - first >= 5 * p",
+        (WIDE_BOXES,),
+    ),
+    Mutant(
+        "breakpoints read only past 8p",
+        "regions",
+        "_slab_count",
+        "if len(xs) > 4 * p:",
+        "if len(xs) > 8 * p:",
+        (WIDE_BOXES,),
+    ),
+    Mutant(
+        "period forced to 1",
+        "regions",
+        "_slab_count",
+        "p = plan.period",
+        "p = 1",
+        (WIDE_BOXES,),
+    ),
+    Mutant(
+        "standalone measures read the first table entry",
+        "regions",
+        "_region_entry",
+        "for mask, _, vertices in _realized_masks(slot) if mask == weak",
+        "for mask, _, vertices in _realized_masks(slot)",
+        (CELL_WALLS, "tests/test_regions.py::test_integer_volumes_match_fraction_referee"),
+    ),
+    Mutant(
+        "closure tables without the boundedness check",
+        "regions",
+        "_closure_table",
+        '    if not _is_bounded(arrangement, weak):\n        raise UnboundedRegionError("region closure is unbounded")\n',
+        "",
+        (
+            "tests/test_regions.py::test_closure_vertices_unbounded_raises",
+            "tests/test_regions.py::test_closure_vertices_without_fan_memo",
+        ),
+    ),
+    Mutant(
+        "slot counts one too many above 3",
+        "regions",
+        "_slot_count",
+        "count = _lattice_count(plan, _slot_bounds(slot), box)",
+        "count = _lattice_count(plan, _slot_bounds(slot), box); count += count > 3",
+        ("tests/test_region_sum.py::test_region_sum_matches_sweep_poly12",),
+    ),
+    Mutant(
+        "contains on raw levels",
+        "regions",
+        "HalfOpenRegion.contains",
+        "levels, q = self._cleared",
+        "levels, q = self.levels, 1",
+        ("tests/test_regions.py::test_contains_decides_at_the_exact_levels",),
+    ),
+)
+
+
+def module_path(root: Path, module: str) -> Path:
+    return root / "src" / "toricvol" / f"{module}.py"
+
+
+def function_span(source: str, function: str) -> tuple[int, int]:
+    """The character offsets of the (dotted) function's definition in the module source."""
+    nodes = ast.parse(source).body
+    for part in function.split("."):
+        node = next(
+            n for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part
+        )
+        nodes = node.body
+    lines = source.splitlines(keepends=True)
+    return sum(map(len, lines[: node.lineno - 1])), sum(map(len, lines[: node.end_lineno]))
+
+
+def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
+    """How often the mutant's old text occurs in its function."""
+    source = module_path(root, mutant.module).read_text(encoding="utf-8")
+    start, end = function_span(source, mutant.function)
+    return source[start:end].count(mutant.old)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Edit the mutant's function in the copy at ``root``; ValueError unless its old text occurs once."""
+    path = module_path(root, mutant.module)
+    source = path.read_text(encoding="utf-8")
+    start, end = function_span(source, mutant.function)
+    body = source[start:end]
+    if body.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the old text occurs {body.count(mutant.old)} times in {mutant.function}")
+    path.write_text(source[:start] + body.replace(mutant.old, mutant.new) + source[end:], encoding="utf-8")
+
+
+def failed_tests(output: str) -> set[str]:
+    """The ids of the FAILED and ERROR lines of a pytest ``-rfE`` summary."""
+    found = set()
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                found.add(line[len(tag):].split(" - ")[0].strip())
+    return found
+
+
+def run(mutant: Mutant) -> tuple[bool, set[str], float]:
+    """(killed, surviving test ids, seconds) of the mutant, tested in a fresh copy."""
+    began = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="toricvol-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        apply(mutant, copy)
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *mutant.tests],
+            cwd=copy,
+            capture_output=True,
+            text=True,
+        )
+    survivors = set(mutant.tests) - failed_tests(result.stdout)
+    return not survivors, survivors, time.perf_counter() - began
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    survived = 0
+    for mutant in chosen:
+        killed, survivors, seconds = run(mutant)
+        survived += not killed
+        verdict = "killed" if killed else "SURVIVED " + ", ".join(sorted(survivors))
+        print(f"{seconds:7.1f} s  {mutant.name}: {verdict}", flush=True)
+    print(f"{len(chosen) - survived} killed, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,11 +2,12 @@
 
 Every region a region sum counts is counted by ``regions._slot_count``
 on the count plan of its mask: the facet rows of the mask's table entry
-on the lowered simple cell, oriented and split once.  The referee here
-enumerates every integer point of the region's closure box, found by
-the arrangement referee's own vertex pass, and tests it against all k
-rows of the divisor in integers; it shares no code with the core.  The
-work pins are deterministic counts, with no clock.
+on the lowered simple cell, oriented and split once.  A standalone
+region's ``lattice_count`` and ``lattice_points`` read the same entry.
+The referee here enumerates every integer point of the region's closure
+box, found by the arrangement referee's own vertex pass, and tests it
+against all k rows of the divisor in integers; it shares no code with
+the core.  The work pins are deterministic counts, with no clock.
 """
 
 import math
@@ -14,10 +15,11 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from arrangement_referees import divisor_vertices, filtered
+from arrangement_referees import divisor_vertices, filtered, pulling_volume
 from generated_fans import star_fan_data
 from test_region_sum import COMPLETE_FIXTURES, fresh, poly12
 from test_type_cells import cell_key, shift, wall_divisor
@@ -25,10 +27,13 @@ from toricvol import fixtures, regions
 from toricvol.cohomology import cech_oracle, euler_char, h_all
 from toricvol.fan import make_fan
 from toricvol.linalg import to_integers
+from toricvol.regions import (
+    bounded_subsets, closure_vertices, lattice_count, lattice_points, normalized_volume, region
+)
 
 
-def star_fan(splits):
-    return make_fan(*star_fan_data(splits))
+def star_fan(splits, dim=3):
+    return make_fan(*star_fan_data(splits, dim=dim))
 
 
 def referee_divisors(fan, rng):
@@ -43,27 +48,34 @@ def referee_divisors(fan, rng):
         yield wall
 
 
-def plain_count(fan, d, mask, closure, scale):
-    """The lattice points of the mask's region: every point of the closure's box against all k rows.
-
-    ``closure`` holds the closure's vertices P, each P / ``scale``.  With
-    d = c / q a point m lies in the region when q <v_i, m> + c_i >= 0 on
-    the weak rows and < 0 on the others.
-    """
-    coefficients, q = to_integers(d)
-    box = [
+def closure_box(closure, scale):
+    """The integer ranges of every coordinate of the closure's vertices P / ``scale``."""
+    return [
         range(math.ceil(Fraction(min(column), scale)), math.floor(Fraction(max(column), scale)) + 1)
         for column in zip(*closure)
     ]
-    count = 0
-    for point in product(*box):
+
+
+def plain_points(fan, d, mask, closure, scale):
+    """The lattice points of the mask's region, in lexicographic order: the closure's box against all k rows.
+
+    ``closure`` holds the closure's vertices P, each P / ``scale``.  With
+    d = c / q a point m lies in the region when q <v_i, m> + c_i >= 0 on
+    the weak rows and < 0 on the others.  An empty closure holds none.
+    """
+    if not closure:
+        return []
+    coefficients, q = to_integers(d)
+    points = []
+    for point in product(*closure_box(closure, scale)):
         for i, (ray, c) in enumerate(zip(fan.rays, coefficients)):
             value = q * sum(a * x for a, x in zip(ray, point)) + c
             if (value < 0) if mask >> i & 1 else (value >= 0):
                 break
         else:
-            count += 1
-    return count
+            points.append(point)
+    return points
+
 
 
 def lattice_vertex_rows(mask, closure, scale):
@@ -83,7 +95,8 @@ def test_the_count_core_matches_a_plain_point_scan():
     # by the core on its plan and by the plain scan of its closure box.
     # A strict row tight at a single lattice vertex of the closure cuts
     # that vertex off; a plan that dropped it would count the vertex.
-    makes = COMPLETE_FIXTURES + (poly12,) + tuple(partial(star_fan, s) for s in range(1, 5))
+    makes = COMPLETE_FIXTURES + (poly12, partial(star_fan, 2, dim=4))
+    makes += tuple(partial(star_fan, s) for s in range(1, 5))
     masks = cut = 0
     for make in makes:
         fan = fresh(make())
@@ -97,11 +110,49 @@ def test_the_count_core_matches_a_plain_point_scan():
             assert table, (fan.rays, d)
             for mask, _, vertices in table:
                 closure = filtered(found, mask)
-                expected = plain_count(fan, d, mask, closure, scale)
+                expected = len(plain_points(fan, d, mask, closure, scale))
                 assert regions._slot_count(slot, mask, vertices) == expected, (fan.rays, d, mask)
                 masks += 1
                 cut += bool(lattice_vertex_rows(mask, closure, scale))
     assert masks > 800 and cut > 350
+
+
+def test_standalone_measures_on_cell_walls_match_the_plain_scan():
+    # Every bounded subset, at divisors where many rows meet at a vertex
+    # or a circuit value is zero.  A standalone measure reads its mask's
+    # entry in the lowered table, or finds none; the referee scans the
+    # closure box of its own vertex pass and pulls the closure's volume.
+    # The entry's vertices are closure vertices, so its corner box lies
+    # inside the closure's box and the fiber cap refuses no region more.
+    makes = (*(partial(star_fan, s) for s in range(1, 5)), poly12, fixtures.cube_fan)
+    makes += (partial(star_fan, 0, dim=4), partial(star_fan, 2, dim=4))
+    checked = points_seen = entries = 0
+    for make in makes:
+        fan = fresh(make())
+        n = fan.dim
+        for d in list(referee_divisors(fan, random.Random(2042 + len(fan.rays))))[2:]:
+            found, scale = divisor_vertices(fan, d)
+            for subset in bounded_subsets(fan):
+                mask = sum(1 << i for i in subset)
+                closure = filtered(found, mask)
+                expected = plain_points(fan, d, mask, closure, scale)
+                reg = region(fan, d, subset)
+                assert lattice_count(reg) == len(expected), (fan.rays, d, mask)
+                assert lattice_points(reg) == expected, (fan.rays, d, mask)
+                volume = pulling_volume(SimpleNamespace(vertex_table=(closure, scale), dim=n))
+                assert normalized_volume(reg) == volume, (fan.rays, d, mask)
+                assert closure_vertices(reg).vertices == tuple(sorted(
+                    tuple(Fraction(x, scale) for x in point) for point in closure
+                ))
+                slot, _, vertices = regions._region_entry(reg)
+                if vertices is not None:
+                    box = closure_box(closure, scale)[: n - 1]
+                    corners = regions._slot_plan(slot, mask, vertices)[1]
+                    assert all(b.start <= c.start and c.stop <= b.stop for b, c in zip(box, corners))
+                    entries += 1
+                checked += 1
+                points_seen += len(expected)
+    assert checked > 20000 and entries > 400 and points_seen > 1500, (checked, entries, points_seen)
 
 
 def test_the_referee_divisors_reach_every_kind():

@@ -5,8 +5,10 @@ internal cross-checks do not rely on them; a static scan keeps the
 library free of ``assert`` statements altogether, one keeps every LP
 in the one capped-gap form of ``lp.py``, one keeps every lattice count
 on the one slice walk, one keeps its runtime on the standard library,
-and one more keeps a normal set's divisor-free state on its one
-arrangement.  Another scan keeps the Cech referee from reading the sphere-complex rank vectors it checks, and
+one keeps every region's count on its divisor's cell table, and one
+more keeps a normal set's divisor-free state on its one arrangement.
+One checks that every seeded mutant of ``tests/mutants.py`` still
+matches its function.  Another scan keeps the Cech referee from reading the sphere-complex rank vectors it checks, and
 one the volume referees from reading the volume tables.  One keeps
 floating point off every path: no float literal, no ``float`` use and
 no ``math`` function other than the integer ones, one keeps
@@ -113,6 +115,35 @@ def test_library_walks_slices_in_one_function():
     assert found == {"regions.py:_lattice_count", "regions.py:_slab_count"}, found
     found = readers("_slab_count")
     assert found == {"regions.py:_lattice_count"}, found
+
+
+def test_library_counts_every_region_on_the_cell_table():
+    # Standalone regions and region sums share one count path: only the
+    # cell plan builds a count plan, so no plan from a closure's own
+    # vertices comes back, and only the closure table and the realized
+    # table classify a cell's vertices.
+    found = readers("_count_plan")
+    assert found == {"regions.py:_cell_plan"}, found
+    found = readers("_cell_vertices")
+    assert found == {"regions.py:_closure_table", "regions.py:_realized_masks"}, found
+    for name in ("_own_plan", "_integer_vertices", "_vertex_table", "_polytope_table"):
+        assert readers(name) == set(), name
+
+
+def test_every_mutant_edits_one_place_of_its_function():
+    # The mutant gate (``python tests/mutants.py``) runs outside tier-1;
+    # here each record must still match its function once and name
+    # tests that exist, so a refactor cannot silently retire a mutant.
+    import mutants
+
+    assert len(mutants.MUTANTS) >= 8
+    for mutant in mutants.MUTANTS:
+        assert mutants.occurrences(mutant) == 1, mutant.name
+        assert mutant.old != mutant.new and mutant.tests, mutant.name
+        for test in mutant.tests:
+            path, name = test.split("::")
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            assert any(isinstance(n, ast.FunctionDef) and n.name == name for n in tree.body), test
 
 
 def test_library_bounds_type_cells_in_one_function():

@@ -86,6 +86,21 @@ def test_support_function_rejects_a_vector_of_the_wrong_length():
             xi(vector)
 
 
+def test_support_function_reads_a_float_vector_exactly():
+    # It returned the float pairing: on P^2 at (1, 1, 1), (0.1, 0.2) read
+    # -0.30000000000000004.  Each entry is read at its exact value.
+    fan = p2()
+    xi, _ = support_function(fan, divisor([1, 1, 1]))
+    value = xi((0.1, 0.2))
+    assert type(value) is Fraction and value == Fraction(-10808639105689191, 36028797018963968)
+    assert value == -(Fraction(0.1) + Fraction(0.2))
+    assert xi((Fraction(1, 3), 2)) == Fraction(-7, 3)
+    with pytest.raises(ValueError, match="bool"):
+        xi((True, 0))
+    with pytest.raises(TypeError, match="strings"):
+        xi(("1", 0))
+
+
 def test_support_function_zero_divisor():
     fan = f1()
     xi, strict = support_function(fan, divisor([0, 0, 0, 0]))
@@ -562,7 +577,7 @@ def test_nef_decomposition_rejects_a_wrong_shift(monkeypatch):
     chamber = enumerate_maximal_chambers(fan)[0]
     d = scale(chamber.sample_divisor, Fraction(3, 2))
     assert nef_decomposition(fan, chamber, d).shifted == d
-    original = gkz._polytope_table
+    original = gkz._divisor_slot
     own = regions._arrangement(fan.rays, fan.dim, fan.memo)
 
     def skewed(arrangement, coefficients, q):
@@ -572,7 +587,7 @@ def test_nef_decomposition_rejects_a_wrong_shift(monkeypatch):
             coefficients, q = to_integers(values)
         return original(arrangement, coefficients, q)
 
-    monkeypatch.setattr(gkz, "_polytope_table", skewed)
+    monkeypatch.setattr(gkz, "_divisor_slot", skewed)
     with pytest.raises(ToricError, match="polytope differs"):
         nef_decomposition(fan, chamber, d)
 
@@ -587,8 +602,8 @@ def test_a_zero_remainder_split_on_every_ray_reads_one_table(monkeypatch):
     own = next(ch for ch in chambers if set(ch.sigma_cones) == set(fan.max_cones))
     coarse = next(ch for ch in chambers if ch.strict_rays)
     tables = []
-    original = gkz._polytope_table
-    monkeypatch.setattr(gkz, "_polytope_table", lambda *args: tables.append(args) or original(*args))
+    original = gkz._closure_table
+    monkeypatch.setattr(gkz, "_closure_table", lambda *args: tables.append(args) or original(*args))
     for chamber, reads in ((own, 1), (coarse, 2)):
         d = scale(chamber.sample_divisor, Fraction(3, 2))
         tables.clear()

@@ -3,11 +3,11 @@
 The referee is the sweep ``region_sum`` used to run: every bounded ray
 subset with a nonzero weight is measured, and each region's vertices
 come from its own scan of all rank-n bases against all rows.  Counts
-are ``lattice_count``, volumes the pulling triangulation of
-``arrangement_referees.pulling_volume``.  The production path counts
-only the regions the divisor realizes, reading their vertices off its
-divisor's type-cell table, and reads every volume sum off the integer
-volume table of the divisor's cell.
+are ``arrangement_referees.own_plan_count`` on the scan, volumes the
+pulling triangulation of ``arrangement_referees.pulling_volume``.  The
+production path counts only the regions the divisor realizes, reading
+their vertices off its divisor's type-cell table, and reads every volume
+sum off the integer volume table of the divisor's cell.
 """
 
 import contextlib
@@ -23,7 +23,7 @@ from operator import mul
 
 import pytest
 
-from arrangement_referees import lowered_divisor, pulling_volume
+from arrangement_referees import lowered_divisor, own_plan_count, pulling_volume
 from generated_fans import polygon_fan_data, star_fan_data
 from test_regions import box_scan
 from toricvol import asymptotics, cohomology, fixtures, regions
@@ -89,7 +89,7 @@ def scan_integer_vertices(reg):
     Each candidate P = adjugate . L is tested as <v, P> >= level on weak
     rows and <= on strict rows, leaving at the first violated row.  The
     rows tight at P are returned as a bitmask, the format of
-    ``regions._integer_vertices``.
+    ``HalfOpenRegion.vertex_table``.
     """
     arrangement = regions._arrangement(reg.normals, reg.dim, reg.memo)
     if not regions._is_bounded(arrangement, regions._weak_mask(reg.weak)):
@@ -161,7 +161,7 @@ def compare_with_sweep(monkeypatch, fan, d, functions):
     scans = {}
 
     def sweep(fan_, d_, weight):
-        return sweep_region_sum(fan_, d_, weight, lattice_count, amounts)
+        return sweep_region_sum(fan_, d_, weight, own_plan_count, amounts)
 
     def volume_sweep(fan_, slot, weight, degrees):
         coefficients, q = slot.key
@@ -177,7 +177,7 @@ def compare_with_sweep(monkeypatch, fan, d, functions):
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "region_sum", sweep)
         patch.setattr(asymptotics, "_lawrence_sum", volume_sweep)
-        patch.setattr(regions, "_integer_vertices", scan)
+        patch.setattr(regions.HalfOpenRegion, "vertex_table", property(scan))
         expected = {f.__name__: outcome(f, fan, d) for f in functions}
     assert actual == expected, d
 
@@ -252,19 +252,19 @@ def test_warm_h_all_measures_only_realized_regions(monkeypatch):
     measured = []
     scans = []
     count = regions._slot_count
-    scan = regions._integer_vertices
+    scan = regions._closure_table
 
     def recorded_count(slot, mask, vertices):
         measured.append(frozenset(i for i in range(len(fan.rays)) if mask >> i & 1))
         return count(slot, mask, vertices)
 
-    def recorded_scan(reg):
-        scans.append(reg)
-        return scan(reg)
+    def recorded_scan(slot, weak):
+        scans.append(weak)
+        return scan(slot, weak)
 
     with monkeypatch.context() as patch:
         patch.setattr(regions, "_slot_count", recorded_count)
-        patch.setattr(regions, "_integer_vertices", recorded_scan)
+        patch.setattr(regions, "_closure_table", recorded_scan)
         assert h_all(fan, d) == expected_h
     assert scans == []
 

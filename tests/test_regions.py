@@ -218,32 +218,52 @@ def test_contains_rejects_a_point_of_the_wrong_length():
             quadrant.contains(point)
 
 
+def test_contains_decides_at_the_exact_levels():
+    # It compared in float arithmetic: at the level 0.1, whose exact value
+    # is 3602879701896397/36028797018963968 > 1/10, the point 1/10 lay
+    # inside, and a bool level read as 1.
+    square = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    box = HalfOpenRegion(square, (0.1, 0, -1, -1), (True,) * 4, 2)
+    assert not box.contains((Fraction(1, 10), 0))
+    assert box.contains((Fraction(1, 10), 0)) == HalfOpenRegion(
+        square, (Fraction(0.1), 0, -1, -1), (True,) * 4, 2
+    ).contains((Fraction(1, 10), 0))
+    assert box.contains((0.1, 0)) and box.contains((Fraction(0.1), Fraction(1, 2)))
+    strict = HalfOpenRegion(square, (0.1, 0, -1, -1), (False, True, True, True), 2)
+    assert strict.contains((Fraction(1, 10), 0)) and not strict.contains((0.1, 0))
+    with pytest.raises(ValueError, match="bools"):
+        HalfOpenRegion(square, (True, 0, -1, -1), (True,) * 4, 2).contains((0, 0))
+    with pytest.raises(TypeError, match="strings"):
+        HalfOpenRegion(square, ("1/2", 0, -1, -1), (True,) * 4, 2).contains((0, 0))
+
+
 def test_a_region_runs_its_vertex_pass_once(monkeypatch):
-    # The measures of one region object share the vertex table and the
-    # row bounds it computes on first use; a new object computes its own.
+    # The measures of one region object share its slot: one closure
+    # table and one clearing of the row bounds, on first use; a new
+    # object computes its own.
     fan = fixtures.bl1_p3()
     d = divisor([2, 1, 1, 1, 0])
     weak = range(len(fan.rays))
     measures = (closure_vertices, normalized_volume, lattice_count, lattice_points)
     expected = [measure(region(fan, d, weak)) for measure in measures]
     scans, clearings = [], []
-    scan, ceilings = regions._integer_vertices, regions._ceilings
+    scan, ceilings = regions._closure_table, regions._ceilings
 
-    def counted_scan(reg):
-        scans.append(reg)
-        return scan(reg)
+    def counted_scan(slot, weak):
+        scans.append(slot)
+        return scan(slot, weak)
 
     def counted_ceilings(levels, q):
         clearings.append(levels)
         return ceilings(levels, q)
 
-    monkeypatch.setattr(regions, "_integer_vertices", counted_scan)
+    monkeypatch.setattr(regions, "_closure_table", counted_scan)
     monkeypatch.setattr(regions, "_ceilings", counted_ceilings)
     for reg in (region(fan, d, weak), HalfOpenRegion(fan.rays, tuple(-c for c in d), (True,) * 5, 3)):
         scans.clear()
         clearings.clear()
         assert [measure(reg) for measure in measures] == expected
-        assert len(scans) == 1 and scans[0] is reg
+        assert len(scans) == 1 and scans[0] is reg.slot
         assert len(clearings) == 1
     assert expected[2] == len(expected[3]) > 0 and expected[1] > 0
 

@@ -716,7 +716,8 @@ def degenerate_divisors(fan, rng):
 def test_degenerate_divisors_count_like_the_sweep(monkeypatch, make):
     # Many rows meet at one vertex of these divisors; the counts read the
     # lowered simple cell, the sweep measures every bounded subset's
-    # region at the divisor itself with the standalone lattice_count.
+    # region at the divisor itself, counted on its own vertex scan
+    # (``arrangement_referees.own_plan_count``).
     fan = fresh(make())
     rng = random.Random(2033 + len(fan.rays))
     walls = 0
