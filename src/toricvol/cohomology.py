@@ -6,12 +6,17 @@ rank vectors.  An independent cross-check builds, per graded piece, the
 alternating Cech complex on the cover by maximal cones and takes exact
 ranks of its coboundaries, built as sparse integer rows for
 ``linalg._chain_ranks``; agreement of the two is sheaf theory made
-executable.
+executable.  Each fan keeps one cover table of the complex
+(``_cover_table``): every tuple of cones with its shared rays and its
+signed faces, so the complex of a weak set is read off it with no
+tuple listed and no index built.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
 from itertools import combinations
+from operator import and_
 
 from .divisor import Divisor, _check_length
 from .errors import NotCompleteError, ToricError
@@ -105,81 +110,80 @@ def euler_char(fan: Fan, d: Divisor) -> int:
     return total
 
 
-def _cech_rank_vector(fan: Fan, subset: frozenset[int], tuples) -> CohomologyVector:
-    """Cohomology ranks of the Cech complex spanned by ``tuples(size)``.
+def _cover_table(fan: Fan, tuples) -> tuple:
+    """The Cech cover table of the tuples of maximal cones ``tuples(size)``, sizes 1..n+2.
+
+    Layer size - 1 lists each tuple, in the order ``tuples`` gives, as
+    (meet, faces): ``meet`` is the ray bitmask of the intersection of
+    its cones, and ``faces`` the coboundary entries (position, sign) of
+    the tuples one smaller, by their position in the layer below.  The
+    face that drops position j enters with (-1)^j; with repeated cones
+    two deletions can give one face, and their signs are summed and
+    zeros dropped.  The meet is the rays the cones share: in a valid fan
+    two cones meet in a common face tau, and a ray of both lies in tau
+    and, being extreme in either cone, is a ray of its face tau.  tau is
+    again a cone of the fan, so the argument runs along the whole tuple.
+    """
+    masks = [sum(1 << i for i in cone) for cone in fan.max_cones]
+    layers, index = [], {}
+    for size in range(1, fan.dim + 3):
+        layer, positions = [], {}
+        for t in tuples(size):
+            faces: dict[int, int] = {}
+            sign = -1 if (size - 1) & 1 else 1
+            for face in combinations(t, size - 1) if size > 1 else ():
+                at = index[face]
+                faces[at] = faces.get(at, 0) + sign
+                sign = -sign
+            positions[t] = len(layer)
+            meet = reduce(and_, (masks[j] for j in t))
+            layer.append((meet, tuple((at, x) for at, x in faces.items() if x)))
+        layers.append(tuple(layer))
+        index = positions
+    return tuple(layers)
+
+
+def _cech_rank_vector(subset: frozenset[int], table) -> CohomologyVector:
+    """Cohomology ranks of the Cech complex of a weak set on a cover table (``_cover_table``).
 
     A tuple contributes a line exactly when the rays of the intersection
-    of its cones all lie in the weak set.  Those are the rays the cones
-    share: in a valid fan two cones meet in a common face tau, and a ray
-    of both lies in tau and, being extreme in either cone, is a ray of
-    its face tau.  tau is again a cone of the fan, so the argument runs
-    along the whole tuple.  Each tuple's shared rays are kept per fan,
-    so a new weak set only compares them.
-
+    of its cones all lie in the weak set W: its meet has no ray off W.
     The kept tuples are closed under supersets, so they span a
     subcomplex of the cochain complex and the transposed coboundaries
-    form a chain complex; ``_chain_ranks`` ranks them from delta^n
-    down, clearing as on a boundary.
+    form a chain complex.  Each kept tuple's row holds its kept faces,
+    keyed by their position in the table's layer, so a weak set builds
+    no index; ``_chain_ranks`` ranks the maps from delta^n down,
+    clearing as on a boundary.  Positions keep the order of the kept
+    tuples, so the pivots and the clearing are those of the complex
+    indexed by the kept tuples alone.
     """
-    n = fan.dim
-    cones = fan.max_cones
-    meets = fan.memo("cech_meets", dict)
-    layers: list[list[tuple[int, ...]]] = []
-    for size in range(1, n + 3):
-        layer = []
-        for t in tuples(size):
-            meet = meets.get(t)
-            if meet is None:
-                meet = meets[t] = frozenset.intersection(*(cones[j] for j in t))
-            if meet <= subset:
-                layer.append(t)
-        layers.append(layer)
-    top_down = _chain_ranks((layers[i + 1], _coboundary_row(layers[i])) for i in range(n, -1, -1))
+    n = len(table) - 2
+    off = ~sum(1 << i for i in subset)
+    kept = [[at for at, (meet, _) in enumerate(layer) if not meet & off] for layer in table]
+
+    def coboundary(i):
+        below, layer = set(kept[i]), table[i + 1]
+        return lambda at: {face: x for face, x in layer[at][1] if face in below}
+
+    top_down = _chain_ranks((kept[i + 1], coboundary(i)) for i in range(n, -1, -1))
     ranks_of_d = [0, *reversed(top_down)]  # rank of delta^(i-1) : C^(i-1) -> C^i at i = 0..n+1
-    return tuple(len(layers[i]) - ranks_of_d[i] - ranks_of_d[i + 1] for i in range(n + 1))
-
-
-def _coboundary_row(small: list[tuple[int, ...]]):
-    """The Cech coboundary from the tuples ``small``, one sparse row per larger tuple.
-
-    The function returned maps a tuple to its ``{column: entry}`` row,
-    the face that drops position j entering with (-1)^j; ``combinations``
-    lists the faces from the last position dropped to the first.  With
-    repeated cones two deletions can give one face: their entries are
-    summed and zeros dropped.
-    """
-    index = {t: k for k, t in enumerate(small)}
-
-    def row_of(big):
-        m = len(big) - 1
-        sign = -1 if m & 1 else 1
-        row: dict[int, int] = {}
-        for face in combinations(big, m):
-            col = index.get(face)
-            if col is not None:
-                if col in row:
-                    row[col] += sign
-                    if not row[col]:
-                        del row[col]
-                else:
-                    row[col] = sign
-            sign = -sign
-        return row
-
-    return row_of
+    return tuple(len(kept[i]) - ranks_of_d[i] - ranks_of_d[i + 1] for i in range(n + 1))
 
 
 def _cech_ranks(fan: Fan, subset: frozenset[int]) -> CohomologyVector:
     """The Cech ranks of a frozenset of ray indices, memoized per fan; no check.
 
-    The oracle's region sum weighs its subsets here: it builds them from
+    Every weak set reads the fan's one cover table of the alternating
+    complex, its tuples the ``combinations`` of the maximal cones.  The
+    oracle's region sum weighs its subsets here: it builds them from
     ray bitmasks, so every entry is a ray index of the fan.
     """
-    ncones = len(fan.max_cones)
-    return fan.memo(
-        ("cech", subset),
-        lambda: _cech_rank_vector(fan, subset, lambda size: combinations(range(ncones), size)),
-    )
+
+    def compute():
+        cover = partial(combinations, range(len(fan.max_cones)))
+        return _cech_rank_vector(subset, fan.memo("cech_cover", lambda: _cover_table(fan, cover)))
+
+    return fan.memo(("cech", subset), compute)
 
 
 def cech_ranks(fan: Fan, weak_rays) -> CohomologyVector:

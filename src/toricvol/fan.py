@@ -10,17 +10,25 @@ with some rows at or above a gap t <= 1 and the rest at or above 0),
 solved in one phase from the slack basis.  A cone list that passes
 ``_glued_cover_once`` (full-dimensional simplicial cones glued facet
 to facet on opposite sides, covering one generic point exactly once)
-is a complete fan by the proof in that docstring and needs no further
-test, which is how every complete simplicial fan is validated with no
-LP.  Every other cone list solves one
+is a complete simplicial fan by the proof in that docstring and needs
+no further test, which is how every complete simplicial fan is
+validated with no LP and no rank: the test runs first, and the fan it
+accepts starts with ``is_complete`` and ``is_simplicial`` in its memo,
+so its faces are every subset of its cones' rays, each of dimension its
+ray count.  Every other cone list ranks each cone and solves one
 relative-interior LP per pair of maximal cones to check that they meet
 in a common face; a face test of a non-simplicial cone is one LP
 too, the candidate face's rays held at 0 and the others sharing one
 gap.
 
-The integer inverse of every ray basis lives here too
-(``_basis_inverses``, one table per fan), for the region vertices, the
-Cartier data and the chamber systems of the modules above.
+Two per-fan tables of the rays live here too: the integer inverse of
+every ray basis (``_basis_inverses``), for the region vertices, the
+Cartier data and the chamber systems of the modules above, and the
+kernel direction of every (n - 1)-subset (``_kernel_table``), filled on
+first read and read by the glued test, in validation and in the chamber
+search, and by the cocircuit patterns of ``regions``: each
+``_kernel_direction`` runs at most once per subset and memo, and the
+table validation fills is the one its fan keeps.
 
 Fan objects are immutable after validation and every operation here is
 a pure function, so values may be shared freely between threads.  The
@@ -102,8 +110,9 @@ class Fan:
         Every key is written once, but a few values are containers filled
         later: the ``regions._Arrangement`` of the rays under
         ``"arrangement"``, which keeps the type cells, each weak mask's
-        boundedness and the held divisor of ``regions._held_slot``, and
-        per-fan caches of values that never change once made.  The
+        boundedness and the held divisor of ``regions._held_slot``, the
+        ``_KernelTable`` under ``"kernels"``, which validation writes,
+        and per-fan caches of values that never change once made.  The
         ``"normals"`` entry, the rays and dimension, is there from the
         start: it binds the memo to them (``_bind_memo``).
         """
@@ -162,6 +171,33 @@ def _basis_table(vectors, dim: int, memo):
     return memo("basis_inverses", compute)
 
 
+class _KernelTable(dict):
+    """The kernel direction of each sorted (dim - 1)-index tuple of the vectors, computed on first read.
+
+    Maps the tuple to ``linalg._kernel_direction`` of its vectors: a
+    nonzero integer u orthogonal to them all, or None when they are
+    dependent.  Concurrent duplicate computes are benign.
+    """
+
+    def __init__(self, vectors, dim: int):
+        super().__init__()
+        self.vectors, self.dim = vectors, dim
+
+    def __missing__(self, combo):
+        u = self[combo] = _kernel_direction([self.vectors[i] for i in combo], self.dim)
+        return u
+
+
+def _kernel_table(vectors, dim: int, memo) -> _KernelTable:
+    """The ``_KernelTable`` of the vectors, one per memo (a fan's starts with validation's)."""
+
+    def compute():
+        _bind_memo(vectors, dim, memo)
+        return _KernelTable(vectors, dim)
+
+    return memo("kernels", compute)
+
+
 def _intersection_faces(rays, c1, c2) -> tuple[set[int], set[int]]:
     """The faces of two cones that a separating functional cuts out.
 
@@ -179,7 +215,7 @@ def _intersection_faces(rays, c1, c2) -> tuple[set[int], set[int]]:
     return {gens[j] for j in implicit if j < len(g1)}, {gens[j] for j in implicit if j >= len(g1)}
 
 
-def _glued_cover_once(dim: int, rays, cones) -> bool:
+def _glued_cover_once(kernels: _KernelTable, cones) -> bool:
     """Whether the cones pass a combinatorial test that makes them a complete fan.
 
     The test, in integers only, accepts when
@@ -189,7 +225,7 @@ def _glued_cover_once(dim: int, rays, cones) -> bool:
         two cones;
     (c) the two rays opposite F lie strictly on opposite sides of the
         hyperplane <nu_F, x> = 0, nu_F the integer kernel vector of F's
-        rays (``_kernel_direction``);
+        rays, read off the kernel table of the rays (``_KernelTable``);
     (d) the point g = (1, t, ..., t^(dim-1)), t = 1 + max |nu_F entry|,
         lies in exactly one cone.
 
@@ -245,8 +281,10 @@ def _glued_cover_once(dim: int, rays, cones) -> bool:
        equal to neither cone by step 2.
 
     So every pair of cones meets in a common proper face, and the pair
-    loop of ``fan_diagnostics`` would report nothing.
+    loop of ``fan_diagnostics`` would report nothing.  By (a) the fan is
+    simplicial too, and its faces are the subsets of its cones.
     """
+    dim, rays = kernels.dim, kernels.vectors
     normals: dict[frozenset[int], list[int]] = {}
     sides: dict[frozenset[int], list[bool]] = {}
     for cone in cones:
@@ -255,7 +293,7 @@ def _glued_cover_once(dim: int, rays, cones) -> bool:
         for i in cone:
             facet = cone - {i}
             if facet not in normals:
-                normal = _kernel_direction([rays[j] for j in sorted(facet)], dim)
+                normal = kernels[tuple(sorted(facet))]
                 if normal is None:
                     return False
                 normals[facet], sides[facet] = normal, []
@@ -284,13 +322,15 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     ends the checks at once.  A ray entry or cone index that is not an
     int (bools included) is fatal too, never rounded or parsed.
 
-    After the checks on rays and single cones, cones that pass
-    ``_glued_cover_once`` form a complete simplicial fan, so no pair of
-    them can be reported and the pair loop is skipped: such a fan is
-    validated with no LP.  Every other cone list (incomplete,
-    non-simplicial or invalid) runs the pair loop, one
-    relative-interior LP per pair of cones, with its diagnostics in
-    the same order.
+    After the checks on rays and cone indices, cones that pass
+    ``_glued_cover_once`` form a complete simplicial fan, so no single
+    cone or pair of them can be reported: the per-cone rank and LP
+    checks and the pair loop are skipped, and such a fan is validated
+    with no LP and no rank.  Its memo starts with both facts and with
+    the kernel table the test filled.  Every other cone list
+    (incomplete, non-simplicial or invalid) runs the per-cone checks
+    and the pair loop, one relative-interior LP per pair of cones, with
+    its diagnostics in the same order.
     """
     if not _is_int(dim):
         return [f"dimension {dim!r} is not an integer"], None
@@ -354,7 +394,9 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     if fatal:
         return diags, None
 
-    for j, cone in enumerate(cones):
+    kernels = _KernelTable(clean_rays, dim)
+    glued = _glued_cover_once(kernels, cones)
+    for j, cone in enumerate(() if glued else cones):
         gens = [clean_rays[i] for i in sorted(cone)]
         if rank(gens) == len(gens):
             # Independent generators: pointed, and each one extreme.
@@ -377,8 +419,7 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
             diags.append(f"ray {i} not used by any cone")
             fatal = True
 
-    pairs = () if _glued_cover_once(dim, clean_rays, cones) else combinations(range(len(cones)), 2)
-    for a, b in pairs:
+    for a, b in () if glued else combinations(range(len(cones)), 2):
         if cones[a] == cones[b]:
             diags.append(f"cone {b} duplicates cone {a}")
             fatal = True
@@ -395,7 +436,12 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
             fatal = True
     if fatal:
         return diags, None
-    return diags, Fan(dim, clean_rays, cones)
+    fan = Fan(dim, clean_rays, cones)
+    fan.memo("kernels", lambda: kernels)
+    if glued:
+        fan.memo("is_complete", lambda: True)
+        fan.memo("is_simplicial", lambda: True)
+    return diags, fan
 
 
 def validate_fan(dim: int, rays, max_cones) -> Fan:
@@ -420,19 +466,24 @@ def make_fan(dim: int, rays, max_cones) -> Fan:
     return validate_fan(dim, rays, max_cones)
 
 
-def _faces_of_cone(fan: Fan, cone_rays: frozenset[int]) -> set[frozenset[int]]:
+def _faces_of_cone(fan: Fan, cone_rays: frozenset[int]) -> dict[frozenset[int], int]:
+    """Every face of a maximal cone with its dimension.
+
+    The rays of a simplicial fan (``is_simplicial``) or of a cone of
+    full rank are independent, so every subset spans a face whose
+    dimension is its ray count; only the faces of a dependent cone are
+    tested by LP and ranked.
+    """
     gens = {i: fan.rays[i] for i in cone_rays}
     idx = sorted(cone_rays)
-    vectors = [gens[i] for i in idx]
-    if rank(vectors) == len(idx):
-        # Simplicial: every subset of the rays spans a face.
-        return {frozenset(s) for r in range(len(idx) + 1) for s in combinations(idx, r)}
-    faces = {frozenset()}
+    if is_simplicial(fan) or rank([gens[i] for i in idx]) == len(idx):
+        return {frozenset(s): r for r in range(len(idx) + 1) for s in combinations(idx, r)}
+    faces = {frozenset(): 0}
     for r in range(1, len(idx) + 1):
         for sub in combinations(idx, r):
             rest = [gens[i] for i in idx if i not in sub]
             if is_face_subset([gens[i] for i in sub], rest, fan.dim):
-                faces.add(frozenset(sub))
+                faces[frozenset(sub)] = rank([gens[i] for i in sub])
     return faces
 
 
@@ -442,10 +493,9 @@ def all_cones(fan: Fan) -> tuple[tuple[Cone, ...], ...]:
     def compute():
         found: dict[frozenset[int], Cone] = {}
         for mc in fan.max_cones:
-            for face in _faces_of_cone(fan, mc):
+            for face, dim in _faces_of_cone(fan, mc).items():
                 if face not in found:
-                    vecs = [fan.rays[i] for i in sorted(face)]
-                    found[face] = Cone(face, rank(vecs) if vecs else 0)
+                    found[face] = Cone(face, dim)
         grouped: list[list[Cone]] = [[] for _ in range(fan.dim + 1)]
         for cone in found.values():
             grouped[cone.dim].append(cone)

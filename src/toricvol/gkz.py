@@ -88,7 +88,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .fan import (
-    Fan, _basis_inverses, _check_rays, _glued_cover_once, is_complete, is_simplicial, make_fan
+    Fan, _basis_inverses, _check_rays, _glued_cover_once, _kernel_table, is_complete, is_simplicial, make_fan
 )
 from .homology import _local_ranks
 from .linalg import _lowest_terms, _point_integers, dot, nullspace, rank, solve, to_integers
@@ -612,11 +612,12 @@ def _fans_on_rays(fan: Fan, subset) -> set[frozenset[frozenset[int]]]:
     coefficient on v_x, zero on F and positive at v_x).  In the plane
     that is the angular neighbour, one candidate per facet.  A facet of
     three cones ends a branch, and ``_glued_cover_once`` certifies each
-    cone set with no open facet.
+    cone set with no open facet, on the fan's kernel table.
     """
     n = fan.dim
     rays = fan.rays
     _, inverses = _basis_inverses(rays, n, fan.memo)
+    kernels = _kernel_table(rays, n, fan.memo)
     mask = _inside_masks(fan)
     idx = sorted(subset)
     bits = sum(1 << i for i in idx)
@@ -648,7 +649,7 @@ def _fans_on_rays(fan: Fan, subset) -> set[frozenset[frozenset[int]]]:
         seen.add(state)
         if not opens:
             cones = frozenset(map(frozenset, chosen))
-            if _glued_cover_once(n, rays, cones):
+            if _glued_cover_once(kernels, cones):
                 found.add(cones)
             continue
         facet = min(opens)

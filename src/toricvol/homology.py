@@ -117,17 +117,15 @@ def _sphere_complex(fan: Fan, subset: frozenset[int]) -> SphereComplex:
     )
 
 
-def _boundary_row(smaller: list[tuple[int, ...]]):
-    """The boundary map into the simplices ``smaller`` of size s-1 (s >= 1), row by row.
+def _boundary_row(simplex: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The boundary of a simplex as a sparse row ``{face: +-1}``, columns keyed by the faces.
 
-    The function returned maps a simplex of size s to its row
-    ``{face index: +-1}``: the rows of the transpose of the boundary
-    matrix, which has the same rank.
+    A row of the transpose of the boundary matrix, which has the same
+    rank.  Simplices of one size compare as sorted tuples, so the
+    largest face of a row is its largest column in the order of
+    ``SphereComplex.by_size``.
     """
-    index = {simplex: i for i, simplex in enumerate(smaller)}
-    return lambda simplex: {
-        index[simplex[:i] + simplex[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(simplex))
-    }
+    return {simplex[:i] + simplex[i + 1 :]: -1 if i & 1 else 1 for i in range(len(simplex))}
 
 
 def reduced_homology_ranks(complex_: SphereComplex) -> tuple[int, ...]:
@@ -139,7 +137,7 @@ def reduced_homology_ranks(complex_: SphereComplex) -> tuple[int, ...]:
     """
     n = complex_.ambient_dim
     by_size = [complex_.by_size(s) for s in range(n + 1)]
-    top_down = _chain_ranks((by_size[s], _boundary_row(by_size[s - 1])) for s in range(n, 0, -1))
+    top_down = _chain_ranks((by_size[s], _boundary_row) for s in range(n, 0, -1))
     boundary_ranks = [0, *reversed(top_down), 0]  # rank of d_s : C_s -> C_(s-1), sizes 0..n+1
     # Size s is chain degree s-1.
     return tuple(len(by_size[s]) - boundary_ranks[s] - boundary_ranks[s + 1] for s in range(n + 1))

@@ -9,9 +9,10 @@ determinant.  The simplex tableau pivots with ``integer_pivot`` too.
 The volumes of regions call the loop on integers directly, and so do
 ``_kernel_direction``, the integer normal of n - 1 integer rows that
 gives both the cocircuits of region normals and the facet normals of
-fan validation, and ``_adjugate``, the integer inverse of a square
-integer matrix behind the vertex bases of regions and the Cartier data
-of simplicial cones.  ``solve``, ``nullspace`` and ``det`` read its
+fan validation (run at most once per (n - 1)-subset of a memo's
+vectors: both read its kernel table, ``fan._kernel_table``), and
+``_adjugate``, the integer inverse of a square integer matrix behind
+the vertex bases of regions and the Cartier data of simplicial cones.  ``solve``, ``nullspace`` and ``det`` read its
 result through one rational front end that first clears each row to
 integers with ``to_integers``.  Since the reduced row echelon form is
 unique, their answers are exactly those of Gaussian elimination over
@@ -241,21 +242,22 @@ def _sparse_rank(rows) -> int:
 def _chain_ranks(maps) -> list[int]:
     """Ranks of the consecutive maps of a chain complex, top degree first, with clearing.
 
-    Each map is a pair (cells, row): the cells of its source in order,
+    Each map is a pair (cells, row): the cells of its source in
+    increasing order, each a key such as a simplex or a table position,
     and a function giving a cell's sparse row for ``_sparse_pivots``,
-    whose columns index the cells of the target in the order of the
-    next map's cells.  A cell of the next map whose index was a pivot
-    column c of this one is skipped, its row never built (the clearing
-    of Bauer, Kerber and Reininghaus 2014): a stored pivot row is the
-    boundary of some chain z with largest face c, so d(d z) = 0 makes
-    the row of c a combination of rows of lower index, and by induction
-    on the index every skipped row lies in the span of the rows kept.
-    So every rank is exact.  The same holds for the transpose of a
-    coboundary on tuples closed under supersets, a quotient complex.
+    whose columns are the target's cells, the next map's cells.  A cell
+    of the next map that was a pivot column c of this one is skipped,
+    its row never built (the clearing of Bauer, Kerber and Reininghaus
+    2014): a stored pivot row is the boundary of some chain z with
+    largest face c, so d(d z) = 0 makes the row of c a combination of
+    rows of lower cells, and by induction on the order every skipped
+    row lies in the span of the rows kept.  So every rank is exact.
+    The same holds for the transpose of a coboundary on tuples closed
+    under supersets, a quotient complex.
     """
     ranks, cleared = [], ()
     for cells, row in maps:
-        pivots = _sparse_pivots(row(cell) for i, cell in enumerate(cells) if i not in cleared)
+        pivots = _sparse_pivots(row(cell) for cell in cells if cell not in cleared)
         ranks.append(len(pivots))
         cleared = pivots
     return ranks

@@ -127,7 +127,8 @@ coordinates the facets cut the line to one integer interval, found with
 integer floor divisions (``_fibers``).  A box of more than
 ``FIBER_BUDGET`` prefixes, the integer points of its first n - 2
 coordinates (for a count) or n - 1 (for a listing), raises
-CapExceededError before any is visited.
+CapExceededError before any is visited, and so does a listing of more
+than ``FIBER_BUDGET`` points, counted first.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ from typing import Callable
 
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, NotCompleteError, ToricError, UnboundedRegionError
-from .fan import Fan, _basis_table, _bind_memo, _check_rays, _is_int, is_complete
-from .linalg import _kernel_direction, _point_integers, dot, rank, to_integers
+from .fan import Fan, _basis_table, _bind_memo, _check_rays, _is_int, _kernel_table, is_complete
+from .linalg import _point_integers, dot, to_integers
 
 
 # Fixed work caps; past either one, CapExceededError.  The sweep
@@ -155,7 +156,8 @@ from .linalg import _kernel_direction, _point_integers, dot, rank, to_integers
 # and a region's bounding box may hold at most FIBER_BUDGET integer
 # prefixes, counted before any is visited: of the first n - 2
 # coordinates for a count (its 2-D slices), of the first n - 1 for a
-# listing (its fibers).  Slab interpolation (``_slab_count``) may
+# listing (its fibers); a listing may hold at most FIBER_BUDGET points,
+# counted before any is listed.  Slab interpolation (``_slab_count``) may
 # evaluate fewer slices than a box's prefixes, but the cap is the box's.
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
@@ -319,22 +321,24 @@ def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
 def _unbounded_patterns(normals, dim: int, memo):
     """The sign patterns (pos, neg) of the normals' cocircuits, as bitmasks.
 
-    Each kernel line u of n - 1 independent normals gives the rows with
-    <u, v> > 0 (pos) and < 0 (neg), once for u and once for -u.  When
-    the normals do not span the space, the single pattern (0, 0) of a u
-    orthogonal to all of them stands for every pattern.  Depends on the
-    normals only, so it is kept once in the given memo (a fan's, or a
-    region's own), where ``bounded_subsets`` and the normals'
-    ``_Arrangement`` read it.
+    Each kernel line u of n - 1 independent normals, read off the
+    memo's kernel table (``fan._kernel_table``, which a fan's validation
+    has partly filled), gives the rows with <u, v> > 0 (pos) and < 0
+    (neg), once for u and once for -u.  The normals span the space
+    exactly when some pattern is not (0, 0): an independent n-subset
+    gives one, and if they span less, every u is orthogonal to them
+    all.  Then the single pattern (0, 0) stands for every pattern.
+    Depends on the normals only, so it is kept once in the given memo (a
+    fan's, or a region's own), where ``bounded_subsets`` and the
+    normals' ``_Arrangement`` read it.
     """
 
     def compute():
         _bind_memo(normals, dim, memo)
-        if rank(normals) < dim:
-            return ((0, 0),)
+        kernels = _kernel_table(normals, dim, memo)
         patterns = set()
-        for combo in combinations(normals, dim - 1):
-            u = _kernel_direction(combo, dim)
+        for combo in combinations(range(len(normals)), dim - 1):
+            u = kernels[combo]
             if u is None:
                 continue
             pos = neg = 0
@@ -346,7 +350,7 @@ def _unbounded_patterns(normals, dim: int, memo):
                     neg |= 1 << i
             patterns.add((pos, neg))
             patterns.add((neg, pos))
-        return tuple(sorted(patterns))
+        return tuple(sorted(patterns - {(0, 0)})) or ((0, 0),)
 
     return memo("cocircuits", compute)
 
@@ -1239,11 +1243,16 @@ def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
     Membership honors the mixed weak/strict system exactly; the points
     are the fibers of ``_fibers`` on the plan and corner box of the
     mask's table entry (``_slot_plan``) and the row bounds of the
-    region's slot, expanded one by one.
+    region's slot, expanded one by one.  They are counted first on the
+    same plan (``_slot_count``), and more than ``FIBER_BUDGET`` of them
+    raise CapExceededError before any is listed.
     """
     slot, weak, vertices = _region_entry(reg)
     if vertices is None:
         return []
+    total = _slot_count(slot, weak, vertices)
+    if total > FIBER_BUDGET:
+        raise CapExceededError(f"region has {total} lattice points; listing is capped at {FIBER_BUDGET}")
     plan, box = _slot_plan(slot, weak, vertices)
     fibers = _fibers(_bounds(plan, _slot_bounds(slot)), box)
     return [prefix + (x,) for prefix, lo, hi in fibers for x in range(lo, hi + 1)]

@@ -14,13 +14,14 @@ once, so that tests can check the production answers against them:
 * ``uncleared_homology_ranks`` and ``uncleared_cech_ranks``: the chain
   complex ranks with each map ranked on its own, every row kept, where
   the library clears the rows that the map above proves dependent
-  (``toricvol.linalg._chain_ranks``).
+  (``toricvol.linalg._chain_ranks``); the Cech coboundary rows are
+  built here from an index of the tuples (``coboundary_row``), where
+  the library reads one cover table per fan.
 """
 
 from itertools import combinations
 
 from toricvol import fixtures
-from toricvol.cohomology import _coboundary_row
 from toricvol.fan import all_cones, subfan
 from toricvol.homology import SphereComplex, _boundary_row
 from toricvol.linalg import _sparse_rank
@@ -97,8 +98,35 @@ def uncleared_homology_ranks(complex_) -> tuple:
     boundary_ranks = [0] * (n + 2)  # rank of d_s : C_s -> C_(s-1), sizes
     for s in range(1, n + 1):
         if dims[s] and dims[s - 1]:
-            boundary_ranks[s] = _sparse_rank(map(_boundary_row(by_size[s - 1]), by_size[s]))
+            boundary_ranks[s] = _sparse_rank(map(_boundary_row, by_size[s]))
     return tuple(dims[s] - boundary_ranks[s] - boundary_ranks[s + 1] for s in range(n + 1))
+
+
+def coboundary_row(small):
+    """The Cech coboundary from the tuples ``small``, one sparse row per larger tuple.
+
+    The function returned maps a tuple to its ``{column: entry}`` row,
+    the face that drops position j entering with (-1)^j; ``combinations``
+    lists the faces from the last position dropped to the first.  With
+    repeated cones two deletions can give one face: their entries are
+    summed and zeros dropped.
+    """
+    index = {t: k for k, t in enumerate(small)}
+
+    def row_of(big):
+        m = len(big) - 1
+        sign = -1 if m & 1 else 1
+        row = {}
+        for face in combinations(big, m):
+            col = index.get(face)
+            if col is not None:
+                row[col] = row.get(col, 0) + sign
+                if not row[col]:
+                    del row[col]
+            sign = -sign
+        return row
+
+    return row_of
 
 
 def uncleared_cech_ranks(fan, weak_rays) -> tuple:
@@ -112,5 +140,5 @@ def uncleared_cech_ranks(fan, weak_rays) -> tuple:
     ranks_of_d = [0] * (n + 2)  # rank of delta^i : C^i -> C^(i+1); delta^(-1) = 0 at the end
     for i in range(n + 1):
         if layers[i] and layers[i + 1]:
-            ranks_of_d[i] = _sparse_rank(map(_coboundary_row(layers[i]), layers[i + 1]))
+            ranks_of_d[i] = _sparse_rank(map(coboundary_row(layers[i]), layers[i + 1]))
     return tuple(len(layers[i]) - ranks_of_d[i] - ranks_of_d[i - 1] for i in range(n + 1))

@@ -103,6 +103,33 @@ MUTANTS = (
         ("tests/test_region_sum.py::test_region_sum_matches_sweep_poly12",),
     ),
     Mutant(
+        "glued facts recorded when the glued test rejects",
+        "fan",
+        "fan_diagnostics",
+        "    if glued:\n",
+        "    if True:\n",
+        ("tests/test_fan.py::test_completeness", "tests/test_fan.py::test_simpliciality"),
+    ),
+    Mutant(
+        "one face sign flipped in the Cech cover table",
+        "cohomology",
+        "_cover_table",
+        "faces[at] = faces.get(at, 0) + sign",
+        "faces[at] = faces.get(at, 0) + (sign if layer or at else -sign)",
+        (
+            "tests/test_cohomology.py::test_oracle_on_nonsimplicial_complete_fan",
+            "tests/test_acceptance.py::test_criterion_1_oracle_equivalence",
+        ),
+    ),
+    Mutant(
+        "cocircuit patterns read the wrong kernel-table entry",
+        "regions",
+        "_unbounded_patterns",
+        "u = kernels[combo]",
+        "u = kernels[tuple(max(j - 1, 0) for j in combo)]",
+        ("tests/test_cold_path.py::test_cocircuit_patterns_match_the_fraction_referee",),
+    ),
+    Mutant(
         "contains on raw levels",
         "regions",
         "HalfOpenRegion.contains",

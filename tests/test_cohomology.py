@@ -7,6 +7,7 @@ import pytest
 from toricvol.cohomology import (
     cech_oracle,
     _cech_rank_vector,
+    _cover_table,
     cech_ranks,
     euler_char,
     graded_piece_dim,
@@ -179,9 +180,8 @@ def cech_ranks_full(fan, weak_rays):
     of the reduction, not a production path.
     """
     ncones = len(fan.max_cones)
-    return _cech_rank_vector(
-        fan, frozenset(weak_rays), lambda size: product(range(ncones), repeat=size)
-    )
+    table = _cover_table(fan, lambda size: product(range(ncones), repeat=size))
+    return _cech_rank_vector(frozenset(weak_rays), table)
 
 
 def test_full_vs_alternating_cech():

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import pytest
 
+import fraction_linalg
 import toricvol.fan as fan_module
 import toricvol.lp as lp
 from generated_fans import polygon_fan_data, star_fan_data
@@ -116,6 +117,42 @@ def test_boundedness_matches_gordan_on_random_normals():
             bounded_seen += expected
     assert min(spans.values()) > 300
     assert bounded_seen > 300
+
+
+def referee_patterns(normals, n):
+    """Every cocircuit sign pattern (pos, neg) of the normals, each kernel solved afresh over Fraction.
+
+    ((0, 0),) when the normals span less than the space.
+    """
+    if not normals or fraction_linalg.rank(normals) < n:
+        return ((0, 0),)
+    patterns = set()
+    for combo in combinations(normals, n - 1):
+        kernel = fraction_linalg.nullspace(list(combo)) if combo else [(1,)]
+        if len(kernel) != 1:
+            continue
+        values = [dot(kernel[0], normal) for normal in normals]
+        pos = sum(1 << i for i, x in enumerate(values) if x > 0)
+        neg = sum(1 << i for i, x in enumerate(values) if x < 0)
+        patterns |= {(pos, neg), (neg, pos)}
+    return tuple(sorted(patterns))
+
+
+def test_cocircuit_patterns_match_the_fraction_referee():
+    # Boundedness alone does not see a missing pattern while another
+    # extreme ray of the same recession cone is found, so the patterns read
+    # off the kernel table are checked whole: on random normals with a
+    # memo of their own, and on fans whose validation filled part of the
+    # table first.
+    rng = random.Random(2043)
+    for case in range(1500):
+        n = 1 + case % 3
+        normals = random_normals(rng, n)
+        assert regions._unbounded_patterns(normals, n, _memo()) == referee_patterns(normals, n), normals
+    datas = [(make().dim, make().rays, make().max_cones) for make in ALL_FIXTURES + (poly12,)]
+    for data in datas + [star_fan_data(s) for s in range(1, 5)] + [star_fan_data(2, dim=4)]:
+        fan = make_fan(*data)
+        assert regions._unbounded_patterns(fan.rays, fan.dim, fan.memo) == referee_patterns(fan.rays, fan.dim)
 
 
 def test_nef_region_boundedness_matches_gordan(monkeypatch):

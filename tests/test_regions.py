@@ -500,16 +500,31 @@ def test_fiber_budget(monkeypatch):
     with pytest.raises(CapExceededError, match="fibers"):
         h_all(space, scale(ray_divisor(space, 0), big))
     monkeypatch.setattr(regions, "FIBER_BUDGET", 100)
-    # The h^0 triangle of 99 * D_0 has 100 fibers: at the budget it is listed.
-    triangle = region(fan, scale(ray_divisor(fan, 0), 99), range(3))
-    assert len(lattice_points(triangle)) == 100 * 101 // 2
-    with pytest.raises(CapExceededError):
-        lattice_points(region(fan, scale(ray_divisor(fan, 0), 100), range(3)))
+    # A listing is capped by its points too: the h^0 triangle of 12 * D_0
+    # has 91 points, within the budget, and 13 * D_0 has 105.
+    triangle = region(fan, scale(ray_divisor(fan, 0), 12), range(3))
+    assert len(lattice_points(triangle)) == 13 * 14 // 2
+    with pytest.raises(CapExceededError, match="105 lattice points"):
+        lattice_points(region(fan, scale(ray_divisor(fan, 0), 13), range(3)))
     # The h^0 simplex of 99 * D_0 on P^3 has 100 slices: at the budget it counts.
     simplex = region(space, scale(ray_divisor(space, 0), 99), range(4))
     assert lattice_count(simplex) == math.comb(102, 3)
     with pytest.raises(CapExceededError):
         lattice_count(region(space, scale(ray_divisor(space, 0), 100), range(4)))
+
+
+def test_a_listing_past_the_budget_raises_before_listing(monkeypatch):
+    # 10^4 * (D_0 + D_1 + D_2) on P^2 spans 3 * 10^4 + 1 fibers, far under
+    # the prefix cap, but holds C(3 * 10^4 + 2, 2) ~ 4.5 * 10^8 points: it
+    # is counted, refused, and no fiber is walked.
+    fan = p2()
+    reg = region(fan, divisor([10**4] * 3), range(3))
+    walked = []
+    monkeypatch.setattr(regions, "_fibers", lambda *args: walked.append(args))
+    with pytest.raises(CapExceededError, match=f"{math.comb(3 * 10**4 + 2, 2)} lattice points"):
+        lattice_points(reg)
+    assert walked == []
+    assert lattice_count(reg) == math.comb(3 * 10**4 + 2, 2)
 
 
 def test_floor_sum_matches_brute_force():
