@@ -47,10 +47,11 @@ class UnboundedRegionError(PreconditionError):
 
 class CapExceededError(PreconditionError):
     """Work past a fixed cap was requested: a subset sweep of more than
-    ``regions.SUBSET_CAP`` rays, a lattice count past
-    ``regions.FIBER_BUDGET`` 2-D slices (integer points of the first
-    n - 2 coordinates; never in dimension 2) or a lattice listing past
-    as many fibers (of the first n - 1), or a probe past m = 50."""
+    ``regions.SUBSET_CAP`` rays, a lattice count whose box holds more
+    than ``regions.FIBER_BUDGET`` integer points of its first n - 2
+    coordinates (never in dimension 2), a lattice listing past as many
+    fibers (integer points of the first n - 1) or as many points, or a
+    probe past m = 50."""
 
 
 class ChamberWallError(PreconditionError):

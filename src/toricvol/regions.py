@@ -112,15 +112,17 @@ lower and upper envelopes along the second-to-last coordinate, adding
 each run between envelope changes with two floor sums (the lattice
 points under a segment, by the Euclid-like recursion of
 ``floor_sum``).  A slice costs O(k^2 + k log m) for k facets,
-independent of its width.  Dimension 2 is one slice; dimension n >= 4
-one slice per point of the first n - 2 ranges, about m^(n-2) for m*D;
-and in dimension 3 the slice counts are summed slab by slab
-(``_slab_count``): between the points where three facet planes meet,
-each residue class of the first coordinate modulo the plan's period has
-a slice count quadratic in it, read off three slices and checked on a
-fourth, and short ranges and slabs are summed slice by slice.  So a
-region of m*D costs a number of slices bounded by its plan in dimension
-3, and one of a 2-D fan a bounded number of integer steps for every m.
+independent of its width.  Dimension 2 is one slice.  In dimension
+n >= 3 the slice counts are summed slab by slab (``_slab_count``), once
+per integer point of the first n - 3 ranges: there the rest is a 3-D
+polytope in the last three coordinates, and between the points where
+three of its facet planes meet, each residue class of coordinate n - 2
+modulo the plan's period has a slice count quadratic in it, read off
+three slices and checked on a fourth, and short ranges and slabs are
+summed slice by slice.  So a region of m*D costs a number of slices
+bounded by its plan in dimension 3, about m^(n-3) times that in
+dimension n >= 4, and one of a 2-D fan a bounded number of integer
+steps for every m.
 Listing points, and counting them in dimension 1, keeps the fibers of
 the last coordinate: above each integer point of the first n - 1
 coordinates the facets cut the line to one integer interval, found with
@@ -147,7 +149,7 @@ from typing import Callable
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, NotCompleteError, ToricError, UnboundedRegionError
 from .fan import Fan, _basis_table, _bind_memo, _check_rays, _is_int, _kernel_table, is_complete
-from .linalg import _point_integers, dot, to_integers
+from .linalg import _lowest_terms, _point_integers, dot, to_integers
 
 
 # Fixed work caps; past either one, CapExceededError.  The sweep
@@ -155,10 +157,11 @@ from .linalg import _point_integers, dot, to_integers
 # such cap: it visits at most 2^n masks per basis of the simple cell),
 # and a region's bounding box may hold at most FIBER_BUDGET integer
 # prefixes, counted before any is visited: of the first n - 2
-# coordinates for a count (its 2-D slices), of the first n - 1 for a
-# listing (its fibers); a listing may hold at most FIBER_BUDGET points,
-# counted before any is listed.  Slab interpolation (``_slab_count``) may
-# evaluate fewer slices than a box's prefixes, but the cap is the box's.
+# coordinates for a count (the heads of its 2-D slices), of the first
+# n - 1 for a listing (its fibers); a listing may hold at most
+# FIBER_BUDGET points, counted before any is listed.  Slab sums
+# (``_slab_count``) evaluate fewer slices than a box's prefixes, but the
+# cap is the box's.
 SUBSET_CAP = 20
 FIBER_BUDGET = 10**7
 # The type cells of each normal set share one bound of CELL_BUDGET entries
@@ -888,19 +891,21 @@ class _CountPlan:
     ``_Arrangement.corners`` per vertex basis of the plan's table entry,
     whose n - 1 coordinates feed the box.
 
-    In dimension 3 the plan also keeps what slab interpolation
-    (``_slab_count``) needs of the rows alone.  ``period`` is the lcm p
-    of the nonzero 2 x 2 minors of the facets' last two entries: every
-    vertex of a slice x_1 = x solves two facets, so it moves by an
-    integer vector when x moves by p.  ``breaks`` is None until a count
-    first reads it (``_plan_breaks``), on a first range of more than 4p
-    integers; then it holds, per facet triple with a nonzero 3 x 3
-    determinant, the first coordinate where the three planes meet, x_1
-    = <form, c> / D for the rows' bounds c (Cramer's rule: ``form`` the
-    cofactors of the first column, D > 0 the determinant, all divided
-    by their gcd), as one tuple (j, m_j, k, m_k, l, m_l, D) of facet
-    indices and cofactors, padded with zero terms; a form met by several
-    triples is kept once.
+    In dimension n >= 3 the plan also keeps what slab sums
+    (``_slab_count``) need of the rows alone, read off the facets' last
+    three entries, the coordinates a slab sum leaves free once the first
+    n - 3 are fixed.  ``period`` is the lcm p of the nonzero 2 x 2 minors
+    of the facets' last two entries: every vertex of a slice x_(n-2) = x
+    solves two facets, so it moves by an integer vector when x moves by
+    p.  ``breaks`` is None until a count first reads it
+    (``_plan_breaks``), on a range of x of more than 4p integers; then it
+    holds, per facet triple whose last three entries have a nonzero
+    3 x 3 determinant, the x where the three planes meet, x = <form, c>
+    / D for the rows' bounds c shifted to the fixed prefix (Cramer's
+    rule: ``form`` the cofactors of the first of the three columns,
+    D > 0 the determinant, all divided by their gcd), as one tuple
+    (j, m_j, k, m_k, l, m_l, D) of facet indices and cofactors, padded
+    with zero terms; a form met by several triples is kept once.
     """
 
     facets: tuple
@@ -927,21 +932,24 @@ def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners) -> _
         tuple(share((j, alpha, -beta)) for j, alpha, beta in split if beta < 0),
         tuple(share((j, alpha)) for j, alpha, beta in split if not beta),
         corners,
-        *((_period(rows),) if arrangement.dim == 3 else ()),
+        *((_period(rows),) if arrangement.dim >= 3 else ()),
     )
 
 
 def _period(rows) -> int:
-    """The period of a 3-D plan's facet triples (i, weak, a), as ``_CountPlan`` keeps it."""
-    minors = {abs(a[1] * b[2] - a[2] * b[1]) for (_, _, a), (_, _, b) in combinations(rows, 2)}
+    """The period of a plan's facet triples (i, weak, a), off their last two entries, as ``_CountPlan`` keeps it."""
+    minors = {abs(a[-2] * b[-1] - a[-1] * b[-2]) for (_, _, a), (_, _, b) in combinations(rows, 2)}
     return math.lcm(*minors - {0})
 
 
 def _plan_breaks(plan: _CountPlan) -> tuple:
-    """The breakpoint forms of a 3-D plan (``_CountPlan.breaks``), built on the first read and kept."""
+    """The breakpoint forms of a plan of dimension >= 3 (``_CountPlan.breaks``), off the facets' last three entries.
+
+    Built on the first read and kept.
+    """
     if plan.breaks is not None:
         return plan.breaks
-    normals = [a for _, _, a in plan.facets]
+    normals = [a[-3:] for _, _, a in plan.facets]
     breaks = set()
     for (i, a), (j, b), (k, c) in combinations(enumerate(normals), 3):
         cofactors = (b[1] * c[2] - b[2] * c[1], c[1] * a[2] - c[2] * a[1], a[1] * b[2] - a[2] * b[1])
@@ -1115,18 +1123,18 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
 
     ``ceilings`` are the rows' bounds ceil(L_i) and ``box`` the integer
     ranges of the first n - 1 coordinates of the closure, the last of
-    them the range of s.  One rule per dimension: in dimension 1, where
-    the box has no coordinate, the count sums the region's one fiber; in
-    dimension 2 it is one slice (``_plan_slice``) on the facets' bounds;
-    in dimension 3 the slices of the first range are summed slab by slab
-    (``_slab_count``), a number of slices bounded by the plan for every
-    m*D; in dimension n >= 4 it is one slice per integer point of the
-    first n - 2 ranges, each facet's bound shifted by its head <a,
-    prefix>, so about m^(n-2) slices for m*D.  A slice with k facets
-    costs O(k) envelope steps of O(k) work each plus O(log m) per floor
-    sum, independent of its width.  A box of more than ``FIBER_BUDGET``
-    integer points of the first n - 2 ranges raises CapExceededError
-    before any count.
+    them the range of s.  In dimension 1, where the box has no
+    coordinate, the count sums the region's one fiber; in dimension 2 it
+    is one slice (``_plan_slice``) on the facets' bounds; in dimension
+    n >= 3 the slices of range n - 2 are summed slab by slab
+    (``_slab_count``) once per integer point of the first n - 3 ranges,
+    each facet's bound shifted by its head <a, prefix>: a number of
+    slices bounded by the plan for every m*D in dimension 3, and about
+    m^(n-3) times that in dimension n.  Dimension 3 has no prefix and
+    builds no product.  A slice with k facets costs O(k) envelope steps
+    of O(k) work each plus O(log m) per floor sum, independent of its
+    width.  A box of more than ``FIBER_BUDGET`` integer points of the
+    first n - 2 ranges raises CapExceededError before any count.
     """
     rows = _bounds(plan, ceilings)
     if not box:
@@ -1139,8 +1147,8 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
     if len(heads) == 1:
         return _slab_count(plan, rows, heads[0], lo, hi)
     return sum(
-        _plan_slice(plan, [bound - sum(map(mul, a, prefix)) for a, bound in rows], lo, hi)
-        for prefix in product(*heads)
+        _slab_count(plan, [(a, bound - sum(map(mul, a, prefix))) for a, bound in rows], heads[-1], lo, hi)
+        for prefix in product(*heads[:-1])
     )
 
 
@@ -1164,12 +1172,14 @@ def _plan_slice(plan: _CountPlan, c, lo: int, hi: int) -> int:
 
 
 def _slab_count(plan: _CountPlan, rows, xs: range, lo: int, hi: int) -> int:
-    """The slices of a 3-D count over the first coordinate's range ``xs``, summed by slab.
+    """The slices of a count over the range ``xs`` of coordinate n - 2, summed by slab.
 
-    ``rows`` are the plan's weak integer rows (a, c) and lo..hi the range
-    of s; the slice at x has the bounds c - a[0] * x.  The slice count
-    f(x) changes its form only where three facet planes meet: between
-    two consecutive breakpoints x_1 = <form, c> / D of
+    ``rows`` are the plan's weak integer rows (a, c), their bounds
+    shifted to a fixed integer point of the first n - 3 coordinates, so
+    that they cut a 3-D polytope in the last three, and lo..hi is the
+    range of s; the slice at x has the bounds c - a[-3] * x.  The slice
+    count f(x) changes its form only where three facet planes meet:
+    between two consecutive breakpoints x = <form, c> / D of
     ``_CountPlan.breaks`` every slice polygon has one combinatorial
     type, its vertices affine in x, and moving x by the plan's period p
     moves each vertex by an integer vector.  So on each open slab and
@@ -1208,7 +1218,7 @@ def _slab_count(plan: _CountPlan, rows, xs: range, lo: int, hi: int) -> int:
             nodes = list(range(first, last + 1))
         if v != u and not v & 1:
             nodes.append(v // 2)
-        f = [_plan_slice(plan, [bound - a[0] * x for a, bound in rows], lo, hi) for x in nodes]
+        f = [_plan_slice(plan, [bound - a[-3] * x for a, bound in rows], lo, hi) for x in nodes]
         if wide:
             for i, x0 in enumerate(range(first, first + p)):
                 f0, f1, f2, f3 = f[4 * i : 4 * i + 4]
@@ -1231,7 +1241,8 @@ def lattice_count(reg: HalfOpenRegion) -> int:
     region's slot: 2-D slices counted with no point listed, or in
     dimension 1 the one fiber; a mask with no entry holds no point.
     Raises on systems with unbounded closure and CapExceededError past
-    ``FIBER_BUDGET`` slices.
+    ``FIBER_BUDGET`` prefixes, the integer points of the box's first
+    n - 2 coordinates.
     """
     slot, weak, vertices = _region_entry(reg)
     return 0 if vertices is None else _slot_count(slot, weak, vertices)
@@ -1500,20 +1511,25 @@ def ehrhart_probe(fan: Fan, d: Divisor, weak_rays, m_max: int):
     """Scaled lattice counts of the dilated regions, for m = 1..m_max.
 
     Row m holds (m, count(region of m*d) * n! / m^n); the values converge
-    to the normalized volume of the region of d.  Raises ValueError
-    unless m_max is an int (not a bool) of at least 1.
+    to the normalized volume of the region of d.  Positive scaling keeps
+    every circuit sign, so m*d lies in d's type cell for every m: d's
+    table entry is found once (``_region_entry``), and each m is counted
+    as ``lattice_count`` counts it, on a slot of m*d in lowest terms that
+    shares d's cell and simple cell, so no m keys a cell or builds a
+    realized table again, kept by the arrangement or not.  Raises
+    ValueError unless m_max is an int (not a bool) of at least 1.
     """
     if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 1:
         raise ValueError(f"m_max must be an integer of at least 1, got {m_max!r}")
     if m_max > 50:
         raise CapExceededError("ehrhart probe is capped at m_max = 50")
-    _check_length(fan, d)
-    coefficients, q = to_integers(d)
+    slot, weak, vertices = _region_entry(region(fan, d, weak_rays))
+    coefficients, q = slot.key
     n = fan.dim
-    factorial = math.factorial(n)
     table = []
     for m in range(1, m_max + 1):
-        scaled = tuple(Fraction(m * c, q) for c in coefficients)
-        count = lattice_count(region(fan, scaled, weak_rays))
-        table.append((m, Fraction(count * factorial, m**n)))
+        scaled, p = _lowest_terms([m * c for c in coefficients], q)
+        dilated = _DivisorSlot((tuple(scaled), p), slot.arrangement, slot.cell, simple=slot.simple)
+        count = 0 if vertices is None else _slot_count(dilated, weak, vertices)
+        table.append((m, Fraction(count * math.factorial(n), m**n)))
     return table

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 WIDE_BOXES = "tests/test_slab_counts.py::test_slab_counts_match_the_per_prefix_walk_on_wide_boxes"
+WIDE_BOXES_4D = "tests/test_slab_counts.py::test_4d_slab_counts_match_the_per_prefix_walk_on_wide_boxes"
 CELL_WALLS = "tests/test_count_plans.py::test_standalone_measures_on_cell_walls_match_the_plain_scan"
 
 MUTANTS = (
@@ -74,6 +75,38 @@ MUTANTS = (
         "p = plan.period",
         "p = 1",
         (WIDE_BOXES,),
+    ),
+    Mutant(
+        "slab slices shifted by the first coordinate",
+        "regions",
+        "_slab_count",
+        "bound - a[-3] * x",
+        "bound - a[0] * x",
+        (WIDE_BOXES_4D,),
+    ),
+    Mutant(
+        "breakpoints on the first three entries",
+        "regions",
+        "_plan_breaks",
+        "normals = [a[-3:] for _, _, a in plan.facets]",
+        "normals = [a[:3] for _, _, a in plan.facets]",
+        (WIDE_BOXES_4D,),
+    ),
+    Mutant(
+        "slab sums without the prefix shift",
+        "regions",
+        "_lattice_count",
+        "_slab_count(plan, [(a, bound - sum(map(mul, a, prefix))) for a, bound in rows], heads[-1], lo, hi)",
+        "_slab_count(plan, rows, heads[-1], lo, hi)",
+        (WIDE_BOXES_4D,),
+    ),
+    Mutant(
+        "period of the middle two entries",
+        "regions",
+        "_period",
+        "abs(a[-2] * b[-1] - a[-1] * b[-2])",
+        "abs(a[1] * b[2] - a[2] * b[1])",
+        (WIDE_BOXES_4D,),
     ),
     Mutant(
         "standalone measures read the first table entry",

@@ -28,7 +28,7 @@ from toricvol.cohomology import cech_oracle, euler_char, h_all
 from toricvol.fan import make_fan
 from toricvol.linalg import to_integers
 from toricvol.regions import (
-    bounded_subsets, closure_vertices, lattice_count, lattice_points, normalized_volume, region
+    bounded_subsets, closure_vertices, ehrhart_probe, lattice_count, lattice_points, normalized_volume, region
 )
 
 
@@ -204,6 +204,33 @@ def test_cech_oracle_and_euler_char_after_h_all_count_no_region(monkeypatch):
     counts.clear()
     assert cech_oracle(fan, d) == h and euler_char(fan, d) == h[0] - h[1] + h[2] - h[3]
     assert counts == []
+
+
+def test_an_ehrhart_probe_keys_one_cell_and_builds_one_table(monkeypatch):
+    # Positive scaling keeps every circuit sign, so m d lies in d's type
+    # cell for every m >= 1: a probe keys d's cell and builds its simple
+    # cell's realized table once, even when the arrangement keeps no cell
+    # (here none, with CELL_BUDGET = 1), and each row still counts the
+    # region of m d as a region of its own does.
+    fan = fresh(star_fan(3))
+    n = fan.dim
+    subsets = bounded_subsets(fan)
+    rng = random.Random(2044)
+    monkeypatch.setattr(regions, "CELL_BUDGET", 1)
+    keys, tables = counting(monkeypatch, "_cell_key"), counting(monkeypatch, "_realized_table")
+    probes = nonzero = 0
+    for d in referee_divisors(fan, rng):
+        sixfold = tuple(6 * x for x in d)
+        met = [subset for subset in subsets if lattice_count(region(fan, sixfold, subset))]
+        for subset in rng.sample(met, min(len(met), 4)) + rng.sample(subsets, 2):
+            counts = [lattice_count(region(fan, tuple(m * x for x in d), subset)) for m in range(1, 7)]
+            expected = [(m, Fraction(c * math.factorial(n), m**n)) for m, c in zip(range(1, 7), counts)]
+            keys.clear(), tables.clear()
+            assert ehrhart_probe(fan, d, subset, 6) == expected, (d, subset)
+            assert (len(keys), len(tables)) == (1, 1)
+            probes += 1
+            nonzero += any(counts)
+    assert probes > 35 and nonzero > 20, (probes, nonzero)
 
 
 def test_h_all_of_a_dilated_bl1_p3_walks_a_pinned_number_of_slices(monkeypatch):

@@ -105,8 +105,9 @@ def test_library_walks_slices_in_one_function():
     # Every lattice count runs the one count core: only the slice walk
     # reads floor_sum, so a second count path cannot creep back.  One
     # function builds every slice, ``_plan_slice``, and only it walks one
-    # with ``_slice_count``; the core and its 3-D slab sums call it, so
-    # the core keeps no slice loop of its own.
+    # with ``_slice_count``; the core calls it for a 2-D count and its
+    # slab sums for every count of dimension n >= 3, so the core keeps no
+    # slice loop of its own.
     found = readers("floor_sum")
     assert found == {"regions.py:_slice_count"}, found
     found = readers("_slice_count")

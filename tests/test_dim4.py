@@ -1,16 +1,22 @@
 """Dimension-4 closed forms on P^4 and P^1 x P^3.
 
-Lattice counts here cut regions into 2-D slices over two leading
-coordinates, sphere complexes reach dimension 3 and region vertices
-come from 4-subsets of the rays, none of which a 2-D or 3-D fan runs.
+Lattice counts here fix the first coordinate and sum 2-D slices slab by
+slab over the second, sphere complexes reach dimension 3 and region
+vertices come from 4-subsets of the rays, none of which a 2-D or 3-D
+fan runs.  The counts of m H on P^4 are pinned up to m = 3161, the
+largest m whose box of first two ranges, (m + 1)^2 integer points, fits
+``regions.FIBER_BUDGET``.
 """
 
+import json
 import math
 from itertools import combinations
 
 import pytest
 
+from toricvol import regions
 from toricvol.asymptotics import hhat, self_intersection
+from toricvol.cli import main
 from toricvol.cohomology import cech_oracle, euler_char, h_all
 from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.fan import make_fan
@@ -59,3 +65,36 @@ def test_p1_x_p3_products():
     d = divisor([-3, 0, 1, 0, 0, 0])
     assert h_all(fan, d) == (0, 8, 0, 0, 0)
     assert cech_oracle(fan, d) == (0, 8, 0, 0, 0)
+
+
+def counted_slices(monkeypatch):
+    """The argument tuples of every slice built (``regions._plan_slice``) from now on."""
+    slices = []
+    build = regions._plan_slice
+    monkeypatch.setattr(regions, "_plan_slice", lambda *args: slices.append(args) or build(*args))
+    return slices
+
+
+@pytest.mark.parametrize("m", [1000, 3161])
+def test_p4_large_multiples_of_the_hyperplane(monkeypatch, m):
+    # h^0(m H) = C(m + 4, 4).  The per-prefix walk took (m + 1)^2 slices,
+    # 1 002 001 at m = 1000; the slab sums take fewer than 10 per integer
+    # of the first range: 9 985 at m = 1000.
+    fan = p4()
+    slices = counted_slices(monkeypatch)
+    assert h_all(fan, scale(ray_divisor(fan, 0), m)) == (math.comb(m + 4, 4), 0, 0, 0, 0)
+    assert len(slices) <= 10 * m
+
+
+def test_p4_past_the_box_cap_exits_3_before_any_slice(monkeypatch, tmp_path):
+    # At m = 3162 the box's first two ranges hold 3163^2 > 10^7 points,
+    # counted before any slice is built.
+    fan_path, divisor_path, out = tmp_path / "p4.json", tmp_path / "d.json", tmp_path / "report.json"
+    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
+    fan_path.write_text(json.dumps({"dim": 4, "rays": rays, "cones": list(combinations(range(5), 4))}))
+    divisor_path.write_text(json.dumps({"coeffs": [3162, 0, 0, 0, 0]}))
+    slices = counted_slices(monkeypatch)
+    assert main(["cohom", "--fan", str(fan_path), "--divisor", str(divisor_path), "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert "lattice scan needs 10004569 fibers" in report["error"]["message"]
+    assert slices == []

@@ -1,27 +1,31 @@
-"""Slab interpolation of 3-D lattice counts against the per-prefix walk it shortens.
+"""Slab sums of lattice counts in dimension 3 and 4 against the per-prefix walk they shorten.
 
-``regions._lattice_count`` sums the slices of every 3-D count slab by
-slab (``regions._slab_count``): a first range of at most 4p integers, p
-the plan's period, is summed slice by slice, and on a wider one each
-slab of more than 4p integers between two breakpoints is read off four
-slices per residue class.  The referee here is the walk every 3-D count
-ran before: one slice per integer of the box's first range, cut by the
-plan's rows and counted by ``regions._slice_count``, which the plain
-point scan of ``test_count_plans`` referees on its own.  The work pins
-are counts of slices, with no clock: every 3-D count evaluates exactly
-the slices that its breakpoints, found here with ``Fraction`` by
-Cramer's rule, leave to it, never more than the walk.
+``regions._lattice_count`` sums the slices of every count of dimension
+n >= 3 slab by slab (``regions._slab_count``), once per integer point
+of the box's first n - 3 ranges: over the range of coordinate n - 2, a
+range of at most 4p integers, p the plan's period, is summed slice by
+slice, and on a wider one each slab of more than 4p integers between
+two breakpoints is read off four slices per residue class.  The referee
+here is the walk every such count ran before: one slice per integer
+point of the box's first n - 2 ranges, cut by the plan's rows and
+counted by ``regions._slice_count``, which the plain point scan of
+``test_count_plans`` referees on its own.  The work pins are counts of
+slices, with no clock: every count evaluates exactly the slices that
+its breakpoints, found here with ``Fraction`` by Cramer's rule on the
+last three coordinates, leave to it, never more than the walk.
 """
 
 import inspect
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 
 from test_count_plans import star_fan
+from test_dim4 import p1_x_p3, p4
 from test_region_sum import fresh
 from toricvol import fixtures, regions
 from toricvol.cohomology import h_all
@@ -35,15 +39,21 @@ WIDE_FANS = (
     fixtures.cube_fan,
     *(partial(star_fan, s) for s in (3, 6, 10)),
 )
+WIDE_FANS_4D = (p4, p1_x_p3, *(partial(star_fan, s, dim=4) for s in (3, 6)))
+
+
+def facet_rows(plan, ceilings):
+    """The plan's facets as weak integer rows (a, c), <a, x> >= c, off the row bounds ceil(L_i)."""
+    return [(a, ceilings[i] if weak else 1 - ceilings[i]) for i, weak, a in plan.facets]
 
 
 def walked_count(plan, ceilings, box):
-    """The per-prefix loop: one ``_slice_count`` per integer of the box's first range."""
-    rows = regions._bounds(plan, ceilings)
+    """The per-prefix walk: one ``_slice_count`` per integer point of the box's first n - 2 ranges."""
+    rows = facet_rows(plan, ceilings)
     total = 0
-    for x in box[0]:
-        c = [bound - a[0] * x for a, bound in rows]
-        lo, hi = box[1].start, box[1].stop - 1
+    for prefix in itertools.product(*box[:-1]):
+        c = [bound - sum(map(operator.mul, a, prefix)) for a, bound in rows]
+        lo, hi = box[-1].start, box[-1].stop - 1
         for j, alpha in plan.flat:
             if alpha > 0:
                 lo = max(lo, -(-c[j] // alpha))
@@ -67,9 +77,10 @@ def wide_divisors(fan, rng, rounds):
         yield (rng.randint(20, 60),) * k
 
 
-def recorded_counts(monkeypatch, makes, seed):
-    """(plan, ceilings, box, count, slices) of every 3-D count of h_all on the wide divisors.
+def recorded_counts(monkeypatch, makes, seed, rounds=lambda k: 3 if k > 10 else 10):
+    """(plan, ceilings, box, count, slices) of every count of h_all on the wide divisors.
 
+    A fan of k rays takes ``rounds(k)`` rounds of ``wide_divisors``.
     ``slices`` is the number of slices the count evaluated, every one of
     them built by ``regions._plan_slice``.
     """
@@ -91,7 +102,7 @@ def recorded_counts(monkeypatch, makes, seed):
     for make in makes:
         fan = fresh(make())
         rng = random.Random(seed + len(fan.rays))
-        for d in wide_divisors(fan, rng, 3 if len(fan.rays) > 10 else 10):
+        for d in wide_divisors(fan, rng, rounds(len(fan.rays))):
             h_all(fan, d)
     monkeypatch.undo()
     return counts
@@ -102,16 +113,28 @@ def det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def expected_slices(plan, ceilings, xs):
-    """The slices a slab sum over ``xs`` evaluates: all of them, less 4p fewer per slab of w > 4p integers.
+def expected_slices(plan, ceilings, box):
+    """The slices a count over ``box`` evaluates: one slab sum per integer point of its first n - 3 ranges.
 
-    p is the lcm of the nonzero 2 x 2 minors of the facets' last two
+    Each fixes the first n - 3 coordinates and leaves the rows' last
+    three entries, their bounds shifted by the rest.
+    """
+    rows = facet_rows(plan, ceilings)
+    return sum(
+        slab_slices([(a[-3:], c - sum(map(operator.mul, a, prefix))) for a, c in rows], box[-2])
+        for prefix in itertools.product(*box[:-2])
+    )
+
+
+def slab_slices(rows, xs):
+    """The slices a slab sum of 3-D rows over ``xs`` evaluates: all of them, less 4p fewer per slab of w > 4p integers.
+
+    p is the lcm of the nonzero 2 x 2 minors of the rows' last two
     entries, and the breakpoints are the first coordinates where three
-    facet planes <a, x> = c meet, solved here by Cramer's rule.  A slab
-    is a run of consecutive integers of ``xs`` with no breakpoint on or
+    planes <a, x> = c meet, solved here by Cramer's rule.  A slab is a
+    run of consecutive integers of ``xs`` with no breakpoint on or
     between them.
     """
-    rows = [(a, ceilings[i] if weak else 1 - ceilings[i]) for i, weak, a in plan.facets]
     p = math.lcm(*{abs(a[1] * b[2] - a[2] * b[1]) for (a, _), (b, _) in itertools.combinations(rows, 2)} - {0})
     if len(xs) <= 4 * p:
         return len(xs)
@@ -139,10 +162,25 @@ def test_slab_counts_match_the_per_prefix_walk_on_wide_boxes(monkeypatch):
     counts = recorded_counts(monkeypatch, WIDE_FANS, 2039)
     for plan, ceilings, box, total, slices in counts:
         assert total == walked_count(plan, ceilings, box), (plan.facets, ceilings, box)
-        assert slices == expected_slices(plan, ceilings, box[0]) <= len(box[0]), (plan.facets, ceilings, box)
+        assert slices == expected_slices(plan, ceilings, box) <= len(box[0]), (plan.facets, ceilings, box)
     wide = sum(len(box[0]) > 20 for _, _, box, _, _ in counts)
     shortened = sum(slices < len(box[0]) for _, _, box, _, slices in counts)
     assert wide > 1000 and shortened > 700, (wide, shortened)
+
+
+def test_4d_slab_counts_match_the_per_prefix_walk_on_wide_boxes(monkeypatch):
+    # Every 4-D count is one slab sum per integer of its first range, each
+    # on the rows' last three entries shifted by a[0] x_1; the walk takes
+    # one slice per point of the first two ranges.
+    counts = recorded_counts(monkeypatch, WIDE_FANS_4D, 4099, lambda k: 1 if k > 6 else 5)
+    for plan, ceilings, box, total, slices in counts:
+        assert len(box) == 3
+        assert total == walked_count(plan, ceilings, box), (plan.facets, ceilings, box)
+        walk = len(box[0]) * len(box[1])
+        assert slices == expected_slices(plan, ceilings, box) <= walk, (plan.facets, ceilings, box)
+    wide = sum(len(box[1]) > 20 for _, _, box, _, _ in counts)
+    shortened = sum(slices < len(box[0]) * len(box[1]) for _, _, box, _, slices in counts)
+    assert wide > 80 and shortened > 100, (wide, shortened)
 
 
 def degree_one_slab_count():
