@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import NotCompleteError
-from .fan import Fan, _basis_inverses, _check_rays, _is_int, is_complete
+from .fan import Fan, _check_rays, _is_int, is_complete
 from .linalg import dot, solve, to_integers
 
 Divisor = tuple[Fraction, ...]
@@ -99,11 +99,10 @@ def _basis_functional(fan: Fan, idx: tuple[int, ...], coeffs):
     divisor cleared to integers (``to_integers``), so U / (common * q)
     is the functional that agrees with -d on idx, for the ``common``
     denominator of the fan's table of basis inverses
-    (``fan._basis_inverses``).  None unless the rays of idx form a
+    (``fan._Configuration.table``).  None unless the rays of idx form a
     basis, that is, unless the table holds idx.
     """
-    _, inverses = _basis_inverses(fan.rays, fan.dim, fan.memo)
-    inverse = inverses.get(idx)
+    inverse = fan.configuration.table[1].get(idx)
     if inverse is None:
         return None
     rhs = [-coeffs[i] for i in idx]
@@ -118,7 +117,7 @@ def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
     automatically unique, and on non-simplicial cones the consistency
     requirement across all rays is what can fail.  A full-dimensional
     simplicial cone reads its u off the integer inverse of its rays in
-    the fan's table of basis inverses (``fan._basis_inverses``), applied
+    the fan's table of basis inverses (``fan._Configuration.table``), applied
     to the divisor cleared to integers once per call; any other cone
     solves its system.  A cold call builds the whole table, every
     invertible n-subset of the rays, which region sums and chamber
@@ -126,7 +125,7 @@ def is_q_cartier(fan: Fan, d: Divisor) -> CartierData | None:
     """
     _check_length(fan, d)
     coeffs, q = to_integers(d)
-    common, _ = _basis_inverses(fan.rays, fan.dim, fan.memo)
+    common = fan.configuration.table[0]
     us = []
     for mc in fan.max_cones:
         idx = tuple(sorted(mc))

@@ -21,14 +21,19 @@ in a common face; a face test of a non-simplicial cone is one LP
 too, the candidate face's rays held at 0 and the others sharing one
 gap.
 
-Two per-fan tables of the rays live here too: the integer inverse of
-every ray basis (``_basis_inverses``), for the region vertices, the
-Cartier data and the chamber systems of the modules above, and the
-kernel direction of every (n - 1)-subset (``_kernel_table``), filled on
-first read and read by the glued test, in validation and in the chamber
-search, and by the cocircuit patterns of ``regions``: each
-``_kernel_direction`` runs at most once per subset and memo, and the
-table validation fills is the one its fan keeps.
+Every divisor-free table of a ray or normal set lives on its one
+``_Configuration``, each built on first read: the kernel direction of
+every (n - 1)-subset, read by the glued test, in validation and in the
+chamber search, and by the cocircuit patterns; the integer inverse of
+every basis, for the region vertices, the Cartier data and the chamber
+systems of the modules above; the cocircuit patterns, for the
+boundedness of ``regions``; and per basis the coordinates of every
+vector in it with the mask of those in its cone, for the chamber
+search.  A fan owns the configuration of its rays from construction
+(``Fan.configuration``), and validation's glued test fills its kernels,
+so each ``_kernel_direction`` runs at most once per subset and fan.  A
+region of its own normals gets its configuration from its memo
+(``_configuration``).
 
 Fan objects are immutable after validation and every operation here is
 a pure function, so values may be shared freely between threads.  The
@@ -42,7 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from .errors import InvalidFanError, NotSimplicialError
 from .linalg import _adjugate, _kernel_direction, det, dot, rank
@@ -98,67 +105,70 @@ class Fan:
         self.max_cones: tuple[frozenset[int], ...] = tuple(
             sorted((frozenset(c) for c in max_cones), key=sorted)
         )
-        # Bound to its rays from the start (``_bind_memo``), so no other normal set builds in it.
-        self._memo: dict = {"normals": (self.rays, dim)}
+        # The configuration of its rays binds the memo to them (``_configuration``).
+        self._memo: dict = {"configuration": _Configuration(self.rays, dim)}
 
     def __repr__(self):
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
+
+    @property
+    def configuration(self) -> _Configuration:
+        """The ``_Configuration`` of the rays, there from construction; validation fills its kernels."""
+        return self._memo["configuration"]
 
     def memo(self, key, compute):
         """Write-once cache; concurrent duplicate computes are benign.
 
         Every key is written once, but a few values are containers filled
-        later: the ``regions._Arrangement`` of the rays under
-        ``"arrangement"``, which keeps the type cells, each weak mask's
-        boundedness and the held divisor of ``regions._held_slot``, the
-        ``_KernelTable`` under ``"kernels"``, which validation writes,
-        and per-fan caches of values that never change once made.  The
-        ``"normals"`` entry, the rays and dimension, is there from the
-        start: it binds the memo to them (``_bind_memo``).
+        later: the ``_Configuration`` of the rays under
+        ``"configuration"``, there from the start, which binds the memo to
+        the rays (``_configuration``) and keeps their divisor-free tables;
+        the ``regions._Arrangement`` of the rays under ``"arrangement"``,
+        which keeps the type cells, each weak mask's boundedness and the
+        held divisor of ``regions._held_slot``; and per-fan caches of
+        values that never change once made.
         """
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
 
 
-def _bind_memo(vectors, dim: int, memo) -> None:
-    """Bind the memo to the vectors and dimension on first use; ValueError if it serves others.
+class _Configuration:
+    """The divisor-free tables of one vector set (a fan's rays, or a region's normals), each built on first read.
 
-    The facts of a normal set (its basis inverses, cocircuit patterns and
-    ``regions._Arrangement``) are kept under their kind alone, so one
-    memo serves one normal set.  Each of them binds before it is built,
-    and ``regions._arrangement`` on every call.  A fan's memo starts
-    bound to its rays, so a region given it with other normals is
-    refused before anything is built on them.
-    """
-    if memo("normals", lambda: (vectors, dim)) != (vectors, dim):
-        raise ValueError("the memo holds the facts of other normals; pass a memo of its own")
-
-
-def _basis_inverses(vectors, dim: int, memo):
-    """(common, inverses) of ``_basis_table``."""
-    return _basis_table(vectors, dim, memo)[:2]
-
-
-def _basis_table(vectors, dim: int, memo):
-    """The integer inverse of every invertible ``dim``-subset of the vectors, once per memo.
-
-    Returns (common, inverses, sizes): ``inverses`` maps each sorted index tuple
-    whose vectors are independent, in lexicographic order, to the
-    integer matrix A with A / common the inverse of the matrix whose
-    rows are those vectors (``linalg._adjugate``, rescaled), and
-    common > 0 is the lcm of the basis determinants.  So A . b / common
-    is the point u with <u, v_i> = b_i on the basis, and column i of
-    A . v / common is the coefficient of basis vector i in v, and
-    ``sizes`` maps each index tuple to |det| of its matrix.  Fans pass
-    their rays and ``Fan.memo``; a region passes its own normals and memo.
+    ``kernel`` gives the kernel direction of a sorted (dim - 1)-index
+    tuple, ``linalg._kernel_direction`` of its vectors (a nonzero integer
+    u orthogonal to them all, or None when they are dependent), kept in
+    ``kernels``.  ``table`` is (common, inverses, sizes): ``inverses``
+    maps each sorted index tuple whose dim vectors are independent, in
+    lexicographic order, to the integer matrix A with A / common the
+    inverse of the matrix whose rows are those vectors
+    (``linalg._adjugate``, rescaled), common > 0 the lcm of the basis
+    determinants, so A . b / common is the point u with <u, v_i> = b_i on
+    the basis; ``sizes`` maps each tuple to |det| of its matrix.
+    ``patterns`` are the cocircuit sign patterns.  ``coordinates`` gives
+    each vector's coordinates in a basis and ``inside`` the vectors in
+    its closed cone, kept per basis in ``frames``.  Concurrent duplicate
+    computes are benign.
     """
 
-    def compute():
-        _bind_memo(vectors, dim, memo)
+    def __init__(self, vectors, dim: int):
+        self.vectors, self.dim = vectors, dim
+        self.kernels: dict = {}
+        self.frames: dict = {}
+
+    def kernel(self, combo):
+        """The kernel direction of the vectors at the sorted (dim - 1)-index tuple, computed once."""
+        if combo not in self.kernels:
+            self.kernels[combo] = _kernel_direction([self.vectors[i] for i in combo], self.dim)
+        return self.kernels[combo]
+
+    @cached_property
+    def table(self):
+        """(common, inverses, sizes) of every invertible dim-subset of the vectors."""
         found = {}
-        for combo in combinations(range(len(vectors)), dim):
-            inverse = _adjugate([vectors[i] for i in combo])
+        for combo in combinations(range(len(self.vectors)), self.dim):
+            inverse = _adjugate([self.vectors[i] for i in combo])
             if inverse is not None:
                 found[combo] = inverse
         common = math.lcm(*(size for _, size in found.values()))
@@ -168,34 +178,69 @@ def _basis_table(vectors, dim: int, memo):
         }
         return common, inverses, {combo: size for combo, (_, size) in found.items()}
 
-    return memo("basis_inverses", compute)
+    @cached_property
+    def patterns(self) -> tuple[tuple[int, int], ...]:
+        """The sign patterns (pos, neg) of the vectors' cocircuits, as bitmasks.
+
+        Each kernel line u of dim - 1 independent vectors (``kernel``)
+        gives the rows with <u, v> > 0 (pos) and < 0 (neg), once for u
+        and once for -u.  The vectors span the space exactly when some
+        pattern is not (0, 0): an independent dim-subset gives one, and
+        if they span less, every u is orthogonal to them all.  Then the
+        single pattern (0, 0) stands for every pattern.
+        """
+        patterns = set()
+        for combo in combinations(range(len(self.vectors)), self.dim - 1):
+            u = self.kernel(combo)
+            if u is None:
+                continue
+            pos = neg = 0
+            for i, vector in enumerate(self.vectors):
+                value = sum(map(mul, u, vector))
+                if value > 0:
+                    pos |= 1 << i
+                elif value < 0:
+                    neg |= 1 << i
+            patterns.add((pos, neg))
+            patterns.add((neg, pos))
+        return tuple(sorted(patterns - {(0, 0)})) or ((0, 0),)
+
+    def coordinates(self, basis) -> tuple[tuple[int, ...], ...]:
+        """Per vector, its coordinates in the basis times ``common``: column j of A dotted with it.
+
+        Entry j is the coefficient of basis vector j, so the vector is
+        sum_j x_j v_(basis[j]) / common.  KeyError unless ``table`` holds
+        the basis.
+        """
+        return self._frame(basis)[0]
+
+    def inside(self, basis) -> int:
+        """The bitmask of the vectors in the closed cone of the basis, every coordinate >= 0; 0 for no basis."""
+        return self._frame(basis)[1] if basis in self.table[1] else 0
+
+    def _frame(self, basis):
+        """(coordinates, inside) of a basis, computed once."""
+        frame = self.frames.get(basis)
+        if frame is None:
+            columns = tuple(zip(*self.table[1][basis]))
+            coordinates = tuple(tuple(sum(map(mul, column, v)) for column in columns) for v in self.vectors)
+            inside = sum(1 << i for i, x in enumerate(coordinates) if min(x) >= 0)
+            frame = self.frames[basis] = (coordinates, inside)
+        return frame
 
 
-class _KernelTable(dict):
-    """The kernel direction of each sorted (dim - 1)-index tuple of the vectors, computed on first read.
+def _configuration(vectors, dim: int, memo) -> _Configuration:
+    """The memo's ``_Configuration``, made on the vectors on first use; ValueError if it serves others.
 
-    Maps the tuple to ``linalg._kernel_direction`` of its vectors: a
-    nonzero integer u orthogonal to them all, or None when they are
-    dependent.  Concurrent duplicate computes are benign.
+    One memo serves one vector set: its configuration and its
+    ``regions._Arrangement`` are kept under their kind alone.  A fan's
+    memo starts with the configuration of its rays, so a region given it
+    with other normals is refused before anything is built on them.
     """
-
-    def __init__(self, vectors, dim: int):
-        super().__init__()
-        self.vectors, self.dim = vectors, dim
-
-    def __missing__(self, combo):
-        u = self[combo] = _kernel_direction([self.vectors[i] for i in combo], self.dim)
-        return u
-
-
-def _kernel_table(vectors, dim: int, memo) -> _KernelTable:
-    """The ``_KernelTable`` of the vectors, one per memo (a fan's starts with validation's)."""
-
-    def compute():
-        _bind_memo(vectors, dim, memo)
-        return _KernelTable(vectors, dim)
-
-    return memo("kernels", compute)
+    configuration = memo("configuration", lambda: _Configuration(vectors, dim))
+    if (configuration.vectors, configuration.dim) != (vectors, dim):
+        raise ValueError("the memo holds the facts of other normals; pass a memo of its own")
+    return configuration
 
 
 def _intersection_faces(rays, c1, c2) -> tuple[set[int], set[int]]:
@@ -215,7 +260,7 @@ def _intersection_faces(rays, c1, c2) -> tuple[set[int], set[int]]:
     return {gens[j] for j in implicit if j < len(g1)}, {gens[j] for j in implicit if j >= len(g1)}
 
 
-def _glued_cover_once(kernels: _KernelTable, cones) -> bool:
+def _glued_cover_once(configuration: _Configuration, cones) -> bool:
     """Whether the cones pass a combinatorial test that makes them a complete fan.
 
     The test, in integers only, accepts when
@@ -225,7 +270,7 @@ def _glued_cover_once(kernels: _KernelTable, cones) -> bool:
         two cones;
     (c) the two rays opposite F lie strictly on opposite sides of the
         hyperplane <nu_F, x> = 0, nu_F the integer kernel vector of F's
-        rays, read off the kernel table of the rays (``_KernelTable``);
+        rays, read off the rays' configuration (``_Configuration.kernel``);
     (d) the point g = (1, t, ..., t^(dim-1)), t = 1 + max |nu_F entry|,
         lies in exactly one cone.
 
@@ -284,7 +329,7 @@ def _glued_cover_once(kernels: _KernelTable, cones) -> bool:
     loop of ``fan_diagnostics`` would report nothing.  By (a) the fan is
     simplicial too, and its faces are the subsets of its cones.
     """
-    dim, rays = kernels.dim, kernels.vectors
+    dim, rays = configuration.dim, configuration.vectors
     normals: dict[frozenset[int], list[int]] = {}
     sides: dict[frozenset[int], list[bool]] = {}
     for cone in cones:
@@ -293,7 +338,7 @@ def _glued_cover_once(kernels: _KernelTable, cones) -> bool:
         for i in cone:
             facet = cone - {i}
             if facet not in normals:
-                normal = kernels[tuple(sorted(facet))]
+                normal = configuration.kernel(tuple(sorted(facet)))
                 if normal is None:
                     return False
                 normals[facet], sides[facet] = normal, []
@@ -326,8 +371,8 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     ``_glued_cover_once`` form a complete simplicial fan, so no single
     cone or pair of them can be reported: the per-cone rank and LP
     checks and the pair loop are skipped, and such a fan is validated
-    with no LP and no rank.  Its memo starts with both facts and with
-    the kernel table the test filled.  Every other cone list
+    with no LP and no rank.  Its memo starts with both facts, and its
+    configuration with the kernels the test read.  Every other cone list
     (incomplete, non-simplicial or invalid) runs the per-cone checks
     and the pair loop, one relative-interior LP per pair of cones, with
     its diagnostics in the same order.
@@ -394,8 +439,8 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     if fatal:
         return diags, None
 
-    kernels = _KernelTable(clean_rays, dim)
-    glued = _glued_cover_once(kernels, cones)
+    fan = Fan(dim, clean_rays, cones)
+    glued = _glued_cover_once(fan.configuration, cones)
     for j, cone in enumerate(() if glued else cones):
         gens = [clean_rays[i] for i in sorted(cone)]
         if rank(gens) == len(gens):
@@ -436,8 +481,6 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
             fatal = True
     if fatal:
         return diags, None
-    fan = Fan(dim, clean_rays, cones)
-    fan.memo("kernels", lambda: kernels)
     if glued:
         fan.memo("is_complete", lambda: True)
         fan.memo("is_simplicial", lambda: True)

@@ -26,18 +26,19 @@ This module computes, exactly:
   asymptotic functions.
 
 Chamber facts depend on the ray configuration alone (Gelfand, Kapranov
-and Zelevinsky), so they live in the per-fan memo and are computed once
-per fan: the inside mask of each ray basis (the rays in its cone), the
-rays inside each cone, the extreme subset of each tight ray set, the
-condition system of each chamber cone and the plan of its nef splits,
-the list of maximal chambers and the standalone fan of each chamber
-that ``hhat0_on_chamber`` evaluates on.  The inside masks, and with
-them every ray-in-cone fact of the chamber search, the condition
-systems and the normal fans, are read off the fan's one table of
-integer basis inverses (``fan._basis_inverses``).  So are the owner
-rows of the nef plans, and the region vertices and the Cartier data of
-``divisor`` read the table too, so none of them runs an elimination or
-an LP of its own.  The located chamber of a divisor is constant on its
+and Zelevinsky), so they are computed once per fan.  The fan's
+``Fan.configuration`` keeps, per ray basis, the coordinates of every
+ray in it (a column of the basis's integer inverse dotted with the
+ray) and the inside mask (the rays in its cone).  The per-fan memo
+keeps the rays inside each cone, the extreme subset of each tight ray
+set, the condition system of each chamber cone and the plan of its nef
+splits, the list of maximal chambers and the standalone fan of each
+chamber that ``hhat0_on_chamber`` evaluates on.  Every ray-in-cone fact
+of the chamber search, the condition systems, the normal fans and the
+owner rows of the nef plans read those coordinates and masks, and the
+region vertices and the Cartier data of ``divisor`` read the same
+table of basis inverses, so none of them runs an elimination or an LP
+of its own.  The located chamber of a divisor is constant on its
 type cell (``regions``: the divisors with the same circuit signs), so it
 is kept on the cell, and a divisor of a cell met before is located by
 its cell key alone.
@@ -46,7 +47,7 @@ Every decision reads integers.  A condition system holds its rows as
 primitive int tuples, once per fan, and membership, the chamber step
 (``GKZCone.step``, the step rule of the ampleness probes) and the
 interior-sample LP read those rows as they are; the chamber search
-takes a ray's side of a facet from a column of a basis inverse.  The
+takes a ray's side of a facet from its coordinates in a basis.  The
 growth path clears each divisor to integers at most once per call
 (``linalg.to_integers``) and stays there; on a complete fan the cleared
 divisor is the key of its held slot (``regions._held_slot``), so the
@@ -87,9 +88,7 @@ from .errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from .fan import (
-    Fan, _basis_inverses, _check_rays, _glued_cover_once, _kernel_table, is_complete, is_simplicial, make_fan
-)
+from .fan import Fan, _check_rays, _glued_cover_once, is_complete, is_simplicial, make_fan
 from .homology import _local_ranks
 from .linalg import _lowest_terms, _point_integers, dot, nullspace, rank, solve, to_integers
 from .lp import gap_lp, relative_interior_functional
@@ -186,51 +185,21 @@ def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[i
     return SupportFunction(vertices, values), _strict_rays(fan, tight)
 
 
-def _inside_masks(fan: Fan):
-    """The reader of the fan's inside masks, filled one basis at a time.
-
-    The mask of a sorted index tuple B has bit rho set when ray rho lies
-    in the closed cone(B), that is, when its coefficient on every ray b
-    of B, column b of B's integer inverse in ``fan._basis_inverses``
-    dotted with v_rho, is >= 0; a tuple that is no basis gets 0.  The
-    masks are kept in the per-fan memo as they are asked for, not built
-    for all bases at once.  The reader holds the table and the rays, not
-    the fan.
-    """
-    rays = fan.rays
-    _, inverses = _basis_inverses(rays, fan.dim, fan.memo)
-    masks = fan.memo("inside_masks", dict)
-
-    def mask(basis) -> int:
-        found = masks.get(basis)
-        if found is None:
-            found = 0
-            if basis in inverses:
-                columns = list(zip(*inverses[basis]))
-                for rho, ray in enumerate(rays):
-                    if all(sum(map(mul, column, ray)) >= 0 for column in columns):
-                        found |= 1 << rho
-            masks[basis] = found
-        return found
-
-    return mask
-
-
 def _cone_members(fan: Fan, cone: frozenset[int]) -> frozenset[int]:
     """The rays lying in the closed cone spanned by ``cone``, once per fan.
 
     By the conic Carathéodory theorem a ray lies in a full-dimensional
     cone, pointed or not, exactly when it lies in the cone of some ray
     basis inside it, so the members are the union of the inside masks
-    (``_inside_masks``) of the cone's n-subsets.  A lower-dimensional
-    cone has no basis and gets no member.  No LP runs.
+    (``fan._Configuration.inside``) of the cone's n-subsets.  A
+    lower-dimensional cone has no basis and gets no member.  No LP runs.
     """
 
     def compute():
-        mask = _inside_masks(fan)
+        configuration = fan.configuration
         inside = 0
         for basis in combinations(sorted(cone), fan.dim):
-            inside |= mask(basis)
+            inside |= configuration.inside(basis)
         return frozenset(rho for rho in range(len(fan.rays)) if inside >> rho & 1)
 
     return fan.memo(("cone_members", cone), compute)
@@ -248,10 +217,10 @@ def _extreme_subset(fan: Fan, rays: frozenset[int]) -> frozenset[int]:
     """
 
     def compute():
-        mask = _inside_masks(fan)
+        configuration = fan.configuration
         covered = 0
         for basis in combinations(sorted(rays), fan.dim):
-            covered |= mask(basis) & ~sum(1 << b for b in basis)
+            covered |= configuration.inside(basis) & ~sum(1 << b for b in basis)
         return frozenset(i for i in rays if not covered >> i & 1)
 
     return fan.memo(("extreme_subset", rays), compute)
@@ -439,17 +408,18 @@ def _condition_system(fan: Fan, cones, strict):
     v_rho = sum_b c_b v_b: an equality when rho lies in the cone and
     off the strict set, an inequality otherwise.  B is independent
     exactly when the fan's table of basis inverses
-    (``fan._basis_inverses``) holds it, and with A / common its inverse
-    the condition times common is the integer vector common * e_rho -
-    sum_b (column b of A . v_rho) e_b, stored as its primitive part, an
-    int tuple; no ``Fraction`` is built.  The first basis of each cone
-    is its recorded basis, and a ray's owner is the first cone holding
-    it (None if none does), whose functional values it in a nef
-    decomposition.  The entries are taken as ray indices of the fan, as
+    (``fan._Configuration.table``) holds it, and the condition times
+    common is the integer vector common * e_rho - sum_b x_b e_b, x the
+    coordinates of v_rho in B (``fan._Configuration.coordinates``),
+    stored as its primitive part, an int tuple; no ``Fraction`` is
+    built.  The first basis of each cone is its recorded basis, and a
+    ray's owner is the first cone holding it (None if none does), whose
+    functional values it in a nef decomposition.  The entries are taken as ray indices of the fan, as
     ``gkz_cone`` checks them and the chamber searches make them.
     """
     n = fan.dim
-    common, inverses = _basis_inverses(fan.rays, n, fan.memo)
+    configuration = fan.configuration
+    common, inverses, _ = configuration.table
     members = []
     bases = []
     equalities: set[tuple[int, ...]] = set()
@@ -462,12 +432,11 @@ def _condition_system(fan: Fan, cones, strict):
             raise ValueError("cone has no independent ray basis outside the strict set")
         bases.append(independent[0])
         for basis in independent:
-            columns = list(zip(basis, zip(*inverses[basis])))
-            for rho, ray in enumerate(fan.rays):
+            for rho, values in enumerate(configuration.coordinates(basis)):
                 ints = [0] * len(fan.rays)
                 ints[rho] = common
-                for b, column in columns:
-                    ints[b] -= sum(map(mul, column, ray))
+                for b, x in zip(basis, values):
+                    ints[b] -= x
                 if not any(ints):
                     continue
                 g = math.gcd(*ints)
@@ -500,13 +469,7 @@ def _cone_key(sigma_cones) -> tuple[frozenset[int], ...]:
     return tuple(sorted((frozenset(c) for c in sigma_cones), key=sorted))
 
 
-def gkz_cone(
-    fan: Fan,
-    sigma_cones,
-    strict_rays,
-    lineality_basis=(),
-    sample_divisor: Divisor | None = None,
-) -> GKZCone:
+def gkz_cone(fan: Fan, sigma_cones, strict_rays, lineality_basis=()) -> GKZCone:
     """Build the chamber cone for a cone list and strict-ray set.
 
     The condition system depends on the fan, the cones and the strict
@@ -529,7 +492,7 @@ def gkz_cone(
     for cone in cones:
         if cone & strict:
             raise ValueError("cone generators must avoid the strict-ray set")
-    return GKZCone(fan, *_cone_fields(fan, cones, strict, lineality), sample_divisor)
+    return GKZCone(fan, *_cone_fields(fan, cones, strict, lineality))
 
 
 def _cone_fields(fan: Fan, cones, strict: frozenset[int], lineality) -> tuple:
@@ -605,20 +568,17 @@ def _fans_on_rays(fan: Fan, subset) -> set[frozenset[frozenset[int]]]:
 
     A cone of a simplicial fan holds no ray of the fan but its own, so
     the candidate cones are the bases B of the subset whose inside mask
-    (``_inside_masks``) meets the subset in B alone.  From each candidate
-    on the subset's least ray the search fills the least open facet
-    F = sigma - {x} with each candidate on F's other side, one whose ray
-    off F pairs negatively with column x of sigma's inverse (the
-    coefficient on v_x, zero on F and positive at v_x).  In the plane
-    that is the angular neighbour, one candidate per facet.  A facet of
-    three cones ends a branch, and ``_glued_cover_once`` certifies each
-    cone set with no open facet, on the fan's kernel table.
+    (``fan._Configuration.inside``) meets the subset in B alone.  From
+    each candidate on the subset's least ray the search fills the least
+    open facet F = sigma - {x} with each candidate on F's other side, one
+    whose ray off F has a negative coordinate on v_x in sigma (zero on F
+    and positive at v_x).  In the plane that is the angular neighbour,
+    one candidate per facet.  A facet of three cones ends a branch, and
+    ``_glued_cover_once`` certifies each cone set with no open facet, on
+    the fan's configuration.
     """
     n = fan.dim
-    rays = fan.rays
-    _, inverses = _basis_inverses(rays, n, fan.memo)
-    kernels = _kernel_table(rays, n, fan.memo)
-    mask = _inside_masks(fan)
+    configuration = fan.configuration
     idx = sorted(subset)
     bits = sum(1 << i for i in idx)
 
@@ -633,7 +593,7 @@ def _fans_on_rays(fan: Fan, subset) -> set[frozenset[frozenset[int]]]:
     across: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}  # facet -> (cone, j)
     stack = []
     for basis in combinations(idx, n):
-        if (mask(basis) & bits).bit_count() == n:
+        if (configuration.inside(basis) & bits).bit_count() == n:
             facets = facets_of(basis)
             for j, facet in enumerate(facets):
                 across.setdefault(facet, []).append((basis, j))
@@ -649,14 +609,14 @@ def _fans_on_rays(fan: Fan, subset) -> set[frozenset[frozenset[int]]]:
         seen.add(state)
         if not opens:
             cones = frozenset(map(frozenset, chosen))
-            if _glued_cover_once(kernels, cones):
+            if _glued_cover_once(configuration, cones):
                 found.add(cones)
             continue
         facet = min(opens)
         owner, j = next((cone, j) for cone, j in across[facet] if cone in chosen)
-        column = [row[j] for row in inverses[owner]]
+        coordinates = configuration.coordinates(owner)
         for cone, i in across[facet]:
-            if sum(map(mul, column, rays[cone[i]])) < 0:
+            if coordinates[cone[i]][j] < 0:
                 facets = facets_of(cone)
                 if closed.isdisjoint(facets):
                     glued = opens.intersection(facets)
@@ -694,7 +654,7 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
     inside (``_interior_sample``): one LP per certified candidate, which
     decides projectivity and gives the sample divisor, and no other LP,
     as the search and the systems read which rays lie in which cone off
-    the fan's basis inverses.  The chamber list depends on the fan
+    the fan's configuration.  The chamber list depends on the fan
     only: the search runs once per fan and keeps every chamber's
     ``GKZCone`` fields, and every call returns a new list of fresh
     ``GKZCone`` objects built from them with no check.
@@ -796,11 +756,10 @@ def _nef_plan(fan: Fan, cones, strict) -> _NefPlan | None:
         _, bases, owners, *_ = _gkz_system(fan, cones, strict)
         if None in owners:
             return None
-        _, inverses = _basis_inverses(fan.rays, fan.dim, fan.memo)
         rows = []
-        for owner, ray in zip(owners, fan.rays):
+        for rho, owner in enumerate(owners):
             basis = bases[owner]
-            values = (sum(map(mul, column, ray)) for column in zip(*inverses[basis]))
+            values = fan.configuration.coordinates(basis)[rho]
             rows.append(tuple((b, -x) for b, x in zip(basis, values) if x))
         support = tuple(sorted(frozenset().union(*cones)))
         if len(support) == len(fan.rays):
@@ -854,7 +813,7 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     if plan is None:
         raise ValueError("the chamber's cones must hold every ray")
     n = fan.dim
-    common, _ = _basis_inverses(fan.rays, n, fan.memo)
+    common = fan.configuration.table[0]
     xi = [sum([m * coefficients[b] for b, m in row]) for row in plan.rows]
     if cone.lineality_basis:
         base = _basis_functional(fan, cone.bases[0], coefficients)

@@ -9,8 +9,8 @@ determinant.  The simplex tableau pivots with ``integer_pivot`` too.
 The volumes of regions call the loop on integers directly, and so do
 ``_kernel_direction``, the integer normal of n - 1 integer rows that
 gives both the cocircuits of region normals and the facet normals of
-fan validation (run at most once per (n - 1)-subset of a memo's
-vectors: both read its kernel table, ``fan._kernel_table``), and
+fan validation (run at most once per (n - 1)-subset of a vector set:
+both read its configuration, ``fan._Configuration.kernel``), and
 ``_adjugate``, the integer inverse of a square integer matrix behind
 the vertex bases of regions and the Cartier data of simplicial cones.  ``solve``, ``nullspace`` and ``det`` read its
 result through one rational front end that first clears each row to

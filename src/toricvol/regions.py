@@ -16,19 +16,22 @@ its (n - 1)-subsets in integers; a region sum tests only the weak sets
 its divisor realizes, never all 2^k, and each of them once per normal
 set.
 
-Everything that depends on the normals alone lives in one object per
-normal set, its ``_Arrangement``, kept in the memo beside the basis
-inverses and the cocircuit patterns it reads: the patterns, each weak
-mask's boundedness, the type cells below and the held divisor.  Region
-code takes that arrangement, or a slot on it, never the normals, their
-dimension and a memo as three arguments.
+Everything that depends on the normals alone lives in two objects per
+normal set, each kept once in its memo: the normals' configuration
+(``fan._Configuration``: kernels, basis inverses and cocircuit
+patterns, a fan's from its construction) and the ``_Arrangement`` built
+on it, which holds the patterns, each weak mask's boundedness, the type
+cells below and the held divisor.  The memo is bound to its normals by
+the configuration (``fan._configuration``), so a memo that serves other
+normals is refused.  Region code takes an arrangement, or a slot on
+it, never the normals, their dimension and a memo as three arguments.
 
 Everything here is exact.  Vertex enumeration runs in integers: it
 reads the integer inverse of every rank-n basis of normals over one
-common denominator (``fan._basis_inverses``, the per-fan table that the
-Cartier data of ``divisor`` and the chamber systems of ``gkz`` read
-too).  The levels are cleared once to integers L over their lcm q, and
-each row's lattice bound ceil(L_i / q) is one floor division of them.
+common denominator (the configuration's ``table``, which the Cartier
+data of ``divisor`` and the chamber systems of ``gkz`` read too).  The
+levels are cleared once to integers L over their lcm q, and each row's
+lattice bound ceil(L_i / q) is one floor division of them.
 Each arrangement vertex P is classified by two bitmasks: the rows above
 it (<v, P> > level) and the rows tight at it (<v, P> = level).  A
 region's closure has exactly the vertices whose above rows are weak and
@@ -148,7 +151,7 @@ from typing import Callable
 
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, NotCompleteError, ToricError, UnboundedRegionError
-from .fan import Fan, _basis_table, _bind_memo, _check_rays, _is_int, _kernel_table, is_complete
+from .fan import Fan, _Configuration, _check_rays, _configuration, _is_int, is_complete
 from .linalg import _lowest_terms, _point_integers, dot, to_integers
 
 
@@ -204,13 +207,13 @@ def _own_memo():
 class HalfOpenRegion:
     """One mixed weak/strict linear system, one constraint per ray.
 
-    ``memo`` stores the facts that depend only on the normals: the
-    basis inverses, the cocircuit patterns and the one ``_Arrangement``
-    that reads them.  Regions of a fan carry the fan's memo, so those
-    facts are computed once per fan; the default is a memo of the
-    region's own, so they are computed once per region object.  A memo
-    serves the one normal set it is bound to (``fan._bind_memo``; a
-    fan's memo from the start, any other on first use) and is refused
+    ``memo`` stores the facts that depend only on the normals: their
+    ``fan._Configuration`` and the one ``_Arrangement`` built on it.
+    Regions of a fan carry the fan's memo, so those facts are computed
+    once per fan; the default is a memo of the region's own, so they are
+    computed once per region object.  A memo serves the one normal set
+    its configuration holds (``fan._configuration``; a fan's memo from
+    the start, any other on first use) and is refused
     for others with ValueError when the region's ``slot`` is first
     read, so a region made by ``dataclasses.replace`` with other normals
     needs a memo of its own, and so does a region whose normals are not
@@ -279,7 +282,7 @@ class HalfOpenRegion:
 
         It is the held slot of the memo's arrangement when the levels
         are its divisor's; every measure reads it.  Raises ValueError
-        when the memo is bound to other normals (``fan._bind_memo``).
+        when the memo serves other normals (``fan._configuration``).
         """
         levels, q = self._cleared
         return _divisor_slot(_arrangement(self.normals, self.dim, self.memo), [-x for x in levels], q)
@@ -321,43 +324,6 @@ def region(fan: Fan, d: Divisor, weak_rays) -> HalfOpenRegion:
     )
 
 
-def _unbounded_patterns(normals, dim: int, memo):
-    """The sign patterns (pos, neg) of the normals' cocircuits, as bitmasks.
-
-    Each kernel line u of n - 1 independent normals, read off the
-    memo's kernel table (``fan._kernel_table``, which a fan's validation
-    has partly filled), gives the rows with <u, v> > 0 (pos) and < 0
-    (neg), once for u and once for -u.  The normals span the space
-    exactly when some pattern is not (0, 0): an independent n-subset
-    gives one, and if they span less, every u is orthogonal to them
-    all.  Then the single pattern (0, 0) stands for every pattern.
-    Depends on the normals only, so it is kept once in the given memo (a
-    fan's, or a region's own), where ``bounded_subsets`` and the
-    normals' ``_Arrangement`` read it.
-    """
-
-    def compute():
-        _bind_memo(normals, dim, memo)
-        kernels = _kernel_table(normals, dim, memo)
-        patterns = set()
-        for combo in combinations(range(len(normals)), dim - 1):
-            u = kernels[combo]
-            if u is None:
-                continue
-            pos = neg = 0
-            for i, normal in enumerate(normals):
-                value = sum(map(mul, u, normal))
-                if value > 0:
-                    pos |= 1 << i
-                elif value < 0:
-                    neg |= 1 << i
-            patterns.add((pos, neg))
-            patterns.add((neg, pos))
-        return tuple(sorted(patterns - {(0, 0)})) or ((0, 0),)
-
-    return memo("cocircuits", compute)
-
-
 def _bounded_mask(patterns, weak: int) -> bool:
     """Whether every pattern (pos, neg) has pos outside or neg inside the weak mask."""
     return all(pos & ~weak or neg & weak for pos, neg in patterns)
@@ -371,9 +337,9 @@ def _is_bounded(arrangement: _Arrangement, weak: int) -> bool:
     holds a line.  Otherwise it is pointed, so it is {0} unless it has
     an extreme ray, which lies on n - 1 independent tight rows: a
     cocircuit direction u with <u, v> >= 0 on W and <= 0 off W, i.e.
-    pos(u) inside W and neg(u) outside.  One mask test per pattern of
-    ``_unbounded_patterns``, held by the arrangement, decides it, with
-    no LP.
+    pos(u) inside W and neg(u) outside.  One mask test per cocircuit
+    pattern (``fan._Configuration.patterns``), held by the arrangement,
+    decides it, with no LP.
     """
     return _bounded_mask(arrangement.patterns, weak)
 
@@ -385,7 +351,7 @@ def is_bounded_subset(fan: Fan, weak_rays) -> bool:
     ValueError unless every entry of the subset is a ray index.
     """
     subset = _check_rays(fan, weak_rays)
-    return _bounded_mask(_unbounded_patterns(fan.rays, fan.dim, fan.memo), sum(1 << i for i in subset))
+    return _bounded_mask(fan.configuration.patterns, sum(1 << i for i in subset))
 
 
 def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
@@ -399,7 +365,7 @@ def bounded_subsets(fan: Fan) -> tuple[frozenset[int], ...]:
         raise CapExceededError(
             f"fan has {k} rays; the 2^k bounded-subset sweep is capped at {SUBSET_CAP}"
         )
-    patterns = _unbounded_patterns(fan.rays, fan.dim, fan.memo)
+    patterns = fan.configuration.patterns
     return tuple(
         frozenset(combo)
         for size in range(k + 1)
@@ -413,8 +379,8 @@ class _Arrangement:
 
     It is the one holder of that state: region code takes an
     arrangement, or a slot on one, never the normals, dimension and memo
-    apart.  ``normals`` and ``dim`` are the set it was built on, and
-    ``patterns`` its cocircuit patterns (``_unbounded_patterns``), read
+    apart.  ``normals`` and ``dim`` are the set of the configuration it
+    was built on, and ``patterns`` its cocircuit patterns, read
     by ``_is_bounded`` and by ``subset``, which decides each weak mask
     of a realized table once and keeps the answer in ``subsets``.
     ``held`` is the slot of the last divisor a complete fan was asked
@@ -423,8 +389,8 @@ class _Arrangement:
     arrangement of a standalone region or of a nef region.
 
     ``bases`` has one entry (combo, adjugate, basis, bits, codes) per
-    invertible n-subset of the normals, in the order of
-    ``fan._basis_inverses``: ``adjugate`` is its integer inverse over
+    invertible n-subset of the normals, in the order of the
+    configuration's ``table``: ``adjugate`` is its integer inverse over
     ``common``, ``basis`` its bitmask, and ``bits`` and ``codes`` name
     the rows outside it with the sign that places each (below).
     ``circuits`` has one entry (getter, lam) per (n + 1)-subset S that
@@ -449,10 +415,11 @@ class _Arrangement:
     that a normal set whose regions are only counted never pays for it.
     """
 
-    def __init__(self, normals, dim: int, memo):
-        self.common, inverses, self.sizes = _basis_table(normals, dim, memo)
-        self.normals, self.dim = normals, dim
-        self.patterns = _unbounded_patterns(normals, dim, memo)
+    def __init__(self, configuration: _Configuration):
+        self.common, inverses, self.sizes = configuration.table
+        normals = self.normals = configuration.vectors
+        self.dim = configuration.dim
+        self.patterns = configuration.patterns
         self.subsets: dict = {}
         self.held = None
         found: dict = {}
@@ -532,7 +499,7 @@ class _Arrangement:
         """N_B * ``den`` per basis, N_B = |det A_B| / prod_j (-g_B[j]).
 
         |det A_B| = common^n / |det V_B|, the basis sizes ``sizes`` of
-        ``fan._basis_table``.
+        the configuration's ``table``.
         """
         return tuple(
             self.common**self.dim // self.sizes[combo] * (self.den // math.prod(-x for x in g))
@@ -604,10 +571,10 @@ class _Arrangement:
 def _arrangement(normals, dim: int, memo) -> _Arrangement:
     """The ``_Arrangement`` of the normals, kept once in the memo.
 
-    Raises ValueError when the memo is bound to other normals (``fan._bind_memo``).
+    Raises ValueError when the memo serves other normals (``fan._configuration``).
     """
-    _bind_memo(normals, dim, memo)
-    return memo("arrangement", lambda: _Arrangement(normals, dim, memo))
+    configuration = _configuration(normals, dim, memo)
+    return memo("arrangement", lambda: _Arrangement(configuration))
 
 
 @dataclass(eq=False, slots=True)
@@ -787,7 +754,7 @@ def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
     _check_length(fan, d)
     # ``_arrangement`` inlined, and ``fan`` bound as a default rather than a closure cell: the
     # held divisor's hit takes one memo lookup and no extra call.
-    arrangement = fan.memo("arrangement", lambda fan=fan: _Arrangement(fan.rays, fan.dim, fan.memo))
+    arrangement = fan.memo("arrangement", lambda fan=fan: _Arrangement(fan.configuration))
     held = arrangement.held
     if held is not None and all(map(is_, d, held[2])):
         return held[1]

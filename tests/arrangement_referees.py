@@ -43,7 +43,7 @@ from operator import mul, or_
 
 import fraction_linalg
 from toricvol import regions
-from toricvol.fan import _basis_inverses
+from toricvol.fan import _configuration
 from toricvol.linalg import integer_eliminate, rank, to_integers
 from toricvol.regions import is_bounded_subset, region
 
@@ -57,7 +57,7 @@ def arrangement_vertices(normals, dim, memo, levels, q):
     with <v, P> > common * L_i and with equality; the basis rows are tight
     by construction.  A point found from several bases is classified once.
     """
-    common, inverses = _basis_inverses(normals, dim, memo)
+    common, inverses, _ = _configuration(normals, dim, memo).table
     scaled = [common * level for level in levels]
     found = {}
     for combo, adjugate in inverses.items():
@@ -98,7 +98,7 @@ def lowered_levels(normals, dim, memo, levels, q):
     against every row as eps -> 0+ does.  Returns the lowered levels as
     integers over their own denominator, for ``arrangement_vertices``.
     """
-    common, inverses = _basis_inverses(normals, dim, memo)
+    common, inverses, _ = _configuration(normals, dim, memo).table
     bound = common
     for combo, adjugate in inverses.items():
         for i, normal in enumerate(normals):

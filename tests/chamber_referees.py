@@ -2,7 +2,7 @@
 
 The library reads every expansion of a ray in a ray basis, and every
 cone functional of a nef decomposition, off the fan's one table of
-integer basis inverses (``toricvol.fan._basis_inverses``).  This module
+integer basis inverses (``toricvol.fan._Configuration``).  This module
 keeps the older formulation once: an independence rank per candidate
 basis and one ``Fraction`` solve per ray and basis, on the Gauss-Jordan
 loop of ``fraction_linalg``, so that it shares no elimination with the

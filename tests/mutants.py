@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 WIDE_BOXES = "tests/test_slab_counts.py::test_slab_counts_match_the_per_prefix_walk_on_wide_boxes"
 WIDE_BOXES_4D = "tests/test_slab_counts.py::test_4d_slab_counts_match_the_per_prefix_walk_on_wide_boxes"
 CELL_WALLS = "tests/test_count_plans.py::test_standalone_measures_on_cell_walls_match_the_plain_scan"
+PLAIN_SCAN = "tests/test_count_plans.py::test_the_count_core_matches_a_plain_point_scan"
 
 MUTANTS = (
     Mutant(
@@ -155,12 +156,63 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "cocircuit patterns read the wrong kernel-table entry",
-        "regions",
-        "_unbounded_patterns",
-        "u = kernels[combo]",
-        "u = kernels[tuple(max(j - 1, 0) for j in combo)]",
+        "cocircuit patterns read the wrong kernel",
+        "fan",
+        "_Configuration.patterns",
+        "u = self.kernel(combo)",
+        "u = self.kernel(tuple(max(j - 1, 0) for j in combo))",
         ("tests/test_cold_path.py::test_cocircuit_patterns_match_the_fraction_referee",),
+    ),
+    Mutant(
+        "floor sums one point short per run",
+        "regions",
+        "floor_sum",
+        "top = a * n + b",
+        "top = a * (n - 1) + b",
+        ("tests/test_regions.py::test_floor_sum_matches_brute_force", PLAIN_SCAN),
+    ),
+    Mutant(
+        "envelope runs one step past the overtaking line",
+        "regions",
+        "_run_end",
+        "end = min(end, (r * lq - lr * q) // g)",
+        "end = min(end, (r * lq - lr * q) // g + 1)",
+        ("tests/test_regions.py::test_slice_count_matches_fiber_listing", PLAIN_SCAN),
+    ),
+    Mutant(
+        "zero circuit values raised, not lowered",
+        "regions",
+        "_Arrangement.__init__",
+        "ties.append(-1 if min((j, x) for j, x in zip(indices, lam) if x)[1] > 0 else 1)",
+        "ties.append(1 if min((j, x) for j, x in zip(indices, lam) if x)[1] > 0 else -1)",
+        (CELL_WALLS, "tests/test_region_sum.py::test_region_sum_matches_sweep_poly12"),
+    ),
+    Mutant(
+        "Lawrence sign counted on the weak basis rows",
+        "regions",
+        "_lawrence_columns",
+        "(basis & ~mask)",
+        "(basis & mask)",
+        (
+            "tests/test_type_cells.py::test_cell_triangulations_match_the_sorted_apex_referee",
+            "tests/test_region_sum.py::test_region_sum_matches_sweep_star4",
+        ),
+    ),
+    Mutant(
+        "held divisor found by equal entries",
+        "regions",
+        "_held_slot",
+        "all(map(is_, d, held[2]))",
+        "all(map(lambda x, y: x == y, d, held[2]))",
+        ("tests/test_region_sum.py::test_true_after_one_in_the_same_place_is_still_rejected",),
+    ),
+    Mutant(
+        "cells evicted newest first",
+        "regions",
+        "_Arrangement._count",
+        "self.cells.popitem(last=False)",
+        "self.cells.popitem()",
+        ("tests/test_type_cells.py::test_a_tiny_cell_budget_changes_no_answer",),
     ),
     Mutant(
         "contains on raw levels",

@@ -109,6 +109,12 @@ def test_validate_bad_ray(tmp_path):
     assert code == 2
     assert report["result"]["valid"] is False
     assert "ray 0 not primitive" in report["result"]["diagnostics"]
+    # Any other command repairs the ray and lists the repair among its inputs.
+    div = write(tmp_path, "d.json", {"coeffs": [1, 0, 0]})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
+    assert code == 0
+    assert report["inputs"]["fan_warnings"] == ["ray 0 not primitive"]
+    assert report["result"]["h"] == ["3", "0", "0"]
 
 
 def test_validate_good(tmp_path):
@@ -169,6 +175,18 @@ def test_probe_with_explicit_region(tmp_path):
     # Strictly interior points of the reflected triangle: 0 at m=1, 3 at m=2.
     values = [row["scaled_count"] for row in report["result"]["table"]]
     assert values == ["0", "3/2"]
+    # Entries in any order name one sorted weak set: on P^1 x P^1 the
+    # region weak on rays 0 and 2 is a strip cut by both strict rows.
+    box = write(tmp_path, "box.json", {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                       "cones": [[0, 1], [1, 2], [2, 3], [3, 0]]})
+    div = write(tmp_path, "box-d.json", {"coeffs": [1, -2, 1, 0]})
+    code, report = run(
+        tmp_path, "probe", "--fan", box, "--divisor", div, "--mmax", "2", "--region", "2,0"
+    )
+    assert code == 0
+    assert report["result"]["region"] == [0, 2]
+    # 3 points (|x| <= 1, y = 1) at m = 1 and 15 at m = 2, times 2! / m^2.
+    assert [row["scaled_count"] for row in report["result"]["table"]] == ["6", "15/2"]
 
 
 @pytest.mark.parametrize(
@@ -357,6 +375,20 @@ def test_malformed_document_exit_code(tmp_path):
     code, report = run(tmp_path, "cohom", "--fan", str(path), "--divisor", div)
     assert code == 2
     assert report["error"]["kind"] == "validation"
+    # Documents of the wrong shape, and a path that cannot be read.
+    fans = [
+        write(tmp_path, "list.json", [P2]),
+        write(tmp_path, "no-cones.json", {"dim": 2, "rays": P2["rays"]}),
+        write(tmp_path, "rays-number.json", dict(P2, rays=3)),
+        str(tmp_path / "missing.json"),
+    ]
+    for fan in fans:
+        code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div)
+        assert code == 2 and report["error"]["kind"] == "validation", fan
+    no_coeffs = write(tmp_path, "no-coeffs.json", {"coefficients": [1, 0, 0]})
+    code, report = run(tmp_path, "cohom", "--fan", write(tmp_path, "p2.json", P2), "--divisor", no_coeffs)
+    assert code == 2 and report["error"]["kind"] == "validation"
+    assert "lacks 'coeffs'" in report["error"]["message"]
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ from toricvol.cohomology import (
     h_all,
     weak_ray_set,
 )
+from generated_fans import star_fan_data
+from toricvol.asymptotics import self_intersection
 from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.errors import NotCompleteError
 from toricvol.fan import Cone, cone_multiplicity, make_fan
@@ -29,6 +31,7 @@ from toricvol.fixtures import (
     p2,
     quadrant_fan,
 )
+from toricvol.gkz import ample_via_asymptotics
 from toricvol.regions import bounded_subsets, lattice_points, region
 
 
@@ -57,10 +60,9 @@ def test_graded_piece_on_noncomplete_fan():
     assert weak_ray_set(fan, d, (1, 1)) == frozenset({0, 1})
     for i in range(3):
         assert graded_piece_dim(fan, d, (1, 1), i) == 0
-    with pytest.raises(NotCompleteError):
-        h_all(fan, d)
-    with pytest.raises(NotCompleteError):
-        cech_oracle(fan, d)
+    for call in (h_all, cech_oracle, euler_char, self_intersection, ample_via_asymptotics):
+        with pytest.raises(NotCompleteError):
+            call(fan, d)
 
 
 def test_h_all_examples():
@@ -101,14 +103,17 @@ def test_p1_cubed_sections_closed_form():
 
 def test_serre_duality_at_large_dilation():
     # h^i(D) = h^(n-i)(K - D) with K = -sum D_rho, on smooth complete fans.
+    # The generated star fans split unimodular cones at the sum of their
+    # rays, which keeps every cone unimodular.
     rng = random.Random(50)
-    for fixture in (p1, p2, p1xp1, f1, bl2_p2, bl3_p2, p1_cubed, bl1_p3):
-        fan = fixture()
+    fans = [(fixture.__name__, fixture()) for fixture in (p1, p2, p1xp1, f1, bl2_p2, bl3_p2, p1_cubed, bl1_p3)]
+    fans += [(f"star{s}_{n}d", make_fan(*star_fan_data(s, dim=n))) for s, n in ((3, 3), (6, 3), (2, 4))]
+    for name, fan in fans:
         assert all(cone_multiplicity(fan, Cone(c, fan.dim)) == 1 for c in fan.max_cones)
         for _ in range(2):
             d = scale(divisor([rng.randint(-1, 1) for _ in fan.rays]), 50)
             dual = divisor([-1 - c for c in d])
-            assert h_all(fan, dual) == h_all(fan, d)[::-1], (fixture.__name__, d)
+            assert h_all(fan, dual) == h_all(fan, d)[::-1], (name, d)
 
 
 def test_euler_examples():

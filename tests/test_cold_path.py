@@ -141,18 +141,18 @@ def referee_patterns(normals, n):
 def test_cocircuit_patterns_match_the_fraction_referee():
     # Boundedness alone does not see a missing pattern while another
     # extreme ray of the same recession cone is found, so the patterns read
-    # off the kernel table are checked whole: on random normals with a
-    # memo of their own, and on fans whose validation filled part of the
-    # table first.
+    # off the configuration's kernels are checked whole: on random normals
+    # with a configuration of their own, and on fans whose validation
+    # filled part of the kernels first.
     rng = random.Random(2043)
     for case in range(1500):
         n = 1 + case % 3
         normals = random_normals(rng, n)
-        assert regions._unbounded_patterns(normals, n, _memo()) == referee_patterns(normals, n), normals
+        assert fan_module._Configuration(normals, n).patterns == referee_patterns(normals, n), normals
     datas = [(make().dim, make().rays, make().max_cones) for make in ALL_FIXTURES + (poly12,)]
     for data in datas + [star_fan_data(s) for s in range(1, 5)] + [star_fan_data(2, dim=4)]:
         fan = make_fan(*data)
-        assert regions._unbounded_patterns(fan.rays, fan.dim, fan.memo) == referee_patterns(fan.rays, fan.dim)
+        assert fan.configuration.patterns == referee_patterns(fan.rays, fan.dim)
 
 
 def test_nef_region_boundedness_matches_gordan(monkeypatch):

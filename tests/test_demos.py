@@ -5,8 +5,9 @@ internal cross-checks do not rely on them; a static scan keeps the
 library free of ``assert`` statements altogether, one keeps every LP
 in the one capped-gap form of ``lp.py``, one keeps every lattice count
 on the one slice walk, one keeps its runtime on the standard library,
-one keeps every region's count on its divisor's cell table, and one
-more keeps a normal set's divisor-free state on its one arrangement.
+one keeps every region's count on its divisor's cell table, one keeps
+a normal set's divisor-free state on its one arrangement, and one more
+keeps its divisor-free tables on its one configuration.
 One checks that every seeded mutant of ``tests/mutants.py`` still
 matches its function.  Another scan keeps the Cech referee from reading the sphere-complex rank vectors it checks, and
 one the volume referees from reading the volume tables.  One keeps
@@ -175,6 +176,36 @@ def test_library_holds_divisor_free_state_on_the_arrangement():
     found = readers("held")
     assert found == {"regions.py:_held_slot", "regions.py:_divisor_slot", "regions.py:__init__"}, found
 
+
+
+# The helpers and memo kinds that a normal set's ``fan._Configuration`` replaced.
+RETIRED_HELPERS = (
+    "_bind_memo", "_basis_inverses", "_basis_table", "_KernelTable", "_kernel_table",
+    "_unbounded_patterns", "_inside_masks",
+)
+RETIRED_KINDS = ("normals", "basis_inverses", "kernels", "cocircuits", "inside_masks")
+
+
+def test_library_reads_divisor_free_tables_off_one_configuration():
+    # Every divisor-free table of a ray or normal set lives on its one
+    # ``fan._Configuration``: only its binder and the arrangement's take
+    # the vectors, their dimension and a memo in one call, and neither a
+    # retired helper nor a retired memo kind comes back.
+    calls = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        for name in RETIRED_HELPERS:
+            assert name not in text, f"{path.name} mentions {name}"
+        for kind in RETIRED_KINDS:
+            assert f'"{kind}"' not in text and f"'{kind}'" not in text, f"{path.name} keys {kind!r}"
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            attrs = {arg.attr for arg in node.args if isinstance(arg, ast.Attribute)}
+            if {"dim", "memo"} <= attrs and attrs & {"rays", "normals"}:
+                func = node.func
+                calls.append((getattr(func, "id", None) or getattr(func, "attr", None), path.name, node.lineno))
+    assert calls and {name for name, *_ in calls} <= {"_configuration", "_arrangement"}, calls
 
 def test_library_imports_only_the_standard_library():
     assert SOURCES

@@ -21,6 +21,7 @@ from toricvol.fan import (
     is_complete,
     is_simplicial,
     make_fan,
+    primitivize,
     subfan,
     validate_fan,
 )
@@ -75,6 +76,8 @@ def test_validate_rejects_zero_and_duplicate():
     diags, fan = fan_diagnostics(2, [(1, 0), (2, 0)], [{0}, {1}])
     assert fan is None
     assert any("duplicates" in d for d in diags)
+    with pytest.raises(ValueError, match="zero vector"):
+        primitivize((0, 0))
 
 
 @pytest.mark.parametrize("dim", [0, -1])

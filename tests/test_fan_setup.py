@@ -166,6 +166,10 @@ INVALID = [
             "cone 6 duplicates cone 1",
         ],
     ),
+    # A ray of the wrong length, an empty cone and an index past the rays.
+    ((2, [(1, 0, 0), *RAYS[1:]], CONES), ["ray 0 has length 3, expected 2"]),
+    ((2, RAYS, [*CONES, set()]), ["cone 3 is empty"]),
+    ((2, RAYS, [{0, 1}, {1, 3}, {2, 0}]), ["cone 1 references unknown ray 3"]),
 ]
 
 

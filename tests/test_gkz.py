@@ -26,7 +26,7 @@ from toricvol.errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from toricvol.fan import _basis_inverses, is_complete, make_fan
+from toricvol.fan import is_complete, make_fan
 from toricvol.fixtures import (
     bl1_p3,
     bl2_p2,
@@ -332,6 +332,13 @@ def test_enumerate_dim3_gate():
     fan = p1_cubed()
     with pytest.raises(UnsupportedDimensionError):
         enumerate_maximal_chambers(fan)
+    # Dimensions 1 and 4 are never searched, nor a 3-D fan of more than 8
+    # rays, and an incomplete fan has no chambers to enumerate.
+    for other in (p1(), make_fan(*star_fan_data(0, dim=4)), make_fan(*star_fan_data(5))):
+        with pytest.raises(UnsupportedDimensionError):
+            enumerate_maximal_chambers(other, allow_dim3=True)
+    with pytest.raises(NotCompleteError):
+        enumerate_maximal_chambers(make_fan(2, [(1, 0), (0, 1)], [(0, 1)]))
 
 
 def test_enumerate_dim3_p1cubed():
@@ -470,6 +477,10 @@ def test_chamber_calls_reject_a_cone_of_another_fan():
     for call in (gkz_membership, nef_decomposition, hhat0_on_chamber):
         with pytest.raises(ValueError, match="chamber cone belongs to a different fan"):
             call(box, coarse, d)
+    # A chamber cone of P^2 on one cone holds no owner for ray 2, so it has no nef split.
+    plane = p2()
+    with pytest.raises(ValueError, match="must hold every ray"):
+        nef_decomposition(plane, gkz_cone(plane, [{0, 1}], ()), divisor([1, 0, 0]))
 
 
 def test_gkz_cone_checks_raw_ray_indices_on_every_call(monkeypatch):
@@ -502,6 +513,11 @@ def test_chamber_dimension_formula():
             sigma_rays = frozenset().union(*chamber.sigma_cones)
             pic_rank = len(sigma_rays) - fan.dim
             assert chamber.class_cone_dim() == pic_rank + len(chamber.strict_rays)
+            # With no strict ray, the rays inside the cones give equality
+            # rows, which leave the Picard rank of the coarse fan.
+            closed = gkz_cone(fan, chamber.sigma_cones, ())
+            assert bool(closed.equalities) == bool(chamber.strict_rays)
+            assert closed.class_cone_dim() == pic_rank
 
 
 def test_chamber_tests_reject_wrong_length_divisors():
@@ -626,7 +642,7 @@ def test_nef_decomposition_rejects_a_moved_owner_row_on_a_strict_ray(monkeypatch
     plan = gkz._nef_plan(fan, chamber.sigma_cones, chamber.strict_rays)
     (b, m), *rest = plan.rows[rho]
     assert d[b] == 1
-    common, _ = _basis_inverses(fan.rays, fan.dim, fan.memo)
+    common = fan.configuration.table[0]
     rows = list(plan.rows)
     rows[rho] = ((b, m + common), *rest)
     moved = dataclasses.replace(plan, rows=tuple(rows))
@@ -1455,7 +1471,7 @@ def test_chamber_systems_match_fraction_referees(make, search):
     # degenerate ones included.  The systems, and the cone functionals of
     # each member, match one Fraction solve per ray and basis.
     fan = make()
-    common, _ = _basis_inverses(fan.rays, fan.dim, fan.memo)
+    common = fan.configuration.table[0]
     rng = random.Random(18)
     cases = []
     if search:
@@ -1534,6 +1550,9 @@ def test_gkz_cone_rejects_a_lower_dimensional_cone():
     for fan, cone in cases:
         with pytest.raises(ValueError, match="cone has no independent ray basis outside the strict set"):
             gkz_cone(fresh(fan), [cone], ())
+    # A cone that meets the strict set is refused before any system is built.
+    with pytest.raises(ValueError, match="cone generators must avoid the strict-ray set"):
+        gkz_cone(fresh(p2()), [{0, 1}], {1})
 
 
 def test_cold_lp_census(monkeypatch):

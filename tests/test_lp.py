@@ -103,6 +103,8 @@ def test_relative_interior():
     w, implicit = relative_interior_functional([(1, 0), (-1, 0)])
     assert sorted(implicit) == [0, 1]
     assert dot((1, 0), w) == 0
+    # No rows: the whole space, with no point and no implicit row.
+    assert relative_interior_functional([]) == ((), [])
 
 
 def test_max_over_cone_is_zero():

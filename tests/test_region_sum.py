@@ -30,7 +30,7 @@ from toricvol import asymptotics, cohomology, fixtures, regions
 from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
 from toricvol.cohomology import cech_oracle, euler_char, h_all
 from toricvol.errors import ToricError, UnboundedRegionError
-from toricvol.fan import _basis_inverses, is_complete, make_fan
+from toricvol.fan import _Configuration, _configuration, is_complete, make_fan
 from toricvol.gkz import ample_via_asymptotics, hhat0_on_chamber, locate_chamber, located_cone
 from toricvol.homology import local_cohomology_ranks
 from toricvol.linalg import to_integers
@@ -94,7 +94,7 @@ def scan_integer_vertices(reg):
     arrangement = regions._arrangement(reg.normals, reg.dim, reg.memo)
     if not regions._is_bounded(arrangement, regions._weak_mask(reg.weak)):
         raise UnboundedRegionError("region closure is unbounded")
-    common, bases = _basis_inverses(reg.normals, reg.dim, reg.memo)
+    common, bases, _ = _configuration(reg.normals, reg.dim, reg.memo).table
     levels, q = to_integers(reg.levels)
     rows = [
         (i, normal, common * level, is_weak)
@@ -485,7 +485,7 @@ def scan_arrangement_vertices(fan, d):
     The basis rows are scanned like the others, and a vertex found from
     several bases must be classified the same way each time.
     """
-    common, bases = _basis_inverses(fan.rays, fan.dim, lambda key, compute: compute())
+    common, bases, _ = _Configuration(fan.rays, fan.dim).table
     levels, q = to_integers([-c for c in d])
     found = {}
     for combo, adjugate in bases.items():

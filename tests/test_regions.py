@@ -11,7 +11,7 @@ from toricvol import fixtures, regions
 from toricvol.cohomology import h_all, weak_ray_set
 from toricvol.divisor import divisor, ray_divisor, scale
 from toricvol.errors import CapExceededError, UnboundedRegionError
-from toricvol.fan import make_fan
+from toricvol.fan import _configuration, make_fan
 from toricvol.fixtures import f1, p1, p1xp1, p2
 from toricvol.linalg import dot
 from toricvol.regions import (
@@ -199,7 +199,7 @@ def test_a_fan_memo_refuses_a_region_of_other_normals_before_building():
     other = HalfOpenRegion(((1, 0), (0, 1), (-1, -2)), (-1,) * 3, (True,) * 3, 2, fan.memo)
     with pytest.raises(ValueError, match="other normals"):
         normalized_volume(other)
-    for build in (regions._arrangement, regions._basis_table, regions._unbounded_patterns):
+    for build in (regions._arrangement, _configuration):
         with pytest.raises(ValueError, match="other normals"):
             build(other.normals, 2, fan.memo)
     assert h_all(fan, (1, 0, 0)) == (3, 0, 0)
