@@ -2,30 +2,36 @@
 
 The production path groups lattice points by which weak/strict region
 they fall in and multiplies counts with precomputed local cohomology
-rank vectors.  An independent cross-check builds, per graded piece, the
-alternating Cech complex on the cover by maximal cones and takes exact
-ranks of its coboundaries, built as sparse integer rows for
-``linalg._chain_ranks``; agreement of the two is sheaf theory made
-executable.  Each fan keeps one cover table of the complex
-(``_cover_table``): every tuple of cones with its shared rays and its
-signed faces, so the complex of a weak set is read off it with no
-tuple listed and no index built.
+rank vectors.  An independent cross-check takes, per graded piece, the
+exact cohomology of the alternating Cech complex on the cover by
+maximal cones; agreement of the two is sheaf theory made executable.
+The Cech complex of a weak set W is the relative cochain complex of the
+full simplex on the maximal cones modulo the complex L_W of tuples of
+cones that share a ray off W, so its cohomology is the reduced homology
+of L_W one degree down.  Each fan keeps one cover table
+(``_cover_table``): every tuple of cones that share a ray, of size at
+most n + 1, with its shared rays and its signed faces, capped at
+``COVER_BUDGET`` tuples.  L_W is read off it with no tuple listed and no
+index built, and ranked by ``linalg._chain_ranks``, the sparse clearing
+loop of the sphere complexes too.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
-from itertools import combinations
-from operator import and_
+from math import comb
 
 from .divisor import Divisor, _check_length
-from .errors import NotCompleteError, ToricError
+from .errors import CapExceededError, NotCompleteError, ToricError
 from .fan import Fan, _check_rays, _is_int, _subfan, chi_of_fan, is_complete
 from .homology import _local_ranks, local_cohomology_ranks
 from .linalg import _chain_ranks, _point_integers, dot, to_integers
 from .regions import region_sum
 
 CohomologyVector = tuple[int, ...]
+
+# The Cech cover table may hold at most COVER_BUDGET tuples, by the
+# bound of ``_cover_table``; past it, CapExceededError.
+COVER_BUDGET = 10**5
 
 
 def weak_ray_set(fan: Fan, d: Divisor, point) -> frozenset[int]:
@@ -110,34 +116,43 @@ def euler_char(fan: Fan, d: Divisor) -> int:
     return total
 
 
-def _cover_table(fan: Fan, tuples) -> tuple:
-    """The Cech cover table of the tuples of maximal cones ``tuples(size)``, sizes 1..n+2.
+def _cover_table(fan: Fan) -> tuple:
+    """The Cech cover table: the tuples of maximal cones that share a ray, sizes 0..n+1.
 
-    Layer size - 1 lists each tuple, in the order ``tuples`` gives, as
+    Layer s lists each tuple of s cones, in lexicographic order, as
     (meet, faces): ``meet`` is the ray bitmask of the intersection of
-    its cones, and ``faces`` the coboundary entries (position, sign) of
-    the tuples one smaller, by their position in the layer below.  The
-    face that drops position j enters with (-1)^j; with repeated cones
-    two deletions can give one face, and their signs are summed and
-    zeros dropped.  The meet is the rays the cones share: in a valid fan
-    two cones meet in a common face tau, and a ray of both lies in tau
-    and, being extreme in either cone, is a ray of its face tau.  tau is
-    again a cone of the fan, so the argument runs along the whole tuple.
+    its cones (-1, every bit, for the empty tuple of layer 0), and
+    ``faces`` the boundary entries (position, sign) of the tuples one
+    smaller, by their position in the layer below, the face that drops
+    position j entering with (-1)^j.  Each layer grows the one below by
+    a later cone that still shares a ray, and every face of a listed
+    tuple shares that ray, so it is listed too.  The meet is the rays
+    the cones share: in a valid fan two cones meet in a common face tau,
+    and a ray of both lies in tau and, being extreme in either cone, is
+    a ray of its face tau.  tau is again a cone of the fan, so the
+    argument runs along the whole tuple.  Raises CapExceededError before
+    any tuple is built when sum_rho sum_(1 <= s <= n+1) C(|star rho|, s),
+    a bound on the nonempty tuples, |star rho| the cones holding the ray
+    rho, passes ``COVER_BUDGET``.
     """
     masks = [sum(1 << i for i in cone) for cone in fan.max_cones]
-    layers, index = [], {}
-    for size in range(1, fan.dim + 3):
+    stars = [sum(mask >> i & 1 for mask in masks) for i in range(len(fan.rays))]
+    bound = sum(comb(k, s) for k in stars for s in range(1, fan.dim + 2))
+    if bound > COVER_BUDGET:
+        raise CapExceededError(
+            f"the Cech cover table may hold {bound} tuples of cones that share a ray; it is capped at {COVER_BUDGET}"
+        )
+    layers, index = [((-1, ()),)], {(): 0}
+    for size in range(1, fan.dim + 2):
         layer, positions = [], {}
-        for t in tuples(size):
-            faces: dict[int, int] = {}
-            sign = -1 if (size - 1) & 1 else 1
-            for face in combinations(t, size - 1) if size > 1 else ():
-                at = index[face]
-                faces[at] = faces.get(at, 0) + sign
-                sign = -sign
-            positions[t] = len(layer)
-            meet = reduce(and_, (masks[j] for j in t))
-            layer.append((meet, tuple((at, x) for at, x in faces.items() if x)))
+        for t, at in index.items():
+            meet = layers[-1][at][0]
+            for j in range(t[-1] + 1 if t else 0, len(masks)):
+                if shared := meet & masks[j]:
+                    big = (*t, j)
+                    positions[big] = len(layer)
+                    faces = tuple((index[big[:i] + big[i + 1 :]], -1 if i & 1 else 1) for i in range(size))
+                    layer.append((shared, faces))
         layers.append(tuple(layer))
         index = positions
     return tuple(layers)
@@ -146,44 +161,34 @@ def _cover_table(fan: Fan, tuples) -> tuple:
 def _cech_rank_vector(subset: frozenset[int], table) -> CohomologyVector:
     """Cohomology ranks of the Cech complex of a weak set on a cover table (``_cover_table``).
 
-    A tuple contributes a line exactly when the rays of the intersection
-    of its cones all lie in the weak set W: its meet has no ray off W.
-    The kept tuples are closed under supersets, so they span a
-    subcomplex of the cochain complex and the transposed coboundaries
-    form a chain complex.  Each kept tuple's row holds its kept faces,
-    keyed by their position in the table's layer, so a weak set builds
-    no index; ``_chain_ranks`` ranks the maps from delta^n down,
-    clearing as on a boundary.  Positions keep the order of the kept
-    tuples, so the pivots and the clearing are those of the complex
-    indexed by the kept tuples alone.
+    A tuple of cones contributes a line to the Cech complex of W exactly
+    when the rays its cones share all lie in W.  Those tuples are the
+    simplices of the full simplex Delta on the maximal cones (they all
+    meet at the origin) off the subcomplex L_W of the tuples that share
+    a ray off W, so the complex is the relative cochain complex of
+    (Delta, L_W), and the long exact sequence of the pair gives
+    H^p = H~_(p-1)(L_W), with H~_(-1) = Q when L_W holds the empty tuple
+    alone.  L_W keeps every tuple whose meet has a bit off W, the empty
+    one always, and every face of a kept tuple; ``_chain_ranks`` ranks
+    its boundaries on the table's rows, keyed by layer position, with
+    tuples of size p in degree p - 1.
     """
-    n = len(table) - 2
     off = ~sum(1 << i for i in subset)
-    kept = [[at for at, (meet, _) in enumerate(layer) if not meet & off] for layer in table]
-
-    def coboundary(i):
-        below, layer = set(kept[i]), table[i + 1]
-        return lambda at: {face: x for face, x in layer[at][1] if face in below}
-
-    top_down = _chain_ranks((kept[i + 1], coboundary(i)) for i in range(n, -1, -1))
-    ranks_of_d = [0, *reversed(top_down)]  # rank of delta^(i-1) : C^(i-1) -> C^i at i = 0..n+1
-    return tuple(len(kept[i]) - ranks_of_d[i] - ranks_of_d[i + 1] for i in range(n + 1))
+    kept = [[at for at, (meet, _) in enumerate(layer) if meet & off] for layer in table]
+    return tuple(_chain_ranks(kept, lambda s, at: dict(table[s][at][1]))[:-1])
 
 
 def _cech_ranks(fan: Fan, subset: frozenset[int]) -> CohomologyVector:
     """The Cech ranks of a frozenset of ray indices, memoized per fan; no check.
 
-    Every weak set reads the fan's one cover table of the alternating
-    complex, its tuples the ``combinations`` of the maximal cones.  The
-    oracle's region sum weighs its subsets here: it builds them from
-    ray bitmasks, so every entry is a ray index of the fan.
+    Every weak set reads the fan's one cover table.  The oracle's region
+    sum weighs its subsets here: it builds them from ray bitmasks, so
+    every entry is a ray index of the fan.
     """
-
-    def compute():
-        cover = partial(combinations, range(len(fan.max_cones)))
-        return _cech_rank_vector(subset, fan.memo("cech_cover", lambda: _cover_table(fan, cover)))
-
-    return fan.memo(("cech", subset), compute)
+    return fan.memo(
+        ("cech", subset),
+        lambda: _cech_rank_vector(subset, fan.memo("cech_cover", lambda: _cover_table(fan))),
+    )
 
 
 def cech_ranks(fan: Fan, weak_rays) -> CohomologyVector:

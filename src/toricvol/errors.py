@@ -50,8 +50,9 @@ class CapExceededError(PreconditionError):
     ``regions.SUBSET_CAP`` rays, a lattice count whose box holds more
     than ``regions.FIBER_BUDGET`` integer points of its first n - 2
     coordinates (never in dimension 2), a lattice listing past as many
-    fibers (integer points of the first n - 1) or as many points, or a
-    probe past m = 50."""
+    fibers (integer points of the first n - 1) or as many points, a
+    Cech cover table that may hold more than ``cohomology.COVER_BUDGET``
+    tuples of cones sharing a ray, or a probe past m = 50."""
 
 
 class ChamberWallError(PreconditionError):

@@ -412,8 +412,10 @@ def _condition_system(fan: Fan, cones, strict):
     common is the integer vector common * e_rho - sum_b x_b e_b, x the
     coordinates of v_rho in B (``fan._Configuration.coordinates``),
     stored as its primitive part, an int tuple; no ``Fraction`` is
-    built.  The first basis of each cone is its recorded basis, and a
-    ray's owner is the first cone holding it (None if none does), whose
+    built.  An equality is stored once, its first nonzero entry
+    positive, and an inequality equal to either sign of it is dropped.
+    The first basis of each cone is its recorded basis, and a ray's
+    owner is the first cone holding it (None if none does), whose
     functional values it in a nef decomposition.  The entries are taken as ray indices of the fan, as
     ``gkz_cone`` checks them and the chamber searches make them.
     """
@@ -440,12 +442,11 @@ def _condition_system(fan: Fan, cones, strict):
                 if not any(ints):
                     continue
                 g = math.gcd(*ints)
-                condition = tuple(v // g for v in ints)
-                if rho in inside and rho not in strict:
-                    equalities.add(condition)
-                else:
-                    inequalities.add(condition)
-    inequalities -= equalities
+                equality = rho in inside and rho not in strict
+                if equality and next(filter(None, ints)) < 0:
+                    g = -g
+                (equalities if equality else inequalities).add(tuple(v // g for v in ints))
+    inequalities -= equalities | {tuple(-v for v in row) for row in equalities}
     owners = tuple(
         next((c for c, inside in enumerate(members) if rho in inside), None)
         for rho in range(len(fan.rays))

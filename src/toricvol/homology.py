@@ -132,15 +132,11 @@ def reduced_homology_ranks(complex_: SphereComplex) -> tuple[int, ...]:
     """Reduced rational homology ranks, degrees -1 through n-1.
 
     Computed from exact ranks of the augmented chain complex, its
-    boundary maps ranked from the top size down (``_chain_ranks``); the
+    simplices of size s in chain degree s - 1 (``_chain_ranks``); the
     empty complex reports rank 1 in degree -1 and nothing else.
     """
-    n = complex_.ambient_dim
-    by_size = [complex_.by_size(s) for s in range(n + 1)]
-    top_down = _chain_ranks((by_size[s], _boundary_row) for s in range(n, 0, -1))
-    boundary_ranks = [0, *reversed(top_down), 0]  # rank of d_s : C_s -> C_(s-1), sizes 0..n+1
-    # Size s is chain degree s-1.
-    return tuple(len(by_size[s]) - boundary_ranks[s] - boundary_ranks[s + 1] for s in range(n + 1))
+    by_size = [complex_.by_size(s) for s in range(complex_.ambient_dim + 1)]
+    return tuple(_chain_ranks(by_size, lambda _, simplex: _boundary_row(simplex)))
 
 
 def _components(edges, subset) -> int:

@@ -22,11 +22,12 @@ unique, their answers are exactly those of Gaussian elimination over
 on sparse integer rows, each row's pivot its largest column, as in the
 column reduction of persistent homology (Zomorodian and Carlsson 2005).
 ``rank`` clears rows to integers and counts its pivots
-(``_sparse_rank``).  The boundary and coboundary matrices of
-``homology`` and ``cohomology``, whose {0, +-1} entries fill in under
-Gauss-Jordan, are built as sparse rows and ranked together by
-``_chain_ranks``, which skips the rows that the pivots of the map above
-already prove dependent (clearing).
+(``_sparse_rank``).  The boundary matrices of the sphere complexes of
+``homology`` and the Cech complexes of ``cohomology``, whose {0, +-1}
+entries fill in under Gauss-Jordan, are built as sparse rows and ranked
+together by ``_chain_ranks``, which skips the rows that the pivots of
+the map above already prove dependent (clearing) and returns the Betti
+numbers.
 """
 
 from __future__ import annotations
@@ -239,28 +240,27 @@ def _sparse_rank(rows) -> int:
     return len(_sparse_pivots(rows))
 
 
-def _chain_ranks(maps) -> list[int]:
-    """Ranks of the consecutive maps of a chain complex, top degree first, with clearing.
+def _chain_ranks(by_size, row) -> list[int]:
+    """The Betti numbers of a chain complex, one per cell size, its boundaries ranked top size first with clearing.
 
-    Each map is a pair (cells, row): the cells of its source in
+    ``by_size[s]`` lists the cells of size s, s = 0, 1, ..., in
     increasing order, each a key such as a simplex or a table position,
-    and a function giving a cell's sparse row for ``_sparse_pivots``,
-    whose columns are the target's cells, the next map's cells.  A cell
-    of the next map that was a pivot column c of this one is skipped,
-    its row never built (the clearing of Bauer, Kerber and Reininghaus
-    2014): a stored pivot row is the boundary of some chain z with
-    largest face c, so d(d z) = 0 makes the row of c a combination of
-    rows of lower cells, and by induction on the order every skipped
-    row lies in the span of the rows kept.  So every rank is exact.
-    The same holds for the transpose of a coboundary on tuples closed
-    under supersets, a quotient complex.
+    and ``row(s, cell)`` gives a fresh sparse row of the boundary of a
+    cell of size s >= 1 for ``_sparse_pivots``, its columns the cells of
+    size s - 1.  Returns |C_s| - rank d_s - rank d_(s+1) for every s,
+    with d_0 and the map above the top size zero.  A cell that was a
+    pivot column c of d_(s+1) is skipped in d_s, its row never built
+    (the clearing of Bauer, Kerber and Reininghaus 2014): a stored pivot
+    row is the boundary of some chain z with largest face c, so
+    d(d z) = 0 makes the row of c a combination of rows of lower cells,
+    and by induction on the order every skipped row lies in the span of
+    the rows kept.  So every rank is exact.
     """
-    ranks, cleared = [], ()
-    for cells, row in maps:
-        pivots = _sparse_pivots(row(cell) for cell in cells if cell not in cleared)
-        ranks.append(len(pivots))
-        cleared = pivots
-    return ranks
+    ranks, cleared = [0] * (len(by_size) + 1), ()
+    for s in range(len(by_size) - 1, 0, -1):
+        cleared = _sparse_pivots(row(s, cell) for cell in by_size[s] if cell not in cleared)
+        ranks[s] = len(cleared)
+    return [len(cells) - ranks[s] - ranks[s + 1] for s, cells in enumerate(by_size)]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:

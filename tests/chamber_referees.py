@@ -51,15 +51,16 @@ def gkz_system(fan, cones, strict):
                 scale = math.lcm(*(c.denominator for c in coeffs))
                 ints = [int(c * scale) for c in coeffs]
                 g = math.gcd(*ints)
-                condition = tuple(Fraction(v // g) for v in ints)
                 if rho in inside and rho not in strict:
-                    equalities.add(condition)
+                    # One sign per equality: its first nonzero entry positive.
+                    first = next(v for v in ints if v)
+                    equalities.add(tuple(Fraction(v // g) * (1 if first > 0 else -1) for v in ints))
                 else:
-                    inequalities.add(condition)
+                    inequalities.add(tuple(Fraction(v // g) for v in ints))
         if base_found is None:
             raise ValueError("cone has no independent ray basis outside the strict set")
         bases.append(base_found)
-    inequalities -= equalities
+    inequalities -= equalities | {tuple(-v for v in row) for row in equalities}
     return tuple(members), tuple(bases), tuple(sorted(equalities)), tuple(sorted(inequalities))
 
 

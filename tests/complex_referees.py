@@ -14,9 +14,11 @@ once, so that tests can check the production answers against them:
 * ``uncleared_homology_ranks`` and ``uncleared_cech_ranks``: the chain
   complex ranks with each map ranked on its own, every row kept, where
   the library clears the rows that the map above proves dependent
-  (``toricvol.linalg._chain_ranks``); the Cech coboundary rows are
-  built here from an index of the tuples (``coboundary_row``), where
-  the library reads one cover table per fan.
+  (``toricvol.linalg._chain_ranks``); the Cech complex is the cochain
+  complex of the tuples of cones whose shared rays lie in W, its
+  coboundary rows built here from an index of the tuples
+  (``coboundary_row``), where the library ranks the complex of the
+  tuples that share a ray off W on one cover table per fan.
 """
 
 from itertools import combinations
@@ -129,12 +131,18 @@ def coboundary_row(small):
     return row_of
 
 
-def uncleared_cech_ranks(fan, weak_rays) -> tuple:
-    """``cech_ranks`` with every coboundary ranked in full, its tuples listed afresh."""
+def uncleared_cech_ranks(fan, weak_rays, tuples=combinations) -> tuple:
+    """``cech_ranks`` with every coboundary ranked in full, its tuples listed afresh.
+
+    The Cech complex on the cover by maximal cones: its cochains of
+    degree i live on the tuples ``tuples(cones, i + 1)`` of cone indices
+    whose cones meet in a cone with every ray in W, the alternating
+    complex by default.
+    """
     n, weak = fan.dim, frozenset(weak_rays)
     cones = fan.max_cones
     layers = [
-        [t for t in combinations(range(len(cones)), size) if frozenset.intersection(*(cones[j] for j in t)) <= weak]
+        [t for t in tuples(range(len(cones)), size) if frozenset.intersection(*(cones[j] for j in t)) <= weak]
         for size in range(1, n + 3)
     ]
     ranks_of_d = [0] * (n + 2)  # rank of delta^i : C^i -> C^(i+1); delta^(-1) = 0 at the end

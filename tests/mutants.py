@@ -148,11 +148,33 @@ MUTANTS = (
         "one face sign flipped in the Cech cover table",
         "cohomology",
         "_cover_table",
-        "faces[at] = faces.get(at, 0) + sign",
-        "faces[at] = faces.get(at, 0) + (sign if layer or at else -sign)",
+        "-1 if i & 1 else 1",
+        "-1 if i & 1 or not (layer or i) else 1",
         (
             "tests/test_cohomology.py::test_oracle_on_nonsimplicial_complete_fan",
             "tests/test_acceptance.py::test_criterion_1_oracle_equivalence",
+        ),
+    ),
+    Mutant(
+        "the empty tuple (augmentation) dropped",
+        "cohomology",
+        "_cover_table",
+        "layers, index = [((-1, ()),)], {(): 0}",
+        "layers, index = [(((1 << len(fan.rays)) - 1, ()),)], {(): 0}",
+        (
+            "tests/test_cohomology.py::test_cech_oracle_examples",
+            "tests/test_linalg.py::test_clearing_keeps_every_chain_complex_rank[star3]",
+        ),
+    ),
+    Mutant(
+        "a tuple of cones that share a ray skipped by the extension",
+        "cohomology",
+        "_cover_table",
+        "range(t[-1] + 1 if t else 0, len(masks))",
+        "range(t[-1] + 2 if t else 0, len(masks))",
+        (
+            "tests/test_cohomology.py::test_oracle_on_nonsimplicial_complete_fan",
+            "tests/test_linalg.py::test_clearing_keeps_every_chain_complex_rank[star3]",
         ),
     ),
     Mutant(

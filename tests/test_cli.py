@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from generated_fans import star_fan_data
 from test_cold_path import counting_solve_lp
 from toricvol.cli import decimal_string, format_rational, main
 from toricvol.divisor import divisor
@@ -501,6 +502,18 @@ def test_cohom_oracle_on_3d_fan(tmp_path):
     code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div, "--check-oracle")
     assert code == 0
     assert report["result"]["oracle_agrees"] is True
+
+
+def test_check_oracle_past_the_cover_cap_exit_code(tmp_path):
+    # The Cech cover table of star4d_12 may hold more tuples than its cap,
+    # so --check-oracle is a precondition failure, not a long run.
+    dim, rays, cones = star_fan_data(12, dim=4)
+    fan = write(tmp_path, "fan.json", {"dim": dim, "rays": rays, "cones": [sorted(c) for c in cones]})
+    div = write(tmp_path, "d.json", {"coeffs": [1] * len(rays)})
+    code, report = run(tmp_path, "cohom", "--fan", fan, "--divisor", div, "--check-oracle")
+    assert code == 3
+    assert report["error"]["kind"] == "precondition"
+    assert "Cech cover table" in report["error"]["message"]
 
 
 def test_cohom_on_complete_simplicial_fan_solves_no_lp(tmp_path, monkeypatch):

@@ -6,18 +6,17 @@ import pytest
 
 from toricvol.cohomology import (
     cech_oracle,
-    _cech_rank_vector,
-    _cover_table,
     cech_ranks,
     euler_char,
     graded_piece_dim,
     h_all,
     weak_ray_set,
 )
+from complex_referees import uncleared_cech_ranks
 from generated_fans import star_fan_data
 from toricvol.asymptotics import self_intersection
 from toricvol.divisor import divisor, ray_divisor, scale
-from toricvol.errors import NotCompleteError
+from toricvol.errors import CapExceededError, NotCompleteError
 from toricvol.fan import Cone, cone_multiplicity, make_fan
 from toricvol.fixtures import (
     bl1_p3,
@@ -179,14 +178,13 @@ def test_oracle_on_nonsimplicial_complete_fan():
 
 
 def cech_ranks_full(fan, weak_rays):
-    """The ranks of ``cech_ranks`` from the full Cech complex (all tuples, repeats allowed).
+    """The ranks of ``cech_ranks`` from the full Cech complex (all ordered tuples, repeats allowed).
 
-    Exponentially bigger matrices than the alternating complex; a check
+    Exponentially bigger matrices than the alternating complex, each
+    coboundary ranked in full on the rows of ``coboundary_row``; a check
     of the reduction, not a production path.
     """
-    ncones = len(fan.max_cones)
-    table = _cover_table(fan, lambda size: product(range(ncones), repeat=size))
-    return _cech_rank_vector(frozenset(weak_rays), table)
+    return uncleared_cech_ranks(fan, weak_rays, lambda cones, size: product(cones, repeat=size))
 
 
 def test_full_vs_alternating_cech():
@@ -198,6 +196,30 @@ def test_full_vs_alternating_cech():
         for subset in subsets:
             assert cech_ranks(fan, subset) == cech_ranks_full(fan, subset)
         assert h_all(fan, d) == cech_oracle(fan, d)
+
+
+@pytest.mark.parametrize("splits, dim", [(4, 4), (6, 4), (10, 3)], ids=["star4d_4", "star4d_6", "star10"])
+def test_oracle_on_generated_fans(splits, dim):
+    # The cover table lists only the tuples of cones that share a ray, so
+    # the Cech referee reaches 4-D stars and many-ray 3-D stars, where
+    # the complex of every tuple of up to n + 2 cones took minutes.
+    fan = make_fan(*star_fan_data(splits, dim=dim))
+    rng = random.Random(splits)
+    for _ in range(3):
+        d = divisor([rng.randint(-2, 3) for _ in fan.rays])
+        assert cech_oracle(fan, d) == h_all(fan, d), d
+
+
+def test_oracle_cover_table_is_capped():
+    # star4d_12's stars bound its cover table by 151 902 tuples, past the
+    # cap: the oracle refuses before the table or any Cech rank is kept,
+    # while h_all answers.
+    fan = make_fan(*star_fan_data(12, dim=4))
+    d = divisor([1] * len(fan.rays))
+    assert h_all(fan, d)[0] > 0
+    with pytest.raises(CapExceededError, match="may hold 151902 tuples .* capped at 100000"):
+        cech_oracle(fan, d)
+    assert not any(key == "cech_cover" or key[0] == "cech" for key in fan._memo), "memo kept Cech work"
 
 
 def test_warm_calls_run_no_lp(monkeypatch):

@@ -518,6 +518,9 @@ def test_chamber_dimension_formula():
             closed = gkz_cone(fan, chamber.sigma_cones, ())
             assert bool(closed.equalities) == bool(chamber.strict_rays)
             assert closed.class_cone_dim() == pic_rank
+            # Each equality row is kept once, in one sign.
+            rows = set(closed.equalities) | set(closed.inequalities)
+            assert not any(tuple(-v for v in row) in rows for row in closed.equalities)
 
 
 def test_chamber_tests_reject_wrong_length_divisors():

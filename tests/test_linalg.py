@@ -224,11 +224,10 @@ def test_sparse_rank_gcd_path():
     assert _sparse_rank([]) == 0 and _sparse_rank([{}, {}]) == 0
 
 
-# Dense Fraction Gauss-Jordan needs ~0.1 s for a 70 x 56 matrix, the
-# largest of the complete fixtures, star1 and star2, but ~3 s for one
-# 252 x 210 top Cech matrix of star3 and minutes for star4's 792 x 495;
-# the matrices above this many entries are checked through the Cech
-# ranks instead.
+# Dense Fraction Gauss-Jordan needs ~0.1 s for a 70 x 56 matrix.  The
+# largest top maps of the Cech complexes (tuples of cones that share a
+# ray off W) are 33 x 52 on star3 and 58 x 77 on star4; the matrices
+# above this many entries are checked through the Cech ranks instead.
 REFEREE_ENTRIES = 4000
 
 
@@ -248,25 +247,21 @@ def top_maps(fan, subset):
 
     The top map of a chain complex is never cleared, so all its rows
     reach ``_sparse_pivots``: the boundary of the sphere complex's
-    simplices of size n, and the transposed coboundary into the kept
-    Cech tuples of size n + 1, the face that drops position j entering
-    with (-1)^j.
+    simplices of size n, and the boundary of the tuples of n + 1 maximal
+    cones that share a ray off W, the complex L_W whose reduced homology
+    is the Cech cohomology of W one degree up, the face that drops
+    position j entering with (-1)^j.
     """
     n, cones = fan.dim, fan.max_cones
     sphere = [
         {top[:j] + top[j + 1 :]: -1 if j & 1 else 1 for j in range(n)}
         for top in homology.sphere_complex(fan, subset).by_size(n)
     ]
-
-    def kept(size):
-        tuples = combinations(range(len(cones)), size)
-        return [t for t in tuples if frozenset.intersection(*(cones[j] for j in t)) <= subset]
-
-    below = set(kept(n + 1))
-    cech = []
-    for big in kept(n + 2):
-        faces = {j: big[:j] + big[j + 1 :] for j in range(n + 2)}
-        cech.append({face: -1 if j & 1 else 1 for j, face in faces.items() if face in below})
+    cech = [
+        {big[:j] + big[j + 1 :]: -1 if j & 1 else 1 for j in range(n + 1)}
+        for big in combinations(range(len(cones)), n + 1)
+        if frozenset.intersection(*(cones[j] for j in big)) - subset
+    ]
     return [relabeled(sphere), relabeled(cech)]
 
 
