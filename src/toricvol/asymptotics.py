@@ -25,7 +25,7 @@ from .errors import (
     NotQCartierError,
     PreconditionError,
 )
-from .fan import Fan, _is_int, is_complete, is_simplicial
+from .fan import Fan, _is_int
 from .homology import _local_ranks
 from .regions import _arrangement, _divisor_slot, _h0_partial, _held_slot, _lawrence_sum
 
@@ -61,9 +61,9 @@ def self_intersection(fan: Fan, d: Divisor) -> Fraction:
     divisor is Q-Cartier, so only a non-simplicial fan builds the
     Cartier data to test it.
     """
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotCompleteError("self-intersection needs a complete fan")
-    if not is_simplicial(fan) and is_q_cartier(fan, d) is None:
+    if not fan.simplicial and is_q_cartier(fan, d) is None:
         raise NotQCartierError("divisor is not Q-Cartier")
     return _lawrence_sum(fan, _held_slot(fan, d), _euler_weights, slice(None))[0]
 

@@ -22,7 +22,7 @@ from math import comb
 
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, NotCompleteError, ToricError
-from .fan import Fan, _check_rays, _is_int, _subfan, chi_of_fan, is_complete
+from .fan import Fan, _check_rays, _is_int, _subfan, chi_of_fan
 from .homology import _local_ranks, local_cohomology_ranks
 from .linalg import _chain_ranks, _point_integers, dot, to_integers
 from .regions import region_sum
@@ -70,7 +70,7 @@ def graded_piece_dim(fan: Fan, d: Divisor, point, i: int) -> int:
 
 def h_all(fan: Fan, d: Divisor) -> CohomologyVector:
     """All cohomology dimensions (h^0, ..., h^n) of a complete fan's divisor."""
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotCompleteError(
             "h_all needs a complete fan; use graded_piece_dim for single pieces"
         )
@@ -110,7 +110,7 @@ def euler_char(fan: Fan, d: Divisor) -> int:
     Each realized region's weight is checked by ``_euler_weight`` once
     per fan, the first time it is used.
     """
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotCompleteError("euler_char needs a complete fan")
     (total,) = region_sum(fan, d, _euler_weights)
     return total
@@ -211,6 +211,6 @@ def cech_oracle(fan: Fan, d: Divisor) -> CohomologyVector:
     reads the sphere-complex rank vectors of ``h_all``; the two share
     only the region sum that picks the realized regions.
     """
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotCompleteError("cech_oracle needs a complete fan")
     return region_sum(fan, d, _cech_ranks)

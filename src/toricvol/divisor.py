@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import NotCompleteError
-from .fan import Fan, _check_rays, _is_int, is_complete
+from .fan import Fan, _check_rays, _is_int
 from .linalg import dot, solve, to_integers
 
 Divisor = tuple[Fraction, ...]
@@ -151,7 +151,7 @@ def is_ample(fan: Fan, d: Divisor) -> bool:
     For every maximal cone and every ray outside it the local linear
     functional must beat the ray's own level, strictly.
     """
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotCompleteError("ampleness is only defined here for complete fans")
     data = is_q_cartier(fan, d)
     if data is None:

@@ -13,13 +13,20 @@ to facet on opposite sides, covering one generic point exactly once)
 is a complete simplicial fan by the proof in that docstring and needs
 no further test, which is how every complete simplicial fan is
 validated with no LP and no rank: the test runs first, and the fan it
-accepts starts with ``is_complete`` and ``is_simplicial`` in its memo,
-so its faces are every subset of its cones' rays, each of dimension its
-ray count.  Every other cone list ranks each cone and solves one
+accepts starts with ``Fan.complete`` and ``Fan.simplicial`` set, so its
+faces are every subset of its cones' rays, each of dimension its ray
+count.  Every other cone list ranks each cone and solves one
 relative-interior LP per pair of maximal cones to check that they meet
 in a common face; a face test of a non-simplicial cone is one LP
 too, the candidate face's rays held at 0 and the others sharing one
 gap.
+
+A fan's own facts have one holder each, a field computed on first read:
+``Fan.faces`` (every face with its dimension), ``Fan.complete`` and
+``Fan.simplicial``.  ``all_cones``, ``is_complete`` and
+``is_simplicial`` return them.  ``Fan.complete`` ranks every maximal
+cone before it builds a face, so a list with a lower-dimensional cone
+solves no face LP.
 
 Every divisor-free table of a ray or normal set lives on its one
 ``_Configuration``, each built on first read: the kernel direction of
@@ -36,11 +43,12 @@ region of its own normals gets its configuration from its memo
 (``_configuration``).
 
 Fan objects are immutable after validation and every operation here is
-a pure function, so values may be shared freely between threads.  The
-per-fan memo is only ever filled with idempotently recomputable values;
-one of them, the last-divisor slot of ``regions.region_sum``, is a
-mutable entry that a new divisor replaces in one assignment, and the
-type cells of ``regions`` are added to and filled in once each.
+a pure function, so values may be shared freely between threads; two
+threads that read a fact first compute the same value.  The per-fan
+memo (``Fan.memo``) is only ever filled with idempotently recomputable
+values; one of them, the last-divisor slot of ``regions.region_sum``,
+is a mutable entry that a new divisor replaces in one assignment, and
+the type cells of ``regions`` are added to and filled in once each.
 """
 
 from __future__ import annotations
@@ -116,17 +124,58 @@ class Fan:
         """The ``_Configuration`` of the rays, there from construction; validation fills its kernels."""
         return self._memo["configuration"]
 
-    def memo(self, key, compute):
-        """Write-once cache; concurrent duplicate computes are benign.
+    @cached_property
+    def faces(self) -> tuple[tuple[Cone, ...], ...]:
+        """Every face of every maximal cone, grouped by dimension, each bucket sorted by rays."""
+        found: dict[frozenset[int], Cone] = {}
+        for mc in self.max_cones:
+            for face, dim in _faces_of_cone(self, mc).items():
+                if face not in found:
+                    found[face] = Cone(face, dim)
+        grouped: list[list[Cone]] = [[] for _ in range(self.dim + 1)]
+        for cone in found.values():
+            grouped[cone.dim].append(cone)
+        for bucket in grouped:
+            bucket.sort(key=lambda c: sorted(c.ray_indices))
+        return tuple(tuple(bucket) for bucket in grouped)
 
-        Every key is written once, but a few values are containers filled
-        later: the ``_Configuration`` of the rays under
-        ``"configuration"``, there from the start, which binds the memo to
-        the rays (``_configuration``) and keeps their divisor-free tables;
-        the ``regions._Arrangement`` of the rays under ``"arrangement"``,
-        which keeps the type cells, each weak mask's boundedness and the
-        held divisor of ``regions._held_slot``; and per-fan caches of
-        values that never change once made.
+    @cached_property
+    def complete(self) -> bool:
+        """Whether the support is the whole space, by exact facet pairing.
+
+        Every maximal cone must have full rank, checked before any face
+        is built, and every facet must lie in exactly two of them.
+        """
+        if not self.max_cones or any(rank([self.rays[i] for i in mc]) != self.dim for mc in self.max_cones):
+            return False
+        for facet in self.faces[self.dim - 1]:
+            if sum(facet.ray_indices <= mc for mc in self.max_cones) != 2:
+                return False
+        return True
+
+    @cached_property
+    def simplicial(self) -> bool:
+        """Whether the rays of every maximal cone are linearly independent."""
+        return all(rank([self.rays[i] for i in mc]) == len(mc) for mc in self.max_cones)
+
+    def memo(self, key, compute):
+        """Write-once cache of divisor-free tables; concurrent duplicate computes are benign.
+
+        The fan's own facts are not kept here but as its fields
+        (``faces``, ``complete``, ``simplicial``).  A key is a kind, or a
+        tuple whose first entry is the kind, and there are eleven kinds:
+        ``"configuration"`` and ``"arrangement"``, the one
+        ``_Configuration`` and ``regions._Arrangement`` of the rays (the
+        first there from the start and binding the memo to the rays,
+        ``_configuration``; the second keeping the type cells, each weak
+        mask's boundedness and the held divisor of
+        ``regions._held_slot``); ``"triangulation"``, ``"profile"`` and
+        ``"euler"`` of ``homology`` and ``cohomology``; ``"cech_cover"``
+        and ``"cech"`` of the Čech oracle; and ``"gkz_system"``,
+        ``"nef_plan"``, ``"maximal_chambers"`` and ``"sigma_fan"`` of
+        ``gkz``.  Each is read again by the calls of one fan, or costs
+        much to recompute.  Every key is written once; the two
+        containers above are filled later.
         """
         if key not in self._memo:
             self._memo[key] = compute()
@@ -371,8 +420,9 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     ``_glued_cover_once`` form a complete simplicial fan, so no single
     cone or pair of them can be reported: the per-cone rank and LP
     checks and the pair loop are skipped, and such a fan is validated
-    with no LP and no rank.  Its memo starts with both facts, and its
-    configuration with the kernels the test read.  Every other cone list
+    with no LP and no rank.  Its ``Fan.complete`` and ``Fan.simplicial``
+    are set to True, and its configuration starts with the kernels the
+    test read.  Every other cone list
     (incomplete, non-simplicial or invalid) runs the per-cone checks
     and the pair loop, one relative-interior LP per pair of cones, with
     its diagnostics in the same order.
@@ -482,8 +532,7 @@ def fan_diagnostics(dim: int, rays, max_cones) -> tuple[list[str], Fan | None]:
     if fatal:
         return diags, None
     if glued:
-        fan.memo("is_complete", lambda: True)
-        fan.memo("is_simplicial", lambda: True)
+        fan.complete = fan.simplicial = True
     return diags, fan
 
 
@@ -512,14 +561,14 @@ def make_fan(dim: int, rays, max_cones) -> Fan:
 def _faces_of_cone(fan: Fan, cone_rays: frozenset[int]) -> dict[frozenset[int], int]:
     """Every face of a maximal cone with its dimension.
 
-    The rays of a simplicial fan (``is_simplicial``) or of a cone of
+    The rays of a simplicial fan (``Fan.simplicial``) or of a cone of
     full rank are independent, so every subset spans a face whose
     dimension is its ray count; only the faces of a dependent cone are
     tested by LP and ranked.
     """
     gens = {i: fan.rays[i] for i in cone_rays}
     idx = sorted(cone_rays)
-    if is_simplicial(fan) or rank([gens[i] for i in idx]) == len(idx):
+    if fan.simplicial or rank([gens[i] for i in idx]) == len(idx):
         return {frozenset(s): r for r in range(len(idx) + 1) for s in combinations(idx, r)}
     faces = {frozenset(): 0}
     for r in range(1, len(idx) + 1):
@@ -531,52 +580,18 @@ def _faces_of_cone(fan: Fan, cone_rays: frozenset[int]) -> dict[frozenset[int], 
 
 
 def all_cones(fan: Fan) -> tuple[tuple[Cone, ...], ...]:
-    """Every face of every maximal cone, grouped by dimension."""
-
-    def compute():
-        found: dict[frozenset[int], Cone] = {}
-        for mc in fan.max_cones:
-            for face, dim in _faces_of_cone(fan, mc).items():
-                if face not in found:
-                    found[face] = Cone(face, dim)
-        grouped: list[list[Cone]] = [[] for _ in range(fan.dim + 1)]
-        for cone in found.values():
-            grouped[cone.dim].append(cone)
-        for bucket in grouped:
-            bucket.sort(key=lambda c: sorted(c.ray_indices))
-        return tuple(tuple(bucket) for bucket in grouped)
-
-    return fan.memo("all_cones", compute)
+    """Every face of every maximal cone, grouped by dimension: ``Fan.faces``."""
+    return fan.faces
 
 
 def is_complete(fan: Fan) -> bool:
-    """Support equals the whole space, tested by exact facet pairing."""
-
-    def compute():
-        if not fan.max_cones:
-            return False
-        cones = all_cones(fan)
-        for mc in fan.max_cones:
-            vecs = [fan.rays[i] for i in mc]
-            if rank(vecs) != fan.dim:
-                return False
-        for facet in cones[fan.dim - 1]:
-            owners = sum(1 for mc in fan.max_cones if facet.ray_indices <= mc)
-            if owners != 2:
-                return False
-        return True
-
-    return fan.memo("is_complete", compute)
+    """Whether the support is the whole space: ``Fan.complete``."""
+    return fan.complete
 
 
 def is_simplicial(fan: Fan) -> bool:
-    def compute():
-        for mc in fan.max_cones:
-            if rank([fan.rays[i] for i in mc]) != len(mc):
-                return False
-        return True
-
-    return fan.memo("is_simplicial", compute)
+    """Whether every maximal cone has independent rays: ``Fan.simplicial``."""
+    return fan.simplicial
 
 
 class Subfan:
@@ -609,7 +624,7 @@ def subfan(fan: Fan, ray_subset) -> Subfan:
 def _subfan(fan: Fan, subset: frozenset[int]) -> Subfan:
     """``subfan`` of a frozenset of ray indices; no check."""
     grouped = tuple(
-        tuple(c for c in bucket if c.ray_indices <= subset) for bucket in all_cones(fan)
+        tuple(c for c in bucket if c.ray_indices <= subset) for bucket in fan.faces
     )
     return Subfan(fan.dim, subset, grouped)
 
@@ -617,7 +632,7 @@ def _subfan(fan: Fan, subset: frozenset[int]) -> Subfan:
 def chi_of_fan(fan_or_subfan) -> int:
     """Alternating sum over dimensions of the number of cones."""
     if isinstance(fan_or_subfan, Fan):
-        buckets = all_cones(fan_or_subfan)
+        buckets = fan_or_subfan.faces
     else:
         buckets = fan_or_subfan.cones_by_dim
     return sum((-1) ** j * len(bucket) for j, bucket in enumerate(buckets))

@@ -30,10 +30,13 @@ and Zelevinsky), so they are computed once per fan.  The fan's
 ``Fan.configuration`` keeps, per ray basis, the coordinates of every
 ray in it (a column of the basis's integer inverse dotted with the
 ray) and the inside mask (the rays in its cone).  The per-fan memo
-keeps the rays inside each cone, the extreme subset of each tight ray
-set, the condition system of each chamber cone and the plan of its nef
-splits, the list of maximal chambers and the standalone fan of each
-chamber that ``hhat0_on_chamber`` evaluates on.  Every ray-in-cone fact
+keeps four kinds: the condition system of each chamber cone
+(``"gkz_system"``) and the plan of its nef splits (``"nef_plan"``), the
+list of maximal chambers (``"maximal_chambers"``) and the standalone
+fan of each chamber that ``hhat0_on_chamber`` evaluates on
+(``"sigma_fan"``).  The rays inside a cone and the extreme subset of a
+tight ray set are a few ORs of inside masks, computed where they are
+read and not kept.  Every ray-in-cone fact
 of the chamber search, the condition systems, the normal fans and the
 owner rows of the nef plans read those coordinates and masks, and the
 region vertices and the Cartier data of ``divisor`` read the same
@@ -51,7 +54,9 @@ takes a ray's side of a facet from its coordinates in a basis.  The
 growth path clears each divisor to integers at most once per call
 (``linalg.to_integers``) and stays there; on a complete fan the cleared
 divisor is the key of its held slot (``regions._held_slot``), so the
-calls of a chamber step on one divisor object clear it once in all.
+calls of a chamber step on one divisor object clear it once in all, and
+``hhat0_on_chamber`` hands the pair it tests membership on to the held
+slot.
 The ampleness test reads an ample class of an open type cell off the
 volume table of its cell, with no probe.  Only a class on a cell wall
 is probed: ``GKZCone.slacks`` takes the cleared divisor, so the test
@@ -78,7 +83,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .asymptotics import _cleared_rates, _rates, self_intersection
+from .asymptotics import _cleared_rates, self_intersection
 from .divisor import Divisor, _basis_functional, _check_length, _coefficient
 from .errors import (
     ChamberMembershipError,
@@ -88,12 +93,12 @@ from .errors import (
     ToricError,
     UnsupportedDimensionError,
 )
-from .fan import Fan, _check_rays, _glued_cover_once, is_complete, is_simplicial, make_fan
+from .fan import Fan, _check_rays, _glued_cover_once, make_fan
 from .homology import _local_ranks
 from .linalg import _lowest_terms, _point_integers, dot, nullspace, rank, solve, to_integers
 from .lp import gap_lp, relative_interior_functional
 from .regions import _Arrangement, _arrangement, _closure_table, _divisor_slot, _held_slot
-from .regions import _lawrence_columns, _own_memo
+from .regions import _lawrence_columns, _lawrence_sum, _own_memo
 
 
 # ---------------------------------------------------------------------------
@@ -186,44 +191,39 @@ def support_function(fan: Fan, d: Divisor) -> tuple[SupportFunction, frozenset[i
 
 
 def _cone_members(fan: Fan, cone: frozenset[int]) -> frozenset[int]:
-    """The rays lying in the closed cone spanned by ``cone``, once per fan.
+    """The rays lying in the closed cone spanned by ``cone``.
 
     By the conic Carathéodory theorem a ray lies in a full-dimensional
     cone, pointed or not, exactly when it lies in the cone of some ray
     basis inside it, so the members are the union of the inside masks
     (``fan._Configuration.inside``) of the cone's n-subsets.  A
-    lower-dimensional cone has no basis and gets no member.  No LP runs.
+    lower-dimensional cone has no basis and gets no member.  No LP runs,
+    and the answer is a few ORs of masks the configuration keeps, so it
+    is not kept itself: its callers' results are.
     """
-
-    def compute():
-        configuration = fan.configuration
-        inside = 0
-        for basis in combinations(sorted(cone), fan.dim):
-            inside |= configuration.inside(basis)
-        return frozenset(rho for rho in range(len(fan.rays)) if inside >> rho & 1)
-
-    return fan.memo(("cone_members", cone), compute)
+    configuration = fan.configuration
+    inside = 0
+    for basis in combinations(sorted(cone), fan.dim):
+        inside |= configuration.inside(basis)
+    return frozenset(rho for rho in range(len(fan.rays)) if inside >> rho & 1)
 
 
 def _extreme_subset(fan: Fan, rays: frozenset[int]) -> frozenset[int]:
-    """The rays of a spanning set that no other ray of the set spans, once per fan.
+    """The rays of a spanning set that no other ray of the set spans.
 
     Ray i is dropped when the inside mask of some basis among the other
     rays holds it (conic Carathéodory, as in ``_cone_members``).  The set
     must span: the one caller, ``_normal_fan`` with no lineality, passes
     the tight set of a vertex of a full-dimensional section polytope.
     Then when the other rays do not span, i lies off their span and is
-    kept.  No LP runs.
+    kept.  No LP runs, and the answer is not kept: the located chamber
+    that reads it is, on its type cell.
     """
-
-    def compute():
-        configuration = fan.configuration
-        covered = 0
-        for basis in combinations(sorted(rays), fan.dim):
-            covered |= configuration.inside(basis) & ~sum(1 << b for b in basis)
-        return frozenset(i for i in rays if not covered >> i & 1)
-
-    return fan.memo(("extreme_subset", rays), compute)
+    configuration = fan.configuration
+    covered = 0
+    for basis in combinations(sorted(rays), fan.dim):
+        covered |= configuration.inside(basis) & ~sum(1 << b for b in basis)
+    return frozenset(i for i in rays if not covered >> i & 1)
 
 
 def _normal_fan(fan: Fan, points, tight) -> PossiblyDegenerateFan:
@@ -520,19 +520,13 @@ def gkz_membership(fan: Fan, cone: GKZCone, d: Divisor) -> bool:
 
 
 def located_cone(fan: Fan, location: LocatedChamber) -> GKZCone:
-    """The chamber cone of a located chamber, a fresh ``GKZCone`` on every call.
+    """The chamber cone of a located chamber, a fresh ``GKZCone`` from ``gkz_cone`` on every call.
 
-    Its fields are kept per fan and location (the ``"located_cones"``
-    memo), built by ``gkz_cone`` with its checks the first time a
-    location is asked, so a location kept on a type cell is checked once.
+    Its condition system is kept per fan (``_gkz_system``); the checks of
+    ``gkz_cone`` run on every call.
     """
-    kept = fan.memo("located_cones", dict)
-    fields = kept.get(location)
-    if fields is None:
-        sigma = location.sigma
-        cone = gkz_cone(fan, sigma.max_cones, location.strict_rays, lineality_basis=sigma.lineality_basis)
-        fields = kept[location] = _cone_fields(fan, cone.sigma_cones, cone.strict_rays, cone.lineality_basis)
-    return GKZCone(fan, *fields)
+    sigma = location.sigma
+    return gkz_cone(fan, sigma.max_cones, location.strict_rays, lineality_basis=sigma.lineality_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +654,7 @@ def enumerate_maximal_chambers(fan: Fan, *, allow_dim3: bool = False) -> list[GK
     ``GKZCone`` fields, and every call returns a new list of fresh
     ``GKZCone`` objects built from them with no check.
     """
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotCompleteError("chamber enumeration needs a complete fan")
     if fan.dim == 3 and not allow_dim3:
         raise UnsupportedDimensionError(
@@ -807,7 +801,7 @@ def nef_decomposition(fan: Fan, cone: GKZCone, d: Divisor) -> NefDecomposition:
     every ray.
     """
     _check_fan(fan, cone)
-    coefficients, q = _held_slot(fan, d).key if is_complete(fan) else to_integers(d)
+    coefficients, q = _held_slot(fan, d).key if fan.complete else to_integers(d)
     if not _in_closed(cone.slacks(coefficients)):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
     plan = _nef_plan(fan, cone.sigma_cones, cone.strict_rays)
@@ -864,12 +858,16 @@ def hhat0_on_chamber(fan: Fan, cone: GKZCone, d: Divisor) -> Fraction:
     pushforward on the chamber's own fan and cross-check against the
     direct volume computation; degenerate chambers are identically zero.
     The chamber's fan is built once per ambient fan and kept in its
-    memo, so its own memo stays warm across calls.  Raises ValueError
+    memo, so its own memo stays warm across calls.  The divisor is
+    cleared once: membership is tested on the cleared pair, which then
+    keys the held slot (``regions._held_slot``).  Raises ValueError
     unless the cone was built on ``fan``.
     """
-    if not gkz_membership(fan, cone, d):
+    _check_fan(fan, cone)
+    cleared = to_integers(d)
+    if not _in_closed(cone.slacks(cleared[0])):
         raise ChamberMembershipError("divisor class is not in this chamber cone")
-    direct = _rates(fan, d, slice(1))[0]
+    direct = _lawrence_sum(fan, _held_slot(fan, d, cleared), _local_ranks, slice(1))[0]
     if cone.lineality_basis:
         if direct != 0:
             raise ToricError("internal: degenerate chamber with nonzero growth")
@@ -905,9 +903,9 @@ def ample_via_asymptotics(fan: Fan, d: Divisor) -> bool:
     degrees 1..n are read.  A complete simplicial fan makes every
     divisor Q-Cartier, so no Cartier test runs.
     """
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotCompleteError("ampleness test needs a complete fan")
-    if not is_simplicial(fan):
+    if not fan.simplicial:
         raise NotSimplicialError(
             "complete non-simplicial fans can carry no nontrivial line bundles at "
             "all, where neighborhood vanishing holds with nothing ample; this "

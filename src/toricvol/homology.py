@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fan import Cone, Fan, _check_rays, all_cones, is_complete, is_simplicial
+from .fan import Cone, Fan, _check_rays
 from .linalg import _chain_ranks
 
 
@@ -56,7 +56,7 @@ class SphereComplex:
 
 def _cone_facets(fan: Fan, cone: Cone) -> list[Cone]:
     out = []
-    for candidate in all_cones(fan)[cone.dim - 1]:
+    for candidate in fan.faces[cone.dim - 1]:
         if candidate.ray_indices < cone.ray_indices:
             out.append(candidate)
     return out
@@ -88,7 +88,7 @@ def _carriers(fan: Fan) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
 
     def compute():
         carrier: dict[frozenset[int], frozenset[int]] = {}
-        for bucket in all_cones(fan):
+        for bucket in fan.faces:
             for cone in bucket:
                 for top in _triangulate_cone(fan, cone):
                     for size in range(len(top) + 1):
@@ -179,7 +179,7 @@ def _component_ranks(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
     elif len(subset) == len(rays):
         ranks[0] = 1
     else:
-        edges = [tuple(cone.ray_indices) for cone in all_cones(fan)[2]] if n > 1 else ()
+        edges = [tuple(cone.ray_indices) for cone in fan.faces[2]] if n > 1 else ()
         ranks[n - 1] = _components(edges, subset) - 1
         if n == 3:
             ranks[1] = _components(edges, [v for v in rays if v not in subset]) - 1
@@ -198,7 +198,7 @@ def _local_ranks(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
 
     def compute():
         n = fan.dim
-        if n <= 3 and is_complete(fan) and is_simplicial(fan):
+        if n <= 3 and fan.complete and fan.simplicial:
             return _component_ranks(fan, subset)
         tilde = reduced_homology_ranks(_sphere_complex(fan, subset))
         # tilde[s] is reduced degree s-1, so degree j sits at tilde[j+1].

@@ -54,8 +54,9 @@ solved, the located chamber of ``gkz.locate_chamber`` and its volume
 tables; a simple cell (below), which a degenerate cell finds under its
 own lowered key, also holds its realized table and count plans.
 ``_DivisorSlot`` keeps what one divisor adds: its row bounds, its
-lattice counts by mask, the vertices P_B = A_B . L_B its vertex tables
-solve and the powers its volumes take, and each fan's arrangement holds
+lattice counts by mask and the powers its volumes take (the vertices
+P_B = A_B . L_B its vertex tables read are solved on each read), and
+each fan's arrangement holds
 the slot of its last divisor, found again by the identity of its entries
 with no clearing (``_held_slot``).  ``region_sum`` counts a realized
 region's lattice points straight off that slot and the count plan of
@@ -151,7 +152,7 @@ from typing import Callable
 
 from .divisor import Divisor, _check_length
 from .errors import CapExceededError, NotCompleteError, ToricError, UnboundedRegionError
-from .fan import Fan, _Configuration, _check_rays, _configuration, _is_int, is_complete
+from .fan import Fan, _Configuration, _check_rays, _configuration, _is_int
 from .linalg import _lowest_terms, _point_integers, dot, to_integers
 
 
@@ -677,20 +678,20 @@ def _levels(coefficients, q: int):
 
 @dataclass(eq=False, slots=True)
 class _DivisorSlot:
-    """One divisor's view of its type cell: its points, row bounds, counts and powers.
+    """One divisor's view of its type cell: its row bounds, counts and powers.
 
-    ``key`` is (q * d, q), the divisor cleared to integers.  Each vertex
-    point P_B = A_B . L_B is solved on first use and kept in ``points``
-    by basis; ``_slot_simple`` fills its cell's simple cell,
-    ``region_sum`` its lattice counts by mask, ``_slot_bounds`` its row
-    bounds, and the volume sums ``powers``, <g_B, L_B>^n by basis, on
-    first use.  The slot holds its cells, kept or not.
+    ``key`` is (q * d, q), the divisor cleared to integers.  ``point``
+    solves a vertex P_B = A_B . L_B on every call: a slot seldom reads
+    one vertex twice, so none is kept.  ``_slot_simple`` fills its
+    cell's simple cell, ``region_sum`` its lattice counts by mask,
+    ``_slot_bounds`` its row bounds, and the volume sums ``powers``,
+    <g_B, L_B>^n by basis, on first use.  The slot holds its cells, kept
+    or not.
     """
 
     key: tuple
     arrangement: _Arrangement
     cell: _TypeCell
-    points: dict = field(default_factory=dict)
     simple: _TypeCell | None = None
     amounts: dict = field(default_factory=dict)
     bounds: tuple | None = None
@@ -702,13 +703,10 @@ class _DivisorSlot:
 
     def point(self, b: int):
         """The integer point of basis b; the vertex is point / scale."""
-        point = self.points.get(b)
-        if point is None:
-            combo, adjugate, *_ = self.arrangement.bases[b]
-            coefficients = self.key[0]
-            rhs = [-coefficients[i] for i in combo]
-            point = self.points[b] = tuple(sum(map(mul, row, rhs)) for row in adjugate)
-        return point
+        combo, adjugate, *_ = self.arrangement.bases[b]
+        coefficients = self.key[0]
+        rhs = [-coefficients[i] for i in combo]
+        return tuple(sum(map(mul, row, rhs)) for row in adjugate)
 
     def level(self, b: int) -> int:
         """<g_B, L_B> of basis b for the levels L = -q * d: scale times <xi, P_B>."""
@@ -731,7 +729,7 @@ def _divisor_slot(arrangement: _Arrangement, coefficients, q: int) -> _DivisorSl
     return _DivisorSlot(key, arrangement, cell)
 
 
-def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
+def _held_slot(fan: Fan, d: Divisor, cleared=None) -> _DivisorSlot:
     """The slot of d on a complete fan (``_divisor_slot``), held as the fan's last divisor.
 
     The fan's arrangement holds (key, slot, entries) as ``held``,
@@ -746,10 +744,12 @@ def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
     one held registers a finalizer that drops it with the fan: reference
     counting alone then frees the fan's memo, arrangement and all.
     Region sums, support functions, chamber steps and growth rates read
-    it.  Raises NotCompleteError unless the fan is complete, and
-    ValueError unless d has one coefficient per ray.
+    it.  A caller that has cleared d already passes the pair as
+    ``cleared`` and d is not cleared again.  Raises NotCompleteError
+    unless the fan is complete, and ValueError unless d has one
+    coefficient per ray.
     """
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotCompleteError("region sums, support functions and growth rates need a complete fan")
     _check_length(fan, d)
     # ``_arrangement`` inlined, and ``fan`` bound as a default rather than a closure cell: the
@@ -759,7 +759,7 @@ def _held_slot(fan: Fan, d: Divisor) -> _DivisorSlot:
     if held is not None and all(map(is_, d, held[2])):
         return held[1]
     entries = tuple(d)
-    slot = _divisor_slot(arrangement, *to_integers(entries))
+    slot = _divisor_slot(arrangement, *(cleared or to_integers(entries)))
     if held is None:
         weakref.finalize(fan, setattr, arrangement, "held", None)
     arrangement.held = (slot.key, slot, entries)

@@ -145,6 +145,14 @@ MUTANTS = (
         ("tests/test_fan.py::test_completeness", "tests/test_fan.py::test_simpliciality"),
     ),
     Mutant(
+        "a facet of one cone counted as paired",
+        "fan",
+        "Fan.complete",
+        ") != 2:",
+        ") > 2:",
+        ("tests/test_fan.py::test_completeness",),
+    ),
+    Mutant(
         "one face sign flipped in the Cech cover table",
         "cohomology",
         "_cover_table",

@@ -6,8 +6,10 @@ library free of ``assert`` statements altogether, one keeps every LP
 in the one capped-gap form of ``lp.py``, one keeps every lattice count
 on the one slice walk, one keeps its runtime on the standard library,
 one keeps every region's count on its divisor's cell table, one keeps
-a normal set's divisor-free state on its one arrangement, and one more
-keeps its divisor-free tables on its one configuration.
+a normal set's divisor-free state on its one arrangement, one more
+keeps its divisor-free tables on its one configuration, and two keep
+the per-fan memo on its eleven kinds, one by reading every ``memo(...)``
+key of the library and one by asking every kind of question.
 One checks that every seeded mutant of ``tests/mutants.py`` still
 matches its function.  Another scan keeps the Cech referee from reading the sphere-complex rank vectors it checks, and
 one the volume referees from reading the volume tables.  One keeps
@@ -207,6 +209,62 @@ def test_library_reads_divisor_free_tables_off_one_configuration():
                 func = node.func
                 calls.append((getattr(func, "id", None) or getattr(func, "attr", None), path.name, node.lineno))
     assert calls and {name for name, *_ in calls} <= {"_configuration", "_arrangement"}, calls
+
+
+# The kinds of the per-fan memo (``Fan.memo``): a key is a kind, or a tuple
+# that starts with one.  A fan's own facts are ``Fan`` fields instead.
+MEMO_KINDS = {
+    "configuration", "arrangement", "triangulation", "cech_cover", "profile", "euler", "cech",
+    "gkz_system", "nef_plan", "maximal_chambers", "sigma_fan",
+}
+
+
+def test_library_keys_the_per_fan_memo_by_its_eleven_kinds():
+    # Every ``memo(...)`` call of the library keys a constant kind, or a
+    # tuple that starts with one, and the kinds are exactly MEMO_KINDS: a
+    # cache that no call reads again cannot creep back unseen.
+    kinds = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "memo" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                key = node.args[0]
+                kind = key.elts[0] if isinstance(key, ast.Tuple) else key
+                assert isinstance(kind, ast.Constant) and isinstance(kind.value, str), f"{path.name}:{node.lineno}"
+                kinds.add(kind.value)
+    assert kinds == MEMO_KINDS, sorted(kinds ^ MEMO_KINDS)
+
+
+def test_calls_fill_the_per_fan_memo_with_its_kinds_only():
+    # Every question the library answers on a fan, each where the fan
+    # supports it, leaves only keys of MEMO_KINDS in its memo.
+    from generated_fans import star_fan_data
+    from toricvol import fixtures
+    from toricvol.asymptotics import hhat, self_intersection
+    from toricvol.cohomology import cech_oracle, euler_char, h_all
+    from toricvol.divisor import divisor
+    from toricvol.fan import make_fan
+    from toricvol.gkz import (
+        enumerate_maximal_chambers, hhat0_on_chamber, locate_chamber, located_cone, nef_decomposition,
+    )
+
+    p4 = make_fan(*star_fan_data(0, dim=4))
+    for fan in (fixtures.bl3_p2(), fixtures.bl1_p3(), fixtures.cube_fan(), p4):
+        d = divisor([1] * len(fan.rays))
+        assert h_all(fan, d) == cech_oracle(fan, d)
+        euler_char(fan, d)
+        hhat(fan, d)
+        self_intersection(fan, d)
+        location = locate_chamber(fan, d)
+        chamber = located_cone(fan, location)
+        nef_decomposition(fan, chamber, d)
+        if location.interior:
+            hhat0_on_chamber(fan, chamber, d)
+        if fan.dim <= 3:
+            assert enumerate_maximal_chambers(fan, allow_dim3=True)
+        found = {key[0] if isinstance(key, tuple) else key for key in fan._memo}
+        assert found <= MEMO_KINDS, (fan, sorted(found - MEMO_KINDS))
+
 
 def test_library_imports_only_the_standard_library():
     assert SOURCES

@@ -1,8 +1,8 @@
 """A fan is set up once: validation's proof feeds completeness and faces.
 
 ``fan_diagnostics`` runs the glued test (``fan._glued_cover_once``)
-first; when it accepts, the fan starts with ``is_complete`` and
-``is_simplicial`` in its memo and its faces are read with no rank.  The
+first; when it accepts, the fan starts with ``Fan.complete`` and
+``Fan.simplicial`` set and its faces are read with no rank.  The
 kernel direction of each (n - 1)-subset of the rays is kept in one table
 per fan, read by the glued test and by the cocircuit patterns of
 ``regions``.  The referees here keep the rank-based ``is_complete``,

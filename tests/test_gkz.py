@@ -1265,6 +1265,28 @@ def test_a_chamber_step_clears_its_divisor_once_and_keys_one_cell(monkeypatch, m
         assert len(keys) == (2 if chamber.strict_rays else 1), chamber.strict_rays
 
 
+def test_hhat0_on_chamber_clears_a_new_divisor_once(monkeypatch):
+    # hhat0_on_chamber tests membership on the cleared divisor and hands
+    # that pair to the held slot, so a new divisor of each of bl2_p2's
+    # chambers is cleared once on the fan.  The chamber's own fan clears
+    # the pushforward, which is not counted.
+    import toricvol.linalg as linalg
+
+    fan = fresh(bl2_p2())
+    chambers = enumerate_maximal_chambers(fan)
+    rates = [hhat0_on_chamber(fan, chamber, chamber.sample_divisor) for chamber in chambers]
+    cleared, pushed = [], []
+    counting(monkeypatch, linalg, "to_integers", cleared.append)
+    push = gkz.pushforward
+    monkeypatch.setattr(gkz, "pushforward", lambda *args: pushed.append(push(*args)) or pushed[-1])
+    for chamber, rate in zip(chambers, rates):
+        d = scale(chamber.sample_divisor, Fraction(7, 3))
+        cleared.clear(), pushed.clear()
+        assert hhat0_on_chamber(fan, chamber, d) == Fraction(7, 3) ** 2 * rate
+        assert len(pushed) == 1
+        assert [values for values in cleared if values is not pushed[0]] == [d], chamber.sigma_cones
+
+
 def test_a_nef_split_on_cones_holding_every_ray_builds_no_nef_region(monkeypatch):
     # When every ray generates one of the cones, the nef region is a
     # region of the fan itself, on the fan's arrangement; only a chamber
@@ -1514,13 +1536,23 @@ def star_fan(splits):
     [*COMPLETE_2D, bl1_p3, p1_cubed, cube_fan, *map(star_fan, range(1, 5)), *map(polygon_fan, range(4))],
     ids=lambda make: make.__name__,
 )
-def test_cone_members_and_extreme_subsets_match_lp_referee(make):
+def test_cone_members_and_extreme_subsets_match_lp_referee(monkeypatch, make):
     # Every cone and tight set that enumeration, gkz_cone and the location
     # of the chamber samples, of 0, of the sum of the ray divisors and of
-    # seeded divisors meet (all kept in the fan's memo), degenerate and
-    # non-simplicial chambers included: the members read off the basis
-    # table are the rays cone_contains puts in the cone, and the extreme
-    # subset the rays it finds outside the cone of the others.
+    # seeded divisors meet (each answer recorded as the helper gives it),
+    # degenerate and non-simplicial chambers included: the members read
+    # off the basis table are the rays cone_contains puts in the cone,
+    # and the extreme subset the rays it finds outside the cone of the
+    # others.
+    facts = {kind: {} for kind in ("cone_members", "extreme_subset")}
+    for kind in facts:
+        helper = getattr(gkz, f"_{kind}")
+
+        def recorded(fan, rays, helper=helper, found=facts[kind]):
+            found[rays] = helper(fan, rays)
+            return found[rays]
+
+        monkeypatch.setattr(gkz, f"_{kind}", recorded)
     fan = fresh(make())
     k = len(fan.rays)
     rng = random.Random(26)
@@ -1531,10 +1563,6 @@ def test_cone_members_and_extreme_subsets_match_lp_referee(make):
     divisors += [effective(fan, rng) for _ in range(20)]
     for d in divisors:
         located_cone(fan, locate_chamber(fan, d))
-    facts = {kind: {} for kind in ("cone_members", "extreme_subset")}
-    for key, value in fan._memo.items():
-        if isinstance(key, tuple) and key[0] in facts:
-            facts[key[0]][key[1]] = value
     assert facts["cone_members"] and facts["extreme_subset"]
     for cone, members in facts["cone_members"].items():
         gens = [fan.rays[i] for i in sorted(cone)]

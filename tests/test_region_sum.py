@@ -16,6 +16,7 @@ import gc
 import hashlib
 import random
 import sys
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -30,7 +31,7 @@ from toricvol import asymptotics, cohomology, fixtures, regions
 from toricvol.asymptotics import hhat, mixed_partial_h0, self_intersection
 from toricvol.cohomology import cech_oracle, euler_char, h_all
 from toricvol.errors import ToricError, UnboundedRegionError
-from toricvol.fan import _Configuration, _configuration, is_complete, make_fan
+from toricvol.fan import _Configuration, _configuration, all_cones, is_complete, is_simplicial, make_fan
 from toricvol.gkz import ample_via_asymptotics, hhat0_on_chamber, locate_chamber, located_cone
 from toricvol.homology import local_cohomology_ranks
 from toricvol.linalg import to_integers
@@ -832,3 +833,50 @@ def test_concurrent_questions_answer_like_serial_ones(monkeypatch):
         arrangement = regions._arrangement(fan.rays, fan.dim, fan.memo)
         assert arrangement.entries == sum(cell.size for cell in arrangement.cells.values()) <= budget
     assert len(arrangement.cells) < met
+
+
+def test_first_reads_of_a_fans_facts_from_many_threads_answer_like_serial_ones():
+    # A fresh cube_fan, the complete fan that is neither a glued cover nor
+    # simplicial, has read none of its facts when 6 threads, more than
+    # the CPUs, pass one barrier: each asks Fan.faces, Fan.complete and
+    # Fan.simplicial first in its own order, then h_all, cech_oracle and
+    # hhat of seeded divisors, so every fact is first read from several
+    # threads at once, in a short switch interval.  Every answer must be
+    # the serial one, and no thread may hang.
+    reference = fresh(fixtures.cube_fan())
+    rng = random.Random(405)
+    divisors = [tuple(rng.randint(-2, 3) for _ in reference.rays) for _ in range(6)]
+    facts = (all_cones, is_complete, is_simplicial)
+    jobs = [(f, d) for d in divisors for f in (h_all, cech_oracle, hhat)]
+    expected = {f: f(reference) for f in facts}
+    expected |= {(f, d): f(reference, d) for f, d in jobs}
+    fan = fresh(reference)
+    assert not {"faces", "complete", "simplicial"} & vars(fan).keys()
+    workers = 6
+    start = threading.Barrier(workers)
+    answers, errors = {}, []
+
+    def ask(i):
+        try:
+            start.wait(timeout=60)
+            mine = {f: f(fan) for f in facts[i % 3 :] + facts[: i % 3]}
+            mine |= {(f, d): f(fan, d) for f, d in jobs[i:] + jobs[:i]}
+            answers[i] = mine
+        except Exception as error:  # reported below, with the thread's index
+            errors.append((i, error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,), daemon=True) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a thread hung"
+    assert not errors, errors
+    assert sorted(answers) == list(range(workers))
+    for mine in answers.values():
+        assert mine == expected
