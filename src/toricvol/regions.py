@@ -63,7 +63,7 @@ region's lattice points straight off that slot and the count plan of
 the region's weak mask, with no region object (``_slot_count``).  A
 standalone ``HalfOpenRegion`` takes the same path: its count, listing
 and volume read its weak mask's entry in the realized table of its
-slot's simple cell (below), with the entry's kept plan and corner box,
+slot's simple cell (below), with the entry's kept plan and its box,
 and every closure-vertex table, a region's or a polytope's, is read by
 one function (``_closure_table``).
 
@@ -103,22 +103,25 @@ Lattice points are counted one plane at a time, by one core
 (``_lattice_count``) that reads a count plan (``_CountPlan``).  A plan
 holds what does not depend on the divisor: the facet rows of the region,
 each oriented to one weak integer inequality, split once into the lower,
-upper and flat lines of a 2-D slice in the last two coordinates, and the
-box rows of the closure's vertices.  On the simple cell a row tight at
-no vertex of the closure holds strictly on it, so the facet rows alone
-cut out the region (``_cell_plan``); each simple cell keeps the plan of
-every realized mask it counts.  A count then only clears the bounds,
-solves the first n - 1 coordinates of each vertex for the bounding box,
-and sums slices: one function builds each (``_plan_slice``) from the
-facets' bounds shifted to its integer point of the box's first n - 2
-coordinates, the flat rows narrow it, and ``_slice_count`` walks its
-lower and upper envelopes along the second-to-last coordinate, adding
-each run between envelope changes with two floor sums (the lattice
-points under a segment, by the Euclid-like recursion of
-``floor_sum``).  A slice costs O(k^2 + k log m) for k facets,
-independent of its width.  Dimension 2 is one slice.  In dimension
-n >= 3 the slice counts are summed slab by slab (``_slab_count``), once
-per integer point of the first n - 3 ranges: there the rest is a 3-D
+upper and flat lines of a 2-D slice in the last two coordinates, and
+per axis k < n - 1 the box rows of two vertices of the closure, the
+least in x_k and the greatest, told apart by the signs of their basis
+inverses alone.  On the simple cell a row tight at no vertex of the
+closure holds strictly on it, so the facet rows alone cut out the
+region (``_cell_plan``); each simple cell keeps the plan of every
+realized mask it counts.  A count then only clears the bounds, reads
+each of the first n - 1 ranges of the bounding box off its two vertices
+with two dot products, and sums slices: one function builds each
+(``_plan_slice``) from the facets' bounds shifted to its integer point
+of the box's first n - 2 coordinates, the flat rows narrow it, and
+``_slice_count`` walks its lower and upper envelopes along the
+second-to-last coordinate, adding each run between envelope changes
+with two floor sums (the lattice points under a segment, by the
+Euclid-like recursion of ``floor_sum``).  A slice costs
+O(k^2 + k log m) for k facets, independent of its width.  Dimension 2
+is one slice, read straight off the row bounds.  In dimension n >= 3
+the slice counts are summed slab by slab (``_slab_count``), once per
+integer point of the first n - 3 ranges: there the rest is a 3-D
 polytope in the last three coordinates, and between the points where
 three of its facet planes meet, each residue class of coordinate n - 2
 modulo the plan's period has a slice count quadratic in it, read off
@@ -171,18 +174,18 @@ FIBER_BUDGET = 10**7
 # The type cells of each normal set share one bound of CELL_BUDGET entries
 # (``_Arrangement.cell``): one per circuit sign of a cell's key, one per
 # vertex it classifies, one per (region, vertex) incidence of its realized
-# table, one per facet row, vertex and breakpoint of each count plan, one per
+# table, one per facet row, box axis and breakpoint of each count plan, one per
 # weighted entry of a region sum, one per row of each volume table column
 # and one for a located chamber.  Each lookup marks its cell the most
 # recently used; past the bound the least recently used cells are dropped
 # whole, and a cell larger than the bound is used but not kept.  Sized
 # from measured traffic: h_all, cech_oracle and euler_char on divisors of
-# bl3_p2 (6 rays, 20 circuits) drawn from [-4, 4]^6, as the sections
-# benchmark draws them, met 478 cells holding 23 220 entries after 800
-# draws (154 simple cells; 358 of their 762 count plans distinct) and
-# 691 cells, 27 932 entries, after 3000, so 2^15 keeps every cell such a
-# run meets; the other fixtures' cells stay under 2 000 entries.  Those
-# 800 draws' kept cells hold ~1.0 MB (tracemalloc).
+# bl3_p2 (6 rays, 20 circuits) drawn from [-4, 4]^6 (seed 0), as the
+# sections benchmark draws them, met 464 cells holding 20 787 entries
+# after 800 draws (153 simple cells with 749 count plans) and 689 cells,
+# 25 820 entries, after 3000, so 2^15 keeps every cell such a run meets;
+# the other fixtures' cells stay under 2 000 entries.  Those 800 draws
+# leave ~1.2 MB allocated (tracemalloc, after a collection).
 CELL_BUDGET = 2**15
 # The zero rate, shared by every volume sum that adds up to nothing.
 _ZERO = Fraction(0)
@@ -483,7 +486,8 @@ class _Arrangement:
         ``getter`` reads the basis's entries of the cleared divisor q d
         and ``rows`` are the first n - 1 rows of the adjugate, negated,
         since P_B = A_B . L_B with L = -q d.  Only these coordinates
-        feed a count's bounding box.
+        feed a count's bounding box, and only the rows of the two
+        vertices per axis that a count plan keeps (``_cell_plan``).
         """
         return tuple(
             (itemgetter(*combo), tuple(tuple(-x for x in row) for row in adjugate[:-1]))
@@ -854,9 +858,11 @@ class _CountPlan:
     facet j with beta > 0 is a lower line (j, -alpha, beta) of the
     slice, t >= (-alpha*s + c_j)/beta, one with beta < 0 an upper line
     (j, alpha, -beta), t <= (alpha*s - c_j)/-beta, and one with beta = 0
-    a flat row (j, alpha) that narrows s.  ``corners`` holds one pair of
-    ``_Arrangement.corners`` per vertex basis of the plan's table entry,
-    whose n - 1 coordinates feed the box.
+    a flat row (j, alpha) that narrows s.  ``ends`` holds one pair
+    (least, greatest) per axis k < n - 1, each a pair (getter, row) of
+    ``_Arrangement.corners`` that reads coordinate k of the vertex
+    least, or greatest, in it (``_cell_plan``): two dot products give
+    the axis's range of the box.
 
     In dimension n >= 3 the plan also keeps what slab sums
     (``_slab_count``) need of the rows alone, read off the facets' last
@@ -879,13 +885,13 @@ class _CountPlan:
     lower: tuple
     upper: tuple
     flat: tuple
-    corners: tuple
+    ends: tuple
     period: int = 1
     breaks: tuple | None = None
 
 
-def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners) -> _CountPlan:
-    """The plan of the rows in the ``facets`` mask, weak on the ``weak`` mask, with its ``corners`` (``_CountPlan``).
+def _count_plan(arrangement: _Arrangement, facets: int, weak: int, ends) -> _CountPlan:
+    """The plan of the rows in the ``facets`` mask, weak on the ``weak`` mask, with its box ``ends`` (``_CountPlan``).
 
     Its facet triples are the arrangement's ``oriented`` rows and its
     lines one object per value (``_Arrangement.share``).
@@ -898,7 +904,7 @@ def _count_plan(arrangement: _Arrangement, facets: int, weak: int, corners) -> _
         tuple(share((j, -alpha, beta)) for j, alpha, beta in split if beta > 0),
         tuple(share((j, alpha, -beta)) for j, alpha, beta in split if beta < 0),
         tuple(share((j, alpha)) for j, alpha, beta in split if not beta),
-        corners,
+        ends,
         *((_period(rows),) if arrangement.dim >= 3 else ()),
     )
 
@@ -945,16 +951,36 @@ def _cell_plan(arrangement: _Arrangement, mask: int, vertices) -> _CountPlan:
     region is cut out by its facet rows alone, weak and strict as they
     are, and cuts no lattice point with the others; lowering moves no
     lattice point (``region_sum``), so the plan counts the divisor's own
-    region.  The corners are the vertex bases' box rows.
+    region.
+
+    The ends are, per axis k < n - 1, the box rows of the vertex least
+    in x_k and of the one greatest.  Every vertex P_B of the simple
+    closure is tight on its basis B alone, with oriented normals s_j v_j
+    (s_j = 1 on a weak row, -1 on a strict one), so P_B is least in x_k
+    exactly when e_k lies in their cone (LP optimality at a simple
+    vertex; Schrijver 1986, ch. 8): when s_j A_B[k][j] >= 0 on every row
+    j of B, A_B the basis's integer inverse, and greatest when every
+    product is <= 0.  The test reads signs alone, no divisor; some
+    vertex of a polytope passes it, and vertices that both pass share
+    the coordinate.  The vertices are linear in the levels, so the same
+    bases bound the box at the unlowered levels a count reads.  Raises
+    ToricError if no vertex passes.
     """
     facets = reduce(or_, (basis for _, _, basis in vertices))
-    corners = tuple(arrangement.corners[b] for b, _, _ in vertices)
-    return _count_plan(arrangement, facets, mask, corners)
-
-
-def _range(values, scale: int) -> range:
-    """The integers between the least and the greatest of ``values`` / ``scale``."""
-    return range(-(-min(values) // scale), max(values) // scale + 1)
+    ends = []
+    for k in range(arrangement.dim - 1):
+        pair = []
+        for sign in (1, -1):  # the least vertex, then the greatest
+            for b, _, _ in vertices:
+                combo, adjugate, *_ = arrangement.bases[b]
+                if all(sign * x * (1 if mask >> i & 1 else -1) >= 0 for i, x in zip(combo, adjugate[k])):
+                    get, rows = arrangement.corners[b]
+                    pair.append((get, rows[k]))
+                    break
+            else:
+                raise ToricError("internal: no vertex of a simple cell's region is extreme along an axis")
+        ends.append(tuple(pair))
+    return _count_plan(arrangement, facets, mask, tuple(ends))
 
 
 def _check_prefixes(box) -> None:
@@ -1089,10 +1115,12 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
     """The number of lattice points of a plan's region: the one count core.
 
     ``ceilings`` are the rows' bounds ceil(L_i) and ``box`` the integer
-    ranges of the first n - 1 coordinates of the closure, the last of
-    them the range of s.  In dimension 1, where the box has no
-    coordinate, the count sums the region's one fiber; in dimension 2 it
-    is one slice (``_plan_slice``) on the facets' bounds; in dimension
+    ranges of the first n - 1 coordinates of the closure, each read off
+    its two extreme vertices (``_slot_plan``), the last of them the range
+    of s.  In dimension 1, where the box has no coordinate, the count
+    sums the region's one fiber; in dimension 2 it is one slice
+    (``_plan_slice``) on the facets' bounds, read straight off the
+    ceilings with no row pairs built and no prefix counted; in dimension
     n >= 3 the slices of range n - 2 are summed slab by slab
     (``_slab_count``) once per integer point of the first n - 3 ranges,
     each facet's bound shifted by its head <a, prefix>: a number of
@@ -1103,14 +1131,15 @@ def _lattice_count(plan: _CountPlan, ceilings, box) -> int:
     width.  A box of more than ``FIBER_BUDGET`` integer points of the
     first n - 2 ranges raises CapExceededError before any count.
     """
+    if len(box) == 1:
+        c = [ceilings[i] if weak else 1 - ceilings[i] for i, weak, _ in plan.facets]
+        return _plan_slice(plan, c, box[0].start, box[0].stop - 1)
     rows = _bounds(plan, ceilings)
     if not box:
         return sum(hi - lo + 1 for _, lo, hi in _fibers(rows, box))
     heads = box[:-1]
     _check_prefixes(heads)
     lo, hi = box[-1].start, box[-1].stop - 1
-    if not heads:
-        return _plan_slice(plan, [bound for _, bound in rows], lo, hi)
     if len(heads) == 1:
         return _slab_count(plan, rows, heads[0], lo, hi)
     return sum(
@@ -1204,12 +1233,12 @@ def lattice_count(reg: HalfOpenRegion) -> int:
 
     The mask's entry in its simple cell's table (``_region_entry``) is
     counted as ``region_sum`` counts it (``_slot_count``), on the
-    entry's kept plan, its corner box and the row bounds of the
-    region's slot: 2-D slices counted with no point listed, or in
-    dimension 1 the one fiber; a mask with no entry holds no point.
-    Raises on systems with unbounded closure and CapExceededError past
-    ``FIBER_BUDGET`` prefixes, the integer points of the box's first
-    n - 2 coordinates.
+    entry's kept plan, its box off two vertices per axis and the row
+    bounds of the region's slot: 2-D slices counted with no point
+    listed, or in dimension 1 the one fiber; a mask with no entry holds
+    no point.  Raises on systems with unbounded closure and
+    CapExceededError past ``FIBER_BUDGET`` prefixes, the integer points
+    of the box's first n - 2 coordinates.
     """
     slot, weak, vertices = _region_entry(reg)
     return 0 if vertices is None else _slot_count(slot, weak, vertices)
@@ -1219,9 +1248,9 @@ def lattice_points(reg: HalfOpenRegion) -> list[tuple[int, ...]]:
     """All integer points of the half-open region, in lexicographic order.
 
     Membership honors the mixed weak/strict system exactly; the points
-    are the fibers of ``_fibers`` on the plan and corner box of the
-    mask's table entry (``_slot_plan``) and the row bounds of the
-    region's slot, expanded one by one.  They are counted first on the
+    are the fibers of ``_fibers`` on the plan and box of the mask's
+    table entry (``_slot_plan``, two vertices per axis) and the row
+    bounds of the region's slot, expanded one by one.  They are counted first on the
     same plan (``_slot_count``), and more than ``FIBER_BUDGET`` of them
     raise CapExceededError before any is listed.
     """
@@ -1368,17 +1397,20 @@ def _slot_plan(slot: _DivisorSlot, mask: int, vertices):
     The mask's count plan (``_cell_plan``, from its vertex triples
     ``vertices``) is built on its first use and kept on the slot's
     simple cell.  The box holds the integer ranges of the first n - 1
-    coordinates of the vertices, the only coordinates solved, each off
-    the plan's corners.
+    coordinates of the vertices: range k runs from the ceiling of the
+    least vertex's x_k to the floor of the greatest's, each one dot
+    product off the plan's ``ends``, so no other vertex is solved.
     """
     arrangement, simple = slot.arrangement, _slot_simple(slot)
     plan = simple.plans.get(mask)
     if plan is None:
         plan = simple.plans[mask] = _cell_plan(arrangement, mask, vertices)
-        arrangement.grow(simple, len(plan.facets) + len(plan.corners))
-    coefficients = slot.key[0]
-    points = zip(*([sum(map(mul, row, get(coefficients))) for row in rows] for get, rows in plan.corners))
-    return plan, [_range(column, slot.scale) for column in points]
+        arrangement.grow(simple, len(plan.facets) + len(plan.ends))
+    c, scale = slot.key[0], slot.scale
+    return plan, [
+        range(-(-sum(map(mul, low, least(c))) // scale), sum(map(mul, high, most(c))) // scale + 1)
+        for (least, low), (most, high) in plan.ends
+    ]
 
 
 def _slot_count(slot: _DivisorSlot, mask: int, vertices) -> int:

@@ -41,6 +41,7 @@ WIDE_BOXES = "tests/test_slab_counts.py::test_slab_counts_match_the_per_prefix_w
 WIDE_BOXES_4D = "tests/test_slab_counts.py::test_4d_slab_counts_match_the_per_prefix_walk_on_wide_boxes"
 CELL_WALLS = "tests/test_count_plans.py::test_standalone_measures_on_cell_walls_match_the_plain_scan"
 PLAIN_SCAN = "tests/test_count_plans.py::test_the_count_core_matches_a_plain_point_scan"
+BOX_REFEREE = "tests/test_count_plans.py::test_a_plans_box_is_the_range_of_every_vertex_of_its_entry"
 
 MUTANTS = (
     Mutant(
@@ -127,6 +128,22 @@ MUTANTS = (
             "tests/test_regions.py::test_closure_vertices_unbounded_raises",
             "tests/test_regions.py::test_closure_vertices_without_fan_memo",
         ),
+    ),
+    Mutant(
+        "extreme test ignores the row orientation",
+        "regions",
+        "_cell_plan",
+        "sign * x * (1 if mask >> i & 1 else -1) >= 0",
+        "sign * x >= 0",
+        (BOX_REFEREE, PLAIN_SCAN),
+    ),
+    Mutant(
+        "upper end read off the least vertex",
+        "regions",
+        "_cell_plan",
+        "for sign in (1, -1):",
+        "for sign in (1, 1):",
+        (BOX_REFEREE, PLAIN_SCAN),
     ),
     Mutant(
         "slot counts one too many above 3",

@@ -7,7 +7,10 @@ region's ``lattice_count`` and ``lattice_points`` read the same entry.
 The referee here enumerates every integer point of the region's closure
 box, found by the arrangement referee's own vertex pass, and tests it
 against all k rows of the divisor in integers; it shares no code with
-the core.  The work pins are deterministic counts, with no clock.
+the core.  A box referee solves every vertex of a mask's entry in
+Fractions and checks the plan's box, read off two vertices per axis,
+against their range.  The work pins are deterministic counts, with no
+clock.
 """
 
 import math
@@ -19,6 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import fraction_linalg
 from arrangement_referees import divisor_vertices, filtered, pulling_volume
 from generated_fans import star_fan_data
 from test_region_sum import COMPLETE_FIXTURES, fresh, poly12
@@ -153,6 +157,37 @@ def test_standalone_measures_on_cell_walls_match_the_plain_scan():
                 checked += 1
                 points_seen += len(expected)
     assert checked > 20000 and entries > 400 and points_seen > 1500, (checked, entries, points_seen)
+
+
+def test_a_plans_box_is_the_range_of_every_vertex_of_its_entry():
+    # The box of a realized mask is read off two vertices per axis, the
+    # least and the greatest, chosen from the signs of their basis
+    # inverses alone (``_cell_plan``).  Here every vertex of the entry is
+    # solved in Fractions, at the divisor's own levels, and the box must
+    # be the range of their first n - 1 coordinates, at D = 0, on cell
+    # walls and at rational divisors alike.
+    makes = (*(partial(star_fan, s) for s in range(1, 5)), poly12, fixtures.cube_fan)
+    makes += (partial(star_fan, 0, dim=4), partial(star_fan, 2, dim=4))
+    boxes = 0
+    for make in makes:
+        fan = fresh(make())
+        n = fan.dim
+        for d in referee_divisors(fan, random.Random(2048 + len(fan.rays))):
+            slot = regions._divisor_slot(regions._arrangement(fan.rays, fan.dim, fan.memo), *to_integers(d))
+            for mask, _, vertices in regions._realized_masks(slot):
+                plan, box = regions._slot_plan(slot, mask, vertices)
+                assert len(plan.ends) == n - 1 and all(len(pair) == 2 for pair in plan.ends)
+                points = []
+                for b, _, _ in vertices:
+                    combo = slot.arrangement.bases[b][0]
+                    points.append(fraction_linalg.solve([fan.rays[i] for i in combo], [-d[i] for i in combo]))
+                expected = [
+                    range(math.ceil(min(column)), math.floor(max(column)) + 1)
+                    for column in list(zip(*points))[: n - 1]
+                ]
+                assert box == expected, (fan.rays, d, mask)
+                boxes += 1
+    assert boxes > 700, boxes
 
 
 def test_the_referee_divisors_reach_every_kind():

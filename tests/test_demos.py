@@ -6,6 +6,7 @@ library free of ``assert`` statements altogether, one keeps every LP
 in the one capped-gap form of ``lp.py``, one keeps every lattice count
 on the one slice walk, one keeps its runtime on the standard library,
 one keeps every region's count on its divisor's cell table, one keeps
+each count box on two vertices per axis, one keeps
 a normal set's divisor-free state on its one arrangement, one more
 keeps its divisor-free tables on its one configuration, and two keep
 the per-fan memo on its eleven kinds, one by reading every ``memo(...)``
@@ -132,6 +133,15 @@ def test_library_counts_every_region_on_the_cell_table():
     assert found == {"regions.py:_closure_table", "regions.py:_realized_masks"}, found
     for name in ("_own_plan", "_integer_vertices", "_vertex_table", "_polytope_table"):
         assert readers(name) == set(), name
+
+
+def test_library_bounds_each_count_box_by_two_vertices_per_axis():
+    # A count plan keeps two vertices' box rows per axis, the least and
+    # the greatest (``_cell_plan``): only the plan builder reads the
+    # arrangement's box rows, so no count path goes back to solving
+    # every vertex of a region for its box.
+    found = readers("corners")
+    assert found == {"regions.py:_cell_plan"}, found
 
 
 def test_every_mutant_edits_one_place_of_its_function():

@@ -377,15 +377,16 @@ def cell_entries(cell):
 
     One per circuit sign of its key, one per vertex it has classified,
     one per (region, vertex) incidence of its realized table, one per
-    facet row and one per vertex of each count plan, one per breakpoint
-    of each plan that has built them, one per weighted entry, one per row of each volume table column and
-    one for a located chamber.
+    facet row and one per box axis (its pair of ends) of each count
+    plan, one per breakpoint of each plan that has built them, one per
+    weighted entry, one per row of each volume table column and one for
+    a located chamber.
     """
     return (
         len(cell.key)
         + len(cell.vertices or ())
         + (sum(len(entry[2]) for entry in cell.masks) if cell.masks else 0)
-        + sum(len(plan.facets) + len(plan.corners) + len(plan.breaks or ()) for plan in cell.plans.values())
+        + sum(len(plan.facets) + len(plan.ends) + len(plan.breaks or ()) for plan in cell.plans.values())
         + sum(len(entries) for _, entries in cell.weighted.values())
         + table_entries(cell)
         + (cell.chamber is not None)
